@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-smoke microbench chaos replication failover cover oracle-diff
+.PHONY: build test race vet check perfbench-check bench bench-smoke microbench chaos replication failover cover oracle-diff
 
 build:
 	$(GO) build ./...
@@ -75,7 +75,14 @@ oracle-diff:
 	$(GO) test -race -run 'TestDifferentialWorkloads|TestRankBatchOracleDifferential|TestAnytimeOracleBoundsDifferential' .
 	$(GO) test -run 'TestChainJoinAllocGate' ./internal/engine
 
-check: build vet test oracle-diff
+# The benchmark (perfbench/, BENCHMARK.json) is its own Go module that
+# replaces lapushdb with this checkout, so `./...` above never compiles
+# it. Vet and test it here — offline, ~10 s — so a change to an engine
+# API it calls fails beside tier-1 instead of at the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet test oracle-diff perfbench-check
 
 # Standing load harness (cmd/loadgen): mixed workloads against an
 # in-process lapushd, results merged into BENCH_<rev>.json. `bench` is

@@ -26,11 +26,10 @@ type AnytimeOptions struct {
 	// answer's upper − lower <= Epsilon. Must be in [0, 1); 0 demands
 	// exact collapse. Use ValidateEpsilon for the shared validation.
 	Epsilon float64
-	// IgnoreSchema, Workers, CostBasedJoins, DisableOpt2/3 and
-	// MaxIntermediateRows mean what they mean on Options.
+	// IgnoreSchema, Workers, DisableOpt2/3 and MaxIntermediateRows mean
+	// what they mean on Options.
 	IgnoreSchema        bool
 	Workers             int
-	CostBasedJoins      bool
 	DisableOpt2         bool
 	DisableOpt3         bool
 	MaxIntermediateRows int
@@ -162,7 +161,6 @@ func (d *DB) rankAnytime(ctx context.Context, q *cq.Query, plans []plan.Node, sa
 	cfg := anytime.Config{
 		Epsilon:             opts.Epsilon,
 		Workers:             opts.Workers,
-		CostBasedJoins:      opts.CostBasedJoins,
 		ReuseSubplans:       !opts.DisableOpt2,
 		SemiJoin:            !opts.DisableOpt3,
 		MaxIntermediateRows: opts.MaxIntermediateRows,

@@ -64,12 +64,9 @@ func (d *DB) NewBatch(opts *Options) *Batch {
 	o := *opts
 	// The scope string states the sharing invariant: one database
 	// state, one set of result-affecting options. Options that change
-	// subplan bits (join ordering) or plan shape are folded in
-	// defensively even though a memo never outlives its Batch.
+	// plan shape are folded in defensively even though a memo never
+	// outlives its Batch.
 	scope := d.SchemaFingerprint()
-	if o.CostBasedJoins {
-		scope += "|cb"
-	}
 	if o.IgnoreSchema {
 		scope += "|ns"
 	}

@@ -246,48 +246,6 @@ func BenchmarkFig5p(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallel compares sequential vs parallel evaluation
-// of the 7-chain's 132 minimal plans — the "multi-core query
-// processing" benefit of running inference inside a relational engine.
-func BenchmarkAblationParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	db, q := workload.Chain(7, 2000, exp.ChainDomain(7, 2000), 0.5, rng)
-	plans := core.MinimalPlans(q, nil)
-	opts := engine.Options{ReuseSubplans: true}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engine.EvalPlans(db, q, plans, opts)
-		}
-	})
-	for _, w := range []int{2, 4, 8} {
-		w := w
-		b.Run(fmt.Sprintf("parallel-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				engine.EvalPlansParallel(db, q, plans, opts, w)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationJoinOrder compares the greedy join-order heuristic
-// against the Selinger-style dynamic program on star queries, whose
-// k-ary joins give the optimizer real choices.
-func BenchmarkAblationJoinOrder(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	db, q := workload.Star(4, 3000, exp.StarDomain(4, 3000), 0.5, rng)
-	sp := core.SinglePlan(q, nil)
-	b.Run("greedy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engine.NewEvaluator(db, q, engine.Options{ReuseSubplans: true}).Eval(sp)
-		}
-	})
-	b.Run("cost-based", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engine.NewEvaluator(db, q, engine.Options{ReuseSubplans: true, CostBasedJoins: true}).Eval(sp)
-		}
-	})
-}
-
 // BenchmarkTopK measures the threshold top-k operator against full
 // exact ranking: early termination should examine only a few lineages.
 func BenchmarkTopK(b *testing.B) {

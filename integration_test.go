@@ -74,8 +74,7 @@ func TestIntegrationTPCH(t *testing.T) {
 		{DisableOpt1: true},
 		{DisableOpt2: true},
 		{DisableOpt3: true},
-		{Parallel: true, Workers: 3},
-		{CostBasedJoins: true},
+		{Workers: 3},
 		{DisableOpt1: true, DisableOpt2: true, DisableOpt3: true},
 	} {
 		diss, err := db.Rank(q, opts)

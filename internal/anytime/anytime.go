@@ -60,7 +60,6 @@ type Config struct {
 	Epsilon float64
 	// Engine options for the plan stage, mirroring lapushdb.Options.
 	Workers             int
-	CostBasedJoins      bool
 	ReuseSubplans       bool
 	SemiJoin            bool
 	MaxIntermediateRows int
@@ -266,10 +265,9 @@ func (ev *evaluation) stagePlans(plans []plan.Node) error {
 	}
 
 	eopts := engine.Options{
-		ReuseSubplans:  ev.cfg.ReuseSubplans,
-		CostBasedJoins: ev.cfg.CostBasedJoins,
-		Workers:        ev.cfg.Workers,
-		Memo:           ev.cfg.Memo,
+		ReuseSubplans: ev.cfg.ReuseSubplans,
+		Workers:       ev.cfg.Workers,
+		Memo:          ev.cfg.Memo,
 	}
 	stage := StageStats{Name: "plans"}
 	for _, p := range ordered {

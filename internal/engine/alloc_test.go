@@ -11,12 +11,14 @@ import (
 
 // TestChainJoinAllocGate is the allocation-regression gate for the
 // columnar executor on the join-heavy chain shape: evaluating the
-// 3-chain's minimal plans sequentially must stay under a pinned
-// allocation ceiling. The ceiling is set from a post-refactor
+// 3-chain's minimal plans must stay under one pinned allocation ceiling
+// with and without helpers. The ceiling is set from a post-refactor
 // measurement (see the constant below) with ~30% headroom. The retained
 // row-at-a-time oracle measures ~33k allocs/op on the same instance, so
-// any slide back toward per-row appends or map-backed group tables
-// trips the gate long before it shows up in benchmarks.
+// any slide back toward per-row appends, map-backed group tables, or a
+// per-chunk projection that only runs with helpers trips the gate long
+// before it shows up in benchmarks. It is also the check that the
+// EvalProfiled hook allocates nothing while off.
 func TestChainJoinAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -40,15 +42,17 @@ func TestChainJoinAllocGate(t *testing.T) {
 		}
 	}
 	plans := core.MinimalPlans(q, nil)
-	var out *Result
-	allocs := testing.AllocsPerRun(3, func() {
-		out = EvalPlans(db, q, plans, Options{Workers: 1})
-	})
-	if out.Len() == 0 {
-		t.Fatal("chain evaluation returned no rows")
-	}
-	t.Logf("chain3 eval: %.0f allocs/op (%d answers)", allocs, out.Len())
-	if allocs > chainAllocCeiling {
-		t.Errorf("chain join allocations %.0f exceed pinned ceiling %d", allocs, chainAllocCeiling)
+	for _, w := range []int{1, 4} {
+		var out *Result
+		allocs := testing.AllocsPerRun(3, func() {
+			out = EvalPlans(db, q, plans, Options{Workers: w})
+		})
+		if out.Len() == 0 {
+			t.Fatal("chain evaluation returned no rows")
+		}
+		t.Logf("chain3 eval, workers=%d: %.0f allocs/op (%d answers)", w, allocs, out.Len())
+		if allocs > chainAllocCeiling {
+			t.Errorf("workers=%d: chain join allocations %.0f exceed pinned ceiling %d", w, allocs, chainAllocCeiling)
+		}
 	}
 }

@@ -50,9 +50,9 @@ func TestBudgetExceededIsTyped(t *testing.T) {
 
 func TestBudgetExceededParallel(t *testing.T) {
 	// The budget counter is shared across morsel helpers; the typed
-	// error must surface through forChunks' helper drain. Drive project
-	// directly with a pooled exec so the input spans several morsels and
-	// every fresh group charges from a helper goroutine.
+	// error must surface through forChunks' helper drain. Drive join
+	// directly with a pooled exec so the probe spans several morsels and
+	// every chunk's matches charge from a helper goroutine.
 	n := 3 * morselSize
 	in := newResult([]cq.Var{"x"})
 	for i := 0; i < n; i++ {
@@ -65,7 +65,7 @@ func TestBudgetExceededParallel(t *testing.T) {
 		pool:   newPool(context.Background(), 4),
 		budget: newRowBudget(n / 2),
 	}
-	err := TrapCancel(func() { project(in, []cq.Var{"x"}, ex) })
+	err := TrapCancel(func() { join(in, in, ex) })
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}

@@ -162,16 +162,13 @@ type Options struct {
 	// sampling, and exact expansion all read the same reduced lineage —
 	// share one reduction. It takes precedence over SemiJoin.
 	Reduced map[string][]int32
-	// CostBasedJoins orders k-ary joins with a Selinger-style dynamic
-	// program over System R cardinality estimates instead of the default
-	// greedy smallest-connected-input heuristic.
-	CostBasedJoins bool
-	// Workers bounds intra-plan morsel parallelism: operators split row
-	// ranges into fixed-size chunks evaluated on up to Workers
-	// goroutines, the calling one included. Values <= 1 evaluate
-	// sequentially. Chunk layout depends only on input sizes — never on
-	// Workers — so output scores are bit-identical across all settings
-	// (see morsel.go).
+	// Workers bounds the helper goroutines of the join phases that split
+	// into morsels (hash-table build and the two probe passes of a
+	// materialized join): up to Workers goroutines, the calling one
+	// included. Scan, projection, the fused π(⋈) probe and min run on the
+	// calling goroutine at every setting. Values <= 1 spawn no helpers.
+	// Chunk layout depends only on input sizes — never on Workers — so
+	// output scores are bit-identical across all settings (see morsel.go).
 	Workers int
 	// Stats, when non-nil, accumulates execution counters (morsel chunks
 	// and join partitions processed) across the evaluation. Safe to share
@@ -209,6 +206,7 @@ type Evaluator struct {
 	budget  *rowBudget // intermediate row budget; nil = unlimited
 	memo    *BatchMemo // cross-query subplan memo; nil outside batches
 	redFP   map[string]string
+	prof    *profiler // per-node hook of EvalProfiled; nil = not profiling
 }
 
 // ex returns the operator execution context for this evaluator.
@@ -244,15 +242,6 @@ func NewEvaluatorCtx(ctx context.Context, db *DB, q *cq.Query, opts Options) *Ev
 	return e
 }
 
-// WithContext binds the evaluator to a context: evaluation loops poll it
-// periodically and, when it is cancelled, unwind with a panic that
-// TrapCancel converts back into the context's error. Callers that bind a
-// context must wrap evaluation in TrapCancel.
-func (e *Evaluator) WithContext(ctx context.Context) *Evaluator {
-	e.cancel.ctx = ctx
-	return e
-}
-
 // bindMemo attaches the batch memo from the evaluator's options, and —
 // when the memo carries the batch-wide row budget — replaces the
 // per-evaluation budget with it.
@@ -274,15 +263,18 @@ func (e *Evaluator) Eval(p plan.Node) *Result {
 	e.cancel.checkNow()
 	if e.cache != nil {
 		if r, ok := e.cache[p.Key()]; ok {
+			e.prof.hit(p, r)
 			return r
 		}
 	}
+	start := e.prof.enter()
 	var out *Result
 	if e.memo != nil && e.memo.share {
 		out = e.memo.getOrCompute(e.memoKey(p), func() *Result { return e.evalNode(p) })
 	} else {
 		out = e.evalNode(p)
 	}
+	e.prof.leave(p, out, start)
 	if e.cache != nil {
 		e.cache[p.Key()] = out
 	}
@@ -302,6 +294,7 @@ func (e *Evaluator) evalNode(p plan.Node) *Result {
 	case *plan.Project:
 		if jn, ok := t.Child.(*plan.Join); ok && e.canStream(jn) {
 			out = e.streamProjectJoin(jn, t.OnTo)
+			e.prof.markFused()
 			break
 		}
 		out = project(e.Eval(t.Child), t.OnTo, e.ex())
@@ -310,11 +303,7 @@ func (e *Evaluator) evalNode(p plan.Node) *Result {
 		for i, c := range t.Subs {
 			results[i] = e.Eval(c)
 		}
-		if e.opts.CostBasedJoins {
-			out = foldJoinCostBased(results, e.ex())
-		} else {
-			out = foldJoin(results, e.ex())
-		}
+		out = foldJoin(results, e.ex(), join)
 	case *plan.Min:
 		out = e.Eval(t.Subs[0])
 		if len(t.Subs) > 1 {
@@ -339,18 +328,16 @@ func EvalPlans(db *DB, q *cq.Query, plans []plan.Node, opts Options) *Result {
 
 // EvalPlansCtx is EvalPlans bound to a context (see NewEvaluatorCtx).
 func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, opts Options) *Result {
+	// One evaluator serves every plan, so the semi-join reduction is
+	// computed once, the helper pool is built once, and one row budget
+	// spans the query: MaxIntermediateRows bounds the query, not each of
+	// its (possibly many) minimal plans. Only the subplan cache is per
+	// plan.
+	e := NewEvaluatorCtx(ctx, db, q, opts)
 	var out *Result
 	var fold *minFold
-	// One row budget spans every plan: MaxIntermediateRows bounds the
-	// query, not each of its (possibly many) minimal plans. A batch
-	// memo's budget wins — it spans the whole batch.
-	budget := newRowBudget(opts.MaxIntermediateRows)
-	if opts.Memo != nil && opts.Memo.budget != nil {
-		budget = opts.Memo.budget
-	}
 	for _, p := range plans {
-		e := NewEvaluatorCtx(ctx, db, q, opts)
-		e.budget = budget
+		clear(e.cache)
 		r := e.Eval(p)
 		switch {
 		case out == nil:
@@ -638,120 +625,16 @@ func LikeMatch(pattern, s string) bool {
 	return pi == len(pattern)
 }
 
-// projChunk is one morsel's grouping partial: for each locally-fresh
-// group, the key's ids and values (gathered at first appearance) and the
-// chunk-local complement product ∏(1 − s) accumulated in row order.
-type projChunk struct {
-	keyIDs  [][]int32 // per key column, one entry per local group
-	keyVals [][]Value
-	partial []float64
-}
-
-// projectChunk groups rows [lo, hi) of the given key columns and folds
-// the chunk-local complement products with a tight vectorized kernel:
-// one interning pass assigns group ids, one multiply pass folds
-// 1 − scores[i] into the group partials in row order. Fresh local groups
-// are charged to the budget per chunk (batch granularity; totals match
-// per-tuple charging exactly).
-func projectChunk(keyIDs [][]int32, keyVals [][]Value, scores []float64, lo, hi int, c *canceller, ex *exec) projChunk {
-	m := hi - lo
-	ka := len(keyIDs)
-	g := newGroupTable(ka, m)
-	sg := newColSigner(keyIDs)
-	wide := sg.wide()
-	gids := make([]int32, m)
-	var firstRow []int32
-	if wide {
-		for i := lo; i < hi; i++ {
-			c.check()
-			gid, fresh := g.internSig(sg.sig(i), sg.keyAt(i))
-			gids[i-lo] = gid
-			if fresh {
-				firstRow = append(firstRow, int32(i))
-			}
-		}
-	} else {
-		for i := lo; i < hi; i++ {
-			c.check()
-			gid, fresh := g.internSig(sg.sig(i), nil)
-			gids[i-lo] = gid
-			if fresh {
-				firstRow = append(firstRow, int32(i))
-			}
-		}
-	}
-	ex.charge(len(firstRow))
-	pc := projChunk{
-		keyIDs:  make([][]int32, ka),
-		keyVals: make([][]Value, ka),
-		partial: make([]float64, len(firstRow)),
-	}
-	for i := range pc.partial {
-		pc.partial[i] = 1
-	}
-	s := scores[lo:hi]
-	for i, gid := range gids {
-		pc.partial[gid] *= 1 - s[i]
-	}
-	for k := 0; k < ka; k++ {
-		idc := make([]int32, len(firstRow))
-		vc := make([]Value, len(firstRow))
-		for gi, ri := range firstRow {
-			idc[gi] = keyIDs[k][ri]
-			vc[gi] = keyVals[k][ri]
-		}
-		pc.keyIDs[k], pc.keyVals[k] = idc, vc
-	}
-	return pc
-}
-
-// projectMerge combines per-chunk grouping partials chunk-ascending on
-// one goroutine: global group ids follow first-appearance order across
-// chunks (equal to sequential row order), and each group's score starts
-// at 1 and multiplies in its chunk partials in chunk order — the exact
-// float-operation sequence of a sequential pass, so outputs are
-// bit-identical for every chunking of the same input.
-func projectMerge(onto []cq.Var, locals []projChunk, hint int, ex *exec) *Result {
-	out := newResult(append([]cq.Var(nil), onto...))
-	ka := len(onto)
-	global := newGroupTable(ka, hint)
-	cc := ex.canc()
-	key := make([]int32, ka)
-	for li := range locals {
-		lg := &locals[li]
-		for gi := range lg.partial {
-			cc.check()
-			for k := 0; k < ka; k++ {
-				key[k] = lg.keyIDs[k][gi]
-			}
-			gid, fresh := global.intern(key)
-			if fresh {
-				for k := 0; k < ka; k++ {
-					out.ids[k] = append(out.ids[k], lg.keyIDs[k][gi])
-					out.vals[k] = append(out.vals[k], lg.keyVals[k][gi])
-				}
-				out.scores = append(out.scores, 1)
-			}
-			out.scores[gid] *= lg.partial[gi]
-		}
-	}
-	for i := range out.scores {
-		out.scores[i] = 1 - out.scores[i]
-	}
-	return out
-}
-
-// projAccum folds a streamed (or sequentially scanned) row sequence
-// into the projection's grouping result in one pass: each row interns
-// directly into the global group table, while chunk-local complement
-// partials accumulate in sparse per-chunk scratch (lastChunk/localIdx)
-// and fold into the global scores at every morselSize boundary. The
-// float-operation sequence — per-chunk ∏(1 − s) in row order, partials
-// folded chunk-ascending in first-touch order — is exactly the one
-// projectChunk + projectMerge perform, so outputs are bit-identical to
-// the morsel-parallel materialized path; the single pass just skips the
-// per-chunk hash tables and the merge's re-interning, which profiling
-// showed dominating sequential projection cost.
+// projAccum is the one projection operator: it folds a row sequence —
+// a materialized child's rows, or the fused π(⋈) probe's matches — into
+// the grouping result in a single pass on the calling goroutine. Each
+// row interns directly into the global group table, while chunk-local
+// complement partials accumulate in sparse per-chunk scratch
+// (touched/partial) and fold into the global scores at every morselSize
+// boundary. That float-operation sequence — per-chunk ∏(1 − s) in row
+// order, partials folded chunk-ascending in first-touch order — is the
+// one the row-at-a-time oracle's per-chunk tables and merge perform, so
+// outputs are bit-identical to it at every Workers setting.
 type projAccum struct {
 	out     *Result
 	g       *groupTable
@@ -820,9 +703,9 @@ func (pa *projAccum) add(score float64) {
 }
 
 // flushChunk folds the chunk's partials into the global scores (chunk
-// order, first-touch order within the chunk — projectMerge's order) and
-// charges the chunk's fresh groups to the budget in one batch, exactly
-// the totals projectChunk charges.
+// order, first-touch order within the chunk) and charges the chunk's
+// fresh groups to the budget in one batch — the totals per-row charging
+// would reach.
 func (pa *projAccum) flushChunk() {
 	if pa.fill == 0 {
 		return
@@ -851,56 +734,33 @@ func (pa *projAccum) finish() *Result {
 
 // project groups the child's rows by the kept columns and combines the
 // scores of each group as independent events: 1 − ∏(1 − s). This is the
-// probabilistic duplicate-eliminating projection π^p.
-//
-// The grouping is morsel-parallel: each chunk builds its own group
-// table with per-group complement partials in row order (projectChunk),
-// then one goroutine merges partials chunk-ascending (projectMerge).
-// Sequential execution takes the equivalent single-pass projAccum
-// route instead.
+// probabilistic duplicate-eliminating projection π^p over a
+// materialized child; Project(Join) takes the fused route in stream.go,
+// which feeds the same projAccum.
 func project(in *Result, onto []cq.Var, ex *exec) *Result {
-	keep := make([]int, len(onto))
-	for i, v := range onto {
-		keep[i] = colIndex(in.Cols, v)
-	}
 	n := in.Len()
 	if n == 0 {
 		return newResult(append([]cq.Var(nil), onto...))
 	}
-	keyIDs := make([][]int32, len(keep))
-	keyVals := make([][]Value, len(keep))
-	for k, j := range keep {
+	ka := len(onto)
+	keyIDs := make([][]int32, ka)
+	keyVals := make([][]Value, ka)
+	for k, v := range onto {
+		j := colIndex(in.Cols, v)
 		keyIDs[k] = in.ids[j]
 		keyVals[k] = in.vals[j]
 	}
-	if ex == nil || ex.pool == nil {
-		pa := newProjAccum(onto, projAccumHint, ex)
-		c := ex.canc()
-		ka := len(keep)
-		for i := 0; i < n; i++ {
-			c.check()
-			for k := 0; k < ka; k++ {
-				pa.key[k] = keyIDs[k][i]
-				pa.val[k] = keyVals[k][i]
-			}
-			pa.add(in.scores[i])
+	pa := newProjAccum(onto, projAccumHint, ex)
+	c := ex.canc()
+	for i := 0; i < n; i++ {
+		c.check()
+		for k := 0; k < ka; k++ {
+			pa.key[k] = keyIDs[k][i]
+			pa.val[k] = keyVals[k][i]
 		}
-		return pa.finish()
+		pa.add(in.scores[i])
 	}
-	nChunks := numChunks(n)
-	locals := make([]projChunk, nChunks)
-	if nChunks > 1 {
-		ex.addPartitions(nChunks)
-	}
-	ex.forChunks(nChunks, func(ci int, c *canceller) {
-		lo, hi := chunkBounds(ci, n)
-		locals[ci] = projectChunk(keyIDs, keyVals, in.scores, lo, hi, c, ex)
-	})
-	groupsHint := 0
-	for ci := range locals {
-		groupsHint += len(locals[ci].partial)
-	}
-	return projectMerge(onto, locals, groupsHint, ex)
+	return pa.finish()
 }
 
 // joinFn is a binary join operator — the streaming columnar join or the
@@ -954,11 +814,7 @@ func greedyJoinOrder(results []*Result) []int {
 }
 
 // foldJoin joins several results in greedy smallest-connected order.
-func foldJoin(results []*Result, ex *exec) *Result {
-	return foldJoinWith(results, ex, join)
-}
-
-func foldJoinWith(results []*Result, ex *exec, jf joinFn) *Result {
+func foldJoin(results []*Result, ex *exec, jf joinFn) *Result {
 	if len(results) == 1 {
 		return results[0]
 	}
@@ -1117,27 +973,17 @@ func join(l, r *Result, ex *exec) *Result {
 	return out
 }
 
-// combineMin merges two results with identical columns, keeping the
-// per-tuple minimum score. Plans of the same query always produce the
-// same answer support, so every key is expected on both sides; a tuple
-// seen on only one side keeps its score (defensive, and correct for the
-// upper-bound semantics).
-func combineMin(a, b *Result, ex *exec) *Result {
-	f := newMinFold(a, ex)
-	f.merge(b)
-	return f.out
-}
-
 // minFold folds plan results under the per-answer minimum while
 // retaining the accumulator's group table across folds: the first input
 // is copied and interned once, and every later fold only probes with
 // its own rows — O(total rows) interning over a whole fold chain
 // instead of re-interning the growing accumulator per plan. Each step
-// observably equals pairwise combineMin: rows appended during a merge
-// join the table only after that merge's probe pass (so duplicate keys
-// within one input append separately, exactly as a per-step rebuild
-// would re-intern them last-wins), scores merge in the same order, and
-// budget totals are unchanged.
+// observably equals a pairwise min merge that rebuilds its table (the
+// oracle's): rows appended during a merge join the table only after
+// that merge's probe pass (so duplicate keys within one input append
+// separately, exactly as a per-step rebuild would re-intern them
+// last-wins), scores merge in the same order, and budget totals are
+// unchanged.
 type minFold struct {
 	out   *Result
 	g     *groupTable
@@ -1180,7 +1026,10 @@ func (m *minFold) addRows(lo, hi int) {
 	}
 }
 
-// merge folds one more plan result into the accumulator.
+// merge folds one more plan result into the accumulator. Plans of the
+// same query always produce the same answer support, so every key is
+// expected on both sides; a tuple seen on only one side keeps its score
+// (defensive, and correct for the upper-bound semantics).
 func (m *minFold) merge(b *Result) {
 	if !varsSliceEqual(m.out.Cols, b.Cols) {
 		panic(fmt.Sprintf("engine: min over different columns %v vs %v", m.out.Cols, b.Cols))

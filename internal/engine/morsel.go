@@ -46,10 +46,7 @@ func (s *EvalStats) ParallelOps() int64 { return s.parallelOps.Load() }
 
 // pool bounds the helper goroutines available for intra-plan
 // parallelism. Capacity is workers-1: the calling goroutine always
-// participates, so Workers=1 spawns no goroutines at all. A single pool
-// may be shared by several evaluators (EvalPlansParallelCtx), keeping
-// the total goroutine budget bounded across plan- and morsel-level
-// parallelism.
+// participates, so Workers=1 spawns no goroutines at all.
 type pool struct {
 	ctx context.Context
 	sem chan struct{}

@@ -12,9 +12,9 @@ package engine
 // evaluating every workload through both executors.
 //
 // Selected via Options.Oracle (test-only; see the facade package
-// internal/engine/oracle). Fold ordering (greedyJoinOrder,
-// costBasedJoinOrder) is deliberately shared with the production
-// executor: it is plan-level decision logic whose inputs — materialized
+// internal/engine/oracle). Fold ordering (greedyJoinOrder) is
+// deliberately shared with the production executor: it is plan-level
+// decision logic whose inputs — materialized
 // child sizes — are identical in both executors, and sharing it
 // guarantees both fold in the same order, which the bit-identity
 // contract requires.
@@ -135,11 +135,7 @@ func (e *Evaluator) oracleEvalNode(p plan.Node) *Result {
 		for i, c := range t.Subs {
 			results[i] = e.Eval(c)
 		}
-		if e.opts.CostBasedJoins {
-			out = foldJoinCostBasedWith(results, e.ex(), oracleJoin)
-		} else {
-			out = foldJoinWith(results, e.ex(), oracleJoin)
-		}
+		out = foldJoin(results, e.ex(), oracleJoin)
 	case *plan.Min:
 		out = e.Eval(t.Subs[0])
 		for _, c := range t.Subs[1:] {

@@ -36,9 +36,3 @@ func EvalPlans(db *engine.DB, q *cq.Query, plans []plan.Node, o engine.Options) 
 func EvalPlansCtx(ctx context.Context, db *engine.DB, q *cq.Query, plans []plan.Node, o engine.Options) *engine.Result {
 	return engine.EvalPlansCtx(ctx, db, q, plans, Options(o))
 }
-
-// EvalPlansParallel evaluates plans in parallel through the reference
-// executor.
-func EvalPlansParallel(db *engine.DB, q *cq.Query, plans []plan.Node, o engine.Options, workers int) *engine.Result {
-	return engine.EvalPlansParallel(db, q, plans, Options(o), workers)
-}

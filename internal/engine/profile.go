@@ -11,61 +11,65 @@ import (
 
 // NodeStat is one profiled plan-node execution: the operator, its output
 // cardinality, and its inclusive wall-clock time. CacheHit marks subplan
-// results served from the Opt2 cache.
+// results served from the Opt2 cache. Fused marks a Project that ran as
+// the streaming π(⋈) of stream.go: its child Join never materialized, so
+// the Join has no NodeStat of its own and its inputs sit one level below
+// the Project.
 type NodeStat struct {
 	Node      plan.Node
 	Rows      int
 	Inclusive time.Duration
 	CacheHit  bool
+	Fused     bool
 	Depth     int
 }
 
-// EvalProfiled evaluates a plan like Eval while recording one NodeStat
-// per plan node, in execution (post-order) order — the engine's EXPLAIN
-// ANALYZE.
-func (e *Evaluator) EvalProfiled(p plan.Node) (*Result, []NodeStat) {
-	var stats []NodeStat
-	var eval func(n plan.Node, depth int) *Result
-	eval = func(n plan.Node, depth int) *Result {
-		if e.cache != nil {
-			if r, ok := e.cache[n.Key()]; ok {
-				stats = append(stats, NodeStat{Node: n, Rows: r.Len(), CacheHit: true, Depth: depth})
-				return r
-			}
-		}
-		start := time.Now()
-		var out *Result
-		switch t := n.(type) {
-		case *plan.Scan:
-			out = e.scan(t)
-		case *plan.Project:
-			out = project(eval(t.Child, depth+1), t.OnTo, e.ex())
-		case *plan.Join:
-			results := make([]*Result, len(t.Subs))
-			for i, c := range t.Subs {
-				results[i] = eval(c, depth+1)
-			}
-			if e.opts.CostBasedJoins {
-				out = foldJoinCostBased(results, e.ex())
-			} else {
-				out = foldJoin(results, e.ex())
-			}
-		case *plan.Min:
-			out = eval(t.Subs[0], depth+1)
-			for _, c := range t.Subs[1:] {
-				out = combineMin(out, eval(c, depth+1), e.ex())
-			}
-		default:
-			panic("engine: unknown plan node")
-		}
-		if e.cache != nil {
-			e.cache[n.Key()] = out
-		}
-		stats = append(stats, NodeStat{Node: n, Rows: out.Len(), Inclusive: time.Since(start), Depth: depth})
-		return out
+// profiler is the per-node hook Eval calls when EvalProfiled installed
+// one. Every method is a no-op on a nil receiver, so the unprofiled path
+// pays one nil check per node and allocates nothing.
+type profiler struct {
+	stats []NodeStat
+	depth int
+	fused bool // the node being left ran as fused π(⋈)
+}
+
+func (pr *profiler) hit(n plan.Node, r *Result) {
+	if pr != nil {
+		pr.stats = append(pr.stats, NodeStat{Node: n, Rows: r.Len(), CacheHit: true, Depth: pr.depth})
 	}
-	res := eval(p, 0)
-	return res, stats
+}
+
+func (pr *profiler) enter() (start time.Time) {
+	if pr != nil {
+		pr.depth++
+		start = time.Now()
+	}
+	return start
+}
+
+func (pr *profiler) markFused() {
+	if pr != nil {
+		pr.fused = true
+	}
+}
+
+func (pr *profiler) leave(n plan.Node, out *Result, start time.Time) {
+	if pr != nil {
+		pr.depth--
+		pr.stats = append(pr.stats, NodeStat{Node: n, Rows: out.Len(), Inclusive: time.Since(start), Fused: pr.fused, Depth: pr.depth})
+		pr.fused = false
+	}
+}
+
+// EvalProfiled evaluates a plan through Eval while recording one
+// NodeStat per plan node that ran, in execution (post-order) order — the
+// engine's EXPLAIN ANALYZE.
+func (e *Evaluator) EvalProfiled(p plan.Node) (*Result, []NodeStat) {
+	pr := &profiler{}
+	e.prof = pr
+	defer func() { e.prof = nil }() // also when a cancellation unwinds Eval
+	res := e.Eval(p)
+	return res, pr.stats
 }
 
 // FormatProfile renders the stats as an indented operator tree, root
@@ -82,6 +86,9 @@ func FormatProfile(stats []NodeStat) string {
 			op = "scan " + t.Atom.String()
 		case *plan.Project:
 			op = "project π-" + varList(t.Away())
+			if s.Fused {
+				op += fmt.Sprintf(" ⋈ (%d-way, fused)", len(t.Child.(*plan.Join).Subs))
+			}
 		case *plan.Join:
 			op = fmt.Sprintf("join (%d-way)", len(t.Subs))
 		case *plan.Min:

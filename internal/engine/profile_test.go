@@ -1,51 +1,125 @@
-package engine
+package engine_test
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"lapushdb/internal/core"
 	"lapushdb/internal/cq"
+	"lapushdb/internal/engine"
+	"lapushdb/internal/plan"
+	"lapushdb/internal/workload"
 )
 
-func TestEvalProfiled(t *testing.T) {
-	db := NewDB()
-	R := db.CreateRelation("R", []string{"x"})
-	S := db.CreateRelation("S", []string{"x", "y"})
-	T := db.CreateRelation("T", []string{"y"})
-	R.Insert([]Value{1}, 0.5)
-	S.Insert([]Value{1, 2}, 0.5)
-	T.Insert([]Value{2}, 0.5)
-	q := cq.MustParse("q() :- R(x), S(x, y), T(y)")
-	sp := core.SinglePlan(q, nil)
-	e := NewEvaluator(db, q, Options{ReuseSubplans: true})
-	res, stats := e.EvalProfiled(sp)
-	// Result identical to plain Eval.
-	plain := NewEvaluator(db, q, Options{ReuseSubplans: true}).Eval(sp)
-	if res.BooleanScore() != plain.BooleanScore() {
-		t.Errorf("profiled %v vs plain %v", res.BooleanScore(), plain.BooleanScore())
-	}
-	if len(stats) == 0 {
-		t.Fatal("no stats recorded")
-	}
-	// Root is last (post-order) and has depth 0.
-	if stats[len(stats)-1].Depth != 0 {
-		t.Errorf("root depth = %d", stats[len(stats)-1].Depth)
-	}
-	// With the cache on, shared scans appear as cache hits.
-	hits := 0
-	for _, s := range stats {
-		if s.CacheHit {
-			hits++
+// profiledNode is what the profile must say about one node: which node,
+// where, and how it was served.
+type profiledNode struct {
+	key      string
+	depth    int
+	cacheHit bool
+	fused    bool
+}
+
+// nodesThatRun states the hook's contract without evaluating anything:
+// with the Opt2 cache on, Eval visits a plan post-order, serves a
+// repeated subplan from the cache without descending, and runs a
+// Project over an uncached k>=2 Join as one fused π(⋈) whose Join gets
+// no visit of its own.
+func nodesThatRun(root plan.Node) []profiledNode {
+	var out []profiledNode
+	seen := map[string]bool{}
+	var walk func(n plan.Node, depth int)
+	walk = func(n plan.Node, depth int) {
+		if seen[n.Key()] {
+			out = append(out, profiledNode{key: n.Key(), depth: depth, cacheHit: true})
+			return
 		}
+		children, fused := n.Children(), false
+		if pr, ok := n.(*plan.Project); ok {
+			if jn, ok := pr.Child.(*plan.Join); ok && len(jn.Subs) >= 2 && !seen[jn.Key()] {
+				children, fused = jn.Subs, true
+			}
+		}
+		for _, c := range children {
+			walk(c, depth+1)
+		}
+		seen[n.Key()] = true
+		out = append(out, profiledNode{key: n.Key(), depth: depth, fused: fused})
 	}
-	if hits == 0 {
-		t.Error("expected cache hits for shared subplans in the min plan")
+	walk(root, 0)
+	return out
+}
+
+// TestEvalProfiled pins the profiling hook on the one Eval: the profiled
+// result is bit-identical to plain Eval, there is exactly one NodeStat
+// per node that ran (cache hits and fused π(⋈) marked, and rendered so
+// by FormatProfile), each with the node's own output cardinality, at
+// Workers 1 and 4. That the hook costs nothing when off is
+// TestChainJoinAllocGate's ceiling.
+func TestEvalProfiled(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	type shape struct {
+		label string
+		db    *engine.DB
+		q     *cq.Query
 	}
-	out := FormatProfile(stats)
-	for _, want := range []string{"min (", "join (", "scan R(x)", "rows=", "(cached)"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("profile output missing %q:\n%s", want, out)
+	var shapes []shape
+	db, q := workload.Chain(3, 600, 120, 0.5, rng)
+	shapes = append(shapes, shape{"chain3", db, q})
+	db, q = workload.Star(3, 500, 90, 0.5, rng)
+	shapes = append(shapes, shape{"star3", db, q})
+	tp := workload.NewTPCH(0.01, 0.1, rng)
+	shapes = append(shapes, shape{"tpch", tp.DB, tp.Query(tp.Suppliers, "%red%")})
+
+	for _, sh := range shapes {
+		sp := core.SinglePlan(sh.q, nil)
+		want := nodesThatRun(sp)
+		for _, w := range []int{1, 4} {
+			label := fmt.Sprintf("%s/w=%d", sh.label, w)
+			opts := engine.Options{ReuseSubplans: true, SemiJoin: true, Workers: w}
+			plain := engine.NewEvaluator(sh.db, sh.q, opts)
+			res, stats := engine.NewEvaluator(sh.db, sh.q, opts).EvalProfiled(sp)
+			ref := plain.Eval(sp)
+			if res.Len() != ref.Len() || res.Len() == 0 {
+				t.Fatalf("%s: profiled %d rows vs plain %d", label, res.Len(), ref.Len())
+			}
+			for i := 0; i < ref.Len(); i++ {
+				if fmt.Sprint(res.Row(i)) != fmt.Sprint(ref.Row(i)) ||
+					math.Float64bits(res.Score(i)) != math.Float64bits(ref.Score(i)) {
+					t.Fatalf("%s: row %d profiled %v %v vs plain %v %v", label, i, res.Row(i), res.Score(i), ref.Row(i), ref.Score(i))
+				}
+			}
+			if len(stats) != len(want) {
+				t.Fatalf("%s: %d stats, want %d:\n%s", label, len(stats), len(want), engine.FormatProfile(stats))
+			}
+			hits, fused := 0, 0
+			for i, s := range stats {
+				if s.CacheHit {
+					hits++
+				}
+				if s.Fused {
+					fused++
+				}
+				got := profiledNode{s.Node.Key(), s.Depth, s.CacheHit, s.Fused}
+				if got != want[i] {
+					t.Errorf("%s: stat %d = %+v, want %+v", label, i, got, want[i])
+				}
+				// plain has cached every node that ran, so this is a lookup.
+				if n := plain.Eval(s.Node).Len(); s.Rows != n {
+					t.Errorf("%s: stat %d (%s) rows %d, node's result has %d", label, i, plan.String(s.Node), s.Rows, n)
+				}
+			}
+			out := engine.FormatProfile(stats)
+			if fused == 0 || hits == 0 {
+				t.Errorf("%s: want fused projections and cache hits in the merged plan:\n%s", label, out)
+			}
+			if strings.Count(out, "\n") != len(stats) || strings.Count(out, "-way, fused)") != fused ||
+				strings.Count(out, "(cached)") != hits || !strings.Contains(out, "scan ") {
+				t.Errorf("%s: profile does not render %d nodes, %d fused, %d cached:\n%s", label, len(stats), fused, hits, out)
+			}
 		}
 	}
 }

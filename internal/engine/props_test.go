@@ -383,9 +383,8 @@ func TestPropMorselDifferential(t *testing.T) {
 		db := randomDB(q, 4, 12, 1.0, rng)
 		plans := core.MinimalPlans(q, nil)
 		for name, base := range map[string]Options{
-			"plain":  {},
-			"opt23":  {ReuseSubplans: true, SemiJoin: true},
-			"costdp": {CostBasedJoins: true},
+			"plain": {},
+			"opt23": {ReuseSubplans: true, SemiJoin: true},
 		} {
 			seqOpts := base
 			seqOpts.Workers = 1
@@ -395,16 +394,15 @@ func TestPropMorselDifferential(t *testing.T) {
 				parOpts.Workers = w
 				par := EvalPlans(db, q, plans, parOpts)
 				assertIdenticalResults(t, fmt.Sprintf("%s/%s/w=%d", qs, name, w), seq, par)
-				pp := EvalPlansParallel(db, q, plans, parOpts, w)
-				assertIdenticalResults(t, fmt.Sprintf("%s/%s/w=%d/planpar", qs, name, w), seq, pp)
 			}
 		}
 	}
 }
 
 // TestMorselDifferentialLarge runs the differential on a 3-chain whose
-// relations exceed morselSize, so the chunked project, the partitioned
-// join build, and the parallel probe all take their multi-chunk paths.
+// relations exceed morselSize, so the projection's chunk folds, the
+// partitioned join build, and the parallel probe all take their
+// multi-chunk paths.
 func TestMorselDifferentialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large differential skipped in -short")
@@ -471,11 +469,11 @@ func TestPropOracleBothPaths(t *testing.T) {
 	}
 }
 
-// TestPropExecutorOracleDifferential: the columnar executor (streaming
-// fused projection at Workers=1, morsel-parallel materialized operators
-// otherwise) returns byte-identical results to the retained
-// row-at-a-time oracle on random instances, across the optimization
-// variants and Workers 1/4.
+// TestPropExecutorOracleDifferential: the columnar executor returns
+// byte-identical results to the retained row-at-a-time oracle on random
+// instances, across the optimization variants and Workers 1/4 — and,
+// with Opt3 on, the same bits whether EvalPlans computes the semi-join
+// reduction itself (once, for all plans) or is handed a precomputed one.
 func TestPropExecutorOracleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 24; iter++ {
@@ -484,9 +482,8 @@ func TestPropExecutorOracleDifferential(t *testing.T) {
 		db := randomDB(q, 4, 12, 1.0, rng)
 		plans := core.MinimalPlans(q, nil)
 		for name, base := range map[string]Options{
-			"plain":  {},
-			"opt23":  {ReuseSubplans: true, SemiJoin: true},
-			"costdp": {CostBasedJoins: true},
+			"plain": {},
+			"opt23": {ReuseSubplans: true, SemiJoin: true},
 		} {
 			for _, w := range []int{1, 4} {
 				opts := base
@@ -495,6 +492,12 @@ func TestPropExecutorOracleDifferential(t *testing.T) {
 				opts.Oracle = true
 				want := EvalPlans(db, q, plans, opts)
 				assertIdenticalResults(t, fmt.Sprintf("%s/%s/w=%d", qs, name, w), want, got)
+				if base.SemiJoin {
+					opts.Oracle = false
+					opts.Reduced = SemiJoinReduce(db, q)
+					pre := EvalPlans(db, q, plans, opts)
+					assertIdenticalResults(t, fmt.Sprintf("%s/%s/w=%d/reduced", qs, name, w), got, pre)
+				}
 			}
 		}
 	}
@@ -503,7 +506,7 @@ func TestPropExecutorOracleDifferential(t *testing.T) {
 // TestExecutorOracleDifferentialLarge runs the executor-vs-oracle
 // differential on chain and star instances larger than a morsel, where
 // the streaming fused Project(Join), the partitioned join build, and
-// the chunked projection all take their multi-chunk paths.
+// the projection's chunk folds all take their multi-chunk paths.
 func TestExecutorOracleDifferentialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large differential skipped in -short")

@@ -14,27 +14,28 @@ import (
 // through a re-chunking assembler that runs the projection's grouping
 // kernel every morselSize rows.
 //
-// Bit-identity argument: the materialized path would chunk the join's
-// output array at absolute boundaries 0, morselSize, 2·morselSize, …;
-// the assembler flushes at exactly those same row counts, and rows
-// arrive in the same order a sequential probe would emit them. Each
-// flushed chunk therefore holds exactly the rows of the corresponding
-// materialized chunk, the chunk-local complement products multiply
-// 1 − s in the same row order, and projectMerge folds partials in the
-// same chunk order — so every output bit matches the materialized
-// (and morsel-parallel) evaluation. Only the kept columns are ever
-// gathered; columns the projection drops never exist.
+// Bit-identity argument: a materialized evaluation would chunk the
+// join's output array at absolute boundaries 0, morselSize,
+// 2·morselSize, …; the accumulator flushes at exactly those same row
+// counts, and rows arrive in the order a sequential probe would emit
+// them. Each flushed chunk therefore holds exactly the rows of the
+// corresponding materialized chunk, the chunk-local complement products
+// multiply 1 − s in the same row order, and partials fold in the same
+// chunk order — so every output bit matches the materialized evaluation
+// (and the oracle's). Only the kept columns are ever gathered; columns
+// the projection drops never exist.
 //
-// The path engages only for sequential evaluation (pool == nil): with
-// helpers, the morsel-parallel materialized operators already overlap
-// work, and the assembler is inherently single-stream.
+// The path engages at every Workers setting: helpers, when present,
+// build the last join's hash table and run the earlier materialized
+// folds; the streamed probe and the accumulator are one stream on the
+// calling goroutine.
 
 // canStream reports whether the fused streaming Project(Join) path
-// applies to the given join subtree: sequential execution, a real
-// (k >= 2) join, and no already-cached result for the subtree (reuse
-// must win over recomputation).
+// applies to the given join subtree: a real (k >= 2) join with no
+// already-cached result for the subtree (reuse must win over
+// recomputation).
 func (e *Evaluator) canStream(jn *plan.Join) bool {
-	if e.pool != nil || len(jn.Subs) < 2 {
+	if len(jn.Subs) < 2 {
 		return false
 	}
 	if e.cache != nil {
@@ -43,77 +44,6 @@ func (e *Evaluator) canStream(jn *plan.Join) bool {
 		}
 	}
 	return true
-}
-
-// costBasedJoinOrder returns the Selinger DP fold order over the inputs,
-// or nil when the DP does not apply (single input, or more than 12
-// inputs where the 2^k DP is too wide — callers fall back to the greedy
-// order).
-func costBasedJoinOrder(results []*Result) []int {
-	k := len(results)
-	if k <= 1 || k > 12 {
-		return nil
-	}
-	stats := make([]columnStats, k)
-	cols := make([][]cq.Var, k)
-	for i, r := range results {
-		stats[i] = statsOf(r)
-		cols[i] = r.Cols
-	}
-	type entry struct {
-		cost  float64
-		stats columnStats
-		cols  []cq.Var
-		order []int
-	}
-	dp := make(map[uint32]*entry, 1<<uint(k))
-	for i := 0; i < k; i++ {
-		dp[1<<uint(i)] = &entry{cost: 0, stats: stats[i], cols: cols[i], order: []int{i}}
-	}
-	for mask := uint32(1); mask < 1<<uint(k); mask++ {
-		if dp[mask] != nil {
-			continue // singleton already seeded
-		}
-		var best *entry
-		for i := 0; i < k; i++ {
-			bit := uint32(1) << uint(i)
-			if mask&bit == 0 {
-				continue
-			}
-			rest := mask &^ bit
-			sub := dp[rest]
-			if sub == nil {
-				continue
-			}
-			est, outStats := estimateJoin(sub.stats, stats[i], sub.cols, cols[i])
-			cost := sub.cost + est
-			if best == nil || cost < best.cost {
-				outCols := cq.NewVarSet(sub.cols...)
-				for _, c := range cols[i] {
-					outCols.Add(c)
-				}
-				order := make([]int, len(sub.order)+1)
-				copy(order, sub.order)
-				order[len(sub.order)] = i
-				best = &entry{cost: cost, stats: outStats, cols: outCols.Sorted(), order: order}
-			}
-		}
-		dp[mask] = best
-	}
-	return dp[(1<<uint(k))-1].order
-}
-
-// joinOrderOf picks the fold order the executor would use for these
-// inputs — cost-based when enabled and applicable, greedy otherwise.
-// Shared by the materialized folds and the streaming path so fold
-// decisions (and therefore outputs) are identical.
-func joinOrderOf(results []*Result, costBased bool) []int {
-	if costBased {
-		if o := costBasedJoinOrder(results); o != nil {
-			return o
-		}
-	}
-	return greedyJoinOrder(results)
 }
 
 // streamProjectJoin evaluates Project(Join) with the final binary join
@@ -127,7 +57,7 @@ func (e *Evaluator) streamProjectJoin(jn *plan.Join, onto []cq.Var) *Result {
 		subs[i] = e.Eval(c)
 	}
 	ex := e.ex()
-	order := joinOrderOf(subs, e.opts.CostBasedJoins)
+	order := greedyJoinOrder(subs)
 	cur := subs[order[0]]
 	for _, i := range order[1 : len(order)-1] {
 		cur = join(cur, subs[i], ex)

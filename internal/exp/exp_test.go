@@ -312,7 +312,7 @@ func TestExtraAblationQuick(t *testing.T) {
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 workloads", len(tab.Rows))
 	}
-	if len(tab.Header) != 8 {
+	if len(tab.Header) != 6 {
 		t.Errorf("header = %v", tab.Header)
 	}
 }

@@ -14,13 +14,11 @@ import (
 )
 
 // ExtraAblation is a supplementary experiment (not in the paper): the
-// full optimization matrix across the benchmark workloads, including
-// the two engine-level extensions — Selinger-style cost-based join
-// ordering and parallel plan evaluation.
+// full optimization matrix across the benchmark workloads.
 func ExtraAblation(cfg Config) *Table {
 	t := &Table{ID: "Extra A",
 		Title:  "optimization ablation: seconds per evaluation strategy",
-		Header: []string{"workload", "All plans", "Opt1", "Opt1-2", "Opt1-3", "Opt1-3+CB", "Parallel(4)", "Standard SQL"}}
+		Header: []string{"workload", "All plans", "Opt1", "Opt1-2", "Opt1-3", "Standard SQL"}}
 	n := cfg.MaxN / 10
 	if n < 100 {
 		n = 100
@@ -63,12 +61,6 @@ func ExtraAblation(cfg Config) *Table {
 		})))
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
 			engine.NewEvaluator(w.db, w.q, engine.Options{ReuseSubplans: true, SemiJoin: true}).Eval(sp)
-		})))
-		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
-			engine.NewEvaluator(w.db, w.q, engine.Options{ReuseSubplans: true, SemiJoin: true, CostBasedJoins: true}).Eval(sp)
-		})))
-		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
-			engine.EvalPlansParallel(w.db, w.q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true}, 4)
 		})))
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
 			engine.EvalDeterministic(w.db, w.q)

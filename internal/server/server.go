@@ -69,8 +69,8 @@ type Config struct {
 	// MaxSamples caps Monte Carlo sample counts (default 10,000,000).
 	MaxSamples int
 	// Parallelism is the default intra-query worker count: each query's
-	// operators split row ranges into morsels evaluated on up to this
-	// many goroutines (default 1, sequential). Requests may override it
+	// join phases split row ranges into morsels evaluated on up to this
+	// many goroutines (default 1, no helpers). Requests may override it
 	// with the "parallelism" field, capped at MaxParallelism. Results are
 	// bit-identical across all settings.
 	Parallelism int

@@ -173,23 +173,16 @@ type Options struct {
 	// IgnoreSchema disregards deterministic relations and keys during
 	// plan enumeration.
 	IgnoreSchema bool
-	// Parallel evaluates the minimal plans on separate goroutines
-	// (implies DisableOpt1: the merged single plan is inherently
-	// sequential). Workers bounds the concurrency (default 4).
-	Parallel bool
-	// Workers bounds evaluation parallelism. It caps the goroutines of
-	// Parallel, and independently enables intra-plan morsel parallelism
-	// for the Dissociation method: operators split row ranges into
-	// fixed-size chunks evaluated on up to Workers goroutines. Results
-	// are bit-identical to sequential evaluation for every setting.
-	// Values <= 1 evaluate each plan sequentially.
+	// Workers bounds the goroutines one Dissociation evaluation may use:
+	// the join phases that split into fixed-size row chunks (hash-table
+	// build, the two probe passes of a materialized join) run on up to
+	// Workers goroutines; everything else runs on the calling one.
+	// Results are bit-identical for every setting. Values <= 1 spawn no
+	// helpers.
 	Workers int
 	// Stats, when non-nil, receives execution counters for the query
 	// (Dissociation method only).
 	Stats *RankStats
-	// CostBasedJoins orders k-ary joins with a Selinger-style dynamic
-	// program over cardinality estimates instead of the greedy heuristic.
-	CostBasedJoins bool
 	// MaxIntermediateRows caps the total number of intermediate result
 	// rows one Rank evaluation may materialize (Dissociation method
 	// only): scan outputs, join outputs, and projection groups, summed
@@ -336,7 +329,6 @@ func (d *DB) rankDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 	eopts := engine.Options{
 		ReuseSubplans:       !opts.DisableOpt2,
 		SemiJoin:            !opts.DisableOpt3,
-		CostBasedJoins:      opts.CostBasedJoins,
 		Workers:             opts.Workers,
 		MaxIntermediateRows: opts.MaxIntermediateRows,
 		Memo:                opts.memo,
@@ -356,12 +348,9 @@ func (d *DB) rankDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 	}
 	var res *engine.Result
 	err := engine.TrapCancel(func() {
-		switch {
-		case opts.Parallel:
-			res = engine.EvalPlansParallelCtx(ctx, d.db, q, minPlans(), eopts, opts.Workers)
-		case opts.DisableOpt1:
+		if opts.DisableOpt1 {
 			res = engine.EvalPlansCtx(ctx, d.db, q, minPlans(), eopts)
-		default:
+		} else {
 			var sp plan.Node
 			if pre != nil {
 				sp = pre.single

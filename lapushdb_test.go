@@ -319,34 +319,6 @@ func TestLineageFacade(t *testing.T) {
 	}
 }
 
-func TestParallelAndCostBasedOptions(t *testing.T) {
-	db := movieDB(t)
-	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	base, err := db.Rank(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []*Options{
-		{Parallel: true},
-		{Parallel: true, Workers: 1},
-		{CostBasedJoins: true},
-		{Parallel: true, CostBasedJoins: true},
-	} {
-		got, err := db.Rank(q, opts)
-		if err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
-		}
-		if len(got) != len(base) {
-			t.Fatalf("opts %+v: %d answers", opts, len(got))
-		}
-		for i := range base {
-			if got[i].Values[0] != base[i].Values[0] || math.Abs(got[i].Score-base[i].Score) > 1e-12 {
-				t.Errorf("opts %+v: answer %d = %+v, want %+v", opts, i, got[i], base[i])
-			}
-		}
-	}
-}
-
 func TestKarpLubyMethod(t *testing.T) {
 	db := movieDB(t)
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
