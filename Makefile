@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check perfbench-check bench bench-smoke microbench chaos replication failover cover oracle-diff
+.PHONY: build test race vet fmt check perfbench-check bench bench-smoke microbench chaos replication failover cover oracle-diff
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,10 @@ failover:
 vet:
 	$(GO) vet ./...
 
+# Formatting gate: fails, naming the files, when gofmt would rewrite any.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists:"; gofmt -l .; exit 1; }
+
 # Statement-coverage gate. Coverage is measured across packages
 # (-coverpkg=./...): several packages are exercised mostly or entirely
 # by the top-level differential suites (internal/anytime, the
@@ -82,7 +86,7 @@ oracle-diff:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet test oracle-diff perfbench-check
+check: build vet fmt test oracle-diff perfbench-check
 
 # Standing load harness (cmd/loadgen): mixed workloads against an
 # in-process lapushd, results merged into BENCH_<rev>.json. `bench` is

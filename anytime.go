@@ -123,7 +123,8 @@ func (d *DB) RankAnytimeContext(ctx context.Context, query string, opts *Anytime
 	}
 	o := &Options{IgnoreSchema: opts.IgnoreSchema}
 	sch := d.schema(q, o)
-	return d.rankAnytime(ctx, q, core.MinimalPlans(q, sch), core.IsSafe(q, sch), opts)
+	plans := core.MinimalPlans(q, sch)
+	return d.rankAnytime(ctx, q, plans, core.SafeGiven(q, sch, plans), opts)
 }
 
 // RankAnytimePrepared is RankAnytimeContext over a prepared statement,

@@ -511,7 +511,13 @@ func MinimalSafeDissociations(q *cq.Query) []plan.Dissociation {
 // dissociation only dissociates deterministic relations or chase
 // variables.
 func IsSafe(q *cq.Query, sch *Schema) bool {
-	plans := MinimalPlans(q, sch)
+	return SafeGiven(q, sch, MinimalPlans(q, sch))
+}
+
+// SafeGiven is IsSafe for a caller that already holds MinimalPlans(q,
+// sch): it runs the safety test on those plans instead of enumerating
+// them a second time.
+func SafeGiven(q *cq.Query, sch *Schema, plans []plan.Node) bool {
 	if len(plans) != 1 {
 		return false
 	}

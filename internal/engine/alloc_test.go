@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"lapushdb/internal/core"
@@ -54,5 +55,40 @@ func TestChainJoinAllocGate(t *testing.T) {
 		if allocs > chainAllocCeiling {
 			t.Errorf("workers=%d: chain join allocations %.0f exceed pinned ceiling %d", w, allocs, chainAllocCeiling)
 		}
+	}
+}
+
+// TestSemiJoinReduceAllocGate pins what one Opt3 reduction may allocate
+// on the TPC-H shape at the benchmark's sizes: two int32 row ids per
+// input row (the selection vectors take one) plus the value-id bitset.
+// A hash set rebuilt per edge and per pass — what the bitset semi-joins
+// replaced — measures 3.8 MB here against this 1.2 MB ceiling
+// (0.62 MB measured).
+func TestSemiJoinReduceAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("alloc gate skipped in -short")
+	}
+	db := tpchBench()
+	q := tpchShapeQuery(750, "%red%")
+	rows := 0
+	for _, a := range q.Atoms {
+		rows += db.Relation(a.Rel).Len()
+	}
+	ceiling := uint64(8*rows + (db.NumValues()+63)/64*8)
+	const runs = 5
+	var before, after runtime.MemStats
+	SemiJoinReduce(db, q) // warm: nothing lazy is left to the measured runs
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		SemiJoinReduce(db, q)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("tpch reduce over %d rows: %d B/call (ceiling %d)", rows, perCall, ceiling)
+	if perCall > ceiling {
+		t.Errorf("one reduction allocates %d B, over the %d B ceiling for %d input rows", perCall, ceiling, rows)
 	}
 }

@@ -45,10 +45,23 @@ func BenchmarkHashJoin(b *testing.B) {
 
 func BenchmarkSemiJoinReduce(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	db, q := benchDB(10000, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SemiJoinReduce(db, q)
+	chainDB, chainQ := benchDB(10000, rng)
+	for _, bc := range []struct {
+		name string
+		db   *DB
+		q    *cq.Query
+	}{
+		{"chain3", chainDB, chainQ},
+		// The benchmark dataset's TPC-H sizes (151 500 input rows) under
+		// the paper's parameterized query.
+		{"tpch", tpchBench(), tpchShapeQuery(750, "%red%")},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SemiJoinReduce(bc.db, bc.q)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"lapushdb/internal/cq"
@@ -558,17 +559,17 @@ func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *cance
 // compiledPred is one pushed-down comparison bound to an argument
 // position.
 type compiledPred struct {
-	pos int
-	op  cq.CompareOp
-	num Value  // for numeric comparisons
-	pat string // for LIKE
-	db  *DB
+	pos  int
+	op   cq.CompareOp
+	num  Value        // for numeric comparisons
+	like *likePattern // for LIKE
+	db   *DB
 }
 
 func compilePred(db *DB, p cq.Predicate, pos int) compiledPred {
 	c := compiledPred{pos: pos, op: p.Op, db: db}
 	if p.Op == cq.OpLike {
-		c.pat = p.Const
+		c.like = compileLike(p.Const)
 	} else {
 		c.num = db.lookupConst(p.Const)
 	}
@@ -590,39 +591,106 @@ func (c compiledPred) okVal(v Value) bool {
 	case cq.OpNE:
 		return v != c.num
 	case cq.OpLike:
-		return LikeMatch(c.pat, c.db.Decode(v))
+		return c.like.match(c.db.Decode(v))
 	default:
 		panic("engine: unknown predicate op")
 	}
 }
 
 // LikeMatch implements SQL LIKE with % (any run) and _ (any one
-// character) wildcards.
+// byte) wildcards.
 func LikeMatch(pattern, s string) bool {
-	// Iterative two-pointer matcher with backtracking on the last %.
-	pi, si := 0, 0
-	star, match := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && pattern[pi] == '%':
-			star = pi
-			match = si
-			pi++
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			pi++
-			si++
-		case star >= 0:
-			pi = star + 1
-			match++
-			si = match
-		default:
+	return compileLike(pattern).match(s)
+}
+
+// likePattern is a LIKE pattern split at its % signs: the first segment
+// is anchored at the start of the string, the last at its end, and the
+// non-empty segments between them must occur in order, without overlap,
+// in what the two anchors leave. Taking each at its leftmost occurrence
+// is enough: an earlier match never leaves less room for the rest.
+type likePattern struct {
+	open   bool // the pattern has a %; false makes prefix the whole pattern
+	prefix likeSeg
+	middle []likeSeg
+	suffix likeSeg
+}
+
+// likeSeg is a %-free run of a pattern; wild records that it has a _.
+type likeSeg struct {
+	text string
+	wild bool
+}
+
+func compileLike(pattern string) *likePattern {
+	parts := strings.Split(pattern, "%")
+	segs := make([]likeSeg, len(parts))
+	for i, t := range parts {
+		segs[i] = likeSeg{text: t, wild: strings.IndexByte(t, '_') >= 0}
+	}
+	p := &likePattern{prefix: segs[0]}
+	if len(segs) == 1 {
+		return p
+	}
+	p.open = true
+	p.suffix = segs[len(segs)-1]
+	for _, sg := range segs[1 : len(segs)-1] {
+		if sg.text != "" {
+			p.middle = append(p.middle, sg)
+		}
+	}
+	return p
+}
+
+func (p *likePattern) match(s string) bool {
+	if !p.open {
+		return len(s) == len(p.prefix.text) && p.prefix.matchAt(s)
+	}
+	if len(s) < len(p.prefix.text)+len(p.suffix.text) {
+		return false
+	}
+	tail := len(s) - len(p.suffix.text)
+	if !p.prefix.matchAt(s) || !p.suffix.matchAt(s[tail:]) {
+		return false
+	}
+	s = s[len(p.prefix.text):tail]
+	for i := range p.middle {
+		at := p.middle[i].index(s)
+		if at < 0 {
+			return false
+		}
+		s = s[at+len(p.middle[i].text):]
+	}
+	return true
+}
+
+// matchAt reports whether the segment matches at the start of s.
+func (g *likeSeg) matchAt(s string) bool {
+	if !g.wild {
+		return strings.HasPrefix(s, g.text)
+	}
+	if len(s) < len(g.text) {
+		return false
+	}
+	for i := 0; i < len(g.text); i++ {
+		if g.text[i] != '_' && g.text[i] != s[i] {
 			return false
 		}
 	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
+	return true
+}
+
+// index returns the leftmost position where the segment matches in s,
+// or -1.
+func (g *likeSeg) index(s string) int {
+	if !g.wild {
+		return strings.Index(s, g.text)
 	}
-	return pi == len(pattern)
+	for i := 0; i+len(g.text) <= len(s); i++ {
+		if g.matchAt(s[i:]) {
+			return i
+		}
+	}
+	return -1
 }
 
 // projAccum is the one projection operator: it folds a row sequence —
@@ -1081,13 +1149,21 @@ func SemiJoinReduceCtx(ctx context.Context, db *DB, q *cq.Query) map[string][]in
 	return semiJoinReduce(db, q, &canceller{ctx: ctx})
 }
 
+// semiJoinReduce computes the reduction as a chaotic iteration of the
+// pairwise semi-joins a ⋉ b over every ordered atom pair sharing an
+// existential variable. Each atom carries a version that moves when its
+// live set shrinks, and an edge re-runs only when b's version moved since
+// the edge last ran, so no pass exists just to discover nothing changed.
+// The semi-joins are monotone and only ever shrink their left side, so
+// every fair order reaches the one greatest fixpoint below the selected
+// subsets, and live stays in ascending row order: the returned sets do
+// not depend on the schedule (DESIGN.md, "Opt3 reduction").
 func semiJoinReduce(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
 	type atomInfo struct {
-		atom cq.Atom
-		rel  *Relation
-		live []int32
-		// varPos maps each variable to one argument position.
-		varPos map[cq.Var]int
+		rel     *Relation
+		live    []int32
+		varPos  map[cq.Var]int // each variable's first argument position
+		version int            // bumped whenever live shrinks
 	}
 	head := q.HeadSet()
 	infos := make([]*atomInfo, len(q.Atoms))
@@ -1096,7 +1172,7 @@ func semiJoinReduce(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
 		if rel == nil {
 			panic(fmt.Sprintf("engine: unknown relation %s", a.Rel))
 		}
-		info := &atomInfo{atom: a, rel: rel, varPos: map[cq.Var]int{}}
+		info := &atomInfo{rel: rel, varPos: map[cq.Var]int{}}
 		for j, t := range a.Args {
 			if t.IsVar() {
 				if _, ok := info.varPos[t.Var]; !ok {
@@ -1116,75 +1192,133 @@ func semiJoinReduce(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
 		}
 		infos[i] = info
 	}
-	// Shared existential variables between atom pairs drive the reduction.
-	shared := func(a, b *atomInfo) []cq.Var {
-		var out []cq.Var
-		for v := range a.varPos {
-			if head.Has(v) {
+	// One edge per ordered atom pair sharing an existential variable, with
+	// the shared variables' argument positions hoisted out of the row loops.
+	type edge struct {
+		a, b       *atomInfo
+		apos, bpos []int
+		ran        int // b.version when the edge last ran; -1 = never
+	}
+	var edges []edge
+	for i, a := range infos {
+		for j, b := range infos {
+			if i == j {
 				continue
 			}
-			if _, ok := b.varPos[v]; ok {
-				out = append(out, v)
+			var vars []cq.Var
+			for v := range a.varPos {
+				if _, ok := b.varPos[v]; ok && !head.Has(v) {
+					vars = append(vars, v)
+				}
 			}
+			if len(vars) == 0 {
+				continue
+			}
+			sort.Slice(vars, func(x, y int) bool { return vars[x] < vars[y] })
+			e := edge{a: a, b: b, ran: -1}
+			for _, v := range vars {
+				e.apos = append(e.apos, a.varPos[v])
+				e.bpos = append(e.bpos, b.varPos[v])
+			}
+			edges = append(edges, e)
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
 	}
+	// Every stored value id is below len(db.valIDs) (noteValue hands them
+	// out densely; clones copy the map before extending it), so one bitset
+	// of that many bits, reused by every edge, can hold any key set.
+	words := (len(db.valIDs) + 63) / 64
+	var bits []uint64
 	for changed := true; changed; {
 		changed = false
-		for i, a := range infos {
-			for j, b := range infos {
-				if i == j {
-					continue
+		for x := range edges {
+			e := &edges[x]
+			a, b := e.a, e.b
+			if e.ran == b.version {
+				continue
+			}
+			e.ran = b.version
+			var kept []int32
+			if len(e.apos) == 1 && words <= len(a.live)+len(b.live) {
+				// Clearing the bitset costs no more than the two row passes.
+				if bits == nil {
+					bits = make([]uint64, words)
 				}
-				vars := shared(a, b)
-				if len(vars) == 0 {
-					continue
-				}
-				// Hoist the variable positions out of the row loops: the
-				// semi-join filter kernels below then run over the flattened
-				// id storage without per-row map lookups.
-				apos := make([]int, len(vars))
-				bpos := make([]int, len(vars))
-				for x, v := range vars {
-					apos[x] = a.varPos[v]
-					bpos[x] = b.varPos[v]
-				}
-				// Keys present in b on the shared vars.
-				keys := newGroupTable(len(vars), len(b.live))
-				key := make([]int32, len(vars))
-				for _, r := range b.live {
-					c.check()
-					row := b.rel.vidRow(int(r))
-					for x, p := range bpos {
-						key[x] = row[p]
-					}
-					keys.intern(key)
-				}
-				// Keep only a's rows whose shared-key exists in b.
-				kept := a.live[:0]
-				for _, r := range a.live {
-					c.check()
-					row := a.rel.vidRow(int(r))
-					for x, p := range apos {
-						key[x] = row[p]
-					}
-					if _, ok := keys.lookup(key); ok {
-						kept = append(kept, r)
-					}
-				}
-				if len(kept) != len(a.live) {
-					a.live = kept
-					changed = true
-				}
+				clear(bits)
+				kept = semiJoinBits(a.rel, a.live, e.apos[0], b.rel, b.live, e.bpos[0], bits, c)
+			} else {
+				kept = semiJoinHash(a.rel, a.live, e.apos, b.rel, b.live, e.bpos, c)
+			}
+			if len(kept) != len(a.live) {
+				a.live = kept
+				a.version++
+				changed = true
 			}
 		}
 	}
-	out := map[string][]int32{}
+	out := make(map[string][]int32, len(infos))
 	for _, info := range infos {
-		out[info.atom.Rel] = info.live
+		out[info.rel.Name] = info.live
 	}
 	return out
+}
+
+// semiJoinBits compacts alive in place to the rows whose value id at
+// argument apos occurs at bpos among b's live rows. bits must be zeroed
+// and hold one bit per value id of the database. Cancellation is polled
+// once per cancelCheckInterval-row block.
+func semiJoinBits(a *Relation, alive []int32, apos int, b *Relation, blive []int32, bpos int, bits []uint64, c *canceller) []int32 {
+	bar, bvids := b.Arity(), b.vids
+	for len(blive) > 0 {
+		c.checkNow()
+		blk := blive[:min(len(blive), cancelCheckInterval)]
+		blive = blive[len(blk):]
+		for _, r := range blk {
+			id := uint32(bvids[int(r)*bar+bpos])
+			bits[id>>6] |= 1 << (id & 63)
+		}
+	}
+	aar, avids := a.Arity(), a.vids
+	kept := alive[:0]
+	for len(alive) > 0 {
+		c.checkNow()
+		blk := alive[:min(len(alive), cancelCheckInterval)]
+		alive = alive[len(blk):]
+		for _, r := range blk {
+			id := uint32(avids[int(r)*aar+apos])
+			if bits[id>>6]&(1<<(id&63)) != 0 {
+				kept = append(kept, r)
+			}
+		}
+	}
+	return kept
+}
+
+// semiJoinHash is semiJoinBits for composite keys, and for single keys
+// when both sides are so small that clearing the bitset would dominate:
+// b's keys go into a groupTable sized to b's live rows.
+func semiJoinHash(a *Relation, alive []int32, apos []int, b *Relation, blive []int32, bpos []int, c *canceller) []int32 {
+	keys := newGroupTable(len(bpos), len(blive))
+	key := make([]int32, len(bpos))
+	for _, r := range blive {
+		c.check()
+		row := b.vidRow(int(r))
+		for x, p := range bpos {
+			key[x] = row[p]
+		}
+		keys.intern(key)
+	}
+	kept := alive[:0]
+	for _, r := range alive {
+		c.check()
+		row := a.vidRow(int(r))
+		for x, p := range apos {
+			key[x] = row[p]
+		}
+		if _, ok := keys.lookup(key); ok {
+			kept = append(kept, r)
+		}
+	}
+	return kept
 }
 
 func colIndex(cols []cq.Var, v cq.Var) int {

@@ -311,6 +311,14 @@ func TestLikeMatch(t *testing.T) {
 		if got := LikeMatch(c.pat, c.s); got != c.want {
 			t.Errorf("LikeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
 		}
+		if likeOracle(c.pat, c.s) != c.want {
+			t.Errorf("likeOracle(%q, %q) disagrees with the table", c.pat, c.s)
+		}
+	}
+	for _, c := range likeSegmentCases {
+		if got, want := LikeMatch(c.pat, c.s), likeOracle(c.pat, c.s); got != want {
+			t.Errorf("LikeMatch(%q, %q) = %v, oracle = %v", c.pat, c.s, got, want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lapushdb/internal/core"
@@ -32,24 +33,56 @@ func encodeResult(r *Result) []byte {
 	return buf
 }
 
-// likeOracle is a naive byte-wise recursive LIKE matcher — exponential
-// but obviously correct, the reference implementation for the fuzzer.
+// likeOracle is a naive byte-wise recursive LIKE matcher — obviously
+// correct, the reference implementation for the fuzzer. The recursion is
+// memoized on the two suffix lengths: unmemoized, a run of % signs
+// (the patterns a segment matcher most needs fuzzing on) is exponential.
 func likeOracle(pattern, s string) bool {
-	if pattern == "" {
-		return s == ""
+	memo := map[[2]int]bool{}
+	var rec func(pattern, s string) bool
+	rec = func(pattern, s string) bool {
+		if pattern == "" {
+			return s == ""
+		}
+		k := [2]int{len(pattern), len(s)}
+		if v, ok := memo[k]; ok {
+			return v
+		}
+		var v bool
+		switch pattern[0] {
+		case '%':
+			v = rec(pattern[1:], s) || (s != "" && rec(pattern, s[1:]))
+		case '_':
+			v = s != "" && rec(pattern[1:], s[1:])
+		default:
+			v = s != "" && s[0] == pattern[0] && rec(pattern[1:], s[1:])
+		}
+		memo[k] = v
+		return v
 	}
-	switch pattern[0] {
-	case '%':
-		return likeOracle(pattern[1:], s) || (s != "" && likeOracle(pattern, s[1:]))
-	case '_':
-		return s != "" && likeOracle(pattern[1:], s[1:])
-	default:
-		return s != "" && s[0] == pattern[0] && likeOracle(pattern[1:], s[1:])
-	}
+	return rec(pattern, s)
 }
 
-// FuzzLikeMatch compares the hand-rolled matcher against the regexp
-// oracle on arbitrary pattern/string pairs.
+// likeSegmentCases are the inputs a %-segment matcher can get wrong:
+// segments that may not share bytes, anchors that overlap, runs of %,
+// empty pattern or string, _ inside a segment, and _ against the bytes
+// of a multi-byte rune (LIKE here is byte-wise, as the oracle is).
+// TestLikeMatch checks each against likeOracle; FuzzLikeMatch starts
+// from them.
+var likeSegmentCases = []struct{ pat, s string }{
+	{"%aa%aa%", "aaa"}, {"%aa%aa%", "aaaa"}, {"%ab%ba%", "aba"}, {"%ab%ba%", "abba"},
+	{"ab%ab", "ab"}, {"ab%ab", "abab"}, {"ab%ab", "abxab"}, {"aba%aba", "ababa"}, {"a%a", "a"}, {"a%a", "aa"},
+	{"%%", ""}, {"%%", "x"}, {"a%%b", "ab"}, {"a%%%b", "axb"}, {"%%a", "ba"}, {"a%%", "ab"},
+	{"", ""}, {"", "a"}, {"%", ""}, {"_", ""}, {"a", ""}, {"%a%", ""}, {"_%", ""},
+	{"%a_c%", "xxabcxx"}, {"%a_c%", "ac"}, {"%a_c%a_c%", "abcabc"}, {"%a_c%a_c%", "abcbc"},
+	{"_b%", "ab"}, {"%b_", "abc"}, {"%_", "a"}, {"_%_", "a"}, {"%a_", "aab"}, {"%_a%", "a"}, {"%_a%", "ba"},
+	{"%_a_%", "aaa"}, {"__", "a"}, {"a_", "ab"}, {"a_", "abc"},
+	{"caf_", "caf\u00e9"}, {"caf__", "caf\u00e9"}, {"%\u00e9%", "caf\u00e9 noir"}, {"_", "\u00e9"}, {"__", "\u00e9"},
+	{"%\xa9%", "caf\u00e9"}, {"\xc3%", "\u00e9"}, {"%\xc3_", "\u00e9"}, {"%\u65e5%\u8a9e", "\u65e5\u672c\u8a9e"},
+}
+
+// FuzzLikeMatch compares the compiled segment matcher against the
+// recursive oracle on arbitrary pattern/string pairs.
 func FuzzLikeMatch(f *testing.F) {
 	seeds := [][2]string{
 		{"%red%", "dark red metallic"},
@@ -61,12 +94,15 @@ func FuzzLikeMatch(f *testing.F) {
 		{"_%_", "xy"},
 		{"%aa%", "aXa"},
 	}
+	for _, c := range likeSegmentCases {
+		seeds = append(seeds, [2]string{c.pat, c.s})
+	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
 	}
 	f.Fuzz(func(t *testing.T, pattern, s string) {
 		if len(pattern) > 64 || len(s) > 256 {
-			return // keep the backtracking oracle cheap
+			return // keep the oracle cheap
 		}
 		got := LikeMatch(pattern, s)
 		want := likeOracle(pattern, s)
@@ -95,7 +131,7 @@ func FuzzMorselDifferential(f *testing.F) {
 		{"q(z) :- R(z, x), S(x, y), T(y)", 2, 150, 2},
 		{"q() :- R(x), S(y), T(x, y)", 3, 100, 8}, // unsafe 2-star
 		{"q(w) :- R(w, x), S(x), T(x, y), U(y)", 4, 120, 3},
-		{"q() :- R(x), S(x, y)", 5, 80, 2},        // safe: exact either way
+		{"q() :- R(x), S(x, y)", 5, 80, 2}, // safe: exact either way
 		{"q() :- R(x), S(x), T(x, y), U(y)", 6, 300, 4},
 		{"q(x1) :- R0(x1, x2, x3), R1(x1), R2(x2), R3(x3)", 7, 250, 5}, // 3-star with head var
 		{"q() :- A(x), B(y), M(x, y)", 8, 400, 2},
@@ -145,6 +181,19 @@ func FuzzMorselDifferential(f *testing.F) {
 					t.Fatalf("oracle workers=%d: encoding differs from executor", w)
 				}
 			}
+			// The reduction itself is one more input: it equals the all-pairs
+			// reference, and evaluating with it precomputed changes no bit.
+			if opts.SemiJoin {
+				red := SemiJoinReduce(db, q)
+				if !reflect.DeepEqual(red, semiJoinReduceRef(db, q, nil)) {
+					t.Fatalf("semi-join reduction differs from the reference")
+				}
+				rOpts := opts
+				rOpts.Reduced = red
+				if string(encodeResult(EvalPlans(db, q, plans, rOpts))) != string(refEnc) {
+					t.Fatalf("precomputed reduction: encoding differs")
+				}
+			}
 			// Typed-error parity under a row budget: both executors charge
 			// identical totals, so they must trip (or not) together, with
 			// the same typed error.
@@ -172,4 +221,68 @@ func FuzzMorselDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pollCancelCtx cancels itself on its after-th Err call: the evaluator's
+// own cancellation poll is the event that triggers the cancel, so the
+// context turns done at a known point inside the run.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	after  int
+	polls  int
+}
+
+func (c *pollCancelCtx) Err() error {
+	c.polls++
+	if c.polls == c.after {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestSemiJoinReduceCancel is the large-input counterpart of the
+// pre-cancelled case above for the reduction alone: on a 120 000-row
+// relation SemiJoinReduceCtx unwinds with context.Canceled both when
+// the context is done on entry and when it turns done between two of
+// the reduction's own polls, and each block of cancelCheckInterval rows
+// is polled at least once.
+func TestSemiJoinReduceCancel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 151 500-row instance")
+	}
+	db := tpchBench()
+	q := tpchShapeQuery(1500, "%")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := TrapCancel(func() { SemiJoinReduceCtx(ctx, db, q) })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+	// Unconstrained, every row of the three relations is live and every
+	// edge's two passes poll once per block; a full run therefore polls
+	// well over rows/cancelCheckInterval times.
+	count := &pollCancelCtx{Context: context.Background(), cancel: func() {}}
+	if err := TrapCancel(func() { SemiJoinReduceCtx(count, db, q) }); err != nil {
+		t.Fatalf("uncancelled run: %v", err)
+	}
+	rows := 0
+	for _, r := range db.Relations() {
+		rows += r.Len()
+	}
+	if floor := rows / cancelCheckInterval; count.polls < floor {
+		t.Fatalf("a full run polled %d times, want at least %d", count.polls, floor)
+	}
+	for _, after := range []int{1, 2, count.polls / 2, count.polls} {
+		inner, cancel := context.WithCancel(context.Background())
+		pc := &pollCancelCtx{Context: inner, cancel: cancel, after: after}
+		err := TrapCancel(func() { SemiJoinReduceCtx(pc, db, q) })
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d of %d: err = %v, want context.Canceled", after, count.polls, err)
+		}
+		if pc.polls != after {
+			t.Fatalf("cancelled at poll %d: the run went on to poll %d times", after, pc.polls)
+		}
+	}
 }

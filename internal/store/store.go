@@ -146,15 +146,15 @@ type Version struct {
 
 // Stats is a point-in-time snapshot of the store's counters.
 type Stats struct {
-	Seq                 uint64 `json:"version"`
-	Fingerprint         string `json:"fingerprint"`
+	Seq         uint64 `json:"version"`
+	Fingerprint string `json:"fingerprint"`
 	// Epoch is the store's current promotion epoch (0 until the first
 	// promotion anywhere in the lineage).
 	Epoch uint64 `json:"epoch"`
 	// FencedEpoch is the highest promotion epoch observed elsewhere in
 	// the cluster (via Fence); while it exceeds Epoch, Apply refuses
 	// writes with ErrFenced.
-	FencedEpoch uint64 `json:"fenced_epoch,omitempty"`
+	FencedEpoch         uint64 `json:"fenced_epoch,omitempty"`
 	Durable             bool   `json:"durable"`
 	Fsync               string `json:"fsync,omitempty"`
 	WALBytes            int64  `json:"wal_bytes"`

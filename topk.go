@@ -119,7 +119,8 @@ func (d *DB) RankTopKAnytime(ctx context.Context, query string, k int, opts *Any
 	}
 	o := &Options{IgnoreSchema: ao.IgnoreSchema}
 	sch := d.schema(q, o)
-	res, err := d.rankAnytime(ctx, q, core.MinimalPlans(q, sch), core.IsSafe(q, sch), &ao)
+	plans := core.MinimalPlans(q, sch)
+	res, err := d.rankAnytime(ctx, q, plans, core.SafeGiven(q, sch, plans), &ao)
 	if err != nil {
 		return nil, err
 	}
