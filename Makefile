@@ -17,7 +17,7 @@ race:
 chaos:
 	$(GO) test -race -run 'TestChaos|TestTornTail|TestNth|TestSticky|TestShort|TestSetFault' ./internal/store/...
 	$(GO) test -race -run 'TestBudget' ./internal/engine
-	$(GO) test -race -run 'TestErrorStatus|TestRelease|TestQueryBudget|TestLoadShedding|TestDegraded|TestRobustnessMetrics|TestAnytime' ./internal/server
+	$(GO) test -race -run 'TestErrorStatus|TestRelease|TestQueryBudget|TestLoadShedding|TestDegraded|TestRobustnessMetrics|TestAnytime|TestRankBatch|TestResultCache|TestQueryBatchParity' ./internal/server
 	$(GO) test -race -run 'TestReplicaChaos' ./internal/replica
 
 # Replication end-to-end suite under the race detector: the wire

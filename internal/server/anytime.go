@@ -1,14 +1,6 @@
 package server
 
-import (
-	"context"
-	"errors"
-	"net/http"
-	"time"
-
-	"lapushdb"
-	"lapushdb/internal/store"
-)
+import "lapushdb"
 
 // Anytime request path. A /v1/query (or /v1/rank_batch) request that
 // carries an epsilon is answered with [lower, upper] probability
@@ -38,140 +30,7 @@ func anytimeMCMax(samples int) int {
 	return samples
 }
 
-// handleAnytimeQuery is /v1/query's anytime branch; req.Epsilon is
-// validated and req.Method is "diss".
-func (s *Server) handleAnytimeQuery(w http.ResponseWriter, r *http.Request, req *queryRequest, eps float64, ep evalParams) {
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	v := s.store.Current()
-	begin := time.Now()
-	normalized, err := v.DB.NormalizeQuery(req.Query)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	// The plan cache keys by "diss": a Prepared is method-independent
-	// and anytime refines the same minimal plans.
-	popts := &lapushdb.Options{IgnoreSchema: req.IgnoreSchema}
-	p, hit, err := s.preparedNorm(ctx, v, "diss", req.Query, normalized, popts)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	mcMax := anytimeMCMax(req.Samples)
-	// The key deliberately omits epsilon: one entry per query serves
-	// every epsilon at or above its achieved width.
-	rkey := resultCacheKey(v.Fingerprint, "anytime", normalized, req.IgnoreSchema, mcMax, req.Seed)
-	if c, ok := s.results.get(rkey); ok && c.anytime && c.width <= eps {
-		s.metrics.resultCacheHits.Add(1)
-		s.writeAnytimeCached(w, req, p.Safe(), hit, "hit", c, eps, "", begin)
-		return
-	}
-	s.metrics.resultCacheMisses.Add(1)
-	if err := s.acquire(ctx); err != nil {
-		// Shed or out of deadline before any work: a stale loose
-		// interval beats discarding the request — the bounds are valid
-		// for this store version, just wider than asked.
-		if c, ok := s.results.get(rkey); ok && c.anytime {
-			label := "deadline"
-			if errors.Is(err, errOverloaded) {
-				label = "shed"
-			}
-			s.metrics.anytimeDegraded.Add(1)
-			s.writeAnytimeCached(w, req, p.Safe(), hit, "stale", c, eps, label, begin)
-			return
-		}
-		s.writeQueryError(w, err)
-		return
-	}
-	res, err := s.anytimeWithSlot(ctx, v, p, req, eps, ep, mcMax)
-	if err != nil {
-		// Refinement died before its first stage completed. A cached
-		// interval (any width) still serves deadline/budget failures.
-		if status, _, _ := errorStatus(err); status == http.StatusGatewayTimeout || status == http.StatusUnprocessableEntity {
-			if c, ok := s.results.get(rkey); ok && c.anytime {
-				label := "deadline"
-				if status == http.StatusUnprocessableEntity {
-					label = "budget"
-				}
-				s.metrics.anytimeDegraded.Add(1)
-				s.writeAnytimeCached(w, req, p.Safe(), hit, "stale", c, eps, label, begin)
-				return
-			}
-		}
-		s.writeQueryError(w, err)
-		return
-	}
-	entry := anytimeEntry(res)
-	entry.safe = p.Safe()
-	s.putTighter(rkey, entry)
-	s.noteAnytime(res.Converged, res.Degraded, res.Width)
-	answers, _ := entry.anytimeTop(req.Top, eps)
-	converged := res.Converged && res.Degraded == ""
-	width := res.Width
-	writeJSON(w, http.StatusOK, queryResponse{
-		Answers:     answers,
-		Count:       len(answers),
-		Method:      req.Method,
-		Safe:        p.Safe(),
-		Cache:       cacheLabel(hit),
-		ResultCache: "miss",
-		ElapsedMS:   float64(time.Since(begin).Microseconds()) / 1000,
-		Converged:   &converged,
-		Degraded:    res.Degraded,
-		Width:       &width,
-		Epsilon:     &eps,
-	})
-}
-
-// anytimeWithSlot runs the anytime evaluation while holding a worker
-// slot (released by defer — see rankWithSlot).
-func (s *Server) anytimeWithSlot(ctx context.Context, v *store.Version, p *lapushdb.Prepared, req *queryRequest, eps float64, ep evalParams, mcMax int) (*lapushdb.AnytimeResult, error) {
-	defer s.release()
-	if s.testHookAfterAcquire != nil {
-		s.testHookAfterAcquire()
-	}
-	return v.DB.RankAnytimePrepared(ctx, p, &lapushdb.AnytimeOptions{
-		Epsilon:             eps,
-		IgnoreSchema:        req.IgnoreSchema,
-		Workers:             ep.parallelism,
-		MaxIntermediateRows: ep.maxRows,
-		MCMaxSamples:        mcMax,
-		Seed:                req.Seed,
-	})
-}
-
-// writeAnytimeCached serves an anytime response from a cache entry —
-// a genuine hit (entry width within epsilon) or a stale degraded
-// fallback — recomputing per-answer convergence against the requested
-// epsilon.
-func (s *Server) writeAnytimeCached(w http.ResponseWriter, req *queryRequest, safe, planHit bool, cacheLabelStr string, c *cachedResult, eps float64, degraded string, begin time.Time) {
-	answers, all := c.anytimeTop(req.Top, eps)
-	converged := all && degraded == ""
-	width := c.width
-	s.noteAnytime(converged, degraded, width)
-	writeJSON(w, http.StatusOK, queryResponse{
-		Answers:     answers,
-		Count:       len(answers),
-		Method:      req.Method,
-		Safe:        safe,
-		Cache:       cacheLabel(planHit),
-		ResultCache: cacheLabelStr,
-		ElapsedMS:   float64(time.Since(begin).Microseconds()) / 1000,
-		Converged:   &converged,
-		Degraded:    degraded,
-		Width:       &width,
-		Epsilon:     &eps,
-	})
-}
-
-// noteAnytime maintains the anytime metrics for one served response.
-func (s *Server) noteAnytime(converged bool, degraded string, width float64) {
-	if converged {
-		s.metrics.anytimeConverged.Add(1)
-	}
-	if degraded != "" {
-		s.metrics.anytimeDegraded.Add(1)
-	}
-	s.metrics.anytimeWidth.observe(width)
-}
+// degradeLabels maps the failure classes (errorStatus codes) a degraded
+// anytime response can stand in for to the label it reports; every
+// other failure (cancellation, a bad query) must surface as itself.
+var degradeLabels = map[string]string{"overloaded": "shed", "deadline_exceeded": "deadline", "budget_exceeded": "budget"}

@@ -275,6 +275,12 @@ func TestAnytimeShedServesStale(t *testing.T) {
 	t.Cleanup(func() { close(release); wg.Wait() })
 	<-entered
 
+	degradedTotal := func() float64 {
+		_, m := getBody(t, ts.URL+"/metrics")
+		return metricValue(t, string(m), "lapushd_anytime_degraded_total")
+	}
+	before := degradedTotal()
+
 	// Tighter epsilon misses the cache; the short deadline sheds it at
 	// admission; the stale loose interval comes back as a degraded 200.
 	resp, body = postJSON(t, ts.URL+"/v1/query", map[string]any{
@@ -290,6 +296,10 @@ func TestAnytimeShedServesStale(t *testing.T) {
 		t.Fatalf("want the stale cached width %g, got %+v", w1, qr)
 	}
 	checkIntervals(t, qr.Answers)
+	// One degraded response, counted once.
+	if delta := degradedTotal() - before; delta != 1 {
+		t.Fatalf("lapushd_anytime_degraded_total moved by %v for one stale-served response, want 1", delta)
+	}
 }
 
 // TestAnytimeBatch drives epsilon through /v1/rank_batch: per-slot

@@ -107,21 +107,9 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 			errBatchTooLarge, len(req.Queries), s.cfg.MaxBatchQueries))
 		return
 	}
-	if req.Method == "" {
-		req.Method = "diss"
-	}
-	ep, ok := s.evalParams(w, req.Method, req.Samples, req.TimeoutMS, req.Parallelism, req.MaxRows)
+	sp, ok := s.resolveSpec(w, req.Method, req.Samples, req.Seed, req.TimeoutMS,
+		req.IgnoreSchema, req.Parallelism, req.MaxRows, req.Epsilon)
 	if !ok {
-		return
-	}
-	eps, isAnytime, err := validateEpsilon(req.Epsilon)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	if isAnytime && req.Method != "diss" {
-		writeError(w, http.StatusBadRequest, "bad_method",
-			`field "epsilon" requires method "diss" (anytime refinement of the dissociation bounds)`)
 		return
 	}
 	s.metrics.batchQueriesTotal.Add(int64(len(req.Queries)))
@@ -138,7 +126,11 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	// Pass 1, before taking a worker slot: validate each query, then try
 	// the result cache. A batch whose queries were all answered at this
 	// version responds without ever entering the admission queue.
-	var todo []pendingBatchQuery
+	type pending struct {
+		i               int // index into the request's queries / results
+		normalized, key string
+	}
+	var todo []pending
 	for i, bq := range req.Queries {
 		if strings.TrimSpace(bq.Query) == "" {
 			results[i] = batchResultJSON{Error: &apiError{Code: "missing_query", Message: `field "query" is required`}}
@@ -148,37 +140,37 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = batchResultJSON{Error: &apiError{Code: "bad_top", Message: `field "top" must be >= 0`}}
 			continue
 		}
-		normalized, err := v.DB.NormalizeQuery(bq.Query)
+		normalized, key, c, err := s.lookup(v, &sp, bq.Query)
 		if err != nil {
 			results[i] = s.batchErrResult(err)
-			continue
+		} else if c != nil {
+			results[i] = s.render(&sp, c, bq.Top, "hit", "")
+		} else {
+			todo = append(todo, pending{i, normalized, key})
 		}
-		key := resultCacheKey(v.Fingerprint, req.Method, normalized, req.IgnoreSchema, ep.samples, req.Seed)
-		if isAnytime {
-			key = resultCacheKey(v.Fingerprint, "anytime", normalized, req.IgnoreSchema, anytimeMCMax(req.Samples), req.Seed)
-		}
-		if c, ok := s.results.get(key); ok && (!isAnytime || (c.anytime && c.width <= eps)) {
-			s.metrics.resultCacheHits.Add(1)
-			if isAnytime {
-				results[i] = s.anytimeBatchResult(c, bq.Top, eps, "hit", "")
-			} else {
-				results[i] = cachedBatchResult(c, bq.Top, "hit")
-			}
-			continue
-		}
-		todo = append(todo, pendingBatchQuery{i: i, normalized: normalized, key: key})
 	}
 
 	var sharedHits int64
 	if len(todo) > 0 {
-		if err := s.acquire(ctx); err != nil {
+		// Pass 2 evaluates the misses under one worker slot. One
+		// lapushdb.Batch spans all of them, so subplan results flow across
+		// queries and one row budget covers the batch.
+		err := s.admitted(ctx, func() error {
+			batch := v.DB.NewBatch(&sp.opts)
+			for _, pq := range todo {
+				results[pq.i] = s.batchSlot(ctx, v, &sp, batch, req.Queries[pq.i], pq.normalized, pq.key)
+			}
+			sharedHits = batch.Stats().SharedSubplanHits
+			s.metrics.sharedSubplanHits.Add(sharedHits)
+			return nil
+		})
+		if err != nil {
 			// Nothing was evaluated; fail the whole request the same way
 			// /v1/query would (429/504), rather than faking per-query
 			// results that are really one admission failure.
 			s.writeQueryError(w, err)
 			return
 		}
-		sharedHits = s.runBatch(ctx, v, &req, ep, eps, isAnytime, todo, results)
 	}
 
 	done := 0
@@ -197,124 +189,29 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// pendingBatchQuery is one query that missed the result cache in pass
-// 1 and still needs evaluation.
-type pendingBatchQuery struct {
-	i          int    // index into the request's queries / results
-	normalized string // canonical query text
-	key        string // result-cache key
-}
-
-// runBatch evaluates the batch's result-cache misses while holding a
-// worker slot (released by defer — see rankWithSlot for why). One
-// lapushdb.Batch spans all of them, so subplan results flow across
-// queries and one row budget covers the batch.
-func (s *Server) runBatch(ctx context.Context, v *store.Version, req *batchRequest, ep evalParams, eps float64, isAnytime bool, todo []pendingBatchQuery, results []batchResultJSON) int64 {
-	defer s.release()
-	if s.testHookAfterAcquire != nil {
-		s.testHookAfterAcquire()
-	}
-	stats := &lapushdb.RankStats{}
-	opts := &lapushdb.Options{
-		Method:              ep.method,
-		MCSamples:           ep.samples,
-		Seed:                req.Seed,
-		IgnoreSchema:        req.IgnoreSchema,
-		Workers:             ep.parallelism,
-		Stats:               stats,
-		MaxIntermediateRows: ep.maxRows,
-	}
-	batch := v.DB.NewBatch(opts)
-	for _, pq := range todo {
-		bq := req.Queries[pq.i]
-		if isAnytime {
-			results[pq.i] = s.runBatchAnytime(ctx, v, batch, req, ep, eps, pq, bq)
-			continue
-		}
-		// A duplicate earlier in the batch (or a concurrent request) may
-		// have filled the entry since pass 1.
-		if c, ok := s.results.get(pq.key); ok {
-			s.metrics.resultCacheHits.Add(1)
-			results[pq.i] = cachedBatchResult(c, bq.Top, "hit")
-			continue
-		}
-		s.metrics.resultCacheMisses.Add(1)
-		p, _, err := s.preparedNorm(ctx, v, req.Method, bq.Query, pq.normalized, opts)
-		if err != nil {
-			results[pq.i] = s.batchErrResult(err)
-			continue
-		}
-		answers, err := batch.RankPrepared(ctx, p)
-		if err != nil {
-			results[pq.i] = s.batchErrResult(err)
-			continue
-		}
-		s.metrics.partitionsTotal.Add(stats.Partitions)
-		entry := &cachedResult{answers: toAnswerJSON(answers), safe: p.Safe()}
-		s.results.put(pq.key, entry)
-		results[pq.i] = cachedBatchResult(entry, bq.Top, "miss")
-	}
-	bs := batch.Stats()
-	s.metrics.sharedSubplanHits.Add(bs.SharedSubplanHits)
-	return bs.SharedSubplanHits
-}
-
-// runBatchAnytime fills one anytime slot of a running batch. Queries
-// degrade independently: a deadline or budget exhaustion mid-refinement
-// yields a non-converged interval in this slot (Degraded set) rather
-// than an error, and the remaining slots still run — they may be served
-// from already-memoized subplans even with the budget gone.
-func (s *Server) runBatchAnytime(ctx context.Context, v *store.Version, batch *lapushdb.Batch, req *batchRequest, ep evalParams, eps float64, pq pendingBatchQuery, bq batchQueryJSON) batchResultJSON {
-	if c, ok := s.results.get(pq.key); ok && c.anytime && c.width <= eps {
-		s.metrics.resultCacheHits.Add(1)
-		return s.anytimeBatchResult(c, bq.Top, eps, "hit", "")
+// batchSlot fills the slot of one query that missed the result cache in
+// pass 1, inside the batch's worker slot. Queries fail and degrade
+// independently: an error lands in this slot only, and an anytime
+// deadline or budget exhaustion mid-refinement yields a non-converged
+// interval (Degraded set) rather than an error — the remaining slots
+// still run, and may be served from already-memoized subplans even with
+// the budget gone.
+func (s *Server) batchSlot(ctx context.Context, v *store.Version, sp *querySpec, batch *lapushdb.Batch, bq batchQueryJSON, normalized, key string) batchResultJSON {
+	// A duplicate earlier in the batch (or a concurrent request) may
+	// have filled the entry since pass 1.
+	if c := s.hit(sp, key); c != nil {
+		return s.render(sp, c, bq.Top, "hit", "")
 	}
 	s.metrics.resultCacheMisses.Add(1)
-	popts := &lapushdb.Options{IgnoreSchema: req.IgnoreSchema}
-	p, _, err := s.preparedNorm(ctx, v, req.Method, bq.Query, pq.normalized, popts)
+	p, _, err := s.preparedNorm(ctx, v, sp.method, bq.Query, normalized, &sp.opts)
 	if err != nil {
 		return s.batchErrResult(err)
 	}
-	res, err := batch.RankAnytimePrepared(ctx, p, &lapushdb.AnytimeOptions{
-		Epsilon:             eps,
-		IgnoreSchema:        req.IgnoreSchema,
-		Workers:             ep.parallelism,
-		MaxIntermediateRows: ep.maxRows,
-		MCMaxSamples:        anytimeMCMax(req.Samples),
-		Seed:                req.Seed,
-	})
+	c, degraded, err := s.evaluate(ctx, sp, batch, p, key)
 	if err != nil {
 		return s.batchErrResult(err)
 	}
-	entry := anytimeEntry(res)
-	entry.safe = p.Safe()
-	s.putTighter(pq.key, entry)
-	return s.anytimeBatchResult(entry, bq.Top, eps, "miss", res.Degraded)
-}
-
-// anytimeBatchResult renders one anytime slot from a cache entry,
-// recomputing per-answer convergence against the requested epsilon.
-func (s *Server) anytimeBatchResult(c *cachedResult, top int, eps float64, label, degraded string) batchResultJSON {
-	answers, all := c.anytimeTop(top, eps)
-	converged := all && degraded == ""
-	width := c.width
-	s.noteAnytime(converged, degraded, width)
-	return batchResultJSON{
-		Answers:   answers,
-		Count:     len(answers),
-		Safe:      c.safe,
-		Cache:     label,
-		Converged: &converged,
-		Degraded:  degraded,
-		Width:     &width,
-	}
-}
-
-// cachedBatchResult renders one cached (or just-cached) result into
-// its response slot, applying the query's top-k cutoff.
-func cachedBatchResult(c *cachedResult, top int, label string) batchResultJSON {
-	answers := c.top(top)
-	return batchResultJSON{Answers: answers, Count: len(answers), Safe: c.safe, Cache: label}
+	return s.render(sp, c, bq.Top, "miss", degraded)
 }
 
 // batchErrResult maps one query's failure into its in-envelope error

@@ -39,24 +39,25 @@ func (c *cachedResult) top(n int) []answerJSON {
 // anytimeTop renders the first n interval answers with per-answer
 // convergence recomputed against the requesting epsilon (the cached
 // flags reflect the epsilon the entry was refined for, which may
-// differ). Returns the answers and whether all of them converged.
+// differ). Returns the answers and whether all of the entry's answers —
+// served or not — converged. Only the served answers are copied.
 func (c *cachedResult) anytimeTop(n int, eps float64) ([]answerJSON, bool) {
 	all := true
-	src := c.answers
+	for _, a := range c.answers {
+		if a.Interval != nil && a.Interval.Upper-a.Interval.Lower > eps {
+			all = false
+			break
+		}
+	}
+	src := c.top(n)
 	out := make([]answerJSON, len(src))
 	for i, a := range src {
 		out[i] = a
 		if a.Interval != nil {
 			iv := *a.Interval
 			iv.Converged = iv.Upper-iv.Lower <= eps
-			if !iv.Converged {
-				all = false
-			}
 			out[i].Interval = &iv
 		}
-	}
-	if n > 0 && n < len(out) {
-		out = out[:n]
 	}
 	return out, all
 }
@@ -105,7 +106,7 @@ func toAnswerJSON(answers []lapushdb.Answer) []answerJSON {
 // anytimeEntry builds the width-tagged cache entry for one anytime
 // result. The score slot carries the upper bound — the same guaranteed
 // bound the dissociation method ranks by.
-func anytimeEntry(res *lapushdb.AnytimeResult) *cachedResult {
+func anytimeEntry(res *lapushdb.AnytimeResult, safe bool) *cachedResult {
 	answers := make([]answerJSON, len(res.Answers))
 	for i, a := range res.Answers {
 		answers[i] = answerJSON{
@@ -114,7 +115,7 @@ func anytimeEntry(res *lapushdb.AnytimeResult) *cachedResult {
 			Interval: &intervalJSON{Lower: a.Lower, Upper: a.Upper, Converged: a.Converged},
 		}
 	}
-	return &cachedResult{answers: answers, anytime: true, width: res.Width}
+	return &cachedResult{answers: answers, safe: safe, anytime: true, width: res.Width}
 }
 
 // putTighter inserts an anytime entry unless the cache already holds a

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"runtime/debug"
 	"strings"
@@ -369,19 +368,6 @@ var errOverloaded = errors.New("server: worker pool saturated and remaining dead
 // errBadEpsilon marks an invalid anytime epsilon field.
 var errBadEpsilon = errors.New(`server: field "epsilon" must be a number in [0, 1)`)
 
-// validateEpsilon resolves the optional epsilon field: absent means a
-// plain (non-anytime) request; present, it must be a number in [0, 1).
-// (NaN cannot arrive through JSON but is rejected for direct callers.)
-func validateEpsilon(eps *float64) (float64, bool, error) {
-	if eps == nil {
-		return 0, false, nil
-	}
-	if math.IsNaN(*eps) || *eps < 0 || *eps >= 1 {
-		return 0, false, fmt.Errorf("%w, got %v", errBadEpsilon, *eps)
-	}
-	return *eps, true, nil
-}
-
 // acquire takes a worker-pool slot, giving up when ctx expires first.
 // With QueueWait configured, a request that finds the pool saturated
 // and cannot possibly get a slot in time is shed immediately.
@@ -409,16 +395,20 @@ func (s *Server) acquire(ctx context.Context) error {
 
 func (s *Server) release() { <-s.sem }
 
-// rankWithSlot evaluates the prepared query while holding a worker
-// slot, releasing it by defer: a panic during evaluation is recovered
-// by instrument, and without the defer the slot would leak, silently
-// shrinking the pool for the life of the process.
-func (s *Server) rankWithSlot(ctx context.Context, v *store.Version, p *lapushdb.Prepared, opts *lapushdb.Options) ([]lapushdb.Answer, error) {
+// admitted runs fn while holding a worker slot, releasing it by defer:
+// a panic during evaluation is recovered by instrument, and without the
+// defer the slot would leak, silently shrinking the pool for the life of
+// the process. An admission failure (shed, or the deadline firing in
+// line) is returned before fn runs; otherwise fn's error is.
+func (s *Server) admitted(ctx context.Context, fn func() error) error {
+	if err := s.acquire(ctx); err != nil {
+		return err
+	}
 	defer s.release()
 	if s.testHookAfterAcquire != nil {
 		s.testHookAfterAcquire()
 	}
-	return v.DB.RankPrepared(ctx, p, opts)
+	return fn()
 }
 
 // cacheKey scopes a normalized query by method, schema-use flag, and
@@ -435,20 +425,10 @@ func (s *Server) cacheKey(v *store.Version, method, normalized string, ignoreSch
 	return method + "\x00" + flag + "\x00" + v.Fingerprint + "\x00" + normalized
 }
 
-// prepared resolves a query through the plan cache against the pinned
-// version, preparing and inserting on miss. Returns the statement and
-// whether it was a hit.
-func (s *Server) prepared(ctx context.Context, v *store.Version, methodLabel, query string, opts *lapushdb.Options) (*lapushdb.Prepared, bool, error) {
-	normalized, err := v.DB.NormalizeQuery(query)
-	if err != nil {
-		return nil, false, err
-	}
-	return s.preparedNorm(ctx, v, methodLabel, query, normalized, opts)
-}
-
-// preparedNorm is prepared for callers that already normalized the
-// query (the batch path normalizes once for the result-cache key and
-// reuses it here).
+// preparedNorm resolves a query through the plan cache against the
+// pinned version, preparing and inserting on miss. Returns the statement
+// and whether it was a hit. Callers normalize first: the query path
+// normalizes once for the result-cache key and reuses it here.
 func (s *Server) preparedNorm(ctx context.Context, v *store.Version, methodLabel, query, normalized string, opts *lapushdb.Options) (*lapushdb.Prepared, bool, error) {
 	key := s.cacheKey(v, methodLabel, normalized, opts.IgnoreSchema)
 	if p, ok := s.cache.get(key); ok {
@@ -538,65 +518,6 @@ type queryResponse struct {
 	Epsilon   *float64 `json:"epsilon,omitempty"`
 }
 
-// evalParams are the evaluation knobs shared by /v1/query and
-// /v1/rank_batch, validated and resolved against the server's limits.
-type evalParams struct {
-	method      lapushdb.Method
-	samples     int
-	parallelism int // resolved: request override capped at MaxParallelism
-	maxRows     int // resolved: request bound may only tighten -max-rows
-}
-
-// evalParams validates a request's shared evaluation fields, writing
-// the 400 response and returning ok=false on the first invalid one.
-// The error codes match /v1/query's historical responses.
-func (s *Server) evalParams(w http.ResponseWriter, methodLabel string, samples int, timeoutMS int64, parallelism, maxRows int) (evalParams, bool) {
-	var ep evalParams
-	method, err := lapushdb.MethodFromString(methodLabel)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_method", err.Error())
-		return ep, false
-	}
-	if samples < 0 || samples > s.cfg.MaxSamples {
-		writeError(w, http.StatusBadRequest, "bad_samples",
-			fmt.Sprintf("field \"samples\" must be in [0, %d]", s.cfg.MaxSamples))
-		return ep, false
-	}
-	if timeoutMS < 0 {
-		writeError(w, http.StatusBadRequest, "bad_timeout", "field \"timeout_ms\" must be >= 0")
-		return ep, false
-	}
-	if parallelism < 0 {
-		writeError(w, http.StatusBadRequest, "bad_parallelism", "field \"parallelism\" must be >= 0")
-		return ep, false
-	}
-	if maxRows < 0 {
-		writeError(w, http.StatusBadRequest, "bad_max_rows", "field \"max_rows\" must be >= 0")
-		return ep, false
-	}
-	ep.method = method
-	// Resolve the sample-count default here, before the value reaches
-	// both evaluation and the result-cache key: an explicit
-	// samples=DefaultMCSamples and an omitted samples field are the same
-	// request and must share a cache entry.
-	ep.samples = samples
-	if ep.samples == 0 {
-		ep.samples = lapushdb.DefaultMCSamples
-	}
-	ep.parallelism = s.cfg.Parallelism
-	if parallelism > 0 {
-		ep.parallelism = parallelism
-	}
-	if ep.parallelism > s.cfg.MaxParallelism {
-		ep.parallelism = s.cfg.MaxParallelism
-	}
-	ep.maxRows = s.cfg.MaxRows
-	if maxRows > 0 && (s.cfg.MaxRows <= 0 || maxRows < s.cfg.MaxRows) {
-		ep.maxRows = maxRows
-	}
-	return ep, true
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if !decodeBody(w, r, &req) {
@@ -606,29 +527,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing_query", "field \"query\" is required")
 		return
 	}
-	if req.Method == "" {
-		req.Method = "diss"
-	}
 	if req.Top < 0 {
 		writeError(w, http.StatusBadRequest, "bad_top", "field \"top\" must be >= 0")
 		return
 	}
-	ep, ok := s.evalParams(w, req.Method, req.Samples, req.TimeoutMS, req.Parallelism, req.MaxRows)
+	sp, ok := s.resolveSpec(w, req.Method, req.Samples, req.Seed, req.TimeoutMS,
+		req.IgnoreSchema, req.Parallelism, req.MaxRows, req.Epsilon)
 	if !ok {
-		return
-	}
-	eps, isAnytime, err := validateEpsilon(req.Epsilon)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	if isAnytime {
-		if req.Method != "diss" {
-			writeError(w, http.StatusBadRequest, "bad_method",
-				`field "epsilon" requires method "diss" (anytime refinement of the dissociation bounds)`)
-			return
-		}
-		s.handleAnytimeQuery(w, r, &req, eps, ep)
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
@@ -637,71 +542,66 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Pin the current version for the whole request: the query sees one
 	// consistent snapshot no matter how many batches land meanwhile.
 	v := s.store.Current()
-	stats := &lapushdb.RankStats{}
-	opts := &lapushdb.Options{
-		Method:              ep.method,
-		MCSamples:           ep.samples,
-		Seed:                req.Seed,
-		IgnoreSchema:        req.IgnoreSchema,
-		Workers:             ep.parallelism,
-		Stats:               stats,
-		MaxIntermediateRows: ep.maxRows,
-	}
 	begin := time.Now()
-	normalized, err := v.DB.NormalizeQuery(req.Query)
+	normalized, key, c, err := s.lookup(v, &sp, req.Query)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	p, hit, err := s.preparedNorm(ctx, v, req.Method, req.Query, normalized, opts)
+	// The plan cache is resolved even when the result cache already hit,
+	// so the plan-cache metrics keep their meaning (a normalized query's
+	// plans were or weren't cached) and each cache reports in its own
+	// response field.
+	p, planHit, err := s.preparedNorm(ctx, v, sp.method, req.Query, normalized, &sp.opts)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	// Result cache: a repeat of this exact request against an unchanged
-	// version is served without a worker slot or re-evaluation. Checked
-	// after the plan cache so the plan-cache metrics keep their meaning
-	// (a normalized query's plans were or weren't cached), and reported
-	// in its own response field for the same reason.
-	rkey := resultCacheKey(v.Fingerprint, req.Method, normalized, req.IgnoreSchema, ep.samples, req.Seed)
-	if c, ok := s.results.get(rkey); ok {
-		s.metrics.resultCacheHits.Add(1)
-		answers := c.top(req.Top)
-		writeJSON(w, http.StatusOK, queryResponse{
-			Answers:     answers,
-			Count:       len(answers),
-			Method:      req.Method,
-			Safe:        c.safe,
-			Cache:       cacheLabel(hit),
-			ResultCache: "hit",
-			ElapsedMS:   float64(time.Since(begin).Microseconds()) / 1000,
+	// A repeat of this exact request against an unchanged version is
+	// served without a worker slot or re-evaluation.
+	resultCache, degraded := "hit", ""
+	if c == nil {
+		s.metrics.resultCacheMisses.Add(1)
+		resultCache = "miss"
+		err := s.admitted(ctx, func() (err error) {
+			c, degraded, err = s.evaluate(ctx, &sp, dbRanker{v.DB, sp.opts}, p, key)
+			return err
 		})
-		return
+		if err != nil {
+			// Shed or out of deadline before any work, or refinement died
+			// (deadline, row budget) before its first stage completed: a
+			// stale loose interval beats discarding an anytime request —
+			// the bounds are valid for this store version, just wider than
+			// asked.
+			_, code, _ := errorStatus(err)
+			if degraded = degradeLabels[code]; sp.anytime != nil && degraded != "" {
+				c, _ = s.results.get(key)
+			}
+			if c == nil {
+				s.writeQueryError(w, err)
+				return
+			}
+			resultCache = "stale"
+		}
 	}
-	s.metrics.resultCacheMisses.Add(1)
-	if err := s.acquire(ctx); err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	answers, err := s.rankWithSlot(ctx, v, p, opts)
-	if err != nil {
-		s.writeQueryError(w, err)
-		return
-	}
-	s.metrics.partitionsTotal.Add(stats.Partitions)
-	entry := &cachedResult{answers: toAnswerJSON(answers), safe: p.Safe()}
-	s.results.put(rkey, entry)
-	top := entry.top(req.Top)
-	writeJSON(w, http.StatusOK, queryResponse{
-		Answers:     top,
-		Count:       len(top),
-		Method:      req.Method,
-		Safe:        p.Safe(),
-		Cache:       cacheLabel(hit),
-		ResultCache: "miss",
+	out := s.render(&sp, c, req.Top, resultCache, degraded)
+	resp := queryResponse{
+		Answers:     out.Answers,
+		Count:       out.Count,
+		Method:      sp.method,
+		Safe:        out.Safe,
+		Cache:       cacheLabel(planHit),
+		ResultCache: resultCache,
 		ElapsedMS:   float64(time.Since(begin).Microseconds()) / 1000,
-		Partitions:  stats.Partitions,
-	})
+		Partitions:  sp.opts.Stats.Partitions, // filled by a plain evaluation only
+		Converged:   out.Converged,
+		Degraded:    out.Degraded,
+		Width:       out.Width,
+	}
+	if sp.anytime != nil {
+		resp.Epsilon = &sp.anytime.Epsilon
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func cacheLabel(hit bool) string {
@@ -795,7 +695,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	v := s.store.Current()
 	opts := &lapushdb.Options{IgnoreSchema: req.IgnoreSchema}
-	p, hit, err := s.prepared(ctx, v, "explain", req.Query, opts)
+	normalized, err := v.DB.NormalizeQuery(req.Query)
+	if err != nil {
+		s.writeQueryError(w, err)
+		return
+	}
+	p, hit, err := s.preparedNorm(ctx, v, "explain", req.Query, normalized, opts)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return

@@ -71,7 +71,6 @@ func (d *DB) RankTopK(query string, k int, opts *Options) ([]Answer, error) {
 
 	var top []Answer
 	kth := 0.0 // exact probability of the current k-th best
-	examined := 0
 	for _, c := range cands {
 		if len(top) >= k && c.bound <= kth {
 			break // no remaining answer can enter the top k
@@ -81,7 +80,6 @@ func (d *DB) RankTopK(query string, k int, opts *Options) ([]Answer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lapushdb: exact inference infeasible for answer %v: %w", d.decode(c.row), err)
 		}
-		examined++
 		top = append(top, Answer{Values: d.decode(c.row), Score: p})
 		sortAnswers(top)
 		if len(top) > k {
@@ -166,12 +164,11 @@ func (d *DB) RankUnion(queries []string, opts *Options) ([]Answer, error) {
 	case Dissociation:
 		combined := map[string]float64{} // key -> ∏(1 − ρi)
 		vals := map[string][]string{}
-		for i, q := range parsed {
+		for _, q := range parsed {
 			answers, err := d.rankDissociation(context.Background(), q, nil, opts)
 			if err != nil {
 				return nil, err
 			}
-			_ = i
 			for _, a := range answers {
 				key := stringsKey(a.Values)
 				if _, ok := combined[key]; !ok {
