@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check perfbench-check bench bench-smoke microbench chaos replication failover cover oracle-diff
+.PHONY: build test race vet fmt check perfbench-check bench bench-smoke microbench lines chaos replication failover cover oracle-diff
 
 build:
 	$(GO) build ./...
@@ -88,27 +88,36 @@ perfbench-check:
 
 check: build vet fmt test oracle-diff perfbench-check
 
-# Standing load harness (cmd/loadgen): mixed workloads against an
-# in-process lapushd, results merged into BENCH_<rev>.json. `bench` is
-# the trajectory run (record before and after a perf-relevant change —
-# see EXPERIMENTS.md); `bench-smoke` is the fast hermetic CI gate with
-# loose thresholds that only fail on error-rate or gross latency
-# blowups, not scheduler noise.
+# The benchmark is perfbench/ (BENCHMARK.json): `bench` runs its whole
+# suite and writes the report for this revision, the next entry of the
+# BENCH_<rev>.json trajectory (protocol in EXPERIMENTS.md; compare two
+# with `bash perfbench/run.sh -compare A.json B.json`). BENCH_REV only
+# names that file.
 BENCH_REV ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
 bench:
-	$(GO) run ./cmd/loadgen -hermetic -rev $(BENCH_REV) -duration 5s -warmup 1s
+	bash perfbench/run.sh -suite -seed 7 -out BENCH_$(BENCH_REV).json
 
+# Hermetic CI canary over what perfbench has no workload for
+# (cmd/loadgen: the /v1/rank_batch envelope, replica reads under WAL
+# shipping, a scripted crash-failover): loose thresholds that only fail
+# on error-rate or gross latency blowups, not scheduler noise. One JSON
+# line per workload lands in bench-smoke.jsonl.
 bench-smoke:
-	$(GO) run ./cmd/loadgen -hermetic -rev smoke -out bench-smoke.json \
+	$(GO) run ./cmd/loadgen -hermetic -workloads batch,replica_read,failover \
 		-duration 1s -warmup 300ms -c 4 \
-		-max-error-rate 0.05 -max-p99 5s -min-ops 10
+		-max-error-rate 0.05 -max-p99 5s -min-ops 10 > bench-smoke.jsonl
 
-# Microbenchmarks (testing.B). With BENCH_JSON set, BenchmarkAnytime
-# merges its per-epsilon results into the same report schema loadgen
-# writes (see bench_test.go).
+# Microbenchmarks (testing.B), one per table/figure of the paper.
 microbench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
+
+# Non-test Go lines per package outside perfbench/, and their total:
+# the number ROADMAP item 6 tracks.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 FUZZTIME ?= 10s
 

@@ -34,14 +34,9 @@ type AnytimeOptions struct {
 	DisableOpt3         bool
 	MaxIntermediateRows int
 	// MCBatch and MCMaxSamples bound the Monte Carlo refinement stage
-	// (defaults anytime.DefaultMCBatch / anytime.DefaultMCMaxSamples);
-	// ExactBudget bounds each exact-expansion step (default
-	// anytime.DefaultExactBudget — deliberately smaller than the exact
-	// method's DefaultExactBudget, since the stage runs per refinement
-	// round).
+	// (defaults anytime.DefaultMCBatch / anytime.DefaultMCMaxSamples).
 	MCBatch      int
 	MCMaxSamples int
-	ExactBudget  int
 	// Seed derives the per-answer sampling streams; results are
 	// deterministic for a fixed seed, independent of Workers.
 	Seed int64
@@ -170,7 +165,6 @@ func (d *DB) rankAnytime(ctx context.Context, q *cq.Query, plans []plan.Node, sa
 		Scope:               d.SchemaFingerprint(),
 		MCBatch:             opts.MCBatch,
 		MCMaxSamples:        opts.MCMaxSamples,
-		ExactBudget:         opts.ExactBudget,
 		Seed:                opts.Seed,
 		TopK:                opts.topK,
 		OnStage:             opts.onStage,

@@ -10,13 +10,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
-	"sort"
 	"testing"
-	"time"
 
-	"lapushdb/internal/bench"
 	"lapushdb/internal/core"
 	"lapushdb/internal/engine"
 	"lapushdb/internal/exact"
@@ -283,36 +278,19 @@ func exactProb(clauses [][]int32, probs []float64) (float64, error) {
 // 3-chain at different intra-query worker counts. The morsel
 // determinism contract makes every variant produce byte-identical
 // rankings, which the benchmark verifies against the Workers=1 output.
-// With BENCH_JSON=<path> set, ns/op plus allocation metrics land in the
-// shared trajectory schema — the before/after pair for the columnar
-// executor refactor is recorded this way.
 func BenchmarkRank(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	edb, q := workload.Chain(3, 30000, 2000, 0.5, rng)
 	plans := core.MinimalPlans(q, nil)
 	ref := engine.EvalPlans(edb, q, plans, engine.Options{Workers: 1, ReuseSubplans: true, SemiJoin: true})
 	for _, w := range []int{1, 2, 4} {
-		name := fmt.Sprintf("BenchmarkRank/workers=%d", w)
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
 			var res *engine.Result
 			for i := 0; i < b.N; i++ {
 				res = engine.EvalPlans(edb, q, plans, engine.Options{Workers: w, ReuseSubplans: true, SemiJoin: true})
 			}
 			b.StopTimer()
-			runtime.ReadMemStats(&ms1)
-			m := microResults[name]
-			if m == nil {
-				m = &bench.MicroResult{Name: name}
-				microResults[name] = m
-			}
-			m.AddRun(b.Elapsed().Nanoseconds() / int64(b.N))
-			m.Metrics = map[string]float64{
-				"allocs_per_op": float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N),
-				"bytes_per_op":  float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(b.N),
-			}
 			if res.Len() != ref.Len() {
 				b.Fatalf("workers=%d: %d rows vs %d", w, res.Len(), ref.Len())
 			}
@@ -328,9 +306,6 @@ func BenchmarkRank(b *testing.B) {
 				}
 			}
 		})
-	}
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		writeMicroBenchJSON(b, path)
 	}
 }
 
@@ -386,59 +361,17 @@ func BenchmarkRankBatch(b *testing.B) {
 	})
 }
 
-// microResults accumulates BenchmarkRank's and BenchmarkAnytime's
-// measurements across sub-benchmark invocations (go test may call each
-// closure several times while sizing b.N, and -count reruns them all);
-// the final state is flushed to $BENCH_JSON in the shared
-// internal/bench schema.
-var microResults = map[string]*bench.MicroResult{}
-
-// writeMicroBenchJSON merges the accumulated micro-benchmark results
-// into the BENCH_<rev>.json named by $BENCH_JSON, sharing the
-// trajectory schema (and file) with cmd/loadgen's workload results.
-func writeMicroBenchJSON(b *testing.B, path string) {
-	b.Helper()
-	names := make([]string, 0, len(microResults))
-	for name := range microResults {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	err := bench.UpdateFile(path, func(r *bench.Report) {
-		if rev := os.Getenv("BENCH_REV"); rev != "" {
-			r.Rev = rev
-		} else if r.Rev == "" {
-			r.Rev = "dev"
-		}
-		r.Date = time.Now().UTC().Format("2006-01-02")
-		r.Go = runtime.Version()
-		if cpu := bench.CPUModel(); cpu != "" {
-			r.CPU = cpu
-		}
-		for _, name := range names {
-			r.ReplaceBenchmark(*microResults[name])
-		}
-	})
-	if err != nil {
-		b.Fatalf("write %s: %v", path, err)
-	}
-	b.Logf("wrote %d benchmark entries to %s", len(names), path)
-}
-
 // BenchmarkAnytime measures time-to-epsilon of the anytime evaluator on
 // the unsafe 3-chain: a loose target stops after the dissociation plan
 // bounds, tighter ones pay for Monte Carlo rounds and, at the tight
 // end, exact collapse of the residual answers. The reported extra
-// metrics record how much refinement each target bought. With
-// BENCH_JSON=<path> set (and optionally BENCH_REV), results are also
-// written in the shared internal/bench schema so the perf trajectory
-// accumulates next to the load-harness numbers.
+// metrics record how much refinement each target bought.
 func BenchmarkAnytime(b *testing.B) {
 	rng := rand.New(rand.NewSource(17))
 	edb, q := workload.Chain(3, 900, 120, 0.5, rng)
 	db := fromEngineDB(b, edb)
 	query := q.String()
 	for _, eps := range []float64{0.2, 0.05, 0.01, 0.001} {
-		name := fmt.Sprintf("BenchmarkAnytime/eps=%g", eps)
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			var res *AnytimeResult
 			for i := 0; i < b.N; i++ {
@@ -456,20 +389,6 @@ func BenchmarkAnytime(b *testing.B) {
 			b.ReportMetric(float64(res.PlansEvaluated), "plans")
 			b.ReportMetric(float64(res.MCSamples), "mc-samples")
 			b.ReportMetric(res.Width, "width")
-			m := microResults[name]
-			if m == nil {
-				m = &bench.MicroResult{Name: name}
-				microResults[name] = m
-			}
-			m.AddRun(b.Elapsed().Nanoseconds() / int64(b.N))
-			m.Metrics = map[string]float64{
-				"mc_samples":      float64(res.MCSamples),
-				"plans_evaluated": float64(res.PlansEvaluated),
-				"achieved_width":  res.Width,
-			}
 		})
-	}
-	if path := os.Getenv("BENCH_JSON"); path != "" {
-		writeMicroBenchJSON(b, path)
 	}
 }

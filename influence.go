@@ -1,11 +1,10 @@
 package lapushdb
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"lapushdb/internal/cq"
-	"lapushdb/internal/engine"
 	"lapushdb/internal/exact"
 )
 
@@ -39,12 +38,14 @@ type AnswerInfluence struct {
 // facts most worth verifying or cleaning to firm up an answer — the
 // data-cleaning use the paper's knowledge-base motivation implies.
 func (d *DB) Influence(query string, topPerAnswer int) ([]AnswerInfluence, error) {
-	q, err := parseForDB(d, query)
+	q, err := parseChecked(d, query)
 	if err != nil {
 		return nil, err
 	}
-	reduced := engine.SemiJoinReduce(d.db, q)
-	lin := engine.EvalLineage(d.db, q, reduced)
+	lin, err := d.evalLineage(context.Background(), q, true)
+	if err != nil {
+		return nil, err
+	}
 	labels := d.db.VarLabels()
 	probs := d.db.VarProbs()
 	out := make([]AnswerInfluence, 0, lin.Len())
@@ -90,16 +91,4 @@ func (d *DB) Influence(query string, topPerAnswer int) ([]AnswerInfluence, error
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Probability > out[b].Probability })
 	return out, nil
-}
-
-// parseForDB parses and arity-checks a query against the database.
-func parseForDB(d *DB, query string) (*cq.Query, error) {
-	q, err := cq.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.checkQuery(q); err != nil {
-		return nil, err
-	}
-	return q, nil
 }

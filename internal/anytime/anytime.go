@@ -38,7 +38,8 @@ import (
 	"lapushdb/internal/plan"
 )
 
-// Defaults for Config's refinement knobs.
+// Refinement constants; the two MC ones are the defaults of Config's
+// MCBatch and MCMaxSamples, the rest are fixed.
 const (
 	DefaultMCBatch      = 256
 	DefaultMCMaxSamples = 1 << 16
@@ -48,8 +49,13 @@ const (
 	// round, and the sandwich property test asserts lower <= exact over
 	// thousands of such evaluations — at z=4 (p ≈ 3e-5) a fixed seed can
 	// land on a violation.
-	DefaultMCZ         = 6.0
+	DefaultMCZ = 6.0
+	// DefaultExactBudget is the exact stage's solver node budget per
+	// answer and step — deliberately smaller than the exact method's
+	// budget, since the stage runs per refinement round.
 	DefaultExactBudget = 2_000_000
+	// DefaultExactPrefix is the exact stage's initial clause prefix
+	// length (quadrupling each round).
 	DefaultExactPrefix = 8
 )
 
@@ -71,15 +77,10 @@ type Config struct {
 	// memo scoped by Scope spans this evaluation's own stages.
 	Memo  *engine.BatchMemo
 	Scope string
-	// MC stage: samples per refinement round (doubling up to 8192),
-	// per-answer sample cap, and the z of the confidence lower bound.
+	// MC stage: samples per refinement round (doubling up to 8192) and
+	// per-answer sample cap.
 	MCBatch      int
 	MCMaxSamples int
-	MCZ          float64
-	// Exact stage: solver node budget per answer and the initial clause
-	// prefix length (quadrupling each round).
-	ExactBudget int
-	ExactPrefix int
 	// Seed derives the per-answer sampler seeds (seed ^ FNV of the
 	// answer key), keeping sampling independent of iteration and worker
 	// order so results stay bit-identical across Workers settings.
@@ -204,15 +205,6 @@ func Evaluate(ctx context.Context, db *engine.DB, q *cq.Query, plans []plan.Node
 	}
 	if cfg.MCMaxSamples <= 0 {
 		cfg.MCMaxSamples = DefaultMCMaxSamples
-	}
-	if cfg.MCZ <= 0 {
-		cfg.MCZ = DefaultMCZ
-	}
-	if cfg.ExactBudget <= 0 {
-		cfg.ExactBudget = DefaultExactBudget
-	}
-	if cfg.ExactPrefix <= 0 {
-		cfg.ExactPrefix = DefaultExactPrefix
 	}
 	if cfg.Memo == nil {
 		// A private memo makes the row budget span every stage of this
@@ -392,7 +384,7 @@ func (ev *evaluation) stageMC() {
 				ev.res.Stages = append(ev.res.Stages, stage)
 				return
 			}
-			a.setLower(a.sampler.LowerBound(ev.cfg.MCZ))
+			a.setLower(a.sampler.LowerBound(DefaultMCZ))
 		}
 		if !active {
 			break
@@ -423,7 +415,7 @@ func (ev *evaluation) stageExact() {
 	probs := ev.db.VarProbs()
 	stage := StageStats{Name: "exact"}
 	defer func() { ev.res.Stages = append(ev.res.Stages, stage) }()
-	m := ev.cfg.ExactPrefix
+	m := DefaultExactPrefix
 	for {
 		progress := false
 		for _, a := range ev.answers {
@@ -444,7 +436,7 @@ func (ev *evaluation) stageExact() {
 			if k > len(a.clauses) {
 				k = len(a.clauses)
 			}
-			p, err := exact.ProbBudget(a.clauses[:k], probs, ev.cfg.ExactBudget)
+			p, err := exact.ProbBudget(a.clauses[:k], probs, DefaultExactBudget)
 			if err != nil {
 				a.exactStuck = true
 				continue

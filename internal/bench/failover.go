@@ -25,12 +25,9 @@ package bench
 // hermetic pair's URLs and its KillPrimary hook.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,30 +90,17 @@ func RunFailover(ctx context.Context, cfg RunConfig, hooks FailoverHooks) (Workl
 	defer cancel()
 
 	var (
-		mu        sync.Mutex
-		writes    []failoverSample
-		reads     []failoverSample
-		hist      Histogram
-		status    = make(map[string]int64)
-		ops, errs int64
+		mu     sync.Mutex
+		writes []failoverSample
+		reads  []failoverSample
+		tally  = workerStats{status: make(map[string]int64)}
 	)
 	record := func(kind *[]failoverSample, t0 time.Time, code int, err error) {
 		elapsed := time.Since(t0)
 		mu.Lock()
 		defer mu.Unlock()
-		ok := err == nil && code >= 200 && code < 300
+		ok := tally.record(elapsed, code, err)
 		*kind = append(*kind, failoverSample{at: time.Now(), ok: ok})
-		ops++
-		hist.Add(elapsed)
-		if err != nil || code == 0 {
-			errs++
-			status["error"]++
-			return
-		}
-		status[strconv.Itoa(code)]++
-		if !ok {
-			errs++
-		}
 	}
 
 	// writeTarget swings from the primary to the promoted replica.
@@ -129,8 +113,8 @@ func RunFailover(ctx context.Context, cfg RunConfig, hooks FailoverHooks) (Workl
 	begin := time.Now()
 	var wg sync.WaitGroup
 
-	// Write workers: net-zero ingest churn (as the ingest workload),
-	// each acked response advancing maxAcked.
+	// Write workers: net-zero ingest churn, each acked response
+	// advancing maxAcked.
 	writeWorkers := cfg.Concurrency / 2
 	if writeWorkers < 1 {
 		writeWorkers = 1
@@ -147,7 +131,10 @@ func RunFailover(ctx context.Context, cfg RunConfig, hooks FailoverHooks) (Workl
 					{Op: opDelete, Rel: "BenchR2", Tuple: tuple},
 				}})
 				t0 := time.Now()
-				code, ver, err := doIngest(runCtx, cfg.Client, writeTarget.Load().(string), body)
+				var ack struct {
+					Version uint64 `json:"version"`
+				}
+				code, err := call(runCtx, cfg.Client, http.MethodPost, writeTarget.Load().(string)+"/v1/ingest", body, &ack)
 				if runCtx.Err() != nil && code == 0 {
 					return
 				}
@@ -155,7 +142,7 @@ func RunFailover(ctx context.Context, cfg RunConfig, hooks FailoverHooks) (Workl
 				if err == nil && code == http.StatusOK {
 					for {
 						cur := maxAcked.Load()
-						if ver <= cur || maxAcked.CompareAndSwap(cur, ver) {
+						if ack.Version <= cur || maxAcked.CompareAndSwap(cur, ack.Version) {
 							break
 						}
 					}
@@ -206,18 +193,25 @@ func RunFailover(ctx context.Context, cfg RunConfig, hooks FailoverHooks) (Workl
 		minSeq := maxAcked.Load()
 		guard := minSeq
 		for attempt := 0; runCtx.Err() == nil; attempt++ {
-			code, epoch, err := doPromote(runCtx, cfg.Client, cfg.ReplicaURL, guard)
+			var promoted struct {
+				Epoch uint64 `json:"epoch"`
+			}
+			code, err := call(runCtx, cfg.Client, http.MethodPost, cfg.ReplicaURL+"/v1/promote",
+				[]byte(fmt.Sprintf(`{"min_seq":%d}`, guard)), &promoted)
 			if err == nil && code == http.StatusOK {
 				promoteMS = float64(time.Since(killedAt).Microseconds()) / 1000
 				writeTarget.Store(cfg.ReplicaURL)
-				cfg.logf("failover: promoted the replica to epoch %d after %.1fms (min_seq %d)", epoch, promoteMS, guard)
+				cfg.logf("failover: promoted the replica to epoch %d after %.1fms (min_seq %d)", promoted.Epoch, promoteMS, guard)
 				return
 			}
 			if code == http.StatusConflict && attempt >= 20 && guard != 0 {
 				// Persistently behind: the dead primary never shipped some
 				// acked writes. Record the shortfall and promote anyway.
-				if seq, err := fetchAppliedSeq(runCtx, cfg.Client, cfg.ReplicaURL); err == nil && minSeq > seq {
-					strandedWrites = float64(minSeq - seq)
+				var applied struct {
+					Version uint64 `json:"version"`
+				}
+				if _, err := call(runCtx, cfg.Client, http.MethodGet, cfg.ReplicaURL+"/healthz", nil, &applied); err == nil && minSeq > applied.Version {
+					strandedWrites = float64(minSeq - applied.Version)
 				}
 				cfg.logf("failover: %.0f acked writes stranded on the dead primary; promoting without them", strandedWrites)
 				guard = 0
@@ -237,94 +231,12 @@ func RunFailover(ctx context.Context, cfg RunConfig, hooks FailoverHooks) (Workl
 	wg.Wait()
 	end := time.Now()
 
-	res := WorkloadResult{
-		Name:        "failover",
-		Concurrency: cfg.Concurrency,
-		DurationMS:  float64(end.Sub(begin).Microseconds()) / 1000,
-		Ops:         ops,
-		Errors:      errs,
-		Status:      status,
-		Metrics: map[string]float64{
-			"write_gap_ms":          maxGap(writes, begin, end),
-			"read_gap_ms":           maxGap(reads, begin, end),
-			"promote_ms":            promoteMS,
-			"stranded_acked_writes": strandedWrites,
-		},
+	res := tally.result("failover", cfg.Concurrency, end.Sub(begin))
+	res.Metrics = map[string]float64{
+		"write_gap_ms":          maxGap(writes, begin, end),
+		"read_gap_ms":           maxGap(reads, begin, end),
+		"promote_ms":            promoteMS,
+		"stranded_acked_writes": strandedWrites,
 	}
-	if sec := end.Sub(begin).Seconds(); sec > 0 {
-		res.OpsPerSec = float64(ops) / sec
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	res.P50MS = ms(hist.Quantile(0.50))
-	res.P95MS = ms(hist.Quantile(0.95))
-	res.P99MS = ms(hist.Quantile(0.99))
-	res.MaxMS = ms(hist.Max())
 	return res, nil
-}
-
-// doIngest posts one ingest batch and parses the acked version.
-func doIngest(ctx context.Context, client *http.Client, base string, body []byte) (int, uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/ingest", bytes.NewReader(body))
-	if err != nil {
-		return 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	var ir struct {
-		Version uint64 `json:"version"`
-	}
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
-			return resp.StatusCode, 0, err
-		}
-	}
-	return resp.StatusCode, ir.Version, nil
-}
-
-// doPromote posts /v1/promote with the min_seq guard.
-func doPromote(ctx context.Context, client *http.Client, base string, minSeq uint64) (int, uint64, error) {
-	body := fmt.Sprintf(`{"min_seq":%d}`, minSeq)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/promote", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return 0, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	var pr struct {
-		Epoch uint64 `json:"epoch"`
-	}
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			return resp.StatusCode, 0, err
-		}
-	}
-	return resp.StatusCode, pr.Epoch, nil
-}
-
-// fetchAppliedSeq reads a replica's applied sequence from /healthz.
-func fetchAppliedSeq(ctx context.Context, client *http.Client, base string) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var h struct {
-		Version uint64 `json:"version"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return 0, err
-	}
-	return h.Version, nil
 }

@@ -8,11 +8,9 @@ import (
 )
 
 // The local mutation type mirrors store.Mutation's wire shape instead
-// of importing it (internal/store imports lapushdb, and this package
-// must stay importable from lapushdb's in-package benchmarks). The
-// test binary is outside that cycle, so it pins the two declarations
-// to the same JSON — if store.Mutation's wire contract drifts, this
-// fails instead of the harness silently sending rejected requests.
+// of importing it. This test pins the two declarations to the same
+// JSON — if store.Mutation's wire contract drifts, this fails instead
+// of the harness silently sending rejected requests.
 func TestMutationWireCompat(t *testing.T) {
 	if opCreateRelation != store.OpCreateRelation ||
 		opInsert != store.OpInsert ||

@@ -75,10 +75,11 @@ func (c RunConfig) target(r Request) string {
 	return c.BaseURL
 }
 
-// do issues one request, returning the HTTP status (0 on transport
-// failure). The response body is drained so connections are reused.
-func do(ctx context.Context, client *http.Client, base string, r Request) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, r.Method, base+r.Path, bytes.NewReader(r.Body))
+// call issues one JSON request and returns the HTTP status (0 on
+// transport failure). A 200 reply is decoded into out when out is
+// non-nil; the rest of the body is drained so connections are reused.
+func call(ctx context.Context, client *http.Client, method, url string, body []byte, out any) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
@@ -87,9 +88,17 @@ func do(ctx context.Context, client *http.Client, base string, r Request) (int, 
 	if err != nil {
 		return 0, err
 	}
+	defer resp.Body.Close()
+	if out != nil && resp.StatusCode == http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
 	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
+	return resp.StatusCode, err
+}
+
+// do issues one workload request.
+func do(ctx context.Context, client *http.Client, base string, r Request) (int, error) {
+	return call(ctx, client, r.Method, base+r.Path, r.Body, nil)
 }
 
 // Setup issues the seed-data requests sequentially, failing fast on
@@ -151,19 +160,11 @@ func WaitConverged(ctx context.Context, cfg RunConfig) error {
 	}
 	get := func(base string) (health, error) {
 		var h health
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-		if err != nil {
-			return h, err
+		code, err := call(ctx, cfg.Client, http.MethodGet, base+"/healthz", nil, &h)
+		if err == nil && code != http.StatusOK {
+			err = fmt.Errorf("healthz status %d", code)
 		}
-		resp, err := cfg.Client.Do(req)
-		if err != nil {
-			return h, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return h, fmt.Errorf("healthz status %d", resp.StatusCode)
-		}
-		return h, json.NewDecoder(resp.Body).Decode(&h)
+		return h, err
 	}
 	want, err := get(cfg.BaseURL)
 	if err != nil {
@@ -197,13 +198,53 @@ func WaitConverged(ctx context.Context, cfg RunConfig) error {
 	}
 }
 
-// workerStats is one worker's private tally, merged after the run so
-// the hot loop takes no locks.
+// workerStats is a request tally. Run keeps one per worker, private and
+// merged after the run so the hot loop takes no locks; RunFailover
+// shares one under its mutex.
 type workerStats struct {
 	hist   Histogram
 	status map[string]int64
 	ops    int64
 	errors int64
+}
+
+// record tallies one completed request and reports whether it
+// succeeded (2xx, no transport error).
+func (ws *workerStats) record(elapsed time.Duration, code int, err error) bool {
+	ws.ops++
+	ws.hist.Add(elapsed)
+	if err != nil || code == 0 {
+		ws.errors++
+		ws.status["error"]++
+		return false
+	}
+	ws.status[strconv.Itoa(code)]++
+	if code < 200 || code >= 300 {
+		ws.errors++
+		return false
+	}
+	return true
+}
+
+// result turns merged tallies into the named workload's result.
+func (ws *workerStats) result(name string, concurrency int, elapsed time.Duration) WorkloadResult {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	res := WorkloadResult{
+		Name:        name,
+		Concurrency: concurrency,
+		DurationMS:  ms(elapsed),
+		Ops:         ws.ops,
+		Errors:      ws.errors,
+		Status:      ws.status,
+		P50MS:       ms(ws.hist.Quantile(0.50)),
+		P95MS:       ms(ws.hist.Quantile(0.95)),
+		P99MS:       ms(ws.hist.Quantile(0.99)),
+		MaxMS:       ms(ws.hist.Max()),
+	}
+	if elapsed > 0 {
+		res.OpsPerSec = float64(ws.ops) / elapsed.Seconds()
+	}
+	return res
 }
 
 // Run drives one workload: warmup (unrecorded) then a timed window at
@@ -215,7 +256,7 @@ func Run(ctx context.Context, cfg RunConfig, wl Workload) (WorkloadResult, error
 	cfg = cfg.withDefaults()
 	var next atomic.Int64
 
-	phase := func(d time.Duration, record bool) ([]*workerStats, time.Duration, error) {
+	phase := func(d time.Duration, record bool) ([]*workerStats, time.Duration) {
 		phaseCtx, cancel := context.WithTimeout(ctx, d)
 		defer cancel()
 		stats := make([]*workerStats, cfg.Concurrency)
@@ -238,64 +279,34 @@ func Run(ctx context.Context, cfg RunConfig, wl Workload) (WorkloadResult, error
 						// mid-flight; it belongs to no window.
 						return
 					}
-					if !record {
-						continue
-					}
-					ws.ops++
-					ws.hist.Add(elapsed)
-					if err != nil || code == 0 {
-						ws.errors++
-						ws.status["error"]++
-						continue
-					}
-					ws.status[strconv.Itoa(code)]++
-					if code < 200 || code >= 300 {
-						ws.errors++
+					if record {
+						ws.record(elapsed, code, err)
 					}
 				}
 			}()
 		}
 		wg.Wait()
-		return stats, time.Since(begin), nil
+		return stats, time.Since(begin)
 	}
 
 	cfg.logf("workload %s: warmup %s at concurrency %d", wl.Name, cfg.Warmup, cfg.Concurrency)
-	if _, _, err := phase(cfg.Warmup, false); err != nil {
-		return WorkloadResult{}, err
-	}
+	phase(cfg.Warmup, false)
 	if err := ctx.Err(); err != nil {
 		return WorkloadResult{}, err
 	}
 	cfg.logf("workload %s: timed run %s", wl.Name, cfg.Duration)
-	stats, elapsed, err := phase(cfg.Duration, true)
-	if err != nil {
-		return WorkloadResult{}, err
-	}
+	stats, elapsed := phase(cfg.Duration, true)
 
-	res := WorkloadResult{
-		Name:        wl.Name,
-		Concurrency: cfg.Concurrency,
-		DurationMS:  float64(elapsed.Microseconds()) / 1000,
-		Status:      make(map[string]int64),
-	}
-	var hist Histogram
+	total := workerStats{status: make(map[string]int64)}
 	for _, ws := range stats {
-		res.Ops += ws.ops
-		res.Errors += ws.errors
-		hist.Merge(&ws.hist)
+		total.ops += ws.ops
+		total.errors += ws.errors
+		total.hist.Merge(&ws.hist)
 		for k, v := range ws.status {
-			res.Status[k] += v
+			total.status[k] += v
 		}
 	}
-	if elapsed > 0 {
-		res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-	res.P50MS = ms(hist.Quantile(0.50))
-	res.P95MS = ms(hist.Quantile(0.95))
-	res.P99MS = ms(hist.Quantile(0.99))
-	res.MaxMS = ms(hist.Max())
-	return res, nil
+	return total.result(wl.Name, cfg.Concurrency, elapsed), nil
 }
 
 // Thresholds are the loose gates a smoke run enforces: high enough

@@ -4,8 +4,6 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -300,58 +298,5 @@ func TestSetupFailsFast(t *testing.T) {
 		[]Request{{Method: "POST", Path: "/v1/ingest", Body: []byte(`{}`)}})
 	if err == nil || !strings.Contains(err.Error(), "500") {
 		t.Fatalf("want status-500 setup error, got %v", err)
-	}
-}
-
-// TestReportRoundTrip checks WriteFile/ReadFile/UpdateFile preserve
-// the schema and that merging replaces same-named sections without
-// touching the other kind.
-func TestReportRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_test.json")
-	r := &Report{
-		Rev: "abc1234", Date: "2026-08-08", Go: "go1.24.0",
-		Benchmarks: []MicroResult{{Name: "BenchmarkAnytime/eps=0.05", NsPerOpMin: 100, NsPerOpRuns: []int64{120, 100}, Metrics: map[string]float64{"mc_samples": 64}}},
-		Workloads:  []WorkloadResult{{Name: "point", Ops: 10, Status: map[string]int64{"200": 10}}},
-	}
-	if err := r.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SchemaVersion != SchemaVersion || got.Rev != "abc1234" || len(got.Benchmarks) != 1 || len(got.Workloads) != 1 {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-	// Update replaces the point workload and keeps the benchmark.
-	err = UpdateFile(path, func(r *Report) {
-		r.ReplaceWorkload(WorkloadResult{Name: "point", Ops: 99})
-		r.ReplaceWorkload(WorkloadResult{Name: "batch", Ops: 5})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Workloads) != 2 || got.Workloads[0].Ops != 99 || len(got.Benchmarks) != 1 {
-		t.Fatalf("merge broke sections: %+v", got)
-	}
-	// Unknown schema versions are refused.
-	if err := os.WriteFile(path, []byte(`{"schema_version": 99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); err == nil {
-		t.Fatal("schema_version 99 accepted")
-	}
-	// UpdateFile on a missing path starts fresh.
-	fresh := filepath.Join(dir, "BENCH_fresh.json")
-	if err := UpdateFile(fresh, func(r *Report) { r.Rev = "fresh" }); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ReadFile(fresh); err != nil || got.Rev != "fresh" {
-		t.Fatalf("fresh update: %v %+v", err, got)
 	}
 }

@@ -102,9 +102,8 @@ const (
 	starQuery        = "q() :- BenchS1('hub', x1), BenchS2(x2), BenchS0(x1, x2)"
 )
 
-func (c Config) tpchQuery(pattern string) string {
-	return fmt.Sprintf("q(a) :- BenchSupplier(s, a), BenchPartsupp(s, u), BenchPart(u, n), s <= %d, n like '%s'",
-		c.Suppliers/2, pattern)
+func (c Config) tpchQuery() string {
+	return fmt.Sprintf("q(a) :- BenchSupplier(s, a), BenchPartsupp(s, u), BenchPart(u, n), s <= %d, n like '%%red%%'", c.Suppliers/2)
 }
 
 // mix derives a per-index RNG seed from the config seed, splitmix64
@@ -130,13 +129,9 @@ func mustJSON(v any) []byte {
 // Request-body shapes mirroring the server's JSON API. Kept local so
 // the harness measures the wire contract, not shared Go structs.
 type queryBody struct {
-	Query       string   `json:"query"`
-	Method      string   `json:"method,omitempty"`
-	Top         int      `json:"top,omitempty"`
-	Parallelism int      `json:"parallelism,omitempty"`
-	Samples     int      `json:"samples,omitempty"`
-	Seed        int64    `json:"seed,omitempty"`
-	Epsilon     *float64 `json:"epsilon,omitempty"`
+	Query  string `json:"query"`
+	Method string `json:"method,omitempty"`
+	Top    int    `json:"top,omitempty"`
 }
 
 type batchQueryBody struct {
@@ -149,11 +144,8 @@ type batchBody struct {
 	Method  string           `json:"method,omitempty"`
 }
 
-// mutation mirrors store.Mutation's wire shape. It is redeclared here
-// rather than imported because this package must stay importable from
-// lapushdb's own in-package benchmarks (internal/store imports
-// lapushdb, so importing it here would close a cycle); a test pins the
-// JSON compatibility of the two declarations.
+// mutation mirrors store.Mutation's wire shape, local like the bodies
+// above; a test pins the JSON compatibility of the two declarations.
 type mutation struct {
 	Op    string   `json:"op"`
 	Rel   string   `json:"rel,omitempty"`
@@ -254,7 +246,7 @@ func SetupRequests(c Config) []Request {
 
 // WorkloadNames lists the available mixes in canonical order.
 func WorkloadNames() []string {
-	return []string{"point", "anytime", "batch", "ingest", "replica_read"}
+	return []string{"batch", "replica_read"}
 }
 
 // ByName builds the named workload mix over the dataset of
@@ -262,14 +254,8 @@ func WorkloadNames() []string {
 func ByName(c Config, name string) (Workload, error) {
 	c = c.WithDefaults()
 	switch name {
-	case "point":
-		return pointWorkload(c), nil
-	case "anytime":
-		return anytimeWorkload(c), nil
 	case "batch":
 		return batchWorkload(c), nil
-	case "ingest":
-		return ingestWorkload(c), nil
 	case "replica_read":
 		return replicaReadWorkload(c), nil
 	default:
@@ -277,66 +263,11 @@ func ByName(c Config, name string) (Workload, error) {
 	}
 }
 
-// pointWorkload issues single /v1/query ranks over all three dataset
-// shapes: unsafe chain dissociations, the Boolean star query, and the
-// TPC-H LIKE scans, with a scatter of top-k cutoffs and per-request
-// parallelism overrides.
-func pointWorkload(c Config) Workload {
-	pool := []string{
-		chainFullQuery,
-		chainPrefixQuery,
-		chainSuffixQuery,
-		starQuery,
-		c.tpchQuery("%red%"),
-		c.tpchQuery("%red%green%"),
-	}
-	tops := []int{0, 0, 10, 5}
-	return Workload{
-		Name: "point",
-		Next: func(i int64) Request {
-			r := rng(c.Seed, i)
-			body := queryBody{
-				Query:  pool[r.Intn(len(pool))],
-				Method: "diss",
-				Top:    tops[r.Intn(len(tops))],
-			}
-			if r.Intn(4) == 0 {
-				body.Parallelism = 2
-			}
-			return queryReq(body)
-		},
-	}
-}
-
-// anytimeWorkload issues epsilon-bounded /v1/query requests: the
-// answers come back as [lower, upper] intervals refined to the target
-// width. Seeds cycle through a small pool so the width-tagged result
-// cache sees both hits and misses; the samples cap keeps the Monte
-// Carlo stage's tail bounded.
-func anytimeWorkload(c Config) Workload {
-	epsilons := []float64{0.2, 0.1, 0.05}
-	pool := []string{chainFullQuery, chainPrefixQuery, chainSuffixQuery}
-	return Workload{
-		Name: "anytime",
-		Next: func(i int64) Request {
-			r := rng(c.Seed, i)
-			eps := epsilons[r.Intn(len(epsilons))]
-			return queryReq(queryBody{
-				Query:   pool[r.Intn(len(pool))],
-				Method:  "diss",
-				Epsilon: &eps,
-				Seed:    int64(1 + r.Intn(8)),
-				Samples: 4096,
-			})
-		},
-	}
-}
-
 // batchWorkload issues /v1/rank_batch requests of overlapping chain
 // queries plus a TPC-H member, so cross-query subplan sharing (Opt2
 // across the batch) has real overlap to exploit.
 func batchWorkload(c Config) Workload {
-	pool := []string{chainFullQuery, chainPrefixQuery, chainSuffixQuery, c.tpchQuery("%red%")}
+	pool := []string{chainFullQuery, chainPrefixQuery, chainSuffixQuery, c.tpchQuery()}
 	return Workload{
 		Name: "batch",
 		Next: func(i int64) Request {
@@ -355,41 +286,19 @@ func batchWorkload(c Config) Workload {
 	}
 }
 
-// ingestWorkload interleaves mutation batches with point reads
-// (roughly 1:3): each ingest request atomically inserts a fresh tuple
-// joining the chain's middle relation, retunes its probability, and
-// deletes it again — net-zero data drift, but every batch publishes a
-// new COW version, rotates the store fingerprint, and invalidates the
-// result cache the reads would otherwise hit.
-func ingestWorkload(c Config) Workload {
-	reads := []string{chainPrefixQuery, chainFullQuery, c.tpchQuery("%red%")}
-	return Workload{
-		Name: "ingest",
-		Next: func(i int64) Request {
-			r := rng(c.Seed, i)
-			if i%4 == 0 {
-				tuple := []string{strconv.Itoa(r.Intn(c.ChainDomain)), "ing" + strconv.FormatInt(i, 10)}
-				return ingestReq([]mutation{
-					{Op: opInsert, Rel: "BenchR2", Tuple: tuple, P: fprob(r, c.PiMax)},
-					{Op: opSetProb, Rel: "BenchR2", Tuple: tuple, P: fprob(r, c.PiMax)},
-					{Op: opDelete, Rel: "BenchR2", Tuple: tuple},
-				}, false)
-			}
-			return queryReq(queryBody{Query: reads[r.Intn(len(reads))], Method: "diss"})
-		},
-	}
-}
-
-// replicaReadWorkload is the ingest mix split across a replicated
-// pair: the mutation batches (same net-zero churn as ingestWorkload)
-// go to the primary while the point ranks are tagged TargetReplica, so
-// a primary+replica run measures replica read latency under live WAL
-// shipping — each shipped batch rotates the replica's fingerprint and
-// invalidates its caches mid-run. Replica reads may observe a slightly
-// stale version (see DESIGN.md's staleness contract); they must still
-// answer without errors.
+// replicaReadWorkload interleaves mutation batches with point ranks
+// (1:3) across a replicated pair. Each batch atomically inserts a fresh
+// tuple joining the chain's middle relation, retunes its probability,
+// and deletes it again — net-zero data drift, but every batch publishes
+// a new COW version and rotates the store fingerprint. The batches go to
+// the primary while the ranks are tagged TargetReplica, so a
+// primary+replica run measures replica read latency under live WAL
+// shipping — each shipped batch invalidates the replica's caches
+// mid-run. Replica reads may observe a slightly stale version (see
+// DESIGN.md's staleness contract); they must still answer without
+// errors.
 func replicaReadWorkload(c Config) Workload {
-	reads := []string{chainPrefixQuery, chainFullQuery, starQuery, c.tpchQuery("%red%")}
+	reads := []string{chainPrefixQuery, chainFullQuery, starQuery, c.tpchQuery()}
 	tops := []int{0, 0, 10, 5}
 	return Workload{
 		Name: "replica_read",

@@ -123,11 +123,11 @@ func TestWorkloadRequestsWellFormed(t *testing.T) {
 	}
 }
 
-// TestIngestWorkloadNetZero checks the ingest mix's mutation batches
-// are self-contained: every batch that inserts a tuple also deletes
-// it, so long runs don't drift the dataset the other workloads query.
+// TestIngestWorkloadNetZero checks the replica_read mix's mutation
+// batches are self-contained: every batch that inserts a tuple also
+// deletes it, so long runs don't drift the dataset the reads query.
 func TestIngestWorkloadNetZero(t *testing.T) {
-	wl, err := ByName(Config{Seed: 3}, "ingest")
+	wl, err := ByName(Config{Seed: 3}, "replica_read")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +164,6 @@ func TestIngestWorkloadNetZero(t *testing.T) {
 		}
 	}
 	if sawIngest == 0 {
-		t.Fatal("ingest mix produced no ingest requests in 400 ops")
+		t.Fatal("replica_read mix produced no ingest requests in 400 ops")
 	}
 }

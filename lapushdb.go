@@ -326,6 +326,18 @@ func (d *DB) schema(q *cq.Query, opts *Options) *core.Schema {
 }
 
 func (d *DB) rankDissociation(ctx context.Context, q *cq.Query, pre *Prepared, opts *Options) ([]Answer, error) {
+	res, err := d.evalDissociation(ctx, q, pre, opts)
+	if err != nil {
+		return nil, err
+	}
+	return d.toAnswers(res), nil
+}
+
+// evalDissociation is the one place Options become engine.Options for
+// a Dissociation evaluation: the propagation score of every answer, as
+// engine rows, with a cancellation or row-budget unwind trapped into
+// the returned error.
+func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, opts *Options) (*engine.Result, error) {
 	eopts := engine.Options{
 		ReuseSubplans:       !opts.DisableOpt2,
 		SemiJoin:            !opts.DisableOpt3,
@@ -371,7 +383,7 @@ func (d *DB) rankDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 			opts.Stats.SharedSubplanMisses = opts.memo.SharedMisses()
 		}
 	}
-	return d.toAnswers(res), nil
+	return res, nil
 }
 
 func (d *DB) rankLineageBased(ctx context.Context, q *cq.Query, opts *Options, exactMethod bool) ([]Answer, error) {

@@ -21,7 +21,9 @@ import (
 // provably correct top-k operator.
 //
 // Exact inference on the examined answers must be feasible; the node
-// budget of Options.ExactBudget applies per answer.
+// budget of Options.ExactBudget applies per answer. The bounds are
+// evaluated as Rank evaluates them, so Workers, MaxIntermediateRows and
+// the Opt1-3 switches mean what they mean there.
 func (d *DB) RankTopK(query string, k int, opts *Options) ([]Answer, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -29,11 +31,8 @@ func (d *DB) RankTopK(query string, k int, opts *Options) ([]Answer, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("lapushdb: k must be positive")
 	}
-	q, err := cq.Parse(query)
+	q, err := parseChecked(d, query)
 	if err != nil {
-		return nil, err
-	}
-	if err := d.checkQuery(q); err != nil {
 		return nil, err
 	}
 	budget := opts.ExactBudget
@@ -41,18 +40,17 @@ func (d *DB) RankTopK(query string, k int, opts *Options) ([]Answer, error) {
 		budget = DefaultExactBudget
 	}
 
-	// Upper bounds from the merged dissociation plan.
-	sch := d.schema(q, opts)
-	eopts := engine.Options{ReuseSubplans: !opts.DisableOpt2, SemiJoin: !opts.DisableOpt3}
-	sp := core.SinglePlan(q, sch)
-	bounds := engine.NewEvaluator(d.db, q, eopts).Eval(sp)
-
-	// Lineages, keyed like the bound rows.
-	var reduced map[string][]int32
-	if !opts.DisableOpt3 {
-		reduced = engine.SemiJoinReduce(d.db, q)
+	// Upper bounds from the dissociation plans, then the lineages, keyed
+	// like the bound rows.
+	ctx := context.Background()
+	bounds, err := d.evalDissociation(ctx, q, nil, opts)
+	if err != nil {
+		return nil, err
 	}
-	lin := engine.EvalLineage(d.db, q, reduced)
+	lin, err := d.evalLineage(ctx, q, !opts.DisableOpt3)
+	if err != nil {
+		return nil, err
+	}
 	clausesByKey := make(map[string][][]int32, lin.Len())
 	for i := 0; i < lin.Len(); i++ {
 		clausesByKey[valueKey(lin.Key(i))] = lin.Clauses(i)
@@ -146,11 +144,8 @@ func (d *DB) RankUnion(queries []string, opts *Options) ([]Answer, error) {
 	parsed := make([]*cq.Query, len(queries))
 	arity := -1
 	for i, qs := range queries {
-		q, err := cq.Parse(qs)
+		q, err := parseChecked(d, qs)
 		if err != nil {
-			return nil, err
-		}
-		if err := d.checkQuery(q); err != nil {
 			return nil, err
 		}
 		if arity < 0 {
@@ -192,11 +187,10 @@ func (d *DB) RankUnion(queries []string, opts *Options) ([]Answer, error) {
 		}
 		union := map[string]*acc{}
 		for _, q := range parsed {
-			var reduced map[string][]int32
-			if !opts.DisableOpt3 {
-				reduced = engine.SemiJoinReduce(d.db, q)
+			lin, err := d.evalLineage(context.Background(), q, !opts.DisableOpt3)
+			if err != nil {
+				return nil, err
 			}
-			lin := engine.EvalLineage(d.db, q, reduced)
 			for i := 0; i < lin.Len(); i++ {
 				key := valueKey(lin.Key(i))
 				a, ok := union[key]

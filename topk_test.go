@@ -2,6 +2,7 @@ package lapushdb
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,6 +164,11 @@ func TestRankTopKErrors(t *testing.T) {
 	}
 	if _, err := db.RankTopK("q(x) :- Missing(x)", 3, nil); err == nil {
 		t.Error("unknown relation should fail")
+	}
+	// The bound evaluation honours the row budget like every other
+	// Dissociation entry point.
+	if _, err := db.RankTopK(topkQuery, 3, &Options{MaxIntermediateRows: 1}); !errors.Is(err, ErrBudget) {
+		t.Errorf("MaxIntermediateRows 1: err = %v, want ErrBudget", err)
 	}
 }
 
