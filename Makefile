@@ -127,6 +127,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzAnalyses$$' -fuzztime=$(FUZZTIME) ./internal/cq
 	$(GO) test -run=^$$ -fuzz='^FuzzLikeMatch$$' -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=^$$ -fuzz='^FuzzMorselDifferential$$' -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run=^$$ -fuzz='^FuzzExactKernel$$' -fuzztime=$(FUZZTIME) ./internal/exact
 	$(GO) test -run=^$$ -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run=^$$ -fuzz='^FuzzRankBatchRequest$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run=^$$ -fuzz='^FuzzAnytimeRequest$$' -fuzztime=$(FUZZTIME) ./internal/server

@@ -49,21 +49,30 @@ type AnytimeOptions struct {
 	onStage func(anytime.Snapshot)
 }
 
+// LowerStatistical is the IntervalAnswer.LowerKind of a lower bound that
+// Monte Carlo sampling produced.
+const LowerStatistical = anytime.LowerStatistical
+
 // IntervalAnswer is one answer of an anytime evaluation: the true
-// probability lies in [Lower, Upper] (the upper bound is guaranteed by
-// dissociation; the lower bound is deterministic once the exact stage
-// has touched the answer, and a z=6 confidence bound while only
-// sampling has).
+// probability lies in [Lower, Upper]. Upper is always certain — a
+// dissociation bound (Corollary 19) or the exact probability. Lower is
+// certain too (0, a safe plan's score, an exact probability or the exact
+// probability of a lineage prefix) unless LowerKind says otherwise:
+// LowerStatistical marks a bound last raised by Karp–Luby sampling, which
+// holds with the confidence of a one-sided z = 6 normal tail
+// (anytime.DefaultMCZ), not with certainty. LowerKind is "" for a certain
+// bound.
 type IntervalAnswer struct {
 	Values    []string
 	Lower     float64
 	Upper     float64
 	Converged bool
+	LowerKind string
 }
 
 // AnytimeStage reports one refinement stage's work.
 type AnytimeStage struct {
-	Name  string // "plans", "mc", "exact"
+	Name  string // "plans", "mc", "exact" (the first exact pass and the final stage)
 	Steps int
 }
 
@@ -194,6 +203,7 @@ func (d *DB) rankAnytime(ctx context.Context, q *cq.Query, plans []plan.Node, sa
 			Lower:     a.Lower,
 			Upper:     a.Upper,
 			Converged: a.Converged,
+			LowerKind: a.LowerKind,
 		})
 	}
 	sortIntervalAnswers(out.Answers)

@@ -392,3 +392,59 @@ func BenchmarkAnytime(b *testing.B) {
 		})
 	}
 }
+
+// servedChain builds the benchmark's served 3-chain shape (perfbench
+// dataset.go: 6 000 tuples per relation, join variables over [0, 600),
+// head variables over [0, 20), probabilities up to 0.5, generator seed 1).
+func servedChain(tb testing.TB) *DB {
+	tb.Helper()
+	const n, domain, ends = 6000, 600, 20
+	r := rand.New(rand.NewSource(1))
+	db := Open()
+	for i := 1; i <= 3; i++ {
+		rel, err := db.CreateRelation(fmt.Sprintf("BenchR%d", i), fmt.Sprintf("x%d", i-1), fmt.Sprintf("x%d", i))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for t := 0; t < n; t++ {
+			lo, hi := domain, domain
+			if i == 1 {
+				lo = ends
+			}
+			if i == 3 {
+				hi = ends
+			}
+			if err := rel.Insert(r.Float64()*0.5, r.Intn(lo), r.Intn(hi)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// BenchmarkAnytimeShapes is the "no shape pays" check of the anytime
+// staging on the served chain at epsilon 0.1 and a 4 096-sample cap: the
+// anytime_cold shape and a wider one (every lineage inside the first
+// exact pass), one whose lineages straddle the pass's admission size, and
+// a hot-pool member whose ~1.5k-clause lineages the pass must not touch.
+func BenchmarkAnytimeShapes(b *testing.B) {
+	db := servedChain(b)
+	const body = "q(x0, x3) :- BenchR1(x0, x1), BenchR2(x1, x2), BenchR3(x2, x3)"
+	for _, sel := range []string{"x0 <= 1, x1 <= 5", "x0 <= 3, x1 <= 30", "x0 <= 5, x1 <= 100", "x1 <= 599, x2 >= 0"} {
+		b.Run(sel, func(b *testing.B) {
+			var res *AnytimeResult
+			for i := 0; i < b.N; i++ {
+				var err error
+				res, err = db.RankAnytime(body+", "+sel, &AnytimeOptions{Epsilon: 0.1, Seed: int64(i + 1), MCMaxSamples: 4096})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Converged {
+					b.Fatalf("did not converge: width %g", res.Width)
+				}
+			}
+			b.ReportMetric(float64(len(res.Answers)), "answers")
+			b.ReportMetric(float64(res.MCSamples), "mc-samples")
+		})
+	}
+}

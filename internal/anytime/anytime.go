@@ -2,15 +2,23 @@
 // [lower, upper] probability interval, exploiting the paper's central
 // asymmetry: every minimal dissociation plan's propagation score is a
 // guaranteed upper bound on the true probability (Corollary 19), while
-// lineage-based Monte Carlo and partial exact expansion bound it from
-// below. Refinement proceeds in stages —
+// exact model counting and lineage-based Monte Carlo bound it from below.
+// Refinement orders its stages by certainty and cost — deterministic
+// bounds first, sampling for the residue —
 //
 //	plans: evaluate minimal plans cheapest-first (engine.PlanCost);
 //	       upper = min over plan scores, which only decreases. Safe
 //	       queries collapse immediately (the plan score is exact).
-//	mc:    Karp–Luby sampling of the semi-join-reduced lineage with a
-//	       resumable per-answer sampler; lower rises to the one-sided
-//	       confidence bound estimate − z·stderr, never past upper.
+//	exact: the first pass. The semi-join-reduced lineage is built once;
+//	       every answer whose lineage is at most FirstPassMaxClauses
+//	       clauses gets one exact attempt under a node budget
+//	       proportional to its size, which collapses its interval or is
+//	       abandoned for less than one sampling round would have cost.
+//	mc:    Karp–Luby sampling of what the first pass did not collapse,
+//	       with a resumable per-answer sampler; lower rises to the
+//	       one-sided confidence bound estimate − z·stderr, never past
+//	       upper. The only stage whose bound is statistical
+//	       (Answer.LowerKind says so).
 //	exact: budgeted weighted model counting over a growing prefix of
 //	       the lineage clauses (heaviest first). P(prefix) is a
 //	       deterministic lower bound by monotonicity; covering every
@@ -50,14 +58,30 @@ const (
 	// thousands of such evaluations — at z=4 (p ≈ 3e-5) a fixed seed can
 	// land on a violation.
 	DefaultMCZ = 6.0
-	// DefaultExactBudget is the exact stage's solver node budget per
-	// answer and step — deliberately smaller than the exact method's
+	// DefaultExactBudget is the final exact stage's solver node budget
+	// per answer and step — deliberately smaller than the exact method's
 	// budget, since the stage runs per refinement round.
 	DefaultExactBudget = 2_000_000
-	// DefaultExactPrefix is the exact stage's initial clause prefix
+	// DefaultExactPrefix is the final exact stage's initial clause prefix
 	// length (quadrupling each round).
 	DefaultExactPrefix = 8
+	// FirstPassMaxClauses admits a lineage to the first exact pass, whose
+	// node budget is exact.NodesPerClause per clause. Both are sized so
+	// that an abandoned attempt costs no more than the first Karp–Luby
+	// round (DefaultMCBatch samples) on the same lineage: a node costs
+	// time linear in the clauses, so a budget linear in the clauses is
+	// quadratic work against a sampling round's linear work, and the pass
+	// has to stop admitting where the two cross (DESIGN.md "Anytime
+	// bounds" has the measurement).
+	FirstPassMaxClauses = 128
 )
+
+// LowerStatistical is the LowerKind of an answer whose lower bound was
+// last raised by Karp–Luby sampling: a one-sided DefaultMCZ-sigma
+// confidence bound, not a certainty. Every other lower bound — 0, a safe
+// plan's score, an exact probability, an exact prefix — is certain and
+// has the empty kind.
+const LowerStatistical = "statistical"
 
 // Config parameterizes one anytime evaluation.
 type Config struct {
@@ -106,11 +130,14 @@ type Answer struct {
 	// Pruned marks answers eliminated by TopK bound pruning; their
 	// interval is valid but no longer refined.
 	Pruned bool
+	// LowerKind is LowerStatistical when Lower is a sampling confidence
+	// bound, "" when it is certain. Upper is always certain.
+	LowerKind string
 }
 
 // StageStats reports one refinement stage's work.
 type StageStats struct {
-	Name  string // "plans", "mc", "exact"
+	Name  string // "plans", "mc", "exact" (the first pass and the final stage)
 	Steps int    // refinement steps completed (plans, MC rounds, exact rounds)
 }
 
@@ -160,7 +187,8 @@ type ansState struct {
 	upper      float64
 	converged  bool
 	pruned     bool
-	clauses    [][]int32 // lineage, sorted heaviest clause first
+	lowerStat  bool      // lower was last raised by sampling
+	clauses    [][]int32 // lineage; sorted heaviest clause first once sampling needs it
 	sampler    *mc.KarpLubySampler
 	exactStuck bool // exact solver exceeded its budget on this answer
 }
@@ -168,14 +196,32 @@ type ansState struct {
 func (a *ansState) width() float64 { return a.upper - a.lower }
 
 // setLower raises the lower bound, clamped to [current lower, upper] so
-// intervals only tighten and stay well-formed.
-func (a *ansState) setLower(lb float64) {
+// intervals only tighten and stay well-formed, and reports whether it
+// moved: the caller that moved it knows what kind of bound it now is.
+func (a *ansState) setLower(lb float64) bool {
 	if lb > a.upper {
 		lb = a.upper
 	}
 	if lb > a.lower {
 		a.lower = lb
+		return true
 	}
+	return false
+}
+
+// collapse sets both bounds to the exact probability p, clamped into the
+// current interval so bounds never move the wrong way. The lower bound
+// stays statistical only if it was, and p fell below it.
+func (a *ansState) collapse(p float64) {
+	if p > a.upper {
+		p = a.upper
+	}
+	if p < a.lower {
+		p = a.lower
+	} else {
+		a.lowerStat = false
+	}
+	a.lower, a.upper = p, p
 }
 
 // evaluation is one run's full state.
@@ -216,11 +262,11 @@ func Evaluate(ctx context.Context, db *engine.DB, q *cq.Query, plans []plan.Node
 	if err := ev.stagePlans(plans); err != nil {
 		return nil, err
 	}
-	if ev.res.Degraded == "" && ev.err == nil && !ev.done() {
-		ev.stageMC()
-	}
-	if ev.res.Degraded == "" && ev.err == nil && !ev.done() {
-		ev.stageExact()
+	for _, stage := range []func(){ev.buildLineage, ev.stageFirstPass, ev.stageMC, ev.stageExact} {
+		if ev.res.Degraded != "" || ev.err != nil || ev.done() {
+			break
+		}
+		stage()
 	}
 	if ev.err != nil {
 		return nil, ev.err
@@ -316,9 +362,20 @@ func (ev *evaluation) stagePlans(plans []plan.Node) error {
 	return nil
 }
 
-// stageMC raises the lower bounds by Karp–Luby sampling of the
-// semi-join-reduced lineage, in rounds of a doubling sample batch.
-func (ev *evaluation) stageMC() {
+// fail records an error met after the first plan: a deadline or budget
+// degrades the result, anything else (cancellation: the caller no longer
+// wants it) discards it.
+func (ev *evaluation) fail(err error) {
+	if class := degradeClass(err); class != "" {
+		ev.res.Degraded = class
+	} else {
+		ev.err = err
+	}
+}
+
+// buildLineage computes the semi-join-reduced lineage once, for every
+// stage after the plans, and hands each answer its clauses.
+func (ev *evaluation) buildLineage() {
 	var lin *engine.Lineage
 	err := engine.TrapCancel(func() {
 		if ev.reduced == nil && ev.cfg.SemiJoin {
@@ -327,36 +384,61 @@ func (ev *evaluation) stageMC() {
 		lin = engine.EvalLineageCtx(ev.ctx, ev.db, ev.q, ev.reduced)
 	})
 	if err != nil {
-		if class := degradeClass(err); class != "" {
-			ev.res.Degraded = class
-		} else {
-			ev.err = err // cancellation: the caller no longer wants the result
-		}
+		ev.fail(err)
 		return
 	}
 	clausesByKey := make(map[string][][]int32, lin.Len())
 	for i := 0; i < lin.Len(); i++ {
 		clausesByKey[string(keyBytes(lin.Key(i)))] = lin.Clauses(i)
 	}
+	for _, a := range ev.answers {
+		a.clauses = clausesByKey[string(keyBytes(a.key))]
+	}
+}
+
+// stageFirstPass gives every admitted lineage one budgeted exact attempt
+// before any sampling: certain and, on the lineages it admits, cheaper
+// than the sampling round it replaces. An attempt that runs out of budget
+// is abandoned — DPLL-style counting must blow up on some lineages — and
+// the answer falls through to stageMC. The result is a function of the
+// lineage alone, so it is independent of Seed and Workers.
+func (ev *evaluation) stageFirstPass() {
+	probs := ev.db.VarProbs()
+	attempted := false
+	for _, a := range ev.answers {
+		if a.pruned || a.converged || len(a.clauses) == 0 || len(a.clauses) > FirstPassMaxClauses {
+			continue
+		}
+		if err := ev.ctx.Err(); err != nil {
+			ev.fail(err)
+			break
+		}
+		attempted = true
+		if p, err := exact.ProbBudget(a.clauses, probs, exact.NodesPerClause*len(a.clauses)); err == nil {
+			a.collapse(p)
+		}
+	}
+	if attempted {
+		ev.res.Stages = append(ev.res.Stages, StageStats{Name: "exact", Steps: 1})
+		ev.afterStep("exact")
+	}
+}
+
+// stageMC raises the lower bounds by Karp–Luby sampling of the lineages
+// the first pass left open, in rounds of a doubling sample batch.
+func (ev *evaluation) stageMC() {
 	probs := ev.db.VarProbs()
 	stage := StageStats{Name: "mc"}
 	for _, a := range ev.answers {
-		a.clauses = sortClausesByWeight(clausesByKey[string(keyBytes(a.key))], probs)
 		if a.pruned || a.converged || len(a.clauses) == 0 {
 			continue
 		}
+		a.clauses = sortClausesByWeight(a.clauses, probs)
 		rng := rand.New(rand.NewSource(ev.cfg.Seed ^ keySeed(a.key)))
 		a.sampler = mc.NewKarpLubySampler(a.clauses, probs, rng)
 		if a.sampler.Exact() {
 			// Trivial lineage: the sampler's value is exact.
-			p := a.sampler.Estimate()
-			if p > a.upper {
-				p = a.upper
-			}
-			if p < a.lower {
-				p = a.lower
-			}
-			a.lower, a.upper = p, p
+			a.collapse(a.sampler.Estimate())
 		}
 	}
 	batch := ev.cfg.MCBatch
@@ -371,11 +453,7 @@ func (ev *evaluation) stageMC() {
 			}
 			active = true
 			if err := a.sampler.Sample(ev.ctx, batch); err != nil {
-				if class := degradeClass(err); class != "" {
-					ev.res.Degraded = class
-				} else {
-					ev.err = err
-				}
+				ev.fail(err)
 				for _, b := range ev.answers {
 					if b.sampler != nil {
 						ev.res.MCSamples += b.sampler.Samples()
@@ -384,7 +462,9 @@ func (ev *evaluation) stageMC() {
 				ev.res.Stages = append(ev.res.Stages, stage)
 				return
 			}
-			a.setLower(a.sampler.LowerBound(DefaultMCZ))
+			if a.setLower(a.sampler.LowerBound(DefaultMCZ)) {
+				a.lowerStat = true
+			}
 		}
 		if !active {
 			break
@@ -423,13 +503,7 @@ func (ev *evaluation) stageExact() {
 				continue
 			}
 			if err := ev.ctx.Err(); err != nil {
-				// The plans stage already completed at least one step,
-				// so a deadline here degrades rather than fails.
-				if class := degradeClass(err); class != "" {
-					ev.res.Degraded = class
-				} else {
-					ev.err = err
-				}
+				ev.fail(err)
 				return
 			}
 			k := m
@@ -442,17 +516,11 @@ func (ev *evaluation) stageExact() {
 				continue
 			}
 			if k == len(a.clauses) {
-				// Exact probability: collapse, clamped into the current
-				// interval so bounds never move the wrong way.
-				if p > a.upper {
-					p = a.upper
-				}
-				if p < a.lower {
-					p = a.lower
-				}
-				a.lower, a.upper = p, p
+				a.collapse(p)
 			} else {
-				a.setLower(p)
+				if a.setLower(p) {
+					a.lowerStat = false
+				}
 				progress = true
 			}
 		}
@@ -517,6 +585,9 @@ func (ev *evaluation) snapshotAnswers() []Answer {
 			Upper:     a.upper,
 			Converged: a.converged,
 			Pruned:    a.pruned,
+		}
+		if a.lowerStat {
+			out[i].LowerKind = LowerStatistical
 		}
 	}
 	return out

@@ -75,114 +75,46 @@ func (c *Circuit) Eval(probs []float64) float64 {
 }
 
 // Compile builds a circuit for the monotone DNF within the given node
-// budget; ErrBudget when exceeded. The circuit's Eval agrees exactly
-// with ProbBudget for every probability vector.
+// budget; ErrBudget when exceeded. It is ProbBudget's walk emitting a
+// node where ProbBudget folds a number (a read-once lineage's
+// factorization tree maps directly onto gates), so the circuit's Eval
+// agrees with ProbBudget bit for bit under every probability vector.
 func Compile(clauses [][]int32, budget int) (*Circuit, error) {
-	f := normalize(clauses)
 	c := &Circuit{}
-	b := &circuitBuilder{c: c, memo: map[string]int32{}, budget: budget}
-	// Read-once fast path: the factorization tree maps directly onto
-	// circuit gates.
-	if nv := countVars(f); nv <= readOnceVarLimit {
-		if tree, ok := lineage.Factor(lineage.DNF(f)); ok {
-			c.root = b.fromTree(tree)
-			return c, nil
-		}
-	}
-	root, ok := b.build(f)
+	k := kernels.Get().(*kernel)
+	r, ok := k.run(clauses, nil, c, budget, SolverOptions{})
+	k.release()
 	if !ok {
 		return nil, ErrBudget
 	}
-	c.root = root
+	c.root = r.id
 	return c, nil
 }
 
-type circuitBuilder struct {
-	c      *Circuit
-	memo   map[string]int32
-	budget int
+func (c *Circuit) add(n cnode) int32 {
+	c.nodes = append(c.nodes, n)
+	return int32(len(c.nodes) - 1)
 }
 
-func (b *circuitBuilder) add(n cnode) int32 {
-	b.c.nodes = append(b.c.nodes, n)
-	return int32(len(b.c.nodes) - 1)
-}
-
-func (b *circuitBuilder) constNode(v float64) int32 { return b.add(cnode{kind: cConst, val: v}) }
-
-func (b *circuitBuilder) fromTree(t *lineage.Tree) int32 {
+func (c *Circuit) fromTree(t *lineage.Tree) int32 {
 	switch t.Kind {
 	case lineage.TreeVar:
-		return b.add(cnode{kind: cVar, v: t.Var})
+		return c.add(cnode{kind: cVar, v: t.Var})
 	case lineage.TreeTrue:
-		return b.constNode(1)
+		return c.add(cnode{kind: cConst, val: 1})
 	case lineage.TreeFalse:
-		return b.constNode(0)
+		return c.add(cnode{kind: cConst, val: 0})
 	case lineage.TreeAnd, lineage.TreeOr:
 		children := make([]int32, len(t.Children))
 		for i, ch := range t.Children {
-			children[i] = b.fromTree(ch)
+			children[i] = c.fromTree(ch)
 		}
 		kind := cProduct
 		if t.Kind == lineage.TreeOr {
 			kind = cIndepOr
 		}
-		return b.add(cnode{kind: kind, children: children})
+		return c.add(cnode{kind: kind, children: children})
 	default:
 		panic(fmt.Sprintf("exact: unknown tree kind %d", t.Kind))
 	}
-}
-
-// build mirrors solver.prob but emits circuit nodes instead of numbers.
-func (b *circuitBuilder) build(clauses [][]int32) (int32, bool) {
-	if b.budget <= 0 {
-		return 0, false
-	}
-	b.budget--
-	if len(clauses) == 0 {
-		return b.constNode(0), true
-	}
-	if len(clauses[0]) == 0 {
-		return b.constNode(1), true
-	}
-	if len(clauses) == 1 {
-		children := make([]int32, len(clauses[0]))
-		for i, v := range clauses[0] {
-			children[i] = b.add(cnode{kind: cVar, v: v})
-		}
-		if len(children) == 1 {
-			return children[0], true
-		}
-		return b.add(cnode{kind: cProduct, children: children}), true
-	}
-	key := encode(clauses)
-	if id, ok := b.memo[key]; ok {
-		return id, true
-	}
-	comps := components(clauses)
-	if len(comps) > 1 {
-		children := make([]int32, len(comps))
-		for i, comp := range comps {
-			id, ok := b.build(comp)
-			if !ok {
-				return 0, false
-			}
-			children[i] = id
-		}
-		id := b.add(cnode{kind: cIndepOr, children: children})
-		b.memo[key] = id
-		return id, true
-	}
-	v := mostFrequent(clauses)
-	hi, ok := b.build(condition(clauses, v, true))
-	if !ok {
-		return 0, false
-	}
-	lo, ok := b.build(condition(clauses, v, false))
-	if !ok {
-		return 0, false
-	}
-	id := b.add(cnode{kind: cShannon, v: v, children: []int32{hi, lo}})
-	b.memo[key] = id
-	return id, true
 }

@@ -2,11 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"lapushdb/internal/anytime"
 )
 
 // decodeQuery decodes a /v1/query response body.
@@ -159,12 +163,54 @@ func TestAnytimeBudgetDegradesE2E(t *testing.T) {
 	}
 }
 
+// newWideServer serves movieDB plus one user, cy, whose lineage under
+// testQuery is wider than the anytime first exact pass admits: 50 movies
+// with 3 of 10 fanned actors each. Small lineages collapse to a point in
+// that pass whatever the epsilon; cy's goes to Monte Carlo, so a
+// loose-epsilon run stops with a non-degenerate width — which the
+// refine-on-tighter-epsilon and stale-serve contracts need.
+func newWideServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+	t.Helper()
+	db := movieDB(t)
+	insert := func(rel string, p float64, vals ...any) {
+		t.Helper()
+		if err := db.Relation(rel).Insert(p, vals...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for a := 0; a < 10; a++ {
+		insert("Fan", 0.3+0.05*float64(a), fmt.Sprintf("actor%d", a))
+	}
+	for m := 0; m < 50; m++ {
+		movie := fmt.Sprintf("movie%d", m)
+		insert("Likes", 0.1+0.01*float64(m), "cy", movie)
+		for j := 0; j < 3; j++ {
+			insert("Stars", 0.2+0.1*float64(j), movie, fmt.Sprintf("actor%d", (m+3*j)%10))
+		}
+	}
+	infos, err := db.Lineage(testQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := 0
+	for _, info := range infos {
+		wide = max(wide, info.Size)
+	}
+	if wide <= anytime.FirstPassMaxClauses {
+		t.Fatalf("widest lineage has %d clauses, want more than the first pass admits (%d)", wide, anytime.FirstPassMaxClauses)
+	}
+	s := New(db, cfg)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
 // TestAnytimeTighterEpsilonRefines pins the width-tagged cache
 // contract: a cached interval serves only requests whose epsilon it
 // already meets; a tighter request re-refines, and the refined entry
 // then serves the original loose epsilon too.
 func TestAnytimeTighterEpsilonRefines(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newWideServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"query": testQuery, "epsilon": 0.4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm: status %d: %s", resp.StatusCode, body)
@@ -174,6 +220,13 @@ func TestAnytimeTighterEpsilonRefines(t *testing.T) {
 		t.Fatalf("warm run should leave a non-degenerate width: %+v", warm)
 	}
 	w1 := *warm.Width
+	// The width that is left belongs to the sampled answer, and says so.
+	for _, a := range warm.Answers {
+		sampled := a.Interval.Upper > a.Interval.Lower
+		if stat := a.Interval.LowerKind == "statistical"; stat != sampled {
+			t.Fatalf("answer %v: interval [%g, %g] with lower_kind %q", a.Values, a.Interval.Lower, a.Interval.Upper, a.Interval.LowerKind)
+		}
+	}
 
 	// Tighter than the cached width: must re-refine, not serve stale.
 	tighter := w1 / 2
@@ -240,7 +293,7 @@ func TestPutTighter(t *testing.T) {
 // estimate, an anytime request that cannot be admitted is served the
 // cached interval — any width — as a degraded response instead of 429.
 func TestAnytimeShedServesStale(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueWait: 10 * time.Second})
+	s, ts := newWideServer(t, Config{Workers: 1, QueueWait: 10 * time.Second})
 
 	// Warm the cache with a loose interval.
 	resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"query": testQuery, "epsilon": 0.4})

@@ -112,7 +112,7 @@ func anytimeEntry(res *lapushdb.AnytimeResult, safe bool) *cachedResult {
 		answers[i] = answerJSON{
 			Values:   a.Values,
 			Score:    a.Upper,
-			Interval: &intervalJSON{Lower: a.Lower, Upper: a.Upper, Converged: a.Converged},
+			Interval: &intervalJSON{Lower: a.Lower, Upper: a.Upper, Converged: a.Converged, LowerKind: a.LowerKind},
 		}
 	}
 	return &cachedResult{answers: answers, safe: safe, anytime: true, width: res.Width}

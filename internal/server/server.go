@@ -471,23 +471,25 @@ type queryRequest struct {
 	Epsilon *float64 `json:"epsilon"`
 }
 
-// intervalJSON is an anytime answer's probability interval.
+// intervalJSON is an anytime answer's probability interval. Upper is
+// always a guaranteed bound (dissociation, or the exact probability).
+// Lower is guaranteed too unless lower_kind is "statistical": then Monte
+// Carlo refinement last raised it, and it is a one-sided normal-tail
+// confidence bound (z = 6, see internal/anytime.DefaultMCZ) — the true
+// probability lies above it with overwhelming statistical confidence, not
+// with certainty. lower_kind is omitted for a certain bound.
 type intervalJSON struct {
 	Lower     float64 `json:"lower"`
 	Upper     float64 `json:"upper"`
 	Converged bool    `json:"converged"`
+	LowerKind string  `json:"lower_kind,omitempty"`
 }
 
 type answerJSON struct {
 	Values []string `json:"values"`
 	Score  float64  `json:"score"`
 	// Interval is present on anytime responses; Score echoes the upper
-	// bound. Upper is a guaranteed bound from the deterministic
-	// dissociation stages. Lower is guaranteed when the exact stage
-	// produced it; once Monte Carlo refinement takes over, it is a
-	// one-sided normal-tail confidence bound (z = 6, see
-	// internal/anytime.DefaultMCZ) — the true probability lies above it
-	// with overwhelming statistical confidence, not with certainty.
+	// bound.
 	Interval *intervalJSON `json:"interval,omitempty"`
 }
 
