@@ -53,8 +53,8 @@ fmt:
 # Statement-coverage gate. Coverage is measured across packages
 # (-coverpkg=./...): several packages are exercised mostly or entirely
 # by the top-level differential suites (internal/anytime, the
-# internal/engine/oracle facade, chunks of the engine's parallel paths),
-# which per-package profiling would not count. The total must stay at
+# internal/engine/oracle facade, the engine's multi-chunk paths), which
+# per-package profiling would not count. The total must stay at
 # or above the recorded baseline (measured 84.7% when the gate moved to
 # cross-package profiling, with a small buffer for timing-dependent
 # paths).
@@ -71,9 +71,9 @@ cover:
 # columnar streaming executor must produce byte-identical results and
 # identical typed errors to the retained row-at-a-time oracle
 # (internal/engine/oracle.go) on random CQs and on the chain/star/TPC-H
-# shapes at Workers 1 and 4, plus budget-accounting parity and the
-# chain-join allocation gate (the gate itself skips under -race and
-# runs in the plain test pass).
+# shapes, plus budget-accounting parity and the chain-join allocation
+# gate (the gate itself skips under -race and runs in the plain test
+# pass).
 oracle-diff:
 	$(GO) test -race -run 'OracleDifferential|TestPropExecutorOracle|TestBudgetBatchChargingParity|FuzzMorselDifferential' ./internal/engine
 	$(GO) test -race -run 'TestDifferentialWorkloads|TestRankBatchOracleDifferential|TestAnytimeOracleBoundsDifferential' .
@@ -113,7 +113,7 @@ microbench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
 # Non-test Go lines per package outside perfbench/, and their total:
-# the number ROADMAP item 6 tracks.
+# the number ROADMAP item 8 tracks.
 lines:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

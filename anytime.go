@@ -26,10 +26,9 @@ type AnytimeOptions struct {
 	// answer's upper − lower <= Epsilon. Must be in [0, 1); 0 demands
 	// exact collapse. Use ValidateEpsilon for the shared validation.
 	Epsilon float64
-	// IgnoreSchema, Workers, DisableOpt2/3 and MaxIntermediateRows mean
-	// what they mean on Options.
+	// IgnoreSchema, DisableOpt2/3 and MaxIntermediateRows mean what they
+	// mean on Options.
 	IgnoreSchema        bool
-	Workers             int
 	DisableOpt2         bool
 	DisableOpt3         bool
 	MaxIntermediateRows int
@@ -38,7 +37,7 @@ type AnytimeOptions struct {
 	MCBatch      int
 	MCMaxSamples int
 	// Seed derives the per-answer sampling streams; results are
-	// deterministic for a fixed seed, independent of Workers.
+	// deterministic for a fixed seed.
 	Seed int64
 
 	// topK enables upper-vs-kth-lower pruning (RankTopKAnytime); memo
@@ -165,7 +164,6 @@ func (d *DB) rankAnytime(ctx context.Context, q *cq.Query, plans []plan.Node, sa
 	}
 	cfg := anytime.Config{
 		Epsilon:             opts.Epsilon,
-		Workers:             opts.Workers,
 		ReuseSubplans:       !opts.DisableOpt2,
 		SemiJoin:            !opts.DisableOpt3,
 		MaxIntermediateRows: opts.MaxIntermediateRows,

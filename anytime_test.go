@@ -2,10 +2,9 @@ package lapushdb
 
 // Property tests of the anytime evaluator at the public-API level: on
 // the chain/star/TPC-H differential shapes, every refinement snapshot
-// must sandwich the exact probability (lower <= exact <= upper),
-// intervals may only tighten from one snapshot to the next, and results
-// are bit-identical across Workers settings. Run under -race these also
-// exercise the staged evaluation for data races.
+// must sandwich the exact probability (lower <= exact <= upper) and
+// intervals may only tighten from one snapshot to the next. Run under
+// -race these also exercise the staged evaluation for data races.
 
 import (
 	"context"
@@ -118,8 +117,7 @@ func TestAnytimeSandwich(t *testing.T) {
 // TestAnytimeOracleBoundsDifferential pins the upper bounds the anytime
 // sandwich refines: the dissociation plan scores feeding the anytime
 // evaluator are bit-identical between the columnar executor and the
-// retained row-at-a-time oracle at Workers 1 and 4, on the sandwich's
-// workload shapes.
+// retained row-at-a-time oracle, on the sandwich's workload shapes.
 func TestAnytimeOracleBoundsDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	chainDB, chainQ := workload.Chain(3, 500, 70, 0.5, rng)
@@ -136,63 +134,21 @@ func TestAnytimeOracleBoundsDifferential(t *testing.T) {
 	} {
 		q := cq.MustParse(tc.q)
 		plans := core.MinimalPlans(q, nil)
-		for _, w := range []int{1, 4} {
-			opts := engine.Options{Workers: w}
-			got := engine.EvalPlans(tc.edb, q, plans, opts)
-			want := oracle.EvalPlans(tc.edb, q, plans, opts)
-			if got.Len() != want.Len() {
-				t.Fatalf("%s/w=%d: %d rows vs oracle %d", tc.label, w, got.Len(), want.Len())
-			}
-			for i := 0; i < want.Len(); i++ {
-				gr, wr := got.Row(i), want.Row(i)
-				for j := range wr {
-					if gr[j] != wr[j] {
-						t.Fatalf("%s/w=%d: row %d differs: %v vs %v", tc.label, w, i, gr, wr)
-					}
-				}
-				if math.Float64bits(got.Score(i)) != math.Float64bits(want.Score(i)) {
-					t.Fatalf("%s/w=%d: row %d bound bits differ: %v vs oracle %v",
-						tc.label, w, i, got.Score(i), want.Score(i))
+		got := engine.EvalPlans(tc.edb, q, plans, engine.Options{})
+		want := oracle.EvalPlans(tc.edb, q, plans, engine.Options{})
+		if got.Len() != want.Len() {
+			t.Fatalf("%s: %d rows vs oracle %d", tc.label, got.Len(), want.Len())
+		}
+		for i := 0; i < want.Len(); i++ {
+			gr, wr := got.Row(i), want.Row(i)
+			for j := range wr {
+				if gr[j] != wr[j] {
+					t.Fatalf("%s: row %d differs: %v vs %v", tc.label, i, gr, wr)
 				}
 			}
-		}
-	}
-}
-
-// TestAnytimeWorkerDeterminism pins the bit-identity contract: the
-// whole anytime result — values, bounds, convergence flags, stage
-// stats — is identical at Workers 1 and 4 for a fixed seed, because
-// sampler streams are derived from answer keys, not iteration order.
-func TestAnytimeWorkerDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	edb, q := workload.Chain(3, 1200, 150, 0.5, rng)
-	db := fromEngineDB(t, edb)
-	query := q.String()
-	base, err := db.RankAnytime(query, &AnytimeOptions{Epsilon: 0.02, Workers: 1, Seed: 99, MCMaxSamples: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Answers) == 0 {
-		t.Fatal("no answers")
-	}
-	res, err := db.RankAnytime(query, &AnytimeOptions{Epsilon: 0.02, Workers: 4, Seed: 99, MCMaxSamples: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged != base.Converged || res.Width != base.Width || res.MCSamples != base.MCSamples {
-		t.Fatalf("result metadata differs across workers: %+v vs %+v", res, base)
-	}
-	if len(res.Answers) != len(base.Answers) {
-		t.Fatalf("%d answers vs %d", len(res.Answers), len(base.Answers))
-	}
-	for i := range base.Answers {
-		b, r := base.Answers[i], res.Answers[i]
-		if b.Lower != r.Lower || b.Upper != r.Upper || b.Converged != r.Converged {
-			t.Fatalf("answer %d differs: [%v, %v] vs [%v, %v]", i, r.Lower, r.Upper, b.Lower, b.Upper)
-		}
-		for j := range b.Values {
-			if b.Values[j] != r.Values[j] {
-				t.Fatalf("answer %d values differ: %v vs %v", i, r.Values, b.Values)
+			if math.Float64bits(got.Score(i)) != math.Float64bits(want.Score(i)) {
+				t.Fatalf("%s: row %d bound bits differ: %v vs oracle %v",
+					tc.label, i, got.Score(i), want.Score(i))
 			}
 		}
 	}

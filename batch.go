@@ -51,12 +51,12 @@ type Batch struct {
 
 // NewBatch prepares a batch evaluation over the database with the given
 // options (nil for defaults). The options apply to every query of the
-// batch: Method, Workers, optimization toggles, and
-// MaxIntermediateRows, which here bounds the rows materialized by the
-// whole batch rather than one query (shared subplans are charged once,
-// when first computed). Subplan sharing applies to the Dissociation
-// method and is disabled by DisableOpt2; other methods evaluate
-// per-query but still share the batch's deadline.
+// batch: Method, optimization toggles, and MaxIntermediateRows, which
+// here bounds the rows materialized by the whole batch rather than one
+// query (shared subplans are charged once, when first computed). Subplan
+// sharing applies to the Dissociation method and is disabled by
+// DisableOpt2; other methods evaluate per-query but still share the
+// batch's deadline.
 func (d *DB) NewBatch(opts *Options) *Batch {
 	if opts == nil {
 		opts = &Options{}

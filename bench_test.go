@@ -275,37 +275,17 @@ func exactProb(clauses [][]int32, probs []float64) (float64, error) {
 }
 
 // BenchmarkRank measures end-to-end ranking of the paper's unsafe
-// 3-chain at different intra-query worker counts. The morsel
-// determinism contract makes every variant produce byte-identical
-// rankings, which the benchmark verifies against the Workers=1 output.
+// 3-chain (all minimal plans, Opt2 and Opt3 on).
 func BenchmarkRank(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	edb, q := workload.Chain(3, 30000, 2000, 0.5, rng)
 	plans := core.MinimalPlans(q, nil)
-	ref := engine.EvalPlans(edb, q, plans, engine.Options{Workers: 1, ReuseSubplans: true, SemiJoin: true})
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			var res *engine.Result
-			for i := 0; i < b.N; i++ {
-				res = engine.EvalPlans(edb, q, plans, engine.Options{Workers: w, ReuseSubplans: true, SemiJoin: true})
-			}
-			b.StopTimer()
-			if res.Len() != ref.Len() {
-				b.Fatalf("workers=%d: %d rows vs %d", w, res.Len(), ref.Len())
-			}
-			for i := 0; i < ref.Len(); i++ {
-				if res.Score(i) != ref.Score(i) {
-					b.Fatalf("workers=%d: row %d score %v != %v", w, i, res.Score(i), ref.Score(i))
-				}
-				rr, gr := ref.Row(i), res.Row(i)
-				for j := range rr {
-					if rr[j] != gr[j] {
-						b.Fatalf("workers=%d: row %d differs", w, i)
-					}
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := engine.EvalPlans(edb, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true}); res.Len() == 0 {
+			b.Fatal("no answers")
+		}
 	}
 }
 

@@ -79,7 +79,6 @@ func main() {
 	loadFile := flag.String("load", "", "restore a database snapshot instead of loading CSVs")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 8, "max queries evaluating concurrently")
-	parallelism := flag.Int("parallelism", 1, "default intra-query worker count (morsel parallelism; requests may override via the parallelism field)")
 	cacheSize := flag.Int("cache", 256, "plan cache capacity (entries)")
 	resultCacheSize := flag.Int("result-cache", 512, "result cache capacity (entries); repeated identical requests at an unchanged store version are served without re-evaluation")
 	maxBatch := flag.Int("max-batch", 64, "max queries per /v1/rank_batch request")
@@ -133,7 +132,6 @@ func main() {
 
 	cfg := server.Config{
 		Workers:         *workers,
-		Parallelism:     *parallelism,
 		CacheSize:       *cacheSize,
 		ResultCacheSize: *resultCacheSize,
 		MaxBatchQueries: *maxBatch,

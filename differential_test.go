@@ -1,23 +1,22 @@
 package lapushdb
 
-// Differential tests of the morsel-parallel engine at the workload and
-// public-API level: for TPC-H-style instances and the paper's chain and
-// star micro-benchmarks, parallel evaluation must return the same
-// columns, the same rows in the same order, and bit-identical scores as
-// sequential evaluation, for every Workers setting. Run under -race
-// these also exercise the worker pool for data races.
+// Differential tests of the engine at the workload and public-API level:
+// for TPC-H-style instances and the paper's chain and star
+// micro-benchmarks, the columnar executor must return the same columns,
+// the same rows in the same order, and bit-identical scores as the
+// retained row-at-a-time oracle.
 
 import (
 	"bytes"
-	"context"
-	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lapushdb/internal/core"
 	"lapushdb/internal/cq"
 	"lapushdb/internal/engine"
 	"lapushdb/internal/engine/oracle"
+	"lapushdb/internal/plan"
 	"lapushdb/internal/workload"
 )
 
@@ -49,25 +48,18 @@ func assertSameResult(t *testing.T, label string, seq, par *engine.Result) {
 	}
 }
 
-// diffWorkload evaluates q's minimal plans at Workers ∈ {1, 2, 8} and
-// asserts the outputs are identical, and cross-checks the columnar
-// executor against the retained row-at-a-time oracle at Workers 1 and 4.
+// diffWorkload evaluates q's minimal plans on the columnar executor and
+// on the retained row-at-a-time oracle and asserts the outputs are
+// identical.
 func diffWorkload(t *testing.T, label string, db *engine.DB, q *cq.Query) {
 	t.Helper()
 	plans := core.MinimalPlans(q, nil)
-	seq := engine.EvalPlans(db, q, plans, engine.Options{Workers: 1, ReuseSubplans: true, SemiJoin: true})
-	for _, w := range []int{2, 8} {
-		par := engine.EvalPlans(db, q, plans, engine.Options{Workers: w, ReuseSubplans: true, SemiJoin: true})
-		assertSameResult(t, fmt.Sprintf("%s/w=%d", label, w), seq, par)
-	}
-	for _, w := range []int{1, 4} {
-		orc := oracle.EvalPlans(db, q, plans, engine.Options{Workers: w, ReuseSubplans: true, SemiJoin: true})
-		assertSameResult(t, fmt.Sprintf("%s/oracle/w=%d", label, w), seq, orc)
-	}
+	opts := engine.Options{ReuseSubplans: true, SemiJoin: true}
+	assertSameResult(t, label, oracle.EvalPlans(db, q, plans, opts), engine.EvalPlans(db, q, plans, opts))
 }
 
-// TestDifferentialWorkloads runs the sequential-vs-parallel differential
-// on the paper's three workload generators.
+// TestDifferentialWorkloads runs the executor-vs-oracle differential on
+// the paper's three workload generators.
 func TestDifferentialWorkloads(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	db, q := workload.Chain(3, 3000, 400, 0.5, rng)
@@ -78,43 +70,43 @@ func TestDifferentialWorkloads(t *testing.T) {
 	diffWorkload(t, "tpch", tp.DB, tp.Query(tp.Suppliers, "%red%"))
 }
 
-// TestDifferentialPublicAPI checks the user-visible contract: Rank with
-// Options.Workers set returns byte-identical answers (values, scores,
-// order) to the sequential default, and reports the morsel partitions
-// it processed via Options.Stats.
+// TestDifferentialPublicAPI checks the user-visible contract: Rank on
+// multi-chunk relations — through the snapshot round trip, the prepared
+// single plan and answer decoding — returns exactly the answers and
+// score bits the oracle computes for that plan on the generated
+// database, and the same bytes when asked again.
 func TestDifferentialPublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	edb, q := workload.Chain(3, 3000, 400, 0.5, rng)
 	db := fromEngineDB(t, edb)
 	query := q.String()
-	seq, err := db.Rank(query, &Options{Workers: 1})
+	got, err := db.Rank(query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) == 0 {
-		t.Fatal("no answers")
+	single := []plan.Node{core.SinglePlan(q, engine.SchemaFor(edb, q))}
+	want := oracle.EvalPlans(edb, q, single, engine.Options{ReuseSubplans: true, SemiJoin: true})
+	if len(got) == 0 || len(got) != want.Len() {
+		t.Fatalf("%d answers, oracle has %d", len(got), want.Len())
 	}
-	for _, w := range []int{2, 4, 8} {
-		stats := &RankStats{}
-		par, err := db.RankContext(context.Background(), query, &Options{Workers: w, Stats: stats})
-		if err != nil {
-			t.Fatal(err)
+	wantScore := map[string]float64{}
+	for i := 0; i < want.Len(); i++ {
+		vals := make([]string, len(want.Row(i)))
+		for j, v := range want.Row(i) {
+			vals[j] = edb.Decode(v)
 		}
-		if len(par) != len(seq) {
-			t.Fatalf("w=%d: %d answers vs %d", w, len(par), len(seq))
+		wantScore[strings.Join(vals, "\x00")] = want.Score(i)
+	}
+	again, err := db.Rank(query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range got {
+		if s, ok := wantScore[strings.Join(a.Values, "\x00")]; !ok || s != a.Score {
+			t.Fatalf("answer %d %v scores %v, oracle %v (present %v)", i, a.Values, a.Score, s, ok)
 		}
-		for i := range seq {
-			if par[i].Score != seq[i].Score {
-				t.Fatalf("w=%d: answer %d score %v != %v", w, i, par[i].Score, seq[i].Score)
-			}
-			for j := range seq[i].Values {
-				if par[i].Values[j] != seq[i].Values[j] {
-					t.Fatalf("w=%d: answer %d values %v != %v", w, i, par[i].Values, seq[i].Values)
-				}
-			}
-		}
-		if stats.Partitions == 0 {
-			t.Errorf("w=%d: expected partitioned operator phases on 3000-row relations", w)
+		if again[i].Score != a.Score || strings.Join(again[i].Values, "\x00") != strings.Join(a.Values, "\x00") {
+			t.Fatalf("answer %d differs between two Rank calls: %v vs %v", i, again[i], a)
 		}
 	}
 }

@@ -74,7 +74,6 @@ func TestIntegrationTPCH(t *testing.T) {
 		{DisableOpt1: true},
 		{DisableOpt2: true},
 		{DisableOpt3: true},
-		{Workers: 3},
 		{DisableOpt1: true, DisableOpt2: true, DisableOpt3: true},
 	} {
 		diss, err := db.Rank(q, opts)

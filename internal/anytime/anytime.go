@@ -89,7 +89,6 @@ type Config struct {
 	// answer's upper − lower <= Epsilon. Zero demands exact collapse.
 	Epsilon float64
 	// Engine options for the plan stage, mirroring lapushdb.Options.
-	Workers             int
 	ReuseSubplans       bool
 	SemiJoin            bool
 	MaxIntermediateRows int
@@ -106,8 +105,7 @@ type Config struct {
 	MCBatch      int
 	MCMaxSamples int
 	// Seed derives the per-answer sampler seeds (seed ^ FNV of the
-	// answer key), keeping sampling independent of iteration and worker
-	// order so results stay bit-identical across Workers settings.
+	// answer key), keeping sampling independent of iteration order.
 	Seed int64
 	// TopK, when positive, prunes answers whose upper bound falls below
 	// the running k-th largest lower bound — they cannot reach the top
@@ -304,7 +302,6 @@ func (ev *evaluation) stagePlans(plans []plan.Node) error {
 
 	eopts := engine.Options{
 		ReuseSubplans: ev.cfg.ReuseSubplans,
-		Workers:       ev.cfg.Workers,
 		Memo:          ev.cfg.Memo,
 	}
 	stage := StageStats{Name: "plans"}
@@ -401,7 +398,7 @@ func (ev *evaluation) buildLineage() {
 // than the sampling round it replaces. An attempt that runs out of budget
 // is abandoned — DPLL-style counting must blow up on some lineages — and
 // the answer falls through to stageMC. The result is a function of the
-// lineage alone, so it is independent of Seed and Workers.
+// lineage alone, so it is independent of Seed.
 func (ev *evaluation) stageFirstPass() {
 	probs := ev.db.VarProbs()
 	attempted := false

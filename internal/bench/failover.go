@@ -31,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lapushdb/internal/store"
 )
 
 // FailoverHooks is what RunFailover needs from the deployment under
@@ -126,9 +128,9 @@ func RunFailover(ctx context.Context, cfg RunConfig, hooks FailoverHooks) (Workl
 			for i := int64(0); runCtx.Err() == nil; i++ {
 				p := 0.4
 				tuple := []string{"f", fmt.Sprintf("fo-%d-%d", w, i)}
-				body := mustJSON(ingestBody{Mutations: []mutation{
-					{Op: opInsert, Rel: "BenchR2", Tuple: tuple, P: &p},
-					{Op: opDelete, Rel: "BenchR2", Tuple: tuple},
+				body := mustJSON(ingestBody{Mutations: []store.Mutation{
+					{Op: store.OpInsert, Rel: "BenchR2", Tuple: tuple, P: &p},
+					{Op: store.OpDelete, Rel: "BenchR2", Tuple: tuple},
 				}})
 				t0 := time.Now()
 				var ack struct {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"lapushdb/internal/store"
 	"lapushdb/internal/workload"
 )
 
@@ -144,33 +145,15 @@ type batchBody struct {
 	Method  string           `json:"method,omitempty"`
 }
 
-// mutation mirrors store.Mutation's wire shape, local like the bodies
-// above; a test pins the JSON compatibility of the two declarations.
-type mutation struct {
-	Op    string   `json:"op"`
-	Rel   string   `json:"rel,omitempty"`
-	Cols  []string `json:"cols,omitempty"`
-	Tuple []string `json:"tuple,omitempty"`
-	P     *float64 `json:"p,omitempty"`
-}
-
-// Mutation op names, as internal/store defines them.
-const (
-	opCreateRelation = "create_relation"
-	opInsert         = "insert"
-	opSetProb        = "set_prob"
-	opDelete         = "delete"
-)
-
 type ingestBody struct {
-	Mutations []mutation `json:"mutations"`
+	Mutations []store.Mutation `json:"mutations"`
 }
 
 func queryReq(body queryBody) Request {
 	return Request{Method: "POST", Path: "/v1/query", Body: mustJSON(body)}
 }
 
-func ingestReq(muts []mutation, tolerate bool) Request {
+func ingestReq(muts []store.Mutation, tolerate bool) Request {
 	return Request{Method: "POST", Path: "/v1/ingest", Body: mustJSON(ingestBody{Mutations: muts}), TolerateConflict: tolerate}
 }
 
@@ -187,22 +170,22 @@ func SetupRequests(c Config) []Request {
 	c = c.WithDefaults()
 	r := rng(c.Seed, -1)
 
-	creates := []mutation{
-		{Op: opCreateRelation, Rel: "BenchR1", Cols: []string{"x0", "x1"}},
-		{Op: opCreateRelation, Rel: "BenchR2", Cols: []string{"x1", "x2"}},
-		{Op: opCreateRelation, Rel: "BenchR3", Cols: []string{"x2", "x3"}},
-		{Op: opCreateRelation, Rel: "BenchS1", Cols: []string{"c", "x1"}},
-		{Op: opCreateRelation, Rel: "BenchS2", Cols: []string{"x2"}},
-		{Op: opCreateRelation, Rel: "BenchS0", Cols: []string{"x1", "x2"}},
-		{Op: opCreateRelation, Rel: "BenchSupplier", Cols: []string{"s", "a"}},
-		{Op: opCreateRelation, Rel: "BenchPartsupp", Cols: []string{"s", "u"}},
-		{Op: opCreateRelation, Rel: "BenchPart", Cols: []string{"u", "n"}},
+	creates := []store.Mutation{
+		{Op: store.OpCreateRelation, Rel: "BenchR1", Cols: []string{"x0", "x1"}},
+		{Op: store.OpCreateRelation, Rel: "BenchR2", Cols: []string{"x1", "x2"}},
+		{Op: store.OpCreateRelation, Rel: "BenchR3", Cols: []string{"x2", "x3"}},
+		{Op: store.OpCreateRelation, Rel: "BenchS1", Cols: []string{"c", "x1"}},
+		{Op: store.OpCreateRelation, Rel: "BenchS2", Cols: []string{"x2"}},
+		{Op: store.OpCreateRelation, Rel: "BenchS0", Cols: []string{"x1", "x2"}},
+		{Op: store.OpCreateRelation, Rel: "BenchSupplier", Cols: []string{"s", "a"}},
+		{Op: store.OpCreateRelation, Rel: "BenchPartsupp", Cols: []string{"s", "u"}},
+		{Op: store.OpCreateRelation, Rel: "BenchPart", Cols: []string{"u", "n"}},
 	}
 	reqs := []Request{ingestReq(creates, true)}
 
-	var muts []mutation
+	var muts []store.Mutation
 	add := func(rel string, tuple []string, p float64) {
-		muts = append(muts, mutation{Op: opInsert, Rel: rel, Tuple: tuple, P: &p})
+		muts = append(muts, store.Mutation{Op: store.OpInsert, Rel: rel, Tuple: tuple, P: &p})
 	}
 	// Chain: R1(x0, x1), R2(x1, x2), R3(x2, x3).
 	for i := 1; i <= 3; i++ {
@@ -306,10 +289,10 @@ func replicaReadWorkload(c Config) Workload {
 			r := rng(c.Seed, i)
 			if i%4 == 0 {
 				tuple := []string{strconv.Itoa(r.Intn(c.ChainDomain)), "rep" + strconv.FormatInt(i, 10)}
-				return ingestReq([]mutation{
-					{Op: opInsert, Rel: "BenchR2", Tuple: tuple, P: fprob(r, c.PiMax)},
-					{Op: opSetProb, Rel: "BenchR2", Tuple: tuple, P: fprob(r, c.PiMax)},
-					{Op: opDelete, Rel: "BenchR2", Tuple: tuple},
+				return ingestReq([]store.Mutation{
+					{Op: store.OpInsert, Rel: "BenchR2", Tuple: tuple, P: fprob(r, c.PiMax)},
+					{Op: store.OpSetProb, Rel: "BenchR2", Tuple: tuple, P: fprob(r, c.PiMax)},
+					{Op: store.OpDelete, Rel: "BenchR2", Tuple: tuple},
 				}, false)
 			}
 			req := queryReq(queryBody{

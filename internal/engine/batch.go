@@ -19,10 +19,9 @@ import (
 // the semi-join-reduced row sets the subplan's scans read, so two
 // queries share an entry exactly when evaluating the subplan standalone
 // would produce bit-identical results — reuse can therefore never
-// change any output bit relative to one-at-a-time evaluation, and the
-// bit-identical-across-Workers contract of morsel.go extends to shared
-// entries (each entry is computed once, deterministically, regardless
-// of which query's evaluator gets there first).
+// change any output bit relative to one-at-a-time evaluation (each
+// entry is computed once, in the fixed reduction order of morsel.go,
+// regardless of which query's evaluator gets there first).
 //
 // The memo also carries the batch's shared intermediate-row budget:
 // MaxIntermediateRows bounds the whole batch, with rows for a shared

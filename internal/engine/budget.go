@@ -21,9 +21,9 @@ import (
 var ErrBudget = errors.New("engine: intermediate row budget exceeded")
 
 // rowBudget tracks intermediate rows materialized by one evaluation.
-// The counter is shared by the calling goroutine and all morsel helpers,
-// so it is atomic; a nil budget is unlimited and costs one nil check per
-// charge site.
+// A batch's evaluators may share one budget through its BatchMemo and
+// run concurrently, so the counter is atomic; a nil budget is unlimited
+// and costs one nil check per charge site.
 type rowBudget struct {
 	limit int64
 	used  atomic.Int64
@@ -40,8 +40,8 @@ func newRowBudget(limit int) *rowBudget {
 
 // charge accounts n freshly materialized rows, unwinding with a typed
 // budget error once the total exceeds the limit. The check is
-// cooperative: concurrent morsel helpers may overshoot by at most one
-// in-flight row each before the first panic propagates.
+// cooperative: concurrent evaluators sharing a budget may overshoot by
+// at most one in-flight charge each before the first panic propagates.
 func (b *rowBudget) charge(n int) {
 	if b == nil || n == 0 {
 		return

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -27,14 +26,11 @@ func budgetDB(n, m int) *DB {
 	return db
 }
 
-func evalWithBudget(db *DB, maxRows, workers int) error {
+func evalWithBudget(db *DB, maxRows int) error {
 	q := cq.MustParse("q() :- R(x), S(x, y)")
 	plans := core.MinimalPlans(q, nil)
 	return TrapCancel(func() {
-		EvalPlansCtx(nil, db, q, plans, Options{
-			MaxIntermediateRows: maxRows,
-			Workers:             workers,
-		})
+		EvalPlansCtx(nil, db, q, plans, Options{MaxIntermediateRows: maxRows})
 	})
 }
 
@@ -42,17 +38,16 @@ func TestBudgetExceededIsTyped(t *testing.T) {
 	// The safe plan π{}(R ⋈ π{x}S) materializes ~302 rows here (two
 	// 100-row scans plus the join); a 150-row cap must abort it.
 	db := budgetDB(100, 100)
-	err := evalWithBudget(db, 150, 1)
+	err := evalWithBudget(db, 150)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}
 }
 
 func TestBudgetExceededParallel(t *testing.T) {
-	// The budget counter is shared across morsel helpers; the typed
-	// error must surface through forChunks' helper drain. Drive join
-	// directly with a pooled exec so the probe spans several morsels and
-	// every chunk's matches charge from a helper goroutine.
+	// A probe chunk charges its matches to the budget and the typed
+	// error surfaces from inside the chunk loop. Drive join directly so
+	// the probe spans several morsels.
 	n := 3 * morselSize
 	in := newResult([]cq.Var{"x"})
 	for i := 0; i < n; i++ {
@@ -60,11 +55,7 @@ func TestBudgetExceededParallel(t *testing.T) {
 		in.ids[0] = append(in.ids[0], int32(i))
 		in.scores = append(in.scores, 0.5)
 	}
-	ex := &exec{
-		c:      &canceller{},
-		pool:   newPool(context.Background(), 4),
-		budget: newRowBudget(n / 2),
-	}
+	ex := &exec{c: &canceller{}, budget: newRowBudget(n / 2)}
 	err := TrapCancel(func() { join(in, in, ex) })
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
@@ -86,7 +77,6 @@ func TestBudgetBatchChargingParity(t *testing.T) {
 			err := TrapCancel(func() {
 				EvalPlansCtx(nil, db, q, plans, Options{
 					MaxIntermediateRows: limit,
-					Workers:             1,
 					Oracle:              oracle,
 				})
 			})
@@ -128,7 +118,7 @@ func TestBudgetBatchChargingParity(t *testing.T) {
 
 func TestBudgetDisabledByDefault(t *testing.T) {
 	db := budgetDB(50, 50)
-	if err := evalWithBudget(db, 0, 1); err != nil {
+	if err := evalWithBudget(db, 0); err != nil {
 		t.Fatalf("unbudgeted evaluation failed: %v", err)
 	}
 }
@@ -178,7 +168,7 @@ func TestBudgetSpansAllPlans(t *testing.T) {
 
 func TestBudgetErrorMentionsLimit(t *testing.T) {
 	db := budgetDB(100, 100)
-	err := evalWithBudget(db, 42, 1)
+	err := evalWithBudget(db, 42)
 	if err == nil || !errors.Is(err, ErrBudget) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}

@@ -28,8 +28,8 @@ type Value int64
 // noValue is the resolution of a query constant that appears nowhere in
 // the database: it compares unequal to every stored Value and fails every
 // numeric comparison, so scans filter correctly without mutating the
-// string dictionary at query time (which would race under parallel
-// evaluation).
+// string dictionary at query time (which would race between concurrent
+// queries).
 const noValue Value = -1 << 62
 
 // DB is a tuple-independent probabilistic database: a set of relations
@@ -80,8 +80,8 @@ type Relation struct {
 
 	// Secondary indexes, built lazily (see index.go). Not persisted, and
 	// only their declarations survive cloning: they rebuild on first
-	// use. idxMu serializes the lazy builds: scans may run concurrently
-	// under parallel evaluation.
+	// use. idxMu serializes the lazy builds: concurrent queries scan the
+	// same relation.
 	idxMu    sync.Mutex
 	hashIdx  map[int]*hashIndex
 	rangeIdx map[int]*rangeIndex

@@ -163,13 +163,10 @@ type Options struct {
 	// sampling, and exact expansion all read the same reduced lineage —
 	// share one reduction. It takes precedence over SemiJoin.
 	Reduced map[string][]int32
-	// Workers bounds the helper goroutines of the join phases that split
-	// into morsels (hash-table build and the two probe passes of a
-	// materialized join): up to Workers goroutines, the calling one
-	// included. Scan, projection, the fused π(⋈) probe and min run on the
-	// calling goroutine at every setting. Values <= 1 spawn no helpers.
-	// Chunk layout depends only on input sizes — never on Workers — so
-	// output scores are bit-identical across all settings (see morsel.go).
+	// Workers is ignored: every evaluation runs on the calling goroutine.
+	// The field only keeps perfbench/api.go compiling and is removed by
+	// the next benchmark issue together with the engine.eval_plans_w2_ms
+	// and engine.partitions_per_query probes.
 	Workers int
 	// Stats, when non-nil, accumulates execution counters (morsel chunks
 	// and join partitions processed) across the evaluation. Safe to share
@@ -203,16 +200,10 @@ type Evaluator struct {
 	cache   map[string]*Result
 	reduced map[string][]int32 // atom relation -> surviving row indices
 	cancel  canceller
-	pool    *pool      // helper goroutines for morsel parallelism; nil = sequential
-	budget  *rowBudget // intermediate row budget; nil = unlimited
+	exec    exec       // what operators see: cancel, opts.Stats, the row budget
 	memo    *BatchMemo // cross-query subplan memo; nil outside batches
 	redFP   map[string]string
 	prof    *profiler // per-node hook of EvalProfiled; nil = not profiling
-}
-
-// ex returns the operator execution context for this evaluator.
-func (e *Evaluator) ex() *exec {
-	return &exec{c: &e.cancel, pool: e.pool, stats: e.opts.Stats, budget: e.budget}
 }
 
 // NewEvaluator prepares an evaluator for one query evaluation. If
@@ -229,8 +220,7 @@ func NewEvaluator(db *DB, q *cq.Query, opts Options) *Evaluator {
 func NewEvaluatorCtx(ctx context.Context, db *DB, q *cq.Query, opts Options) *Evaluator {
 	e := &Evaluator{db: db, opts: opts}
 	e.cancel.ctx = ctx
-	e.pool = newPool(ctx, opts.Workers)
-	e.budget = newRowBudget(opts.MaxIntermediateRows)
+	e.exec = exec{c: &e.cancel, stats: opts.Stats, budget: newRowBudget(opts.MaxIntermediateRows)}
 	e.bindMemo()
 	if opts.ReuseSubplans {
 		e.cache = map[string]*Result{}
@@ -253,7 +243,7 @@ func (e *Evaluator) bindMemo() {
 	}
 	e.memo = m
 	if m.budget != nil {
-		e.budget = m.budget
+		e.exec.budget = m.budget
 	}
 }
 
@@ -298,17 +288,17 @@ func (e *Evaluator) evalNode(p plan.Node) *Result {
 			e.prof.markFused()
 			break
 		}
-		out = project(e.Eval(t.Child), t.OnTo, e.ex())
+		out = project(e.Eval(t.Child), t.OnTo, &e.exec)
 	case *plan.Join:
 		results := make([]*Result, len(t.Subs))
 		for i, c := range t.Subs {
 			results[i] = e.Eval(c)
 		}
-		out = foldJoin(results, e.ex(), join)
+		out = foldJoin(results, &e.exec, join)
 	case *plan.Min:
 		out = e.Eval(t.Subs[0])
 		if len(t.Subs) > 1 {
-			fold := newMinFold(out, e.ex())
+			fold := newMinFold(out, &e.exec)
 			for _, c := range t.Subs[1:] {
 				fold.merge(e.Eval(c))
 			}
@@ -330,10 +320,9 @@ func EvalPlans(db *DB, q *cq.Query, plans []plan.Node, opts Options) *Result {
 // EvalPlansCtx is EvalPlans bound to a context (see NewEvaluatorCtx).
 func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, opts Options) *Result {
 	// One evaluator serves every plan, so the semi-join reduction is
-	// computed once, the helper pool is built once, and one row budget
-	// spans the query: MaxIntermediateRows bounds the query, not each of
-	// its (possibly many) minimal plans. Only the subplan cache is per
-	// plan.
+	// computed once and one row budget spans the query:
+	// MaxIntermediateRows bounds the query, not each of its (possibly
+	// many) minimal plans. Only the subplan cache is per plan.
 	e := NewEvaluatorCtx(ctx, db, q, opts)
 	var out *Result
 	var fold *minFold
@@ -344,10 +333,10 @@ func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, o
 		case out == nil:
 			out = r
 		case opts.Oracle:
-			out = oracleCombineMin(out, r, e.ex())
+			out = oracleCombineMin(out, r, &e.exec)
 		default:
 			if fold == nil {
-				fold = newMinFold(out, e.ex())
+				fold = newMinFold(out, &e.exec)
 			}
 			fold.merge(r)
 			out = fold.out
@@ -383,7 +372,7 @@ func (e *Evaluator) scan(s *plan.Scan) *Result {
 	if all {
 		m = rel.Len()
 	}
-	e.budget.charge(m)
+	e.exec.charge(m)
 	out.scores = make([]float64, m)
 	if all {
 		copy(out.scores, rel.prob)
@@ -702,7 +691,7 @@ func (g *likeSeg) index(s string) int {
 // boundary. That float-operation sequence — per-chunk ∏(1 − s) in row
 // order, partials folded chunk-ascending in first-touch order — is the
 // one the row-at-a-time oracle's per-chunk tables and merge perform, so
-// outputs are bit-identical to it at every Workers setting.
+// outputs are bit-identical to it.
 type projAccum struct {
 	out     *Result
 	g       *groupTable
@@ -966,7 +955,8 @@ func join(l, r *Result, ex *exec) *Result {
 	starts := make([]int32, np)
 	cnts := make([]int32, np)
 	chunkTotal := make([]int, pChunks)
-	ex.forChunks(pChunks, func(ci int, c *canceller) {
+	c := ex.canc()
+	forChunks(pChunks, func(ci int) {
 		sg := newColSigner(probeKeys)
 		wide := sg.wide()
 		lo, hi := chunkBounds(ci, np)
@@ -996,7 +986,7 @@ func join(l, r *Result, ex *exec) *Result {
 		out.ids[k] = make([]int32, total)
 	}
 	bscores, pscores := jl.build.scores, jl.probe.scores
-	ex.forChunks(pChunks, func(ci int, c *canceller) {
+	forChunks(pChunks, func(ci int) {
 		lo, hi := chunkBounds(ci, np)
 		o := offs[ci]
 		oo := o

@@ -113,33 +113,30 @@ func FuzzLikeMatch(f *testing.F) {
 }
 
 // FuzzMorselDifferential fuzzes the executors against each other: for
-// any parseable query and any random instance, every Workers setting
-// must produce the same rows in the same order with bit-identical
-// scores, the columnar streaming executor must byte-identically match
-// the retained row-at-a-time oracle, and both executors must fail with
-// the same typed error (ErrBudget, context cancellation) on the same
-// inputs.
+// any parseable query and any random instance, the columnar streaming
+// executor must byte-identically match the retained row-at-a-time
+// oracle, and both executors must fail with the same typed error
+// (ErrBudget, context cancellation) on the same inputs.
 func FuzzMorselDifferential(f *testing.F) {
 	type seed struct {
-		query   string
-		seed    int64
-		rows    uint16
-		workers uint8
+		query string
+		seed  int64
+		rows  uint16
 	}
 	seeds := []seed{
-		{"q() :- R1(x0, x1), R2(x1, x2), R3(x2, x3)", 1, 200, 4}, // unsafe 3-chain (paper Fig. 2)
-		{"q(z) :- R(z, x), S(x, y), T(y)", 2, 150, 2},
-		{"q() :- R(x), S(y), T(x, y)", 3, 100, 8}, // unsafe 2-star
-		{"q(w) :- R(w, x), S(x), T(x, y), U(y)", 4, 120, 3},
-		{"q() :- R(x), S(x, y)", 5, 80, 2}, // safe: exact either way
-		{"q() :- R(x), S(x), T(x, y), U(y)", 6, 300, 4},
-		{"q(x1) :- R0(x1, x2, x3), R1(x1), R2(x2), R3(x3)", 7, 250, 5}, // 3-star with head var
-		{"q() :- A(x), B(y), M(x, y)", 8, 400, 2},
+		{"q() :- R1(x0, x1), R2(x1, x2), R3(x2, x3)", 1, 200}, // unsafe 3-chain (paper Fig. 2)
+		{"q(z) :- R(z, x), S(x, y), T(y)", 2, 150},
+		{"q() :- R(x), S(y), T(x, y)", 3, 100}, // unsafe 2-star
+		{"q(w) :- R(w, x), S(x), T(x, y), U(y)", 4, 120},
+		{"q() :- R(x), S(x, y)", 5, 80}, // safe: exact either way
+		{"q() :- R(x), S(x), T(x, y), U(y)", 6, 300},
+		{"q(x1) :- R0(x1, x2, x3), R1(x1), R2(x2), R3(x3)", 7, 250}, // 3-star with head var
+		{"q() :- A(x), B(y), M(x, y)", 8, 400},
 	}
 	for _, s := range seeds {
-		f.Add(s.query, s.seed, s.rows, s.workers)
+		f.Add(s.query, s.seed, s.rows)
 	}
-	f.Fuzz(func(t *testing.T, query string, seed int64, rows uint16, workers uint8) {
+	f.Fuzz(func(t *testing.T, query string, seed int64, rows uint16) {
 		q, err := cq.Parse(query)
 		if err != nil {
 			return
@@ -161,25 +158,13 @@ func FuzzMorselDifferential(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		db := randomDB(q, 16, int(rows%512)+1, 0.9, rng)
 		for _, opts := range []Options{{}, {ReuseSubplans: true, SemiJoin: true}} {
-			opts.Workers = 1
-			ref := EvalPlans(db, q, plans, opts)
-			refEnc := encodeResult(ref)
-			// Parallel vs sequential, same executor.
-			opts.Workers = int(workers%8) + 2
-			got := EvalPlans(db, q, plans, opts)
-			if string(encodeResult(got)) != string(refEnc) {
-				t.Fatalf("workers=%d: parallel encoding differs from sequential", opts.Workers)
-			}
-			// Columnar executor vs the row-at-a-time oracle, both Workers
-			// settings: byte-identical encodings.
-			for _, w := range []int{1, opts.Workers} {
-				orcOpts := opts
-				orcOpts.Workers = w
-				orcOpts.Oracle = true
-				orc := EvalPlans(db, q, plans, orcOpts)
-				if string(encodeResult(orc)) != string(refEnc) {
-					t.Fatalf("oracle workers=%d: encoding differs from executor", w)
-				}
+			refEnc := encodeResult(EvalPlans(db, q, plans, opts))
+			// Columnar executor vs the row-at-a-time oracle:
+			// byte-identical encodings.
+			orcOpts := opts
+			orcOpts.Oracle = true
+			if string(encodeResult(EvalPlans(db, q, plans, orcOpts))) != string(refEnc) {
+				t.Fatalf("oracle encoding differs from executor")
 			}
 			// The reduction itself is one more input: it equals the all-pairs
 			// reference, and evaluating with it precomputed changes no bit.
@@ -199,7 +184,6 @@ func FuzzMorselDifferential(f *testing.F) {
 			// the same typed error.
 			budget := int(rows%64) + 1
 			bOpts := opts
-			bOpts.Workers = 1
 			bOpts.MaxIntermediateRows = budget
 			errNew := TrapCancel(func() { EvalPlansCtx(nil, db, q, plans, bOpts) })
 			bOpts.Oracle = true
@@ -212,7 +196,6 @@ func FuzzMorselDifferential(f *testing.F) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			cOpts := opts
-			cOpts.Workers = 1
 			errNew = TrapCancel(func() { EvalPlansCtx(ctx, db, q, plans, cOpts) })
 			cOpts.Oracle = true
 			errOrc = TrapCancel(func() { EvalPlansCtx(ctx, db, q, plans, cOpts) })

@@ -305,7 +305,7 @@ func EvalDeterministicCtx(ctx context.Context, db *DB, q *cq.Query) *Result {
 		if cur == nil {
 			cur = s
 		} else {
-			cur = join(cur, s, e.ex())
+			cur = join(cur, s, &e.exec)
 		}
 		keep := cq.NewVarSet(cur.Cols...).Intersect(needed[i].Union(head))
 		cur = projectSet(cur, keep.Sorted())

@@ -1,26 +1,19 @@
 package engine
 
-import (
-	"context"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Morsel-driven intra-plan parallelism. Operators split their input row
-// ranges into fixed-size chunks ("morsels") and evaluate chunks on a
-// bounded pool of helper goroutines, the calling goroutine included.
+// Operators split their input row ranges into fixed-size chunks
+// ("morsels") and process them in chunk order on the calling goroutine:
+// one goroutine per query.
 //
-// The determinism contract: chunk boundaries depend only on the input
-// size (morselSize is a constant), every chunk's partial result is
-// computed in row order, and partials are merged on one goroutine in
-// chunk order. Which goroutine computes a chunk therefore never affects
-// any output bit — scores are bit-identical across every Workers
-// setting, including fully sequential execution (one worker runs the
-// same chunks in the same order).
+// The reduction-order contract: chunk boundaries depend only on the
+// input size (morselSize is a constant), every chunk's partial result is
+// computed in row order, and partials are folded in chunk order. The
+// float-operation sequence of an evaluation is therefore fixed by its
+// input — the same database and plans give the same bits every time.
 
-// morselSize is the number of rows per chunk. It trades scheduling
-// overhead against load balance; it must stay constant within one
-// process for the determinism contract to hold across worker counts.
+// morselSize is the number of rows per chunk. It fixes where partial
+// products are folded, so changing it changes low-order score bits.
 const morselSize = 2048
 
 // joinPartitions is the partition-count of the partitioned hash-join
@@ -28,46 +21,21 @@ const morselSize = 2048
 // key to exactly one partition, so the count never affects results.
 const joinPartitions = 16
 
-// EvalStats accumulates execution counters across one evaluation (or a
-// group of parallel plan evaluations sharing it). All methods are safe
-// for concurrent use.
+// EvalStats accumulates execution counters across one evaluation (or
+// several evaluators sharing it). Safe for concurrent use.
 type EvalStats struct {
-	partitions  atomic.Int64
-	parallelOps atomic.Int64
+	partitions atomic.Int64
 }
 
 // Partitions returns the total number of morsel chunks and hash-join
-// partitions processed by partitioned operators.
+// partitions processed by operator phases that spanned more than one.
 func (s *EvalStats) Partitions() int64 { return s.partitions.Load() }
 
-// ParallelOps returns the number of operator phases that ran
-// partitioned (more than one chunk or partition).
-func (s *EvalStats) ParallelOps() int64 { return s.parallelOps.Load() }
-
-// pool bounds the helper goroutines available for intra-plan
-// parallelism. Capacity is workers-1: the calling goroutine always
-// participates, so Workers=1 spawns no goroutines at all.
-type pool struct {
-	ctx context.Context
-	sem chan struct{}
-}
-
-// newPool returns a pool admitting workers-1 helpers, or nil when
-// workers <= 1 (sequential execution).
-func newPool(ctx context.Context, workers int) *pool {
-	if workers <= 1 {
-		return nil
-	}
-	return &pool{ctx: ctx, sem: make(chan struct{}, workers-1)}
-}
-
-// exec carries the per-operator execution context: the calling
-// goroutine's canceller, the (possibly nil) helper pool, the (possibly
-// nil) stats sink, and the (possibly nil) intermediate row budget. A
-// nil exec runs sequentially, uncancellably, and unbudgeted.
+// exec carries the per-operator execution context: the evaluator's
+// canceller, the (possibly nil) stats sink, and the (possibly nil)
+// intermediate row budget. A nil exec runs uncancellably and unbudgeted.
 type exec struct {
 	c      *canceller
-	pool   *pool
 	stats  *EvalStats
 	budget *rowBudget
 }
@@ -80,7 +48,7 @@ func (ex *exec) canc() *canceller {
 }
 
 // charge accounts n materialized intermediate rows against the
-// evaluation's budget (see budget.go). Safe from morsel helpers.
+// evaluation's budget (see budget.go).
 func (ex *exec) charge(n int) {
 	if ex == nil {
 		return
@@ -88,13 +56,12 @@ func (ex *exec) charge(n int) {
 	ex.budget.charge(n)
 }
 
-// addPartitions records n partitioned work units in the stats sink.
+// addPartitions records n chunks or partitions in the stats sink.
 func (ex *exec) addPartitions(n int) {
 	if ex == nil || ex.stats == nil {
 		return
 	}
 	ex.stats.partitions.Add(int64(n))
-	ex.stats.parallelOps.Add(1)
 }
 
 // chunkBounds returns the row range [lo, hi) of chunk ci over n rows.
@@ -109,67 +76,10 @@ func chunkBounds(ci, n int) (int, int) {
 
 func numChunks(n int) int { return (n + morselSize - 1) / morselSize }
 
-// forChunks runs fn(chunk, canceller) for every chunk in [0, n). The
-// calling goroutine always works; helper goroutines join only while
-// pool slots are free (acquired without blocking, so nested parallel
-// operators degrade to inline execution instead of deadlocking). Each
-// helper polls the context through its own canceller; the first
-// cancellation observed is re-raised on the calling goroutine after all
-// helpers have drained, preserving the TrapCancel contract.
-func (ex *exec) forChunks(n int, fn func(chunk int, c *canceller)) {
-	var p *pool
-	var parent *canceller
-	if ex != nil {
-		p, parent = ex.pool, ex.c
-	}
-	if p == nil || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i, parent)
-		}
-		return
-	}
-	var next atomic.Int64
-	work := func(c *canceller) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i, c)
-		}
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var helperErr error
-	for spawned := 0; spawned < n-1; spawned++ {
-		select {
-		case p.sem <- struct{}{}:
-		default:
-			spawned = n // no free slot: stop trying
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-p.sem }()
-			if err := TrapCancel(func() { work(&canceller{ctx: p.ctx}) }); err != nil {
-				mu.Lock()
-				if helperErr == nil {
-					helperErr = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	// The caller's cancellation must also wait for helpers to drain
-	// (they write into shared per-chunk slots) before unwinding.
-	callerErr := TrapCancel(func() { work(parent) })
-	wg.Wait()
-	if callerErr != nil {
-		panic(evalCancelled{callerErr})
-	}
-	if helperErr != nil {
-		panic(evalCancelled{helperErr})
+// forChunks runs fn for every chunk in [0, n), in chunk order.
+func forChunks(n int, fn func(chunk int)) {
+	for ci := 0; ci < n; ci++ {
+		fn(ci)
 	}
 }
 
@@ -192,9 +102,9 @@ type joinPartition struct {
 	start []int32 // gid -> offset into the segment, len = groups+1
 }
 
-// buildJoinTable hashes the build side's key columns in parallel
-// morsels, scatters rows to partitions (a stable counting sort, so row
-// ids stay ascending), and builds the per-partition tables in parallel.
+// buildJoinTable hashes the build side's key columns morsel by morsel,
+// scatters rows to partitions (a stable counting sort, so row ids stay
+// ascending), and builds the per-partition tables in partition order.
 // Every array is pre-sized exactly from the build cardinality: the
 // signature array, the partition segments, and each partition's group
 // table (sized to its row count, an upper bound on its key count).
@@ -210,7 +120,8 @@ func buildJoinTable(build *Result, pos []int, ex *exec) *joinTable {
 	if nChunks > 1 {
 		ex.addPartitions(nChunks)
 	}
-	ex.forChunks(nChunks, func(ci int, c *canceller) {
+	c := ex.canc()
+	forChunks(nChunks, func(ci int) {
 		sg := newColSigner(keyCols)
 		lo, hi := chunkBounds(ci, n)
 		for i := lo; i < hi; i++ {
@@ -246,7 +157,7 @@ func buildJoinTable(build *Result, pos []int, ex *exec) *joinTable {
 		}
 		ex.addPartitions(p)
 	}
-	ex.forChunks(p, func(pi int, c *canceller) {
+	forChunks(p, func(pi int) {
 		rows := prows[offs[pi]:offs[pi+1]]
 		seg := jt.rows[offs[pi]:offs[pi+1]]
 		part := &jt.parts[pi]

@@ -129,17 +129,17 @@ func (e *Evaluator) oracleEvalNode(p plan.Node) *Result {
 	case *plan.Scan:
 		out = e.oracleScan(t)
 	case *plan.Project:
-		out = oracleProject(e.Eval(t.Child), t.OnTo, e.ex())
+		out = oracleProject(e.Eval(t.Child), t.OnTo, &e.exec)
 	case *plan.Join:
 		results := make([]*Result, len(t.Subs))
 		for i, c := range t.Subs {
 			results[i] = e.Eval(c)
 		}
-		out = foldJoin(results, e.ex(), oracleJoin)
+		out = foldJoin(results, &e.exec, oracleJoin)
 	case *plan.Min:
 		out = e.Eval(t.Subs[0])
 		for _, c := range t.Subs[1:] {
-			out = oracleCombineMin(out, e.Eval(c), e.ex())
+			out = oracleCombineMin(out, e.Eval(c), &e.exec)
 		}
 	default:
 		panic("engine: unknown plan node")
@@ -159,7 +159,7 @@ func (e *Evaluator) oracleScan(s *plan.Scan) *Result {
 		if !filter.ok(row) {
 			return
 		}
-		e.budget.charge(1)
+		e.exec.charge(1)
 		vrow := rel.vidRow(i)
 		for k, j := range pos {
 			out.vals[k] = append(out.vals[k], row[j])
@@ -210,13 +210,14 @@ func oracleProject(in *Result, onto []cq.Var, ex *exec) *Result {
 	if nChunks > 1 {
 		ex.addPartitions(nChunks)
 	}
-	ex.forChunks(nChunks, func(ci int, c *canceller) {
+	cc := ex.canc()
+	forChunks(nChunks, func(ci int) {
 		lo, hi := chunkBounds(ci, n)
 		g := newOracleTable(ka, hi-lo)
 		lg := &locals[ci]
 		key := make([]int32, ka)
 		for i := lo; i < hi; i++ {
-			c.check()
+			cc.check()
 			for k, j := range keep {
 				key[k] = in.ids[j][i]
 			}
@@ -230,7 +231,6 @@ func oracleProject(in *Result, onto []cq.Var, ex *exec) *Result {
 		}
 	})
 	global := newOracleTable(ka, len(locals[0].firstRow))
-	cc := ex.canc()
 	key := make([]int32, ka)
 	for ci := range locals {
 		lg := &locals[ci]
@@ -278,7 +278,8 @@ func buildOracleJoinTable(build *Result, pos []int, ex *exec) *oracleJoinTable {
 	if nChunks > 1 {
 		ex.addPartitions(nChunks)
 	}
-	ex.forChunks(nChunks, func(ci int, c *canceller) {
+	c := ex.canc()
+	forChunks(nChunks, func(ci int) {
 		key := make([]int32, ka)
 		lo, hi := chunkBounds(ci, n)
 		for i := lo; i < hi; i++ {
@@ -317,7 +318,7 @@ func buildOracleJoinTable(build *Result, pos []int, ex *exec) *oracleJoinTable {
 		}
 		ex.addPartitions(p)
 	}
-	ex.forChunks(p, func(pi int, c *canceller) {
+	forChunks(p, func(pi int) {
 		rows := prows[offs[pi]:offs[pi+1]]
 		part := &jt.parts[pi]
 		part.g = newOracleTable(ka, len(rows))
@@ -419,7 +420,8 @@ func oracleJoin(l, r *Result, ex *exec) *Result {
 	if pChunks > 1 {
 		ex.addPartitions(pChunks)
 	}
-	ex.forChunks(pChunks, func(ci int, c *canceller) {
+	c := ex.canc()
+	forChunks(pChunks, func(ci int) {
 		lo, hi := chunkBounds(ci, np)
 		b := &bufs[ci]
 		b.vals = make([][]Value, len(outCols))

@@ -56,9 +56,8 @@ func nodesThatRun(root plan.Node) []profiledNode {
 // TestEvalProfiled pins the profiling hook on the one Eval: the profiled
 // result is bit-identical to plain Eval, there is exactly one NodeStat
 // per node that ran (cache hits and fused π(⋈) marked, and rendered so
-// by FormatProfile), each with the node's own output cardinality, at
-// Workers 1 and 4. That the hook costs nothing when off is
-// TestChainJoinAllocGate's ceiling.
+// by FormatProfile), each with the node's own output cardinality. That
+// the hook costs nothing when off is TestChainJoinAllocGate's ceiling.
 func TestEvalProfiled(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	type shape struct {
@@ -77,49 +76,47 @@ func TestEvalProfiled(t *testing.T) {
 	for _, sh := range shapes {
 		sp := core.SinglePlan(sh.q, nil)
 		want := nodesThatRun(sp)
-		for _, w := range []int{1, 4} {
-			label := fmt.Sprintf("%s/w=%d", sh.label, w)
-			opts := engine.Options{ReuseSubplans: true, SemiJoin: true, Workers: w}
-			plain := engine.NewEvaluator(sh.db, sh.q, opts)
-			res, stats := engine.NewEvaluator(sh.db, sh.q, opts).EvalProfiled(sp)
-			ref := plain.Eval(sp)
-			if res.Len() != ref.Len() || res.Len() == 0 {
-				t.Fatalf("%s: profiled %d rows vs plain %d", label, res.Len(), ref.Len())
+		label := sh.label
+		opts := engine.Options{ReuseSubplans: true, SemiJoin: true}
+		plain := engine.NewEvaluator(sh.db, sh.q, opts)
+		res, stats := engine.NewEvaluator(sh.db, sh.q, opts).EvalProfiled(sp)
+		ref := plain.Eval(sp)
+		if res.Len() != ref.Len() || res.Len() == 0 {
+			t.Fatalf("%s: profiled %d rows vs plain %d", label, res.Len(), ref.Len())
+		}
+		for i := 0; i < ref.Len(); i++ {
+			if fmt.Sprint(res.Row(i)) != fmt.Sprint(ref.Row(i)) ||
+				math.Float64bits(res.Score(i)) != math.Float64bits(ref.Score(i)) {
+				t.Fatalf("%s: row %d profiled %v %v vs plain %v %v", label, i, res.Row(i), res.Score(i), ref.Row(i), ref.Score(i))
 			}
-			for i := 0; i < ref.Len(); i++ {
-				if fmt.Sprint(res.Row(i)) != fmt.Sprint(ref.Row(i)) ||
-					math.Float64bits(res.Score(i)) != math.Float64bits(ref.Score(i)) {
-					t.Fatalf("%s: row %d profiled %v %v vs plain %v %v", label, i, res.Row(i), res.Score(i), ref.Row(i), ref.Score(i))
-				}
+		}
+		if len(stats) != len(want) {
+			t.Fatalf("%s: %d stats, want %d:\n%s", label, len(stats), len(want), engine.FormatProfile(stats))
+		}
+		hits, fused := 0, 0
+		for i, s := range stats {
+			if s.CacheHit {
+				hits++
 			}
-			if len(stats) != len(want) {
-				t.Fatalf("%s: %d stats, want %d:\n%s", label, len(stats), len(want), engine.FormatProfile(stats))
+			if s.Fused {
+				fused++
 			}
-			hits, fused := 0, 0
-			for i, s := range stats {
-				if s.CacheHit {
-					hits++
-				}
-				if s.Fused {
-					fused++
-				}
-				got := profiledNode{s.Node.Key(), s.Depth, s.CacheHit, s.Fused}
-				if got != want[i] {
-					t.Errorf("%s: stat %d = %+v, want %+v", label, i, got, want[i])
-				}
-				// plain has cached every node that ran, so this is a lookup.
-				if n := plain.Eval(s.Node).Len(); s.Rows != n {
-					t.Errorf("%s: stat %d (%s) rows %d, node's result has %d", label, i, plan.String(s.Node), s.Rows, n)
-				}
+			got := profiledNode{s.Node.Key(), s.Depth, s.CacheHit, s.Fused}
+			if got != want[i] {
+				t.Errorf("%s: stat %d = %+v, want %+v", label, i, got, want[i])
 			}
-			out := engine.FormatProfile(stats)
-			if fused == 0 || hits == 0 {
-				t.Errorf("%s: want fused projections and cache hits in the merged plan:\n%s", label, out)
+			// plain has cached every node that ran, so this is a lookup.
+			if n := plain.Eval(s.Node).Len(); s.Rows != n {
+				t.Errorf("%s: stat %d (%s) rows %d, node's result has %d", label, i, plan.String(s.Node), s.Rows, n)
 			}
-			if strings.Count(out, "\n") != len(stats) || strings.Count(out, "-way, fused)") != fused ||
-				strings.Count(out, "(cached)") != hits || !strings.Contains(out, "scan ") {
-				t.Errorf("%s: profile does not render %d nodes, %d fused, %d cached:\n%s", label, len(stats), fused, hits, out)
-			}
+		}
+		out := engine.FormatProfile(stats)
+		if fused == 0 || hits == 0 {
+			t.Errorf("%s: want fused projections and cache hits in the merged plan:\n%s", label, out)
+		}
+		if strings.Count(out, "\n") != len(stats) || strings.Count(out, "-way, fused)") != fused ||
+			strings.Count(out, "(cached)") != hits || !strings.Contains(out, "scan ") {
+			t.Errorf("%s: profile does not render %d nodes, %d fused, %d cached:\n%s", label, len(stats), fused, hits, out)
 		}
 	}
 }

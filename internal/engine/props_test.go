@@ -349,7 +349,7 @@ func TestPropOptimizationsPreserveScores(t *testing.T) {
 
 // assertIdenticalResults asserts two results have the same Cols and, in
 // the same order, the same rows with exactly equal (bit-identical)
-// scores — the morsel determinism contract.
+// scores.
 func assertIdenticalResults(t *testing.T, label string, seq, par *Result) {
 	t.Helper()
 	if !varsSliceEqual(seq.Cols, par.Cols) {
@@ -365,79 +365,69 @@ func assertIdenticalResults(t *testing.T, label string, seq, par *Result) {
 				t.Fatalf("%s: row %d differs: %v vs %v", label, i, sr, pr)
 			}
 		}
-		if seq.Score(i) != par.Score(i) {
+		if math.Float64bits(seq.Score(i)) != math.Float64bits(par.Score(i)) {
 			t.Fatalf("%s: row %d score %v != %v (diff %g)",
 				label, i, seq.Score(i), par.Score(i), seq.Score(i)-par.Score(i))
 		}
 	}
 }
 
-// TestPropMorselDifferential: evaluation with Workers ∈ {2, 8} returns
-// identical columns, rows, and bit-identical scores to Workers = 1, on
-// random instances across the query pool and optimization variants.
-func TestPropMorselDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for iter := 0; iter < 24; iter++ {
+// shuffledCopy rebuilds db with every relation's tuples re-inserted in
+// a random order (so row positions, lineage variable ids and dense value
+// ids all move, and the stored tuples and probabilities do not).
+func shuffledCopy(db *DB, rng *rand.Rand) *DB {
+	out := NewDB()
+	for _, r := range db.Relations() {
+		c := out.CreateRelation(r.Name, r.Cols)
+		for _, i := range rng.Perm(r.Len()) {
+			c.Insert(r.Row(i), r.Prob(i))
+		}
+	}
+	return out
+}
+
+// TestPropTupleOrderInvariance pins the "one reduction order" contract
+// from both sides. The order is fixed by the input: evaluating the same
+// database and plans twice returns Float64bits-identical results. And it
+// is only an order: re-inserting every relation's tuples shuffled leaves
+// the answer set identical and every score within 1e-12 — the products
+// are taken in another order, so low bits may move and nothing else may.
+func TestPropTupleOrderInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for iter := 0; iter < 32; iter++ {
 		qs := propQueries[iter%len(propQueries)]
 		q := cq.MustParse(qs)
-		db := randomDB(q, 4, 12, 1.0, rng)
+		db := randomDB(q, 6, 40, 1.0, rng)
+		shuffled := shuffledCopy(db, rng)
 		plans := core.MinimalPlans(q, nil)
-		for name, base := range map[string]Options{
+		for name, opts := range map[string]Options{
 			"plain": {},
 			"opt23": {ReuseSubplans: true, SemiJoin: true},
 		} {
-			seqOpts := base
-			seqOpts.Workers = 1
-			seq := EvalPlans(db, q, plans, seqOpts)
-			for _, w := range []int{2, 8} {
-				parOpts := base
-				parOpts.Workers = w
-				par := EvalPlans(db, q, plans, parOpts)
-				assertIdenticalResults(t, fmt.Sprintf("%s/%s/w=%d", qs, name, w), seq, par)
+			label := fmt.Sprintf("%s/%s", qs, name)
+			base := EvalPlans(db, q, plans, opts)
+			again := EvalPlans(db, q, plans, opts)
+			assertIdenticalResults(t, label+"/twice", base, again)
+			got := EvalPlans(shuffled, q, plans, opts)
+			if got.Len() != base.Len() {
+				t.Fatalf("%s: %d answers after shuffling, %d before", label, got.Len(), base.Len())
+			}
+			for i := 0; i < base.Len(); i++ {
+				score, ok := got.ScoreOf(base.Row(i))
+				if !ok {
+					t.Fatalf("%s: answer %v missing after shuffling", label, base.Row(i))
+				}
+				if math.Abs(score-base.Score(i)) > 1e-12 {
+					t.Errorf("%s: answer %v scores %v after shuffling, %v before", label, base.Row(i), score, base.Score(i))
+				}
 			}
 		}
 	}
 }
 
-// TestMorselDifferentialLarge runs the differential on a 3-chain whose
-// relations exceed morselSize, so the projection's chunk folds, the
-// partitioned join build, and the parallel probe all take their
-// multi-chunk paths.
-func TestMorselDifferentialLarge(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large differential skipped in -short")
-	}
-	rng := rand.New(rand.NewSource(20))
-	q := cq.MustParse("q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)")
-	db := NewDB()
-	n := 3*morselSize + 17 // > 1 chunk, non-aligned tail
-	domain := 300
-	for ri := 1; ri <= 3; ri++ {
-		r := db.CreateRelation(fmt.Sprintf("R%d", ri), []string{"a", "b"})
-		for i := 0; i < n; i++ {
-			r.Insert([]Value{Value(rng.Intn(domain)), Value(rng.Intn(domain))}, rng.Float64())
-		}
-	}
-	plans := core.MinimalPlans(q, nil)
-	stats := &EvalStats{}
-	seq := EvalPlans(db, q, plans, Options{Workers: 1, Stats: stats})
-	if stats.Partitions() == 0 {
-		t.Fatalf("expected partitioned operator phases on %d-row inputs", n)
-	}
-	for _, w := range []int{2, 8} {
-		par := EvalPlans(db, q, plans, Options{Workers: w})
-		assertIdenticalResults(t, fmt.Sprintf("chain3-large/w=%d", w), seq, par)
-	}
-	// The semi-join-reduced and subplan-reusing variant too.
-	seqOpt := EvalPlans(db, q, plans, Options{Workers: 1, ReuseSubplans: true, SemiJoin: true})
-	parOpt := EvalPlans(db, q, plans, Options{Workers: 8, ReuseSubplans: true, SemiJoin: true})
-	assertIdenticalResults(t, "chain3-large/opt23/w=8", seqOpt, parOpt)
-}
-
-// TestPropOracleBothPaths is the oracle cross-check for both execution
-// paths: dissociation scores upper-bound the exact probability on every
-// answer, safe queries match the oracle exactly, and the parallel path
-// agrees bit-for-bit with the sequential one.
+// TestPropOracleBothPaths is the exact-inference cross-check:
+// dissociation scores upper-bound the exact probability on every answer,
+// and safe queries match it exactly.
 func TestPropOracleBothPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	safeSet := map[string]bool{
@@ -450,20 +440,17 @@ func TestPropOracleBothPaths(t *testing.T) {
 		q := cq.MustParse(qs)
 		db := randomDB(q, 4, 8, 1.0, rng)
 		truth := exactProbs(db, q)
-		plans := core.MinimalPlans(q, nil)
-		for _, w := range []int{1, 8} {
-			res := EvalPlans(db, q, plans, Options{Workers: w})
-			for i := 0; i < res.Len(); i++ {
-				want, ok := truth[resultKey(res, i)]
-				if !ok {
-					t.Fatalf("%s w=%d: answer missing from lineage", qs, w)
-				}
-				if res.Score(i) < want-1e-9 {
-					t.Errorf("%s w=%d: dissociation %v below exact %v", qs, w, res.Score(i), want)
-				}
-				if safeSet[qs] && math.Abs(res.Score(i)-want) > 1e-9 {
-					t.Errorf("%s w=%d: safe query score %v != exact %v", qs, w, res.Score(i), want)
-				}
+		res := EvalPlans(db, q, core.MinimalPlans(q, nil), Options{})
+		for i := 0; i < res.Len(); i++ {
+			want, ok := truth[resultKey(res, i)]
+			if !ok {
+				t.Fatalf("%s: answer missing from lineage", qs)
+			}
+			if res.Score(i) < want-1e-9 {
+				t.Errorf("%s: dissociation %v below exact %v", qs, res.Score(i), want)
+			}
+			if safeSet[qs] && math.Abs(res.Score(i)-want) > 1e-9 {
+				t.Errorf("%s: safe query score %v != exact %v", qs, res.Score(i), want)
 			}
 		}
 	}
@@ -471,9 +458,9 @@ func TestPropOracleBothPaths(t *testing.T) {
 
 // TestPropExecutorOracleDifferential: the columnar executor returns
 // byte-identical results to the retained row-at-a-time oracle on random
-// instances, across the optimization variants and Workers 1/4 — and,
-// with Opt3 on, the same bits whether EvalPlans computes the semi-join
-// reduction itself (once, for all plans) or is handed a precomputed one.
+// instances, across the optimization variants — and, with Opt3 on, the
+// same bits whether EvalPlans computes the semi-join reduction itself
+// (once, for all plans) or is handed a precomputed one.
 func TestPropExecutorOracleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 24; iter++ {
@@ -481,78 +468,77 @@ func TestPropExecutorOracleDifferential(t *testing.T) {
 		q := cq.MustParse(qs)
 		db := randomDB(q, 4, 12, 1.0, rng)
 		plans := core.MinimalPlans(q, nil)
-		for name, base := range map[string]Options{
+		for name, opts := range map[string]Options{
 			"plain": {},
 			"opt23": {ReuseSubplans: true, SemiJoin: true},
 		} {
-			for _, w := range []int{1, 4} {
-				opts := base
-				opts.Workers = w
-				got := EvalPlans(db, q, plans, opts)
-				opts.Oracle = true
-				want := EvalPlans(db, q, plans, opts)
-				assertIdenticalResults(t, fmt.Sprintf("%s/%s/w=%d", qs, name, w), want, got)
-				if base.SemiJoin {
-					opts.Oracle = false
-					opts.Reduced = SemiJoinReduce(db, q)
-					pre := EvalPlans(db, q, plans, opts)
-					assertIdenticalResults(t, fmt.Sprintf("%s/%s/w=%d/reduced", qs, name, w), got, pre)
-				}
+			got := EvalPlans(db, q, plans, opts)
+			orc := opts
+			orc.Oracle = true
+			want := EvalPlans(db, q, plans, orc)
+			assertIdenticalResults(t, fmt.Sprintf("%s/%s", qs, name), want, got)
+			if opts.SemiJoin {
+				opts.Reduced = SemiJoinReduce(db, q)
+				pre := EvalPlans(db, q, plans, opts)
+				assertIdenticalResults(t, fmt.Sprintf("%s/%s/reduced", qs, name), got, pre)
 			}
 		}
 	}
 }
 
 // TestExecutorOracleDifferentialLarge runs the executor-vs-oracle
-// differential on chain and star instances larger than a morsel, where
-// the streaming fused Project(Join), the partitioned join build, and
-// the projection's chunk folds all take their multi-chunk paths.
+// differential on chain and star instances larger than a morsel — one
+// chain with a non-aligned tail chunk — where the streaming fused
+// Project(Join), the partitioned join build, the two probe passes and
+// the projection's chunk folds all take their multi-chunk paths (the
+// stats sink proves they did).
 func TestExecutorOracleDifferentialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large differential skipped in -short")
 	}
 	rng := rand.New(rand.NewSource(24))
-	n := 2*morselSize + 31
+	const chain3 = "q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)"
 	shapes := []struct {
-		label string
-		query string
-		rels  map[string]int // relation name -> arity
+		label  string
+		query  string
+		rels   map[string]int // relation name -> arity
+		rows   int
+		domain int
 	}{
-		{"chain3", "q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)",
-			map[string]int{"R1": 2, "R2": 2, "R3": 2}},
+		{"chain3", chain3, map[string]int{"R1": 2, "R2": 2, "R3": 2}, 2*morselSize + 31, 250},
 		{"star3", "q(x1) :- R0(x1, x2, x3), R1(x1), R2(x2), R3(x3)",
-			map[string]int{"R0": 3, "R1": 1, "R2": 1, "R3": 1}},
+			map[string]int{"R0": 3, "R1": 1, "R2": 1, "R3": 1}, 2*morselSize + 31, 250},
+		{"chain3-tail", chain3, map[string]int{"R1": 2, "R2": 2, "R3": 2}, 3*morselSize + 17, 300},
 	}
 	for _, sh := range shapes {
 		q := cq.MustParse(sh.query)
 		db := NewDB()
-		domain := 250
 		for name, ar := range sh.rels {
 			cols := make([]string, ar)
 			for i := range cols {
 				cols[i] = string(rune('a' + i))
 			}
 			r := db.CreateRelation(name, cols)
-			rows := n
+			rows := sh.rows
 			if ar == 1 {
-				rows = domain // unary sides stay dense but small
+				rows = sh.domain // unary sides stay dense but small
 			}
 			tuple := make([]Value, ar)
 			for i := 0; i < rows; i++ {
 				for j := range tuple {
-					tuple[j] = Value(rng.Intn(domain))
+					tuple[j] = Value(rng.Intn(sh.domain))
 				}
 				r.Insert(tuple, rng.Float64())
 			}
 		}
 		plans := core.MinimalPlans(q, nil)
-		for _, w := range []int{1, 4} {
-			opts := Options{Workers: w, ReuseSubplans: true, SemiJoin: true}
-			got := EvalPlans(db, q, plans, opts)
-			opts.Oracle = true
-			want := EvalPlans(db, q, plans, opts)
-			assertIdenticalResults(t, fmt.Sprintf("%s/w=%d", sh.label, w), want, got)
+		stats := &EvalStats{}
+		got := EvalPlans(db, q, plans, Options{ReuseSubplans: true, SemiJoin: true, Stats: stats})
+		if stats.Partitions() == 0 {
+			t.Fatalf("%s: expected multi-chunk operator phases on %d-row inputs", sh.label, sh.rows)
 		}
+		want := EvalPlans(db, q, plans, Options{ReuseSubplans: true, SemiJoin: true, Oracle: true})
+		assertIdenticalResults(t, sh.label, want, got)
 	}
 }
 

@@ -24,11 +24,6 @@ import (
 // chunk order — so every output bit matches the materialized evaluation
 // (and the oracle's). Only the kept columns are ever gathered; columns
 // the projection drops never exist.
-//
-// The path engages at every Workers setting: helpers, when present,
-// build the last join's hash table and run the earlier materialized
-// folds; the streamed probe and the accumulator are one stream on the
-// calling goroutine.
 
 // canStream reports whether the fused streaming Project(Join) path
 // applies to the given join subtree: a real (k >= 2) join with no
@@ -56,7 +51,7 @@ func (e *Evaluator) streamProjectJoin(jn *plan.Join, onto []cq.Var) *Result {
 	for i, c := range jn.Subs {
 		subs[i] = e.Eval(c)
 	}
-	ex := e.ex()
+	ex := &e.exec
 	order := greedyJoinOrder(subs)
 	cur := subs[order[0]]
 	for _, i := range order[1 : len(order)-1] {

@@ -53,7 +53,7 @@ type batchRequest struct {
 	Seed         int64            `json:"seed"`
 	TimeoutMS    int64            `json:"timeout_ms"`
 	IgnoreSchema bool             `json:"ignore_schema"`
-	Parallelism  int              `json:"parallelism"`
+	Parallelism  int              `json:"parallelism"` // accepted and ignored, as on /v1/query
 	// MaxRows bounds the intermediate rows the whole batch may
 	// materialize — one budget across all queries, not one per query.
 	MaxRows int `json:"max_rows"`
@@ -108,7 +108,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp, ok := s.resolveSpec(w, req.Method, req.Samples, req.Seed, req.TimeoutMS,
-		req.IgnoreSchema, req.Parallelism, req.MaxRows, req.Epsilon)
+		req.IgnoreSchema, req.MaxRows, req.Epsilon)
 	if !ok {
 		return
 	}

@@ -39,7 +39,6 @@ type metrics struct {
 	queriesCancelled atomic.Int64
 	panicsRecovered  atomic.Int64
 	requestsRejected atomic.Int64 // worker-pool admission failures
-	partitionsTotal  atomic.Int64 // morsel chunks + join partitions processed
 	shedTotal        atomic.Int64 // requests shed at admission (deadline < queue wait)
 	budgetExceeded   atomic.Int64 // queries aborted by their row budget
 
@@ -213,8 +212,6 @@ func (m *metrics) render(b *strings.Builder) {
 	fmt.Fprintf(b, "lapushd_panics_recovered_total %d\n", m.panicsRecovered.Load())
 	b.WriteString("# TYPE lapushd_requests_rejected_total counter\n")
 	fmt.Fprintf(b, "lapushd_requests_rejected_total %d\n", m.requestsRejected.Load())
-	b.WriteString("# TYPE lapushd_partitions_total counter\n")
-	fmt.Fprintf(b, "lapushd_partitions_total %d\n", m.partitionsTotal.Load())
 	b.WriteString("# TYPE lapushd_shed_total counter\n")
 	fmt.Fprintf(b, "lapushd_shed_total %d\n", m.shedTotal.Load())
 	b.WriteString("# TYPE lapushd_budget_exceeded_total counter\n")

@@ -26,9 +26,8 @@ type querySpec struct {
 	// method-independent and anytime refines the same minimal plans.
 	method string
 	// opts carries the plain-ranking knobs, and the prepare and batch
-	// options of every request; opts.Stats is always set. Held by value
-	// so a spec, and a request that ends at a cache hit, stays off the
-	// heap.
+	// options of every request. Held by value so a spec, and a request
+	// that ends at a cache hit, stays off the heap.
 	opts lapushdb.Options
 	// anytime is non-nil when the request carried an epsilon: the
 	// evaluation is interval refinement, a cache entry is a hit only at
@@ -42,7 +41,7 @@ type querySpec struct {
 // ok=false on the first invalid one. The error codes match /v1/query's
 // historical responses.
 func (s *Server) resolveSpec(w http.ResponseWriter, methodLabel string, samples int, seed, timeoutMS int64,
-	ignoreSchema bool, parallelism, maxRows int, epsilon *float64) (querySpec, bool) {
+	ignoreSchema bool, maxRows int, epsilon *float64) (querySpec, bool) {
 	if methodLabel == "" {
 		methodLabel = "diss"
 	}
@@ -58,10 +57,6 @@ func (s *Server) resolveSpec(w http.ResponseWriter, methodLabel string, samples 
 	}
 	if timeoutMS < 0 {
 		writeError(w, http.StatusBadRequest, "bad_timeout", "field \"timeout_ms\" must be >= 0")
-		return querySpec{}, false
-	}
-	if parallelism < 0 {
-		writeError(w, http.StatusBadRequest, "bad_parallelism", "field \"parallelism\" must be >= 0")
 		return querySpec{}, false
 	}
 	if maxRows < 0 {
@@ -90,11 +85,6 @@ func (s *Server) resolveSpec(w http.ResponseWriter, methodLabel string, samples 
 	if mcSamples == 0 {
 		mcSamples = lapushdb.DefaultMCSamples
 	}
-	// Parallelism: the request override capped at MaxParallelism.
-	if parallelism == 0 {
-		parallelism = s.cfg.Parallelism
-	}
-	parallelism = min(parallelism, s.cfg.MaxParallelism)
 	// The request's row bound may only tighten -max-rows.
 	if maxRows == 0 || (s.cfg.MaxRows > 0 && maxRows > s.cfg.MaxRows) {
 		maxRows = s.cfg.MaxRows
@@ -106,8 +96,6 @@ func (s *Server) resolveSpec(w http.ResponseWriter, methodLabel string, samples 
 			MCSamples:           mcSamples,
 			Seed:                seed,
 			IgnoreSchema:        ignoreSchema,
-			Workers:             parallelism,
-			Stats:               &lapushdb.RankStats{},
 			MaxIntermediateRows: maxRows,
 		},
 	}
@@ -115,7 +103,6 @@ func (s *Server) resolveSpec(w http.ResponseWriter, methodLabel string, samples 
 		sp.anytime = &lapushdb.AnytimeOptions{
 			Epsilon:             *epsilon,
 			IgnoreSchema:        ignoreSchema,
-			Workers:             parallelism,
 			MaxIntermediateRows: maxRows,
 			MCMaxSamples:        anytimeMCMax(samples),
 			Seed:                seed,
@@ -196,7 +183,6 @@ func (s *Server) evaluate(ctx context.Context, sp *querySpec, rk ranker, p *lapu
 	if err != nil {
 		return nil, "", err
 	}
-	s.metrics.partitionsTotal.Add(sp.opts.Stats.Partitions)
 	entry := &cachedResult{answers: toAnswerJSON(answers), safe: p.Safe()}
 	s.results.put(key, entry)
 	return entry, "", nil

@@ -316,7 +316,7 @@ func benchSetup(t *testing.T, baseURL string) bench.Config {
 // TestReplicaDifferential is the parity acceptance test: after an
 // ingest burst and lag 0, the replica's /v1/query responses must be
 // byte-identical to the primary's — same answers, same scores, same
-// order — for the chain, star, and TPC-H shapes at Workers 1 and 4.
+// order — for the chain, star, and TPC-H shapes.
 func TestReplicaDifferential(t *testing.T) {
 	pair, err := NewHermeticPair(Config{Workers: 4})
 	if err != nil {
@@ -332,28 +332,26 @@ func TestReplicaDifferential(t *testing.T) {
 		"q() :- BenchS1('hub', x1), BenchS2(x2), BenchS0(x1, x2)",
 		"q(a) :- BenchSupplier(s, a), BenchPartsupp(s, u), BenchPart(u, n), s <= 50, n like '%red%'",
 	}
-	for _, workers := range []int{1, 4} {
-		for _, q := range queries {
-			req := map[string]any{"query": q, "method": "diss", "parallelism": workers}
-			presp, pbody := postJSON(t, pair.Primary.URL+"/v1/query", req)
-			rresp, rbody := postJSON(t, pair.Replica.URL+"/v1/query", req)
-			if presp.StatusCode != http.StatusOK || rresp.StatusCode != http.StatusOK {
-				t.Fatalf("workers=%d %q: primary %d, replica %d\n%s\n%s", workers, q, presp.StatusCode, rresp.StatusCode, pbody, rbody)
-			}
-			var pr, rr map[string]json.RawMessage
-			if err := json.Unmarshal(pbody, &pr); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(rbody, &rr); err != nil {
-				t.Fatal(err)
-			}
-			// Everything but the runtime-dependent fields must match
-			// byte for byte; answers carry the scores, so this pins
-			// bit-identical evaluation.
-			for _, field := range []string{"answers", "count", "method", "safe"} {
-				if !bytes.Equal(pr[field], rr[field]) {
-					t.Fatalf("workers=%d %q: field %s differs\nprimary: %s\nreplica: %s", workers, q, field, pr[field], rr[field])
-				}
+	for _, q := range queries {
+		req := map[string]any{"query": q, "method": "diss"}
+		presp, pbody := postJSON(t, pair.Primary.URL+"/v1/query", req)
+		rresp, rbody := postJSON(t, pair.Replica.URL+"/v1/query", req)
+		if presp.StatusCode != http.StatusOK || rresp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: primary %d, replica %d\n%s\n%s", q, presp.StatusCode, rresp.StatusCode, pbody, rbody)
+		}
+		var pr, rr map[string]json.RawMessage
+		if err := json.Unmarshal(pbody, &pr); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(rbody, &rr); err != nil {
+			t.Fatal(err)
+		}
+		// Everything but the runtime-dependent fields must match
+		// byte for byte; answers carry the scores, so this pins
+		// bit-identical evaluation.
+		for _, field := range []string{"answers", "count", "method", "safe"} {
+			if !bytes.Equal(pr[field], rr[field]) {
+				t.Fatalf("%q: field %s differs\nprimary: %s\nreplica: %s", q, field, pr[field], rr[field])
 			}
 		}
 	}

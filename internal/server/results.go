@@ -69,9 +69,8 @@ func (c *cachedResult) anytimeTop(n int, eps float64) ([]answerJSON, bool) {
 // a method name, a formatted integer, or a normalized query — so two
 // requests collide exactly when they are semantically equal: same
 // version, same method and options, same query up to the parser's
-// canonicalization. Workers/parallelism is deliberately absent (scores
-// are bit-identical across worker counts), as is "top" (the cache holds
-// the full answer list; truncation happens per request).
+// canonicalization. "top" is deliberately absent (the cache holds the
+// full answer list; truncation happens per request).
 func resultCacheKey(fingerprint, method, normalized string, ignoreSchema bool, samples int, seed int64) string {
 	flag := "s"
 	if ignoreSchema {

@@ -67,14 +67,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxSamples caps Monte Carlo sample counts (default 10,000,000).
 	MaxSamples int
-	// Parallelism is the default intra-query worker count: each query's
-	// join phases split row ranges into morsels evaluated on up to this
-	// many goroutines (default 1, no helpers). Requests may override it
-	// with the "parallelism" field, capped at MaxParallelism. Results are
-	// bit-identical across all settings.
-	Parallelism int
-	// MaxParallelism caps per-request parallelism (default 32).
-	MaxParallelism int
 	// MaxRows bounds the intermediate rows one query may materialize
 	// (and is the ceiling for the per-request "max_rows" field). A query
 	// exceeding its budget fails with 422. 0 disables the server-wide
@@ -142,15 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSamples <= 0 {
 		c.MaxSamples = 10_000_000
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = 32
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 1
-	}
-	if c.Parallelism > c.MaxParallelism {
-		c.Parallelism = c.MaxParallelism
 	}
 	if c.WALStreamWindow <= 0 {
 		c.WALStreamWindow = 20 * time.Second
@@ -452,9 +435,9 @@ type queryRequest struct {
 	Seed         int64  `json:"seed"`
 	TimeoutMS    int64  `json:"timeout_ms"`
 	IgnoreSchema bool   `json:"ignore_schema"`
-	// Parallelism overrides the server's default intra-query worker
-	// count for this request (0 = server default), capped at the
-	// configured maximum. Scores are bit-identical across settings.
+	// Parallelism is accepted and ignored for one release, so a client
+	// that still sends it is not refused as an unknown field: every
+	// query evaluates on one goroutine.
 	Parallelism int `json:"parallelism"`
 	// MaxRows caps the intermediate rows this query may materialize
 	// (0 = the server's -max-rows setting), capped at that setting when
@@ -503,10 +486,6 @@ type queryResponse struct {
 	// served from the result cache ("hit") or computed ("miss").
 	ResultCache string  `json:"result_cache"`
 	ElapsedMS   float64 `json:"elapsed_ms"`
-	// Partitions is the number of morsel chunks and join partitions the
-	// query's operators processed (dissociation method only; 0 when
-	// every operator input fit in one chunk).
-	Partitions int64 `json:"partitions"`
 
 	// Anytime fields, present only when the request carried an epsilon.
 	// Converged reports whether every answer's interval reached the
@@ -534,7 +513,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp, ok := s.resolveSpec(w, req.Method, req.Samples, req.Seed, req.TimeoutMS,
-		req.IgnoreSchema, req.Parallelism, req.MaxRows, req.Epsilon)
+		req.IgnoreSchema, req.MaxRows, req.Epsilon)
 	if !ok {
 		return
 	}
@@ -595,7 +574,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Cache:       cacheLabel(planHit),
 		ResultCache: resultCache,
 		ElapsedMS:   float64(time.Since(begin).Microseconds()) / 1000,
-		Partitions:  sp.opts.Stats.Partitions, // filled by a plain evaluation only
 		Converged:   out.Converged,
 		Degraded:    out.Degraded,
 		Width:       out.Width,

@@ -173,15 +173,8 @@ type Options struct {
 	// IgnoreSchema disregards deterministic relations and keys during
 	// plan enumeration.
 	IgnoreSchema bool
-	// Workers bounds the goroutines one Dissociation evaluation may use:
-	// the join phases that split into fixed-size row chunks (hash-table
-	// build, the two probe passes of a materialized join) run on up to
-	// Workers goroutines; everything else runs on the calling one.
-	// Results are bit-identical for every setting. Values <= 1 spawn no
-	// helpers.
-	Workers int
-	// Stats, when non-nil, receives execution counters for the query
-	// (Dissociation method only).
+	// Stats, when non-nil, receives the batch's shared-subplan counters
+	// (Dissociation method inside a batch only).
 	Stats *RankStats
 	// MaxIntermediateRows caps the total number of intermediate result
 	// rows one Rank evaluation may materialize (Dissociation method
@@ -233,13 +226,6 @@ type Answer struct {
 // RankStats reports execution counters from one Rank call (see
 // Options.Stats).
 type RankStats struct {
-	// Partitions is the number of morsel chunks and hash-join partitions
-	// processed by partitioned operators. Chunk layout depends only on
-	// input sizes, so the count is the same for every Workers setting;
-	// zero when every operator input fit in a single chunk.
-	Partitions int64
-	// ParallelOps is the number of operator phases that ran partitioned.
-	ParallelOps int64
 	// SharedSubplanHits and SharedSubplanMisses count cross-query
 	// subplan memo lookups during batch evaluation (see RankBatch):
 	// hits were served from another query's work, misses were computed
@@ -341,14 +327,8 @@ func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 	eopts := engine.Options{
 		ReuseSubplans:       !opts.DisableOpt2,
 		SemiJoin:            !opts.DisableOpt3,
-		Workers:             opts.Workers,
 		MaxIntermediateRows: opts.MaxIntermediateRows,
 		Memo:                opts.memo,
-	}
-	var stats *engine.EvalStats
-	if opts.Stats != nil {
-		stats = &engine.EvalStats{}
-		eopts.Stats = stats
 	}
 	// Plans come from the prepared statement when available — skipping
 	// the minimal-plan enumeration is the point of the plan cache.
@@ -375,13 +355,9 @@ func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 	if err != nil {
 		return nil, err
 	}
-	if stats != nil {
-		opts.Stats.Partitions = stats.Partitions()
-		opts.Stats.ParallelOps = stats.ParallelOps()
-		if opts.memo != nil {
-			opts.Stats.SharedSubplanHits = opts.memo.SharedHits()
-			opts.Stats.SharedSubplanMisses = opts.memo.SharedMisses()
-		}
+	if opts.Stats != nil && opts.memo != nil {
+		opts.Stats.SharedSubplanHits = opts.memo.SharedHits()
+		opts.Stats.SharedSubplanMisses = opts.memo.SharedMisses()
 	}
 	return res, nil
 }

@@ -155,7 +155,7 @@ func (p *Prepared) Explanation() *Explanation {
 // context.DeadlineExceeded) promptly when it is done. Under the
 // Dissociation method the pre-enumerated plans are reused, skipping the
 // parse and plan-search cost of Rank. Evaluation-strategy options
-// (Parallel, Workers, Stats, the optimization toggles) apply per call;
+// (Stats, the optimization toggles) apply per call;
 // only IgnoreSchema must match the preparation.
 func (d *DB) RankPrepared(ctx context.Context, p *Prepared, opts *Options) ([]Answer, error) {
 	if opts == nil {

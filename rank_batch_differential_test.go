@@ -4,8 +4,7 @@ package lapushdb
 // results across the batch's queries, and the contract is that sharing
 // is invisible — every query's answers are bit-identical (values,
 // order, and float64 score bits) to a standalone Rank with the same
-// options, at every Workers setting. Run under -race these also
-// exercise the shared memo for data races between plan workers.
+// options.
 
 import (
 	"context"
@@ -22,15 +21,15 @@ import (
 
 // assertBatchMatchesRank evaluates the queries one at a time and as a
 // batch, requiring bit-identical answers, and returns the batch stats.
-func assertBatchMatchesRank(t *testing.T, label string, db *DB, queries []string, workers int) BatchStats {
+func assertBatchMatchesRank(t *testing.T, label string, db *DB, queries []string) BatchStats {
 	t.Helper()
 	stats := &RankStats{}
-	results := db.RankBatch(queries, &Options{Workers: workers, Stats: stats})
+	results := db.RankBatch(queries, &Options{Stats: stats})
 	if len(results) != len(queries) {
 		t.Fatalf("%s: %d results for %d queries", label, len(results), len(queries))
 	}
 	for i, query := range queries {
-		want, err := db.Rank(query, &Options{Workers: workers})
+		want, err := db.Rank(query, nil)
 		if err != nil {
 			t.Fatalf("%s: standalone Rank(%q): %v", label, query, err)
 		}
@@ -75,11 +74,8 @@ func TestRankBatchDifferentialChain(t *testing.T) {
 		"q(x1, x3) :- R2(x1, x2), R3(x2, x3)",
 		q.String(), // duplicate: full cross-query reuse
 	}
-	for _, w := range []int{1, 4} {
-		bs := assertBatchMatchesRank(t, "chain3", db, queries, w)
-		if bs.SharedSubplanHits == 0 {
-			t.Errorf("w=%d: no shared subplan hits across overlapping chain queries", w)
-		}
+	if bs := assertBatchMatchesRank(t, "chain3", db, queries); bs.SharedSubplanHits == 0 {
+		t.Error("no shared subplan hits across overlapping chain queries")
 	}
 }
 
@@ -94,11 +90,8 @@ func TestRankBatchDifferentialStar(t *testing.T) {
 		"q(x1) :- R1('a', x1), R2(x2), R3(x3), R0(x1, x2, x3)",
 		q.String(),
 	}
-	for _, w := range []int{1, 4} {
-		bs := assertBatchMatchesRank(t, "star3", db, queries, w)
-		if bs.SharedSubplanHits == 0 {
-			t.Errorf("w=%d: no shared subplan hits on duplicated star query", w)
-		}
+	if bs := assertBatchMatchesRank(t, "star3", db, queries); bs.SharedSubplanHits == 0 {
+		t.Error("no shared subplan hits on duplicated star query")
 	}
 }
 
@@ -113,18 +106,15 @@ func TestRankBatchDifferentialTPCH(t *testing.T) {
 		tp.Query(tp.Suppliers, "%green%").String(),
 		tp.Query(tp.Suppliers, "%red%").String(),
 	}
-	for _, w := range []int{1, 4} {
-		bs := assertBatchMatchesRank(t, "tpch", db, queries, w)
-		if bs.SharedSubplanHits == 0 {
-			t.Errorf("w=%d: no shared subplan hits on duplicated TPC-H query", w)
-		}
+	if bs := assertBatchMatchesRank(t, "tpch", db, queries); bs.SharedSubplanHits == 0 {
+		t.Error("no shared subplan hits on duplicated TPC-H query")
 	}
 }
 
 // TestRankBatchOracleDifferential cross-checks the executor the batch
 // path rides on: for each batch workload shape, the columnar executor's
 // plan evaluation is bit-identical to the retained row-at-a-time oracle
-// at Workers 1 and 4, with the batch's optimization flags on.
+// with the batch's optimization flags on.
 func TestRankBatchOracleDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	chainDB, chainQ := workload.Chain(3, 2000, 300, 0.5, rng)
@@ -141,24 +131,22 @@ func TestRankBatchOracleDifferential(t *testing.T) {
 	} {
 		q := cq.MustParse(tc.q)
 		plans := core.MinimalPlans(q, nil)
-		for _, w := range []int{1, 4} {
-			opts := engine.Options{Workers: w, ReuseSubplans: true, SemiJoin: true}
-			got := engine.EvalPlans(tc.db, q, plans, opts)
-			want := oracle.EvalPlans(tc.db, q, plans, opts)
-			if got.Len() != want.Len() {
-				t.Fatalf("%s/w=%d: %d rows vs oracle %d", tc.label, w, got.Len(), want.Len())
+		opts := engine.Options{ReuseSubplans: true, SemiJoin: true}
+		got := engine.EvalPlans(tc.db, q, plans, opts)
+		want := oracle.EvalPlans(tc.db, q, plans, opts)
+		if got.Len() != want.Len() {
+			t.Fatalf("%s: %d rows vs oracle %d", tc.label, got.Len(), want.Len())
+		}
+		for i := 0; i < want.Len(); i++ {
+			gr, wr := got.Row(i), want.Row(i)
+			for j := range wr {
+				if gr[j] != wr[j] {
+					t.Fatalf("%s: row %d differs: %v vs %v", tc.label, i, gr, wr)
+				}
 			}
-			for i := 0; i < want.Len(); i++ {
-				gr, wr := got.Row(i), want.Row(i)
-				for j := range wr {
-					if gr[j] != wr[j] {
-						t.Fatalf("%s/w=%d: row %d differs: %v vs %v", tc.label, w, i, gr, wr)
-					}
-				}
-				if math.Float64bits(got.Score(i)) != math.Float64bits(want.Score(i)) {
-					t.Fatalf("%s/w=%d: row %d score bits %x != oracle %x",
-						tc.label, w, i, math.Float64bits(got.Score(i)), math.Float64bits(want.Score(i)))
-				}
+			if math.Float64bits(got.Score(i)) != math.Float64bits(want.Score(i)) {
+				t.Fatalf("%s: row %d score bits %x != oracle %x",
+					tc.label, i, math.Float64bits(got.Score(i)), math.Float64bits(want.Score(i)))
 			}
 		}
 	}

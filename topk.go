@@ -22,8 +22,8 @@ import (
 //
 // Exact inference on the examined answers must be feasible; the node
 // budget of Options.ExactBudget applies per answer. The bounds are
-// evaluated as Rank evaluates them, so Workers, MaxIntermediateRows and
-// the Opt1-3 switches mean what they mean there.
+// evaluated as Rank evaluates them, so MaxIntermediateRows and the
+// Opt1-3 switches mean what they mean there.
 func (d *DB) RankTopK(query string, k int, opts *Options) ([]Answer, error) {
 	if opts == nil {
 		opts = &Options{}

@@ -90,8 +90,7 @@ func TestRankTopKMatchesExact(t *testing.T) {
 // RankAnytime result — same values, and bit-identical [lower, upper]
 // intervals, because sampler streams are derived from answer keys and
 // each answer refines until its own convergence regardless of what
-// else is pruned. Holds at Workers 1 and 4 (run under -race this also
-// exercises the pruning bookkeeping for data races).
+// else is pruned.
 func TestRankTopKAnytimeMatchesFull(t *testing.T) {
 	type shape struct {
 		label string
@@ -117,38 +116,36 @@ func TestRankTopKAnytimeMatchesFull(t *testing.T) {
 	}
 
 	for _, sh := range shapes {
-		for _, workers := range []int{1, 4} {
-			opts := AnytimeOptions{Epsilon: 0.05, Workers: workers, Seed: 11, MCMaxSamples: 2048}
-			full, err := sh.db.RankAnytime(sh.query, &opts)
-			if err != nil {
-				t.Fatalf("%s w=%d: full: %v", sh.label, workers, err)
+		opts := AnytimeOptions{Epsilon: 0.05, Seed: 11, MCMaxSamples: 2048}
+		full, err := sh.db.RankAnytime(sh.query, &opts)
+		if err != nil {
+			t.Fatalf("%s: full: %v", sh.label, err)
+		}
+		if !full.Converged {
+			t.Fatalf("%s: full run did not converge (width %g)", sh.label, full.Width)
+		}
+		top, err := sh.db.RankTopKAnytime(context.Background(), sh.query, sh.k, &opts)
+		if err != nil {
+			t.Fatalf("%s: topk: %v", sh.label, err)
+		}
+		if !top.Converged {
+			t.Fatalf("%s: top-k run did not converge (width %g)", sh.label, top.Width)
+		}
+		want := sh.k
+		if want > len(full.Answers) {
+			want = len(full.Answers)
+		}
+		if len(top.Answers) != want {
+			t.Fatalf("%s: %d answers, want %d", sh.label, len(top.Answers), want)
+		}
+		for i, a := range top.Answers {
+			f := full.Answers[i]
+			if stringsKey(a.Values) != stringsKey(f.Values) {
+				t.Fatalf("%s rank %d: pruned answer %v, full answer %v", sh.label, i, a.Values, f.Values)
 			}
-			if !full.Converged {
-				t.Fatalf("%s w=%d: full run did not converge (width %g)", sh.label, workers, full.Width)
-			}
-			top, err := sh.db.RankTopKAnytime(context.Background(), sh.query, sh.k, &opts)
-			if err != nil {
-				t.Fatalf("%s w=%d: topk: %v", sh.label, workers, err)
-			}
-			if !top.Converged {
-				t.Fatalf("%s w=%d: top-k run did not converge (width %g)", sh.label, workers, top.Width)
-			}
-			want := sh.k
-			if want > len(full.Answers) {
-				want = len(full.Answers)
-			}
-			if len(top.Answers) != want {
-				t.Fatalf("%s w=%d: %d answers, want %d", sh.label, workers, len(top.Answers), want)
-			}
-			for i, a := range top.Answers {
-				f := full.Answers[i]
-				if stringsKey(a.Values) != stringsKey(f.Values) {
-					t.Fatalf("%s w=%d rank %d: pruned answer %v, full answer %v", sh.label, workers, i, a.Values, f.Values)
-				}
-				if a.Lower != f.Lower || a.Upper != f.Upper {
-					t.Fatalf("%s w=%d rank %d (%v): pruned interval [%v, %v] != full [%v, %v]",
-						sh.label, workers, i, a.Values, a.Lower, a.Upper, f.Lower, f.Upper)
-				}
+			if a.Lower != f.Lower || a.Upper != f.Upper {
+				t.Fatalf("%s rank %d (%v): pruned interval [%v, %v] != full [%v, %v]",
+					sh.label, i, a.Values, a.Lower, a.Upper, f.Lower, f.Upper)
 			}
 		}
 	}
