@@ -108,6 +108,7 @@ func BenchmarkFig5d(b *testing.B) {
 // benchTPCHMethods measures the six series of Figures 5e–5g for one LIKE
 // pattern.
 func benchTPCHMethods(b *testing.B, pattern string) {
+	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
 	tp := workload.NewTPCH(0.02, 0.5, rng)
 	q := tp.Query(tp.Suppliers/2, pattern)

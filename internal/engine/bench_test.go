@@ -37,6 +37,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	db, q := benchDB(10000, rng)
 	sp := core.SinglePlan(q, nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewEvaluator(db, q, Options{ReuseSubplans: true}).Eval(sp)

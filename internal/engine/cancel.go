@@ -67,12 +67,3 @@ func TrapCancel(f func()) (err error) {
 	f()
 	return nil
 }
-
-// CheckContext returns the context's error, if any. Boundary check for
-// callers outside the engine's panic-based unwinding.
-func CheckContext(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}

@@ -319,15 +319,6 @@ func (r *Relation) Insert(tuple []Value, p float64) {
 	r.vars = append(r.vars, id)
 }
 
-// InsertStrings encodes the string forms of a tuple and inserts it.
-func (r *Relation) InsertStrings(tuple []string, p float64) {
-	vals := make([]Value, len(tuple))
-	for i, s := range tuple {
-		vals[i] = r.db.EncodeConst(s)
-	}
-	r.Insert(vals, p)
-}
-
 // Row returns the i-th tuple (a view into internal storage; do not
 // modify).
 func (r *Relation) Row(i int) []Value {

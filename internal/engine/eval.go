@@ -168,9 +168,9 @@ type Options struct {
 	// the next benchmark issue together with the engine.eval_plans_w2_ms
 	// and engine.partitions_per_query probes.
 	Workers int
-	// Stats, when non-nil, accumulates execution counters (morsel chunks
-	// and join partitions processed) across the evaluation. Safe to share
-	// between concurrent evaluators.
+	// Stats, when non-nil, accumulates execution counters (projection
+	// chunks folded) across the evaluation. Safe to share between
+	// concurrent evaluators.
 	Stats *EvalStats
 	// MaxIntermediateRows caps the total number of intermediate result
 	// rows one evaluation may materialize across all operators (scan
@@ -928,14 +928,14 @@ func makeJoinLayout(l, r *Result) joinLayout {
 // join computes the natural join of two results on their shared columns,
 // multiplying scores.
 //
-// The build side is hashed into a partitioned table pre-sized from its
-// cardinality (see buildJoinTable). The probe runs in two vectorized
-// passes over morsel chunks: pass one records each probe row's match
-// span (start, count) in the table's row array and charges the budget
-// per chunk; pass two writes every output column directly into its
-// exactly-sized destination slice at the chunk's offset. Chunk offsets
-// follow chunk order, build matches ascend within each probe row, so the
-// output is bit-identical to a sequential row-at-a-time join.
+// The build side is hashed into one table pre-sized from its cardinality
+// (see buildJoinTable). The probe runs in two vectorized passes: pass one
+// records each probe row's match span (start, count) in the table's row
+// array and charges the budget once per morselSize probe rows, as
+// streamJoinProject does; pass two writes every output column into its
+// exactly-sized destination slice. Probe rows go in order and build
+// matches ascend within each probe row, so the output is bit-identical to
+// a sequential row-at-a-time join.
 func join(l, r *Result, ex *exec) *Result {
 	jl := makeJoinLayout(l, r)
 	jt := buildJoinTable(jl.build, jl.buildPos, ex)
@@ -944,41 +944,30 @@ func join(l, r *Result, ex *exec) *Result {
 	if np == 0 {
 		return out
 	}
-	pChunks := numChunks(np)
-	if pChunks > 1 {
-		ex.addPartitions(pChunks)
-	}
 	probeKeys := make([][]int32, len(jl.probePos))
 	for k, j := range jl.probePos {
 		probeKeys[k] = jl.probe.ids[j]
 	}
+	sg := newColSigner(probeKeys)
+	wide := sg.wide()
 	starts := make([]int32, np)
 	cnts := make([]int32, np)
-	chunkTotal := make([]int, pChunks)
 	c := ex.canc()
-	forChunks(pChunks, func(ci int) {
-		sg := newColSigner(probeKeys)
-		wide := sg.wide()
-		lo, hi := chunkBounds(ci, np)
-		t := 0
-		for i := lo; i < hi; i++ {
-			c.check()
-			var key []int32
-			if wide {
-				key = sg.keyAt(i)
-			}
-			s, n := jt.lookupSpan(sg.sig(i), key)
-			starts[i], cnts[i] = s, n
-			t += int(n)
+	total, pending := 0, 0
+	for i := 0; i < np; i++ {
+		c.check()
+		var key []int32
+		if wide {
+			key = sg.keyAt(i)
 		}
-		chunkTotal[ci] = t
-		ex.charge(t)
-	})
-	total := 0
-	offs := make([]int, pChunks)
-	for ci, t := range chunkTotal {
-		offs[ci] = total
-		total += t
+		s, n := jt.lookupSpan(sg.sig(i), key)
+		starts[i], cnts[i] = s, n
+		pending += int(n)
+		if (i+1)%morselSize == 0 || i == np-1 {
+			ex.charge(pending)
+			total += pending
+			pending = 0
+		}
 	}
 	out.scores = make([]float64, total)
 	for k := range out.Cols {
@@ -986,48 +975,40 @@ func join(l, r *Result, ex *exec) *Result {
 		out.ids[k] = make([]int32, total)
 	}
 	bscores, pscores := jl.build.scores, jl.probe.scores
-	forChunks(pChunks, func(ci int) {
-		lo, hi := chunkBounds(ci, np)
-		o := offs[ci]
-		oo := o
-		for i := lo; i < hi; i++ {
-			c.check()
-			st, n := int(starts[i]), int(cnts[i])
-			s := pscores[i]
-			for j := 0; j < n; j++ {
-				out.scores[oo] = s * bscores[jt.rows[st+j]]
-				oo++
-			}
+	o := 0
+	for i := 0; i < np; i++ {
+		c.check()
+		st, n := int(starts[i]), int(cnts[i])
+		s := pscores[i]
+		for j := 0; j < n; j++ {
+			out.scores[o] = s * bscores[jt.rows[st+j]]
+			o++
 		}
-		for k := range out.Cols {
-			vdst, idst := out.vals[k], out.ids[k]
-			oo = o
-			if jl.fromBuild[k] {
-				vsrc, isrc := jl.build.vals[jl.pos[k]], jl.build.ids[jl.pos[k]]
-				for i := lo; i < hi; i++ {
-					st, n := int(starts[i]), int(cnts[i])
-					for j := 0; j < n; j++ {
-						ri := jt.rows[st+j]
-						vdst[oo], idst[oo] = vsrc[ri], isrc[ri]
-						oo++
-					}
+	}
+	for k := range out.Cols {
+		vdst, idst := out.vals[k], out.ids[k]
+		o = 0
+		if jl.fromBuild[k] {
+			vsrc, isrc := jl.build.vals[jl.pos[k]], jl.build.ids[jl.pos[k]]
+			for i := 0; i < np; i++ {
+				st, n := int(starts[i]), int(cnts[i])
+				for j := 0; j < n; j++ {
+					ri := jt.rows[st+j]
+					vdst[o], idst[o] = vsrc[ri], isrc[ri]
+					o++
 				}
-			} else {
-				vsrc, isrc := jl.probe.vals[jl.pos[k]], jl.probe.ids[jl.pos[k]]
-				for i := lo; i < hi; i++ {
-					n := int(cnts[i])
-					if n == 0 {
-						continue
-					}
-					v, id := vsrc[i], isrc[i]
-					for j := 0; j < n; j++ {
-						vdst[oo], idst[oo] = v, id
-						oo++
-					}
+			}
+		} else {
+			vsrc, isrc := jl.probe.vals[jl.pos[k]], jl.probe.ids[jl.pos[k]]
+			for i := 0; i < np; i++ {
+				v, id := vsrc[i], isrc[i]
+				for j := int32(0); j < cnts[i]; j++ {
+					vdst[o], idst[o] = v, id
+					o++
 				}
 			}
 		}
-	})
+	}
 	return out
 }
 

@@ -487,11 +487,12 @@ func TestPropExecutorOracleDifferential(t *testing.T) {
 }
 
 // TestExecutorOracleDifferentialLarge runs the executor-vs-oracle
-// differential on chain and star instances larger than a morsel — one
-// chain with a non-aligned tail chunk — where the streaming fused
-// Project(Join), the partitioned join build, the two probe passes and
-// the projection's chunk folds all take their multi-chunk paths (the
-// stats sink proves they did).
+// differential on chain, star and wide-key instances larger than a
+// morsel — one chain with a non-aligned tail chunk — where the streaming
+// fused Project(Join), the join build and its two probe passes run over
+// several morsels of rows and the projection folds several chunks (the
+// stats sink proves it did). wide3 joins on a three-variable key, so the
+// build table compares full keys (keyAt/keyEqual).
 func TestExecutorOracleDifferentialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large differential skipped in -short")
@@ -509,6 +510,8 @@ func TestExecutorOracleDifferentialLarge(t *testing.T) {
 		{"star3", "q(x1) :- R0(x1, x2, x3), R1(x1), R2(x2), R3(x3)",
 			map[string]int{"R0": 3, "R1": 1, "R2": 1, "R3": 1}, 2*morselSize + 31, 250},
 		{"chain3-tail", chain3, map[string]int{"R1": 2, "R2": 2, "R3": 2}, 3*morselSize + 17, 300},
+		{"wide3", "q(x3) :- R(x0, x1, x2), S(x0, x1, x2, x3)",
+			map[string]int{"R": 3, "S": 4}, 2*morselSize + 31, 12},
 	}
 	for _, sh := range shapes {
 		q := cq.MustParse(sh.query)
@@ -535,7 +538,7 @@ func TestExecutorOracleDifferentialLarge(t *testing.T) {
 		stats := &EvalStats{}
 		got := EvalPlans(db, q, plans, Options{ReuseSubplans: true, SemiJoin: true, Stats: stats})
 		if stats.Partitions() == 0 {
-			t.Fatalf("%s: expected multi-chunk operator phases on %d-row inputs", sh.label, sh.rows)
+			t.Fatalf("%s: expected multi-chunk projections on %d-row inputs", sh.label, sh.rows)
 		}
 		want := EvalPlans(db, q, plans, Options{ReuseSubplans: true, SemiJoin: true, Oracle: true})
 		assertIdenticalResults(t, sh.label, want, got)

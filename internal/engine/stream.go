@@ -84,10 +84,6 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
 	}
 	jt := buildJoinTable(jl.build, jl.buildPos, ex)
 	np := jl.probe.Len()
-	pChunks := numChunks(np)
-	if pChunks > 1 {
-		ex.addPartitions(pChunks)
-	}
 	probeKeys := make([][]int32, len(jl.probePos))
 	for k, j := range jl.probePos {
 		probeKeys[k] = jl.probe.ids[j]

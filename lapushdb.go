@@ -584,11 +584,8 @@ func (d *DB) Lineage(query string) ([]LineageInfo, error) {
 // LineageContext is Lineage honoring ctx: the lineage evaluation loops
 // poll the context and return its error promptly when it is done.
 func (d *DB) LineageContext(ctx context.Context, query string) ([]LineageInfo, error) {
-	q, err := cq.Parse(query)
+	q, err := parseChecked(d, query)
 	if err != nil {
-		return nil, err
-	}
-	if err := d.checkQuery(q); err != nil {
 		return nil, err
 	}
 	lin, err := d.evalLineage(ctx, q, true)
@@ -623,11 +620,8 @@ func (d *DB) LineageContext(ctx context.Context, query string) ([]LineageInfo, e
 // dissociation lattice (kind "lattice", exponential — small queries
 // only) as Graphviz DOT, the form of the paper's Figure 1.
 func (d *DB) PlanDOT(query, kind string) (string, error) {
-	q, err := cq.Parse(query)
+	q, err := parseChecked(d, query)
 	if err != nil {
-		return "", err
-	}
-	if err := d.checkQuery(q); err != nil {
 		return "", err
 	}
 	switch kind {
@@ -644,11 +638,8 @@ func (d *DB) PlanDOT(query, kind string) (string, error) {
 // indented operator tree with per-node output cardinalities and
 // inclusive times — the engine's EXPLAIN ANALYZE.
 func (d *DB) Profile(query string) (string, error) {
-	q, err := cq.Parse(query)
+	q, err := parseChecked(d, query)
 	if err != nil {
-		return "", err
-	}
-	if err := d.checkQuery(q); err != nil {
 		return "", err
 	}
 	sch := engine.SchemaFor(d.db, q)
