@@ -17,11 +17,6 @@ import "sync/atomic"
 // products are folded, so changing it changes low-order score bits.
 const morselSize = 2048
 
-// joinPartitions is the partition-count of the oracle's partitioned
-// hash-join build for builds of at least one morsel. Partitioning assigns
-// every key to exactly one partition, so the count never affects results.
-const joinPartitions = 16
-
 // EvalStats accumulates execution counters across one evaluation (or
 // several evaluators sharing it). Safe for concurrent use.
 type EvalStats struct {
@@ -64,26 +59,6 @@ func (ex *exec) addPartitions(n int) {
 		return
 	}
 	ex.stats.partitions.Add(int64(n))
-}
-
-// chunkBounds returns the row range [lo, hi) of chunk ci over n rows.
-func chunkBounds(ci, n int) (int, int) {
-	lo := ci * morselSize
-	hi := lo + morselSize
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-func numChunks(n int) int { return (n + morselSize - 1) / morselSize }
-
-// forChunks runs fn for every chunk in [0, n), in chunk order (oracle
-// only).
-func forChunks(n int, fn func(chunk int)) {
-	for ci := 0; ci < n; ci++ {
-		fn(ci)
-	}
 }
 
 // joinTable is the hash table over the build side of a join: one group

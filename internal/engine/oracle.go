@@ -205,14 +205,11 @@ func oracleProject(in *Result, onto []cq.Var, ex *exec) *Result {
 		firstRow []int32 // local group id -> first input row of the group
 		partial  []float64
 	}
-	nChunks := numChunks(n)
-	locals := make([]chunkGroups, nChunks)
-	if nChunks > 1 {
-		ex.addPartitions(nChunks)
-	}
+	locals := make([]chunkGroups, (n+morselSize-1)/morselSize)
 	cc := ex.canc()
-	forChunks(nChunks, func(ci int) {
-		lo, hi := chunkBounds(ci, n)
+	for ci := range locals {
+		lo := ci * morselSize
+		hi := min(lo+morselSize, n)
 		g := newOracleTable(ka, hi-lo)
 		lg := &locals[ci]
 		key := make([]int32, ka)
@@ -229,7 +226,7 @@ func oracleProject(in *Result, onto []cq.Var, ex *exec) *Result {
 			}
 			lg.partial[gid] *= 1 - in.scores[i]
 		}
-	})
+	}
 	global := newOracleTable(ka, len(locals[0].firstRow))
 	key := make([]int32, ka)
 	for ci := range locals {
@@ -256,130 +253,43 @@ func oracleProject(in *Result, onto []cq.Var, ex *exec) *Result {
 	return out
 }
 
-// oracleJoinTable is the old partitioned bucket-list join table: keys
-// interned per partition via oracleTable, each key's build rows stored
-// contiguously ascending.
+// oracleJoinTable is the old bucket-list join table: build keys
+// interned in row order via oracleTable, each key's build rows appended
+// to its bucket, so every bucket ascends.
 type oracleJoinTable struct {
-	mask  uint64
-	parts []oracleJoinPartition
-}
-
-type oracleJoinPartition struct {
-	g     *oracleTable
-	start []int32 // gid -> offset into rows, len = groups+1
-	rows  []int32 // build row ids grouped by key, ascending within key
+	g       *oracleTable
+	buckets [][]int32 // gid -> build row ids
 }
 
 func buildOracleJoinTable(build *Result, pos []int, ex *exec) *oracleJoinTable {
 	n := build.Len()
-	ka := len(pos)
-	sigs := make([]uint64, n)
-	nChunks := numChunks(n)
-	if nChunks > 1 {
-		ex.addPartitions(nChunks)
-	}
+	jt := &oracleJoinTable{g: newOracleTable(len(pos), n)}
+	key := make([]int32, len(pos))
 	c := ex.canc()
-	forChunks(nChunks, func(ci int) {
-		key := make([]int32, ka)
-		lo, hi := chunkBounds(ci, n)
-		for i := lo; i < hi; i++ {
-			c.check()
-			for k, j := range pos {
-				key[k] = build.ids[j][i]
-			}
-			sigs[i] = keySig(key)
+	for i := 0; i < n; i++ {
+		c.check()
+		for k, j := range pos {
+			key[k] = build.ids[j][i]
 		}
-	})
-	p := 1
-	if n >= morselSize {
-		p = joinPartitions
+		gid, fresh := jt.g.intern(key)
+		if fresh {
+			jt.buckets = append(jt.buckets, nil)
+		}
+		jt.buckets[gid] = append(jt.buckets[gid], int32(i))
 	}
-	jt := &oracleJoinTable{mask: uint64(p - 1), parts: make([]oracleJoinPartition, p)}
-	offs := make([]int32, p+1)
-	prows := make([]int32, n)
-	if p == 1 {
-		offs[1] = int32(n)
-		for i := range prows {
-			prows[i] = int32(i)
-		}
-	} else {
-		counts := make([]int32, p)
-		for i := 0; i < n; i++ {
-			counts[mix64(sigs[i])&jt.mask]++
-		}
-		for i := 0; i < p; i++ {
-			offs[i+1] = offs[i] + counts[i]
-		}
-		cursor := append([]int32(nil), offs[:p]...)
-		for i := 0; i < n; i++ {
-			pi := mix64(sigs[i]) & jt.mask
-			prows[cursor[pi]] = int32(i)
-			cursor[pi]++
-		}
-		ex.addPartitions(p)
-	}
-	forChunks(p, func(pi int) {
-		rows := prows[offs[pi]:offs[pi+1]]
-		part := &jt.parts[pi]
-		part.g = newOracleTable(ka, len(rows))
-		gids := make([]int32, len(rows))
-		key := make([]int32, ka)
-		for k, ri := range rows {
-			c.check()
-			for x, j := range pos {
-				key[x] = build.ids[j][ri]
-			}
-			gid, _ := part.g.internSig(sigs[ri], key)
-			gids[k] = gid
-		}
-		ng := part.g.size()
-		cnt := make([]int32, ng)
-		for _, gid := range gids {
-			cnt[gid]++
-		}
-		part.start = make([]int32, ng+1)
-		for i := 0; i < ng; i++ {
-			part.start[i+1] = part.start[i] + cnt[i]
-		}
-		cur := append([]int32(nil), part.start[:ng]...)
-		part.rows = make([]int32, len(rows))
-		for k, ri := range rows {
-			part.rows[cur[gids[k]]] = ri
-			cur[gids[k]]++
-		}
-	})
 	return jt
 }
 
-func (jt *oracleJoinTable) lookup(sig uint64, key []int32) []int32 {
-	part := &jt.parts[mix64(sig)&jt.mask]
-	gid, ok := part.g.lookupSig(sig, key)
+func (jt *oracleJoinTable) lookup(key []int32) []int32 {
+	gid, ok := jt.g.lookup(key)
 	if !ok {
 		return nil
 	}
-	return part.rows[part.start[gid]:part.start[gid+1]]
+	return jt.buckets[gid]
 }
 
-func (g *oracleTable) lookupSig(sig uint64, key []int32) (int32, bool) {
-	first, ok := g.table[sig]
-	if !ok {
-		return 0, false
-	}
-	if g.exact {
-		return first, true
-	}
-	for id := first; ; id = g.next[id] {
-		if g.keyEqual(id, key) {
-			return id, true
-		}
-		if g.next[id] < 0 {
-			return 0, false
-		}
-	}
-}
-
-// oracleJoin is the old natural join: per-chunk probe with one output
-// value appended at a time, chunks concatenated ascending.
+// oracleJoin is the old natural join: probe rows in order, one output
+// value appended at a time.
 func oracleJoin(l, r *Result, ex *exec) *Result {
 	_, lPos, rPos := sharedCols(l.Cols, r.Cols)
 	colSet := cq.NewVarSet(l.Cols...)
@@ -409,80 +319,39 @@ func oracleJoin(l, r *Result, ex *exec) *Result {
 		buildLeft = true
 	}
 	jt := buildOracleJoinTable(build, buildPos, ex)
-	np := probe.Len()
-	pChunks := numChunks(np)
-	type chunkBuf struct {
-		vals   [][]Value
-		ids    [][]int32
-		scores []float64
-	}
-	bufs := make([]chunkBuf, pChunks)
-	if pChunks > 1 {
-		ex.addPartitions(pChunks)
-	}
 	c := ex.canc()
-	forChunks(pChunks, func(ci int) {
-		lo, hi := chunkBounds(ci, np)
-		b := &bufs[ci]
-		b.vals = make([][]Value, len(outCols))
-		b.ids = make([][]int32, len(outCols))
-		key := make([]int32, len(probePos))
-		for i := lo; i < hi; i++ {
+	key := make([]int32, len(probePos))
+	for i := 0; i < probe.Len(); i++ {
+		c.check()
+		for k, j := range probePos {
+			key[k] = probe.ids[j][i]
+		}
+		for _, bi := range jt.lookup(key) {
 			c.check()
-			for k, j := range probePos {
-				key[k] = probe.ids[j][i]
+			var lres, rres *Result
+			var li, ri int
+			var ls, rs float64
+			if buildLeft {
+				lres, li = build, int(bi)
+				rres, ri = probe, i
+				ls, rs = build.scores[bi], probe.scores[i]
+			} else {
+				lres, li = probe, i
+				rres, ri = build, int(bi)
+				ls, rs = probe.scores[i], build.scores[bi]
 			}
-			for _, bi := range jt.lookup(keySig(key), key) {
-				c.check()
-				var lres, rres *Result
-				var li, ri int
-				var ls, rs float64
-				if buildLeft {
-					lres, li = build, int(bi)
-					rres, ri = probe, i
-					ls, rs = build.scores[bi], probe.scores[i]
+			for k, s := range srcs {
+				if s.left {
+					out.vals[k] = append(out.vals[k], lres.vals[s.pos][li])
+					out.ids[k] = append(out.ids[k], lres.ids[s.pos][li])
 				} else {
-					lres, li = probe, i
-					rres, ri = build, int(bi)
-					ls, rs = probe.scores[i], build.scores[bi]
+					out.vals[k] = append(out.vals[k], rres.vals[s.pos][ri])
+					out.ids[k] = append(out.ids[k], rres.ids[s.pos][ri])
 				}
-				for k, s := range srcs {
-					if s.left {
-						b.vals[k] = append(b.vals[k], lres.vals[s.pos][li])
-						b.ids[k] = append(b.ids[k], lres.ids[s.pos][li])
-					} else {
-						b.vals[k] = append(b.vals[k], rres.vals[s.pos][ri])
-						b.ids[k] = append(b.ids[k], rres.ids[s.pos][ri])
-					}
-				}
-				b.scores = append(b.scores, ls*rs)
-				ex.charge(1)
 			}
+			out.scores = append(out.scores, ls*rs)
+			ex.charge(1)
 		}
-	})
-	if pChunks == 1 {
-		out.vals, out.ids, out.scores = bufs[0].vals, bufs[0].ids, bufs[0].scores
-		if out.vals == nil {
-			out.vals = make([][]Value, len(outCols))
-			out.ids = make([][]int32, len(outCols))
-		}
-		return out
-	}
-	total := 0
-	for i := range bufs {
-		total += len(bufs[i].scores)
-	}
-	out.scores = make([]float64, 0, total)
-	for k := range outCols {
-		out.vals[k] = make([]Value, 0, total)
-		out.ids[k] = make([]int32, 0, total)
-	}
-	for i := range bufs {
-		for k := range outCols {
-			out.vals[k] = append(out.vals[k], bufs[i].vals[k]...)
-			out.ids[k] = append(out.ids[k], bufs[i].ids[k]...)
-		}
-		out.scores = append(out.scores, bufs[i].scores...)
 	}
 	return out
 }
