@@ -108,32 +108,27 @@ func BenchmarkFig5d(b *testing.B) {
 // benchTPCHMethods measures the six series of Figures 5e–5g for one LIKE
 // pattern.
 func benchTPCHMethods(b *testing.B, pattern string) {
-	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(1))
 	tp := workload.NewTPCH(0.02, 0.5, rng)
 	q := tp.Query(tp.Suppliers/2, pattern)
 	db := tp.DB
 	plans := core.MinimalPlans(q, nil)
-	b.Run("Diss", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true})
-		}
-	})
-	b.Run("Diss+Opt3", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
-		}
-	})
-	b.Run("Lineage", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engine.EvalLineage(db, q, engine.SemiJoinReduce(db, q))
-		}
-	})
-	b.Run("StandardSQL", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			engine.EvalDeterministic(db, q)
-		}
-	})
+	for _, m := range []struct {
+		name string
+		eval func()
+	}{
+		{"Diss", func() { engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true}) }},
+		{"Diss+Opt3", func() { engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true}) }},
+		{"Lineage", func() { engine.EvalLineage(db, q, engine.SemiJoinReduce(db, q)) }},
+		{"StandardSQL", func() { engine.EvalDeterministic(db, q) }},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.eval()
+			}
+		})
+	}
 }
 
 // BenchmarkFig5e is the TPC-H timing experiment with $2 = '%red%green%'

@@ -45,9 +45,9 @@ func TestBudgetExceededIsTyped(t *testing.T) {
 }
 
 func TestBudgetExceededParallel(t *testing.T) {
-	// A probe chunk charges its matches to the budget and the typed
-	// error surfaces from inside the chunk loop. Drive join directly so
-	// the probe spans several morsels.
+	// The probe charges its matches once per morsel of probe rows and the
+	// typed error surfaces from inside the probe loop. Drive join directly
+	// so the probe spans several morsels.
 	n := 3 * morselSize
 	in := newResult([]cq.Var{"x"})
 	for i := 0; i < n; i++ {

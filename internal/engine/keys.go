@@ -27,8 +27,7 @@ func packKey(key []int32) uint64 {
 }
 
 // mix64 is the murmur3 finalizer: a cheap bijective scrambler used both
-// to hash wide keys and to spread packed keys across table slots and
-// join partitions.
+// to hash wide keys and to spread packed keys across table slots.
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -48,7 +47,7 @@ func hashKey32(key []int32) uint64 {
 }
 
 // keySig returns the packed key (arity <= 2, exact) or the hash (wider,
-// needs comparison) — the signature joins partition and look up by.
+// needs comparison) — the signature group tables intern and look up by.
 func keySig(key []int32) uint64 {
 	if len(key) <= 2 {
 		return packKey(key)

@@ -24,8 +24,8 @@ type EvalStats struct {
 }
 
 // Partitions returns the total number of morsel chunks folded by
-// projections whose input spanned more than one chunk — the only place
-// chunk boundaries still shape a result.
+// projections whose input spanned more than one chunk — the one operator
+// whose chunk boundaries shape a result.
 func (s *EvalStats) Partitions() int64 { return s.partitions.Load() }
 
 // exec carries the per-operator execution context: the evaluator's
