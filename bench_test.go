@@ -21,9 +21,11 @@ import (
 
 // BenchmarkFig2 measures plan enumeration: the #MP and #P columns of
 // Figure 2 for the paper's largest query sizes (8-chain: 429 minimal
-// plans of 4279 total; 7-star: 5040 of 47293).
+// plans of 4279 total; 7-star: 5040 of 47293), and Algorithm 2's merged
+// plan for the 8- and 10-chains.
 func BenchmarkFig2(b *testing.B) {
 	b.Run("MinimalPlans/chain8", func(b *testing.B) {
+		b.ReportAllocs()
 		q := workload.ChainQuery(8)
 		for i := 0; i < b.N; i++ {
 			if got := len(core.MinimalPlans(q, nil)); got != 429 {
@@ -32,6 +34,7 @@ func BenchmarkFig2(b *testing.B) {
 		}
 	})
 	b.Run("MinimalPlans/star7", func(b *testing.B) {
+		b.ReportAllocs()
 		q := workload.StarQuery(7)
 		for i := 0; i < b.N; i++ {
 			if got := len(core.MinimalPlans(q, nil)); got != 5040 {
@@ -40,6 +43,7 @@ func BenchmarkFig2(b *testing.B) {
 		}
 	})
 	b.Run("AllPlans/chain8", func(b *testing.B) {
+		b.ReportAllocs()
 		q := workload.ChainQuery(8)
 		for i := 0; i < b.N; i++ {
 			if got := len(core.AllPlans(q)); got != 4279 {
@@ -48,6 +52,7 @@ func BenchmarkFig2(b *testing.B) {
 		}
 	})
 	b.Run("AllPlans/star7", func(b *testing.B) {
+		b.ReportAllocs()
 		q := workload.StarQuery(7)
 		for i := 0; i < b.N; i++ {
 			if got := len(core.AllPlans(q)); got != 47293 {
@@ -55,6 +60,15 @@ func BenchmarkFig2(b *testing.B) {
 			}
 		}
 	})
+	for _, k := range []int{8, 10} {
+		b.Run(fmt.Sprintf("SinglePlan/chain%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			q := workload.ChainQuery(k)
+			for i := 0; i < b.N; i++ {
+				core.SinglePlan(q, nil)
+			}
+		})
+	}
 }
 
 // benchModes runs the five evaluation strategies of Figures 5a–5c on one
@@ -71,6 +85,7 @@ func benchModes(b *testing.B, kind string, k, n int) {
 	for _, mode := range exp.RunModes {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				exp.Evaluate(db, q, mode)
 			}
@@ -96,8 +111,10 @@ func BenchmarkFig5d(b *testing.B) {
 	for k := 2; k <= 8; k++ {
 		k := k
 		b.Run(fmt.Sprintf("k=%d/Opt1-3", k), func(b *testing.B) {
+			b.ReportAllocs()
 			rng := rand.New(rand.NewSource(1))
 			db, q := workload.Chain(k, 300, exp.ChainDomain(k, 300), 0.5, rng)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				exp.Evaluate(db, q, exp.ModeOpt123)
 			}

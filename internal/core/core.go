@@ -164,7 +164,10 @@ func reduceMinimal(q *cq.Query, sch *Schema, plans []plan.Node) []plan.Node {
 // SinglePlan runs Algorithm 2 (Optimization 1): the minimal plans merged
 // into one plan with the min operator pushed down to the cut branches. Its
 // score equals the per-answer minimum of the minimal plans' scores, i.e.
-// the propagation score ρ(q).
+// the propagation score ρ(q). The result is a DAG whose shared subplans
+// are one node: Algorithm 2 memoises on the sub-query and Strip keeps that
+// sharing, so a sub-query reached from several cut branches is built once,
+// however often the tree the DAG unfolds to repeats it.
 func SinglePlan(q *cq.Query, sch *Schema) plan.Node {
 	chased := Chase(q, sch).Apply(q)
 	e := &enumerator{sch: sch, memo: map[string][]plan.Node{}, spMemo: map[string]plan.Node{}}

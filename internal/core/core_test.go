@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"testing"
@@ -367,6 +368,66 @@ func TestSinglePlanCoversMinimalPlans(t *testing.T) {
 	}
 	if len(m.Subs) != 2 {
 		t.Errorf("top-level alternatives = %d, want 2 (cuts {x} and {y})", len(m.Subs))
+	}
+}
+
+// TestSinglePlanSharesSubplans pins "tree size may be exponential, node
+// count may not" for the merged plan (ROADMAP item 1): SinglePlan returns
+// a DAG, so on k-chains its pointer-distinct nodes stay within twice its
+// key-distinct subplans while plan.Size, the tree the DAG unfolds to,
+// roughly triples per relation. The SHA-256 of SinglePlan's key and of
+// the joined MinimalPlans keys pin both outputs, child order included,
+// for the chains and for stars.
+func TestSinglePlanSharesSubplans(t *testing.T) {
+	for k := 2; k <= 10; k++ {
+		sp := SinglePlan(chainQuery(k), nil)
+		nodes, keys := map[plan.Node]bool{}, map[string]bool{}
+		var walk func(plan.Node)
+		walk = func(n plan.Node) {
+			if nodes[n] {
+				return
+			}
+			nodes[n], keys[n.Key()] = true, true
+			for _, c := range n.Children() {
+				walk(c)
+			}
+		}
+		walk(sp)
+		t.Logf("chain%d: %d nodes, %d distinct keys, tree size %d", k, len(nodes), len(keys), plan.Size(sp))
+		if len(nodes) > 2*len(keys) {
+			t.Errorf("chain%d: %d pointer-distinct nodes for %d distinct subplans (> 2x): the merged plan is not shared", k, len(nodes), len(keys))
+		}
+	}
+	digest := func(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s))) }
+	for _, c := range []struct {
+		name   string
+		q      *cq.Query
+		sp, mp string
+	}{
+		{"chain2", chainQuery(2), "aae8013fc26a0151a0266bd588835ef8ca56721e27564f5d246caa6a9a450880", "aae8013fc26a0151a0266bd588835ef8ca56721e27564f5d246caa6a9a450880"},
+		{"chain3", chainQuery(3), "48e8ffc7aecb2e8fc79b89fd29cdbc5cd6c64ba2696c86e6c9a4896690cf2c3f", "e3e2d3162a379855f95b534b28a0380622be2eb33f1a5ae0e2b5b8aae0a05b20"},
+		{"chain4", chainQuery(4), "35e5404b217e7561927c466ddc9b62baedffa886f5758156b4914f0f0c1e992b", "dbfb1e23412c2a2872ef6d771cdbf182a1447438e2f93be0fcc8a8907537cb7c"},
+		{"chain5", chainQuery(5), "5173ca12416d0c2ccbcc4ffff8efd1da006f726a90856b32380a06e6f32a6d26", "8b9c31d8058f08bbf57901c3ed1040a668c40975742dfae715937ba9d63a6721"},
+		{"chain6", chainQuery(6), "15bd5db72b90f0cc43c89a11f4301e1d5343417d6467ad76779d5c2737ec5996", "b365d2005528a1d7a7f6c367024e0ae7bb88e0e9065c27f7210339b90e19f980"},
+		{"chain7", chainQuery(7), "1f7edb7532471b877a934cf0c78d0d581eb2272a62da0a5e199390361d3261f1", "e822d68ebc942b62bb46f60de6198c32aa8a967ad60baff36e9891520c9567fa"},
+		{"chain8", chainQuery(8), "1d05f75aa5032fd4d03de5cb1aa7054252b2f70c4cc99655b8791dc7081dd4f9", "efdb0d92f1ade2258ce28906916fa807160cf2d0d92a9400d28129a7df2249f3"},
+		{"chain9", chainQuery(9), "5fc538c3c1eea3475bc32f66dd9c1be7a69a609350b815a52b30f2ec804b1ddf", "ad3e12f022e0791f83d2751233d015bc637cb193a1285d3f9baa250b0bfad3c4"},
+		{"chain10", chainQuery(10), "7da9d5635f5fd964c7a831f6842980077c88ecacd02446084f64ed1b03aadc7c", "1bd1dc31ca504ac063b25d4780d222b67175bdd7fb5317aa49b98b20f61ff278"},
+		{"star2", starQuery(2), "3fc5201b9dfc3733bbfd26ca1dd32694b4e7608cb47192cfaad976ba3582ec11", "7b235256e45c5107a8dad8125f6e563fee60a93283e11ac87233dc13fb0b2d64"},
+		{"star3", starQuery(3), "7fe77b86673b5e23dd72a1848322c66177fea54767dc27caa7be5765a4d840c5", "92f1e137cf8990ebe9368146b5c85553f58c799dd9a434c007c3148a320aed0d"},
+		{"star4", starQuery(4), "c625277511a31d150ab30d2addb6a81e52ae22f629b7c8d2e9f5635ef7473656", "49209ba0419b7911215c5978a14c4573d1f7791e5b1efd6f325eca957a33d3db"},
+		{"star5", starQuery(5), "011b77dc1d354eebf26c62e0e4af53d16a58b10eec7b4015af0c529319ff6715", "8d3e93d4929467e7942020171e0645aa84dcd5a5aa251fee0dcb30f9a6857d02"},
+	} {
+		if got := digest(SinglePlan(c.q, nil).Key()); got != c.sp {
+			t.Errorf("%s: SinglePlan key digest %s, want %s", c.name, got, c.sp)
+		}
+		var mp []string
+		for _, p := range MinimalPlans(c.q, nil) {
+			mp = append(mp, p.Key())
+		}
+		if got := digest(strings.Join(mp, "\n")); got != c.mp {
+			t.Errorf("%s: MinimalPlans keys digest %s, want %s", c.name, got, c.mp)
+		}
 	}
 }
 

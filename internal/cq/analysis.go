@@ -1,9 +1,5 @@
 package cq
 
-import (
-	"sort"
-)
-
 // IsHierarchical reports whether the query is hierarchical (Definition 1):
 // for any two existential variables x, y, the sets of atoms containing them
 // are nested or disjoint. Head variables are ignored — the test treats them
@@ -74,6 +70,51 @@ func (q *Query) SeparatorVars() VarSet {
 	return out
 }
 
+// atomGroups partitions the atom indices into connected components: two
+// atoms are connected when they share a variable that is neither a head
+// variable nor in extra, so head and extra variables act as constants.
+// Each group holds ascending indices, and groups are ordered by their
+// first atom.
+func (q *Query) atomGroups(extra VarSet) [][]int {
+	n := len(q.Atoms)
+	parent := make([]int, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	find := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
+		}
+		return i
+	}
+	head := q.HeadSet()
+	first := map[Var]int{}
+	for i, a := range q.Atoms {
+		for _, t := range a.Args {
+			if !t.IsVar() || head.Has(t.Var) || extra.Has(t.Var) {
+				continue
+			}
+			if j, ok := first[t.Var]; ok {
+				parent[find(i)] = find(j)
+			} else {
+				first[t.Var] = i
+			}
+		}
+	}
+	slot := make([]int, n) // root -> 1 + its index into groups
+	var groups [][]int
+	for i := 0; i < n; i++ {
+		r := find(i)
+		if slot[r] == 0 {
+			groups = append(groups, nil)
+			slot[r] = len(groups)
+		}
+		groups[slot[r]-1] = append(groups[slot[r]-1], i)
+	}
+	return groups
+}
+
 // Components partitions the query's atoms into connected components, where
 // two atoms are connected when they share an existential variable. Head
 // variables act as constants and never connect atoms. Each component is
@@ -81,52 +122,12 @@ func (q *Query) SeparatorVars() VarSet {
 // occur in it; predicates follow their variable. Components are ordered by
 // the first atom position, so the result is deterministic.
 func (q *Query) Components() []*Query {
-	n := len(q.Atoms)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	head := q.HeadSet()
-	byVar := map[Var][]int{}
-	for i, a := range q.Atoms {
-		for _, v := range a.Vars() {
-			if !head.Has(v) {
-				byVar[v] = append(byVar[v], i)
-			}
-		}
-	}
-	for _, idxs := range byVar {
-		for k := 1; k < len(idxs); k++ {
-			union(idxs[0], idxs[k])
-		}
-	}
-
-	order := []int{}
-	groups := map[int][]int{}
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], i)
-	}
-	sort.Slice(order, func(a, b int) bool { return groups[order[a]][0] < groups[order[b]][0] })
-
-	var out []*Query
-	for _, r := range order {
+	groups := q.atomGroups(nil)
+	out := make([]*Query, 0, len(groups))
+	for _, g := range groups {
 		sub := &Query{Name: q.Name}
 		vars := VarSet{}
-		for _, i := range groups[r] {
+		for _, i := range g {
 			sub.Atoms = append(sub.Atoms, q.Atoms[i])
 			for _, v := range q.Atoms[i].Vars() {
 				vars.Add(v)
@@ -149,7 +150,7 @@ func (q *Query) Components() []*Query {
 
 // IsConnected reports whether the query (ignoring head variables) forms a
 // single connected component.
-func (q *Query) IsConnected() bool { return len(q.Components()) == 1 }
+func (q *Query) IsConnected() bool { return len(q.atomGroups(nil)) == 1 }
 
 // WithHead returns a copy of q whose head variables are replaced by hs.
 func (q *Query) WithHead(hs []Var) *Query {
@@ -165,7 +166,7 @@ func (q *Query) WithHead(hs []Var) *Query {
 // EVars that include SeparatorVars, in increasing size, keeping only sets
 // with no proper cut subset.
 func (q *Query) MinCuts() []VarSet {
-	return q.minCuts(func(parts []*Query) bool { return len(parts) >= 2 })
+	return q.minCuts(func(groups [][]int) bool { return len(groups) >= 2 })
 }
 
 // MinPCuts is the deterministic-relations variant of MinCuts (Section
@@ -173,11 +174,11 @@ func (q *Query) MinCuts() []VarSet {
 // components containing *probabilistic* atoms, where isProb reports whether
 // a relation symbol is probabilistic.
 func (q *Query) MinPCuts(isProb func(rel string) bool) []VarSet {
-	return q.minCuts(func(parts []*Query) bool {
+	return q.minCuts(func(groups [][]int) bool {
 		n := 0
-		for _, p := range parts {
-			for _, a := range p.Atoms {
-				if isProb(a.Rel) {
+		for _, g := range groups {
+			for _, i := range g {
+				if isProb(q.Atoms[i].Rel) {
 					n++
 					break
 				}
@@ -188,10 +189,11 @@ func (q *Query) MinPCuts(isProb func(rel string) bool) []VarSet {
 }
 
 // minCuts enumerates minimal variable sets whose removal splits q into
-// components accepted by ok.
-func (q *Query) minCuts(ok func(parts []*Query) bool) []VarSet {
-	if !q.IsConnected() {
-		if ok(q.Components()) {
+// atom groups accepted by ok. Removing a set y is the paper's q - y: its
+// variables become constants, which atomGroups(y) reads without copying q.
+func (q *Query) minCuts(ok func(groups [][]int) bool) []VarSet {
+	if groups := q.atomGroups(nil); len(groups) != 1 {
+		if ok(groups) {
 			return []VarSet{{}}
 		}
 		return nil
@@ -218,8 +220,7 @@ func (q *Query) minCuts(ok func(parts []*Query) bool) []VarSet {
 			if containsAny(cuts, set) {
 				continue // a subset is already a cut: not minimal
 			}
-			rem := q.removeVars(set)
-			if ok(rem.Components()) {
+			if ok(q.atomGroups(set)) {
 				cuts = append(cuts, set)
 			}
 		}
@@ -242,20 +243,6 @@ func popcount(x uint64) int {
 		n++
 	}
 	return n
-}
-
-// removeVars returns the query q - x of the paper: every variable in x is
-// promoted to the head (treated as a constant), which is how "removing" a
-// variable behaves for connectivity and hierarchy purposes.
-func (q *Query) removeVars(x VarSet) *Query {
-	c := q.Clone()
-	head := q.HeadSet()
-	for _, v := range x.Sorted() {
-		if !head.Has(v) {
-			c.Head = append(c.Head, v)
-		}
-	}
-	return c
 }
 
 // FD is a functional dependency over query variables, written src → dst.

@@ -39,11 +39,15 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzAnalyses runs the structural analyses on every parseable input:
-// none of them may panic, and basic coherence must hold.
+// none of them may panic, and basic coherence must hold. Connectivity
+// and minimal cuts are checked against their definitions: a cut-set
+// promoted to the head disconnects the query, and no smaller set that
+// drops one of its variables does.
 func FuzzAnalyses(f *testing.F) {
 	f.Add("q(z) :- R(z, x), S(x, y), T(y)")
 	f.Add("q() :- A(x), B(y), M(x, y)")
 	f.Add("q() :- R(x, x)")
+	f.Add("q(z) :- R(z, 'c', x), S(x, y), T(y, u), y <= 3")
 	f.Fuzz(func(t *testing.T, input string) {
 		q, err := Parse(input)
 		if err != nil {
@@ -60,10 +64,24 @@ func FuzzAnalyses(f *testing.F) {
 		if total != len(q.Atoms) {
 			t.Fatalf("components lost atoms: %d vs %d", total, len(q.Atoms))
 		}
+		if q.IsConnected() != (len(comps) == 1) {
+			t.Fatalf("IsConnected = %v with %d components", q.IsConnected(), len(comps))
+		}
+		parts := func(y VarSet) int {
+			return len(q.WithHead(append(append([]Var(nil), q.Head...), y.Sorted()...)).Components())
+		}
 		if len(q.EVars()) <= 12 {
 			for _, y := range q.MinCuts() {
 				if !y.SubsetOf(NewVarSet(q.EVars()...)) {
 					t.Fatalf("cut %v uses non-existential variables", y)
+				}
+				if n := parts(y); n < 2 {
+					t.Fatalf("cut %v leaves %d component(s)", y, n)
+				}
+				for v := range y {
+					if n := parts(y.Minus(NewVarSet(v))); n >= 2 {
+						t.Fatalf("cut %v is not minimal: without %s it leaves %d components", y, v, n)
+					}
 				}
 			}
 		}

@@ -90,3 +90,43 @@ func TestSemiJoinReduceAllocGate(t *testing.T) {
 		t.Errorf("one reduction allocates %d B, over the %d B ceiling for %d input rows", perCall, ceiling, rows)
 	}
 }
+
+// TestSmallProjectionAllocGate pins that a projection's group table and
+// chunk scratch are sized from its input: projecting 10 rows must not
+// allocate the 8 192-slot table and 2 048-entry scratch that a fixed
+// projAccumHint seed costs (156 456 B measured), only what its 5 groups
+// need (1 192 B measured).
+func TestSmallProjectionAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("alloc gate skipped in -short")
+	}
+	const ceiling = 4 << 10
+	in := newResult([]cq.Var{"x", "y"})
+	for i := 0; i < 10; i++ {
+		for k, v := range []int{i % 5, i} {
+			in.vals[k] = append(in.vals[k], Value(v))
+			in.ids[k] = append(in.ids[k], int32(v))
+		}
+		in.scores = append(in.scores, 0.5)
+	}
+	onto := []cq.Var{"x"}
+	ex := &exec{c: &canceller{}}
+	if got := project(in, onto, ex).Len(); got != 5 {
+		t.Fatalf("projection returned %d groups, want 5", got)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		project(in, onto, ex)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("10-row projection: %d B/call (ceiling %d)", perCall, ceiling)
+	if perCall > ceiling {
+		t.Errorf("a 10-row projection allocates %d B, over the %d B ceiling", perCall, ceiling)
+	}
+}

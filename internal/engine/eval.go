@@ -706,22 +706,25 @@ type projAccum struct {
 	chunks  int
 }
 
-// projAccumHint seeds the accumulator's group table: the output group
-// count is unknown before the pass, so start at a couple of morsels and
-// let the table double as needed (rehashing touches only groups, never
+// projAccumHint caps the size hint a projection passes for its group
+// table. The group count is at most the input's row count but unknown
+// before the pass, so a caller passes min(rows, projAccumHint): a small
+// input gets a small table, a large one starts at a couple of morsels,
+// and either doubles as needed (rehashing touches only groups, never
 // rows).
 const projAccumHint = 2 * morselSize
 
 func newProjAccum(onto []cq.Var, sizeHint int, ex *exec) *projAccum {
 	ka := len(onto)
+	chunk := min(sizeHint, morselSize)
 	return &projAccum{
 		out:     newResult(append([]cq.Var(nil), onto...)),
 		g:       newGroupTable(ka, sizeHint),
 		ka:      ka,
 		key:     make([]int32, ka),
 		val:     make([]Value, ka),
-		touched: make([]int32, 0, morselSize),
-		partial: make([]float64, 0, morselSize),
+		touched: make([]int32, 0, chunk),
+		partial: make([]float64, 0, chunk),
 		ex:      ex,
 	}
 }
@@ -807,7 +810,7 @@ func project(in *Result, onto []cq.Var, ex *exec) *Result {
 		keyIDs[k] = in.ids[j]
 		keyVals[k] = in.vals[j]
 	}
-	pa := newProjAccum(onto, projAccumHint, ex)
+	pa := newProjAccum(onto, min(n, projAccumHint), ex)
 	c := ex.canc()
 	for i := 0; i < n; i++ {
 		c.check()

@@ -10,8 +10,10 @@ package engine
 // Go map: the columnar operators intern one key per input row, which
 // made map access the dominant cost of project/join under profiling.
 // Open addressing with power-of-two sizing keeps the probe sequence in
-// one cache line for most lookups and pre-sizes exactly from the
-// operator's cardinality hints.
+// one cache line for most lookups. Each table is pre-sized from its
+// operator's input: a join build or min fold from the row count it
+// interns, a projection from its input's row count capped at
+// projAccumHint. Any table grows on demand past its hint.
 
 // packKey packs an arity <= 2 key of dense ids into a collision-free
 // uint64.

@@ -91,7 +91,7 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
 	sg := newColSigner(probeKeys)
 	wide := sg.wide()
 	c := ex.canc()
-	pa := newProjAccum(onto, projAccumHint, ex)
+	pa := newProjAccum(onto, min(jl.probe.Len()+jl.build.Len(), projAccumHint), ex)
 	bscores, pscores := jl.build.scores, jl.probe.scores
 	pending := 0 // join rows found since the last budget charge
 	for i := 0; i < np; i++ {

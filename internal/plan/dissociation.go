@@ -211,37 +211,50 @@ func safePlan(q *cq.Query) Node {
 // q's original atoms: every scan's atom is replaced by the original atom
 // with the same relation symbol, and every projection keeps only the
 // variables still available below it. Trivial projections collapse away.
+// Each distinct input node is stripped once, so a subplan the input
+// shares stays one node in the result: a DAG stays a DAG.
 func Strip(q *cq.Query, n Node) Node {
-	switch t := n.(type) {
-	case *Scan:
-		orig := q.Atom(t.Atom.Rel)
-		if orig == nil {
-			panic(fmt.Sprintf("plan: stripped plan mentions unknown relation %s", t.Atom.Rel))
+	memo := map[Node]Node{}
+	var strip func(Node) Node
+	strip = func(n Node) Node {
+		if s, ok := memo[n]; ok {
+			return s
 		}
-		return NewScan(*orig, q.PredsOnAtom(*orig))
-	case *Project:
-		child := Strip(q, t.Child)
-		below := child.HeadSet()
-		var onto []cq.Var
-		for _, v := range t.OnTo {
-			if below.Has(v) {
-				onto = append(onto, v)
+		var out Node
+		switch t := n.(type) {
+		case *Scan:
+			orig := q.Atom(t.Atom.Rel)
+			if orig == nil {
+				panic(fmt.Sprintf("plan: stripped plan mentions unknown relation %s", t.Atom.Rel))
 			}
+			out = NewScan(*orig, q.PredsOnAtom(*orig))
+		case *Project:
+			child := strip(t.Child)
+			below := child.HeadSet()
+			var onto []cq.Var
+			for _, v := range t.OnTo {
+				if below.Has(v) {
+					onto = append(onto, v)
+				}
+			}
+			out = NewProject(onto, child)
+		case *Join:
+			subs := make([]Node, len(t.Subs))
+			for i, c := range t.Subs {
+				subs[i] = strip(c)
+			}
+			out = NewJoin(subs...)
+		case *Min:
+			subs := make([]Node, len(t.Subs))
+			for i, c := range t.Subs {
+				subs[i] = strip(c)
+			}
+			out = NewMin(subs...)
+		default:
+			panic("plan: unknown node type")
 		}
-		return NewProject(onto, child)
-	case *Join:
-		subs := make([]Node, len(t.Subs))
-		for i, c := range t.Subs {
-			subs[i] = Strip(q, c)
-		}
-		return NewJoin(subs...)
-	case *Min:
-		subs := make([]Node, len(t.Subs))
-		for i, c := range t.Subs {
-			subs[i] = Strip(q, c)
-		}
-		return NewMin(subs...)
-	default:
-		panic("plan: unknown node type")
+		memo[n] = out
+		return out
 	}
+	return strip(n)
 }
