@@ -64,29 +64,30 @@ type batchRequest struct {
 	Epsilon *float64 `json:"epsilon"`
 }
 
-// batchResultJSON is one query's slot in the response: answers on
-// success (with "cache" reporting whether the result cache served
-// them), or an error object with the same codes /v1/query would map to
-// an HTTP status.
-type batchResultJSON struct {
-	Answers []answerJSON `json:"answers,omitempty"`
-	Count   int          `json:"count"`
-	Safe    bool         `json:"safe"`
-	Cache   string       `json:"cache,omitempty"` // result cache: "hit" or "miss"
-	Error   *apiError    `json:"error,omitempty"`
+// slotJSON is one query's slot in the response after its leading
+// "answers" array, in wire order: answers on success (with "cache"
+// reporting whether the result cache served them), or an error object
+// with the same codes /v1/query would map to an HTTP status. "answers"
+// is omitted from a slot that has none.
+type slotJSON struct {
+	Count int       `json:"count"`
+	Safe  bool      `json:"safe"`
+	Cache string    `json:"cache,omitempty"` // result cache: "hit" or "miss"
+	Error *apiError `json:"error,omitempty"`
 	// Anytime fields, present only when the batch carried an epsilon;
 	// per-query, since refinement may converge for one query and be cut
-	// short for its neighbor. See queryResponse for the semantics.
+	// short for its neighbor. See queryTail for the semantics.
 	Converged *bool    `json:"converged,omitempty"`
 	Degraded  string   `json:"degraded,omitempty"`
 	Width     *float64 `json:"width,omitempty"`
 }
 
-type batchResponse struct {
-	Results     []batchResultJSON `json:"results"`
-	Count       int               `json:"count"`
-	Version     uint64            `json:"version"`
-	Fingerprint string            `json:"fingerprint"`
+// batchTail is a /v1/rank_batch response after its leading "results"
+// array, in wire order.
+type batchTail struct {
+	Count       int    `json:"count"`
+	Version     uint64 `json:"version"`
+	Fingerprint string `json:"fingerprint"`
 	// SharedSubplanHits counts subplan evaluations served from another
 	// query's memoized work within this batch.
 	SharedSubplanHits int64   `json:"shared_subplan_hits"`
@@ -122,7 +123,12 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	v := s.store.Current()
 	begin := time.Now()
 
-	results := make([]batchResultJSON, len(req.Queries))
+	results := make([]rendered, len(req.Queries))
+	defer func() {
+		for i := range results {
+			results[i].release()
+		}
+	}()
 	// Pass 1, before taking a worker slot: validate each query, then try
 	// the result cache. A batch whose queries were all answered at this
 	// version responds without ever entering the admission queue.
@@ -133,11 +139,11 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 	var todo []pending
 	for i, bq := range req.Queries {
 		if strings.TrimSpace(bq.Query) == "" {
-			results[i] = batchResultJSON{Error: &apiError{Code: "missing_query", Message: `field "query" is required`}}
+			results[i] = slotError("missing_query", `field "query" is required`)
 			continue
 		}
 		if bq.Top < 0 {
-			results[i] = batchResultJSON{Error: &apiError{Code: "bad_top", Message: `field "top" must be >= 0`}}
+			results[i] = slotError("bad_top", `field "top" must be >= 0`)
 			continue
 		}
 		normalized, key, c, err := s.lookup(v, &sp, bq.Query)
@@ -173,20 +179,37 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	body := getJSONBuf()
+	defer putJSONBuf(body)
+	body.b = append(body.b, `{"results":[`...)
 	done := 0
-	for _, res := range results {
+	for i := range results {
+		if i > 0 {
+			body.b = append(body.b, ',')
+		}
+		res := &results[i]
 		if res.Error == nil {
 			done++
 		}
+		if res.Count == 0 { // an error, or no answers: "answers" is omitted
+			body.encode(&res.slotJSON)
+		} else {
+			body.appendAnswers(res.answers, &res.slotJSON)
+		}
 	}
-	writeJSON(w, http.StatusOK, batchResponse{
-		Results:           results,
+	body.closeArray(&batchTail{
 		Count:             done,
 		Version:           v.Seq,
 		Fingerprint:       v.Fingerprint,
 		SharedSubplanHits: sharedHits,
 		ElapsedMS:         float64(time.Since(begin).Microseconds()) / 1000,
 	})
+	writeFramed(w, body)
+}
+
+// slotError is a slot that failed with the given error object.
+func slotError(code, msg string) rendered {
+	return rendered{slotJSON: slotJSON{Error: &apiError{Code: code, Message: msg}}}
 }
 
 // batchSlot fills the slot of one query that missed the result cache in
@@ -196,7 +219,7 @@ func (s *Server) handleRankBatch(w http.ResponseWriter, r *http.Request) {
 // interval (Degraded set) rather than an error — the remaining slots
 // still run, and may be served from already-memoized subplans even with
 // the budget gone.
-func (s *Server) batchSlot(ctx context.Context, v *store.Version, sp *querySpec, batch *lapushdb.Batch, bq batchQueryJSON, normalized, key string) batchResultJSON {
+func (s *Server) batchSlot(ctx context.Context, v *store.Version, sp *querySpec, batch *lapushdb.Batch, bq batchQueryJSON, normalized, key string) rendered {
 	// A duplicate earlier in the batch (or a concurrent request) may
 	// have filled the entry since pass 1.
 	if c := s.hit(sp, key); c != nil {
@@ -218,8 +241,8 @@ func (s *Server) batchSlot(ctx context.Context, v *store.Version, sp *querySpec,
 // object. The batch responds 200 with partial results, so the
 // per-query code carries what a standalone request would put in the
 // HTTP status; the per-class metrics are maintained identically.
-func (s *Server) batchErrResult(err error) batchResultJSON {
+func (s *Server) batchErrResult(err error) rendered {
 	_, code, msg := errorStatus(err)
 	s.noteQueryError(code)
-	return batchResultJSON{Error: &apiError{Code: code, Message: msg}}
+	return slotError(code, msg)
 }

@@ -15,12 +15,13 @@ import (
 //     enumerated, because plan search is the expensive lifted-inference
 //     step; and
 //   - the result cache, holding *cachedResult values — fully evaluated
-//     answer lists, so a repeated identical request skips evaluation
-//     entirely.
+//     answer lists and their JSON, encoded on demand, so a repeated
+//     identical request skips evaluation and encoding entirely.
 //
 // Keys for both are scoped by the pinned store version's fingerprint
 // (see cacheKey and resultCacheKey), so every ingested mutation batch
-// invalidates stale entries naturally. Cached values are immutable and
+// invalidates stale entries naturally. Cached values are immutable (a
+// result entry's encoded prefix only grows, under the entry's lock) and
 // may be handed to any number of concurrent requests.
 type lruCache[V any] struct {
 	mu    sync.Mutex

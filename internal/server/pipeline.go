@@ -188,18 +188,44 @@ func (s *Server) evaluate(ctx context.Context, sp *querySpec, rk ranker, p *lapu
 	return entry, "", nil
 }
 
+// rendered is one query's served result: its answers, encoded, and the
+// per-query fields both endpoints report — a batch slot's members, which
+// /v1/query copies into its own envelope. A slot that failed carries
+// only Error.
+type rendered struct {
+	slotJSON
+	// answers is the JSON of the served answers as array elements, ready
+	// to be framed.
+	answers []byte
+	// buf holds answers when the render encoded them for this response;
+	// nil when answers alias the cache entry.
+	buf *jsonBuf
+}
+
+// release returns a per-response answer buffer to the pool once the
+// response holding it is written.
+func (r *rendered) release() {
+	if r.buf != nil {
+		putJSONBuf(r.buf)
+		r.buf = nil
+	}
+}
+
 // render serves the first top answers of an entry — fresh, hit or
-// stale alike — as a batch slot, which is exactly the per-query fields
-// both endpoints report (/v1/query copies them into its envelope). The
-// anytime fields stay nil/"" on a plain request, which omits them on the
-// wire. For an anytime request, per-answer and overall convergence are
-// recomputed against the requested epsilon, and this is the one place
-// the anytime metrics are maintained: once per served response,
-// whichever path produced the entry.
-func (s *Server) render(sp *querySpec, c *cachedResult, top int, cache, degraded string) batchResultJSON {
+// stale alike. The anytime fields stay nil/"" on a plain request, which
+// omits them on the wire. A plain request is served the entry's own
+// encoded prefix. For an anytime request, per-answer and overall
+// convergence are recomputed against the requested epsilon, so its
+// answers are encoded per response; and this is the one place the
+// anytime metrics are maintained: once per served response, whichever
+// path produced the entry.
+func (s *Server) render(sp *querySpec, c *cachedResult, top int, cache, degraded string) rendered {
 	if sp.anytime == nil {
-		answers := c.top(top)
-		return batchResultJSON{Answers: answers, Count: len(answers), Safe: c.safe, Cache: cache}
+		n := len(c.top(top))
+		return rendered{
+			slotJSON: slotJSON{Count: n, Safe: c.safe, Cache: cache},
+			answers:  c.answerBytes(n),
+		}
 	}
 	answers, all := c.anytimeTop(top, sp.anytime.Epsilon)
 	converged := all && degraded == ""
@@ -210,13 +236,18 @@ func (s *Server) render(sp *querySpec, c *cachedResult, top int, cache, degraded
 		s.metrics.anytimeDegraded.Add(1)
 	}
 	s.metrics.anytimeWidth.observe(c.width)
-	return batchResultJSON{
-		Answers:   answers,
-		Count:     len(answers),
-		Safe:      c.safe,
-		Cache:     cache,
-		Converged: &converged,
-		Degraded:  degraded,
-		Width:     &c.width,
+	buf := getJSONBuf()
+	buf.encodeAnswers(answers, len(answers))
+	return rendered{
+		slotJSON: slotJSON{
+			Count:     len(answers),
+			Safe:      c.safe,
+			Cache:     cache,
+			Converged: &converged,
+			Degraded:  degraded,
+			Width:     &c.width,
+		},
+		answers: buf.b,
+		buf:     buf,
 	}
 }

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"lapushdb"
 )
@@ -10,7 +12,8 @@ import (
 // Result cache. A cachedResult is one query's fully evaluated, ranked
 // answer list against one store version. Entries are immutable: the
 // answers slice is never mutated after insertion, and per-request "top"
-// truncation slices a view instead of copying. Because the cache key
+// truncation slices a view instead of copying; only the answers' JSON
+// encoding grows, each time replaced whole. Because the cache key
 // starts with the pinned version's fingerprint — which changes on every
 // ingested mutation batch — ingestion invalidates the whole cache
 // naturally, with stale entries aging out of the LRU.
@@ -25,6 +28,14 @@ type cachedResult struct {
 	// width as a degraded 200.
 	anytime bool
 	width   float64
+
+	// enc is the JSON encoding of answers[:len(ends)], and ends[i] the
+	// end offset of answer i in it. answerBytes extends them on demand
+	// under mu by replacing both, never by writing into them, so bytes a
+	// reader holds never change.
+	mu   sync.Mutex
+	enc  []byte
+	ends []int
 }
 
 // top returns the first n answers (all of them when n <= 0). The
@@ -34,6 +45,44 @@ func (c *cachedResult) top(n int) []answerJSON {
 		return c.answers[:n]
 	}
 	return c.answers
+}
+
+// answerBytes returns the encoding of the first n answers as elements of
+// a JSON array, encoding those no earlier call has: no answer of an
+// entry is encoded twice, and a request that serves ten of four hundred
+// encodes ten. The bytes alias the entry; callers must not modify them.
+// Only an entry's plain answers are served this way — an anytime
+// response recomputes convergence against its own epsilon.
+func (c *cachedResult) answerBytes(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.ends) < n {
+		// Encode in a pooled buffer and keep an exact-size copy: the entry
+		// allocates its bytes once instead of growing them by append.
+		j := getJSONBuf()
+		j.b, j.ends = append(j.b, c.enc...), append(j.ends, c.ends...)
+		j.encodeAnswers(c.answers, n)
+		c.enc, c.ends = slices.Clone(j.b), slices.Clone(j.ends)
+		putJSONBuf(j)
+	}
+	return c.enc[:c.ends[n-1]]
+}
+
+// encodeAnswers appends answers[len(j.ends):n] — those j has not encoded
+// yet, up to n — to j as comma-separated array elements, recording where
+// each ends. Each is encoded by encoding/json exactly as writeJSON
+// encodes an answer inside a response.
+func (j *jsonBuf) encodeAnswers(answers []answerJSON, n int) {
+	for i := len(j.ends); i < n; i++ {
+		if i > 0 {
+			j.b = append(j.b, ',')
+		}
+		j.encode(&answers[i])
+		j.ends = append(j.ends, len(j.b))
+	}
 }
 
 // anytimeTop renders the first n interval answers with per-answer

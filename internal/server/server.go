@@ -307,6 +307,86 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// jsonBuf is a byte buffer that encoding/json appends to, configured as
+// writeJSON configures its encoder, so every byte it encodes is the byte
+// writeJSON would have written. The answer envelopes of /v1/query and
+// /v1/rank_batch are framed in one: answers arrive pre-encoded (a cache
+// entry's prefix, or a per-response anytime encoding) and the remaining
+// fields are encoded as a struct whose members are spliced in after them.
+type jsonBuf struct {
+	b []byte
+	// ends[i] is the offset in b where answer i's encoding ends, as
+	// encodeAnswers recorded it.
+	ends []int
+	enc  *json.Encoder
+}
+
+func (j *jsonBuf) Write(p []byte) (int, error) {
+	j.b = append(j.b, p...)
+	return len(p), nil
+}
+
+// encode appends v's encoding, without the newline Encode ends it with.
+func (j *jsonBuf) encode(v any) {
+	if j.enc == nil {
+		j.enc = json.NewEncoder(j)
+		j.enc.SetEscapeHTML(false)
+	}
+	if err := j.enc.Encode(v); err != nil {
+		// Only a NaN or infinite float fails to encode, and no score,
+		// bound or timing the server reports is one.
+		panic(fmt.Sprintf("server: encode response: %v", err))
+	}
+	j.b = j.b[:len(j.b)-1]
+}
+
+// closeArray ends an array the caller opened as an object's first
+// member, then appends the members of rest — a struct, which encoding/json
+// encodes as an object — and closes the object: rest's opening brace
+// becomes the comma after the array.
+func (j *jsonBuf) closeArray(rest any) {
+	j.b = append(j.b, ']')
+	mark := len(j.b)
+	j.encode(rest)
+	j.b[mark] = ','
+}
+
+// appendAnswers appends the object {"answers":[answers], rest's members…}.
+func (j *jsonBuf) appendAnswers(answers []byte, rest any) {
+	j.b = append(j.b, `{"answers":[`...)
+	j.b = append(j.b, answers...)
+	j.closeArray(rest)
+}
+
+// jsonBufs pools the per-response buffers: the framed envelope, and the
+// answers of an anytime render.
+var jsonBufs = sync.Pool{New: func() any { return new(jsonBuf) }}
+
+// maxPooledJSONBuf bounds the buffers returned to the pool, so one huge
+// response does not stay resident as every later response's scratch.
+const maxPooledJSONBuf = 1 << 20
+
+func getJSONBuf() *jsonBuf {
+	j := jsonBufs.Get().(*jsonBuf)
+	j.b, j.ends = j.b[:0], j.ends[:0]
+	return j
+}
+
+func putJSONBuf(j *jsonBuf) {
+	if cap(j.b) <= maxPooledJSONBuf {
+		jsonBufs.Put(j)
+	}
+}
+
+// writeFramed writes a framed envelope as writeJSON writes a 200: the
+// same header and body bytes, the newline included.
+func writeFramed(w http.ResponseWriter, j *jsonBuf) {
+	j.b = append(j.b, '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(j.b)
+}
+
 func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, errorResponse{Error: apiError{Code: code, Message: msg}})
 }
@@ -476,12 +556,13 @@ type answerJSON struct {
 	Interval *intervalJSON `json:"interval,omitempty"`
 }
 
-type queryResponse struct {
-	Answers []answerJSON `json:"answers"`
-	Count   int          `json:"count"`
-	Method  string       `json:"method"`
-	Safe    bool         `json:"safe"`
-	Cache   string       `json:"cache"` // plan cache: "hit" or "miss"
+// queryTail is a /v1/query response after its leading "answers" array,
+// in wire order: the envelope is {"answers":[…], then these members.
+type queryTail struct {
+	Count  int    `json:"count"`
+	Method string `json:"method"`
+	Safe   bool   `json:"safe"`
+	Cache  string `json:"cache"` // plan cache: "hit" or "miss"
 	// ResultCache reports whether the fully evaluated answer list was
 	// served from the result cache ("hit") or computed ("miss").
 	ResultCache string  `json:"result_cache"`
@@ -566,8 +647,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out := s.render(&sp, c, req.Top, resultCache, degraded)
-	resp := queryResponse{
-		Answers:     out.Answers,
+	defer out.release()
+	tail := queryTail{
 		Count:       out.Count,
 		Method:      sp.method,
 		Safe:        out.Safe,
@@ -579,9 +660,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Width:       out.Width,
 	}
 	if sp.anytime != nil {
-		resp.Epsilon = &sp.anytime.Epsilon
+		tail.Epsilon = &sp.anytime.Epsilon
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body := getJSONBuf()
+	defer putJSONBuf(body)
+	body.appendAnswers(out.answers, &tail)
+	writeFramed(w, body)
 }
 
 func cacheLabel(hit bool) string {
