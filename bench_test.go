@@ -22,7 +22,7 @@ import (
 // BenchmarkFig2 measures plan enumeration: the #MP and #P columns of
 // Figure 2 for the paper's largest query sizes (8-chain: 429 minimal
 // plans of 4279 total; 7-star: 5040 of 47293), and Algorithm 2's merged
-// plan for the 8- and 10-chains.
+// plan for the 8- and 10-chains and the 6- and 7-stars.
 func BenchmarkFig2(b *testing.B) {
 	b.Run("MinimalPlans/chain8", func(b *testing.B) {
 		b.ReportAllocs()
@@ -64,6 +64,15 @@ func BenchmarkFig2(b *testing.B) {
 		b.Run(fmt.Sprintf("SinglePlan/chain%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			q := workload.ChainQuery(k)
+			for i := 0; i < b.N; i++ {
+				core.SinglePlan(q, nil)
+			}
+		})
+	}
+	for _, k := range []int{6, 7} {
+		b.Run(fmt.Sprintf("SinglePlan/star%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			q := workload.StarQuery(k)
 			for i := 0; i < b.N; i++ {
 				core.SinglePlan(q, nil)
 			}

@@ -14,6 +14,7 @@ package core
 
 import (
 	"math/big"
+	"math/bits"
 	"sort"
 
 	"lapushdb/internal/cq"
@@ -80,12 +81,18 @@ func Chase(q *cq.Query, sch *Schema) plan.Dissociation {
 // 24 and 27 and returns all minimal query plans of q. With a nil or empty
 // schema this is plain Algorithm 1 (Theorem 20). The returned plans are
 // over q's original atoms (chase variables are stripped back out) and are
-// deduplicated, in deterministic order.
+// deduplicated, in the order of their keys.
 func MinimalPlans(q *cq.Query, sch *Schema) []plan.Node {
-	chased := Chase(q, sch).Apply(q)
-	e := &enumerator{sch: sch, memo: map[string][]plan.Node{}}
-	raw := e.mp(chased)
-	return reduceMinimal(q, sch, stripAll(q, raw))
+	return newEnumerator(q, sch).minimalPlans()
+}
+
+// Plans runs Algorithms 1 and 2 as one enumeration and returns what
+// MinimalPlans and SinglePlan return. The two share one interning table,
+// so a subplan both build is one node, and one cache of each
+// sub-query's components and cuts.
+func Plans(q *cq.Query, sch *Schema) (minimal []plan.Node, single plan.Node) {
+	e := newEnumerator(q, sch)
+	return e.minimalPlans(), e.singlePlan()
 }
 
 // reduceMinimal keeps one plan per ⪯p′ equivalence class and drops plans
@@ -164,31 +171,100 @@ func reduceMinimal(q *cq.Query, sch *Schema, plans []plan.Node) []plan.Node {
 // SinglePlan runs Algorithm 2 (Optimization 1): the minimal plans merged
 // into one plan with the min operator pushed down to the cut branches. Its
 // score equals the per-answer minimum of the minimal plans' scores, i.e.
-// the propagation score ρ(q). The result is a DAG whose shared subplans
-// are one node: Algorithm 2 memoises on the sub-query and Strip keeps that
-// sharing, so a sub-query reached from several cut branches is built once,
-// however often the tree the DAG unfolds to repeats it.
+// the propagation score ρ(q). The result is a DAG with one node per
+// distinct subplan: Algorithm 2 memoises on the sub-query and builds
+// through an interning table, and Strip keeps that sharing, so a subplan
+// reached from several cut branches is one node, however often the tree
+// the DAG unfolds to repeats it.
 func SinglePlan(q *cq.Query, sch *Schema) plan.Node {
-	chased := Chase(q, sch).Apply(q)
-	e := &enumerator{sch: sch, memo: map[string][]plan.Node{}, spMemo: map[string]plan.Node{}}
-	return plan.Strip(q, e.sp(chased))
+	return newEnumerator(q, sch).singlePlan()
 }
 
+// enumerator runs Algorithms 1 and 2 over the chased query. A sub-query
+// the recursion reaches is a pair of masks over it (cq.Bits): its atoms,
+// and its head variables, which act as constants. The memos are keyed by
+// that pair, so a sub-query reached with its head variables added in
+// another order is still enumerated once.
 type enumerator struct {
+	q      *cq.Query // the query plans are returned over
 	sch    *Schema
-	memo   map[string][]plan.Node
-	spMemo map[string]plan.Node
+	bits   *cq.Bits // numbers the chased query
+	tab    *plan.Table
+	prob   uint64 // the probabilistic atoms: every atom unless DRs are declared
+	shapes map[sub]*shape
+	mpMemo map[sub][]plan.Node
+	spMemo map[sub]plan.Node
 }
 
-// countProb returns the number of probabilistic atoms in q.
-func (e *enumerator) countProb(q *cq.Query) int {
-	n := 0
-	for _, a := range q.Atoms {
-		if e.sch.IsProb(a.Rel) {
-			n++
+// sub is a sub-query of the chased query: an atom mask and a head mask
+// holding only variables of those atoms.
+type sub struct{ atoms, head uint64 }
+
+// shape is what both algorithms branch on for one sub-query: its
+// components and, when there is only one, its cuts.
+type shape struct {
+	comps []uint64
+	cuts  []uint64
+}
+
+func newEnumerator(q *cq.Query, sch *Schema) *enumerator {
+	chased := Chase(q, sch).Apply(q)
+	e := &enumerator{
+		q:      q,
+		sch:    sch,
+		bits:   cq.NewBits(chased),
+		tab:    plan.NewTable(),
+		shapes: map[sub]*shape{},
+		mpMemo: map[sub][]plan.Node{},
+		spMemo: map[sub]plan.Node{},
+	}
+	for i, a := range chased.Atoms {
+		if sch.IsProb(a.Rel) {
+			e.prob |= 1 << i
 		}
 	}
-	return n
+	return e
+}
+
+// root is the whole chased query.
+func (e *enumerator) root() sub {
+	return e.sub(e.bits.AllAtoms(), e.bits.VarMask(e.bits.Query().Head))
+}
+
+// sub returns the sub-query of the given atoms, with the head variables
+// among theirs.
+func (e *enumerator) sub(atoms, head uint64) sub {
+	return sub{atoms, head & e.bits.VarsOf(atoms)}
+}
+
+func (e *enumerator) minimalPlans() []plan.Node {
+	var out []plan.Node
+	for _, p := range e.mp(e.root()) {
+		out = append(out, e.tab.Strip(e.q, p))
+	}
+	out = dedupe(out)
+	plan.SortByKey(out)
+	return reduceMinimal(e.q, e.sch, out)
+}
+
+func (e *enumerator) singlePlan() plan.Node {
+	return e.tab.Strip(e.q, e.sp(e.root()))
+}
+
+// shape returns the sub-query's components and cuts, computing them on
+// the first call.
+func (e *enumerator) shape(s sub) *shape {
+	if sh, ok := e.shapes[s]; ok {
+		return sh
+	}
+	sh := &shape{comps: e.bits.Components(s.atoms, s.head)}
+	if len(sh.comps) == 1 {
+		// MinCuts without schema knowledge; MinPCuts, cuts that separate
+		// at least two probabilistic components, under DRs.
+		sh.cuts = e.bits.MinCuts(s.atoms, s.head, e.prob)
+	}
+	e.shapes[s] = sh
+	return sh
 }
 
 // exactStopPlan is the stopping rule of the DR modification (Section
@@ -209,101 +285,81 @@ func (e *enumerator) exactStopPlan(q *cq.Query) plan.Node {
 			}
 		}
 	}
-	p, err := plan.PlanOf(q, d)
+	p, err := e.tab.PlanOf(q, d)
 	if err != nil {
 		panic("core: exact stop dissociation is not safe: " + err.Error())
 	}
 	return p
 }
 
-// cuts returns the cut-sets Algorithm 1 branches on: MinCuts without
-// schema knowledge, MinPCuts (cuts that separate at least two
-// probabilistic components) when deterministic relations are declared.
-func (e *enumerator) cuts(q *cq.Query) []cq.VarSet {
-	if e.sch != nil && len(e.sch.Det) > 0 {
-		return q.MinPCuts(e.sch.IsProb)
+// stopPlan returns the one plan of a sub-query the stopping rule ends the
+// recursion at — a single atom, or (DR) at most one probabilistic atom —
+// and false when the rule does not apply.
+func (e *enumerator) stopPlan(s sub) (plan.Node, bool) {
+	switch {
+	case bits.OnesCount64(s.atoms) == 1:
+		q := e.bits.Query()
+		a := q.Atoms[bits.TrailingZeros64(s.atoms)]
+		return e.tab.NewProject(e.bits.VarList(s.head), e.tab.NewScan(a, q.PredsOnAtom(a))), true
+	case bits.OnesCount64(s.atoms&e.prob) <= 1:
+		return e.exactStopPlan(e.bits.Sub(s.atoms, s.head)), true
 	}
-	return q.MinCuts()
+	return nil, false
 }
 
-// useStop reports whether the DR stopping rule applies to q.
-func (e *enumerator) useStop(q *cq.Query) bool {
-	if len(q.Atoms) == 1 {
-		return true
-	}
-	return e.sch != nil && len(e.sch.Det) > 0 && e.countProb(q) <= 1
-}
-
-// mp is Algorithm 1 (EnumerateMinimalPlans), memoized on the canonical
-// query form.
-func (e *enumerator) mp(q *cq.Query) []plan.Node {
-	key := q.String()
-	if ps, ok := e.memo[key]; ok {
+// mp is Algorithm 1 (EnumerateMinimalPlans), memoized on the sub-query.
+// Its plans are distinct but in no particular order.
+func (e *enumerator) mp(s sub) []plan.Node {
+	if ps, ok := e.mpMemo[s]; ok {
 		return ps
 	}
 	var out []plan.Node
-	switch {
-	case e.useStop(q):
-		if len(q.Atoms) == 1 {
-			a := q.Atoms[0]
-			out = []plan.Node{plan.NewProject(q.Head, plan.NewScan(a, q.PredsOnAtom(a)))}
-		} else {
-			out = []plan.Node{e.exactStopPlan(q)}
-		}
-	case !q.IsConnected():
-		comps := q.Components()
-		alts := make([][]plan.Node, len(comps))
-		for i, c := range comps {
-			alts[i] = e.mp(c)
+	if p, ok := e.stopPlan(s); ok {
+		out = []plan.Node{p}
+	} else if head, sh := e.bits.VarList(s.head), e.shape(s); len(sh.comps) > 1 {
+		alts := make([][]plan.Node, len(sh.comps))
+		for i, c := range sh.comps {
+			alts[i] = e.mp(e.sub(c, s.head))
 		}
 		forEachCombination(alts, func(subs []plan.Node) {
-			out = append(out, plan.NewProject(q.Head, plan.NewJoin(subs...)))
+			out = append(out, e.tab.NewProject(head, e.tab.NewJoin(subs...)))
 		})
-	default:
-		for _, y := range e.cuts(q) {
-			qy := q.WithHead(append(append([]cq.Var(nil), q.Head...), y.Sorted()...))
-			for _, p := range e.mp(qy) {
-				out = append(out, plan.NewProject(q.Head, p))
+	} else {
+		for _, y := range sh.cuts {
+			for _, p := range e.mp(sub{s.atoms, s.head | y}) {
+				out = append(out, e.tab.NewProject(head, p))
 			}
 		}
 	}
 	out = dedupe(out)
-	e.memo[key] = out
+	e.mpMemo[s] = out
 	return out
 }
 
 // sp is Algorithm 2 (SinglePlan): the same recursion as mp, but the
 // branching over cut-sets becomes a min operator, yielding one plan.
-func (e *enumerator) sp(q *cq.Query) plan.Node {
-	key := q.String()
-	if p, ok := e.spMemo[key]; ok {
+func (e *enumerator) sp(s sub) plan.Node {
+	if p, ok := e.spMemo[s]; ok {
 		return p
 	}
-	var out plan.Node
-	switch {
-	case e.useStop(q):
-		if len(q.Atoms) == 1 {
-			a := q.Atoms[0]
-			out = plan.NewProject(q.Head, plan.NewScan(a, q.PredsOnAtom(a)))
+	out, ok := e.stopPlan(s)
+	if !ok {
+		head, sh := e.bits.VarList(s.head), e.shape(s)
+		if len(sh.comps) > 1 {
+			subs := make([]plan.Node, len(sh.comps))
+			for i, c := range sh.comps {
+				subs[i] = e.sp(e.sub(c, s.head))
+			}
+			out = e.tab.NewProject(head, e.tab.NewJoin(subs...))
 		} else {
-			out = e.exactStopPlan(q)
+			alts := make([]plan.Node, len(sh.cuts))
+			for i, y := range sh.cuts {
+				alts[i] = e.tab.NewProject(head, e.sp(sub{s.atoms, s.head | y}))
+			}
+			out = e.tab.NewMin(alts...)
 		}
-	case !q.IsConnected():
-		comps := q.Components()
-		subs := make([]plan.Node, len(comps))
-		for i, c := range comps {
-			subs[i] = e.sp(c)
-		}
-		out = plan.NewProject(q.Head, plan.NewJoin(subs...))
-	default:
-		var alts []plan.Node
-		for _, y := range e.cuts(q) {
-			qy := q.WithHead(append(append([]cq.Var(nil), q.Head...), y.Sorted()...))
-			alts = append(alts, plan.NewProject(q.Head, e.sp(qy)))
-		}
-		out = plan.NewMin(alts...)
 	}
-	e.spMemo[key] = out
+	e.spMemo[s] = out
 	return out
 }
 
@@ -320,10 +376,7 @@ func (e *enumerator) sp(q *cq.Query) plan.Node {
 // (e.g. plan 5 of Figure 1b). SafeDissociationPlans enumerates that larger
 // space — one plan per reachable safe dissociation — and matches Figure
 // 1b; AllPlans matches the Figure 2 sequence counts.
-func AllPlans(q *cq.Query) []plan.Node {
-	e := &allEnumerator{memo: map[string][]plan.Node{}}
-	return e.all(q, false)
-}
+func AllPlans(q *cq.Query) []plan.Node { return allPlans(q, false) }
 
 // SafeDissociationPlans enumerates one query plan per safe dissociation of
 // q reachable by a plan (Theorem 18, Figure 1b): in addition to the
@@ -331,73 +384,72 @@ func AllPlans(q *cq.Query) []plan.Node {
 // connected components arbitrarily — merging components corresponds to
 // dissociating their atoms on shared variables. Exponential in the query
 // size; intended for small queries in tests and validation.
-func SafeDissociationPlans(q *cq.Query) []plan.Node {
-	e := &allEnumerator{memo: map[string][]plan.Node{}}
-	return e.all(q, true)
+func SafeDissociationPlans(q *cq.Query) []plan.Node { return allPlans(q, true) }
+
+// allPlans runs the AllPlans recursion, or with merge the
+// SafeDissociationPlans one, over sub-queries as masks, like Algorithm 1,
+// and returns the plans in the order of their keys.
+func allPlans(q *cq.Query, merge bool) []plan.Node {
+	b := cq.NewBits(q)
+	e := &allEnumerator{bits: b, tab: plan.NewTable(), merge: merge, memo: map[sub][]plan.Node{}}
+	out := append([]plan.Node(nil), e.all(sub{b.AllAtoms(), b.VarMask(q.Head)})...)
+	plan.SortByKey(out)
+	return out
 }
 
 type allEnumerator struct {
-	memo map[string][]plan.Node
+	bits  *cq.Bits
+	tab   *plan.Table
+	merge bool // group components arbitrarily (SafeDissociationPlans)
+	memo  map[sub][]plan.Node
 }
 
-func (e *allEnumerator) all(q *cq.Query, mergeComponents bool) []plan.Node {
-	key := q.String()
-	if ps, ok := e.memo[key]; ok {
+func (e *allEnumerator) all(s sub) []plan.Node {
+	if ps, ok := e.memo[s]; ok {
 		return ps
 	}
 	var out []plan.Node
-	if len(q.Atoms) == 1 {
-		a := q.Atoms[0]
-		out = []plan.Node{plan.NewProject(q.Head, plan.NewScan(a, q.PredsOnAtom(a)))}
-		e.memo[key] = out
+	head := e.bits.VarList(s.head)
+	if bits.OnesCount64(s.atoms) == 1 {
+		q := e.bits.Query()
+		a := q.Atoms[bits.TrailingZeros64(s.atoms)]
+		out = []plan.Node{e.tab.NewProject(head, e.tab.NewScan(a, q.PredsOnAtom(a)))}
+		e.memo[s] = out
 		return out
 	}
-	evars := q.EVars()
-	n := len(evars)
-	for mask := uint64(0); mask < 1<<uint(n); mask++ {
-		y := cq.VarSet{}
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				y.Add(evars[i])
-			}
-		}
-		qy := q.WithHead(append(append([]cq.Var(nil), q.Head...), y.Sorted()...))
-		comps := qy.Components()
-		if len(comps) < 2 {
-			continue
-		}
-		expand := func(groups [][]int) {
-			alts := make([][]plan.Node, len(groups))
-			for gi, g := range groups {
-				sub := &cq.Query{Name: q.Name}
-				for _, ci := range g {
-					sub.Atoms = append(sub.Atoms, comps[ci].Atoms...)
-					sub.Preds = append(sub.Preds, comps[ci].Preds...)
-				}
-				vars := cq.NewVarSet(sub.Vars()...)
-				for _, h := range qy.Head {
-					if vars.Has(h) {
-						sub.Head = append(sub.Head, h)
+	evars := e.bits.VarsOf(s.atoms) &^ s.head
+	for y := evars; ; y = (y - 1) & evars { // every subset of evars
+		consts := s.head | y
+		if comps := e.bits.Components(s.atoms, consts); len(comps) >= 2 {
+			expand := func(groups [][]int) {
+				alts := make([][]plan.Node, len(groups))
+				for gi, g := range groups {
+					var atoms uint64
+					for _, ci := range g {
+						atoms |= comps[ci]
 					}
+					alts[gi] = e.all(sub{atoms, consts & e.bits.VarsOf(atoms)})
 				}
-				alts[gi] = e.all(sub, mergeComponents)
+				forEachCombination(alts, func(subs []plan.Node) {
+					out = append(out, e.tab.NewProject(head, e.tab.NewJoin(subs...)))
+				})
 			}
-			forEachCombination(alts, func(subs []plan.Node) {
-				out = append(out, plan.NewProject(q.Head, plan.NewJoin(subs...)))
-			})
+			if e.merge {
+				forEachPartition(len(comps), expand)
+			} else {
+				finest := make([][]int, len(comps))
+				for i := range comps {
+					finest[i] = []int{i}
+				}
+				expand(finest)
+			}
 		}
-		if mergeComponents {
-			forEachPartition(len(comps), expand)
-		} else {
-			finest := make([][]int, len(comps))
-			for i := range comps {
-				finest[i] = []int{i}
-			}
-			expand(finest)
+		if y == 0 {
+			break
 		}
 	}
 	out = dedupe(out)
-	e.memo[key] = out
+	e.memo[s] = out
 	return out
 }
 
@@ -461,7 +513,7 @@ func Dissociations(q *cq.Query) []plan.Dissociation {
 		masks = append(masks, mask)
 	}
 	sort.Slice(masks, func(i, j int) bool {
-		pi, pj := popcount(masks[i]), popcount(masks[j])
+		pi, pj := bits.OnesCount64(masks[i]), bits.OnesCount64(masks[j])
 		if pi != pj {
 			return pi < pj
 		}
@@ -541,24 +593,16 @@ func SafeGiven(q *cq.Query, sch *Schema, plans []plan.Node) bool {
 	return true
 }
 
-func stripAll(q *cq.Query, raw []plan.Node) []plan.Node {
-	var out []plan.Node
-	for _, p := range raw {
-		out = append(out, plan.Strip(q, p))
-	}
-	return dedupe(out)
-}
-
+// dedupe drops the plans whose id an earlier plan has, keeping order.
 func dedupe(ps []plan.Node) []plan.Node {
-	seen := map[string]bool{}
-	var out []plan.Node
+	seen := make(map[plan.ID]bool, len(ps))
+	out := ps[:0:0]
 	for _, p := range ps {
-		if !seen[p.Key()] {
-			seen[p.Key()] = true
+		if !seen[p.ID()] {
+			seen[p.ID()] = true
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
 }
 
@@ -578,12 +622,4 @@ func forEachCombination(alts [][]plan.Node, fn func([]plan.Node)) {
 		}
 	}
 	rec(0)
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

@@ -1,5 +1,11 @@
 package cq
 
+import (
+	"fmt"
+	"math/bits"
+	"sort"
+)
+
 // IsHierarchical reports whether the query is hierarchical (Definition 1):
 // for any two existential variables x, y, the sets of atoms containing them
 // are nested or disjoint. Head variables are ignored — the test treats them
@@ -70,50 +76,240 @@ func (q *Query) SeparatorVars() VarSet {
 	return out
 }
 
-// atomGroups partitions the atom indices into connected components: two
-// atoms are connected when they share a variable that is neither a head
-// variable nor in extra, so head and extra variables act as constants.
-// Each group holds ascending indices, and groups are ordered by their
-// first atom.
-func (q *Query) atomGroups(extra VarSet) [][]int {
-	n := len(q.Atoms)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+// maxWidth is the most atoms, and the most variables, a query may have:
+// Bits numbers each in one 64-bit mask.
+const maxWidth = 64
+
+// CheckWidth reports an error when q has more atoms or more variables
+// than maxWidth, which the mask analyses below cannot number.
+func (q *Query) CheckWidth() error {
+	if n := len(q.Atoms); n > maxWidth {
+		return fmt.Errorf("cq: query %s has %d atoms; at most %d are supported", q.Name, n, maxWidth)
 	}
-	find := func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
+	args := 0
+	for _, a := range q.Atoms {
+		args += len(a.Args)
 	}
-	head := q.HeadSet()
-	first := map[Var]int{}
+	if args <= maxWidth {
+		return nil // too few argument positions to hold too many variables
+	}
+	if n := len(q.Vars()); n > maxWidth {
+		return fmt.Errorf("cq: query %s has %d variables; at most %d are supported", q.Name, n, maxWidth)
+	}
+	return nil
+}
+
+// Bits is the bitmask view of a query that the structural analyses run
+// on. Atoms are numbered by body position and variables in name order,
+// so a sub-query of q — some of its atoms, with some of their variables
+// acting as constants — is a pair of masks: an atom mask and a mask of
+// the variables read as constants (the sub-query's head). Two sub-queries
+// with the same masks are the same sub-query, whatever order their head
+// variables were added in.
+type Bits struct {
+	q        *Query
+	vars     []Var    // bit i of a variable mask is vars[i]
+	atomVars []uint64 // atomVars[i]: the variables of atom i
+	varAtoms []uint64 // varAtoms[i]: the atoms containing vars[i]
+}
+
+// NewBits numbers q's atoms and variables. It panics when q fails
+// CheckWidth.
+func NewBits(q *Query) *Bits {
+	if err := q.CheckWidth(); err != nil {
+		panic(err.Error())
+	}
+	b := &Bits{q: q, vars: q.Vars()}
+	sort.Slice(b.vars, func(i, j int) bool { return b.vars[i] < b.vars[j] })
+	b.atomVars = make([]uint64, len(q.Atoms))
+	b.varAtoms = make([]uint64, len(b.vars))
 	for i, a := range q.Atoms {
 		for _, t := range a.Args {
-			if !t.IsVar() || head.Has(t.Var) || extra.Has(t.Var) {
-				continue
-			}
-			if j, ok := first[t.Var]; ok {
-				parent[find(i)] = find(j)
-			} else {
-				first[t.Var] = i
+			if t.IsVar() {
+				v := b.index(t.Var)
+				b.atomVars[i] |= 1 << v
+				b.varAtoms[v] |= 1 << i
 			}
 		}
 	}
-	slot := make([]int, n) // root -> 1 + its index into groups
-	var groups [][]int
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if slot[r] == 0 {
-			groups = append(groups, nil)
-			slot[r] = len(groups)
-		}
-		groups[slot[r]-1] = append(groups[slot[r]-1], i)
-	}
-	return groups
+	return b
 }
+
+func (b *Bits) index(v Var) int {
+	return sort.Search(len(b.vars), func(i int) bool { return b.vars[i] >= v })
+}
+
+// bit returns the mask of variable v, or 0 when the query lacks it.
+func (b *Bits) bit(v Var) uint64 {
+	if i := b.index(v); i < len(b.vars) && b.vars[i] == v {
+		return 1 << i
+	}
+	return 0
+}
+
+// Query returns the numbered query.
+func (b *Bits) Query() *Query { return b.q }
+
+// AllAtoms returns the mask of every atom of the query.
+func (b *Bits) AllAtoms() uint64 { return 1<<len(b.q.Atoms) - 1 }
+
+// VarMask returns the mask of the given variables; variables the query
+// does not have are ignored.
+func (b *Bits) VarMask(vs []Var) uint64 {
+	var m uint64
+	for _, v := range vs {
+		m |= b.bit(v)
+	}
+	return m
+}
+
+// VarsOf returns the mask of the variables of the given atoms.
+func (b *Bits) VarsOf(atoms uint64) uint64 {
+	var m uint64
+	for ; atoms != 0; atoms &= atoms - 1 {
+		m |= b.atomVars[bits.TrailingZeros64(atoms)]
+	}
+	return m
+}
+
+// VarList returns the variables of a mask, in name order.
+func (b *Bits) VarList(vars uint64) []Var {
+	out := make([]Var, 0, bits.OnesCount64(vars))
+	for ; vars != 0; vars &= vars - 1 {
+		out = append(out, b.vars[bits.TrailingZeros64(vars)])
+	}
+	return out
+}
+
+// Sub materialises the sub-query (atoms, head): the atoms in body order,
+// the head variables in name order, and the predicates on its variables.
+func (b *Bits) Sub(atoms, head uint64) *Query {
+	return b.sub(atoms, b.VarList(head&b.VarsOf(atoms)))
+}
+
+// sub is Sub with the head given as a list, kept in its order but
+// restricted to the variables of the atoms.
+func (b *Bits) sub(atoms uint64, head []Var) *Query {
+	vars := b.VarsOf(atoms)
+	out := &Query{Name: b.q.Name}
+	for rest := atoms; rest != 0; rest &= rest - 1 {
+		out.Atoms = append(out.Atoms, b.q.Atoms[bits.TrailingZeros64(rest)])
+	}
+	for _, h := range head {
+		if vars&b.bit(h) != 0 {
+			out.Head = append(out.Head, h)
+		}
+	}
+	for _, p := range b.q.Preds {
+		if vars&b.bit(p.Var) != 0 {
+			out.Preds = append(out.Preds, p)
+		}
+	}
+	return out
+}
+
+// component returns the connected component, within atoms, of the lowest
+// atom of atoms: two atoms are connected when they share a variable that
+// is not in consts.
+func (b *Bits) component(atoms, consts uint64) uint64 {
+	comp := atoms & -atoms
+	var followed uint64
+	for frontier := comp; frontier != 0; {
+		vs := b.VarsOf(frontier) &^ (consts | followed)
+		followed |= vs
+		var reach uint64
+		for ; vs != 0; vs &= vs - 1 {
+			reach |= b.varAtoms[bits.TrailingZeros64(vs)]
+		}
+		frontier = reach & atoms &^ comp
+		comp |= frontier
+	}
+	return comp
+}
+
+// Components returns the connected components of the given atoms, with
+// the variables of consts acting as constants that connect nothing, as
+// atom masks ordered by their lowest atom.
+func (b *Bits) Components(atoms, consts uint64) []uint64 {
+	var out []uint64
+	for atoms != 0 {
+		c := b.component(atoms, consts)
+		out = append(out, c)
+		atoms &^= c
+	}
+	return out
+}
+
+// splits reports whether, with consts acting as constants, the given
+// atoms fall into at least two components that each meet need.
+func (b *Bits) splits(atoms, consts, need uint64) bool {
+	n := 0
+	for atoms != 0 {
+		c := b.component(atoms, consts)
+		atoms &^= c
+		if c&need != 0 {
+			if n++; n == 2 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// MinCuts returns the minimal cut-sets of the sub-query (atoms, head)
+// (Section 3.2), as variable masks: the minimal sets y of its existential
+// variables such that, with y acting as constants too, the atoms fall
+// into at least two components that each meet need — every component
+// when need holds all the atoms (MinCuts), the probabilistic ones
+// (MinPCuts). A sub-query already split that way has the one cut ∅.
+//
+// Every cut holds the separator variables, the existential variables of
+// every atom, since any one left out keeps all the atoms connected. So
+// the search grows the separator by the other existential variables,
+// one size at a time, and never extends a set that already holds a cut:
+// each cut it finds is minimal, and it never lists the 2ⁿ subsets.
+func (b *Bits) MinCuts(atoms, head, need uint64) []uint64 {
+	if b.component(atoms, head) != atoms {
+		if b.splits(atoms, head, need) {
+			return []uint64{0}
+		}
+		return nil
+	}
+	evars := b.VarsOf(atoms) &^ head
+	sep := evars
+	for rest := atoms; rest != 0; rest &= rest - 1 {
+		sep &= b.atomVars[bits.TrailingZeros64(rest)]
+	}
+	var free []uint64 // the other existential variables, one bit each
+	for m := evars &^ sep; m != 0; m &= m - 1 {
+		free = append(free, m&-m)
+	}
+	var cuts []uint64
+	var grow func(from, left int, y uint64)
+	grow = func(from, left int, y uint64) {
+		for _, c := range cuts {
+			if c&^y == 0 {
+				return // y and every extension of it hold a cut: not minimal
+			}
+		}
+		if left == 0 {
+			if b.splits(atoms, head|y, need) {
+				cuts = append(cuts, y)
+			}
+			return
+		}
+		for i := from; i <= len(free)-left; i++ {
+			grow(i+1, left-1, y|free[i])
+		}
+	}
+	for size := 0; size <= len(free); size++ {
+		grow(0, size, sep)
+	}
+	return cuts
+}
+
+// varSet converts a variable mask to a set.
+func (b *Bits) varSet(vars uint64) VarSet { return NewVarSet(b.VarList(vars)...) }
 
 // Components partitions the query's atoms into connected components, where
 // two atoms are connected when they share an existential variable. Head
@@ -122,35 +318,21 @@ func (q *Query) atomGroups(extra VarSet) [][]int {
 // occur in it; predicates follow their variable. Components are ordered by
 // the first atom position, so the result is deterministic.
 func (q *Query) Components() []*Query {
-	groups := q.atomGroups(nil)
-	out := make([]*Query, 0, len(groups))
-	for _, g := range groups {
-		sub := &Query{Name: q.Name}
-		vars := VarSet{}
-		for _, i := range g {
-			sub.Atoms = append(sub.Atoms, q.Atoms[i])
-			for _, v := range q.Atoms[i].Vars() {
-				vars.Add(v)
-			}
-		}
-		for _, h := range q.Head {
-			if vars.Has(h) {
-				sub.Head = append(sub.Head, h)
-			}
-		}
-		for _, p := range q.Preds {
-			if vars.Has(p.Var) {
-				sub.Preds = append(sub.Preds, p)
-			}
-		}
-		out = append(out, sub)
+	b := NewBits(q)
+	comps := b.Components(b.AllAtoms(), b.VarMask(q.Head))
+	out := make([]*Query, len(comps))
+	for i, c := range comps {
+		out[i] = b.sub(c, q.Head)
 	}
 	return out
 }
 
 // IsConnected reports whether the query (ignoring head variables) forms a
 // single connected component.
-func (q *Query) IsConnected() bool { return len(q.atomGroups(nil)) == 1 }
+func (q *Query) IsConnected() bool {
+	b := NewBits(q)
+	return len(q.Atoms) > 0 && b.component(b.AllAtoms(), b.VarMask(q.Head)) == b.AllAtoms()
+}
 
 // WithHead returns a copy of q whose head variables are replaced by hs.
 func (q *Query) WithHead(hs []Var) *Query {
@@ -161,12 +343,10 @@ func (q *Query) WithHead(hs []Var) *Query {
 
 // MinCuts enumerates the minimal cut-sets of the query (Section 3.2): the
 // minimal sets y of existential variables such that removing y disconnects
-// the query. For a disconnected query it returns {∅}. Every cut-set must
-// contain all separator variables, so the search enumerates subsets of
-// EVars that include SeparatorVars, in increasing size, keeping only sets
-// with no proper cut subset.
+// the query. For a disconnected query it returns {∅}. See Bits.MinCuts.
 func (q *Query) MinCuts() []VarSet {
-	return q.minCuts(func(groups [][]int) bool { return len(groups) >= 2 })
+	b := NewBits(q)
+	return q.cutSets(b, b.AllAtoms())
 }
 
 // MinPCuts is the deterministic-relations variant of MinCuts (Section
@@ -174,75 +354,21 @@ func (q *Query) MinCuts() []VarSet {
 // components containing *probabilistic* atoms, where isProb reports whether
 // a relation symbol is probabilistic.
 func (q *Query) MinPCuts(isProb func(rel string) bool) []VarSet {
-	return q.minCuts(func(groups [][]int) bool {
-		n := 0
-		for _, g := range groups {
-			for _, i := range g {
-				if isProb(q.Atoms[i].Rel) {
-					n++
-					break
-				}
-			}
+	var need uint64
+	for i, a := range q.Atoms {
+		if isProb(a.Rel) {
+			need |= 1 << i
 		}
-		return n >= 2
-	})
+	}
+	return q.cutSets(NewBits(q), need)
 }
 
-// minCuts enumerates minimal variable sets whose removal splits q into
-// atom groups accepted by ok. Removing a set y is the paper's q - y: its
-// variables become constants, which atomGroups(y) reads without copying q.
-func (q *Query) minCuts(ok func(groups [][]int) bool) []VarSet {
-	if groups := q.atomGroups(nil); len(groups) != 1 {
-		if ok(groups) {
-			return []VarSet{{}}
-		}
-		return nil
+func (q *Query) cutSets(b *Bits, need uint64) []VarSet {
+	var out []VarSet
+	for _, y := range b.MinCuts(b.AllAtoms(), b.VarMask(q.Head), need) {
+		out = append(out, b.varSet(y))
 	}
-	evars := q.EVars()
-	var cuts []VarSet
-
-	// Enumerate subsets in increasing cardinality so minimality filtering
-	// only needs to look at already-found cuts.
-	n := len(evars)
-	subsetsBySize := make([][]uint64, n+1)
-	for mask := uint64(0); mask < 1<<uint(n); mask++ {
-		c := popcount(mask)
-		subsetsBySize[c] = append(subsetsBySize[c], mask)
-	}
-	for size := 0; size <= n; size++ {
-		for _, mask := range subsetsBySize[size] {
-			set := VarSet{}
-			for i := 0; i < n; i++ {
-				if mask&(1<<uint(i)) != 0 {
-					set.Add(evars[i])
-				}
-			}
-			if containsAny(cuts, set) {
-				continue // a subset is already a cut: not minimal
-			}
-			if ok(q.atomGroups(set)) {
-				cuts = append(cuts, set)
-			}
-		}
-	}
-	return cuts
-}
-
-func containsAny(cuts []VarSet, set VarSet) bool {
-	for _, c := range cuts {
-		if c.SubsetOf(set) {
-			return true
-		}
-	}
-	return false
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+	return out
 }
 
 // FD is a functional dependency over query variables, written src → dst.

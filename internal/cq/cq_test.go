@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -317,4 +318,66 @@ func sameStringSet(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestCheckWidth: the mask analyses number atoms and variables in 64
+// bits, so wider queries are refused with an error.
+func TestCheckWidth(t *testing.T) {
+	wide := func(n int) *Query {
+		a := Atom{Rel: "W"}
+		for i := 1; i <= n; i++ {
+			a.Args = append(a.Args, V(fmt.Sprintf("x%d", i)))
+		}
+		return &Query{Atoms: []Atom{a, {Rel: "V", Args: []Term{V("x1")}}}}
+	}
+	if err := wide(64).CheckWidth(); err != nil {
+		t.Errorf("64 variables: %v", err)
+	}
+	if err := wide(65).CheckWidth(); err == nil || !strings.Contains(err.Error(), "65 variables") {
+		t.Errorf("65 variables: err = %v", err)
+	}
+	many := &Query{}
+	for i := 0; i < 65; i++ {
+		many.Atoms = append(many.Atoms, Atom{Rel: fmt.Sprintf("R%d", i), Args: []Term{C("a")}})
+	}
+	if err := many.CheckWidth(); err == nil || !strings.Contains(err.Error(), "65 atoms") {
+		t.Errorf("65 atoms: err = %v", err)
+	}
+	// 64 existential variables: the cut search never lists 2^64 sets.
+	cuts := wide(64).MinCuts()
+	if len(cuts) != 1 || cuts[0].String() != "{x1}" {
+		t.Errorf("MinCuts = %v, want [{x1}]", cuts)
+	}
+}
+
+// TestBitsSubQueries: a sub-query is an atom mask and a head mask, and
+// the analyses on it agree with the same analyses on the materialised
+// sub-query, whatever order its head variables came in.
+func TestBitsSubQueries(t *testing.T) {
+	q := MustParse("q(x0, x4) :- R1(x0, x1), R2(x1, x2), R3(x2, x3), R4(x3, x4), x2 <= 3")
+	b := NewBits(q)
+	atoms := uint64(0b1110) // R2, R3, R4
+	head := b.VarMask([]Var{"x4", "x2", "x0"})
+	sub := b.Sub(atoms, head)
+	if got, want := sub.String(), "q(x2, x4) :- R2(x1, x2), R3(x2, x3), R4(x3, x4), x2 <= 3"; got != want {
+		t.Errorf("Sub = %s, want %s", got, want)
+	}
+	if head&^b.VarsOf(atoms) == 0 {
+		t.Fatal("the head mask should hold x0, which the atoms lack")
+	}
+	comps := b.Components(atoms, head)
+	if len(comps) != 2 || comps[0] != 0b0010 || comps[1] != 0b1100 {
+		t.Errorf("components = %b, want [10 1100]", comps)
+	}
+	if got := len(sub.Components()); got != len(comps) {
+		t.Errorf("%d components of the materialised sub-query, %d of the masks", got, len(comps))
+	}
+	whole := b.MinCuts(0b1111, b.VarMask(q.Head), 0b1111)
+	var got []string
+	for _, y := range whole {
+		got = append(got, NewVarSet(b.VarList(y)...).String())
+	}
+	if !sameStringSet(got, []string{"{x1}", "{x2}", "{x3}"}) {
+		t.Errorf("MinCuts = %v, want {x1}, {x2}, {x3}", got)
+	}
 }

@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"encoding/binary"
 	"hash/fnv"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,7 +15,7 @@ import (
 // subplans) memoizes canonicalized subplan results within one
 // evaluation; a BatchMemo extends the same memo across every query of a
 // batch evaluated against a single immutable database snapshot. Entries
-// are keyed by the subplan's canonical plan key plus a fingerprint of
+// are keyed by the subplan's structural id plus a fingerprint of
 // the semi-join-reduced row sets the subplan's scans read, so two
 // queries share an entry exactly when evaluating the subplan standalone
 // would produce bit-identical results — reuse can therefore never
@@ -126,43 +126,29 @@ func (m *BatchMemo) fill(key string, en *memoEntry, compute func() *Result) *Res
 }
 
 // memoKey builds the shared-memo key for subplan p: the memo scope, the
-// canonical plan key, and — per relation the subplan scans — a
+// plan's structural id, and — per relation the subplan scans — a
 // fingerprint of that relation's semi-join-reduced live row set. Two
 // evaluators producing the same key are guaranteed to compute
 // bit-identical results for p: same snapshot (scope), same plan
-// structure including constants and predicates (plan key), and same
-// scan inputs (reduction fingerprints).
+// structure including constants and predicates (plan id, which agrees
+// across the queries of a process), and same scan inputs (reduction
+// fingerprints).
 func (e *Evaluator) memoKey(p plan.Node) string {
-	var names []string
-	collectRels(p, &names)
-	sort.Strings(names)
 	var b strings.Builder
 	b.WriteString(e.memo.scope)
 	b.WriteByte(0)
-	b.WriteString(p.Key())
-	prev := ""
-	for _, n := range names {
-		if n == prev {
-			continue
-		}
-		prev = n
+	id := p.ID()
+	var raw [16]byte
+	binary.LittleEndian.PutUint64(raw[:8], id.Hi)
+	binary.LittleEndian.PutUint64(raw[8:], id.Lo)
+	b.Write(raw[:])
+	for _, n := range plan.Relations(p) {
 		b.WriteByte(0)
 		b.WriteString(n)
 		b.WriteByte('=')
 		b.WriteString(e.reducedFP(n))
 	}
 	return b.String()
-}
-
-// collectRels appends the relation names scanned under p.
-func collectRels(p plan.Node, out *[]string) {
-	if s, ok := p.(*plan.Scan); ok {
-		*out = append(*out, s.Atom.Rel)
-		return
-	}
-	for _, c := range p.Children() {
-		collectRels(c, out)
-	}
 }
 
 // reducedFP fingerprints one relation's semi-join-reduced live row set

@@ -150,7 +150,7 @@ func (r *Result) Sorted() []int {
 
 // Options configures plan evaluation.
 type Options struct {
-	// ReuseSubplans memoizes subplan results by canonical key within one
+	// ReuseSubplans memoizes subplan results by structural id within one
 	// evaluation — the run-time counterpart of Optimization 2 (views for
 	// common subplans).
 	ReuseSubplans bool
@@ -197,7 +197,7 @@ type Options struct {
 type Evaluator struct {
 	db      *DB
 	opts    Options
-	cache   map[string]*Result
+	cache   map[plan.ID]*Result
 	reduced map[string][]int32 // atom relation -> surviving row indices
 	cancel  canceller
 	exec    exec       // what operators see: cancel, opts.Stats, the row budget
@@ -223,7 +223,7 @@ func NewEvaluatorCtx(ctx context.Context, db *DB, q *cq.Query, opts Options) *Ev
 	e.exec = exec{c: &e.cancel, stats: opts.Stats, budget: newRowBudget(opts.MaxIntermediateRows)}
 	e.bindMemo()
 	if opts.ReuseSubplans {
-		e.cache = map[string]*Result{}
+		e.cache = map[plan.ID]*Result{}
 	}
 	if opts.Reduced != nil {
 		e.reduced = opts.Reduced
@@ -253,7 +253,7 @@ func (e *Evaluator) bindMemo() {
 func (e *Evaluator) Eval(p plan.Node) *Result {
 	e.cancel.checkNow()
 	if e.cache != nil {
-		if r, ok := e.cache[p.Key()]; ok {
+		if r, ok := e.cache[p.ID()]; ok {
 			e.prof.hit(p, r)
 			return r
 		}
@@ -267,7 +267,7 @@ func (e *Evaluator) Eval(p plan.Node) *Result {
 	}
 	e.prof.leave(p, out, start)
 	if e.cache != nil {
-		e.cache[p.Key()] = out
+		e.cache[p.ID()] = out
 	}
 	return out
 }

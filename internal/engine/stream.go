@@ -34,7 +34,7 @@ func (e *Evaluator) canStream(jn *plan.Join) bool {
 		return false
 	}
 	if e.cache != nil {
-		if _, ok := e.cache[jn.Key()]; ok {
+		if _, ok := e.cache[jn.ID()]; ok {
 			return false
 		}
 	}

@@ -142,11 +142,13 @@ func (d Dissociation) IsSafeFor(q *cq.Query) bool {
 // JVar = ∪j HVar(Pj), every relation under Pj is dissociated on
 // JVar − HVar(Pj). Head variables of q act as per-answer constants and
 // contribute nothing.
+//
+// It visits each distinct join once, reading each child's relations from
+// the child instead of walking beneath it.
 func DeltaOf(q *cq.Query, p Node) Dissociation {
 	d := NewDissociation()
 	evars := cq.NewVarSet(q.EVars()...)
-	var walk func(Node)
-	walk = func(n Node) {
+	walk(p, func(n Node) bool {
 		if j, ok := n.(*Join); ok {
 			jvar := j.HeadSet()
 			for _, c := range j.Subs {
@@ -160,11 +162,8 @@ func DeltaOf(q *cq.Query, p Node) Dissociation {
 				}
 			}
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(p)
+		return true
+	})
 	return d
 }
 
@@ -173,38 +172,40 @@ func DeltaOf(q *cq.Query, p Node) Dissociation {
 // the dissociated variables stripped back out so that the result is a
 // regular plan over q's original atoms (Section 3.2). It returns an error
 // if ∆ is not safe for q.
-func PlanOf(q *cq.Query, d Dissociation) (Node, error) {
+func PlanOf(q *cq.Query, d Dissociation) (Node, error) { return (*Table)(nil).PlanOf(q, d) }
+
+// PlanOf is PlanOf building through the table.
+func (t *Table) PlanOf(q *cq.Query, d Dissociation) (Node, error) {
 	dq := d.Apply(q)
 	if !dq.IsHierarchical() {
 		return nil, fmt.Errorf("plan: dissociation %s is not safe for %s", d, q)
 	}
-	safe := safePlan(dq)
-	return Strip(q, safe), nil
+	return t.Strip(q, t.safePlan(dq)), nil
 }
 
 // safePlan builds the unique safe plan of a hierarchical query following
 // the recursion of Lemma 3: single atoms become scans; disconnected
 // queries become joins of their components' plans; otherwise the separator
 // variables are projected away on top.
-func safePlan(q *cq.Query) Node {
+func (t *Table) safePlan(q *cq.Query) Node {
 	if len(q.Atoms) == 1 {
 		a := q.Atoms[0]
-		return NewProject(q.Head, NewScan(a, q.PredsOnAtom(a)))
+		return t.NewProject(q.Head, t.NewScan(a, q.PredsOnAtom(a)))
 	}
 	comps := q.Components()
 	if len(comps) > 1 {
 		subs := make([]Node, len(comps))
 		for i, c := range comps {
-			subs[i] = safePlan(c)
+			subs[i] = t.safePlan(c)
 		}
-		return NewProject(q.Head, NewJoin(subs...))
+		return t.NewProject(q.Head, t.NewJoin(subs...))
 	}
 	sep := q.SeparatorVars()
 	if sep.Len() == 0 {
 		panic(fmt.Sprintf("plan: query %s is connected, multi-atom, and has no separator — not hierarchical", q))
 	}
 	inner := q.WithHead(append(append([]cq.Var(nil), q.Head...), sep.Sorted()...))
-	return NewProject(q.Head, safePlan(inner))
+	return t.NewProject(q.Head, t.safePlan(inner))
 }
 
 // Strip rewrites a plan over dissociated atoms of q back into a plan over
@@ -212,46 +213,65 @@ func safePlan(q *cq.Query) Node {
 // with the same relation symbol, and every projection keeps only the
 // variables still available below it. Trivial projections collapse away.
 // Each distinct input node is stripped once, so a subplan the input
-// shares stays one node in the result: a DAG stays a DAG.
-func Strip(q *cq.Query, n Node) Node {
+// shares stays one node in the result: a DAG stays a DAG. A node that
+// stripping leaves unchanged is returned as it is, so a plan that is
+// already over q's atoms comes back as the very same node.
+func Strip(q *cq.Query, n Node) Node { return (*Table)(nil).Strip(q, n) }
+
+// Strip is Strip building through the table, whose memo spans every
+// Strip toward the same query.
+func (t *Table) Strip(q *cq.Query, n Node) Node {
 	memo := map[Node]Node{}
+	if t != nil {
+		if t.stripped == nil {
+			t.stripped = map[*cq.Query]map[Node]Node{}
+		}
+		if m, ok := t.stripped[q]; ok {
+			memo = m
+		} else {
+			t.stripped[q] = memo
+		}
+	}
 	var strip func(Node) Node
 	strip = func(n Node) Node {
 		if s, ok := memo[n]; ok {
 			return s
 		}
 		var out Node
-		switch t := n.(type) {
+		switch n := n.(type) {
 		case *Scan:
-			orig := q.Atom(t.Atom.Rel)
+			orig := q.Atom(n.Atom.Rel)
 			if orig == nil {
-				panic(fmt.Sprintf("plan: stripped plan mentions unknown relation %s", t.Atom.Rel))
+				panic(fmt.Sprintf("plan: stripped plan mentions unknown relation %s", n.Atom.Rel))
 			}
-			out = NewScan(*orig, q.PredsOnAtom(*orig))
+			out = t.NewScan(*orig, q.PredsOnAtom(*orig))
 		case *Project:
-			child := strip(t.Child)
+			child := strip(n.Child)
 			below := child.HeadSet()
 			var onto []cq.Var
-			for _, v := range t.OnTo {
+			for _, v := range n.OnTo {
 				if below.Has(v) {
 					onto = append(onto, v)
 				}
 			}
-			out = NewProject(onto, child)
+			out = t.NewProject(onto, child)
 		case *Join:
-			subs := make([]Node, len(t.Subs))
-			for i, c := range t.Subs {
+			subs := make([]Node, len(n.Subs))
+			for i, c := range n.Subs {
 				subs[i] = strip(c)
 			}
-			out = NewJoin(subs...)
+			out = t.NewJoin(subs...)
 		case *Min:
-			subs := make([]Node, len(t.Subs))
-			for i, c := range t.Subs {
+			subs := make([]Node, len(n.Subs))
+			for i, c := range n.Subs {
 				subs[i] = strip(c)
 			}
-			out = NewMin(subs...)
+			out = t.NewMin(subs...)
 		default:
 			panic("plan: unknown node type")
+		}
+		if out.ID() == n.ID() {
+			out = n
 		}
 		memo[n] = out
 		return out

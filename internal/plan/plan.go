@@ -1,11 +1,16 @@
 // Package plan defines probabilistic query plans (Definition 4 of the
 // paper) and their connection to query dissociations (Section 3.2).
 //
-// A plan is a tree of scans, duplicate-eliminating projections, natural
-// joins, and — for the Opt1 merged plan — per-tuple min nodes. Plans carry
-// a canonical string key: join and min children are kept sorted by key, so
-// two plans that differ only in join order compare equal, mirroring the
-// paper's convention that ⋈[P1, P2] = ⋈[P2, P1].
+// A plan is a DAG of scans, duplicate-eliminating projections, natural
+// joins, and — for the Opt1 merged plan — per-tuple min nodes. Every node
+// carries a fixed-size structural id, hashed from its kind, its own fields
+// and its children's ids, so two subplans that differ only in join order
+// have the same id, mirroring the paper's convention that
+// ⋈[P1, P2] = ⋈[P2, P1]. A Table interns nodes by id: built through one
+// table, a subplan that recurs is one node, which is Algorithm 3's views
+// in the representation itself. Each node also has a canonical string
+// key, rendered only when asked for (printing, SQL, tests); join and min
+// children are kept in the order of their keys.
 //
 // Under the extensional score semantics (implemented by internal/engine)
 // every plan for a query q computes an upper bound of P(q); the plan is
@@ -14,9 +19,13 @@
 package plan
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"lapushdb/internal/cq"
 )
@@ -27,27 +36,111 @@ type Node interface {
 	Head() []cq.Var
 	// HeadSet returns the node's head variables as a set.
 	HeadSet() cq.VarSet
-	// Key returns the canonical string form of the subplan. Two subplans
-	// are structurally identical (up to join order) iff their keys match.
+	// ID returns the node's structural id. Two subplans are structurally
+	// identical (up to join order) iff their ids match.
+	ID() ID
+	// Key returns the canonical string form of the subplan, rendered on
+	// the first call. Two subplans are structurally identical (up to join
+	// order) iff their keys match.
 	Key() string
 	// Children returns the direct subplans.
 	Children() []Node
+
+	meta() *base
+}
+
+// ID is a node's 128-bit structural id. Ids are hashed with seeds drawn
+// once per process: they agree across queries and tables within one
+// process, and mean nothing outside it.
+type ID struct{ Hi, Lo uint64 }
+
+var seeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+// Node kinds, the first byte of every id's hash input.
+const (
+	kindScan byte = 1 + iota
+	kindProject
+	kindJoin
+	kindMin
+)
+
+func hashID(b []byte) ID { return ID{maphash.Bytes(seeds[0], b), maphash.Bytes(seeds[1], b)} }
+
+func appendID(b []byte, id ID) []byte {
+	return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(b, id.Hi), id.Lo)
+}
+
+func (a ID) less(b ID) bool { return a.Hi < b.Hi || (a.Hi == b.Hi && a.Lo < b.Lo) }
+
+// base holds what every node kind carries: its id, and once first asked
+// for, its key and the sorted relation symbols beneath it.
+type base struct {
+	id   ID
+	key  atomic.Pointer[string]
+	rels atomic.Pointer[[]string]
+}
+
+func (b *base) meta() *base { return b }
+
+// ID implements Node.
+func (b *base) ID() ID { return b.id }
+
+// keyOf returns n's key, rendering and remembering it on the first call.
+func (b *base) keyOf(n Node) string {
+	if k := b.key.Load(); k != nil {
+		return *k
+	}
+	var sb strings.Builder
+	writeKey(&sb, n)
+	k := sb.String()
+	b.key.Store(&k)
+	return k
+}
+
+// Table interns plan nodes by id: its constructors return the node
+// already built for a shape instead of a copy, so the plans built through
+// one table are one DAG. A Table is not safe for concurrent use; the
+// nodes it returns are immutable and are. A nil *Table is valid and
+// interns nothing: the package-level constructors use it.
+type Table struct {
+	nodes    map[ID]Node
+	stripped map[*cq.Query]map[Node]Node // Strip's memo, per target query
+}
+
+// NewTable returns an empty interning table.
+func NewTable() *Table { return &Table{nodes: map[ID]Node{}} }
+
+// lookup returns the interned node with the given id, if any.
+func (t *Table) lookup(id ID) Node {
+	if t == nil {
+		return nil
+	}
+	return t.nodes[id]
+}
+
+// intern records a freshly built node.
+func (t *Table) intern(n Node) Node {
+	if t != nil {
+		t.nodes[n.ID()] = n
+	}
+	return n
 }
 
 // Scan reads one relational atom, applying any pushed-down predicates and
 // constant selections. Its head variables are the variables of the atom.
 type Scan struct {
+	base
 	Atom  cq.Atom
 	Preds []cq.Predicate
 	head  []cq.Var
-	key   string
+	text  string // the key, built with the scan: it is short
 }
 
 // NewScan builds a scan of the given atom with pushed-down predicates.
-func NewScan(atom cq.Atom, preds []cq.Predicate) *Scan {
-	s := &Scan{Atom: atom, Preds: preds}
-	s.head = append([]cq.Var(nil), atom.Vars()...)
-	sortVars(s.head)
+func NewScan(atom cq.Atom, preds []cq.Predicate) *Scan { return (*Table)(nil).NewScan(atom, preds) }
+
+// NewScan is the interning form of the package-level NewScan.
+func (t *Table) NewScan(atom cq.Atom, preds []cq.Predicate) *Scan {
 	var b strings.Builder
 	b.WriteString(atom.String())
 	if len(preds) > 0 {
@@ -58,7 +151,16 @@ func NewScan(atom cq.Atom, preds []cq.Predicate) *Scan {
 		sort.Strings(ps)
 		b.WriteString("[" + strings.Join(ps, " and ") + "]")
 	}
-	s.key = b.String()
+	key := b.String()
+	id := hashID(append([]byte{kindScan}, key...))
+	if n := t.lookup(id); n != nil {
+		return n.(*Scan)
+	}
+	s := &Scan{Atom: atom, Preds: preds, text: key}
+	s.id = id
+	s.head = append([]cq.Var(nil), atom.Vars()...)
+	sortVars(s.head)
+	t.intern(s)
 	return s
 }
 
@@ -69,7 +171,7 @@ func (s *Scan) Head() []cq.Var { return s.head }
 func (s *Scan) HeadSet() cq.VarSet { return cq.NewVarSet(s.head...) }
 
 // Key implements Node.
-func (s *Scan) Key() string { return s.key }
+func (s *Scan) Key() string { return s.text }
 
 // Children implements Node.
 func (s *Scan) Children() []Node { return nil }
@@ -78,25 +180,44 @@ func (s *Scan) Children() []Node { return nil }
 // the variables OnTo. Duplicates are combined as independent events:
 // score(t) = 1 − ∏(1 − score(ti)).
 type Project struct {
-	OnTo  []cq.Var
-	Child Node
-	key   string
+	base
+	OnTo   []cq.Var
+	Child  Node
+	prefix string // the key up to the child's: "π{" + OnTo + "}("
 }
 
 // NewProject builds a projection of child onto the variables onto. If the
 // projection is trivial (onto equals the child's head) the child itself is
 // returned, which keeps plans in the alternating join/projection normal
 // form of Definition 4.
-func NewProject(onto []cq.Var, child Node) Node {
-	hs := append([]cq.Var(nil), onto...)
-	sortVars(hs)
-	hs = dedupVars(hs)
+func NewProject(onto []cq.Var, child Node) Node { return (*Table)(nil).NewProject(onto, child) }
+
+// NewProject is the interning form of the package-level NewProject.
+func (t *Table) NewProject(onto []cq.Var, child Node) Node {
+	hs, owned := onto, false
+	if !sortedUnique(hs) {
+		hs, owned = append([]cq.Var(nil), onto...), true
+		sortVars(hs)
+		hs = dedupVars(hs)
+	}
 	if varsEqual(hs, child.Head()) {
 		return child
 	}
-	p := &Project{OnTo: hs, Child: child}
-	p.key = "π{" + joinVars(hs) + "}(" + child.Key() + ")"
-	return p
+	var buf [128]byte
+	in := appendID(append(buf[:0], kindProject), child.ID())
+	for _, v := range hs {
+		in = append(append(in, v...), 0)
+	}
+	id := hashID(in)
+	if n := t.lookup(id); n != nil {
+		return n
+	}
+	if !owned {
+		hs = append([]cq.Var(nil), hs...) // the node must not alias the caller's slice
+	}
+	p := &Project{OnTo: hs, Child: child, prefix: "π{" + joinVars(hs) + "}("}
+	p.id = id
+	return t.intern(p)
 }
 
 // Head implements Node.
@@ -106,7 +227,7 @@ func (p *Project) Head() []cq.Var { return p.OnTo }
 func (p *Project) HeadSet() cq.VarSet { return cq.NewVarSet(p.OnTo...) }
 
 // Key implements Node.
-func (p *Project) Key() string { return p.key }
+func (p *Project) Key() string { return p.keyOf(p) }
 
 // Children implements Node.
 func (p *Project) Children() []Node { return []Node{p.Child} }
@@ -128,41 +249,47 @@ func (p *Project) Away() []cq.Var {
 // tuple is the product of the children's scores. Children are stored
 // sorted by canonical key.
 type Join struct {
+	base
 	Subs []Node
 	head []cq.Var
-	key  string
 }
 
 // NewJoin builds a join. Nested joins are flattened and children sorted by
 // key, producing the canonical form. A single-child join collapses to the
 // child.
-func NewJoin(children ...Node) Node {
-	var flat []Node
+func NewJoin(children ...Node) Node { return (*Table)(nil).NewJoin(children...) }
+
+// NewJoin is the interning form of the package-level NewJoin.
+func (t *Table) NewJoin(children ...Node) Node {
+	flat := children
 	for _, c := range children {
-		if j, ok := c.(*Join); ok {
-			flat = append(flat, j.Subs...)
-		} else {
-			flat = append(flat, c)
+		if _, ok := c.(*Join); ok {
+			flat = nil
+			for _, c := range children {
+				if j, ok := c.(*Join); ok {
+					flat = append(flat, j.Subs...)
+				} else {
+					flat = append(flat, c)
+				}
+			}
+			break
 		}
 	}
 	if len(flat) == 1 {
 		return flat[0]
 	}
-	sort.Slice(flat, func(i, j int) bool { return flat[i].Key() < flat[j].Key() })
-	j := &Join{Subs: flat}
-	hs := cq.VarSet{}
-	for _, c := range flat {
-		for _, v := range c.Head() {
-			hs.Add(v)
-		}
+	id := listID(kindJoin, flat)
+	if n := t.lookup(id); n != nil {
+		return n
 	}
-	j.head = hs.Sorted()
-	keys := make([]string, len(flat))
-	for i, c := range flat {
-		keys[i] = c.Key()
+	j := &Join{Subs: append([]Node(nil), flat...)}
+	SortByKey(j.Subs)
+	heads := make([][]cq.Var, len(j.Subs))
+	for i, c := range j.Subs {
+		heads[i] = c.Head()
 	}
-	j.key = "⋈[" + strings.Join(keys, ", ") + "]"
-	return j
+	j.id, j.head = id, mergeVars(heads)
+	return t.intern(j)
 }
 
 // Head implements Node.
@@ -172,7 +299,7 @@ func (j *Join) Head() []cq.Var { return j.head }
 func (j *Join) HeadSet() cq.VarSet { return cq.NewVarSet(j.head...) }
 
 // Key implements Node.
-func (j *Join) Key() string { return j.key }
+func (j *Join) Key() string { return j.keyOf(j) }
 
 // Children implements Node.
 func (j *Join) Children() []Node { return j.Subs }
@@ -182,32 +309,39 @@ func (j *Join) Children() []Node { return j.Subs }
 // operator Opt1 (Algorithm 2) pushes into the plan to merge all minimal
 // plans into a single one.
 type Min struct {
+	base
 	Subs []Node
-	key  string
 }
 
 // NewMin builds a min node over alternatives that must all have the same
-// head variables. Duplicate alternatives (same canonical key) are removed;
-// a single remaining alternative collapses to itself.
-func NewMin(children ...Node) Node {
-	seen := map[string]bool{}
+// head variables. Nested mins are flattened and duplicate alternatives
+// (same id) removed; a single remaining alternative collapses to itself.
+func NewMin(children ...Node) Node { return (*Table)(nil).NewMin(children...) }
+
+// NewMin is the interning form of the package-level NewMin.
+func (t *Table) NewMin(children ...Node) Node {
 	var uniq []Node
+	add := func(c Node) {
+		for _, u := range uniq {
+			if u.ID() == c.ID() {
+				return
+			}
+		}
+		uniq = append(uniq, c)
+	}
 	for _, c := range children {
 		if m, ok := c.(*Min); ok {
 			for _, cc := range m.Subs {
-				if !seen[cc.Key()] {
-					seen[cc.Key()] = true
-					uniq = append(uniq, cc)
-				}
+				add(cc)
 			}
-			continue
-		}
-		if !seen[c.Key()] {
-			seen[c.Key()] = true
-			uniq = append(uniq, c)
+		} else {
+			add(c)
 		}
 	}
-	if len(uniq) == 1 {
+	switch len(uniq) {
+	case 0:
+		panic("plan: min over no alternatives")
+	case 1:
 		return uniq[0]
 	}
 	for _, c := range uniq[1:] {
@@ -215,14 +349,14 @@ func NewMin(children ...Node) Node {
 			panic(fmt.Sprintf("plan: min over different heads %v vs %v", uniq[0].Head(), c.Head()))
 		}
 	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i].Key() < uniq[j].Key() })
-	m := &Min{Subs: uniq}
-	keys := make([]string, len(uniq))
-	for i, c := range uniq {
-		keys[i] = c.Key()
+	id := listID(kindMin, uniq)
+	if n := t.lookup(id); n != nil {
+		return n
 	}
-	m.key = "min[" + strings.Join(keys, ", ") + "]"
-	return m
+	SortByKey(uniq)
+	m := &Min{Subs: uniq}
+	m.id = id
+	return t.intern(m)
 }
 
 // Head implements Node.
@@ -232,10 +366,32 @@ func (m *Min) Head() []cq.Var { return m.Subs[0].Head() }
 func (m *Min) HeadSet() cq.VarSet { return m.Subs[0].HeadSet() }
 
 // Key implements Node.
-func (m *Min) Key() string { return m.key }
+func (m *Min) Key() string { return m.keyOf(m) }
 
 // Children implements Node.
 func (m *Min) Children() []Node { return m.Subs }
+
+// listID hashes a join's or min's kind with its children's ids in id
+// order, so the id does not depend on the order the children came in.
+func listID(kind byte, subs []Node) ID {
+	var idBuf [16]ID
+	ids := idBuf[:0]
+	for _, c := range subs {
+		id := c.ID()
+		i := len(ids)
+		ids = append(ids, id)
+		for ; i > 0 && id.less(ids[i-1]); i-- {
+			ids[i] = ids[i-1]
+		}
+		ids[i] = id
+	}
+	var buf [1 + 16*16]byte
+	in := append(buf[:0], kind)
+	for _, id := range ids {
+		in = appendID(in, id)
+	}
+	return hashID(in)
+}
 
 // IsSafe reports whether the plan is safe (Definition 5): every join's
 // children have pairwise equal head variables. Safe plans compute the
@@ -243,81 +399,77 @@ func (m *Min) Children() []Node { return m.Subs }
 // as per-answer constants, so children may differ on them; pass the
 // query's head set (or nil for a Boolean query's plan).
 func IsSafe(n Node, head cq.VarSet) bool {
-	switch t := n.(type) {
-	case *Scan:
-		return true
-	case *Project:
-		return IsSafe(t.Child, head)
-	case *Join:
-		first := t.Subs[0].HeadSet().Minus(head)
-		for _, c := range t.Subs[1:] {
-			if !c.HeadSet().Minus(head).Equal(first) {
-				return false
+	safe := true
+	walk(n, func(n Node) bool {
+		if j, ok := n.(*Join); ok {
+			first := j.Subs[0].HeadSet().Minus(head)
+			for _, c := range j.Subs[1:] {
+				if !c.HeadSet().Minus(head).Equal(first) {
+					safe = false
+				}
 			}
 		}
-		for _, c := range t.Subs {
-			if !IsSafe(c, head) {
-				return false
-			}
-		}
-		return true
-	case *Min:
-		for _, c := range t.Subs {
-			if !IsSafe(c, head) {
-				return false
-			}
-		}
-		return true
-	default:
-		panic("plan: unknown node type")
-	}
+		return safe
+	})
+	return safe
 }
 
 // Relations returns the relation symbols of all atoms beneath the node, in
-// sorted order.
+// sorted order. Each node computes them once, from its children's, and
+// keeps them, so all calls together do one step per distinct node. The
+// slice is shared and must not be modified.
 func Relations(n Node) []string {
-	set := map[string]bool{}
-	var walk func(Node)
-	walk = func(n Node) {
-		if s, ok := n.(*Scan); ok {
-			set[s.Atom.Rel] = true
-		}
+	b := n.meta()
+	if r := b.rels.Load(); r != nil {
+		return *r
+	}
+	var out []string
+	switch t := n.(type) {
+	case *Scan:
+		out = []string{t.Atom.Rel}
+	case *Project:
+		out = Relations(t.Child)
+	default:
 		for _, c := range n.Children() {
-			walk(c)
+			out = append(out, Relations(c)...)
 		}
+		sort.Strings(out)
+		out = slices.Compact(out)
 	}
-	walk(n)
-	out := make([]string, 0, len(set))
-	for r := range set {
-		out = append(out, r)
+	if visitHook != nil {
+		visitHook(n)
 	}
-	sort.Strings(out)
+	b.rels.Store(&out)
 	return out
 }
 
-// Atoms returns the scan atoms beneath the node.
+// Atoms returns the distinct scan atoms beneath the node.
 func Atoms(n Node) []cq.Atom {
 	var out []cq.Atom
-	var walk func(Node)
-	walk = func(n Node) {
+	walk(n, func(n Node) bool {
 		if s, ok := n.(*Scan); ok {
 			out = append(out, s.Atom)
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
+		return true
+	})
 	return out
 }
 
-// Size returns the number of nodes in the plan.
+// Size returns the size of the tree the plan unfolds to: a node shared by
+// several parents counts once under each. This is the exponential number
+// a DAG avoids, and the order sqlgen emits views in (smaller first); it is
+// computed in one pass over the distinct nodes.
 func Size(n Node) int {
-	total := 1
-	for _, c := range n.Children() {
-		total += Size(c)
-	}
-	return total
+	sizes := map[ID]int{}
+	walk(n, func(n Node) bool {
+		s := 1
+		for _, c := range n.Children() {
+			s += sizes[c.ID()]
+		}
+		sizes[n.ID()] = s
+		return true
+	})
+	return sizes[n.ID()]
 }
 
 // String renders the plan in the paper's project-away notation, e.g.
@@ -325,7 +477,7 @@ func Size(n Node) int {
 func String(n Node) string {
 	switch t := n.(type) {
 	case *Scan:
-		return t.key
+		return t.Key()
 	case *Project:
 		return "π-" + joinVars(t.Away()) + " " + String(t.Child)
 	case *Join:
@@ -345,39 +497,80 @@ func String(n Node) string {
 	}
 }
 
-// CommonSubplans returns, for every subplan key that occurs more than once
-// in the plan, the number of occurrences and one representative node. This
-// is the paper's Opt2 view detection (Algorithm 3): each such subplan is
-// worth materializing once and reusing.
+// CommonSubplans returns, for every subplan that occurs more than once
+// in the plan, one representative node, keyed by its key. This is the
+// paper's Opt2 view detection (Algorithm 3): each such subplan is worth
+// materializing once and reusing. A subplan occurs once per parent slot
+// that holds it (and once as the root); scans are base tables, not views.
 func CommonSubplans(n Node) map[string]Node {
-	count := map[string]int{}
-	repr := map[string]Node{}
-	var walk func(Node)
-	walk = func(n Node) {
-		if _, ok := n.(*Scan); ok {
-			return // scans are base tables, not views
-		}
-		count[n.Key()]++
-		repr[n.Key()] = n
-		if count[n.Key()] > 1 {
-			return // children already counted on first visit
+	count := map[ID]int{n.ID(): 1}
+	var views []Node
+	walk(n, func(n Node) bool {
+		if _, scan := n.(*Scan); !scan {
+			views = append(views, n)
 		}
 		for _, c := range n.Children() {
-			walk(c)
+			count[c.ID()]++
 		}
-	}
-	walk(n)
+		return true
+	})
 	out := map[string]Node{}
-	for k, c := range count {
-		if c > 1 {
-			out[k] = repr[k]
+	for _, v := range views {
+		if count[v.ID()] > 1 {
+			out[v.Key()] = v
 		}
 	}
 	return out
 }
 
-func sortVars(vs []cq.Var) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+// visitHook, when set (by tests), sees every node walk visits and every
+// node Relations computes.
+var visitHook func(Node)
+
+// walk calls visit once per distinct node (by id) of the DAG rooted at n,
+// children before their parents, and stops early when visit returns
+// false. Every walker of this package goes through it, so none of them
+// unfolds the DAG into its tree.
+func walk(n Node, visit func(Node) bool) {
+	seen := map[ID]bool{}
+	var rec func(Node) bool
+	rec = func(n Node) bool {
+		if seen[n.ID()] {
+			return true
+		}
+		seen[n.ID()] = true
+		for _, c := range n.Children() {
+			if !rec(c) {
+				return false
+			}
+		}
+		if visitHook != nil {
+			visitHook(n)
+		}
+		return visit(n)
+	}
+	rec(n)
+}
+
+// mergeVars returns the sorted union of sorted variable lists.
+func mergeVars(lists [][]cq.Var) []cq.Var {
+	var out []cq.Var
+	for _, l := range lists {
+		out = append(out, l...)
+	}
+	sortVars(out)
+	return dedupVars(out)
+}
+
+func sortVars(vs []cq.Var) { slices.Sort(vs) }
+
+func sortedUnique(vs []cq.Var) bool {
+	for i := 1; i < len(vs); i++ {
+		if vs[i-1] >= vs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func dedupVars(vs []cq.Var) []cq.Var {

@@ -1,7 +1,10 @@
 package plan
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"lapushdb/internal/cq"
@@ -348,7 +351,255 @@ func TestStripMinNode(t *testing.T) {
 	b := NewProject(nil, NewJoin(scanOf(q, "T"), NewProject([]cq.Var{"y"}, NewJoin(scanOf(q, "S"), scanOf(q, "R")))))
 	m := NewMin(a, b)
 	stripped := Strip(q, m)
-	if stripped.Key() != m.Key() {
+	if stripped != m {
 		t.Errorf("strip of an unchased plan should be identity:\n%s\n%s", m.Key(), stripped.Key())
+	}
+}
+
+// TestTableInterns: built through one table, a shape is one node,
+// whatever order a join's or min's children come in; the package-level
+// constructors intern nothing, yet give equal shapes equal ids, and ids
+// agree across tables.
+func TestTableInterns(t *testing.T) {
+	q := cq.MustParse("q() :- R(x), S(x, y), T(y)")
+	tab := NewTable()
+	scan := func(tb *Table, rel string) *Scan {
+		a := q.Atom(rel)
+		return tb.NewScan(*a, q.PredsOnAtom(*a))
+	}
+	j1 := tab.NewJoin(scan(tab, "R"), scan(tab, "S"))
+	j2 := tab.NewJoin(scan(tab, "S"), scan(tab, "R"))
+	if j1 != j2 {
+		t.Error("one table built the same join twice")
+	}
+	p1 := tab.NewProject([]cq.Var{"y"}, j1)
+	if p2 := tab.NewProject([]cq.Var{"y", "y"}, j2); p1 != p2 {
+		t.Error("one table built the same projection twice")
+	}
+	m1 := tab.NewMin(p1, tab.NewProject([]cq.Var{"y"}, tab.NewJoin(scan(tab, "S"), scan(tab, "T"))))
+	if m2 := tab.NewMin(m1.Children()[1], m1.Children()[0], p1); m1 != m2 {
+		t.Error("one table built the same min twice")
+	}
+
+	other := NewTable()
+	if o := other.NewJoin(scan(other, "R"), scan(other, "S")); o == j1 || o.ID() != j1.ID() {
+		t.Error("two tables should build two nodes with one id")
+	}
+	if f := NewJoin(scanOf(q, "S"), scanOf(q, "R")); f == j1 || f.ID() != j1.ID() || f.Key() != j1.Key() {
+		t.Error("a package-level join should be a fresh node with the interned join's id and key")
+	}
+	if NewJoin(scanOf(q, "R"), scanOf(q, "T")).ID() == j1.ID() {
+		t.Error("different joins share an id")
+	}
+}
+
+// TestKeyRenderedOnDemand: building a plan renders no key; Key renders
+// and keeps only the asked-for node's.
+func TestKeyRenderedOnDemand(t *testing.T) {
+	q := cq.MustParse("q() :- R(x), S(x, y), T(y)")
+	inner := NewProject([]cq.Var{"x"}, NewJoin(scanOf(q, "S"), scanOf(q, "T")))
+	p := NewProject(nil, NewJoin(scanOf(q, "R"), inner))
+	if p.meta().key.Load() != nil || inner.meta().key.Load() != nil {
+		t.Fatal("a key was rendered at construction")
+	}
+	if got, want := p.Key(), "π{}(⋈[R(x), π{x}(⋈[S(x, y), T(y)])])"; got != want {
+		t.Errorf("key = %q, want %q", got, want)
+	}
+	if p.meta().key.Load() == nil || inner.meta().key.Load() != nil {
+		t.Error("Key should keep the asked-for node's text and only that")
+	}
+}
+
+// randomPlans builds n random plans over relations whose names make
+// keys share long prefixes and differ late: "m" and "min" (a scan whose
+// key starts like a min node's), R and R1, scans with and without
+// predicates, projections, joins and mins.
+func randomPlans(rng *rand.Rand, n int) []Node {
+	q := cq.MustParse("q() :- R(x, y), R1(x, 'a'), S(y, z), m(x), min(z), x <= 3, z like '%a%'")
+	var gen func(depth int) Node
+	gen = func(depth int) Node {
+		if depth == 0 || rng.Intn(4) == 0 {
+			a := q.Atoms[rng.Intn(len(q.Atoms))]
+			var preds []cq.Predicate
+			if rng.Intn(2) == 0 {
+				preds = q.PredsOnAtom(a)
+			}
+			return NewScan(a, preds)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			c := gen(depth - 1)
+			var onto []cq.Var
+			for _, v := range c.Head() {
+				if rng.Intn(2) == 0 {
+					onto = append(onto, v)
+				}
+			}
+			return NewProject(onto, c)
+		case 1:
+			subs := make([]Node, 2+rng.Intn(2))
+			for i := range subs {
+				subs[i] = gen(depth - 1)
+			}
+			return NewJoin(subs...)
+		default:
+			subs := make([]Node, 2+rng.Intn(2))
+			for i := range subs {
+				subs[i] = NewProject(nil, gen(depth-1))
+			}
+			return NewMin(subs...)
+		}
+	}
+	out := make([]Node, n)
+	for i := range out {
+		out[i] = gen(4)
+	}
+	return out
+}
+
+// TestCompareMatchesKeyOrder: Compare orders plans exactly as their
+// rendered keys compare, whether no key is rendered yet, some are, or all
+// are.
+func TestCompareMatchesKeyOrder(t *testing.T) {
+	sign := func(c int) int { return min(max(c, -1), 1) }
+	rng := rand.New(rand.NewSource(1))
+	ps := randomPlans(rng, 150)
+	// Two plans may be structurally equal: make sure some pairs are.
+	ps = append(ps, ps[:10]...)
+	got := make([][]int, len(ps))
+	for i := range ps {
+		got[i] = make([]int, len(ps))
+		for j := range ps {
+			got[i][j] = compareKeys(ps[i], ps[j])
+		}
+	}
+	for i := range ps {
+		if rng.Intn(2) == 0 {
+			ps[i].Key()
+		}
+	}
+	for i := range ps {
+		for j := range ps {
+			want := strings.Compare(ps[i].Key(), ps[j].Key())
+			if sign(got[i][j]) != want {
+				t.Fatalf("Compare before rendering = %d, keys compare %d:\n%s\n%s", got[i][j], want, ps[i].Key(), ps[j].Key())
+			}
+			if c := compareKeys(ps[i], ps[j]); sign(c) != want {
+				t.Fatalf("Compare after rendering = %d, keys compare %d:\n%s\n%s", c, want, ps[i].Key(), ps[j].Key())
+			}
+		}
+	}
+}
+
+// TestStripReturnsUnchangedInput: stripping a plan that is already over
+// q's atoms returns the very same node, through a table or not.
+func TestStripReturnsUnchangedInput(t *testing.T) {
+	q := cq.MustParse("q(z) :- R(z, x), S(x, y), T(y), y <= 3")
+	for _, d := range []func() Dissociation{
+		func() Dissociation { d := NewDissociation(); d.Add("R", "y"); return d },
+		func() Dissociation { d := NewDissociation(); d.Add("T", "x"); return d },
+	} {
+		p, err := PlanOf(q, d())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := Strip(q, p); s != p {
+			t.Errorf("Strip rebuilt an unchanged plan: %s", String(p))
+		}
+		tab := NewTable()
+		tp, err := tab.PlanOf(q, d())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := tab.Strip(q.Clone(), tp); s != tp {
+			t.Errorf("Strip through a table rebuilt an unchanged plan: %s", String(tp))
+		}
+	}
+	// A scan whose predicates come in another order than q lists them
+	// is the same scan.
+	qp := cq.MustParse("q() :- R(x), x >= 1, x <= 3")
+	a := qp.Atoms[0]
+	scan := NewScan(a, []cq.Predicate{qp.Preds[1], qp.Preds[0]})
+	if s := Strip(qp, scan); s != Node(scan) {
+		t.Errorf("Strip rebuilt a scan over reordered predicates: %s", s.Key())
+	}
+	// A chased plan does change: its dissociated scans become q's atoms.
+	d := NewDissociation()
+	d.Add("R", "y")
+	chased := d.Apply(q)
+	tab := NewTable()
+	p := tab.NewProject([]cq.Var{"z"}, tab.NewJoin(tab.NewScan(chased.Atoms[0], chased.PredsOnAtom(chased.Atoms[0])), scanOf(q, "S")))
+	s := tab.Strip(q, p)
+	if s == p || Atoms(s)[0].String() != "R(z, x)" {
+		t.Errorf("Strip left the dissociated scan: %s", String(s))
+	}
+}
+
+// TestWalkersOnExponentialTree: a ladder of 58 min levels, each holding
+// the level below twice, unfolds to a tree of more than 2^60 nodes; the
+// walkers finish at once because each visits the 291 distinct nodes.
+func TestWalkersOnExponentialTree(t *testing.T) {
+	q := cq.MustParse("q() :- R(x, y)")
+	tab := NewTable()
+	level := Node(tab.NewScan(q.Atoms[0], nil))
+	var atoms []cq.Atom
+	for i := 0; i < 58; i++ {
+		a := cq.Atom{Rel: fmt.Sprintf("S%d", i), Args: []cq.Term{cq.V("x")}}
+		b := cq.Atom{Rel: fmt.Sprintf("T%d", i), Args: []cq.Term{cq.V("x")}}
+		atoms = append(atoms, a, b)
+		level = tab.NewMin(tab.NewJoin(level, tab.NewScan(a, nil)), tab.NewJoin(level, tab.NewScan(b, nil)))
+	}
+	if got := Size(level); got < 1<<60 {
+		t.Errorf("tree size %d, want > 2^60", got)
+	}
+	if got := len(Relations(level)); got != 1+len(atoms) {
+		t.Errorf("%d relations, want %d", got, 1+len(atoms))
+	}
+	if got := len(Atoms(level)); got != 1+len(atoms) {
+		t.Errorf("%d atoms, want %d", got, 1+len(atoms))
+	}
+	if IsSafe(level, nil) {
+		t.Error("joins of heads {x, y} and {x} are not safe")
+	}
+	if d := DeltaOf(q, level); d.ExtraOf("S0").Len() != 1 {
+		t.Errorf("∆ = %s, want S0 dissociated on y", d)
+	}
+}
+
+func TestMinOverNothingPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a min over no alternatives should panic")
+		}
+	}()
+	NewMin()
+}
+
+// TestLazyFieldsConcurrent: a node's key and relations are filled on
+// first use, and nodes are shared by concurrent evaluations, so several
+// goroutines may fill them at once. Run under -race.
+func TestLazyFieldsConcurrent(t *testing.T) {
+	ps := randomPlans(rand.New(rand.NewSource(2)), 40)
+	keys := make([]string, len(ps))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range ps {
+				p := ps[(i+g)%len(ps)]
+				Relations(p)
+				compareKeys(p, ps[i])
+				if k := p.Key(); g == 0 {
+					keys[(i+g)%len(ps)] = k
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, p := range ps {
+		if p.Key() != keys[i] {
+			t.Errorf("plan %d: key changed after concurrent rendering", i)
+		}
 	}
 }

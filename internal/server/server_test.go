@@ -229,6 +229,32 @@ func TestUnknownRelation(t *testing.T) {
 	}
 }
 
+// TestWideQueryIs400: a query with more variables than plan enumeration's
+// 64-bit masks hold is a 400 bad_query, not a panic.
+func TestWideQueryIs400(t *testing.T) {
+	db := lapushdb.Open()
+	cols, vars := make([]string, 65), make([]string, 65)
+	for i := range cols {
+		cols[i], vars[i] = fmt.Sprintf("c%d", i+1), fmt.Sprintf("x%d", i+1)
+	}
+	if _, err := db.CreateRelation("W", cols...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateRelation("V", "c1"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(db, Config{}))
+	t.Cleanup(ts.Close)
+	q := "q() :- W(" + strings.Join(vars, ", ") + "), V(x1)"
+	resp, body := postJSON(t, ts.URL+"/v1/query", queryRequest{Query: q})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if e := decodeErr(t, body); e.Code != "bad_query" || !strings.Contains(e.Message, "at most 64") {
+		t.Fatalf("want bad_query naming the limit, got %+v", e)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {

@@ -292,6 +292,9 @@ func (d *DB) rank(ctx context.Context, q *cq.Query, pre *Prepared, opts *Options
 }
 
 func (d *DB) checkQuery(q *cq.Query) error {
+	if err := q.CheckWidth(); err != nil {
+		return err
+	}
 	for _, a := range q.Atoms {
 		r := d.db.Relation(a.Rel)
 		if r == nil {

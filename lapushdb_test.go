@@ -2,6 +2,8 @@ package lapushdb
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -406,5 +408,58 @@ func TestExactOBDDMatchesExact(t *testing.T) {
 		if a[i].Values[0] != b[i].Values[0] || math.Abs(a[i].Score-b[i].Score) > 1e-9 {
 			t.Errorf("answer %d: DPLL %+v vs OBDD %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// wideDB holds W of the given arity and a unary V, for queries with as
+// many variables as W has columns.
+func wideDB(t *testing.T, arity int) *DB {
+	t.Helper()
+	db := Open()
+	cols := make([]string, arity)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("c%d", i+1)
+	}
+	if _, err := db.CreateRelation("W", cols...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateRelation("V", "c1"); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// wideQuery is q() :- W(x1, ..., xn), V(x1): connected, with n
+// existential variables.
+func wideQuery(n int) string {
+	vars := make([]string, n)
+	for i := range vars {
+		vars[i] = fmt.Sprintf("x%d", i+1)
+	}
+	return "q() :- W(" + strings.Join(vars, ", ") + "), V(x1)"
+}
+
+// TestWideQueryRefused: plan enumeration numbers variables in a 64-bit
+// mask, so a query with more variables is refused with an error when it
+// is prepared or ranked, by every method, instead of enumerating no cuts
+// and panicking; 64 variables still work.
+func TestWideQueryRefused(t *testing.T) {
+	db := wideDB(t, 65)
+	q := wideQuery(65)
+	if _, err := db.PrepareContext(context.Background(), q, nil); err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("PrepareContext: err = %v, want the width refusal", err)
+	}
+	for _, m := range []Method{Dissociation, Exact, Deterministic} {
+		if _, err := db.Rank(q, &Options{Method: m}); err == nil {
+			t.Errorf("Rank with %s accepted a 65-variable query", m)
+		}
+	}
+	db = wideDB(t, 64)
+	p, err := db.PrepareContext(context.Background(), wideQuery(64), nil)
+	if err != nil {
+		t.Fatalf("64 variables: %v", err)
+	}
+	if p.NumPlans() != 1 || !p.Safe() {
+		t.Errorf("64 variables: %d plans, safe %v; want the one safe plan", p.NumPlans(), p.Safe())
 	}
 }

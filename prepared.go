@@ -98,14 +98,14 @@ func (d *DB) PrepareContext(ctx context.Context, query string, opts *Options) (*
 		return nil, err
 	}
 	sch := d.schema(q, opts)
-	plans := core.MinimalPlans(q, sch)
+	plans, single := core.Plans(q, sch)
 	return &Prepared{
 		q:            q,
 		normalized:   q.String(),
 		ignoreSchema: opts.IgnoreSchema,
 		sch:          sch,
 		plans:        plans,
-		single:       core.SinglePlan(q, sch),
+		single:       single,
 		safe:         core.SafeGiven(q, sch, plans),
 	}, nil
 }
