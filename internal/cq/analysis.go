@@ -308,9 +308,6 @@ func (b *Bits) MinCuts(atoms, head, need uint64) []uint64 {
 	return cuts
 }
 
-// varSet converts a variable mask to a set.
-func (b *Bits) varSet(vars uint64) VarSet { return NewVarSet(b.VarList(vars)...) }
-
 // Components partitions the query's atoms into connected components, where
 // two atoms are connected when they share an existential variable. Head
 // variables act as constants and never connect atoms. Each component is
@@ -366,7 +363,7 @@ func (q *Query) MinPCuts(isProb func(rel string) bool) []VarSet {
 func (q *Query) cutSets(b *Bits, need uint64) []VarSet {
 	var out []VarSet
 	for _, y := range b.MinCuts(b.AllAtoms(), b.VarMask(q.Head), need) {
-		out = append(out, b.varSet(y))
+		out = append(out, NewVarSet(b.VarList(y)...))
 	}
 	return out
 }

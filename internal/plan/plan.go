@@ -159,7 +159,7 @@ func (t *Table) NewScan(atom cq.Atom, preds []cq.Predicate) *Scan {
 	s := &Scan{Atom: atom, Preds: preds, text: key}
 	s.id = id
 	s.head = append([]cq.Var(nil), atom.Vars()...)
-	sortVars(s.head)
+	slices.Sort(s.head)
 	t.intern(s)
 	return s
 }
@@ -197,7 +197,7 @@ func (t *Table) NewProject(onto []cq.Var, child Node) Node {
 	hs, owned := onto, false
 	if !sortedUnique(hs) {
 		hs, owned = append([]cq.Var(nil), onto...), true
-		sortVars(hs)
+		slices.Sort(hs)
 		hs = dedupVars(hs)
 	}
 	if varsEqual(hs, child.Head()) {
@@ -283,12 +283,13 @@ func (t *Table) NewJoin(children ...Node) Node {
 		return n
 	}
 	j := &Join{Subs: append([]Node(nil), flat...)}
+	j.id = id
 	SortByKey(j.Subs)
-	heads := make([][]cq.Var, len(j.Subs))
-	for i, c := range j.Subs {
-		heads[i] = c.Head()
+	for _, c := range j.Subs {
+		j.head = append(j.head, c.Head()...)
 	}
-	j.id, j.head = id, mergeVars(heads)
+	slices.Sort(j.head)
+	j.head = dedupVars(j.head)
 	return t.intern(j)
 }
 
@@ -529,8 +530,9 @@ var visitHook func(Node)
 
 // walk calls visit once per distinct node (by id) of the DAG rooted at n,
 // children before their parents, and stops early when visit returns
-// false. Every walker of this package goes through it, so none of them
-// unfolds the DAG into its tree.
+// false. The walkers of this package go through it (Relations keeps its
+// answer per node instead), so none of them unfolds the DAG into its
+// tree.
 func walk(n Node, visit func(Node) bool) {
 	seen := map[ID]bool{}
 	var rec func(Node) bool
@@ -551,18 +553,6 @@ func walk(n Node, visit func(Node) bool) {
 	}
 	rec(n)
 }
-
-// mergeVars returns the sorted union of sorted variable lists.
-func mergeVars(lists [][]cq.Var) []cq.Var {
-	var out []cq.Var
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sortVars(out)
-	return dedupVars(out)
-}
-
-func sortVars(vs []cq.Var) { slices.Sort(vs) }
 
 func sortedUnique(vs []cq.Var) bool {
 	for i := 1; i < len(vs); i++ {
