@@ -71,13 +71,14 @@ cover:
 # columnar streaming executor must produce byte-identical results and
 # identical typed errors to the retained row-at-a-time oracle
 # (internal/engine/oracle.go) on random CQs and on the chain/star/TPC-H
-# shapes, plus budget-accounting parity and the chain-join allocation
-# gate (the gate itself skips under -race and runs in the plain test
-# pass).
+# shapes, plus budget-accounting parity; the lineage query against its
+# retained reference evaluator, and its atom-order invariance; and the
+# chain-join and lineage allocation gates (the gates skip under -race
+# and run in the plain test pass).
 oracle-diff:
-	$(GO) test -race -run 'OracleDifferential|TestPropExecutorOracle|TestBudgetBatchChargingParity|FuzzMorselDifferential' ./internal/engine
+	$(GO) test -race -run 'OracleDifferential|TestPropExecutorOracle|TestBudgetBatchChargingParity|FuzzMorselDifferential|TestPropLineageMatchesReference|TestLineageAtomOrderInvariance' ./internal/engine
 	$(GO) test -race -run 'TestDifferentialWorkloads|TestRankBatchOracleDifferential|TestAnytimeOracleBoundsDifferential' .
-	$(GO) test -run 'TestChainJoinAllocGate' ./internal/engine
+	$(GO) test -run 'TestChainJoinAllocGate|TestLineageAllocGate' ./internal/engine
 
 # The benchmark (perfbench/, BENCHMARK.json) is its own Go module that
 # replaces lapushdb with this checkout, so `./...` above never compiles

@@ -27,7 +27,8 @@ type AnytimeOptions struct {
 	// exact collapse. Use ValidateEpsilon for the shared validation.
 	Epsilon float64
 	// IgnoreSchema, DisableOpt2/3 and MaxIntermediateRows mean what they
-	// mean on Options.
+	// mean on Options; the row budget also covers the lineage that the
+	// refinement stages after the plans build.
 	IgnoreSchema        bool
 	DisableOpt2         bool
 	DisableOpt3         bool

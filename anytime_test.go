@@ -256,6 +256,58 @@ func TestAnytimeBudgetDegrades(t *testing.T) {
 	}
 }
 
+// TestAnytimeBudgetCoversLineage: the row budget spans the lineage
+// stage too. At the smallest budget that admits every plan, building the
+// lineage (the largest intermediate) must exhaust it, so the evaluation
+// degrades with "budget" and keeps the plans' intervals instead of
+// refining past its budget.
+func TestAnytimeBudgetCoversLineage(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	edb, q := workload.Chain(3, 300, 60, 0.5, rng)
+	db := fromEngineDB(t, edb)
+	query := q.String()
+	eval := func(budget int) *AnytimeResult {
+		res, err := db.RankAnytime(query, &AnytimeOptions{Epsilon: 0.0001, Seed: 1, MaxIntermediateRows: budget})
+		if err != nil {
+			return nil
+		}
+		return res
+	}
+	lo, hi := 1, 1<<22 // at lo no plan fits, at hi every plan does
+	if res := eval(hi); res == nil || res.PlansEvaluated != res.PlansTotal || res.PlansTotal < 2 {
+		t.Fatalf("a %d-row budget does not admit every plan: %+v", hi, res)
+	}
+	for lo+1 < hi {
+		mid := lo + (hi-lo)/2
+		if res := eval(mid); res != nil && res.PlansEvaluated == res.PlansTotal {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	res := eval(hi)
+	if res.Degraded != "budget" || res.Converged {
+		t.Fatalf("budget %d admits every plan: want the lineage to degrade it, got converged=%v degraded=%q",
+			hi, res.Converged, res.Degraded)
+	}
+	diss, err := db.Rank(query, &Options{Method: Dissociation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper := map[string]float64{}
+	for _, a := range diss {
+		upper[stringsKey(a.Values)] = a.Score
+	}
+	if len(res.Answers) != len(upper) {
+		t.Fatalf("%d interval answers, %d plan answers", len(res.Answers), len(upper))
+	}
+	for _, a := range res.Answers {
+		if u := upper[stringsKey(a.Values)]; a.Lower != 0 || math.Abs(a.Upper-u) > 1e-12 {
+			t.Fatalf("answer %v: [%g, %g], want the plan interval [0, %g]", a.Values, a.Lower, a.Upper, u)
+		}
+	}
+}
+
 // TestRankTopKAnytime checks the bound-pruning top-k: with a tight
 // epsilon the surviving answers must be exactly RankTopK's exact top-k,
 // in the same order.

@@ -371,14 +371,16 @@ func (ev *evaluation) fail(err error) {
 }
 
 // buildLineage computes the semi-join-reduced lineage once, for every
-// stage after the plans, and hands each answer its clauses.
+// stage after the plans, and hands each answer its clauses. Its scans and
+// joins are charged to the memo's row budget, like the plans' operators.
 func (ev *evaluation) buildLineage() {
 	var lin *engine.Lineage
 	err := engine.TrapCancel(func() {
 		if ev.reduced == nil && ev.cfg.SemiJoin {
 			ev.reduced = engine.SemiJoinReduceCtx(ev.ctx, ev.db, ev.q)
 		}
-		lin = engine.EvalLineageCtx(ev.ctx, ev.db, ev.q, ev.reduced)
+		opts := engine.Options{Reduced: ev.reduced, Memo: ev.cfg.Memo}
+		lin = engine.NewEvaluatorCtx(ev.ctx, ev.db, ev.q, opts).Lineage(ev.q)
 	})
 	if err != nil {
 		ev.fail(err)

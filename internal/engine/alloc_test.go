@@ -31,17 +31,7 @@ func TestChainJoinAllocGate(t *testing.T) {
 	// build, single-pass streamed projection, one exec per evaluator),
 	// plus 10%.
 	const chainAllocCeiling = 884
-	rng := rand.New(rand.NewSource(71))
-	q := cq.MustParse("q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)")
-	db := NewDB()
-	n := 2*morselSize + 100
-	domain := 400
-	for ri := 1; ri <= 3; ri++ {
-		r := db.CreateRelation(fmt.Sprintf("R%d", ri), []string{"a", "b"})
-		for i := 0; i < n; i++ {
-			r.Insert([]Value{Value(rng.Intn(domain)), Value(rng.Intn(domain))}, rng.Float64())
-		}
-	}
+	db, q := chainGateDB()
 	plans := core.MinimalPlans(q, nil)
 	var out *Result
 	allocs := testing.AllocsPerRun(3, func() {
@@ -53,6 +43,51 @@ func TestChainJoinAllocGate(t *testing.T) {
 	t.Logf("chain3 eval: %.0f allocs/op (%d answers)", allocs, out.Len())
 	if allocs > chainAllocCeiling {
 		t.Errorf("chain join allocations %.0f exceed pinned ceiling %d", allocs, chainAllocCeiling)
+	}
+}
+
+// chainGateDB is the 3-chain instance of the allocation gates: three
+// relations of 2·morselSize + 100 rows over a 400-value domain.
+func chainGateDB() (*DB, *cq.Query) {
+	rng := rand.New(rand.NewSource(71))
+	db := NewDB()
+	for ri := 1; ri <= 3; ri++ {
+		r := db.CreateRelation(fmt.Sprintf("R%d", ri), []string{"a", "b"})
+		for i := 0; i < 2*morselSize+100; i++ {
+			r.Insert([]Value{Value(rng.Intn(400)), Value(rng.Intn(400))}, rng.Float64())
+		}
+	}
+	return db, cq.MustParse("q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)")
+}
+
+// TestLineageAllocGate pins what one lineage query allocates on the
+// chain gate's instance, reduced: a fixed number of column, table and
+// arena allocations (214 measured, 68 MB), however many answers
+// (142 645) and clauses (461 465) it yields, plus 10%. The evaluator it
+// replaced made 3 931 017 allocations (311 MB) here: a few per joined
+// row and per clause.
+func TestLineageAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("alloc gate skipped in -short")
+	}
+	const lineageAllocCeiling = 235
+	db, q := chainGateDB()
+	reduced := SemiJoinReduce(db, q)
+	var lin *Lineage
+	allocs := testing.AllocsPerRun(3, func() { lin = EvalLineage(db, q, reduced) })
+	clauses := 0
+	for i := 0; i < lin.Len(); i++ {
+		clauses += lin.Size(i)
+	}
+	t.Logf("chain3 lineage: %.0f allocs/op (%d answers, %d clauses)", allocs, lin.Len(), clauses)
+	if lin.Len() != 142_645 || clauses != 461_465 {
+		t.Fatalf("chain3 lineage has %d answers and %d clauses, want 142 645 and 461 465", lin.Len(), clauses)
+	}
+	if allocs > lineageAllocCeiling {
+		t.Errorf("lineage allocations %.0f exceed pinned ceiling %d", allocs, lineageAllocCeiling)
 	}
 }
 

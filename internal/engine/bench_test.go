@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -66,12 +67,61 @@ func BenchmarkSemiJoinReduce(b *testing.B) {
 	}
 }
 
+// anytimeChainDB is the served 3-chain of the anytime_cold workload:
+// 6000 rows per relation, join variables over [0, 600), head variables
+// over [0, 20).
+func anytimeChainDB(rng *rand.Rand) *DB {
+	db := NewDB()
+	for i := 1; i <= 3; i++ {
+		r := db.CreateRelation(fmt.Sprintf("R%d", i), []string{"a", "b"})
+		lo, hi := 600, 600
+		if i == 1 {
+			lo = 20
+		}
+		if i == 3 {
+			hi = 20
+		}
+		for t := 0; t < 6000; t++ {
+			r.Insert([]Value{Value(rng.Intn(lo)), Value(rng.Intn(hi))}, 0.5*rng.Float64())
+		}
+	}
+	return db
+}
+
+// BenchmarkLineage times the lineage query alone, the reduction computed
+// beforehand: unreduced on the 3-chain, reduced on the anytime_cold
+// shape (x0 <= 1, x1 <= 4..7, one query per iteration in turn) and on
+// the TPC-H shape.
 func BenchmarkLineage(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	db, q := benchDB(3000, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		EvalLineage(db, q, nil)
+	chainDB, chainQ := benchDB(3000, rng)
+	anyDB := anytimeChainDB(rng)
+	type lq struct {
+		q       *cq.Query
+		reduced map[string][]int32
+	}
+	var anyQs []lq
+	for x1 := 4; x1 < 8; x1++ {
+		q := cq.MustParse(fmt.Sprintf("q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3), x0 <= 1, x1 <= %d", x1))
+		anyQs = append(anyQs, lq{q, SemiJoinReduce(anyDB, q)})
+	}
+	tpchQ := tpchShapeQuery(750, "%red%")
+	for _, bc := range []struct {
+		name string
+		db   *DB
+		qs   []lq
+	}{
+		{"chain3", chainDB, []lq{{chainQ, nil}}},
+		{"anytime_cold", anyDB, anyQs},
+		{"tpch", tpchBench(), []lq{{tpchQ, SemiJoinReduce(tpchBench(), tpchQ)}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				x := bc.qs[i%len(bc.qs)]
+				EvalLineage(bc.db, x.q, x.reduced)
+			}
+		})
 	}
 }
 

@@ -166,6 +166,31 @@ func TestBudgetSpansAllPlans(t *testing.T) {
 	}
 }
 
+// TestBudgetLineage: the lineage query's scans and join are charged like
+// any operator's — 200 scanned and 10 000 joined rows here — whether the
+// budget is the evaluator's own or a memo's, while EvalLineage stays
+// unbudgeted.
+func TestBudgetLineage(t *testing.T) {
+	db := budgetDB(100, 100)
+	q := cq.MustParse("q() :- R(x), S(x, y)")
+	for _, opts := range []Options{
+		{MaxIntermediateRows: 10_000},
+		{Memo: NewBatchMemo("", 10_000, false)},
+	} {
+		err := TrapCancel(func() { NewEvaluator(db, q, opts).Lineage(q) })
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("lineage under a 10 000-row budget: want ErrBudget, got %v", err)
+		}
+	}
+	var lin *Lineage
+	if err := TrapCancel(func() { lin = NewEvaluator(db, q, Options{MaxIntermediateRows: 10_200}).Lineage(q) }); err != nil {
+		t.Fatalf("lineage under a 10 200-row budget: %v", err)
+	}
+	if lin.Len() != 1 || lin.Size(0) != 10_000 || EvalLineage(db, q, nil).Size(0) != 10_000 {
+		t.Fatalf("lineage size %d, want 10 000", lin.Size(0))
+	}
+}
+
 func TestBudgetErrorMentionsLimit(t *testing.T) {
 	db := budgetDB(100, 100)
 	err := evalWithBudget(db, 42)

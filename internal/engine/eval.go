@@ -20,7 +20,7 @@ import (
 // unspecified; use Sorted or ScoreOf for stable access.
 type Result struct {
 	Cols   []cq.Var
-	vals   [][]Value // vals[k][i]: value of column k in row i
+	vals   [][]Value // vals[k][i]: value of column k in row i; nil in a column the lineage query carries as ids only
 	ids    [][]int32 // dense value ids (DB.noteValue), parallel to vals
 	scores []float64
 
@@ -281,7 +281,7 @@ func (e *Evaluator) evalNode(p plan.Node) *Result {
 	var out *Result
 	switch t := p.(type) {
 	case *plan.Scan:
-		out = e.scan(t)
+		out, _ = e.scan(t)
 	case *plan.Project:
 		if jn, ok := t.Child.(*plan.Join); ok && e.canStream(jn) {
 			out = e.streamProjectJoin(jn, t.OnTo)
@@ -349,8 +349,10 @@ func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, o
 // variable equality, pushed-down predicates, and — when the evaluator has
 // a semi-join reduction — the reduced row set. The filter runs as
 // component-at-a-time kernels producing a selection vector, then each
-// output column is gathered in one pre-sized pass.
-func (e *Evaluator) scan(s *plan.Scan) *Result {
+// output column is gathered in one pre-sized pass. It also returns that
+// selection, the relation row behind each output row, or nil when every
+// row qualified in order.
+func (e *Evaluator) scan(s *plan.Scan) (*Result, []int32) {
 	rel, cols, pos := scanLayout(e.db, s)
 	filter := newRowFilter(e.db, rel, s)
 	out := newResult(cols)
@@ -399,7 +401,7 @@ func (e *Evaluator) scan(s *plan.Scan) *Result {
 		}
 		out.vals[k], out.ids[k] = vdst, idst
 	}
-	return out
+	return out, sel
 }
 
 // scanLayout resolves a scan's relation and output column layout: the
@@ -973,10 +975,6 @@ func join(l, r *Result, ex *exec) *Result {
 		}
 	}
 	out.scores = make([]float64, total)
-	for k := range out.Cols {
-		out.vals[k] = make([]Value, total)
-		out.ids[k] = make([]int32, total)
-	}
 	bscores, pscores := jl.build.scores, jl.probe.scores
 	o := 0
 	for i := 0; i < np; i++ {
@@ -989,10 +987,19 @@ func join(l, r *Result, ex *exec) *Result {
 		}
 	}
 	for k := range out.Cols {
-		vdst, idst := out.vals[k], out.ids[k]
+		src := jl.probe
+		if jl.fromBuild[k] {
+			src = jl.build
+		}
+		vsrc, isrc := src.vals[jl.pos[k]], src.ids[jl.pos[k]]
+		if vsrc == nil { // a column the lineage query carries as ids only
+			out.ids[k] = gatherIDs(isrc, jl.fromBuild[k], starts, cnts, jt.rows, total)
+			continue
+		}
+		vdst, idst := make([]Value, total), make([]int32, total)
+		out.vals[k], out.ids[k] = vdst, idst
 		o = 0
 		if jl.fromBuild[k] {
-			vsrc, isrc := jl.build.vals[jl.pos[k]], jl.build.ids[jl.pos[k]]
 			for i := 0; i < np; i++ {
 				st, n := int(starts[i]), int(cnts[i])
 				for j := 0; j < n; j++ {
@@ -1002,7 +1009,6 @@ func join(l, r *Result, ex *exec) *Result {
 				}
 			}
 		} else {
-			vsrc, isrc := jl.probe.vals[jl.pos[k]], jl.probe.ids[jl.pos[k]]
 			for i := 0; i < np; i++ {
 				v, id := vsrc[i], isrc[i]
 				for j := int32(0); j < cnts[i]; j++ {
@@ -1013,6 +1019,25 @@ func join(l, r *Result, ex *exec) *Result {
 		}
 	}
 	return out
+}
+
+// gatherIDs writes an id-only join output column of total rows: for a
+// build column the ids of the matched build rows, for a probe column each
+// probe row's id once per match.
+func gatherIDs(src []int32, fromBuild bool, starts, cnts, rows []int32, total int) []int32 {
+	dst := make([]int32, 0, total)
+	for i, n := range cnts {
+		if fromBuild {
+			for _, ri := range rows[starts[i] : starts[i]+n] {
+				dst = append(dst, src[ri])
+			}
+			continue
+		}
+		for ; n > 0; n-- {
+			dst = append(dst, src[i])
+		}
+	}
+	return dst
 }
 
 // minFold folds plan results under the per-answer minimum while
@@ -1313,11 +1338,6 @@ func sharedCols(l, r []cq.Var) (vars []cq.Var, lPos, rPos []int) {
 		}
 	}
 	return
-}
-
-func appendValue(b []byte, v Value) []byte {
-	u := uint64(v)
-	return append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 }
 
 func varsSliceEqual(a, b []cq.Var) bool {

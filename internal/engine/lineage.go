@@ -2,7 +2,9 @@ package engine
 
 import (
 	"context"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
 
 	"lapushdb/internal/cq"
 	"lapushdb/internal/plan"
@@ -13,41 +15,50 @@ import (
 // per satisfying assignment of the existential variables. Tuples of
 // deterministic relations contribute no variables; a clause that becomes
 // empty is always true, making the answer certain.
+//
+// Every clause of a self-join-free query holds one id per probabilistic
+// atom, so all clauses share one arena of that width and each answer's
+// clauses are one run of it. Ids ascend within a clause, and an answer's
+// clauses are distinct and in lexicographic order: what a consumer sees
+// depends on the clause set alone.
 type Lineage struct {
 	Cols    []cq.Var
-	keys    [][]Value
-	clauses [][][]int32
+	keys    []Value   // answer i's head values: keys[i*len(Cols):][:len(Cols)]
+	off     []int32   // answer i's clauses: clauses[off[i]:off[i+1]]
+	clauses [][]int32 // capacity-clamped views into the arena
 }
 
 // Len returns the number of answers.
-func (l *Lineage) Len() int { return len(l.keys) }
+func (l *Lineage) Len() int { return len(l.off) - 1 }
 
 // Key returns the i-th answer's head values.
-func (l *Lineage) Key(i int) []Value { return l.keys[i] }
+func (l *Lineage) Key(i int) []Value {
+	k := len(l.Cols)
+	return l.keys[i*k : (i+1)*k : (i+1)*k]
+}
 
-// Clauses returns the i-th answer's DNF as clauses of variable ids.
-func (l *Lineage) Clauses(i int) [][]int32 { return l.clauses[i] }
+// Clauses returns the i-th answer's DNF as clauses of variable ids. The
+// clauses are views into shared storage; do not modify them.
+func (l *Lineage) Clauses(i int) [][]int32 { return l.clauses[l.off[i]:l.off[i+1]:l.off[i+1]] }
 
 // Size returns the number of clauses (lineage size, the paper's |lin|) of
 // the i-th answer.
-func (l *Lineage) Size(i int) int { return len(l.clauses[i]) }
+func (l *Lineage) Size(i int) int { return int(l.off[i+1] - l.off[i]) }
 
 // MaxSize returns the largest lineage size over all answers — the paper's
 // max[lineage size] axis.
 func (l *Lineage) MaxSize() int {
 	m := 0
-	for i := range l.clauses {
-		if len(l.clauses[i]) > m {
-			m = len(l.clauses[i])
-		}
+	for i := 0; i < l.Len(); i++ {
+		m = max(m, l.Size(i))
 	}
 	return m
 }
 
 // EvalLineage computes the lineage of every answer of q over db — the
 // paper's "lineage query". Any probabilistic method that runs outside the
-// database engine must at least do this work. Atoms are joined with the
-// same semi-join-reduced scan sets as Optimization 3 when reduced is
+// database engine must at least do this work. Atoms are scanned with the
+// same semi-join-reduced row sets as Optimization 3 when reduced is
 // non-nil (pass SemiJoinReduce output) to keep intermediate results small.
 func EvalLineage(db *DB, q *cq.Query, reduced map[string][]int32) *Lineage {
 	return EvalLineageCtx(nil, db, q, reduced)
@@ -55,220 +66,187 @@ func EvalLineage(db *DB, q *cq.Query, reduced map[string][]int32) *Lineage {
 
 // EvalLineageCtx is EvalLineage bound to a context: the scan and join
 // loops poll ctx and unwind with a cancellation panic when it is done.
-// Callers passing a non-nil ctx must wrap the call in TrapCancel.
+// Callers passing a non-nil ctx must wrap the call in TrapCancel. It has
+// no row budget; Evaluator.Lineage runs under one.
 func EvalLineageCtx(ctx context.Context, db *DB, q *cq.Query, reduced map[string][]int32) *Lineage {
-	cancel := &canceller{ctx: ctx}
-	type lrel struct {
-		cols []cq.Var
-		rows [][]Value
-		vars [][]int32
-	}
-	scanAtom := func(a cq.Atom) *lrel {
-		rel := db.Relation(a.Rel)
-		s := plan.NewScan(a, q.PredsOnAtom(a))
-		filter := newRowFilter(db, rel, s)
-		cols := s.Head()
-		pos := make([]int, len(cols))
-		for i, v := range cols {
-			for j, t := range a.Args {
-				if t.Var == v {
-					pos[i] = j
-					break
-				}
-			}
-		}
-		out := &lrel{cols: cols}
-		emit := func(i int) {
-			cancel.check()
-			row := rel.Row(i)
-			if !filter.ok(row) {
-				return
-			}
-			vals := make([]Value, len(cols))
-			for k, j := range pos {
-				vals[k] = row[j]
-			}
-			out.rows = append(out.rows, vals)
-			if id := rel.VarID(i); id >= 0 {
-				out.vars = append(out.vars, []int32{id})
-			} else {
-				out.vars = append(out.vars, nil)
-			}
-		}
-		if reduced != nil {
-			if idxs, ok := reduced[rel.Name]; ok {
-				for _, i := range idxs {
-					emit(int(i))
-				}
-				return out
-			}
-		}
-		for i := 0; i < rel.Len(); i++ {
-			emit(i)
-		}
-		return out
-	}
-	joinL := func(l, r *lrel) *lrel {
-		_, lPos, rPos := sharedCols(l.cols, r.cols)
-		colSet := cq.NewVarSet(l.cols...)
-		for _, c := range r.cols {
-			colSet.Add(c)
-		}
-		outCols := colSet.Sorted()
-		type src struct {
-			left bool
-			pos  int
-		}
-		srcs := make([]src, len(outCols))
-		for i, c := range outCols {
-			if j := colIndex(l.cols, c); j >= 0 {
-				srcs[i] = src{true, j}
-			} else {
-				srcs[i] = src{false, colIndex(r.cols, c)}
-			}
-		}
-		table := map[string][]int32{}
-		key := make([]byte, 0, 16)
-		for i := range r.rows {
-			key = key[:0]
-			for _, j := range rPos {
-				key = appendValue(key, r.rows[i][j])
-			}
-			table[string(key)] = append(table[string(key)], int32(i))
-		}
-		out := &lrel{cols: outCols}
-		for i := range l.rows {
-			key = key[:0]
-			for _, j := range lPos {
-				key = appendValue(key, l.rows[i][j])
-			}
-			for _, ri := range table[string(key)] {
-				cancel.check()
-				vals := make([]Value, len(outCols))
-				for k, s := range srcs {
-					if s.left {
-						vals[k] = l.rows[i][s.pos]
-					} else {
-						vals[k] = r.rows[ri][s.pos]
-					}
-				}
-				vs := make([]int32, 0, len(l.vars[i])+len(r.vars[ri]))
-				vs = append(vs, l.vars[i]...)
-				vs = append(vs, r.vars[ri]...)
-				out.rows = append(out.rows, vals)
-				out.vars = append(out.vars, vs)
-			}
-		}
-		return out
-	}
+	return NewEvaluatorCtx(ctx, db, nil, Options{Reduced: reduced}).Lineage(q)
+}
 
-	atoms := orderAtomsByConnectivity(q.Atoms)
-	cur := scanAtom(atoms[0])
-	for _, a := range atoms[1:] {
-		cur = joinL(cur, scanAtom(a))
+// Lineage computes the lineage of every answer of the self-join-free
+// query q on the executor: each atom is scanned by scan, under the
+// evaluator's reduction, and a probabilistic atom's scan gains one
+// id-only column, named "#i" so that no query can spell it, holding its
+// tuples' variable ids. The scans are joined in greedy order and the rows
+// grouped by the sorted head. Only head columns keep their values through
+// the joins. Scans and joins poll the evaluator's context and charge its
+// row budget.
+func (e *Evaluator) Lineage(q *cq.Query) *Lineage {
+	headSet := q.HeadSet()
+	inputs := make([]*Result, len(q.Atoms))
+	var idCols []cq.Var
+	dedupe := false
+	for i, a := range q.Atoms {
+		r, sel := e.scan(plan.NewScan(a, q.PredsOnAtom(a)))
+		for k, c := range r.Cols {
+			if !headSet.Has(c) {
+				r.vals[k] = nil
+			}
+		}
+		inputs[i] = r
+		rel := e.db.Relation(a.Rel)
+		if rel.Deterministic {
+			// Rows that differ only in this atom's tuple repeat a clause.
+			dedupe = true
+			continue
+		}
+		ids := make([]int32, r.Len())
+		if sel == nil {
+			copy(ids, rel.vars)
+		} else {
+			for x, ri := range sel {
+				ids[x] = rel.vars[ri]
+			}
+		}
+		v := cq.Var("#" + strconv.Itoa(i))
+		idCols = append(idCols, v)
+		r.Cols = append(r.Cols, v)
+		r.vals = append(r.vals, nil)
+		r.ids = append(r.ids, ids)
 	}
+	rows := foldJoin(inputs, &e.exec, join)
+	return groupLineage(rows, headSet.Sorted(), idCols, dedupe, bits.Len32(uint32(e.db.NumVars())), &e.cancel)
+}
 
-	// Group by head values.
-	head := append([]cq.Var(nil), q.Head...)
-	sort.Slice(head, func(i, j int) bool { return head[i] < head[j] })
-	keep := make([]int, len(head))
-	for i, v := range head {
-		keep[i] = colIndex(cur.cols, v)
+// groupLineage groups the joined rows by the head columns into answers,
+// in first-appearance order, and lays their clauses out answer by answer
+// in one arena, each clause's ids sorted ascending.
+func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, idBits int, c *canceller) *Lineage {
+	n, w := rows.Len(), len(idCols)
+	keyIDs := make([][]int32, len(head))
+	keyVals := make([][]Value, len(head))
+	for k, v := range head {
+		j := colIndex(rows.Cols, v)
+		keyIDs[k], keyVals[k] = rows.ids[j], rows.vals[j]
 	}
+	g := newGroupTable(len(head), min(n, projAccumHint))
+	sg := newColSigner(keyIDs)
+	wide := sg.wide()
 	out := &Lineage{Cols: head}
-	groups := map[string]int{}
-	key := make([]byte, 0, 16)
-	for i := range cur.rows {
-		cancel.check()
-		key = key[:0]
-		for _, j := range keep {
-			key = appendValue(key, cur.rows[i][j])
+	gids := make([]int32, n)
+	for i := range gids {
+		c.check()
+		var key []int32
+		if wide {
+			key = sg.keyAt(i)
 		}
-		g, ok := groups[string(key)]
-		if !ok {
-			g = out.Len()
-			groups[string(key)] = g
-			vals := make([]Value, len(head))
-			for k, j := range keep {
-				vals[k] = cur.rows[i][j]
+		gid, fresh := g.internSig(sg.sig(i), key)
+		if fresh {
+			for _, col := range keyVals {
+				out.keys = append(out.keys, col[i])
 			}
-			out.keys = append(out.keys, vals)
-			out.clauses = append(out.clauses, nil)
 		}
-		clause := append([]int32(nil), cur.vars[i]...)
-		sort.Slice(clause, func(a, b int) bool { return clause[a] < clause[b] })
-		out.clauses[g] = append(out.clauses[g], clause)
+		gids[i] = gid
 	}
-	// Deduplicate identical clauses per answer (repeated variables inside
-	// a clause are also collapsed by the sort + unique pass).
-	for g := range out.clauses {
-		out.clauses[g] = dedupeClauses(out.clauses[g])
+	ng := g.size()
+	out.off = make([]int32, ng+1)
+	for _, gid := range gids {
+		out.off[gid+1]++
+	}
+	for x := 0; x < ng; x++ {
+		out.off[x+1] += out.off[x]
+	}
+	varCols := make([][]int32, w)
+	for k, v := range idCols {
+		varCols[k] = rows.ids[colIndex(rows.Cols, v)]
+	}
+	arena := make([]int32, n*w)
+	next := append([]int32(nil), out.off[:ng]...)
+	for i, gid := range gids {
+		c.check()
+		p := int(next[gid]) * w
+		next[gid]++
+		cl := arena[p : p+w]
+		for k, col := range varCols { // insertion into the sorted prefix
+			v, j := col[i], k
+			for ; j > 0 && cl[j-1] > v; j-- {
+				cl[j] = cl[j-1]
+			}
+			cl[j] = v
+		}
+	}
+	arena = sortClauses(arena, out.off, w, idBits, dedupe)
+	out.clauses = make([][]int32, out.off[ng])
+	for x := range out.clauses {
+		out.clauses[x] = arena[x*w : (x+1)*w : (x+1)*w]
 	}
 	return out
 }
 
-func dedupeClauses(cs [][]int32) [][]int32 {
-	seen := map[string]bool{}
-	var out [][]int32
-	key := make([]byte, 0, 32)
-	for _, c := range cs {
-		// Collapse duplicate variables within the clause (sorted already).
-		uniq := c[:0]
-		for i, v := range c {
-			if i == 0 || c[i-1] != v {
-				uniq = append(uniq, v)
+// sortClauses puts each answer's clauses — clauses off[g] to off[g+1] of
+// the width-w arena — in lexicographic order, drops repeats when dedupe
+// is set, and compacts arena and off in place. When a clause's w ids of
+// idBits bits fit one uint64, clauses sort as packed machine words.
+func sortClauses(arena, off []int32, w, idBits int, dedupe bool) []int32 {
+	out, m := arena[:0], 0
+	var keys []uint64
+	var views [][]int32
+	var tmp []int32
+	for g := 0; g+1 < len(off); g++ {
+		views = views[:0]
+		for x := int(off[g]); x < int(off[g+1]); x++ {
+			views = append(views, arena[x*w:(x+1)*w])
+		}
+		off[g] = int32(m)
+		if w*idBits > 64 {
+			slices.SortFunc(views, slices.Compare[[]int32])
+			if dedupe {
+				views = slices.CompactFunc(views, slices.Equal[[]int32])
+			}
+			tmp = tmp[:0] // the views alias the arena being rewritten
+			for _, v := range views {
+				tmp = append(tmp, v...)
+			}
+			out, m = append(out, tmp...), m+len(views)
+			continue
+		}
+		keys = keys[:0]
+		for _, v := range views {
+			var k uint64
+			for _, id := range v {
+				k = k<<idBits | uint64(id)
+			}
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if dedupe { // with w = 0 this leaves the one empty clause
+			keys = slices.Compact(keys)
+		}
+		for _, k := range keys {
+			out = out[:len(out)+w]
+			for j := len(out) - 1; j >= len(out)-w; j-- {
+				out[j] = int32(k & (1<<idBits - 1))
+				k >>= idBits
 			}
 		}
-		key = key[:0]
-		for _, v := range uniq {
-			key = appendValue(key, Value(v))
-		}
-		if !seen[string(key)] {
-			seen[string(key)] = true
-			out = append(out, uniq)
-		}
+		m += len(keys)
 	}
+	off[len(off)-1] = int32(m)
 	return out
 }
 
 // orderAtomsByConnectivity reorders atoms so that each one (after the
 // first) shares a variable with an earlier atom whenever possible,
-// avoiding needless cross products in left-deep folds.
+// avoiding needless cross products in EvalDeterministic's left-deep fold.
 func orderAtomsByConnectivity(atoms []cq.Atom) []cq.Atom {
-	out := make([]cq.Atom, 0, len(atoms))
-	used := make([]bool, len(atoms))
-	out = append(out, atoms[0])
-	used[0] = true
+	out, rest := atoms[:1:1], slices.Clone(atoms[1:])
 	have := cq.NewVarSet(atoms[0].Vars()...)
-	for len(out) < len(atoms) {
-		pick := -1
-		for i, a := range atoms {
-			if used[i] {
-				continue
-			}
-			for _, v := range a.Vars() {
-				if have.Has(v) {
-					pick = i
-					break
-				}
-			}
-			if pick >= 0 {
-				break
-			}
-		}
-		if pick < 0 {
-			for i := range atoms {
-				if !used[i] {
-					pick = i
-					break
-				}
-			}
-		}
-		used[pick] = true
-		out = append(out, atoms[pick])
-		for _, v := range atoms[pick].Vars() {
+	for len(rest) > 0 {
+		// The first remaining atom that shares a variable, else the first.
+		i := max(0, slices.IndexFunc(rest, func(a cq.Atom) bool { return slices.ContainsFunc(a.Vars(), have.Has) }))
+		for _, v := range rest[i].Vars() {
 			have.Add(v)
 		}
+		out, rest = append(out, rest[i]), slices.Delete(rest, i, i+1)
 	}
 	return out
 }
@@ -300,7 +278,7 @@ func EvalDeterministicCtx(ctx context.Context, db *DB, q *cq.Query) *Result {
 	e := NewEvaluatorCtx(ctx, db, nil, Options{})
 	var cur *Result
 	for i, a := range atoms {
-		s := e.scan(plan.NewScan(a, q.PredsOnAtom(a)))
+		s, _ := e.scan(plan.NewScan(a, q.PredsOnAtom(a)))
 		dedupeInPlace(s)
 		if cur == nil {
 			cur = s
