@@ -20,7 +20,7 @@ import (
 // unspecified; use Sorted or ScoreOf for stable access.
 type Result struct {
 	Cols   []cq.Var
-	vals   [][]Value // vals[k][i]: value of column k in row i; nil in a column the lineage query carries as ids only
+	vals   [][]Value // vals[k][i]: value of column k in row i
 	ids    [][]int32 // dense value ids (DB.noteValue), parallel to vals
 	scores []float64
 
@@ -975,6 +975,10 @@ func join(l, r *Result, ex *exec) *Result {
 		}
 	}
 	out.scores = make([]float64, total)
+	for k := range out.Cols {
+		out.vals[k] = make([]Value, total)
+		out.ids[k] = make([]int32, total)
+	}
 	bscores, pscores := jl.build.scores, jl.probe.scores
 	o := 0
 	for i := 0; i < np; i++ {
@@ -987,19 +991,10 @@ func join(l, r *Result, ex *exec) *Result {
 		}
 	}
 	for k := range out.Cols {
-		src := jl.probe
-		if jl.fromBuild[k] {
-			src = jl.build
-		}
-		vsrc, isrc := src.vals[jl.pos[k]], src.ids[jl.pos[k]]
-		if vsrc == nil { // a column the lineage query carries as ids only
-			out.ids[k] = gatherIDs(isrc, jl.fromBuild[k], starts, cnts, jt.rows, total)
-			continue
-		}
-		vdst, idst := make([]Value, total), make([]int32, total)
-		out.vals[k], out.ids[k] = vdst, idst
+		vdst, idst := out.vals[k], out.ids[k]
 		o = 0
 		if jl.fromBuild[k] {
+			vsrc, isrc := jl.build.vals[jl.pos[k]], jl.build.ids[jl.pos[k]]
 			for i := 0; i < np; i++ {
 				st, n := int(starts[i]), int(cnts[i])
 				for j := 0; j < n; j++ {
@@ -1009,6 +1004,7 @@ func join(l, r *Result, ex *exec) *Result {
 				}
 			}
 		} else {
+			vsrc, isrc := jl.probe.vals[jl.pos[k]], jl.probe.ids[jl.pos[k]]
 			for i := 0; i < np; i++ {
 				v, id := vsrc[i], isrc[i]
 				for j := int32(0); j < cnts[i]; j++ {
@@ -1019,25 +1015,6 @@ func join(l, r *Result, ex *exec) *Result {
 		}
 	}
 	return out
-}
-
-// gatherIDs writes an id-only join output column of total rows: for a
-// build column the ids of the matched build rows, for a probe column each
-// probe row's id once per match.
-func gatherIDs(src []int32, fromBuild bool, starts, cnts, rows []int32, total int) []int32 {
-	dst := make([]int32, 0, total)
-	for i, n := range cnts {
-		if fromBuild {
-			for _, ri := range rows[starts[i] : starts[i]+n] {
-				dst = append(dst, src[ri])
-			}
-			continue
-		}
-		for ; n > 0; n-- {
-			dst = append(dst, src[i])
-		}
-	}
-	return dst
 }
 
 // minFold folds plan results under the per-answer minimum while

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"math/bits"
 	"slices"
 	"strconv"
 
@@ -74,24 +73,18 @@ func EvalLineageCtx(ctx context.Context, db *DB, q *cq.Query, reduced map[string
 
 // Lineage computes the lineage of every answer of the self-join-free
 // query q on the executor: each atom is scanned by scan, under the
-// evaluator's reduction, and a probabilistic atom's scan gains one
-// id-only column, named "#i" so that no query can spell it, holding its
-// tuples' variable ids. The scans are joined in greedy order and the rows
-// grouped by the sorted head. Only head columns keep their values through
-// the joins. Scans and joins poll the evaluator's context and charge its
-// row budget.
+// evaluator's reduction, and a probabilistic atom's scan gains one id
+// column holding its tuples' variable ids, under a name no variable of q
+// has. The scans are joined in greedy order and the rows grouped by the
+// sorted head. Scans and joins poll the evaluator's context and charge
+// its row budget.
 func (e *Evaluator) Lineage(q *cq.Query) *Lineage {
-	headSet := q.HeadSet()
+	qVars := cq.NewVarSet(q.Vars()...)
 	inputs := make([]*Result, len(q.Atoms))
 	var idCols []cq.Var
 	dedupe := false
 	for i, a := range q.Atoms {
 		r, sel := e.scan(plan.NewScan(a, q.PredsOnAtom(a)))
-		for k, c := range r.Cols {
-			if !headSet.Has(c) {
-				r.vals[k] = nil
-			}
-		}
 		inputs[i] = r
 		rel := e.db.Relation(a.Rel)
 		if rel.Deterministic {
@@ -107,20 +100,27 @@ func (e *Evaluator) Lineage(q *cq.Query) *Lineage {
 				ids[x] = rel.vars[ri]
 			}
 		}
+		// A built query may name a variable "#i"; prefixing more '#'s
+		// keeps the name fresh, and distinct from the other id columns.
 		v := cq.Var("#" + strconv.Itoa(i))
+		for qVars.Has(v) {
+			v = "#" + v
+		}
 		idCols = append(idCols, v)
 		r.Cols = append(r.Cols, v)
-		r.vals = append(r.vals, nil)
+		r.vals = append(r.vals, make([]Value, len(ids)))
 		r.ids = append(r.ids, ids)
 	}
 	rows := foldJoin(inputs, &e.exec, join)
-	return groupLineage(rows, headSet.Sorted(), idCols, dedupe, bits.Len32(uint32(e.db.NumVars())), &e.cancel)
+	head := slices.Clone(q.Head)
+	slices.Sort(head)
+	return groupLineage(rows, head, idCols, dedupe, &e.cancel)
 }
 
 // groupLineage groups the joined rows by the head columns into answers,
 // in first-appearance order, and lays their clauses out answer by answer
 // in one arena, each clause's ids sorted ascending.
-func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, idBits int, c *canceller) *Lineage {
+func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, c *canceller) *Lineage {
 	n, w := rows.Len(), len(idCols)
 	keyIDs := make([][]int32, len(head))
 	keyVals := make([][]Value, len(head))
@@ -174,7 +174,7 @@ func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, idBits int, 
 			cl[j] = v
 		}
 	}
-	arena = sortClauses(arena, out.off, w, idBits, dedupe)
+	arena = sortClauses(arena, out.off, w, dedupe)
 	out.clauses = make([][]int32, out.off[ng])
 	for x := range out.clauses {
 		out.clauses[x] = arena[x*w : (x+1)*w : (x+1)*w]
@@ -184,11 +184,9 @@ func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, idBits int, 
 
 // sortClauses puts each answer's clauses — clauses off[g] to off[g+1] of
 // the width-w arena — in lexicographic order, drops repeats when dedupe
-// is set, and compacts arena and off in place. When a clause's w ids of
-// idBits bits fit one uint64, clauses sort as packed machine words.
-func sortClauses(arena, off []int32, w, idBits int, dedupe bool) []int32 {
+// is set, and compacts arena and off in place.
+func sortClauses(arena, off []int32, w int, dedupe bool) []int32 {
 	out, m := arena[:0], 0
-	var keys []uint64
 	var views [][]int32
 	var tmp []int32
 	for g := 0; g+1 < len(off); g++ {
@@ -197,38 +195,15 @@ func sortClauses(arena, off []int32, w, idBits int, dedupe bool) []int32 {
 			views = append(views, arena[x*w:(x+1)*w])
 		}
 		off[g] = int32(m)
-		if w*idBits > 64 {
-			slices.SortFunc(views, slices.Compare[[]int32])
-			if dedupe {
-				views = slices.CompactFunc(views, slices.Equal[[]int32])
-			}
-			tmp = tmp[:0] // the views alias the arena being rewritten
-			for _, v := range views {
-				tmp = append(tmp, v...)
-			}
-			out, m = append(out, tmp...), m+len(views)
-			continue
-		}
-		keys = keys[:0]
-		for _, v := range views {
-			var k uint64
-			for _, id := range v {
-				k = k<<idBits | uint64(id)
-			}
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
+		slices.SortFunc(views, slices.Compare[[]int32])
 		if dedupe { // with w = 0 this leaves the one empty clause
-			keys = slices.Compact(keys)
+			views = slices.CompactFunc(views, slices.Equal[[]int32])
 		}
-		for _, k := range keys {
-			out = out[:len(out)+w]
-			for j := len(out) - 1; j >= len(out)-w; j-- {
-				out[j] = int32(k & (1<<idBits - 1))
-				k >>= idBits
-			}
+		tmp = tmp[:0] // the views alias the arena being rewritten
+		for _, v := range views {
+			tmp = append(tmp, v...)
 		}
-		m += len(keys)
+		out, m = append(out, tmp...), m+len(views)
 	}
 	off[len(off)-1] = int32(m)
 	return out
@@ -238,15 +213,40 @@ func sortClauses(arena, off []int32, w, idBits int, dedupe bool) []int32 {
 // first) shares a variable with an earlier atom whenever possible,
 // avoiding needless cross products in EvalDeterministic's left-deep fold.
 func orderAtomsByConnectivity(atoms []cq.Atom) []cq.Atom {
-	out, rest := atoms[:1:1], slices.Clone(atoms[1:])
+	out := make([]cq.Atom, 0, len(atoms))
+	used := make([]bool, len(atoms))
+	out = append(out, atoms[0])
+	used[0] = true
 	have := cq.NewVarSet(atoms[0].Vars()...)
-	for len(rest) > 0 {
-		// The first remaining atom that shares a variable, else the first.
-		i := max(0, slices.IndexFunc(rest, func(a cq.Atom) bool { return slices.ContainsFunc(a.Vars(), have.Has) }))
-		for _, v := range rest[i].Vars() {
+	for len(out) < len(atoms) {
+		pick := -1
+		for i, a := range atoms {
+			if used[i] {
+				continue
+			}
+			for _, v := range a.Vars() {
+				if have.Has(v) {
+					pick = i
+					break
+				}
+			}
+			if pick >= 0 {
+				break
+			}
+		}
+		if pick < 0 {
+			for i := range atoms {
+				if !used[i] {
+					pick = i
+					break
+				}
+			}
+		}
+		used[pick] = true
+		out = append(out, atoms[pick])
+		for _, v := range atoms[pick].Vars() {
 			have.Add(v)
 		}
-		out, rest = append(out, rest[i]), slices.Delete(rest, i, i+1)
 	}
 	return out
 }

@@ -253,7 +253,7 @@ func assertLineageMatchesRef(t *testing.T, label string, db *DB, q *cq.Query, re
 	got := EvalLineage(db, q, reduced)
 	want := evalLineageRef(nil, db, q, reduced)
 	label = fmt.Sprintf("%s: %s (reduced=%v)", label, q, reduced != nil)
-	if !reflect.DeepEqual(got.Cols, want.cols) && len(want.cols) > 0 {
+	if !slices.Equal(got.Cols, want.cols) {
 		t.Fatalf("%s: columns %v, want %v", label, got.Cols, want.cols)
 	}
 	if got.Len() != len(want.keys) {
@@ -330,6 +330,7 @@ var lineageShapes = []struct {
 	{"q(x, y)", []string{"R(x)", "S(y)"}, nil},                                     // cross product
 	{"q()", []string{"R(x)", "S(x, y)", "T(y)"}, nil},                              // Boolean, unsafe
 	{"q(a)", []string{"A(a, b)", "B(b, c)", "C(c, d)", "D(d, e)", "E(e, f)"}, nil}, // 5 ids per clause
+	{"q(x, x)", []string{"R(x, y)", "S(y, z)"}, nil},                               // repeated head variable
 }
 
 func shapeQuery(head string, atoms, preds []string) *cq.Query {
@@ -340,8 +341,8 @@ func shapeQuery(head string, atoms, preds []string) *cq.Query {
 // the same set of clauses as the evaluator it replaced, in canonical
 // order — on random instances of every lineage shape, with and without
 // deterministic relations (whose rows repeat clauses), with and without
-// the Opt3 reduction, with enough variables that 5-id clauses take the
-// unpacked sort; and on the chain, star and TPC-H shapes at size.
+// the Opt3 reduction, with small and with 13-bit variable ids; and on the
+// chain, star and TPC-H shapes at size.
 func TestPropLineageMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 20*len(lineageShapes); iter++ {
@@ -353,7 +354,7 @@ func TestPropLineageMatchesReference(t *testing.T) {
 		}
 		pad := 0
 		if iter%4 == 2 {
-			pad = 5000 // 13-bit ids: 5-id clauses no longer pack into 64 bits
+			pad = 5000 // 13-bit ids
 		}
 		db := randomLineageDB(q, 2+rng.Intn(5), 1+rng.Intn(30), pDet, pad, rng)
 		assertLineageMatchesRef(t, "random", db, q, nil)
@@ -434,5 +435,27 @@ func TestLineageAtomOrderInvariance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLineageIDColumnNamesAreFresh: a query built in code may name its
+// variables "#0", "#1" or "##0", the way the lineage query names its id
+// columns; its lineage is still the reference's, which keeps clause ids
+// outside the column namespace.
+func TestLineageIDColumnNamesAreFresh(t *testing.T) {
+	v := func(name string) cq.Term { return cq.V(name) }
+	q := &cq.Query{Name: "q", Head: []cq.Var{"x", "#1"}, Atoms: []cq.Atom{
+		{Rel: "R", Args: []cq.Term{v("x"), v("#1")}},
+		{Rel: "S", Args: []cq.Term{v("#1"), v("##0")}},
+		{Rel: "T", Args: []cq.Term{v("##0"), v("#0")}},
+	}}
+	if err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(47))
+	for iter := 0; iter < 20; iter++ {
+		db := randomLineageDB(q, 2+rng.Intn(4), 1+rng.Intn(30), 0.3*float64(iter%2), 0, rng)
+		assertLineageMatchesRef(t, "spelled", db, q, nil)
+		assertLineageMatchesRef(t, "spelled", db, q, SemiJoinReduce(db, q))
 	}
 }
