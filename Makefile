@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check perfbench-check bench bench-smoke microbench lines chaos replication failover cover oracle-diff
+.PHONY: build test race vet fmt check perfbench-check bench bench-smoke microbench lines chaos replication failover cover oracle-diff deps
 
 build:
 	$(GO) build ./...
@@ -87,7 +87,20 @@ oracle-diff:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet fmt test oracle-diff perfbench-check
+# The served binary carries one exact engine and no test reference:
+# lapushd may depend on neither internal/obdd (the OBDD compiler kept as
+# an independent check on the DPLL kernel) nor internal/engine/oracle
+# (the row-at-a-time evaluator's test facade), and no symbol linked into
+# a fresh build may name either.
+deps:
+	@! $(GO) list -deps ./cmd/lapushd | grep -E '^lapushdb/internal/(obdd|engine/oracle)$$' \
+		|| { echo "lapushd depends on the packages listed above"; exit 1; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) build -o "$$tmp/lapushd" ./cmd/lapushd && \
+		! $(GO) tool nm "$$tmp/lapushd" | grep -Ei 'oracle|obdd' \
+		|| { echo "lapushd links the symbols listed above"; exit 1; }
+
+check: build vet fmt test oracle-diff deps perfbench-check
 
 # The benchmark is perfbench/ (BENCHMARK.json): `bench` runs its whole
 # suite and writes the report for this revision, the next entry of the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"lapushdb/internal/anytime"
@@ -19,7 +20,7 @@ import (
 // agree with the evaluator on the default's value.
 const DefaultAnytimeMCMaxSamples = anytime.DefaultMCMaxSamples
 
-// AnytimeOptions configures RankAnytime. The zero value asks for exact
+// AnytimeOptions configures RankAnytimeContext. The zero value asks for exact
 // convergence (Epsilon 0) with default refinement budgets.
 type AnytimeOptions struct {
 	// Epsilon is the target interval width: refinement stops once every
@@ -106,17 +107,12 @@ func ValidateEpsilon(eps float64) error {
 	return nil
 }
 
-// RankAnytime evaluates the query as monotonically tightening
+// RankAnytimeContext evaluates the query as monotonically tightening
 // [lower, upper] intervals, stopping when every answer's width reaches
-// opts.Epsilon. See RankAnytimeContext for the deadline behavior.
-func (d *DB) RankAnytime(query string, opts *AnytimeOptions) (*AnytimeResult, error) {
-	return d.RankAnytimeContext(context.Background(), query, opts)
-}
-
-// RankAnytimeContext is RankAnytime honoring ctx — with the anytime
-// twist: once at least one refinement stage has completed, a deadline
-// (or row-budget exhaustion) returns the best-so-far intervals with
-// Degraded set instead of an error. Plain cancellation still errors.
+// opts.Epsilon. It honors ctx with the anytime twist: once at least one
+// refinement stage has completed, a deadline (or row-budget exhaustion)
+// returns the best-so-far intervals with Degraded set instead of an
+// error. Plain cancellation still errors.
 func (d *DB) RankAnytimeContext(ctx context.Context, query string, opts *AnytimeOptions) (*AnytimeResult, error) {
 	if opts == nil {
 		opts = &AnytimeOptions{}
@@ -220,12 +216,6 @@ func sortIntervalAnswers(answers []IntervalAnswer) {
 		if answers[i].Lower != answers[j].Lower {
 			return answers[i].Lower > answers[j].Lower
 		}
-		a, b := answers[i].Values, answers[j].Values
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
+		return slices.Compare(answers[i].Values, answers[j].Values) < 0
 	})
 }

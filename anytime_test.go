@@ -25,7 +25,7 @@ import (
 // by answer values, as the reference for the sandwich property.
 func exactByValues(t *testing.T, db *DB, query string) map[string]float64 {
 	t.Helper()
-	answers, err := db.Rank(query, &Options{Method: Exact})
+	answers, err := db.RankContext(context.Background(), query, &Options{Method: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func sandwichWorkload(t *testing.T, label string, edb *engine.DB, query string, 
 			prev[key] = iv{a.Lower, a.Upper}
 		}
 	}
-	res, err := db.RankAnytime(query, opts)
+	res, err := db.RankAnytimeContext(context.Background(), query, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestAnytimeDeadlineDegrades(t *testing.T) {
 	db := fromEngineDB(t, edb)
 	// Warm up lazily built indexes so the first refinement step reliably
 	// fits inside the deadline below.
-	if _, err := db.RankAnytime(q.String(), &AnytimeOptions{Epsilon: 0.9}); err != nil {
+	if _, err := db.RankAnytimeContext(context.Background(), q.String(), &AnytimeOptions{Epsilon: 0.9}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
@@ -221,7 +221,7 @@ func TestAnytimeBudgetDegrades(t *testing.T) {
 	// Small MC caps keep the bisection's many full evaluations cheap; the
 	// property under test is the budget handling, not bound quality.
 	eval := func(budget int) (*AnytimeResult, error) {
-		return db.RankAnytime(query, &AnytimeOptions{Epsilon: 0.0001, Seed: 1, MaxIntermediateRows: budget, MCBatch: 64, MCMaxSamples: 256})
+		return db.RankAnytimeContext(context.Background(), query, &AnytimeOptions{Epsilon: 0.0001, Seed: 1, MaxIntermediateRows: budget, MCBatch: 64, MCMaxSamples: 256})
 	}
 	lo, hi := 1, 1<<22 // lo always fails, hi always completes
 	if _, err := eval(lo); err == nil {
@@ -267,7 +267,7 @@ func TestAnytimeBudgetCoversLineage(t *testing.T) {
 	db := fromEngineDB(t, edb)
 	query := q.String()
 	eval := func(budget int) *AnytimeResult {
-		res, err := db.RankAnytime(query, &AnytimeOptions{Epsilon: 0.0001, Seed: 1, MaxIntermediateRows: budget})
+		res, err := db.RankAnytimeContext(context.Background(), query, &AnytimeOptions{Epsilon: 0.0001, Seed: 1, MaxIntermediateRows: budget})
 		if err != nil {
 			return nil
 		}
@@ -290,7 +290,7 @@ func TestAnytimeBudgetCoversLineage(t *testing.T) {
 		t.Fatalf("budget %d admits every plan: want the lineage to degrade it, got converged=%v degraded=%q",
 			hi, res.Converged, res.Degraded)
 	}
-	diss, err := db.Rank(query, &Options{Method: Dissociation})
+	diss, err := db.RankContext(context.Background(), query, &Options{Method: Dissociation})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestRankTopKAnytime(t *testing.T) {
 	db := fromEngineDB(t, edb)
 	query := q.String()
 	const k = 5
-	want, err := db.RankTopK(query, k, nil)
+	want, err := db.RankTopK(context.Background(), query, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

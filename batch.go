@@ -104,20 +104,15 @@ func (b *Batch) Stats() BatchStats {
 	}
 }
 
-// RankBatch evaluates several queries against the same database state,
-// sharing common subplan results across them, and returns one
+// RankBatchContext evaluates several queries against the same database
+// state, sharing common subplan results across them, and returns one
 // BatchResult per query in input order. Scores are bit-identical to
-// calling Rank once per query with the same options; see NewBatch for
-// how the options (including the batch-wide MaxIntermediateRows
-// budget) apply.
-func (d *DB) RankBatch(queries []string, opts *Options) []BatchResult {
-	return d.RankBatchContext(context.Background(), queries, opts)
-}
-
-// RankBatchContext is RankBatch honoring ctx: one deadline spans the
-// whole batch, and queries not yet evaluated when it expires report the
-// context's error in their BatchResult. When opts.Stats is set it
-// receives the batch totals, including the shared-subplan counters.
+// calling RankContext once per query with the same options; see NewBatch
+// for how the options (including the batch-wide MaxIntermediateRows
+// budget) apply. One ctx deadline spans the whole batch, and queries not
+// yet evaluated when it expires report the context's error in their
+// BatchResult. When opts.Stats is set it receives the batch totals,
+// including the shared-subplan counters.
 func (d *DB) RankBatchContext(ctx context.Context, queries []string, opts *Options) []BatchResult {
 	b := d.NewBatch(opts)
 	out := make([]BatchResult, len(queries))

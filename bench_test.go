@@ -8,6 +8,7 @@ package lapushdb
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -337,7 +338,7 @@ func BenchmarkRankBatch(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, query := range queries {
-				if _, err := db.Rank(query, nil); err != nil {
+				if _, err := db.RankContext(context.Background(), query, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -347,7 +348,7 @@ func BenchmarkRankBatch(b *testing.B) {
 		var shared int64
 		for i := 0; i < b.N; i++ {
 			stats := &RankStats{}
-			results := db.RankBatch(queries, &Options{Stats: stats})
+			results := db.RankBatchContext(context.Background(), queries, &Options{Stats: stats})
 			for _, r := range results {
 				if r.Err != nil {
 					b.Fatal(r.Err)
@@ -380,7 +381,7 @@ func BenchmarkAnytime(b *testing.B) {
 				var err error
 				// The MC cap hands the tight targets over to exact collapse
 				// instead of grinding sampling to the default per-answer cap.
-				res, err = db.RankAnytime(query, &AnytimeOptions{Epsilon: eps, Seed: 7, MCMaxSamples: 8192})
+				res, err = db.RankAnytimeContext(context.Background(), query, &AnytimeOptions{Epsilon: eps, Seed: 7, MCMaxSamples: 8192})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -437,7 +438,7 @@ func BenchmarkAnytimeShapes(b *testing.B) {
 			var res *AnytimeResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = db.RankAnytime(body+", "+sel, &AnytimeOptions{Epsilon: 0.1, Seed: int64(i + 1), MCMaxSamples: 4096})
+				res, err = db.RankAnytimeContext(context.Background(), body+", "+sel, &AnytimeOptions{Epsilon: 0.1, Seed: int64(i + 1), MCMaxSamples: 4096})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -13,7 +13,7 @@
 // column's name is ignored). Pass -det Rel to declare a relation
 // deterministic and -key "Rel=col1,col2" to declare keys.
 //
-// Methods: diss (default), exact, obdd, mc, kl, lineage, sql. Pass
+// Methods: diss (default), exact, mc, kl, lineage, sql. Pass
 // -explain to print the minimal plans and dissociations instead of
 // evaluating.
 //
@@ -26,6 +26,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +48,7 @@ func main() {
 	flag.Var(&dets, "det", "declare a relation deterministic (repeatable)")
 	flag.Var(&keys, "key", "declare a key as Rel=col1,col2 (repeatable)")
 	query := flag.String("q", "", "conjunctive query, e.g. \"q(x) :- R(x, y), S(y)\"")
-	method := flag.String("method", "diss", "diss | exact | obdd | mc | kl | lineage | sql")
+	method := flag.String("method", "diss", "diss | exact | mc | kl | lineage | sql")
 	top := flag.Int("top", 0, "print only the top-k answers (0 = all)")
 	samples := flag.Int("samples", 1000, "Monte Carlo samples")
 	seed := flag.Int64("seed", 1, "random seed for mc")
@@ -86,6 +87,7 @@ func main() {
 		repl(db, *method, *samples, *seed, *top, os.Stdin, os.Stdout)
 		return
 	}
+	ctx := context.Background()
 
 	if *dot != "" {
 		out, err := db.PlanDOT(*query, *dot)
@@ -97,15 +99,11 @@ func main() {
 	}
 
 	if *explain {
-		ex, err := db.Explain(*query)
+		ex, err := db.ExplainContext(ctx, *query)
 		if err != nil {
 			fail("%v", err)
 		}
-		fmt.Printf("safe: %v\n", ex.Safe)
-		for i, p := range ex.Plans {
-			fmt.Printf("plan %d: %s\n   dissociation: %s\n", i+1, p, ex.Dissociations[i])
-		}
-		fmt.Printf("merged plan (Opt1): %s\n", ex.SinglePlan)
+		printExplanation(os.Stdout, ex)
 		return
 	}
 
@@ -113,11 +111,11 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	answers, err := db.Rank(*query, opts)
+	answers, err := db.RankContext(ctx, *query, opts)
 	if err != nil {
 		fail("%v", err)
 	}
-	printAnswers(answers, *top)
+	printAnswersTo(os.Stdout, answers, *top)
 }
 
 func methodOptions(method string, samples int, seed int64) (*lapushdb.Options, error) {
@@ -126,10 +124,6 @@ func methodOptions(method string, samples int, seed int64) (*lapushdb.Options, e
 		return nil, err
 	}
 	return &lapushdb.Options{Method: m, MCSamples: samples, Seed: seed}, nil
-}
-
-func printAnswers(answers []lapushdb.Answer, top int) {
-	printAnswersTo(os.Stdout, answers, top)
 }
 
 func printAnswersTo(w io.Writer, answers []lapushdb.Answer, top int) {
@@ -142,8 +136,17 @@ func printAnswersTo(w io.Writer, answers []lapushdb.Answer, top int) {
 	}
 }
 
+func printExplanation(w io.Writer, ex *lapushdb.Explanation) {
+	fmt.Fprintf(w, "safe: %v\n", ex.Safe)
+	for i, p := range ex.Plans {
+		fmt.Fprintf(w, "plan %d: %s\n   dissociation: %s\n", i+1, p, ex.Dissociations[i])
+	}
+	fmt.Fprintf(w, "merged plan (Opt1): %s\n", ex.SinglePlan)
+}
+
 // repl reads queries and dot-commands from in until EOF or .quit.
 func repl(db *lapushdb.DB, method string, samples int, seed int64, top int, in io.Reader, out io.Writer) {
+	ctx := context.Background()
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	fmt.Fprintln(os.Stderr, "lapush interactive — enter a query, or .explain/.lineage/.profile/.method/.quit")
@@ -165,19 +168,15 @@ func repl(db *lapushdb.DB, method string, samples int, seed int64, top int, in i
 			}
 		case strings.HasPrefix(line, ".explain"):
 			q := strings.TrimSpace(strings.TrimPrefix(line, ".explain"))
-			ex, err := db.Explain(q)
+			ex, err := db.ExplainContext(ctx, q)
 			if err != nil {
 				fmt.Fprintln(out, err)
 				break
 			}
-			fmt.Fprintf(out, "safe: %v\n", ex.Safe)
-			for i, p := range ex.Plans {
-				fmt.Fprintf(out, "plan %d: %s\n   dissociation: %s\n", i+1, p, ex.Dissociations[i])
-			}
-			fmt.Fprintf(out, "merged plan (Opt1): %s\n", ex.SinglePlan)
+			printExplanation(out, ex)
 		case strings.HasPrefix(line, ".influence"):
 			q := strings.TrimSpace(strings.TrimPrefix(line, ".influence"))
-			infos, err := db.Influence(q, 3)
+			infos, err := db.Influence(ctx, q, 3)
 			if err != nil {
 				fmt.Fprintln(out, err)
 				break
@@ -190,7 +189,7 @@ func repl(db *lapushdb.DB, method string, samples int, seed int64, top int, in i
 			}
 		case strings.HasPrefix(line, ".profile"):
 			q := strings.TrimSpace(strings.TrimPrefix(line, ".profile"))
-			prof, err := db.Profile(q)
+			prof, err := db.Profile(ctx, q)
 			if err != nil {
 				fmt.Fprintln(out, err)
 				break
@@ -198,7 +197,7 @@ func repl(db *lapushdb.DB, method string, samples int, seed int64, top int, in i
 			fmt.Fprint(out, prof)
 		case strings.HasPrefix(line, ".lineage"):
 			q := strings.TrimSpace(strings.TrimPrefix(line, ".lineage"))
-			infos, err := db.Lineage(q)
+			infos, err := db.LineageContext(ctx, q)
 			if err != nil {
 				fmt.Fprintln(out, err)
 				break
@@ -218,7 +217,7 @@ func repl(db *lapushdb.DB, method string, samples int, seed int64, top int, in i
 				fmt.Fprintln(out, err)
 				break
 			}
-			answers, err := db.Rank(line, opts)
+			answers, err := db.RankContext(ctx, line, opts)
 			if err != nil {
 				fmt.Fprintln(out, err)
 				break

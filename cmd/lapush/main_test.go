@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,7 +30,7 @@ func TestLoadCSV(t *testing.T) {
 	if got := db.Relation("Likes").Len(); got != 2 {
 		t.Errorf("tuples = %d, want 2", got)
 	}
-	answers, err := db.Rank("q(user) :- Likes(user, movie)", nil)
+	answers, err := db.RankContext(context.Background(), "q(user) :- Likes(user, movie)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestLoadCSVDeterministic(t *testing.T) {
 	if err := loader.LoadCSVFile(db, "D", file, true); err != nil {
 		t.Fatal(err)
 	}
-	ex, err := db.Explain("q(x) :- D(x)")
+	ex, err := db.ExplainContext(context.Background(), "q(x) :- D(x)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +153,7 @@ func TestREPLInfluenceAndMethods(t *testing.T) {
 	in := strings.NewReader(strings.Join([]string{
 		".influence q(x) :- R(x, y)",
 		".method obdd",
+		".method exact",
 		"q(x) :- R(x, y)",
 		".method kl",
 		"q(x) :- R(x, y)",
@@ -160,7 +162,7 @@ func TestREPLInfluenceAndMethods(t *testing.T) {
 	var out strings.Builder
 	repl(db, "diss", 200, 1, 0, in, &out)
 	got := out.String()
-	for _, want := range []string{"∂P/∂p", "method: obdd", "method: kl", "0.500000"} {
+	for _, want := range []string{"∂P/∂p", `unknown method "obdd"`, "method: exact", "method: kl", "0.500000"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("missing %q:\n%s", want, got)
 		}

@@ -8,6 +8,7 @@ package lapushdb
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -80,7 +81,7 @@ func TestDifferentialPublicAPI(t *testing.T) {
 	edb, q := workload.Chain(3, 3000, 400, 0.5, rng)
 	db := fromEngineDB(t, edb)
 	query := q.String()
-	got, err := db.Rank(query, nil)
+	got, err := db.RankContext(context.Background(), query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestDifferentialPublicAPI(t *testing.T) {
 		}
 		wantScore[strings.Join(vals, "\x00")] = want.Score(i)
 	}
-	again, err := db.Rank(query, nil)
+	again, err := db.RankContext(context.Background(), query, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package lapushdb_test
 
 import (
+	"context"
 	"fmt"
 
 	"lapushdb"
@@ -19,7 +20,7 @@ func Example() {
 	_ = stars.Insert(0.8, "heat", "deniro")
 	_ = fan.Insert(0.6, "deniro")
 
-	answers, _ := db.Rank("q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)", nil)
+	answers, _ := db.RankContext(context.Background(), "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)", nil)
 	for _, a := range answers {
 		fmt.Printf("%s %.4f\n", a.Values[0], a.Score)
 	}
@@ -28,9 +29,9 @@ func Example() {
 	// bob 0.2400
 }
 
-// ExampleDB_Explain shows how a query's minimal plans and their
+// ExampleDB_ExplainContext shows how a query's minimal plans and their
 // dissociations are inspected, and how safety is reported.
-func ExampleDB_Explain() {
+func ExampleDB_ExplainContext() {
 	db := lapushdb.Open()
 	r, _ := db.CreateRelation("R", "x")
 	s, _ := db.CreateRelation("S", "x", "y")
@@ -39,7 +40,7 @@ func ExampleDB_Explain() {
 	_ = s.Insert(0.5, 1, 2)
 	_ = t.Insert(0.5, 2)
 
-	ex, _ := db.Explain("q() :- R(x), S(x, y), T(y)")
+	ex, _ := db.ExplainContext(context.Background(), "q() :- R(x), S(x, y), T(y)")
 	fmt.Println("safe:", ex.Safe)
 	for _, d := range ex.Dissociations {
 		fmt.Println("dissociation:", d)
@@ -50,10 +51,10 @@ func ExampleDB_Explain() {
 	// dissociation: {R^{y}}
 }
 
-// ExampleDB_Explain_schemaKnowledge shows keys turning a #P-hard query
+// ExampleDB_ExplainContext_schemaKnowledge shows keys turning a #P-hard query
 // safe (Section 3.3.2 of the paper): with the functional dependency
 // x → y from S's key, a single exact plan suffices.
-func ExampleDB_Explain_schemaKnowledge() {
+func ExampleDB_ExplainContext_schemaKnowledge() {
 	db := lapushdb.Open()
 	r, _ := db.CreateRelation("R", "x")
 	s, _ := db.CreateRelation("S", "x", "y")
@@ -63,15 +64,15 @@ func ExampleDB_Explain_schemaKnowledge() {
 	_ = s.Insert(0.5, 1, 2)
 	_ = t.Insert(0.5, 2)
 
-	ex, _ := db.Explain("q() :- R(x), S(x, y), T(y)")
+	ex, _ := db.ExplainContext(context.Background(), "q() :- R(x), S(x, y), T(y)")
 	fmt.Println("safe:", ex.Safe, "plans:", len(ex.Plans))
 	// Output:
 	// safe: true plans: 1
 }
 
-// ExampleDB_Lineage shows Boolean provenance with read-once
+// ExampleDB_LineageContext shows Boolean provenance with read-once
 // factorization.
-func ExampleDB_Lineage() {
+func ExampleDB_LineageContext() {
 	db := lapushdb.Open()
 	r, _ := db.CreateRelation("R", "x")
 	s, _ := db.CreateRelation("S", "x", "y")
@@ -79,7 +80,7 @@ func ExampleDB_Lineage() {
 	_ = s.Insert(0.4, 1, 4)
 	_ = s.Insert(0.7, 1, 5)
 
-	infos, _ := db.Lineage("q() :- R(x), S(x, y)")
+	infos, _ := db.LineageContext(context.Background(), "q() :- R(x), S(x, y)")
 	for _, info := range infos {
 		fmt.Println(info.Formula)
 		fmt.Println("read-once:", info.ReadOnce)

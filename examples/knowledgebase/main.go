@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	db := lapushdb.Open()
 
 	// Extracted (uncertain) facts: confidence scores from the extractor.
@@ -41,15 +43,15 @@ func main() {
 	// Shape: q(org) :- WorksFor(p, org), BornIn(p, c), LocatedIn(c, 'france').
 	q := "q(org) :- WorksFor(p, org), BornIn(p, c), LocatedIn(c, country), country = 'france'"
 
-	ex, err := db.Explain(q)
+	ex, err := db.ExplainContext(ctx, q)
 	check(err)
 	fmt.Printf("query: %s\n", q)
 	fmt.Printf("safe with schema knowledge: %v — LocatedIn is deterministic,\n", ex.Safe)
 	fmt.Printf("so the engine needs %d plan(s) and the scores are exact probabilities.\n\n", len(ex.Plans))
 
-	answers, err := db.Rank(q, nil)
+	answers, err := db.RankContext(ctx, q, nil)
 	check(err)
-	exact, err := db.Rank(q, &lapushdb.Options{Method: lapushdb.Exact})
+	exact, err := db.RankContext(ctx, q, &lapushdb.Options{Method: lapushdb.Exact})
 	check(err)
 	fmt.Println("org        dissociation  exact")
 	for i, a := range answers {
@@ -60,10 +62,10 @@ func main() {
 	// LocatedIn as probabilistic, the query becomes #P-hard, and two
 	// plans are needed — the scores are upper bounds instead of exact.
 	fmt.Println()
-	ex2, err := db.Explain("q(org) :- WorksFor(p, org), BornIn(p, c), LocatedIn(c, country)",
+	ex2, err := db.ExplainContext(ctx, "q(org) :- WorksFor(p, org), BornIn(p, c), LocatedIn(c, country)",
 		&lapushdb.Options{IgnoreSchema: true})
 	check(err)
-	bounds, err := db.Rank("q(org) :- WorksFor(p, org), BornIn(p, c), LocatedIn(c, country)",
+	bounds, err := db.RankContext(ctx, "q(org) :- WorksFor(p, org), BornIn(p, c), LocatedIn(c, country)",
 		&lapushdb.Options{IgnoreSchema: true})
 	check(err)
 	fmt.Printf("ignoring schema knowledge the same join uses %d plans (safe=%v)\n", len(ex2.Plans), ex2.Safe)

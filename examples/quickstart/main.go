@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	db := lapushdb.Open()
 
 	// Tuple-independent probabilistic relations: every tuple carries the
@@ -37,7 +39,7 @@ func main() {
 	// canonical #P-hard query of the probabilistic-database literature.
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
 
-	ex, err := db.Explain(q)
+	ex, err := db.ExplainContext(ctx, q)
 	check(err)
 	fmt.Printf("query: %s\nsafe:  %v (so exact inference is #P-hard)\n\n", q, ex.Safe)
 	for i, p := range ex.Plans {
@@ -45,17 +47,17 @@ func main() {
 	}
 
 	fmt.Println("\nranking by dissociation (guaranteed upper bounds, minimum over both plans):")
-	diss, err := db.Rank(q, nil)
+	diss, err := db.RankContext(ctx, q, nil)
 	check(err)
 	print(diss)
 
 	fmt.Println("\nground truth (exact weighted model counting on the lineage):")
-	exact, err := db.Rank(q, &lapushdb.Options{Method: lapushdb.Exact})
+	exact, err := db.RankContext(ctx, q, &lapushdb.Options{Method: lapushdb.Exact})
 	check(err)
 	print(exact)
 
 	fmt.Println("\nMonte Carlo with 10000 samples:")
-	mcAnswers, err := db.Rank(q, &lapushdb.Options{Method: lapushdb.MonteCarlo, MCSamples: 10000})
+	mcAnswers, err := db.RankContext(ctx, q, &lapushdb.Options{Method: lapushdb.MonteCarlo, MCSamples: 10000})
 	check(err)
 	print(mcAnswers)
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// ---- Example 17: q :- R(x), S(x), T(x,y), U(y) --------------------
 	db := lapushdb.Open()
 	r, err := db.CreateRelation("R", "x")
@@ -33,16 +35,16 @@ func main() {
 	}
 
 	q17 := "q() :- R(x), S(x), T(x, y), U(y)"
-	ex, err := db.Explain(q17)
+	ex, err := db.ExplainContext(ctx, q17)
 	check(err)
 	fmt.Println("Example 17:", q17)
 	fmt.Printf("  safe: %v; the 8-element dissociation lattice has 2 minimal safe dissociations:\n", ex.Safe)
 	for i, p := range ex.Plans {
 		fmt.Printf("  plan %d: %-55s ∆ = %s\n", i+1, p, ex.Dissociations[i])
 	}
-	diss, err := db.Rank(q17, nil)
+	diss, err := db.RankContext(ctx, q17, nil)
 	check(err)
-	exact, err := db.Rank(q17, &lapushdb.Options{Method: lapushdb.Exact})
+	exact, err := db.RankContext(ctx, q17, &lapushdb.Options{Method: lapushdb.Exact})
 	check(err)
 	fmt.Printf("  paper: P(q) = 83/512 ≈ 0.1621, ρ(q) = 169/1024 ≈ 0.1650\n")
 	fmt.Printf("  ours:  P(q) = %.4f, ρ(q) = %.4f\n\n", exact[0].Score, diss[0].Score)
@@ -56,9 +58,9 @@ func main() {
 	check(r2.Insert(0.5, 1))
 	check(s2.Insert(0.4, 1, 4))
 	check(s2.Insert(0.7, 1, 5))
-	exh, err := dbh.Explain("q() :- R(x), S(x, y)")
+	exh, err := dbh.ExplainContext(ctx, "q() :- R(x), S(x, y)")
 	check(err)
-	ph, err := dbh.Rank("q() :- R(x), S(x, y)", nil)
+	ph, err := dbh.RankContext(ctx, "q() :- R(x), S(x, y)", nil)
 	check(err)
 	fmt.Println("Dichotomy: q() :- R(x), S(x, y) is hierarchical")
 	fmt.Printf("  safe: %v, single plan: %s\n", exh.Safe, exh.Plans[0])
@@ -77,19 +79,19 @@ func main() {
 	check(t3.Insert(0.8, 7))
 
 	qk := "q() :- R(x), S(x, y), T(y)"
-	before, err := dbk.Explain(qk)
+	before, err := dbk.ExplainContext(ctx, qk)
 	check(err)
 	fmt.Println("Example 23:", qk)
 	fmt.Printf("  without keys: safe=%v, %d plans (the classic #P-hard query)\n", before.Safe, len(before.Plans))
 
 	s3.SetKey("x") // functional dependency x → y
-	after, err := dbk.Explain(qk)
+	after, err := dbk.ExplainContext(ctx, qk)
 	check(err)
 	fmt.Printf("  with key S(x): safe=%v, %d plan — the FD chase dissociates R on y\n", after.Safe, len(after.Plans))
 	fmt.Printf("  plan: %-50s ∆ = %s\n", after.Plans[0], after.Dissociations[0])
-	pk, err := dbk.Rank(qk, nil)
+	pk, err := dbk.RankContext(ctx, qk, nil)
 	check(err)
-	pe, err := dbk.Rank(qk, &lapushdb.Options{Method: lapushdb.Exact})
+	pe, err := dbk.RankContext(ctx, qk, &lapushdb.Options{Method: lapushdb.Exact})
 	check(err)
 	fmt.Printf("  score = %.6f, exact = %.6f (equal: the plan is exact under the FD)\n", pk[0].Score, pe[0].Score)
 }

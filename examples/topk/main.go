@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 	db := lapushdb.Open()
 
@@ -49,7 +51,7 @@ func main() {
 	q := "q(customer) :- Orders(customer, product), MadeBy(product, vendor), Flagged(vendor)"
 
 	fmt.Println("exact top-5 via dissociation-bounded early termination:")
-	top, err := db.RankTopK(q, 5, nil)
+	top, err := db.RankTopK(ctx, q, 5, nil)
 	check(err)
 	for i, a := range top {
 		fmt.Printf("  %d. %-8s %.6f (exact)\n", i+1, a.Values[0], a.Score)
@@ -61,9 +63,9 @@ func main() {
 		"q(customer) :- Orders(customer, product), Recalled(product)",
 	}
 	fmt.Println("\nunion of two risk queries (dissociation = FKG-sound upper bounds):")
-	bounds, err := db.RankUnion(union, nil)
+	bounds, err := db.RankUnion(ctx, union, nil)
 	check(err)
-	exact, err := db.RankUnion(union, &lapushdb.Options{Method: lapushdb.Exact})
+	exact, err := db.RankUnion(ctx, union, &lapushdb.Options{Method: lapushdb.Exact})
 	check(err)
 	exactOf := map[string]float64{}
 	for _, a := range exact {

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -35,6 +36,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 	db := lapushdb.Open()
 
@@ -75,7 +77,7 @@ func main() {
 		{"lineage size (non-probabilistic)", &lapushdb.Options{Method: lapushdb.LineageSize}},
 	} {
 		start := time.Now()
-		answers, err := db.Rank(q, m.opts)
+		answers, err := db.RankContext(ctx, q, m.opts)
 		check(err)
 		fmt.Printf("%-34s (%6.1f ms) top 5:", m.name, float64(time.Since(start).Microseconds())/1000)
 		for i := 0; i < 5 && i < len(answers); i++ {

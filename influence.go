@@ -32,17 +32,18 @@ type AnswerInfluence struct {
 // most influential (0 keeps all). Each answer's lineage is compiled
 // once into an arithmetic circuit; influences are two linear-time
 // circuit evaluations per tuple. Exact compilation must be feasible
-// (Options-style budget of 50M nodes applies).
+// within DefaultExactBudget nodes per answer. The lineage evaluation
+// and the per-answer loop poll ctx.
 //
 // Influence is the sensitivity ∂P/∂p(t): it identifies the uncertain
 // facts most worth verifying or cleaning to firm up an answer — the
 // data-cleaning use the paper's knowledge-base motivation implies.
-func (d *DB) Influence(query string, topPerAnswer int) ([]AnswerInfluence, error) {
+func (d *DB) Influence(ctx context.Context, query string, topPerAnswer int) ([]AnswerInfluence, error) {
 	q, err := parseChecked(d, query)
 	if err != nil {
 		return nil, err
 	}
-	lin, err := d.evalLineage(context.Background(), q, true)
+	lin, err := d.evalLineage(ctx, q, true)
 	if err != nil {
 		return nil, err
 	}
@@ -51,8 +52,11 @@ func (d *DB) Influence(query string, topPerAnswer int) ([]AnswerInfluence, error
 	out := make([]AnswerInfluence, 0, lin.Len())
 	scratch := append([]float64(nil), probs...)
 	for i := 0; i < lin.Len(); i++ {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		clauses := lin.Clauses(i)
-		circ, err := exact.Compile(clauses, 50_000_000)
+		circ, err := exact.Compile(clauses, DefaultExactBudget)
 		if err != nil {
 			return nil, fmt.Errorf("lapushdb: influence compilation infeasible for answer %v: %w", d.decode(lin.Key(i)), err)
 		}

@@ -1,6 +1,7 @@
 package lapushdb
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ func TestInfluenceBasics(t *testing.T) {
 	_ = s.Insert(0.4, 1, 4)
 	_ = s.Insert(0.7, 1, 5)
 	// F = R(1)·S(1,4) ∨ R(1)·S(1,5).
-	infos, err := db.Influence("q() :- R(x), S(x, y)", 0)
+	infos, err := db.Influence(context.Background(), "q() :- R(x), S(x, y)", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestInfluenceDerivativeProperty(t *testing.T) {
 	// movie database.
 	db := movieDB(t)
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	infos, err := db.Influence(q, 1)
+	infos, err := db.Influence(context.Background(), q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +66,10 @@ func TestInfluenceDerivativeProperty(t *testing.T) {
 
 func TestInfluenceErrors(t *testing.T) {
 	db := movieDB(t)
-	if _, err := db.Influence("bad(", 3); err == nil {
+	if _, err := db.Influence(context.Background(), "bad(", 3); err == nil {
 		t.Error("bad query should fail")
 	}
-	if _, err := db.Influence("q(x) :- Missing(x)", 3); err == nil {
+	if _, err := db.Influence(context.Background(), "q(x) :- Missing(x)", 3); err == nil {
 		t.Error("unknown relation should fail")
 	}
 }

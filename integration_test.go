@@ -1,6 +1,7 @@
 package lapushdb
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -43,14 +44,11 @@ func TestIntegrationTPCH(t *testing.T) {
 	}
 	q := "Q(a) :- Supplier(s, a), Partsupp(s, u), Part(u, n), s <= 90, n like '%red%'"
 
-	exactAns, err := db.Rank(q, &Options{Method: Exact})
+	exactAns, err := db.RankContext(context.Background(), q, &Options{Method: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obddAns, err := db.Rank(q, &Options{Method: ExactOBDD, ExactBudget: 50_000_000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	obddAns := obddScores(t, db, q, 50_000_000)
 	scoreOf := func(as []Answer, v string) (float64, bool) {
 		for _, a := range as {
 			if a.Values[0] == v {
@@ -60,7 +58,7 @@ func TestIntegrationTPCH(t *testing.T) {
 		return 0, false
 	}
 	for i, a := range exactAns {
-		ob, ok := scoreOf(obddAns, a.Values[0])
+		ob, ok := obddAns[a.Values[0]]
 		if !ok || math.Abs(ob-a.Score) > 1e-9 {
 			t.Errorf("answer %d: DPLL %v vs OBDD %v", i, a.Score, ob)
 		}
@@ -76,7 +74,7 @@ func TestIntegrationTPCH(t *testing.T) {
 		{DisableOpt3: true},
 		{DisableOpt1: true, DisableOpt2: true, DisableOpt3: true},
 	} {
-		diss, err := db.Rank(q, opts)
+		diss, err := db.RankContext(context.Background(), q, opts)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}
@@ -101,7 +99,7 @@ func TestIntegrationTPCH(t *testing.T) {
 	}
 
 	// Top-k agrees with the full exact ranking.
-	top, err := db.RankTopK(q, 5, nil)
+	top, err := db.RankTopK(context.Background(), q, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +110,7 @@ func TestIntegrationTPCH(t *testing.T) {
 	}
 
 	// Influence explains the top answer with positive sensitivities.
-	infl, err := db.Influence(q, 3)
+	infl, err := db.Influence(context.Background(), q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +125,7 @@ func TestIntegrationTPCH(t *testing.T) {
 	}
 
 	// Karp-Luby tracks exact within MC noise on the top answers.
-	kl, err := db.Rank(q, &Options{Method: KarpLuby, MCSamples: 50000, Seed: 9})
+	kl, err := db.RankContext(context.Background(), q, &Options{Method: KarpLuby, MCSamples: 50000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

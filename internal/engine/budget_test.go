@@ -73,12 +73,13 @@ func TestBudgetExceededParallel(t *testing.T) {
 func TestBudgetBatchChargingParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	minBudget := func(db *DB, q *cq.Query, plans []plan.Node, oracle bool) int {
+		evalPlans := EvalPlansCtx
+		if oracle {
+			evalPlans = EvalPlansOracle
+		}
 		eval := func(limit int) bool {
 			err := TrapCancel(func() {
-				EvalPlansCtx(nil, db, q, plans, Options{
-					MaxIntermediateRows: limit,
-					Oracle:              oracle,
-				})
+				evalPlans(nil, db, q, plans, Options{MaxIntermediateRows: limit})
 			})
 			if err != nil && !errors.Is(err, ErrBudget) {
 				t.Fatalf("unexpected error at limit %d: %v", limit, err)

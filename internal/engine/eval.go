@@ -182,12 +182,6 @@ type Options struct {
 	// a row budget it replaces MaxIntermediateRows: the budget spans the
 	// whole batch instead of one evaluation.
 	Memo *BatchMemo
-	// Oracle routes evaluation through the retained row-at-a-time
-	// reference operators (see oracle.go) instead of the streaming
-	// columnar executor. Outputs are bit-identical by contract; the flag
-	// exists so differential suites and fuzzers can cross-check the two
-	// executors. Test-only: it is never set on production paths.
-	Oracle bool
 }
 
 // Evaluator evaluates plans over a database under the extensional score
@@ -204,6 +198,10 @@ type Evaluator struct {
 	memo    *BatchMemo // cross-query subplan memo; nil outside batches
 	redFP   map[string]string
 	prof    *profiler // per-node hook of EvalProfiled; nil = not profiling
+	// reference, when set, computes each node instead of the streaming
+	// operators. Only EvalPlansOracle sets it (oracle.go), so no binary
+	// that does not call that entry point links the reference operators.
+	reference func(plan.Node) *Result
 }
 
 // NewEvaluator prepares an evaluator for one query evaluation. If
@@ -275,8 +273,8 @@ func (e *Evaluator) Eval(p plan.Node) *Result {
 // evalNode computes one plan node, recursing through Eval so children
 // hit the caches.
 func (e *Evaluator) evalNode(p plan.Node) *Result {
-	if e.opts.Oracle {
-		return e.oracleEvalNode(p)
+	if e.reference != nil {
+		return e.reference(p)
 	}
 	var out *Result
 	switch t := p.(type) {
@@ -329,18 +327,15 @@ func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, o
 	for _, p := range plans {
 		clear(e.cache)
 		r := e.Eval(p)
-		switch {
-		case out == nil:
+		if out == nil {
 			out = r
-		case opts.Oracle:
-			out = oracleCombineMin(out, r, &e.exec)
-		default:
-			if fold == nil {
-				fold = newMinFold(out, &e.exec)
-			}
-			fold.merge(r)
-			out = fold.out
+			continue
 		}
+		if fold == nil {
+			fold = newMinFold(out, &e.exec)
+		}
+		fold.merge(r)
+		out = fold.out
 	}
 	return out
 }

@@ -161,9 +161,7 @@ func FuzzMorselDifferential(f *testing.F) {
 			refEnc := encodeResult(EvalPlans(db, q, plans, opts))
 			// Columnar executor vs the row-at-a-time oracle:
 			// byte-identical encodings.
-			orcOpts := opts
-			orcOpts.Oracle = true
-			if string(encodeResult(EvalPlans(db, q, plans, orcOpts))) != string(refEnc) {
+			if string(encodeResult(EvalPlansOracle(nil, db, q, plans, opts))) != string(refEnc) {
 				t.Fatalf("oracle encoding differs from executor")
 			}
 			// The reduction itself is one more input: it equals the all-pairs
@@ -186,8 +184,7 @@ func FuzzMorselDifferential(f *testing.F) {
 			bOpts := opts
 			bOpts.MaxIntermediateRows = budget
 			errNew := TrapCancel(func() { EvalPlansCtx(nil, db, q, plans, bOpts) })
-			bOpts.Oracle = true
-			errOrc := TrapCancel(func() { EvalPlansCtx(nil, db, q, plans, bOpts) })
+			errOrc := TrapCancel(func() { EvalPlansOracle(nil, db, q, plans, bOpts) })
 			if errors.Is(errNew, ErrBudget) != errors.Is(errOrc, ErrBudget) || (errNew == nil) != (errOrc == nil) {
 				t.Fatalf("budget=%d: executor err %v, oracle err %v", budget, errNew, errOrc)
 			}
@@ -195,10 +192,8 @@ func FuzzMorselDifferential(f *testing.F) {
 			// fails both executors with context.Canceled.
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			cOpts := opts
-			errNew = TrapCancel(func() { EvalPlansCtx(ctx, db, q, plans, cOpts) })
-			cOpts.Oracle = true
-			errOrc = TrapCancel(func() { EvalPlansCtx(ctx, db, q, plans, cOpts) })
+			errNew = TrapCancel(func() { EvalPlansCtx(ctx, db, q, plans, opts) })
+			errOrc = TrapCancel(func() { EvalPlansOracle(ctx, db, q, plans, opts) })
 			if !errors.Is(errNew, context.Canceled) || !errors.Is(errOrc, context.Canceled) {
 				t.Fatalf("cancelled ctx: executor err %v, oracle err %v", errNew, errOrc)
 			}

@@ -11,8 +11,10 @@ package engine
 // differential suites and FuzzMorselDifferential enforce that by
 // evaluating every workload through both executors.
 //
-// Selected via Options.Oracle (test-only; see the facade package
-// internal/engine/oracle). Fold ordering (greedyJoinOrder) is
+// Reached only through EvalPlansOracle, which only the engine's own
+// tests and the test-only facade internal/engine/oracle call, so the
+// linker leaves this file out of every binary. Fold ordering
+// (greedyJoinOrder) is
 // deliberately shared with the production executor: it is plan-level
 // decision logic whose inputs — materialized
 // child sizes — are identical in both executors, and sharing it
@@ -20,11 +22,32 @@ package engine
 // contract requires.
 
 import (
+	"context"
 	"math"
 
 	"lapushdb/internal/cq"
 	"lapushdb/internal/plan"
 )
+
+// EvalPlansOracle is EvalPlansCtx through the row-at-a-time reference
+// operators instead of the streaming executor: the same plans, options,
+// row budget and cancellation, and by contract the same bits and typed
+// errors.
+func EvalPlansOracle(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, opts Options) *Result {
+	e := NewEvaluatorCtx(ctx, db, q, opts)
+	e.reference = e.oracleEvalNode
+	var out *Result
+	for _, p := range plans {
+		clear(e.cache)
+		r := e.Eval(p)
+		if out == nil {
+			out = r
+		} else {
+			out = oracleCombineMin(out, r, &e.exec)
+		}
+	}
+	return out
+}
 
 // oracleTable is the original map-backed group table: composite keys to
 // dense group ids 0..n-1 in first-appearance order, with signature

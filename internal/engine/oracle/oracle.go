@@ -9,30 +9,18 @@
 // through both and compare byte-for-byte.
 //
 // This package is test-only: nothing in the production server or public
-// lapushdb API imports it.
+// lapushdb API imports it, and `make deps` checks that lapushd links
+// neither it nor the reference operators.
 package oracle
 
 import (
-	"context"
-
 	"lapushdb/internal/cq"
 	"lapushdb/internal/engine"
 	"lapushdb/internal/plan"
 )
 
-// Options returns o with the oracle executor selected.
-func Options(o engine.Options) engine.Options {
-	o.Oracle = true
-	return o
-}
-
 // EvalPlans evaluates plans through the row-at-a-time reference
 // executor. Semantics otherwise match engine.EvalPlans.
 func EvalPlans(db *engine.DB, q *cq.Query, plans []plan.Node, o engine.Options) *engine.Result {
-	return engine.EvalPlans(db, q, plans, Options(o))
-}
-
-// EvalPlansCtx is EvalPlans bound to a context.
-func EvalPlansCtx(ctx context.Context, db *engine.DB, q *cq.Query, plans []plan.Node, o engine.Options) *engine.Result {
-	return engine.EvalPlansCtx(ctx, db, q, plans, Options(o))
+	return engine.EvalPlansOracle(nil, db, q, plans, o)
 }

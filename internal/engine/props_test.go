@@ -473,9 +473,7 @@ func TestPropExecutorOracleDifferential(t *testing.T) {
 			"opt23": {ReuseSubplans: true, SemiJoin: true},
 		} {
 			got := EvalPlans(db, q, plans, opts)
-			orc := opts
-			orc.Oracle = true
-			want := EvalPlans(db, q, plans, orc)
+			want := EvalPlansOracle(nil, db, q, plans, opts)
 			assertIdenticalResults(t, fmt.Sprintf("%s/%s", qs, name), want, got)
 			if opts.SemiJoin {
 				opts.Reduced = SemiJoinReduce(db, q)
@@ -540,7 +538,7 @@ func TestExecutorOracleDifferentialLarge(t *testing.T) {
 		if stats.Partitions() == 0 {
 			t.Fatalf("%s: expected multi-chunk projections on %d-row inputs", sh.label, sh.rows)
 		}
-		want := EvalPlans(db, q, plans, Options{ReuseSubplans: true, SemiJoin: true, Oracle: true})
+		want := EvalPlansOracle(nil, db, q, plans, Options{ReuseSubplans: true, SemiJoin: true})
 		assertIdenticalResults(t, sh.label, want, got)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -188,7 +189,7 @@ func newWideServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 			insert("Stars", 0.2+0.1*float64(j), movie, fmt.Sprintf("actor%d", (m+3*j)%10))
 		}
 	}
-	infos, err := db.Lineage(testQuery)
+	infos, err := db.LineageContext(context.Background(), testQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

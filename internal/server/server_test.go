@@ -263,6 +263,8 @@ func TestValidationErrors(t *testing.T) {
 	}{
 		{queryRequest{Query: "   "}, "missing_query"},
 		{queryRequest{Query: testQuery, Method: "bogus"}, "bad_method"},
+		// The OBDD method was removed; exact inference is the DPLL kernel.
+		{queryRequest{Query: testQuery, Method: "obdd"}, "bad_method"},
 		{queryRequest{Query: testQuery, Top: -1}, "bad_top"},
 		{queryRequest{Query: testQuery, Samples: -5}, "bad_samples"},
 		{queryRequest{Query: testQuery, TimeoutMS: -1}, "bad_timeout"},

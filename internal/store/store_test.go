@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -315,7 +316,7 @@ func TestCrashRecoveryEveryWALByte(t *testing.T) {
 				default:
 				}
 				v := st.Current()
-				if _, err := v.DB.Rank("q(u) :- Likes(u, m), Stars(m, a)", &lapushdb.Options{}); err != nil {
+				if _, err := v.DB.RankContext(context.Background(), "q(u) :- Likes(u, m), Stars(m, a)", &lapushdb.Options{}); err != nil {
 					t.Errorf("concurrent rank: %v", err)
 					return
 				}
@@ -465,7 +466,7 @@ func TestSnapshotIsolationBitIdentical(t *testing.T) {
 	const query = "q(u) :- Likes(u, m), Stars(m, a)"
 	pinned := st.Current()
 	baselineDB := pinned.DB.Clone() // fully isolated deep copy
-	baseline, err := baselineDB.Rank(query, &lapushdb.Options{})
+	baseline, err := baselineDB.RankContext(context.Background(), query, &lapushdb.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +484,7 @@ func TestSnapshotIsolationBitIdentical(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		got, err := pinned.DB.Rank(query, &lapushdb.Options{})
+		got, err := pinned.DB.RankContext(context.Background(), query, &lapushdb.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

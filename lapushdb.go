@@ -18,14 +18,15 @@
 // of plans and widens the class of exactly-computable queries.
 //
 // The Method field of Options also exposes the paper's baselines: exact
-// weighted model counting on the lineage (DPLL or OBDD compilation),
-// Monte Carlo sampling (naive or the Karp–Luby FPRAS), ranking by
-// lineage size, and deterministic (set-semantics) evaluation. Beyond
-// Rank, the API offers exact top-k with bound-driven early termination
-// (RankTopK), unions of conjunctive queries (RankUnion), Boolean
-// provenance with read-once factorization (Lineage), tuple-influence
-// explanations (Influence), operator profiling (Profile), plan
-// visualization (PlanDOT), and snapshot persistence (Save/Load).
+// weighted model counting on the lineage (the DPLL kernel), Monte Carlo
+// sampling (naive or the Karp–Luby FPRAS), ranking by lineage size, and
+// deterministic (set-semantics) evaluation. Every operation that
+// evaluates a query takes a context first. Beyond RankContext, the API
+// offers exact top-k with bound-driven early termination (RankTopK),
+// unions of conjunctive queries (RankUnion), Boolean provenance with
+// read-once factorization (LineageContext), tuple-influence explanations
+// (Influence), operator profiling (Profile), plan visualization
+// (PlanDOT), and snapshot persistence (Save/Load).
 package lapushdb
 
 import (
@@ -33,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"lapushdb/internal/core"
@@ -41,7 +43,6 @@ import (
 	"lapushdb/internal/exact"
 	"lapushdb/internal/lineage"
 	"lapushdb/internal/mc"
-	"lapushdb/internal/obdd"
 	"lapushdb/internal/plan"
 	"lapushdb/internal/viz"
 )
@@ -153,13 +154,9 @@ const (
 	// degrade for small probabilities (the regime the paper recommends
 	// for dissociation quality).
 	KarpLuby
-	// ExactOBDD computes the exact probability by compiling each lineage
-	// into a reduced ordered BDD (the Olteanu–Huang / SPROUT approach the
-	// paper compares against). Like Exact it is #P-hard in general.
-	ExactOBDD
 )
 
-// Options configures Rank.
+// Options configures RankContext.
 type Options struct {
 	// Method selects the scoring method (default Dissociation).
 	Method Method
@@ -235,17 +232,11 @@ type RankStats struct {
 	SharedSubplanMisses int64
 }
 
-// Rank evaluates the query and returns its answers ordered by descending
-// score. The query must be a self-join-free conjunctive query over the
-// database's relations.
-func (d *DB) Rank(query string, opts *Options) ([]Answer, error) {
-	return d.RankContext(context.Background(), query, opts)
-}
-
-// RankContext is Rank honoring ctx: the engine's evaluation loops poll
-// the context periodically and the call returns its error
-// (context.Canceled or context.DeadlineExceeded) promptly when it is
-// done, instead of running the query to completion.
+// RankContext evaluates the query and returns its answers ordered by
+// descending score. The query must be a self-join-free conjunctive query
+// over the database's relations. The evaluation loops poll ctx and the
+// call returns its error (context.Canceled or context.DeadlineExceeded)
+// promptly when it is done, instead of running the query to completion.
 func (d *DB) RankContext(ctx context.Context, query string, opts *Options) ([]Answer, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -278,12 +269,12 @@ func (d *DB) rank(ctx context.Context, q *cq.Query, pre *Prepared, opts *Options
 	switch opts.Method {
 	case Dissociation:
 		return d.rankDissociation(ctx, q, pre, opts)
-	case Exact, ExactOBDD:
-		return d.rankLineageBased(ctx, q, opts, true)
-	case MonteCarlo, KarpLuby:
-		return d.rankLineageBased(ctx, q, opts, false)
-	case LineageSize:
-		return d.rankLineageSize(ctx, q, opts)
+	case Exact, MonteCarlo, KarpLuby, LineageSize:
+		lin, err := d.evalLineage(ctx, q, !opts.DisableOpt3)
+		if err != nil {
+			return nil, err
+		}
+		return d.newScorer(opts.Method, opts).rank(ctx, lin.Len(), lin.Key, lin.Clauses)
 	case Deterministic:
 		return d.rankDeterministic(ctx, q)
 	default:
@@ -365,53 +356,6 @@ func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 	return res, nil
 }
 
-func (d *DB) rankLineageBased(ctx context.Context, q *cq.Query, opts *Options, exactMethod bool) ([]Answer, error) {
-	lin, err := d.evalLineage(ctx, q, !opts.DisableOpt3)
-	if err != nil {
-		return nil, err
-	}
-	answers := make([]Answer, lin.Len())
-	budget := opts.ExactBudget
-	if budget <= 0 {
-		budget = DefaultExactBudget
-	}
-	samples := opts.MCSamples
-	if samples <= 0 {
-		samples = DefaultMCSamples
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for i := 0; i < lin.Len(); i++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		var p float64
-		if exactMethod {
-			var err error
-			if opts.Method == ExactOBDD {
-				p, err = obddProb(lin.Clauses(i), d.db.VarProbs(), budget)
-			} else {
-				p, err = exact.ProbBudget(lin.Clauses(i), d.db.VarProbs(), budget)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("lapushdb: exact inference infeasible for answer %v: %w", d.decode(lin.Key(i)), err)
-			}
-		} else {
-			var err error
-			if opts.Method == KarpLuby {
-				p, err = mc.KarpLubyCtx(ctx, lin.Clauses(i), d.db.VarProbs(), samples, rng)
-			} else {
-				p, err = mc.EstimateCtx(ctx, lin.Clauses(i), d.db.VarProbs(), samples, rng)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-		answers[i] = Answer{Values: d.decode(lin.Key(i)), Score: p}
-	}
-	sortAnswers(answers)
-	return answers, nil
-}
-
 // evalLineage computes the query's lineage under ctx, with the semi-join
 // reduction applied first when reduce is set.
 func (d *DB) evalLineage(ctx context.Context, q *cq.Query, reduce bool) (*engine.Lineage, error) {
@@ -429,14 +373,67 @@ func (d *DB) evalLineage(ctx context.Context, q *cq.Query, reduce bool) (*engine
 	return lin, nil
 }
 
-func (d *DB) rankLineageSize(ctx context.Context, q *cq.Query, opts *Options) ([]Answer, error) {
-	lin, err := d.evalLineage(ctx, q, !opts.DisableOpt3)
-	if err != nil {
-		return nil, err
+// scorer is the one per-answer scorer of every lineage-based method:
+// Exact, MonteCarlo, KarpLuby and LineageSize in RankContext,
+// RankUnion's lineage arm, and RankTopK's exact step. The budgets are
+// resolved once, and one sampler stream serves every answer, so a Seed
+// gives one result as long as answers are visited in one order.
+type scorer struct {
+	d       *DB
+	method  Method
+	budget  int
+	samples int
+	rng     *rand.Rand
+}
+
+func (d *DB) newScorer(method Method, opts *Options) *scorer {
+	s := &scorer{d: d, method: method, budget: opts.ExactBudget, samples: opts.MCSamples}
+	if s.budget <= 0 {
+		s.budget = DefaultExactBudget
 	}
-	answers := make([]Answer, lin.Len())
-	for i := 0; i < lin.Len(); i++ {
-		answers[i] = Answer{Values: d.decode(lin.Key(i)), Score: float64(lin.Size(i))}
+	if s.samples <= 0 {
+		s.samples = DefaultMCSamples
+	}
+	if method == MonteCarlo || method == KarpLuby {
+		s.rng = rand.New(rand.NewSource(opts.Seed))
+	}
+	return s
+}
+
+// score returns one answer's score from its lineage, polling ctx first.
+func (s *scorer) score(ctx context.Context, key []engine.Value, clauses [][]int32) (float64, error) {
+	if err := ctxErr(ctx); err != nil {
+		return 0, err
+	}
+	probs := s.d.db.VarProbs()
+	switch s.method {
+	case Exact:
+		p, err := exact.ProbBudget(clauses, probs, s.budget)
+		if err != nil {
+			return 0, fmt.Errorf("lapushdb: exact inference infeasible for answer %v: %w", s.d.decode(key), err)
+		}
+		return p, nil
+	case MonteCarlo:
+		return mc.EstimateCtx(ctx, clauses, probs, s.samples, s.rng)
+	case KarpLuby:
+		return mc.KarpLubyCtx(ctx, clauses, probs, s.samples, s.rng)
+	case LineageSize:
+		return float64(len(clauses)), nil
+	default:
+		return 0, fmt.Errorf("lapushdb: method %s does not score lineage", s.method)
+	}
+}
+
+// rank scores n answers, given by their head values and lineages, in
+// first-appearance order i = 0..n-1, and sorts them.
+func (s *scorer) rank(ctx context.Context, n int, key func(int) []engine.Value, clauses func(int) [][]int32) ([]Answer, error) {
+	answers := make([]Answer, n)
+	for i := range answers {
+		p, err := s.score(ctx, key(i), clauses(i))
+		if err != nil {
+			return nil, err
+		}
+		answers[i] = Answer{Values: s.d.decode(key(i)), Score: p}
 	}
 	sortAnswers(answers)
 	return answers, nil
@@ -456,10 +453,7 @@ func (d *DB) rankDeterministic(ctx context.Context, q *cq.Query) ([]Answer, erro
 func (d *DB) toAnswers(res *engine.Result) []Answer {
 	answers := make([]Answer, res.Len())
 	for i := 0; i < res.Len(); i++ {
-		row := res.Row(i)
-		vals := make([]engine.Value, len(row))
-		copy(vals, row)
-		answers[i] = Answer{Values: d.decode(vals), Score: res.Score(i)}
+		answers[i] = Answer{Values: d.decode(res.Row(i)), Score: res.Score(i)}
 	}
 	sortAnswers(answers)
 	return answers
@@ -473,35 +467,12 @@ func (d *DB) decode(vals []engine.Value) []string {
 	return out
 }
 
-// obddProb computes the exact probability via a reduced ordered BDD.
-func obddProb(clauses [][]int32, probs []float64, budget int) (float64, error) {
-	b, err := obdd.Build(clauses, obdd.FrequencyOrder(clauses), budget)
-	if err != nil {
-		return 0, err
-	}
-	return b.Prob(probs), nil
-}
-
-// newSeededRand returns a rand.Rand seeded for reproducible sampling.
-func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// mcEstimate adapts the internal Monte Carlo estimator.
-func mcEstimate(clauses [][]int32, probs []float64, samples int, rng *rand.Rand) float64 {
-	return mc.Estimate(clauses, probs, samples, rng)
-}
-
 func sortAnswers(answers []Answer) {
 	sort.Slice(answers, func(i, j int) bool {
 		if answers[i].Score != answers[j].Score {
 			return answers[i].Score > answers[j].Score
 		}
-		a, b := answers[i].Values, answers[j].Values
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
+		return slices.Compare(answers[i].Values, answers[j].Values) < 0
 	})
 }
 
@@ -518,15 +489,11 @@ type Explanation struct {
 	SinglePlan string
 }
 
-// Explain parses the query and reports its minimal plans, their
+// ExplainContext parses the query and reports its minimal plans, their
 // dissociations, and whether the query is safe under the database's
-// schema knowledge. An optional Options value controls schema use
-// (IgnoreSchema); evaluation-strategy fields are ignored.
-func (d *DB) Explain(query string, opts ...*Options) (*Explanation, error) {
-	return d.ExplainContext(context.Background(), query, opts...)
-}
-
-// ExplainContext is Explain honoring ctx at stage boundaries.
+// schema knowledge, polling ctx at stage boundaries. An optional Options
+// value controls schema use (IgnoreSchema); evaluation-strategy fields
+// are ignored.
 func (d *DB) ExplainContext(ctx context.Context, query string, opts ...*Options) (*Explanation, error) {
 	o := &Options{}
 	if len(opts) > 0 && opts[0] != nil {
@@ -577,15 +544,10 @@ type LineageInfo struct {
 	Factorization string
 }
 
-// Lineage computes every answer's Boolean provenance: the DNF over the
-// database's uncertain tuples whose probability is the answer's true
-// probability.
-func (d *DB) Lineage(query string) ([]LineageInfo, error) {
-	return d.LineageContext(context.Background(), query)
-}
-
-// LineageContext is Lineage honoring ctx: the lineage evaluation loops
-// poll the context and return its error promptly when it is done.
+// LineageContext computes every answer's Boolean provenance: the DNF
+// over the database's uncertain tuples whose probability is the answer's
+// true probability. The lineage evaluation loops poll ctx and return its
+// error promptly when it is done.
 func (d *DB) LineageContext(ctx context.Context, query string) ([]LineageInfo, error) {
 	q, err := parseChecked(d, query)
 	if err != nil {
@@ -639,15 +601,21 @@ func (d *DB) PlanDOT(query, kind string) (string, error) {
 
 // Profile evaluates the query's merged dissociation plan and returns an
 // indented operator tree with per-node output cardinalities and
-// inclusive times — the engine's EXPLAIN ANALYZE.
-func (d *DB) Profile(query string) (string, error) {
+// inclusive times — the engine's EXPLAIN ANALYZE. The evaluation polls
+// ctx like RankContext's.
+func (d *DB) Profile(ctx context.Context, query string) (string, error) {
 	q, err := parseChecked(d, query)
 	if err != nil {
 		return "", err
 	}
-	sch := engine.SchemaFor(d.db, q)
-	sp := core.SinglePlan(q, sch)
-	e := engine.NewEvaluator(d.db, q, engine.Options{ReuseSubplans: true, SemiJoin: true})
-	_, stats := e.EvalProfiled(sp)
+	sp := core.SinglePlan(q, engine.SchemaFor(d.db, q))
+	var stats []engine.NodeStat
+	err = engine.TrapCancel(func() {
+		e := engine.NewEvaluatorCtx(ctx, d.db, q, engine.Options{ReuseSubplans: true, SemiJoin: true})
+		_, stats = e.EvalProfiled(sp)
+	})
+	if err != nil {
+		return "", err
+	}
 	return engine.FormatProfile(stats), nil
 }

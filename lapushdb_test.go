@@ -3,10 +3,13 @@ package lapushdb
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"lapushdb/internal/obdd"
 )
 
 // movieDB builds a small uncertain movie-recommendation database used
@@ -45,11 +48,11 @@ func movieDB(t *testing.T) *DB {
 func TestRankDissociationUpperBoundsExact(t *testing.T) {
 	db := movieDB(t)
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	diss, err := db.Rank(q, nil)
+	diss, err := db.RankContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := db.Rank(q, &Options{Method: Exact})
+	ex, err := db.RankContext(context.Background(), q, &Options{Method: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestRankAllMethodsAgreeOnSupport(t *testing.T) {
 	db := movieDB(t)
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
 	for _, m := range []Method{Dissociation, Exact, MonteCarlo, LineageSize, Deterministic} {
-		as, err := db.Rank(q, &Options{Method: m, MCSamples: 200})
+		as, err := db.RankContext(context.Background(), q, &Options{Method: m, MCSamples: 200})
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
 		}
@@ -93,7 +96,7 @@ func TestRankAllMethodsAgreeOnSupport(t *testing.T) {
 func TestOptimizationsGiveSameScores(t *testing.T) {
 	db := movieDB(t)
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	base, err := db.Rank(q, &Options{DisableOpt1: true, DisableOpt2: true, DisableOpt3: true})
+	base, err := db.RankContext(context.Background(), q, &Options{DisableOpt1: true, DisableOpt2: true, DisableOpt3: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestOptimizationsGiveSameScores(t *testing.T) {
 		{DisableOpt3: true},
 		{DisableOpt1: true, DisableOpt3: true},
 	} {
-		got, err := db.Rank(q, opts)
+		got, err := db.RankContext(context.Background(), q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +121,7 @@ func TestOptimizationsGiveSameScores(t *testing.T) {
 
 func TestExplainUnsafeQuery(t *testing.T) {
 	db := movieDB(t)
-	ex, err := db.Explain("q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)")
+	ex, err := db.ExplainContext(context.Background(), "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +141,7 @@ func TestExplainUnsafeQuery(t *testing.T) {
 
 func TestExplainSafeQuery(t *testing.T) {
 	db := movieDB(t)
-	ex, err := db.Explain("q(movie) :- Stars(movie, actor), Fan(actor)")
+	ex, err := db.ExplainContext(context.Background(), "q(movie) :- Stars(movie, actor), Fan(actor)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +161,7 @@ func TestSchemaKnowledgeChangesPlans(t *testing.T) {
 	_ = r.Insert(0.5, 1)
 	_ = s.Insert(0.5, 1, 2)
 	_ = u.Insert(1, 2)
-	ex, err := db.Explain("q() :- R(x), S(x, y), T(y)")
+	ex, err := db.ExplainContext(context.Background(), "q() :- R(x), S(x, y), T(y)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,7 @@ func TestSchemaKnowledgeChangesPlans(t *testing.T) {
 	_ = r2.Insert(0.5, 1)
 	_ = s2.Insert(0.5, 1, 2)
 	_ = t2.Insert(0.5, 2)
-	ex2, err := db2.Explain("q() :- R(x), S(x, y), T(y)")
+	ex2, err := db2.ExplainContext(context.Background(), "q() :- R(x), S(x, y), T(y)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +188,13 @@ func TestSchemaKnowledgeChangesPlans(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	db := movieDB(t)
-	if _, err := db.Rank("not a query", nil); err == nil {
+	if _, err := db.RankContext(context.Background(), "not a query", nil); err == nil {
 		t.Error("bad syntax should fail")
 	}
-	if _, err := db.Rank("q(x) :- Missing(x)", nil); err == nil {
+	if _, err := db.RankContext(context.Background(), "q(x) :- Missing(x)", nil); err == nil {
 		t.Error("unknown relation should fail")
 	}
-	if _, err := db.Rank("q(x) :- Likes(x)", nil); err == nil {
+	if _, err := db.RankContext(context.Background(), "q(x) :- Likes(x)", nil); err == nil {
 		t.Error("wrong arity should fail")
 	}
 	if _, err := db.CreateRelation("Likes", "a"); err == nil {
@@ -215,7 +218,7 @@ func TestPredicatesInQuery(t *testing.T) {
 	_ = s.Insert(0.5, 1, "red apple")
 	_ = s.Insert(0.5, 2, "green pear")
 	_ = s.Insert(0.5, 30, "red cherry")
-	as, err := db.Rank("q(name) :- S(id, name), id <= 10, name like '%red%'", nil)
+	as, err := db.RankContext(context.Background(), "q(name) :- S(id, name), id <= 10, name like '%red%'", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +230,11 @@ func TestPredicatesInQuery(t *testing.T) {
 func TestScaleProbsAndClone(t *testing.T) {
 	db := movieDB(t)
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	before, _ := db.Rank(q, nil)
+	before, _ := db.RankContext(context.Background(), q, nil)
 	c := db.Clone()
 	c.ScaleProbs(0.5)
-	afterClone, _ := c.Rank(q, nil)
-	afterOrig, _ := db.Rank(q, nil)
+	afterClone, _ := c.RankContext(context.Background(), q, nil)
+	afterOrig, _ := db.RankContext(context.Background(), q, nil)
 	if afterClone[0].Score >= before[0].Score {
 		t.Error("scaling down should lower scores")
 	}
@@ -243,8 +246,8 @@ func TestScaleProbsAndClone(t *testing.T) {
 func TestMonteCarloApproximatesExact(t *testing.T) {
 	db := movieDB(t)
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	ex, _ := db.Rank(q, &Options{Method: Exact})
-	mcAs, err := db.Rank(q, &Options{Method: MonteCarlo, MCSamples: 100000, Seed: 7})
+	ex, _ := db.RankContext(context.Background(), q, &Options{Method: Exact})
+	mcAs, err := db.RankContext(context.Background(), q, &Options{Method: MonteCarlo, MCSamples: 100000, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +275,8 @@ func TestSaveLoadFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	a, _ := db.Rank(q, nil)
-	b, err := loaded.Rank(q, nil)
+	a, _ := db.RankContext(context.Background(), q, nil)
+	b, err := loaded.RankContext(context.Background(), q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +295,7 @@ func TestSaveLoadFacade(t *testing.T) {
 
 func TestLineageFacade(t *testing.T) {
 	db := movieDB(t)
-	infos, err := db.Lineage("q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)")
+	infos, err := db.LineageContext(context.Background(), "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +319,7 @@ func TestLineageFacade(t *testing.T) {
 			t.Errorf("%v: read-once without factorization", info.Values)
 		}
 	}
-	if _, err := db.Lineage("broken"); err == nil {
+	if _, err := db.LineageContext(context.Background(), "broken"); err == nil {
 		t.Error("bad query should fail")
 	}
 }
@@ -324,8 +327,8 @@ func TestLineageFacade(t *testing.T) {
 func TestKarpLubyMethod(t *testing.T) {
 	db := movieDB(t)
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	ex, _ := db.Rank(q, &Options{Method: Exact})
-	kl, err := db.Rank(q, &Options{Method: KarpLuby, MCSamples: 100000, Seed: 11})
+	ex, _ := db.RankContext(context.Background(), q, &Options{Method: Exact})
+	kl, err := db.RankContext(context.Background(), q, &Options{Method: KarpLuby, MCSamples: 100000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +347,7 @@ func TestKarpLubyMethod(t *testing.T) {
 
 func TestProfileFacade(t *testing.T) {
 	db := movieDB(t)
-	prof, err := db.Profile("q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)")
+	prof, err := db.Profile(context.Background(), "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +356,7 @@ func TestProfileFacade(t *testing.T) {
 			t.Errorf("profile missing %q:\n%s", want, prof)
 		}
 	}
-	if _, err := db.Profile("nope("); err == nil {
+	if _, err := db.Profile(context.Background(), "nope("); err == nil {
 		t.Error("bad query should fail")
 	}
 	// PlanDOT facade.
@@ -384,7 +387,7 @@ func TestFacadeIndexes(t *testing.T) {
 	if err := s.CreateIndex("missing"); err == nil {
 		t.Error("unknown column should fail")
 	}
-	as, err := db.Rank("q(id) :- S(id, name), id <= 10", nil)
+	as, err := db.RankContext(context.Background(), "q(id) :- S(id, name), id <= 10", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,20 +396,45 @@ func TestFacadeIndexes(t *testing.T) {
 	}
 }
 
+// obddScores compiles every answer's lineage into a reduced ordered BDD
+// (internal/obdd, an exact solver independent of the DPLL kernel) and
+// returns the probabilities keyed by the answer's values joined with
+// NUL.
+func obddScores(t *testing.T, db *DB, query string, budget int) map[string]float64 {
+	t.Helper()
+	q, err := parseChecked(db, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin, err := db.evalLineage(context.Background(), q, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64, lin.Len())
+	for i := 0; i < lin.Len(); i++ {
+		b, err := obdd.Build(lin.Clauses(i), obdd.FrequencyOrder(lin.Clauses(i)), budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[strings.Join(db.decode(lin.Key(i)), "\x00")] = b.Prob(db.db.VarProbs())
+	}
+	return out
+}
+
 func TestExactOBDDMatchesExact(t *testing.T) {
 	db := movieDB(t)
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	a, err := db.Rank(q, &Options{Method: Exact})
+	a, err := db.RankContext(context.Background(), q, &Options{Method: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.Rank(q, &Options{Method: ExactOBDD})
-	if err != nil {
-		t.Fatal(err)
+	b := obddScores(t, db, q, DefaultExactBudget)
+	if len(a) != len(b) {
+		t.Fatalf("DPLL %d answers, OBDD %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].Values[0] != b[i].Values[0] || math.Abs(a[i].Score-b[i].Score) > 1e-9 {
-			t.Errorf("answer %d: DPLL %+v vs OBDD %+v", i, a[i], b[i])
+		if ob, ok := b[a[i].Values[0]]; !ok || math.Abs(a[i].Score-ob) > 1e-9 {
+			t.Errorf("answer %d: DPLL %+v vs OBDD %v", i, a[i], ob)
 		}
 	}
 }
@@ -450,7 +478,7 @@ func TestWideQueryRefused(t *testing.T) {
 		t.Errorf("PrepareContext: err = %v, want the width refusal", err)
 	}
 	for _, m := range []Method{Dissociation, Exact, Deterministic} {
-		if _, err := db.Rank(q, &Options{Method: m}); err == nil {
+		if _, err := db.RankContext(context.Background(), q, &Options{Method: m}); err == nil {
 			t.Errorf("Rank with %s accepted a 65-variable query", m)
 		}
 	}
@@ -461,5 +489,44 @@ func TestWideQueryRefused(t *testing.T) {
 	}
 	if p.NumPlans() != 1 || !p.Safe() {
 		t.Errorf("64 variables: %d plans, safe %v; want the one safe plan", p.NumPlans(), p.Safe())
+	}
+}
+
+// TestCancelledContextEveryEntry: every exported operation that
+// evaluates a query takes a context first and returns context.Canceled
+// when it is already done.
+func TestCancelledContextEveryEntry(t *testing.T) {
+	db := movieDB(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
+	union := []string{q, "q(user) :- Likes(user, movie)"}
+	calls := map[string]func() error{
+		"RankTopK":       func() error { _, err := db.RankTopK(ctx, q, 1, nil); return err },
+		"Influence":      func() error { _, err := db.Influence(ctx, q, 0); return err },
+		"Profile":        func() error { _, err := db.Profile(ctx, q); return err },
+		"LineageContext": func() error { _, err := db.LineageContext(ctx, q); return err },
+		"ExplainContext": func() error { _, err := db.ExplainContext(ctx, q); return err },
+		"RankQuery": func() error {
+			_, err := db.RankQuery(ctx, NewQuery("q").Head("user").Atom("Likes", "user", "movie"), nil)
+			return err
+		},
+	}
+	for _, m := range []Method{Dissociation, Exact, MonteCarlo} {
+		calls["RankUnion/"+m.String()] = func() error {
+			_, err := db.RankUnion(ctx, union, &Options{Method: m})
+			return err
+		}
+	}
+	for _, m := range []Method{Dissociation, Exact, MonteCarlo, KarpLuby, LineageSize, Deterministic} {
+		calls["RankContext/"+m.String()] = func() error {
+			_, err := db.RankContext(ctx, q, &Options{Method: m})
+			return err
+		}
+	}
+	for name, call := range calls {
+		if err := call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
 	}
 }

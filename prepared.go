@@ -22,11 +22,10 @@ var methodNames = map[Method]string{
 	LineageSize:   "lineage",
 	Deterministic: "sql",
 	KarpLuby:      "kl",
-	ExactOBDD:     "obdd",
 }
 
 // String returns the method's canonical short name ("diss", "exact",
-// "obdd", "mc", "kl", "lineage", "sql").
+// "mc", "kl", "lineage", "sql").
 func (m Method) String() string {
 	if s, ok := methodNames[m]; ok {
 		return s
@@ -71,15 +70,10 @@ type Prepared struct {
 	safe         bool
 }
 
-// Prepare parses and validates the query and enumerates its minimal
-// plans and merged single plan under the database's schema knowledge
-// (subject to opts.IgnoreSchema; evaluation-strategy fields are
-// ignored).
-func (d *DB) Prepare(query string, opts *Options) (*Prepared, error) {
-	return d.PrepareContext(context.Background(), query, opts)
-}
-
-// PrepareContext is Prepare honoring ctx at stage boundaries.
+// PrepareContext parses and validates the query and enumerates its
+// minimal plans and merged single plan under the database's schema
+// knowledge (subject to opts.IgnoreSchema; evaluation-strategy fields are
+// ignored), polling ctx at stage boundaries.
 func (d *DB) PrepareContext(ctx context.Context, query string, opts *Options) (*Prepared, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -87,11 +81,8 @@ func (d *DB) PrepareContext(ctx context.Context, query string, opts *Options) (*
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	q, err := cq.Parse(query)
+	q, err := parseChecked(d, query)
 	if err != nil {
-		return nil, err
-	}
-	if err := d.checkQuery(q); err != nil {
 		return nil, err
 	}
 	if err := ctxErr(ctx); err != nil {
@@ -121,11 +112,8 @@ func (p *Prepared) Normalized() string { return p.normalized }
 // canonicalizes) normalize identically, which makes the result the
 // right cache-key component for a plan cache.
 func (d *DB) NormalizeQuery(query string) (string, error) {
-	q, err := cq.Parse(query)
+	q, err := parseChecked(d, query)
 	if err != nil {
-		return "", err
-	}
-	if err := d.checkQuery(q); err != nil {
 		return "", err
 	}
 	return q.String(), nil

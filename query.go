@@ -1,6 +1,7 @@
 package lapushdb
 
 import (
+	"context"
 	"fmt"
 
 	"lapushdb/internal/cq"
@@ -17,7 +18,7 @@ import (
 //		Atom("Stars", "movie", "actor").
 //		Atom("Fan", "actor").
 //		Where("actor", "!=", "pacino")
-//	answers, err := db.RankQuery(q, nil)
+//	answers, err := db.RankQuery(ctx, q, nil)
 //
 // Every identifier used in Head, in Where, or as an atom argument is
 // implicitly a variable; use Const to force a string constant that
@@ -148,20 +149,20 @@ func (b *QueryBuilder) String() string {
 	return q.String()
 }
 
-// RankQuery is Rank for a programmatically built query.
-func (d *DB) RankQuery(b *QueryBuilder, opts *Options) ([]Answer, error) {
+// RankQuery is RankContext for a programmatically built query.
+func (d *DB) RankQuery(ctx context.Context, b *QueryBuilder, opts *Options) ([]Answer, error) {
 	q, err := b.build()
 	if err != nil {
 		return nil, err
 	}
-	return d.Rank(q.String(), opts)
+	return d.RankContext(ctx, q.String(), opts)
 }
 
-// ExplainQuery is Explain for a programmatically built query.
-func (d *DB) ExplainQuery(b *QueryBuilder, opts ...*Options) (*Explanation, error) {
+// ExplainQuery is ExplainContext for a programmatically built query.
+func (d *DB) ExplainQuery(ctx context.Context, b *QueryBuilder, opts ...*Options) (*Explanation, error) {
 	q, err := b.build()
 	if err != nil {
 		return nil, err
 	}
-	return d.Explain(q.String(), opts...)
+	return d.ExplainContext(ctx, q.String(), opts...)
 }

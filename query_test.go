@@ -1,6 +1,7 @@
 package lapushdb
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -12,11 +13,11 @@ func TestQueryBuilderMatchesString(t *testing.T) {
 		Atom("Likes", "user", "movie").
 		Atom("Stars", "movie", "actor").
 		Atom("Fan", "actor")
-	fromBuilder, err := db.RankQuery(b, nil)
+	fromBuilder, err := db.RankQuery(context.Background(), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromString, err := db.Rank("q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)", nil)
+	fromString, err := db.RankContext(context.Background(), "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestQueryBuilderConstantsAndPredicates(t *testing.T) {
 		Atom("S", "id", "name", Const("fruit")).
 		Where("id", "<=", 10).
 		Where("name", "like", "%red%")
-	answers, err := db.RankQuery(b, nil)
+	answers, err := db.RankQuery(context.Background(), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestQueryBuilderConstantsAndPredicates(t *testing.T) {
 func TestQueryBuilderExplain(t *testing.T) {
 	db := movieDB(t)
 	b := NewQuery("q").Head("movie").Atom("Stars", "movie", "actor").Atom("Fan", "actor")
-	ex, err := db.ExplainQuery(b)
+	ex, err := db.ExplainQuery(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestQueryBuilderErrors(t *testing.T) {
 		NewQuery("q").Atom("Likes", "u", "m").Where("u", "<=", 1.5),   // bad const type
 	}
 	for i, b := range cases {
-		if _, err := db.RankQuery(b, nil); err == nil {
+		if _, err := db.RankQuery(context.Background(), b, nil); err == nil {
 			t.Errorf("case %d: expected error, query = %q", i, b.String())
 		}
 	}
@@ -99,7 +100,7 @@ func TestQueryBuilderAllOps(t *testing.T) {
 	}
 	for _, c := range cases {
 		b := NewQuery("q").Head("x").Atom("R", "x").Where("x", c.op, c.c)
-		as, err := db.RankQuery(b, nil)
+		as, err := db.RankQuery(context.Background(), b, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.op, err)
 		}

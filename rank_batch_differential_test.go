@@ -24,12 +24,12 @@ import (
 func assertBatchMatchesRank(t *testing.T, label string, db *DB, queries []string) BatchStats {
 	t.Helper()
 	stats := &RankStats{}
-	results := db.RankBatch(queries, &Options{Stats: stats})
+	results := db.RankBatchContext(context.Background(), queries, &Options{Stats: stats})
 	if len(results) != len(queries) {
 		t.Fatalf("%s: %d results for %d queries", label, len(results), len(queries))
 	}
 	for i, query := range queries {
-		want, err := db.Rank(query, nil)
+		want, err := db.RankContext(context.Background(), query, nil)
 		if err != nil {
 			t.Fatalf("%s: standalone Rank(%q): %v", label, query, err)
 		}
@@ -159,7 +159,7 @@ func TestRankBatchPrepared(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	edb, q := workload.Chain(3, 1500, 250, 0.5, rng)
 	db := fromEngineDB(t, edb)
-	p, err := db.Prepare(q.String(), nil)
+	p, err := db.PrepareContext(context.Background(), q.String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,14 +194,14 @@ func TestRankBatchBudgetIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	edb, q := workload.Chain(3, 2000, 300, 0.5, rng)
 	db := fromEngineDB(t, edb)
-	results := db.RankBatch([]string{q.String(), q.String()}, &Options{MaxIntermediateRows: 1})
+	results := db.RankBatchContext(context.Background(), []string{q.String(), q.String()}, &Options{MaxIntermediateRows: 1})
 	for i, r := range results {
 		if r.Err == nil {
 			t.Fatalf("query %d: expected budget error, got %d answers", i, len(r.Answers))
 		}
 	}
 	// A later batch with no budget is unaffected.
-	results = db.RankBatch([]string{q.String()}, nil)
+	results = db.RankBatchContext(context.Background(), []string{q.String()}, nil)
 	if results[0].Err != nil {
 		t.Fatalf("fresh batch: %v", results[0].Err)
 	}

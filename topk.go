@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"sort"
 
-	"lapushdb/internal/core"
 	"lapushdb/internal/cq"
 	"lapushdb/internal/engine"
-	"lapushdb/internal/exact"
 )
 
 // RankTopK returns the top-k answers by EXACT probability, using the
@@ -22,9 +20,9 @@ import (
 //
 // Exact inference on the examined answers must be feasible; the node
 // budget of Options.ExactBudget applies per answer. The bounds are
-// evaluated as Rank evaluates them, so MaxIntermediateRows and the
-// Opt1-3 switches mean what they mean there.
-func (d *DB) RankTopK(query string, k int, opts *Options) ([]Answer, error) {
+// evaluated as RankContext evaluates them, so ctx, MaxIntermediateRows
+// and the Opt1-3 switches mean what they mean there.
+func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) ([]Answer, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -35,14 +33,9 @@ func (d *DB) RankTopK(query string, k int, opts *Options) ([]Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget := opts.ExactBudget
-	if budget <= 0 {
-		budget = DefaultExactBudget
-	}
 
 	// Upper bounds from the dissociation plans, then the lineages, keyed
 	// like the bound rows.
-	ctx := context.Background()
 	bounds, err := d.evalDissociation(ctx, q, nil, opts)
 	if err != nil {
 		return nil, err
@@ -67,16 +60,16 @@ func (d *DB) RankTopK(query string, k int, opts *Options) ([]Answer, error) {
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].bound > cands[j].bound })
 
+	s := d.newScorer(Exact, opts)
 	var top []Answer
 	kth := 0.0 // exact probability of the current k-th best
 	for _, c := range cands {
 		if len(top) >= k && c.bound <= kth {
 			break // no remaining answer can enter the top k
 		}
-		clauses := clausesByKey[valueKey(c.row)]
-		p, err := exact.ProbBudget(clauses, d.db.VarProbs(), budget)
+		p, err := s.score(ctx, c.row, clausesByKey[valueKey(c.row)])
 		if err != nil {
-			return nil, fmt.Errorf("lapushdb: exact inference infeasible for answer %v: %w", d.decode(c.row), err)
+			return nil, err
 		}
 		top = append(top, Answer{Values: d.decode(c.row), Score: p})
 		sortAnswers(top)
@@ -109,14 +102,7 @@ func (d *DB) RankTopKAnytime(ctx context.Context, query string, k int, opts *Any
 	}
 	ao := *opts
 	ao.topK = k
-	q, err := parseChecked(d, query)
-	if err != nil {
-		return nil, err
-	}
-	o := &Options{IgnoreSchema: ao.IgnoreSchema}
-	sch := d.schema(q, o)
-	plans := core.MinimalPlans(q, sch)
-	res, err := d.rankAnytime(ctx, q, plans, core.SafeGiven(q, sch, plans), &ao)
+	res, err := d.RankAnytimeContext(ctx, query, &ao)
 	if err != nil {
 		return nil, err
 	}
@@ -133,8 +119,8 @@ func (d *DB) RankTopKAnytime(ctx context.Context, query string, k int, opts *Any
 // so the independent-OR of per-query upper bounds is itself a valid
 // upper bound on the union's probability. Exact and MonteCarlo operate
 // on the union of the lineages, which is exact. Other methods are not
-// supported.
-func (d *DB) RankUnion(queries []string, opts *Options) ([]Answer, error) {
+// supported. ctx is polled as RankContext polls it.
+func (d *DB) RankUnion(ctx context.Context, queries []string, opts *Options) ([]Answer, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -157,75 +143,55 @@ func (d *DB) RankUnion(queries []string, opts *Options) ([]Answer, error) {
 	}
 	switch opts.Method {
 	case Dissociation:
-		combined := map[string]float64{} // key -> ∏(1 − ρi)
-		vals := map[string][]string{}
+		var union []Answer // Score holds ∏(1 − ρi) until the end
+		index := map[string]int{}
 		for _, q := range parsed {
-			answers, err := d.rankDissociation(context.Background(), q, nil, opts)
+			answers, err := d.rankDissociation(ctx, q, nil, opts)
 			if err != nil {
 				return nil, err
 			}
 			for _, a := range answers {
 				key := stringsKey(a.Values)
-				if _, ok := combined[key]; !ok {
-					combined[key] = 1
-					vals[key] = a.Values
+				j, ok := index[key]
+				if !ok {
+					j = len(union)
+					index[key] = j
+					union = append(union, Answer{Values: a.Values, Score: 1})
 				}
-				combined[key] *= 1 - a.Score
+				union[j].Score *= 1 - a.Score
 			}
 		}
-		out := make([]Answer, 0, len(combined))
-		for key, miss := range combined {
-			out = append(out, Answer{Values: vals[key], Score: 1 - miss})
+		for i := range union {
+			union[i].Score = 1 - union[i].Score
 		}
-		sortAnswers(out)
-		return out, nil
+		sortAnswers(union)
+		return union, nil
 	case Exact, MonteCarlo:
-		// Union of lineages per answer, then exact/MC on the combined DNF.
-		type acc struct {
-			values  []string
-			clauses [][]int32
-		}
-		union := map[string]*acc{}
+		// Union of lineages per answer, in first-appearance order, then
+		// the one scorer on each combined DNF.
+		var keys [][]engine.Value
+		var clauses [][][]int32
+		index := map[string]int{}
 		for _, q := range parsed {
-			lin, err := d.evalLineage(context.Background(), q, !opts.DisableOpt3)
+			lin, err := d.evalLineage(ctx, q, !opts.DisableOpt3)
 			if err != nil {
 				return nil, err
 			}
 			for i := 0; i < lin.Len(); i++ {
 				key := valueKey(lin.Key(i))
-				a, ok := union[key]
+				j, ok := index[key]
 				if !ok {
-					a = &acc{values: d.decode(lin.Key(i))}
-					union[key] = a
+					j = len(keys)
+					index[key] = j
+					keys = append(keys, lin.Key(i))
+					clauses = append(clauses, nil)
 				}
-				a.clauses = append(a.clauses, lin.Clauses(i)...)
+				clauses[j] = append(clauses[j], lin.Clauses(i)...)
 			}
 		}
-		budget := opts.ExactBudget
-		if budget <= 0 {
-			budget = DefaultExactBudget
-		}
-		out := make([]Answer, 0, len(union))
-		rng := newSeededRand(opts.Seed)
-		samples := opts.MCSamples
-		if samples <= 0 {
-			samples = DefaultMCSamples
-		}
-		for _, a := range union {
-			var p float64
-			var err error
-			if opts.Method == Exact {
-				p, err = exact.ProbBudget(a.clauses, d.db.VarProbs(), budget)
-				if err != nil {
-					return nil, fmt.Errorf("lapushdb: exact inference infeasible for answer %v: %w", a.values, err)
-				}
-			} else {
-				p = mcEstimate(a.clauses, d.db.VarProbs(), samples, rng)
-			}
-			out = append(out, Answer{Values: a.values, Score: p})
-		}
-		sortAnswers(out)
-		return out, nil
+		return d.newScorer(opts.Method, opts).rank(ctx, len(keys),
+			func(i int) []engine.Value { return keys[i] },
+			func(i int) [][]int32 { return clauses[i] })
 	default:
 		return nil, fmt.Errorf("lapushdb: RankUnion supports Dissociation, Exact, and MonteCarlo")
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lapushdb/internal/workload"
@@ -59,12 +60,12 @@ const topkQuery = "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor
 
 func TestRankTopKMatchesExact(t *testing.T) {
 	db := biggerDB(t, 30)
-	full, err := db.Rank(topkQuery, &Options{Method: Exact})
+	full, err := db.RankContext(context.Background(), topkQuery, &Options{Method: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 3, 10} {
-		top, err := db.RankTopK(topkQuery, k, nil)
+		top, err := db.RankTopK(context.Background(), topkQuery, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func TestRankTopKAnytimeMatchesFull(t *testing.T) {
 
 	for _, sh := range shapes {
 		opts := AnytimeOptions{Epsilon: 0.05, Seed: 11, MCMaxSamples: 2048}
-		full, err := sh.db.RankAnytime(sh.query, &opts)
+		full, err := sh.db.RankAnytimeContext(context.Background(), sh.query, &opts)
 		if err != nil {
 			t.Fatalf("%s: full: %v", sh.label, err)
 		}
@@ -153,18 +154,18 @@ func TestRankTopKAnytimeMatchesFull(t *testing.T) {
 
 func TestRankTopKErrors(t *testing.T) {
 	db := movieDB(t)
-	if _, err := db.RankTopK(topkQuery, 0, nil); err == nil {
+	if _, err := db.RankTopK(context.Background(), topkQuery, 0, nil); err == nil {
 		t.Error("k = 0 should fail")
 	}
-	if _, err := db.RankTopK("broken", 3, nil); err == nil {
+	if _, err := db.RankTopK(context.Background(), "broken", 3, nil); err == nil {
 		t.Error("bad query should fail")
 	}
-	if _, err := db.RankTopK("q(x) :- Missing(x)", 3, nil); err == nil {
+	if _, err := db.RankTopK(context.Background(), "q(x) :- Missing(x)", 3, nil); err == nil {
 		t.Error("unknown relation should fail")
 	}
 	// The bound evaluation honours the row budget like every other
 	// Dissociation entry point.
-	if _, err := db.RankTopK(topkQuery, 3, &Options{MaxIntermediateRows: 1}); !errors.Is(err, ErrBudget) {
+	if _, err := db.RankTopK(context.Background(), topkQuery, 3, &Options{MaxIntermediateRows: 1}); !errors.Is(err, ErrBudget) {
 		t.Errorf("MaxIntermediateRows 1: err = %v, want ErrBudget", err)
 	}
 }
@@ -175,11 +176,11 @@ func TestRankUnionDissociationUpperBound(t *testing.T) {
 		"q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)",
 		"q(user) :- Likes(user, movie)",
 	}
-	diss, err := db.RankUnion(queries, nil)
+	diss, err := db.RankUnion(context.Background(), queries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := db.RankUnion(queries, &Options{Method: Exact})
+	ex, err := db.RankUnion(context.Background(), queries, &Options{Method: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestRankUnionDissociationUpperBound(t *testing.T) {
 		}
 	}
 	// Union probabilities dominate each arm's probability.
-	arm, _ := db.Rank(queries[1], &Options{Method: Exact})
+	arm, _ := db.RankContext(context.Background(), queries[1], &Options{Method: Exact})
 	for _, a := range arm {
 		got, ok := score(ex, a.Values[0])
 		if !ok || got < a.Score-1e-12 {
@@ -219,11 +220,11 @@ func TestRankUnionMonteCarlo(t *testing.T) {
 		"q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)",
 		"q(user) :- Likes(user, movie)",
 	}
-	ex, err := db.RankUnion(queries, &Options{Method: Exact})
+	ex, err := db.RankUnion(context.Background(), queries, &Options{Method: Exact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcAs, err := db.RankUnion(queries, &Options{Method: MonteCarlo, MCSamples: 100000, Seed: 3})
+	mcAs, err := db.RankUnion(context.Background(), queries, &Options{Method: MonteCarlo, MCSamples: 100000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,20 +239,45 @@ func TestRankUnionMonteCarlo(t *testing.T) {
 
 func TestRankUnionErrors(t *testing.T) {
 	db := movieDB(t)
-	if _, err := db.RankUnion(nil, nil); err == nil {
+	if _, err := db.RankUnion(context.Background(), nil, nil); err == nil {
 		t.Error("empty union should fail")
 	}
-	if _, err := db.RankUnion([]string{"bad"}, nil); err == nil {
+	if _, err := db.RankUnion(context.Background(), []string{"bad"}, nil); err == nil {
 		t.Error("bad arm should fail")
 	}
-	if _, err := db.RankUnion([]string{
+	if _, err := db.RankUnion(context.Background(), []string{
 		"q(user) :- Likes(user, movie)",
 		"q(user, movie) :- Likes(user, movie)",
 	}, nil); err == nil {
 		t.Error("mismatched arities should fail")
 	}
-	if _, err := db.RankUnion([]string{"q(user) :- Likes(user, movie)"},
+	if _, err := db.RankUnion(context.Background(), []string{"q(user) :- Likes(user, movie)"},
 		&Options{Method: LineageSize}); err == nil {
 		t.Error("unsupported method should fail")
+	}
+}
+
+// TestRankUnionSeedDeterministic: the union's answers are sampled in
+// first-appearance order from one Seed-derived stream, so repeating a
+// MonteCarlo union gives bit-identical scores every time.
+func TestRankUnionSeedDeterministic(t *testing.T) {
+	db := movieDB(t)
+	queries := []string{
+		"q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)",
+		"q(user) :- Likes(user, movie)",
+	}
+	opts := &Options{Method: MonteCarlo, MCSamples: 1000, Seed: 3}
+	first, err := db.RankUnion(context.Background(), queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		again, err := db.RankUnion(context.Background(), queries, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("call %d: %v, first call %v", i+2, again, first)
+		}
 	}
 }
