@@ -14,9 +14,8 @@ package engine
 // Reached only through EvalPlansOracle, which only the engine's own
 // tests and the test-only facade internal/engine/oracle call, so the
 // linker leaves this file out of every binary. Fold ordering
-// (greedyJoinOrder) is
-// deliberately shared with the production executor: it is plan-level
-// decision logic whose inputs — materialized
+// (greedyJoinOrder) is deliberately shared with the production
+// executor: it is plan-level decision logic whose inputs — materialized
 // child sizes — are identical in both executors, and sharing it
 // guarantees both fold in the same order, which the bit-identity
 // contract requires.

@@ -387,15 +387,13 @@ type scorer struct {
 }
 
 func (d *DB) newScorer(method Method, opts *Options) *scorer {
-	s := &scorer{d: d, method: method, budget: opts.ExactBudget, samples: opts.MCSamples}
+	s := &scorer{d: d, method: method, budget: opts.ExactBudget, samples: opts.MCSamples,
+		rng: rand.New(rand.NewSource(opts.Seed))}
 	if s.budget <= 0 {
 		s.budget = DefaultExactBudget
 	}
 	if s.samples <= 0 {
 		s.samples = DefaultMCSamples
-	}
-	if method == MonteCarlo || method == KarpLuby {
-		s.rng = rand.New(rand.NewSource(opts.Seed))
 	}
 	return s
 }

@@ -143,8 +143,8 @@ func (d *DB) RankUnion(ctx context.Context, queries []string, opts *Options) ([]
 	}
 	switch opts.Method {
 	case Dissociation:
-		var union []Answer // Score holds ∏(1 − ρi) until the end
-		index := map[string]int{}
+		combined := map[string]float64{} // key -> ∏(1 − ρi)
+		vals := map[string][]string{}
 		for _, q := range parsed {
 			answers, err := d.rankDissociation(ctx, q, nil, opts)
 			if err != nil {
@@ -152,20 +152,19 @@ func (d *DB) RankUnion(ctx context.Context, queries []string, opts *Options) ([]
 			}
 			for _, a := range answers {
 				key := stringsKey(a.Values)
-				j, ok := index[key]
-				if !ok {
-					j = len(union)
-					index[key] = j
-					union = append(union, Answer{Values: a.Values, Score: 1})
+				if _, ok := combined[key]; !ok {
+					combined[key] = 1
+					vals[key] = a.Values
 				}
-				union[j].Score *= 1 - a.Score
+				combined[key] *= 1 - a.Score
 			}
 		}
-		for i := range union {
-			union[i].Score = 1 - union[i].Score
+		out := make([]Answer, 0, len(combined))
+		for key, miss := range combined {
+			out = append(out, Answer{Values: vals[key], Score: 1 - miss})
 		}
-		sortAnswers(union)
-		return union, nil
+		sortAnswers(out)
+		return out, nil
 	case Exact, MonteCarlo:
 		// Union of lineages per answer, in first-appearance order, then
 		// the one scorer on each combined DNF.
