@@ -12,13 +12,14 @@ import (
 
 // TestChainJoinAllocGate is the allocation-regression gate for the
 // columnar executor on the join-heavy chain shape: evaluating the
-// 3-chain's minimal plans must stay under one pinned allocation
-// ceiling. The ceiling is set from a measurement (see the constant
-// below) with 10% headroom. The retained row-at-a-time oracle
+// 3-chain's minimal plans must stay under one pinned allocation ceiling
+// and one pinned byte ceiling. Both are set from a measurement (see the
+// constants below) with 10% headroom. The retained row-at-a-time oracle
 // measures ~33k allocs/op on the same instance, so any slide back toward
 // per-row appends or map-backed group tables trips the gate long before
-// it shows up in benchmarks. It is also the check that the
-// EvalProfiled hook allocates nothing while off.
+// it shows up in benchmarks; a value column carried beside every id
+// column (98 595 760 B/op measured) trips the byte ceiling. It is also
+// the check that the EvalProfiled hook allocates nothing while off.
 func TestChainJoinAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -26,24 +27,44 @@ func TestChainJoinAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate skipped in -short")
 	}
-	// chainAllocCeiling: measured 804 allocs/op (exact pre-sizing of
-	// join output, open-addressing group tables, one table per join
-	// build, single-pass streamed projection, one exec per evaluator),
-	// plus 10%.
-	const chainAllocCeiling = 884
+	// Measured 555 allocs and 63 293 520 B per op (exact pre-sizing of join
+	// output, open-addressing group tables, one table per join build,
+	// single-pass streamed projection, one exec per evaluator, value ids
+	// only), plus 10%.
+	const (
+		chainAllocCeiling = 611
+		chainByteCeiling  = 69_630_000
+	)
 	db, q := chainGateDB()
 	plans := core.MinimalPlans(q, nil)
 	var out *Result
-	allocs := testing.AllocsPerRun(3, func() {
+	allocs, bytes := allocsPerRun(3, func() {
 		out = EvalPlans(db, q, plans, Options{})
 	})
 	if out.Len() == 0 {
 		t.Fatal("chain evaluation returned no rows")
 	}
-	t.Logf("chain3 eval: %.0f allocs/op (%d answers)", allocs, out.Len())
+	t.Logf("chain3 eval: %d allocs/op, %d B/op (%d answers)", allocs, bytes, out.Len())
 	if allocs > chainAllocCeiling {
-		t.Errorf("chain join allocations %.0f exceed pinned ceiling %d", allocs, chainAllocCeiling)
+		t.Errorf("chain join allocations %d exceed pinned ceiling %d", allocs, chainAllocCeiling)
 	}
+	if bytes > chainByteCeiling {
+		t.Errorf("chain join allocates %d B, over the pinned %d B ceiling", bytes, chainByteCeiling)
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun reporting bytes too: after one
+// warm-up call, the mean allocations and bytes allocated per call of f.
+func allocsPerRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // chainGateDB is the 3-chain instance of the allocation gates: three
@@ -62,10 +83,11 @@ func chainGateDB() (*DB, *cq.Query) {
 
 // TestLineageAllocGate pins what one lineage query allocates on the
 // chain gate's instance, reduced: a fixed number of column, table and
-// arena allocations (232 measured, 88 MB), however many answers
+// arena allocations (202 measured, 60 130 384 B), however many answers
 // (142 645) and clauses (461 465) it yields, plus 10%. The evaluator it
 // replaced made 3 931 017 allocations (311 MB) here: a few per joined
-// row and per clause.
+// row and per clause; carrying a value column beside every id column
+// measured 232 allocations and 88 MB.
 func TestLineageAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -73,21 +95,27 @@ func TestLineageAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate skipped in -short")
 	}
-	const lineageAllocCeiling = 255
+	const (
+		lineageAllocCeiling = 222
+		lineageByteCeiling  = 66_150_000
+	)
 	db, q := chainGateDB()
 	reduced := SemiJoinReduce(db, q)
 	var lin *Lineage
-	allocs := testing.AllocsPerRun(3, func() { lin = EvalLineage(db, q, reduced) })
+	allocs, bytes := allocsPerRun(3, func() { lin = EvalLineage(db, q, reduced) })
 	clauses := 0
 	for i := 0; i < lin.Len(); i++ {
 		clauses += lin.Size(i)
 	}
-	t.Logf("chain3 lineage: %.0f allocs/op (%d answers, %d clauses)", allocs, lin.Len(), clauses)
+	t.Logf("chain3 lineage: %d allocs/op, %d B/op (%d answers, %d clauses)", allocs, bytes, lin.Len(), clauses)
 	if lin.Len() != 142_645 || clauses != 461_465 {
 		t.Fatalf("chain3 lineage has %d answers and %d clauses, want 142 645 and 461 465", lin.Len(), clauses)
 	}
 	if allocs > lineageAllocCeiling {
-		t.Errorf("lineage allocations %.0f exceed pinned ceiling %d", allocs, lineageAllocCeiling)
+		t.Errorf("lineage allocations %d exceed pinned ceiling %d", allocs, lineageAllocCeiling)
+	}
+	if bytes > lineageByteCeiling {
+		t.Errorf("lineage allocates %d B, over the pinned %d B ceiling", bytes, lineageByteCeiling)
 	}
 }
 
@@ -111,15 +139,7 @@ func TestSemiJoinReduceAllocGate(t *testing.T) {
 		rows += db.Relation(a.Rel).Len()
 	}
 	ceiling := uint64(8*rows + (db.NumValues()+63)/64*8)
-	const runs = 5
-	var before, after runtime.MemStats
-	SemiJoinReduce(db, q) // warm: nothing lazy is left to the measured runs
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		SemiJoinReduce(db, q)
-	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	_, perCall := allocsPerRun(5, func() { SemiJoinReduce(db, q) })
 	t.Logf("tpch reduce over %d rows: %d B/call (ceiling %d)", rows, perCall, ceiling)
 	if perCall > ceiling {
 		t.Errorf("one reduction allocates %d B, over the %d B ceiling for %d input rows", perCall, ceiling, rows)
@@ -130,7 +150,7 @@ func TestSemiJoinReduceAllocGate(t *testing.T) {
 // chunk scratch are sized from its input: projecting 10 rows must not
 // allocate the 8 192-slot table and 2 048-entry scratch that a fixed
 // projAccumHint seed costs (156 456 B measured), only what its 5 groups
-// need (1 192 B measured).
+// need (984 B measured).
 func TestSmallProjectionAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -139,27 +159,19 @@ func TestSmallProjectionAllocGate(t *testing.T) {
 		t.Skip("alloc gate skipped in -short")
 	}
 	const ceiling = 4 << 10
-	in := newResult([]cq.Var{"x", "y"})
+	var rows [][]Value
+	var scores []float64
 	for i := 0; i < 10; i++ {
-		for k, v := range []int{i % 5, i} {
-			in.vals[k] = append(in.vals[k], Value(v))
-			in.ids[k] = append(in.ids[k], int32(v))
-		}
-		in.scores = append(in.scores, 0.5)
+		rows = append(rows, []Value{Value(i % 5), Value(i)})
+		scores = append(scores, 0.5)
 	}
+	in := resultOf([]cq.Var{"x", "y"}, rows, scores)
 	onto := []cq.Var{"x"}
 	ex := &exec{c: &canceller{}}
 	if got := project(in, onto, ex).Len(); got != 5 {
 		t.Fatalf("projection returned %d groups, want 5", got)
 	}
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		project(in, onto, ex)
-	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	_, perCall := allocsPerRun(20, func() { project(in, onto, ex) })
 	t.Logf("10-row projection: %d B/call (ceiling %d)", perCall, ceiling)
 	if perCall > ceiling {
 		t.Errorf("a 10-row projection allocates %d B, over the %d B ceiling", perCall, ceiling)

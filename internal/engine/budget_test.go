@@ -49,12 +49,12 @@ func TestBudgetExceededParallel(t *testing.T) {
 	// typed error surfaces from inside the probe loop. Drive join directly
 	// so the probe spans several morsels.
 	n := 3 * morselSize
-	in := newResult([]cq.Var{"x"})
-	for i := 0; i < n; i++ {
-		in.vals[0] = append(in.vals[0], Value(i))
-		in.ids[0] = append(in.ids[0], int32(i))
-		in.scores = append(in.scores, 0.5)
+	rows := make([][]Value, n)
+	scores := make([]float64, n)
+	for i := range rows {
+		rows[i], scores[i] = []Value{Value(i)}, 0.5
 	}
+	in := resultOf([]cq.Var{"x"}, rows, scores)
 	ex := &exec{c: &canceller{}, budget: newRowBudget(n / 2)}
 	err := TrapCancel(func() { join(in, in, ex) })
 	if !errors.Is(err, ErrBudget) {

@@ -16,6 +16,7 @@ package engine
 //   - The string dictionary and value-id maps are shared until the
 //     clone's first write (a new string or value), at which point they
 //     are copied in full — probability-only batches never pay for them.
+//     The id-to-value slice is append-only and shared capacity-clamped.
 //   - In-place writes (SetProb, ScaleProbs) copy the touched probability
 //     arrays first, tracked by per-slice copy-on-write flags.
 //   - Deletions rebuild the relation's storage into fresh arrays.
@@ -44,6 +45,7 @@ func (db *DB) CloneCOW() *DB {
 		strIDs:     db.strIDs,
 		varProb:    clampCap(db.varProb),
 		valIDs:     db.valIDs,
+		vals:       clampCap(db.vals),
 		cowDicts:   true,
 		cowVarProb: true,
 	}
@@ -148,9 +150,10 @@ outer:
 }
 
 // DeleteRow removes the i-th tuple, rebuilding the relation's storage
-// into fresh arrays (copy-on-write safe). The tuple's lineage variable
-// id stays allocated but unreferenced, so variable-id assignment — and
-// with it WAL replay — remains deterministic.
+// into fresh arrays (copy-on-write safe), and drops every built index:
+// row ids past i shift down. The tuple's lineage variable id stays
+// allocated but unreferenced, so variable-id assignment — and with it
+// WAL replay — remains deterministic.
 func (r *Relation) DeleteRow(i int) {
 	a := len(r.Cols)
 	n := r.Len()
@@ -174,4 +177,5 @@ func (r *Relation) DeleteRow(i int) {
 		vars = append(vars, r.vars[i+1:]...)
 		r.vars = vars
 	}
+	r.invalidateIndexes()
 }

@@ -45,8 +45,11 @@ type DB struct {
 	// valIDs assigns a dense int32 id to every distinct Value stored in
 	// any relation, in first-insertion order. Join and group-by keys are
 	// built from these ids ([]int32) instead of per-row byte encodings:
-	// keys of arity <= 2 pack exactly into one uint64 map key.
+	// keys of arity <= 2 pack exactly into one uint64 map key. vals is
+	// its inverse, indexed by id: operators carry ids only, and results
+	// decode them through vals where they leave the engine.
 	valIDs map[Value]int32
+	vals   []Value
 
 	// Copy-on-write state (see cow.go). cowDicts marks strIDs/valIDs as
 	// shared with the parent of a CloneCOW copy; cowVarProb marks
@@ -165,6 +168,7 @@ func (db *DB) Clone() *DB {
 		strIDs:  make(map[string]Value, len(db.strIDs)),
 		varProb: append([]float64(nil), db.varProb...),
 		valIDs:  make(map[Value]int32, len(db.valIDs)),
+		vals:    append([]Value(nil), db.vals...),
 	}
 	for s, id := range db.strIDs {
 		c.strIDs[s] = id
@@ -196,14 +200,15 @@ func (db *DB) noteValue(v Value) int32 {
 		return id
 	}
 	db.ensureOwnedDicts()
-	id := int32(len(db.valIDs))
+	id := int32(len(db.vals))
 	db.valIDs[v] = id
+	db.vals = append(db.vals, v)
 	return id
 }
 
 // NumValues returns the number of distinct values stored across all
 // relations (the size of the dense value-id space).
-func (db *DB) NumValues() int { return len(db.valIDs) }
+func (db *DB) NumValues() int { return len(db.vals) }
 
 // Intern returns the Value for a string, adding it to the dictionary if
 // needed.

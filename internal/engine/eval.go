@@ -14,15 +14,18 @@ import (
 
 // Result is a relation-shaped evaluation result: one tuple of values per
 // output row over Cols, with a probability score each. Storage is
-// columnar (struct-of-arrays): one contiguous []Value and []int32 per
-// column plus one contiguous []float64 score column, so operators run as
-// tight kernels over slices instead of per-tuple calls. Row order is
-// unspecified; use Sorted or ScoreOf for stable access.
+// columnar (struct-of-arrays): one contiguous []int32 of dense value ids
+// per column plus one contiguous []float64 score column, so operators run
+// as tight kernels over slices instead of per-tuple calls. A cell is
+// stored once, as its id; Row, ScoreOf and Sorted decode ids through the
+// database's id-to-value slice as it stood at evaluation time (ids only
+// ever grow, so later inserts never change what one decodes to). Row
+// order is unspecified; use Sorted or ScoreOf for stable access.
 type Result struct {
 	Cols   []cq.Var
-	vals   [][]Value // vals[k][i]: value of column k in row i
-	ids    [][]int32 // dense value ids (DB.noteValue), parallel to vals
+	ids    [][]int32 // ids[k][i]: dense value id (DB.noteValue) of column k in row i
 	scores []float64
+	dict   []Value // id -> Value: DB.vals at evaluation time
 
 	// Lazy ScoreOf index: hash of the row values -> first row with that
 	// hash, with hash collisions chained through idxNext.
@@ -32,22 +35,25 @@ type Result struct {
 }
 
 // newResult returns an empty result with per-column slice headers
-// allocated for the given layout.
-func newResult(cols []cq.Var) *Result {
-	return &Result{Cols: cols, vals: make([][]Value, len(cols)), ids: make([][]int32, len(cols))}
+// allocated for the given layout, decoding through dict.
+func newResult(cols []cq.Var, dict []Value) *Result {
+	return &Result{Cols: cols, ids: make([][]int32, len(cols)), dict: dict}
 }
 
 // Len returns the number of result tuples.
 func (r *Result) Len() int { return len(r.scores) }
 
-// Row gathers the i-th tuple from the column arrays into a fresh slice.
+// value decodes the cell of column k in row i.
+func (r *Result) value(k, i int) Value { return r.dict[r.ids[k][i]] }
+
+// Row decodes the i-th tuple into a fresh slice.
 func (r *Result) Row(i int) []Value {
 	if len(r.Cols) == 0 {
 		return nil
 	}
 	out := make([]Value, len(r.Cols))
-	for k, c := range r.vals {
-		out[k] = c[i]
+	for k := range out {
+		out[k] = r.value(k, i)
 	}
 	return out
 }
@@ -65,11 +71,11 @@ func (r *Result) BooleanScore() float64 {
 }
 
 // rowHash hashes the i-th tuple's values, matching valueKeyHash over the
-// gathered row.
+// decoded row.
 func (r *Result) rowHash(i int) uint64 {
 	h := uint64(len(r.Cols)) + 0x9e3779b97f4a7c15
-	for _, c := range r.vals {
-		h = mix64(h ^ uint64(c[i]))
+	for k := range r.ids {
+		h = mix64(h ^ uint64(r.value(k, i)))
 	}
 	return h
 }
@@ -87,7 +93,7 @@ func (r *Result) ScoreOf(key []Value) (float64, bool) {
 	for ok {
 		match := true
 		for k := range key {
-			if r.vals[k][j] != key[k] {
+			if r.value(k, int(j)) != key[k] {
 				match = false
 				break
 			}
@@ -125,8 +131,8 @@ func (r *Result) buildScoreIndex() {
 }
 
 // Sorted returns the row indices ordered by descending score, breaking
-// ties by row values ascending — the ranking order of the paper's
-// experiments.
+// ties by row values (not ids) ascending — the ranking order of the
+// paper's experiments.
 func (r *Result) Sorted() []int {
 	idx := make([]int, r.Len())
 	for i := range idx {
@@ -138,9 +144,9 @@ func (r *Result) Sorted() []int {
 		if sa != sb {
 			return sa > sb
 		}
-		for _, c := range r.vals {
-			if c[ia] != c[ib] {
-				return c[ia] < c[ib]
+		for k := range r.ids {
+			if va, vb := r.value(k, ia), r.value(k, ib); va != vb {
+				return va < vb
 			}
 		}
 		return false
@@ -350,7 +356,7 @@ func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, o
 func (e *Evaluator) scan(s *plan.Scan) (*Result, []int32) {
 	rel, cols, pos := scanLayout(e.db, s)
 	filter := newRowFilter(e.db, rel, s)
-	out := newResult(cols)
+	out := newResult(cols, e.db.vals)
 	// Candidate rows: the semi-join reduction wins, then any index.
 	var cand []int32
 	restricted := false
@@ -380,21 +386,17 @@ func (e *Evaluator) scan(s *plan.Scan) (*Result, []int32) {
 	}
 	a := rel.Arity()
 	for k, j := range pos {
-		vdst := make([]Value, m)
-		idst := make([]int32, m)
+		dst := make([]int32, m)
 		if all {
-			for i := 0; i < m; i++ {
-				vdst[i] = rel.rows[i*a+j]
-				idst[i] = rel.vids[i*a+j]
+			for i := range dst {
+				dst[i] = rel.vids[i*a+j]
 			}
 		} else {
 			for x, ri := range sel {
-				ii := int(ri)*a + j
-				vdst[x] = rel.rows[ii]
-				idst[x] = rel.vids[ii]
+				dst[x] = rel.vids[int(ri)*a+j]
 			}
 		}
-		out.vals[k], out.ids[k] = vdst, idst
+		out.ids[k] = dst
 	}
 	return out, sel
 }
@@ -426,12 +428,18 @@ func scanLayout(db *DB, s *plan.Scan) (*Relation, []cq.Var, []int) {
 // rowFilter checks constants, repeated variables, and predicates on one
 // atom's tuples.
 type rowFilter struct {
-	consts []struct {
-		pos int
-		val Value
-	}
+	consts []filterConst
 	equals [][2]int
 	preds  []compiledPred
+}
+
+// filterConst is a constant selection on one argument position: its
+// value for the row-at-a-time check, and its dense value id for the
+// kernels, or -1 when no stored tuple holds the value.
+type filterConst struct {
+	pos int
+	val Value
+	id  int32
 }
 
 func newRowFilter(db *DB, rel *Relation, s *plan.Scan) *rowFilter {
@@ -439,10 +447,12 @@ func newRowFilter(db *DB, rel *Relation, s *plan.Scan) *rowFilter {
 	seen := map[cq.Var]int{}
 	for j, t := range s.Atom.Args {
 		if !t.IsVar() {
-			f.consts = append(f.consts, struct {
-				pos int
-				val Value
-			}{j, db.lookupConst(t.Const)})
+			v := db.lookupConst(t.Const)
+			id, ok := db.valIDs[v]
+			if !ok {
+				id = -1
+			}
+			f.consts = append(f.consts, filterConst{j, v, id})
 			continue
 		}
 		if prev, ok := seen[t.Var]; ok {
@@ -463,6 +473,8 @@ func (f *rowFilter) empty() bool {
 	return len(f.consts) == 0 && len(f.equals) == 0 && len(f.preds) == 0
 }
 
+// ok is the row-at-a-time check on a tuple's values, the reference the
+// kernels of apply must agree with.
 func (f *rowFilter) ok(row []Value) bool {
 	for _, c := range f.consts {
 		if row[c.pos] != c.val {
@@ -484,15 +496,21 @@ func (f *rowFilter) ok(row []Value) bool {
 
 // apply runs the filter as a sequence of selection-vector kernels: each
 // component refines the vector in one tight pass over the relation's
-// flattened storage. It returns (sel, all); all=true means every row of
-// the relation qualifies and sel is nil (the caller copies the columns
-// wholesale).
+// flattened storage. Constants and repeated variables compare dense
+// value ids (equal values have equal ids); predicates compare values.
+// It returns (sel, all); all=true means every row of the relation
+// qualifies and sel is nil (the caller copies the columns wholesale).
 func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *canceller) ([]int32, bool) {
 	if f.empty() {
 		if restricted {
 			return cand, false
 		}
 		return nil, true
+	}
+	for _, cst := range f.consts {
+		if cst.id < 0 { // no stored tuple holds the constant
+			return []int32{}, false
+		}
 	}
 	var sel []int32
 	if restricted {
@@ -507,12 +525,12 @@ func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *cance
 		}
 	}
 	a := rel.Arity()
-	rows := rel.rows
+	vids := rel.vids
 	for _, cst := range f.consts {
 		out := sel[:0]
 		for _, ri := range sel {
 			c.check()
-			if rows[int(ri)*a+cst.pos] == cst.val {
+			if vids[int(ri)*a+cst.pos] == cst.id {
 				out = append(out, ri)
 			}
 		}
@@ -523,21 +541,14 @@ func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *cance
 		for _, ri := range sel {
 			c.check()
 			base := int(ri) * a
-			if rows[base+eq[0]] == rows[base+eq[1]] {
+			if vids[base+eq[0]] == vids[base+eq[1]] {
 				out = append(out, ri)
 			}
 		}
 		sel = out
 	}
 	for _, p := range f.preds {
-		out := sel[:0]
-		for _, ri := range sel {
-			c.check()
-			if p.okVal(rows[int(ri)*a+p.pos]) {
-				out = append(out, ri)
-			}
-		}
-		sel = out
+		sel = p.filter(sel, rel.rows, a, c)
 	}
 	return sel, false
 }
@@ -562,6 +573,9 @@ func compilePred(db *DB, p cq.Predicate, pos int) compiledPred {
 	return c
 }
 
+// okVal is the predicate on one value, the reference filter's kernels
+// must agree with. Order comparisons hold only between numbers (values
+// >= 0).
 func (c compiledPred) okVal(v Value) bool {
 	switch c.op {
 	case cq.OpLE:
@@ -581,6 +595,64 @@ func (c compiledPred) okVal(v Value) bool {
 	default:
 		panic("engine: unknown predicate op")
 	}
+}
+
+// filter compacts sel to the rows whose value at c.pos satisfies the
+// predicate, the op switch hoisted out of the row loops: the four order
+// comparisons become one closed numeric interval [lo, hi], and each
+// remaining op is its own loop.
+func (c compiledPred) filter(sel []int32, rows []Value, a int, cc *canceller) []int32 {
+	out := sel[:0]
+	switch c.op {
+	case cq.OpLE, cq.OpLT, cq.OpGE, cq.OpGT:
+		if c.num < 0 {
+			return out
+		}
+		lo, hi := Value(0), Value(math.MaxInt64)
+		switch c.op {
+		case cq.OpLE:
+			hi = c.num
+		case cq.OpLT:
+			hi = c.num - 1
+		case cq.OpGE:
+			lo = c.num
+		case cq.OpGT:
+			if c.num == math.MaxInt64 {
+				return out
+			}
+			lo = c.num + 1
+		}
+		for _, ri := range sel {
+			cc.check()
+			if v := rows[int(ri)*a+c.pos]; v >= lo && v <= hi {
+				out = append(out, ri)
+			}
+		}
+	case cq.OpEQ:
+		for _, ri := range sel {
+			cc.check()
+			if rows[int(ri)*a+c.pos] == c.num {
+				out = append(out, ri)
+			}
+		}
+	case cq.OpNE:
+		for _, ri := range sel {
+			cc.check()
+			if rows[int(ri)*a+c.pos] != c.num {
+				out = append(out, ri)
+			}
+		}
+	case cq.OpLike:
+		for _, ri := range sel {
+			cc.check()
+			if c.like.match(c.db.Decode(rows[int(ri)*a+c.pos])) {
+				out = append(out, ri)
+			}
+		}
+	default:
+		panic("engine: unknown predicate op")
+	}
+	return out
 }
 
 // LikeMatch implements SQL LIKE with % (any run) and _ (any one
@@ -694,7 +766,6 @@ type projAccum struct {
 	g       *groupTable
 	ka      int
 	key     []int32   // scratch: the current row's key ids
-	val     []Value   // scratch: the current row's key values
 	touched []int32   // gids touched this chunk, in first-touch order
 	partial []float64 // parallel to touched: chunk-local ∏(1 − s)
 	fill    int       // rows accumulated in the current chunk
@@ -711,23 +782,22 @@ type projAccum struct {
 // rows).
 const projAccumHint = 2 * morselSize
 
-func newProjAccum(onto []cq.Var, sizeHint int, ex *exec) *projAccum {
+func newProjAccum(onto []cq.Var, dict []Value, sizeHint int, ex *exec) *projAccum {
 	ka := len(onto)
 	chunk := min(sizeHint, morselSize)
 	return &projAccum{
-		out:     newResult(append([]cq.Var(nil), onto...)),
+		out:     newResult(append([]cq.Var(nil), onto...), dict),
 		g:       newGroupTable(ka, sizeHint),
 		ka:      ka,
 		key:     make([]int32, ka),
-		val:     make([]Value, ka),
 		touched: make([]int32, 0, chunk),
 		partial: make([]float64, 0, chunk),
 		ex:      ex,
 	}
 }
 
-// add ingests one row whose key ids and values the caller has gathered
-// into pa.key / pa.val. The chunk-local partial slot lives in the group
+// add ingests one row whose key ids the caller has gathered into
+// pa.key. The chunk-local partial slot lives in the group
 // slot's aux word — the cache line the intern probe already loaded — and
 // is validated against the (small, L1-resident) touched list, so a row
 // costs one random memory access, not three.
@@ -736,7 +806,6 @@ func (pa *projAccum) add(score float64) {
 	if fresh {
 		for k := 0; k < pa.ka; k++ {
 			pa.out.ids[k] = append(pa.out.ids[k], pa.key[k])
-			pa.out.vals[k] = append(pa.out.vals[k], pa.val[k])
 		}
 		pa.out.scores = append(pa.out.scores, 1)
 	}
@@ -797,23 +866,19 @@ func (pa *projAccum) finish() *Result {
 func project(in *Result, onto []cq.Var, ex *exec) *Result {
 	n := in.Len()
 	if n == 0 {
-		return newResult(append([]cq.Var(nil), onto...))
+		return newResult(append([]cq.Var(nil), onto...), in.dict)
 	}
 	ka := len(onto)
 	keyIDs := make([][]int32, ka)
-	keyVals := make([][]Value, ka)
 	for k, v := range onto {
-		j := colIndex(in.Cols, v)
-		keyIDs[k] = in.ids[j]
-		keyVals[k] = in.vals[j]
+		keyIDs[k] = in.ids[colIndex(in.Cols, v)]
 	}
-	pa := newProjAccum(onto, min(n, projAccumHint), ex)
+	pa := newProjAccum(onto, in.dict, min(n, projAccumHint), ex)
 	c := ex.canc()
 	for i := 0; i < n; i++ {
 		c.check()
 		for k := 0; k < ka; k++ {
 			pa.key[k] = keyIDs[k][i]
-			pa.val[k] = keyVals[k][i]
 		}
 		pa.add(in.scores[i])
 	}
@@ -939,7 +1004,7 @@ func makeJoinLayout(l, r *Result) joinLayout {
 func join(l, r *Result, ex *exec) *Result {
 	jl := makeJoinLayout(l, r)
 	jt := buildJoinTable(jl.build, jl.buildPos, ex)
-	out := newResult(jl.outCols)
+	out := newResult(jl.outCols, l.dict)
 	np := jl.probe.Len()
 	if np == 0 {
 		return out
@@ -971,7 +1036,6 @@ func join(l, r *Result, ex *exec) *Result {
 	}
 	out.scores = make([]float64, total)
 	for k := range out.Cols {
-		out.vals[k] = make([]Value, total)
 		out.ids[k] = make([]int32, total)
 	}
 	bscores, pscores := jl.build.scores, jl.probe.scores
@@ -986,24 +1050,23 @@ func join(l, r *Result, ex *exec) *Result {
 		}
 	}
 	for k := range out.Cols {
-		vdst, idst := out.vals[k], out.ids[k]
+		dst := out.ids[k]
 		o = 0
 		if jl.fromBuild[k] {
-			vsrc, isrc := jl.build.vals[jl.pos[k]], jl.build.ids[jl.pos[k]]
+			src := jl.build.ids[jl.pos[k]]
 			for i := 0; i < np; i++ {
 				st, n := int(starts[i]), int(cnts[i])
 				for j := 0; j < n; j++ {
-					ri := jt.rows[st+j]
-					vdst[o], idst[o] = vsrc[ri], isrc[ri]
+					dst[o] = src[jt.rows[st+j]]
 					o++
 				}
 			}
 		} else {
-			vsrc, isrc := jl.probe.vals[jl.pos[k]], jl.probe.ids[jl.pos[k]]
+			src := jl.probe.ids[jl.pos[k]]
 			for i := 0; i < np; i++ {
-				v, id := vsrc[i], isrc[i]
+				id := src[i]
 				for j := int32(0); j < cnts[i]; j++ {
-					vdst[o], idst[o] = v, id
+					dst[o] = id
 					o++
 				}
 			}
@@ -1033,9 +1096,8 @@ type minFold struct {
 func newMinFold(a *Result, ex *exec) *minFold {
 	na := a.Len()
 	m := &minFold{g: newGroupTable(len(a.Cols), na), ex: ex}
-	m.out = newResult(a.Cols)
-	for k := range a.vals {
-		m.out.vals[k] = append([]Value(nil), a.vals[k]...)
+	m.out = newResult(a.Cols, a.dict)
+	for k := range a.ids {
 		m.out.ids[k] = append([]int32(nil), a.ids[k]...)
 	}
 	m.out.scores = append([]float64(nil), a.scores...)
@@ -1090,8 +1152,7 @@ func (m *minFold) merge(b *Result) {
 			m.out.scores[j] = math.Min(m.out.scores[j], b.scores[i])
 		} else {
 			appended++
-			for k := range m.out.vals {
-				m.out.vals[k] = append(m.out.vals[k], b.vals[k][i])
+			for k := range m.out.ids {
 				m.out.ids[k] = append(m.out.ids[k], b.ids[k][i])
 			}
 			m.out.scores = append(m.out.scores, b.scores[i])
@@ -1194,10 +1255,10 @@ func semiJoinReduce(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
 			edges = append(edges, e)
 		}
 	}
-	// Every stored value id is below len(db.valIDs) (noteValue hands them
+	// Every stored value id is below len(db.vals) (noteValue hands them
 	// out densely; clones copy the map before extending it), so one bitset
 	// of that many bits, reused by every edge, can hold any key set.
-	words := (len(db.valIDs) + 63) / 64
+	words := (len(db.vals) + 63) / 64
 	var bits []uint64
 	for changed := true; changed; {
 		changed = false

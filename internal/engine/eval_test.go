@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"lapushdb/internal/core"
@@ -132,6 +134,21 @@ func TestExample17Numbers(t *testing.T) {
 
 func approx(a, b float64) bool { return math.Abs(a-b) < eps }
 
+// resultOf builds a Result over cols from rows of values and their
+// scores, interning each value to a dense id through a fresh database as
+// a relation's insert would: the one way tests build a Result by hand.
+func resultOf(cols []cq.Var, rows [][]Value, scores []float64) *Result {
+	db := NewDB()
+	r := newResult(cols, nil)
+	for _, row := range rows {
+		for k, v := range row {
+			r.ids[k] = append(r.ids[k], db.noteValue(v))
+		}
+	}
+	r.scores, r.dict = scores, db.vals
+	return r
+}
+
 func TestNonBooleanRanking(t *testing.T) {
 	// q(z) :- R(z, x), S(x, y), T(y): two answers with different scores.
 	db := NewDB()
@@ -170,6 +187,105 @@ func TestNonBooleanRanking(t *testing.T) {
 	order := res.Sorted()
 	if res.Row(order[0])[0] != 10 {
 		t.Errorf("expected answer 10 ranked first")
+	}
+}
+
+// TestSortedTiesByValue: Sorted breaks score ties by the decoded values,
+// not by the dense ids the result stores. Values are inserted in an
+// order that makes the two disagree.
+func TestSortedTiesByValue(t *testing.T) {
+	db := NewDB()
+	r := db.CreateRelation("R", []string{"x", "y"})
+	for _, row := range [][]Value{{9, 2}, {3, 8}, {5, 1}, {3, 4}} {
+		r.Insert(row, 0.5)
+	}
+	if db.valIDs[9] >= db.valIDs[3] {
+		t.Fatal("the instance must assign ids out of value order")
+	}
+	res := evalQuery(db, "q(x, y) :- R(x, y)")
+	var got [][]Value
+	for _, i := range res.Sorted() {
+		got = append(got, res.Row(i))
+	}
+	want := [][]Value{{3, 4}, {3, 8}, {5, 1}, {9, 2}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Sorted rows %v, want %v", got, want)
+	}
+}
+
+// TestFilterKernelsMatchRowCheck: the selection-vector kernels of
+// rowFilter.apply — constants and repeated variables on value ids, one
+// loop per predicate op on values — keep exactly the rows the
+// row-at-a-time check ok keeps, over full scans and candidate sets,
+// including constants no stored tuple holds and interval edges.
+func TestFilterKernelsMatchRowCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	db := NewDB()
+	r := db.CreateRelation("R", []string{"x", "y", "z"})
+	strs := []Value{db.Intern("red"), db.Intern("blue rose"), db.Intern("x")}
+	pick := func() Value {
+		if rng.Intn(4) == 0 {
+			return strs[rng.Intn(len(strs))]
+		}
+		return Value(rng.Intn(21))
+	}
+	for i := 0; i < 500; i++ {
+		r.Insert([]Value{pick(), pick(), pick()}, 0.5)
+	}
+	r.Insert([]Value{math.MaxInt64, 0, 0}, 0.5)
+	var cand []int32
+	for i := 0; i < r.Len(); i += 3 {
+		cand = append(cand, int32(i))
+	}
+	for _, qs := range []string{
+		"q() :- R(x, y, z)",
+		"q() :- R(7, y, z)",
+		"q() :- R('red', y, z)",
+		"q() :- R('nowhere', y, z)",
+		"q() :- R(999, y, z)",
+		"q() :- R(x, x, z)",
+		"q() :- R(x, y, x)",
+		"q() :- R(x, 3, x)",
+		"q() :- R(x, y, z), x <= 10",
+		"q() :- R(x, y, z), x < 0",
+		"q() :- R(x, y, z), x < 10",
+		"q() :- R(x, y, z), x >= 20",
+		"q() :- R(x, y, z), x > 0",
+		"q() :- R(x, y, z), x > 9223372036854775807",
+		"q() :- R(x, y, z), x >= 9223372036854775807",
+		"q() :- R(x, y, z), x <= 'red'",
+		"q() :- R(x, y, z), x = 'red'",
+		"q() :- R(x, y, z), x = 4, y != 'x'",
+		"q() :- R(x, y, z), x != 'nowhere'",
+		"q() :- R(x, y, z), y = 'nowhere'",
+		"q() :- R(x, y, z), x like '%r%'",
+		"q() :- R(x, y, z), z like 'blue%', y <= 12",
+	} {
+		q := cq.MustParse(qs)
+		a := q.Atoms[0]
+		f := newRowFilter(db, r, plan.NewScan(a, q.PredsOnAtom(a)))
+		for _, restricted := range []bool{false, true} {
+			rows := cand
+			if !restricted {
+				rows = make([]int32, r.Len())
+				for i := range rows {
+					rows[i] = int32(i)
+				}
+			}
+			var want []int32
+			for _, i := range rows {
+				if f.ok(r.Row(int(i))) {
+					want = append(want, i)
+				}
+			}
+			got, all := f.apply(r, cand, restricted, nil)
+			if all {
+				got = rows
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s (restricted %v): kernels keep %d rows, the row check %d", qs, restricted, len(got), len(want))
+			}
+		}
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 // selections (constants in atoms, = predicates); a range index — a
 // permutation of row ids sorted by the column — accelerates the
 // paper's TPC-H-style threshold predicates (s <= $1). Indexes are
-// declared per column, built lazily on first use, and invalidated by
-// inserts.
+// declared per column, built lazily on first use, and rebuilt after an
+// insert (which moves the relation's length) or a delete (which resets
+// them outright: a delete followed by an insert restores the length).
 
 type hashIndex struct {
 	builtAt int // relation Len() when built
@@ -55,6 +56,19 @@ func (r *Relation) CreateRangeIndex(col string) error {
 		r.rangeIdx[i] = &rangeIndex{builtAt: -1}
 	}
 	return nil
+}
+
+// invalidateIndexes marks every declared index unbuilt, so its next
+// use rebuilds it.
+func (r *Relation) invalidateIndexes() {
+	r.idxMu.Lock()
+	defer r.idxMu.Unlock()
+	for _, idx := range r.hashIdx {
+		idx.builtAt = -1
+	}
+	for _, idx := range r.rangeIdx {
+		idx.builtAt = -1
+	}
 }
 
 func (r *Relation) hashLookup(col int, v Value) ([]int32, bool) {

@@ -152,3 +152,49 @@ func BenchmarkIndexedThresholdScan(b *testing.B) {
 		}
 	})
 }
+
+// TestIndexAfterDeleteInsert: a delete followed by an insert restores
+// the relation's length, which must not pass for an unchanged relation
+// — the index built before the delete names rows that moved. Each case
+// declares one index kind and scans through it before and after.
+func TestIndexAfterDeleteInsert(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		index         func(*Relation) error
+		query         string
+		before, after Value
+	}{
+		{"hash", func(r *Relation) error { return r.CreateIndex("x") }, "q(y) :- R(1, y), S(y)", 20, 20},
+		{"range", func(r *Relation) error { return r.CreateRangeIndex("x") }, "q(y) :- R(x, y), S(y), x >= 5", 10, 30},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := NewDB()
+			r := db.CreateRelation("R", []string{"x", "y"})
+			r.Insert([]Value{5, 10}, 0.5)
+			r.Insert([]Value{1, 20}, 0.5)
+			s := db.CreateRelation("S", []string{"y"})
+			for _, v := range []Value{10, 20, 30} {
+				s.Insert([]Value{v}, 0.5)
+			}
+			if err := tc.index(r); err != nil {
+				t.Fatal(err)
+			}
+			answers := func() []Value {
+				res := evalQuery(db, tc.query)
+				var out []Value
+				for _, i := range res.Sorted() {
+					out = append(out, res.Row(i)[0])
+				}
+				return out
+			}
+			if got := answers(); len(got) != 1 || got[0] != tc.before {
+				t.Fatalf("before the delete: answers %v, want [%d]", got, tc.before)
+			}
+			r.DeleteRow(0)
+			r.Insert([]Value{7, 30}, 0.5)
+			if got := answers(); len(got) != 1 || got[0] != tc.after {
+				t.Errorf("after delete and insert: answers %v, want [%d]", got, tc.after)
+			}
+		})
+	}
+}

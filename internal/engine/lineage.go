@@ -108,7 +108,6 @@ func (e *Evaluator) Lineage(q *cq.Query) *Lineage {
 		}
 		idCols = append(idCols, v)
 		r.Cols = append(r.Cols, v)
-		r.vals = append(r.vals, make([]Value, len(ids)))
 		r.ids = append(r.ids, ids)
 	}
 	rows := foldJoin(inputs, &e.exec, join)
@@ -118,15 +117,14 @@ func (e *Evaluator) Lineage(q *cq.Query) *Lineage {
 }
 
 // groupLineage groups the joined rows by the head columns into answers,
-// in first-appearance order, and lays their clauses out answer by answer
-// in one arena, each clause's ids sorted ascending.
+// in first-appearance order, decoding each answer's key once, and lays
+// their clauses out answer by answer in one arena, each clause's ids
+// sorted ascending.
 func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, c *canceller) *Lineage {
 	n, w := rows.Len(), len(idCols)
 	keyIDs := make([][]int32, len(head))
-	keyVals := make([][]Value, len(head))
 	for k, v := range head {
-		j := colIndex(rows.Cols, v)
-		keyIDs[k], keyVals[k] = rows.ids[j], rows.vals[j]
+		keyIDs[k] = rows.ids[colIndex(rows.Cols, v)]
 	}
 	g := newGroupTable(len(head), min(n, projAccumHint))
 	sg := newColSigner(keyIDs)
@@ -141,8 +139,8 @@ func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, c *canceller
 		}
 		gid, fresh := g.internSig(sg.sig(i), key)
 		if fresh {
-			for _, col := range keyVals {
-				out.keys = append(out.keys, col[i])
+			for _, col := range keyIDs {
+				out.keys = append(out.keys, rows.dict[col[i]])
 			}
 		}
 		gids[i] = gid
@@ -314,14 +312,12 @@ func dedupeInPlace(r *Result) {
 			continue
 		}
 		for k := range r.ids {
-			r.vals[k][n] = r.vals[k][i]
 			r.ids[k][n] = r.ids[k][i]
 		}
 		r.scores[n] = 1
 		n++
 	}
 	for k := range r.ids {
-		r.vals[k] = r.vals[k][:n]
 		r.ids[k] = r.ids[k][:n]
 	}
 	r.scores = r.scores[:n]

@@ -174,17 +174,15 @@ func (e *Evaluator) oracleEvalNode(p plan.Node) *Result {
 func (e *Evaluator) oracleScan(s *plan.Scan) *Result {
 	rel, cols, pos := scanLayout(e.db, s)
 	filter := newRowFilter(e.db, rel, s)
-	out := newResult(cols)
+	out := newResult(cols, e.db.vals)
 	emit := func(i int) {
 		e.cancel.check()
-		row := rel.Row(i)
-		if !filter.ok(row) {
+		if !filter.ok(rel.Row(i)) {
 			return
 		}
 		e.exec.charge(1)
 		vrow := rel.vidRow(i)
 		for k, j := range pos {
-			out.vals[k] = append(out.vals[k], row[j])
 			out.ids[k] = append(out.ids[k], vrow[j])
 		}
 		out.scores = append(out.scores, rel.Prob(i))
@@ -219,7 +217,7 @@ func oracleProject(in *Result, onto []cq.Var, ex *exec) *Result {
 	}
 	ka := len(keep)
 	n := in.Len()
-	out := newResult(append([]cq.Var(nil), onto...))
+	out := newResult(append([]cq.Var(nil), onto...), in.dict)
 	if n == 0 {
 		return out
 	}
@@ -261,7 +259,6 @@ func oracleProject(in *Result, onto []cq.Var, ex *exec) *Result {
 			gid, fresh := global.intern(key)
 			if fresh {
 				for k, j := range keep {
-					out.vals[k] = append(out.vals[k], in.vals[j][ri])
 					out.ids[k] = append(out.ids[k], in.ids[j][ri])
 				}
 				out.scores = append(out.scores, 1)
@@ -331,7 +328,7 @@ func oracleJoin(l, r *Result, ex *exec) *Result {
 			srcs[i] = src{false, colIndex(r.Cols, c)}
 		}
 	}
-	out := newResult(outCols)
+	out := newResult(outCols, l.dict)
 	build, probe := r, l
 	buildPos, probePos := rPos, lPos
 	buildLeft := false
@@ -364,10 +361,8 @@ func oracleJoin(l, r *Result, ex *exec) *Result {
 			}
 			for k, s := range srcs {
 				if s.left {
-					out.vals[k] = append(out.vals[k], lres.vals[s.pos][li])
 					out.ids[k] = append(out.ids[k], lres.ids[s.pos][li])
 				} else {
-					out.vals[k] = append(out.vals[k], rres.vals[s.pos][ri])
 					out.ids[k] = append(out.ids[k], rres.ids[s.pos][ri])
 				}
 			}
@@ -386,9 +381,8 @@ func oracleCombineMin(a, b *Result, ex *exec) *Result {
 	cc := ex.canc()
 	g := newOracleTable(len(a.Cols), a.Len())
 	rowOf := make([]int32, 0, a.Len())
-	out := newResult(a.Cols)
-	for k := range a.vals {
-		out.vals[k] = append([]Value(nil), a.vals[k]...)
+	out := newResult(a.Cols, a.dict)
+	for k := range a.ids {
 		out.ids[k] = append([]int32(nil), a.ids[k]...)
 	}
 	out.scores = append([]float64(nil), a.scores...)
@@ -411,8 +405,7 @@ func oracleCombineMin(a, b *Result, ex *exec) *Result {
 			out.scores[j] = math.Min(out.scores[j], b.scores[i])
 		} else {
 			ex.charge(1)
-			for k := range out.vals {
-				out.vals[k] = append(out.vals[k], b.vals[k][i])
+			for k := range out.ids {
 				out.ids[k] = append(out.ids[k], b.ids[k][i])
 			}
 			out.scores = append(out.scores, b.scores[i])

@@ -548,17 +548,17 @@ func TestExecutorOracleDifferentialLarge(t *testing.T) {
 // keys miss, and duplicate rows keep first-occurrence semantics.
 func TestScoreOfIndexed(t *testing.T) {
 	const n = 10_000
-	r := newResult([]cq.Var{"x", "y"})
+	var rows [][]Value
+	var scores []float64
 	for i := 0; i < n; i++ {
-		r.vals[0] = append(r.vals[0], Value(i))
-		r.vals[1] = append(r.vals[1], Value(i%7))
-		r.scores = append(r.scores, float64(i+1)/float64(n+1))
+		rows = append(rows, []Value{Value(i), Value(i % 7)})
+		scores = append(scores, float64(i+1)/float64(n+1))
 	}
 	// A duplicate of row 42 with a different score: lookups must keep
 	// returning the first occurrence, as the linear scan did.
-	r.vals[0] = append(r.vals[0], Value(42))
-	r.vals[1] = append(r.vals[1], Value(42%7))
-	r.scores = append(r.scores, 0.123456)
+	rows = append(rows, []Value{Value(42), Value(42 % 7)})
+	scores = append(scores, 0.123456)
+	r := resultOf([]cq.Var{"x", "y"}, rows, scores)
 	for i := 0; i < n; i++ {
 		got, ok := r.ScoreOf([]Value{Value(i), Value(i % 7)})
 		if !ok {

@@ -70,7 +70,6 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
 	ka := len(onto)
 	// Source column of each kept projection column within the join.
 	srcBuild := make([]bool, ka)
-	srcVals := make([][]Value, ka)
 	srcIDs := make([][]int32, ka)
 	for k, v := range onto {
 		oi := colIndex(jl.outCols, v)
@@ -79,7 +78,6 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
 			side = jl.build
 		}
 		srcBuild[k] = jl.fromBuild[oi]
-		srcVals[k] = side.vals[jl.pos[oi]]
 		srcIDs[k] = side.ids[jl.pos[oi]]
 	}
 	jt := buildJoinTable(jl.build, jl.buildPos, ex)
@@ -91,7 +89,7 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
 	sg := newColSigner(probeKeys)
 	wide := sg.wide()
 	c := ex.canc()
-	pa := newProjAccum(onto, min(jl.probe.Len()+jl.build.Len(), projAccumHint), ex)
+	pa := newProjAccum(onto, l.dict, min(jl.probe.Len()+jl.build.Len(), projAccumHint), ex)
 	bscores, pscores := jl.build.scores, jl.probe.scores
 	pending := 0 // join rows found since the last budget charge
 	for i := 0; i < np; i++ {
@@ -115,7 +113,6 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
 		for k := 0; k < ka; k++ {
 			if !srcBuild[k] {
 				pa.key[k] = srcIDs[k][i]
-				pa.val[k] = srcVals[k][i]
 			}
 		}
 		for j := int32(0); j < n; j++ {
@@ -123,7 +120,6 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
 			for k := 0; k < ka; k++ {
 				if srcBuild[k] {
 					pa.key[k] = srcIDs[k][ri]
-					pa.val[k] = srcVals[k][ri]
 				}
 			}
 			pa.add(s * bscores[ri])
