@@ -433,13 +433,23 @@ type rowFilter struct {
 	preds  []compiledPred
 }
 
-// filterConst is a constant selection on one argument position: its
-// value for the row-at-a-time check, and its dense value id for the
-// kernels, or -1 when no stored tuple holds the value.
+// filterConst is a constant selection on one argument position — a
+// constant in the atom, or an = predicate: its value for the
+// row-at-a-time check, and its dense value id for the kernels, or -1
+// when no stored tuple holds the value.
 type filterConst struct {
 	pos int
 	val Value
 	id  int32
+}
+
+func newFilterConst(db *DB, pos int, lit string) filterConst {
+	v := db.lookupConst(lit)
+	id, ok := db.valIDs[v]
+	if !ok {
+		id = -1
+	}
+	return filterConst{pos, v, id}
 }
 
 func newRowFilter(db *DB, rel *Relation, s *plan.Scan) *rowFilter {
@@ -447,12 +457,7 @@ func newRowFilter(db *DB, rel *Relation, s *plan.Scan) *rowFilter {
 	seen := map[cq.Var]int{}
 	for j, t := range s.Atom.Args {
 		if !t.IsVar() {
-			v := db.lookupConst(t.Const)
-			id, ok := db.valIDs[v]
-			if !ok {
-				id = -1
-			}
-			f.consts = append(f.consts, filterConst{j, v, id})
+			f.consts = append(f.consts, newFilterConst(db, j, t.Const))
 			continue
 		}
 		if prev, ok := seen[t.Var]; ok {
@@ -462,7 +467,12 @@ func newRowFilter(db *DB, rel *Relation, s *plan.Scan) *rowFilter {
 		}
 	}
 	for _, p := range s.Preds {
-		if j, ok := seen[p.Var]; ok {
+		j, ok := seen[p.Var]
+		switch {
+		case !ok:
+		case p.Op == cq.OpEQ:
+			f.consts = append(f.consts, newFilterConst(db, j, p.Const))
+		default:
 			f.preds = append(f.preds, compilePred(db, p, j))
 		}
 	}
@@ -497,7 +507,8 @@ func (f *rowFilter) ok(row []Value) bool {
 // apply runs the filter as a sequence of selection-vector kernels: each
 // component refines the vector in one tight pass over the relation's
 // flattened storage. Constants and repeated variables compare dense
-// value ids (equal values have equal ids); predicates compare values.
+// value ids (equal values have equal ids), = predicates among them;
+// the other predicates compare values.
 // It returns (sel, all); all=true means every row of the relation
 // qualifies and sel is nil (the caller copies the columns wholesale).
 func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *canceller) ([]int32, bool) {
@@ -554,7 +565,7 @@ func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *cance
 }
 
 // compiledPred is one pushed-down comparison bound to an argument
-// position.
+// position. Equalities compile to filterConsts instead.
 type compiledPred struct {
 	pos  int
 	op   cq.CompareOp
@@ -599,8 +610,8 @@ func (c compiledPred) okVal(v Value) bool {
 
 // filter compacts sel to the rows whose value at c.pos satisfies the
 // predicate, the op switch hoisted out of the row loops: the four order
-// comparisons become one closed numeric interval [lo, hi], and each
-// remaining op is its own loop.
+// comparisons become one closed numeric interval [lo, hi], and != and
+// LIKE are a loop each.
 func (c compiledPred) filter(sel []int32, rows []Value, a int, cc *canceller) []int32 {
 	out := sel[:0]
 	switch c.op {
@@ -625,13 +636,6 @@ func (c compiledPred) filter(sel []int32, rows []Value, a int, cc *canceller) []
 		for _, ri := range sel {
 			cc.check()
 			if v := rows[int(ri)*a+c.pos]; v >= lo && v <= hi {
-				out = append(out, ri)
-			}
-		}
-	case cq.OpEQ:
-		for _, ri := range sel {
-			cc.check()
-			if rows[int(ri)*a+c.pos] == c.num {
 				out = append(out, ri)
 			}
 		}
