@@ -506,11 +506,11 @@ func (f *rowFilter) ok(row []Value) bool {
 
 // apply runs the filter as a sequence of selection-vector kernels: each
 // component refines the vector in one tight pass over the relation's
-// flattened storage. Constants and repeated variables compare dense
-// value ids (equal values have equal ids), = predicates among them;
-// the other predicates compare values.
-// It returns (sel, all); all=true means every row of the relation
-// qualifies and sel is nil (the caller copies the columns wholesale).
+// flattened storage. Constants (= predicates among them) and repeated
+// variables compare dense value ids, since equal values have equal ids;
+// the other predicates compare values. It returns (sel, all); all=true
+// means every row of the relation qualifies and sel is nil (the caller
+// copies the columns wholesale).
 func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *canceller) ([]int32, bool) {
 	if f.empty() {
 		if restricted {
@@ -801,9 +801,9 @@ func newProjAccum(onto []cq.Var, dict []Value, sizeHint int, ex *exec) *projAccu
 }
 
 // add ingests one row whose key ids the caller has gathered into
-// pa.key. The chunk-local partial slot lives in the group
-// slot's aux word — the cache line the intern probe already loaded — and
-// is validated against the (small, L1-resident) touched list, so a row
+// pa.key. The chunk-local partial slot lives in the group slot's aux
+// word — the cache line the intern probe already loaded — and is
+// validated against the (small, L1-resident) touched list, so a row
 // costs one random memory access, not three.
 func (pa *projAccum) add(score float64) {
 	s, fresh := pa.g.internSlot(keySig(pa.key), pa.key)
