@@ -13,10 +13,11 @@ race:
 
 # Fault-injection and degraded-operation suite under the race detector:
 # the errfs chaos sweeps, breaker/read-only lifecycle, torn-tail
-# accounting, row budgets, load shedding, and the error-status table.
+# accounting, row budgets, cancellation polls inside long join match
+# spans, load shedding, and the error-status table.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestTornTail|TestNth|TestSticky|TestShort|TestSetFault' ./internal/store/...
-	$(GO) test -race -run 'TestBudget' ./internal/engine
+	$(GO) test -race -run 'TestBudget|TestFusedJoinPollsPerMatch' ./internal/engine
 	$(GO) test -race -run 'TestErrorStatus|TestRelease|TestQueryBudget|TestLoadShedding|TestDegraded|TestRobustnessMetrics|TestAnytime|TestRankBatch|TestResultCache|TestQueryBatchParity' ./internal/server
 	$(GO) test -race -run 'TestReplicaChaos' ./internal/replica
 

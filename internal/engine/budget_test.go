@@ -115,6 +115,15 @@ func TestBudgetBatchChargingParity(t *testing.T) {
 			t.Errorf("%s: minimal passing budget %d (batched) != %d (per-tuple)", qs, got, want)
 		}
 	}
+	// High fan-out: five build rows per join key and 10 000 join rows
+	// into 80 groups, which the fused π(⋈) addresses directly.
+	const qs = "q(h0, z) :- R(h0, y), S(y, z)"
+	q := cq.MustParse(qs)
+	db := fanoutDB(2000, 100, 5, []int{8}, 10)
+	plans := core.MinimalPlans(q, nil)
+	if got, want := minBudget(db, q, plans, false), minBudget(db, q, plans, true); got != want {
+		t.Errorf("%s: minimal passing budget %d (batched) != %d (per-tuple)", qs, got, want)
+	}
 }
 
 func TestBudgetDisabledByDefault(t *testing.T) {

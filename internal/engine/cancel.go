@@ -25,14 +25,21 @@ type canceller struct {
 	n   int
 }
 
-// check panics with evalCancelled when the context is done. Call it
-// once per row-level unit of work.
-func (c *canceller) check() {
+// check counts one row-level unit of work, panicking with
+// evalCancelled when a poll finds the context done.
+func (c *canceller) check() { c.advance(1) }
+
+// advance counts n row-level operations at once — a probe row and its
+// whole match span — and polls when the count crosses a multiple of
+// cancelCheckInterval, so polls keep pace with the join rows a probe
+// emits, not with the probe rows it reads.
+func (c *canceller) advance(n int) {
 	if c == nil || c.ctx == nil {
 		return
 	}
-	c.n++
-	if c.n%cancelCheckInterval != 0 {
+	prev := c.n
+	c.n += n
+	if prev/cancelCheckInterval == c.n/cancelCheckInterval {
 		return
 	}
 	if err := c.ctx.Err(); err != nil {

@@ -288,8 +288,9 @@ func (e *Evaluator) evalNode(p plan.Node) *Result {
 		out, _ = e.scan(t)
 	case *plan.Project:
 		if jn, ok := t.Child.(*plan.Join); ok && e.canStream(jn) {
-			out = e.streamProjectJoin(jn, t.OnTo)
-			e.prof.markFused()
+			var direct bool
+			out, direct = e.streamProjectJoin(jn, t.OnTo)
+			e.prof.markFused(direct)
 			break
 		}
 		out = project(e.Eval(t.Child), t.OnTo, &e.exec)
@@ -758,16 +759,20 @@ func (g *likeSeg) index(s string) int {
 // projAccum is the one projection operator: it folds a row sequence —
 // a materialized child's rows, or the fused π(⋈) probe's matches — into
 // the grouping result in a single pass on the calling goroutine. Each
-// row interns directly into the global group table, while chunk-local
-// complement partials accumulate in sparse per-chunk scratch
-// (touched/partial) and fold into the global scores at every morselSize
-// boundary. That float-operation sequence — per-chunk ∏(1 − s) in row
-// order, partials folded chunk-ascending in first-touch order — is the
-// one the row-at-a-time oracle's per-chunk tables and merge perform, so
-// outputs are bit-identical to it.
+// row finds its global group — by interning its key (add), or, in the
+// fused π(⋈) over a high fan-out join, by a direct-address cell
+// (addCell, see stream.go) — while chunk-local complement partials
+// accumulate in sparse per-chunk scratch (touched/partial) and fold into
+// the global scores at every morselSize boundary. Both lookups number
+// groups in first-appearance order and share that accumulate step, whose
+// float-operation sequence — per-chunk ∏(1 − s) in row order, partials
+// folded chunk-ascending in first-touch order — is the one the
+// row-at-a-time oracle's per-chunk tables and merge perform, so outputs
+// are bit-identical to it.
 type projAccum struct {
 	out     *Result
-	g       *groupTable
+	g       *groupTable // add's group table; nil when groups are addressed by cell
+	cells   []groupCell // addCell's groups by cell
 	ka      int
 	key     []int32   // scratch: the current row's key ids
 	touched []int32   // gids touched this chunk, in first-touch order
@@ -786,46 +791,85 @@ type projAccum struct {
 // rows).
 const projAccumHint = 2 * morselSize
 
-func newProjAccum(onto []cq.Var, dict []Value, sizeHint int, ex *exec) *projAccum {
+// groupCell is one direct-address cell: its group's id + 1 (0 = no
+// group yet) and, beside it as in groupSlot, the group's chunk-local
+// slot.
+type groupCell struct{ ref, aux int32 }
+
+// newProjAccum returns an accumulator whose groups are found by hashing
+// (add) when cells is 0, or by a direct-address table of that many cells
+// (addCell). There are at most as many groups as cells, and the caller
+// bounds cells by its input size, so the output is sized for all of them
+// up front.
+func newProjAccum(onto []cq.Var, dict []Value, sizeHint, cells int, ex *exec) *projAccum {
 	ka := len(onto)
 	chunk := min(sizeHint, morselSize)
-	return &projAccum{
+	pa := &projAccum{
 		out:     newResult(append([]cq.Var(nil), onto...), dict),
-		g:       newGroupTable(ka, sizeHint),
 		ka:      ka,
 		key:     make([]int32, ka),
 		touched: make([]int32, 0, chunk),
 		partial: make([]float64, 0, chunk),
 		ex:      ex,
 	}
+	if cells > 0 {
+		pa.cells = make([]groupCell, cells)
+		for k := range pa.out.ids {
+			pa.out.ids[k] = make([]int32, 0, cells)
+		}
+		pa.out.scores = make([]float64, 0, cells)
+	} else {
+		pa.g = newGroupTable(ka, sizeHint)
+	}
+	return pa
 }
 
 // add ingests one row whose key ids the caller has gathered into
 // pa.key. The chunk-local partial slot lives in the group slot's aux
-// word — the cache line the intern probe already loaded — and is
-// validated against the (small, L1-resident) touched list, so a row
+// word — the cache line the intern probe already loaded — so a row
 // costs one random memory access, not three.
 func (pa *projAccum) add(score float64) {
 	s, fresh := pa.g.internSlot(keySig(pa.key), pa.key)
 	if fresh {
-		for k := 0; k < pa.ka; k++ {
-			pa.out.ids[k] = append(pa.out.ids[k], pa.key[k])
-		}
-		pa.out.scores = append(pa.out.scores, 1)
+		pa.newGroup()
 	}
-	gid := s.ref - 1
-	aux := s.aux
-	// aux identifies this group's slot in the current chunk's partials
-	// iff that slot exists and names this gid back; anything else is a
-	// stale value from an earlier chunk.
-	if int(aux) >= len(pa.touched) || pa.touched[aux] != gid {
-		aux = int32(len(pa.touched))
-		s.aux = aux
+	pa.accum(s.ref-1, &s.aux, score)
+}
+
+// addCell ingests one row whose group is direct-address cell c. When
+// the cell has no group yet, pa.key must hold the row's key ids.
+func (pa *projAccum) addCell(c int32, score float64) {
+	g := &pa.cells[c]
+	if g.ref == 0 {
+		pa.newGroup()
+		g.ref = int32(len(pa.out.scores))
+	}
+	pa.accum(g.ref-1, &g.aux, score)
+}
+
+// newGroup appends the group keyed by pa.key, with an empty product, as
+// the next output row.
+func (pa *projAccum) newGroup() {
+	for k := 0; k < pa.ka; k++ {
+		pa.out.ids[k] = append(pa.out.ids[k], pa.key[k])
+	}
+	pa.out.scores = append(pa.out.scores, 1)
+}
+
+// accum multiplies 1 − score into group gid's chunk-local partial. aux
+// is the group's slot scratch: it names the group's entry in the current
+// chunk's partials iff that entry exists and names gid back; anything
+// else is a stale value from an earlier chunk.
+func (pa *projAccum) accum(gid int32, aux *int32, score float64) {
+	a := *aux
+	if int(a) >= len(pa.touched) || pa.touched[a] != gid {
+		a = int32(len(pa.touched))
+		*aux = a
 		pa.touched = append(pa.touched, gid)
 		pa.partial = append(pa.partial, 1)
 		pa.fresh++
 	}
-	pa.partial[aux] *= 1 - score
+	pa.partial[a] *= 1 - score
 	pa.fill++
 	if pa.fill == morselSize {
 		pa.flushChunk()
@@ -877,7 +921,7 @@ func project(in *Result, onto []cq.Var, ex *exec) *Result {
 	for k, v := range onto {
 		keyIDs[k] = in.ids[colIndex(in.Cols, v)]
 	}
-	pa := newProjAccum(onto, in.dict, min(n, projAccumHint), ex)
+	pa := newProjAccum(onto, in.dict, min(n, projAccumHint), 0, ex)
 	c := ex.canc()
 	for i := 0; i < n; i++ {
 		c.check()
@@ -1045,8 +1089,8 @@ func join(l, r *Result, ex *exec) *Result {
 	bscores, pscores := jl.build.scores, jl.probe.scores
 	o := 0
 	for i := 0; i < np; i++ {
-		c.check()
 		st, n := int(starts[i]), int(cnts[i])
+		c.advance(1 + n)
 		s := pscores[i]
 		for j := 0; j < n; j++ {
 			out.scores[o] = s * bscores[jt.rows[st+j]]

@@ -132,6 +132,14 @@ func FuzzMorselDifferential(f *testing.F) {
 		{"q() :- R(x), S(x), T(x, y), U(y)", 6, 300},
 		{"q(x1) :- R0(x1, x2, x3), R1(x1), R2(x2), R3(x3)", 7, 250}, // 3-star with head var
 		{"q() :- A(x), B(y), M(x, y)", 8, 400},
+		// Either side of the fused π(⋈)'s direct-addressed grouping rule
+		// (stream.go; TestDirectGroupingOracleDifferential pins its edges):
+		// seed 2 addresses the groups of both queries directly, seed 1
+		// hashes them, as it does a key split 2 + 1.
+		{"q(x, z) :- R(x, y), S(y, z)", 2, 511},
+		{"q(x, z) :- R(x, y), S(y, z)", 1, 511},
+		{"q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)", 2, 511},
+		{"q(x, w, z) :- R(x, w, y), S(y, z)", 1, 500},
 	}
 	for _, s := range seeds {
 		f.Add(s.query, s.seed, s.rows)
@@ -262,5 +270,61 @@ func TestSemiJoinReduceCancel(t *testing.T) {
 		if pc.polls != after {
 			t.Fatalf("cancelled at poll %d: the run went on to poll %d times", after, pc.polls)
 		}
+	}
+}
+
+// TestFusedJoinPollsPerMatch: a probe row's match span counts toward the
+// cancellation poll interval row by row, so a join whose every probe row
+// matches many build rows still polls at least once per
+// cancelCheckInterval join rows. q(x, z) :- R(x, y), S(y, z) over 600 ×
+// 600 rows on one join key makes 360 000 join rows from 1 200 input rows,
+// streamed through the fused π(⋈) and, joined alone, materialized by
+// join's second pass.
+func TestFusedJoinPollsPerMatch(t *testing.T) {
+	const n = 600
+	db := NewDB()
+	R := db.CreateRelation("R", []string{"x", "y"})
+	S := db.CreateRelation("S", []string{"y", "z"})
+	var rRows, sRows [][]Value
+	var scores []float64
+	for i := 0; i < n; i++ {
+		R.Insert([]Value{Value(i), 0}, 0.5)
+		S.Insert([]Value{0, Value(n + i)}, 0.5)
+		rRows = append(rRows, []Value{Value(i), 0})
+		sRows = append(sRows, []Value{0, Value(n + i)})
+		scores = append(scores, 0.5)
+	}
+	q := cq.MustParse("q(x, z) :- R(x, y), S(y, z)")
+	plans := core.MinimalPlans(q, nil)
+	floor := n * n / cancelCheckInterval
+	count := &pollCancelCtx{Context: context.Background(), cancel: func() {}}
+	var res *Result
+	if err := TrapCancel(func() { res = EvalPlansCtx(count, db, q, plans, Options{}) }); err != nil {
+		t.Fatalf("uncancelled run: %v", err)
+	}
+	if res.Len() != n*n {
+		t.Fatalf("%d answers, want %d", res.Len(), n*n)
+	}
+	if count.polls < floor {
+		t.Fatalf("the fused π(⋈) polled %d times over %d join rows, want at least %d", count.polls, n*n, floor)
+	}
+	for _, after := range []int{floor / 2, floor} {
+		inner, cancel := context.WithCancel(context.Background())
+		pc := &pollCancelCtx{Context: inner, cancel: cancel, after: after}
+		err := TrapCancel(func() { EvalPlansCtx(pc, db, q, plans, Options{}) })
+		cancel()
+		if !errors.Is(err, context.Canceled) || pc.polls != after {
+			t.Fatalf("cancelled at poll %d: err = %v after %d polls, want context.Canceled at once", after, err, pc.polls)
+		}
+	}
+
+	l := resultOf([]cq.Var{"x", "y"}, rRows, scores)
+	r := resultOf([]cq.Var{"y", "z"}, sRows, scores)
+	count = &pollCancelCtx{Context: context.Background(), cancel: func() {}}
+	if j := join(l, r, &exec{c: &canceller{ctx: count}}); j.Len() != n*n {
+		t.Fatalf("join has %d rows, want %d", j.Len(), n*n)
+	}
+	if count.polls < floor {
+		t.Fatalf("join polled %d times over %d join rows, want at least %d", count.polls, n*n, floor)
 	}
 }

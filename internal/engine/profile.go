@@ -14,13 +14,15 @@ import (
 // results served from the Opt2 cache. Fused marks a Project that ran as
 // the streaming π(⋈) of stream.go: its child Join never materialized, so
 // the Join has no NodeStat of its own and its inputs sit one level below
-// the Project.
+// the Project. Direct marks a fused Project that found each join row's
+// group by direct address instead of by hashing (stream.go).
 type NodeStat struct {
 	Node      plan.Node
 	Rows      int
 	Inclusive time.Duration
 	CacheHit  bool
 	Fused     bool
+	Direct    bool
 	Depth     int
 }
 
@@ -28,9 +30,10 @@ type NodeStat struct {
 // one. Every method is a no-op on a nil receiver, so the unprofiled path
 // pays one nil check per node and allocates nothing.
 type profiler struct {
-	stats []NodeStat
-	depth int
-	fused bool // the node being left ran as fused π(⋈)
+	stats  []NodeStat
+	depth  int
+	fused  bool // the node being left ran as fused π(⋈)
+	direct bool // and found its groups by direct address
 }
 
 func (pr *profiler) hit(n plan.Node, r *Result) {
@@ -47,17 +50,17 @@ func (pr *profiler) enter() (start time.Time) {
 	return start
 }
 
-func (pr *profiler) markFused() {
+func (pr *profiler) markFused(direct bool) {
 	if pr != nil {
-		pr.fused = true
+		pr.fused, pr.direct = true, direct
 	}
 }
 
 func (pr *profiler) leave(n plan.Node, out *Result, start time.Time) {
 	if pr != nil {
 		pr.depth--
-		pr.stats = append(pr.stats, NodeStat{Node: n, Rows: out.Len(), Inclusive: time.Since(start), Fused: pr.fused, Depth: pr.depth})
-		pr.fused = false
+		pr.stats = append(pr.stats, NodeStat{Node: n, Rows: out.Len(), Inclusive: time.Since(start), Fused: pr.fused, Direct: pr.direct, Depth: pr.depth})
+		pr.fused, pr.direct = false, false
 	}
 }
 
@@ -87,7 +90,11 @@ func FormatProfile(stats []NodeStat) string {
 		case *plan.Project:
 			op = "project π-" + varList(t.Away())
 			if s.Fused {
-				op += fmt.Sprintf(" ⋈ (%d-way, fused)", len(t.Child.(*plan.Join).Subs))
+				mode := "fused"
+				if s.Direct {
+					mode = "fused, direct"
+				}
+				op += fmt.Sprintf(" ⋈ (%d-way, %s)", len(t.Child.(*plan.Join).Subs), mode)
 			}
 		case *plan.Join:
 			op = fmt.Sprintf("join (%d-way)", len(t.Subs))

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lapushdb/internal/core"
@@ -540,6 +541,106 @@ func TestExecutorOracleDifferentialLarge(t *testing.T) {
 		}
 		want := EvalPlansOracle(nil, db, q, plans, Options{ReuseSubplans: true, SemiJoin: true})
 		assertIdenticalResults(t, sh.label, want, got)
+	}
+}
+
+// fanoutDB builds probe R and build S for the fused π(⋈) of
+// q(heads..., z) :- R(heads..., y), S(y, z): R has np rows, row i with y
+// = i mod keys and head column c = i mod heads[c]; S holds fanout rows
+// per join key, row j of key y with z = (y·fanout + j) mod zs, or no z
+// column when zs is 0. Rows repeat freely, so S's fan-out is exact.
+func fanoutDB(np, keys, fanout int, heads []int, zs int) *DB {
+	db := NewDB()
+	var rCols []string
+	for c := range heads {
+		rCols = append(rCols, fmt.Sprintf("h%d", c))
+	}
+	R := db.CreateRelation("R", append(rCols, "y"))
+	sCols := []string{"y"}
+	if zs > 0 {
+		sCols = append(sCols, "z")
+	}
+	S := db.CreateRelation("S", sCols)
+	for i := 0; i < np; i++ {
+		tuple := make([]Value, 0, len(heads)+1)
+		for _, h := range heads {
+			tuple = append(tuple, Value(i%h))
+		}
+		R.Insert(append(tuple, Value(1000+i%keys)), float64(1+i%97)/100)
+	}
+	for y := 0; y < keys; y++ {
+		for j := 0; j < fanout; j++ {
+			tuple := []Value{Value(1000 + y)}
+			if zs > 0 {
+				tuple = append(tuple, Value(2000+(y*fanout+j)%zs))
+			}
+			S.Insert(tuple, float64(1+(y+j)%89)/100)
+		}
+	}
+	return db
+}
+
+// TestDirectGroupingOracleDifferential pins both ways the fused π(⋈)
+// finds a join row's group on instances either side of the rule that
+// picks one (stream.go): the executor matches the row-at-a-time oracle
+// bit for bit, the profile reports which way ran (Direct, rendered
+// "fused, direct"), and each way runs on some case. The cases move one
+// input across the rule at a time: build fan-out 3 vs 5, a code product
+// at and just over 2 × the input rows, a side with no key column, keys
+// of three and four columns split across the sides, and join rows
+// spanning several morsels.
+func TestDirectGroupingOracleDifferential(t *testing.T) {
+	cases := []struct {
+		label  string
+		query  string
+		db     *DB
+		direct bool
+	}{
+		// 400 probe + 200 build rows over 40 keys: 1 200 cells allowed.
+		{"fanout5", "q(h0, z) :- R(h0, y), S(y, z)", fanoutDB(400, 40, 5, []int{10}, 10), true},
+		{"fanout3", "q(h0, z) :- R(h0, y), S(y, z)", fanoutDB(400, 40, 3, []int{10}, 10), false},
+		{"cells-at-limit", "q(h0, z) :- R(h0, y), S(y, z)", fanoutDB(400, 40, 5, []int{30}, 40), true},
+		{"cells-over-limit", "q(h0, z) :- R(h0, y), S(y, z)", fanoutDB(400, 40, 5, []int{31}, 40), false},
+		{"no-build-key", "q(h0) :- R(h0, y), S(y)", fanoutDB(400, 40, 5, []int{10}, 0), true},
+		{"no-probe-key", "q(z) :- R(y), S(y, z)", fanoutDB(400, 40, 5, nil, 10), true},
+		{"key-2+1", "q(h0, h1, z) :- R(h0, h1, y), S(y, z)", fanoutDB(400, 40, 5, []int{4, 5}, 10), true},
+		{"key-3+0", "q(h0, h1, h2) :- R(h0, h1, h2, y), S(y)", fanoutDB(400, 40, 5, []int{2, 3, 5}, 0), true},
+		// 2 000 × 5 and 3 000 × 3 join rows: five morsels or more each.
+		{"morsels-direct", "q(h0, z) :- R(h0, y), S(y, z)", fanoutDB(2000, 100, 5, []int{8}, 10), true},
+		{"morsels-hashed", "q(h0, z) :- R(h0, y), S(y, z)", fanoutDB(3000, 100, 3, []int{8}, 10), false},
+	}
+	ran := map[bool]bool{}
+	for _, c := range cases {
+		q := cq.MustParse(c.query)
+		plans := core.MinimalPlans(q, nil)
+		if len(plans) != 1 {
+			t.Fatalf("%s: %d minimal plans, want the one safe plan", c.label, len(plans))
+		}
+		for name, opts := range map[string]Options{
+			"plain": {},
+			"opt23": {ReuseSubplans: true, SemiJoin: true},
+		} {
+			label := c.label + "/" + name
+			opts.Stats = &EvalStats{}
+			got, stats := NewEvaluator(c.db, q, opts).EvalProfiled(plans[0])
+			root := stats[len(stats)-1]
+			if !root.Fused || root.Direct != c.direct {
+				t.Fatalf("%s: root ran fused=%v direct=%v, want fused, direct=%v:\n%s",
+					label, root.Fused, root.Direct, c.direct, FormatProfile(stats))
+			}
+			if prof := FormatProfile(stats); strings.Contains(prof, "fused, direct)") != c.direct {
+				t.Fatalf("%s: profile does not render direct=%v:\n%s", label, c.direct, prof)
+			}
+			if strings.HasPrefix(c.label, "morsels") && opts.Stats.Partitions() == 0 {
+				t.Fatalf("%s: expected a projection folding several chunks", label)
+			}
+			ran[root.Direct] = true
+			want := EvalPlansOracle(nil, c.db, q, plans, opts)
+			assertIdenticalResults(t, label, want, got)
+		}
+	}
+	if !ran[true] || !ran[false] {
+		t.Fatalf("ways run: %v, want both", ran)
 	}
 }
 

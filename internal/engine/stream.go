@@ -45,8 +45,9 @@ func (e *Evaluator) canStream(jn *plan.Join) bool {
 // streamed into the projection. All join inputs and every fold except
 // the last are materialized as usual (fold ordering inspects
 // materialized sizes); only the last join's output — the largest
-// intermediate — streams.
-func (e *Evaluator) streamProjectJoin(jn *plan.Join, onto []cq.Var) *Result {
+// intermediate — streams. It also reports whether the projection
+// addressed its groups directly.
+func (e *Evaluator) streamProjectJoin(jn *plan.Join, onto []cq.Var) (*Result, bool) {
 	subs := make([]*Result, len(jn.Subs))
 	for i, c := range jn.Subs {
 		subs[i] = e.Eval(c)
@@ -60,12 +61,100 @@ func (e *Evaluator) streamProjectJoin(jn *plan.Join, onto []cq.Var) *Result {
 	return streamJoinProject(cur, subs[order[len(order)-1]], onto, ex)
 }
 
+// Direct-addressed grouping. A join row's projection key is its probe
+// row's share of the key columns joined with its build row's share.
+// Numbering each side's distinct shares — codes pc and bc, in
+// first-appearance order, code 0 for a side with no key column — puts
+// the row's group in cell pc·nbc + bc of a dense table, with no hash and
+// no probe sequence. The table costs two int32s per cell (the group and
+// its chunk slot, as in groupSlot) and the codes one pass over each
+// input, so it pays only when many join rows share
+// few groups: when each build key matches at least directMinFanout rows
+// on average (a lower fan-out streams too few join rows per input row),
+// and the table has at most directCellsPerRow cells per input row.
+// Otherwise groups are hashed. Either way groups are numbered in
+// first-appearance order and fold through the same accumulate step, so
+// the choice moves no output bit.
+const (
+	directMinFanout   = 4
+	directCellsPerRow = 2
+	// codeTableHint seeds denseCodes' table: room for a few hundred codes
+	// (a key share is usually a column or two of few values) in 8 KiB,
+	// grown on demand past that.
+	codeTableHint = 256
+)
+
+// directCodes returns the codes and the number of codes on each side
+// when the join qualifies for direct-addressed grouping, or nil codes
+// when it does not: pc per probe row, bc per entry of jt.rows (the
+// build rows in the order the probe reads their spans). keyCols[k] is
+// the id column of projection column k, on the build side iff
+// fromBuild[k].
+func directCodes(jl *joinLayout, jt *joinTable, fromBuild []bool, keyCols [][]int32, ex *exec) (pc, bc []int32, npc, nbc int) {
+	np, nb := jl.probe.Len(), jl.build.Len()
+	if keys := jt.g.size(); np == 0 || keys == 0 || nb < directMinFanout*keys {
+		return nil, nil, 0, 0
+	}
+	var pcols, bcols [][]int32
+	for k, col := range keyCols {
+		if fromBuild[k] {
+			bcols = append(bcols, col)
+		} else {
+			pcols = append(pcols, col)
+		}
+	}
+	limit := directCellsPerRow * (np + nb)
+	bc, nbc = denseCodes(bcols, jt.rows, nb, limit, ex)
+	if bc == nil {
+		return nil, nil, 0, 0
+	}
+	pc, npc = denseCodes(pcols, nil, np, limit/nbc, ex)
+	if pc == nil {
+		return nil, nil, 0, 0
+	}
+	return pc, bc, npc, nbc
+}
+
+// denseCodes numbers the distinct keys of n rows over parallel id
+// columns in first-appearance order and returns each row's number and
+// how many there are; all rows share number 0 when there are no
+// columns. Rows are read in order — codes[i] is row order[i]'s number —
+// or in row order when order is nil. It gives up, returning nil, past
+// limit numbers.
+func denseCodes(cols [][]int32, order []int32, n, limit int, ex *exec) ([]int32, int) {
+	codes := make([]int32, n)
+	if len(cols) == 0 {
+		return codes, 1
+	}
+	g := newGroupTable(len(cols), min(n, limit, codeTableHint))
+	sg := newColSigner(cols)
+	wide := sg.wide()
+	c := ex.canc()
+	for i := 0; i < n; i++ {
+		c.check()
+		row := i
+		if order != nil {
+			row = int(order[i])
+		}
+		var key []int32
+		if wide {
+			key = sg.keyAt(row)
+		}
+		codes[i], _ = g.internSig(sg.sig(row), key)
+		if g.size() > limit {
+			return nil, 0
+		}
+	}
+	return codes, g.size()
+}
+
 // streamJoinProject computes project(join(l, r), onto) with the join
 // output streamed: probe matches feed the projection accumulator
 // (projAccum) in the exact order a materialized join would store them,
 // and the accumulator folds grouping chunks at the exact morsel
-// boundaries the materialized projection would use.
-func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
+// boundaries the materialized projection would use. It also reports
+// whether the groups were addressed directly (see directCodes).
+func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) (*Result, bool) {
 	jl := makeJoinLayout(l, r)
 	ka := len(onto)
 	// Source column of each kept projection column within the join.
@@ -89,16 +178,18 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
 	sg := newColSigner(probeKeys)
 	wide := sg.wide()
 	c := ex.canc()
-	pa := newProjAccum(onto, l.dict, min(jl.probe.Len()+jl.build.Len(), projAccumHint), ex)
+	pc, bc, npc, nbc := directCodes(&jl, jt, srcBuild, srcIDs, ex)
+	direct := pc != nil
+	pa := newProjAccum(onto, l.dict, min(np+jl.build.Len(), projAccumHint), npc*nbc, ex)
 	bscores, pscores := jl.build.scores, jl.probe.scores
 	pending := 0 // join rows found since the last budget charge
 	for i := 0; i < np; i++ {
-		c.check()
 		var key []int32
 		if wide {
 			key = sg.keyAt(i)
 		}
 		st, n := jt.lookupSpan(sg.sig(i), key)
+		c.advance(1 + int(n))
 		pending += int(n)
 		if (i+1)%morselSize == 0 || i == np-1 {
 			// Charge at probe-chunk boundaries — the same batch granularity
@@ -115,6 +206,22 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
 				pa.key[k] = srcIDs[k][i]
 			}
 		}
+		if direct {
+			base := pc[i] * int32(nbc)
+			for p := st; p < st+n; p++ {
+				cell := base + bc[p]
+				if pa.cells[cell].ref == 0 { // a new group: gather its build-side key ids
+					ri := jt.rows[p]
+					for k := 0; k < ka; k++ {
+						if srcBuild[k] {
+							pa.key[k] = srcIDs[k][ri]
+						}
+					}
+				}
+				pa.addCell(cell, s*bscores[jt.rows[p]])
+			}
+			continue
+		}
 		for j := int32(0); j < n; j++ {
 			ri := jt.rows[st+j]
 			for k := 0; k < ka; k++ {
@@ -125,5 +232,5 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) *Result {
 			pa.add(s * bscores[ri])
 		}
 	}
-	return pa.finish()
+	return pa.finish(), direct
 }
