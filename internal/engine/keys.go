@@ -99,6 +99,34 @@ func (s *colSigner) keyAt(i int) []int32 {
 // 3); exact tables never dereference it.
 func (s *colSigner) wide() bool { return len(s.cols) > 2 }
 
+// internRows interns the keys of n rows over parallel id columns —
+// row order[i] i-th, or row i when order is nil — into a new group
+// table pre-sized for sizeHint keys, and returns each row's group id
+// with the table. Past limit groups it gives up and returns nil.
+func internRows(cols [][]int32, order []int32, n, limit, sizeHint int, ex *exec) ([]int32, *groupTable) {
+	g := newGroupTable(len(cols), sizeHint)
+	gids := make([]int32, n)
+	sg := newColSigner(cols)
+	wide := sg.wide()
+	c := ex.canc()
+	for i := 0; i < n; i++ {
+		c.check()
+		row := i
+		if order != nil {
+			row = int(order[i])
+		}
+		var key []int32
+		if wide {
+			key = sg.keyAt(row)
+		}
+		gids[i], _ = g.internSig(sg.sig(row), key)
+		if g.size() > limit {
+			return nil, nil
+		}
+	}
+	return gids, g
+}
+
 // groupSlot is one open-addressing slot: the key signature and the
 // group id + 1 (0 = empty), interleaved so a probe touches exactly one
 // cache location instead of chasing slot -> gid -> signature through

@@ -82,20 +82,9 @@ func buildJoinTable(build *Result, pos []int, ex *exec) *joinTable {
 	for k, j := range pos {
 		keyCols[k] = build.ids[j]
 	}
-	jt := &joinTable{g: newGroupTable(len(pos), n), rows: make([]int32, n)}
-	sg := newColSigner(keyCols)
-	wide := sg.wide()
-	gids := make([]int32, n)
-	c := ex.canc()
-	for i := 0; i < n; i++ {
-		c.check()
-		var key []int32
-		if wide {
-			key = sg.keyAt(i)
-		}
-		gids[i], _ = jt.g.internSig(sg.sig(i), key)
-	}
-	ng := jt.g.size()
+	gids, g := internRows(keyCols, nil, n, n, n, ex)
+	jt := &joinTable{g: g, rows: make([]int32, n)}
+	ng := g.size()
 	jt.start = make([]int32, ng+1)
 	for _, gid := range gids {
 		jt.start[gid+1]++

@@ -78,7 +78,7 @@ func (e *Evaluator) streamProjectJoin(jn *plan.Join, onto []cq.Var) (*Result, bo
 const (
 	directMinFanout   = 4
 	directCellsPerRow = 2
-	// codeTableHint seeds denseCodes' table: room for a few hundred codes
+	// codeTableHint seeds a side's code table: room for a few hundred codes
 	// (a key share is usually a column or two of few values) in 8 KiB,
 	// grown on demand past that.
 	codeTableHint = 256
@@ -103,49 +103,20 @@ func directCodes(jl *joinLayout, jt *joinTable, fromBuild []bool, keyCols [][]in
 			pcols = append(pcols, col)
 		}
 	}
+	// A side with no key column interns every row as the empty key: one
+	// code, 0.
 	limit := directCellsPerRow * (np + nb)
-	bc, nbc = denseCodes(bcols, jt.rows, nb, limit, ex)
-	if bc == nil {
+	bc, bg := internRows(bcols, jt.rows, nb, limit, min(nb, limit, codeTableHint), ex)
+	if bg == nil {
 		return nil, nil, 0, 0
 	}
-	pc, npc = denseCodes(pcols, nil, np, limit/nbc, ex)
-	if pc == nil {
+	nbc = bg.size()
+	limit /= nbc
+	pc, pg := internRows(pcols, nil, np, limit, min(np, limit, codeTableHint), ex)
+	if pg == nil {
 		return nil, nil, 0, 0
 	}
-	return pc, bc, npc, nbc
-}
-
-// denseCodes numbers the distinct keys of n rows over parallel id
-// columns in first-appearance order and returns each row's number and
-// how many there are; all rows share number 0 when there are no
-// columns. Rows are read in order — codes[i] is row order[i]'s number —
-// or in row order when order is nil. It gives up, returning nil, past
-// limit numbers.
-func denseCodes(cols [][]int32, order []int32, n, limit int, ex *exec) ([]int32, int) {
-	codes := make([]int32, n)
-	if len(cols) == 0 {
-		return codes, 1
-	}
-	g := newGroupTable(len(cols), min(n, limit, codeTableHint))
-	sg := newColSigner(cols)
-	wide := sg.wide()
-	c := ex.canc()
-	for i := 0; i < n; i++ {
-		c.check()
-		row := i
-		if order != nil {
-			row = int(order[i])
-		}
-		var key []int32
-		if wide {
-			key = sg.keyAt(row)
-		}
-		codes[i], _ = g.internSig(sg.sig(row), key)
-		if g.size() > limit {
-			return nil, 0
-		}
-	}
-	return codes, g.size()
+	return pc, bc, pg.size(), nbc
 }
 
 // streamJoinProject computes project(join(l, r), onto) with the join
