@@ -22,7 +22,7 @@ type evalCancelled struct{ err error }
 // check per poll site.
 type canceller struct {
 	ctx context.Context
-	n   int
+	n   uint // row-level operations counted; unsigned, so n/cancelCheckInterval is a shift
 }
 
 // check counts one row-level unit of work, panicking with
@@ -38,7 +38,7 @@ func (c *canceller) advance(n int) {
 		return
 	}
 	prev := c.n
-	c.n += n
+	c.n += uint(n)
 	if prev/cancelCheckInterval == c.n/cancelCheckInterval {
 		return
 	}

@@ -758,21 +758,26 @@ func (g *likeSeg) index(s string) int {
 
 // projAccum is the one projection operator: it folds a row sequence —
 // a materialized child's rows, or the fused π(⋈) probe's matches — into
-// the grouping result in a single pass on the calling goroutine. Each
-// row finds its global group — by interning its key (add), or, in the
-// fused π(⋈) over a high fan-out join, by a direct-address cell
-// (addCell, see stream.go) — while chunk-local complement partials
-// accumulate in sparse per-chunk scratch (touched/partial) and fold into
-// the global scores at every morselSize boundary. Both lookups number
-// groups in first-appearance order and share that accumulate step, whose
-// float-operation sequence — per-chunk ∏(1 − s) in row order, partials
-// folded chunk-ascending in first-touch order — is the one the
-// row-at-a-time oracle's per-chunk tables and merge perform, so outputs
-// are bit-identical to it.
+// the grouping result in a single pass on the calling goroutine. The
+// caller finds each row's global group — by interning the row's key
+// into g, or, in the fused π(⋈) over a high fan-out join, by a
+// direct-address cell (see stream.go) — numbering unseen groups in
+// first-appearance order through newGroup, and hands the row to accum.
+// Both lookups keep the group's chunk-local slot beside it (the slot's
+// aux word, in the cache line the lookup already loaded, so a row costs
+// one random memory access, not three). accum is the one accumulate
+// step: chunk-local complement partials accumulate in sparse per-chunk
+// scratch (touched/partial) and fold into the global scores at every
+// morselSize boundary. That float-operation sequence — per-chunk
+// ∏(1 − s) in row order, partials folded chunk-ascending in first-touch
+// order — is the one the row-at-a-time oracle's per-chunk tables and
+// merge perform, so outputs are bit-identical to it. The lookups are
+// inlined at their call sites rather than wrapped in methods: a call per
+// row is measurable in these loops.
 type projAccum struct {
 	out     *Result
-	g       *groupTable // add's group table; nil when groups are addressed by cell
-	cells   []groupCell // addCell's groups by cell
+	g       *groupTable // hashed groups; nil when groups are addressed by cell
+	cells   []groupCell // direct-address groups by cell
 	ka      int
 	key     []int32   // scratch: the current row's key ids
 	touched []int32   // gids touched this chunk, in first-touch order
@@ -797,8 +802,8 @@ const projAccumHint = 2 * morselSize
 type groupCell struct{ ref, aux int32 }
 
 // newProjAccum returns an accumulator whose groups are found by hashing
-// (add) when cells is 0, or by a direct-address table of that many cells
-// (addCell). There are at most as many groups as cells, and the caller
+// into g when cells is 0, or by a direct-address table of that many
+// cells. There are at most as many groups as cells, and the caller
 // bounds cells by its input size, so the output is sized for all of them
 // up front.
 func newProjAccum(onto []cq.Var, dict []Value, sizeHint, cells int, ex *exec) *projAccum {
@@ -824,31 +829,8 @@ func newProjAccum(onto []cq.Var, dict []Value, sizeHint, cells int, ex *exec) *p
 	return pa
 }
 
-// add ingests one row whose key ids the caller has gathered into
-// pa.key. The chunk-local partial slot lives in the group slot's aux
-// word — the cache line the intern probe already loaded — so a row
-// costs one random memory access, not three.
-func (pa *projAccum) add(score float64) {
-	s, fresh := pa.g.internSlot(keySig(pa.key), pa.key)
-	if fresh {
-		pa.newGroup()
-	}
-	pa.accum(s.ref-1, &s.aux, score)
-}
-
-// addCell ingests one row whose group is direct-address cell c. When
-// the cell has no group yet, pa.key must hold the row's key ids.
-func (pa *projAccum) addCell(c int32, score float64) {
-	g := &pa.cells[c]
-	if g.ref == 0 {
-		pa.newGroup()
-		g.ref = int32(len(pa.out.scores))
-	}
-	pa.accum(g.ref-1, &g.aux, score)
-}
-
-// newGroup appends the group keyed by pa.key, with an empty product, as
-// the next output row.
+// newGroup appends the group keyed by the caller's pa.key, with an empty
+// product, as the next output row.
 func (pa *projAccum) newGroup() {
 	for k := 0; k < pa.ka; k++ {
 		pa.out.ids[k] = append(pa.out.ids[k], pa.key[k])
@@ -928,7 +910,11 @@ func project(in *Result, onto []cq.Var, ex *exec) *Result {
 		for k := 0; k < ka; k++ {
 			pa.key[k] = keyIDs[k][i]
 		}
-		pa.add(in.scores[i])
+		g, fresh := pa.g.internSlot(keySig(pa.key), pa.key)
+		if fresh {
+			pa.newGroup()
+		}
+		pa.accum(g.ref-1, &g.aux, in.scores[i])
 	}
 	return pa.finish()
 }

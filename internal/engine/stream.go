@@ -68,13 +68,13 @@ func (e *Evaluator) streamProjectJoin(jn *plan.Join, onto []cq.Var) (*Result, bo
 // the row's group in cell pc·nbc + bc of a dense table, with no hash and
 // no probe sequence. The table costs two int32s per cell (the group and
 // its chunk slot, as in groupSlot) and the codes one pass over each
-// input, so it pays only when many join rows share
-// few groups: when each build key matches at least directMinFanout rows
-// on average (a lower fan-out streams too few join rows per input row),
-// and the table has at most directCellsPerRow cells per input row.
-// Otherwise groups are hashed. Either way groups are numbered in
-// first-appearance order and fold through the same accumulate step, so
-// the choice moves no output bit.
+// input, so it pays only when many join rows share few groups: when
+// each build key matches at least directMinFanout rows on average (a
+// lower fan-out streams too few join rows per input row), and the table
+// has at most directCellsPerRow cells per input row. Otherwise groups
+// are hashed. Either way groups are numbered in first-appearance order
+// and fold through the same accumulate step, so the choice moves no
+// output bit.
 const (
 	directMinFanout   = 4
 	directCellsPerRow = 2
@@ -180,16 +180,18 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) (*Result, bool) {
 		if direct {
 			base := pc[i] * int32(nbc)
 			for p := st; p < st+n; p++ {
-				cell := base + bc[p]
-				if pa.cells[cell].ref == 0 { // a new group: gather its build-side key ids
-					ri := jt.rows[p]
+				ri := jt.rows[p]
+				g := &pa.cells[base+bc[p]]
+				if g.ref == 0 { // a new group: gather its build-side key ids
 					for k := 0; k < ka; k++ {
 						if srcBuild[k] {
 							pa.key[k] = srcIDs[k][ri]
 						}
 					}
+					pa.newGroup()
+					g.ref = int32(len(pa.out.scores))
 				}
-				pa.addCell(cell, s*bscores[jt.rows[p]])
+				pa.accum(g.ref-1, &g.aux, s*bscores[ri])
 			}
 			continue
 		}
@@ -200,7 +202,11 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) (*Result, bool) {
 					pa.key[k] = srcIDs[k][ri]
 				}
 			}
-			pa.add(s * bscores[ri])
+			g, fresh := pa.g.internSlot(keySig(pa.key), pa.key)
+			if fresh {
+				pa.newGroup()
+			}
+			pa.accum(g.ref-1, &g.aux, s*bscores[ri])
 		}
 	}
 	return pa.finish(), direct
