@@ -763,9 +763,9 @@ func (g *likeSeg) index(s string) int {
 // into g, or, in the fused π(⋈) over a high fan-out join, by a
 // direct-address cell (see stream.go) — numbering unseen groups in
 // first-appearance order through newGroup, and hands the row to accum.
-// Both lookups keep the group's chunk-local slot beside it (the slot's
-// aux word, in the cache line the lookup already loaded, so a row costs
-// one random memory access, not three). accum is the one accumulate
+// Both lookups keep the group's chunk-local slot beside it (an aux word
+// in the cache line the lookup already loaded, so a row costs one random
+// memory access, not three). accum is the one accumulate
 // step: chunk-local complement partials accumulate in sparse per-chunk
 // scratch (touched/partial) and fold into the global scores at every
 // morselSize boundary. That float-operation sequence — per-chunk
