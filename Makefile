@@ -74,13 +74,14 @@ cover:
 # (internal/engine/oracle.go) on random CQs and on the chain/star/TPC-H
 # shapes, plus budget-accounting parity; the lineage query against its
 # retained reference evaluator, and its atom-order invariance; and the
-# engine's four allocation gates — chain join (allocs and bytes),
-# lineage (allocs and bytes), Opt3 reduction, small projection — which
+# engine's five allocation gates — chain join (allocs and bytes),
+# lineage (allocs and bytes), the deterministic baseline (allocs and
+# bytes), Opt3 reduction, small projection — which
 # skip under -race and run in the plain test pass.
 oracle-diff:
 	$(GO) test -race -run 'OracleDifferential|TestPropExecutorOracle|TestBudgetBatchChargingParity|FuzzMorselDifferential|TestPropLineageMatchesReference|TestLineageAtomOrderInvariance' ./internal/engine
 	$(GO) test -race -run 'TestDifferentialWorkloads|TestRankBatchOracleDifferential|TestAnytimeOracleBoundsDifferential' .
-	$(GO) test -run 'TestChainJoinAllocGate|TestLineageAllocGate|TestSemiJoinReduceAllocGate|TestSmallProjectionAllocGate' ./internal/engine
+	$(GO) test -run 'TestChainJoinAllocGate|TestLineageAllocGate|TestDeterministicAllocGate|TestSemiJoinReduceAllocGate|TestSmallProjectionAllocGate' ./internal/engine
 
 # The benchmark (perfbench/, BENCHMARK.json) is its own Go module that
 # replaces lapushdb with this checkout, so `./...` above never compiles

@@ -34,9 +34,8 @@ type AnytimeOptions struct {
 	DisableOpt2         bool
 	DisableOpt3         bool
 	MaxIntermediateRows int
-	// MCBatch and MCMaxSamples bound the Monte Carlo refinement stage
-	// (defaults anytime.DefaultMCBatch / anytime.DefaultMCMaxSamples).
-	MCBatch      int
+	// MCMaxSamples caps the Monte Carlo refinement stage's samples per
+	// answer (default anytime.DefaultMCMaxSamples).
 	MCMaxSamples int
 	// Seed derives the per-answer sampling streams; results are
 	// deterministic for a fixed seed.
@@ -167,7 +166,6 @@ func (d *DB) rankAnytime(ctx context.Context, q *cq.Query, plans []plan.Node, sa
 		Safe:                safe,
 		Memo:                opts.memo,
 		Scope:               d.SchemaFingerprint(),
-		MCBatch:             opts.MCBatch,
 		MCMaxSamples:        opts.MCMaxSamples,
 		Seed:                opts.Seed,
 		TopK:                opts.topK,

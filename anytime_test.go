@@ -221,7 +221,7 @@ func TestAnytimeBudgetDegrades(t *testing.T) {
 	// Small MC caps keep the bisection's many full evaluations cheap; the
 	// property under test is the budget handling, not bound quality.
 	eval := func(budget int) (*AnytimeResult, error) {
-		return db.RankAnytimeContext(context.Background(), query, &AnytimeOptions{Epsilon: 0.0001, Seed: 1, MaxIntermediateRows: budget, MCBatch: 64, MCMaxSamples: 256})
+		return db.RankAnytimeContext(context.Background(), query, &AnytimeOptions{Epsilon: 0.0001, Seed: 1, MaxIntermediateRows: budget, MCMaxSamples: 256})
 	}
 	lo, hi := 1, 1<<22 // lo always fails, hi always completes
 	if _, err := eval(lo); err == nil {
@@ -321,7 +321,7 @@ func TestRankTopKAnytime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.RankTopKAnytime(context.Background(), query, k, &AnytimeOptions{Epsilon: 0.0001, Seed: 3, MCBatch: 64, MCMaxSamples: 128})
+	res, err := db.RankTopKAnytime(context.Background(), query, k, &AnytimeOptions{Epsilon: 0.0001, Seed: 3, MCMaxSamples: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func (d *DB) Influence(ctx context.Context, query string, topPerAnswer int) ([]A
 	if err != nil {
 		return nil, err
 	}
-	lin, err := d.evalLineage(ctx, q, true)
+	lin, err := d.evalLineage(ctx, q, &Options{})
 	if err != nil {
 		return nil, err
 	}

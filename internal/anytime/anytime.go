@@ -46,8 +46,9 @@ import (
 	"lapushdb/internal/plan"
 )
 
-// Refinement constants; the two MC ones are the defaults of Config's
-// MCBatch and MCMaxSamples, the rest are fixed.
+// Refinement constants; DefaultMCMaxSamples is the default of Config's
+// MCMaxSamples, the rest are fixed. The MC stage samples in rounds of
+// DefaultMCBatch, doubling up to 8192.
 const (
 	DefaultMCBatch      = 256
 	DefaultMCMaxSamples = 1 << 16
@@ -100,9 +101,7 @@ type Config struct {
 	// memo scoped by Scope spans this evaluation's own stages.
 	Memo  *engine.BatchMemo
 	Scope string
-	// MC stage: samples per refinement round (doubling up to 8192) and
-	// per-answer sample cap.
-	MCBatch      int
+	// MCMaxSamples caps the MC stage's samples per answer.
 	MCMaxSamples int
 	// Seed derives the per-answer sampler seeds (seed ^ FNV of the
 	// answer key), keeping sampling independent of iteration order.
@@ -243,9 +242,6 @@ type evaluation struct {
 func Evaluate(ctx context.Context, db *engine.DB, q *cq.Query, plans []plan.Node, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if cfg.MCBatch <= 0 {
-		cfg.MCBatch = DefaultMCBatch
 	}
 	if cfg.MCMaxSamples <= 0 {
 		cfg.MCMaxSamples = DefaultMCMaxSamples
@@ -440,7 +436,7 @@ func (ev *evaluation) stageMC() {
 			a.collapse(a.sampler.Estimate())
 		}
 	}
-	batch := ev.cfg.MCBatch
+	batch := DefaultMCBatch
 	for {
 		active := false
 		for _, a := range ev.answers {

@@ -155,6 +155,46 @@ func TestLineageAllocGate(t *testing.T) {
 	}
 }
 
+// TestDeterministicAllocGate pins what the deterministic baseline
+// allocates on the chain gates' two instances, plus 10%. Run as one
+// plan by Eval, every join past the first streams into its projection:
+// measured 352 allocs and 27 028 202 B on chain3 and 195 allocs and
+// 1 191 786 B on chain3-ends. The hand-written fold it replaced — a
+// per-scan dedupe, then materialized joins and projections — measured
+// 488 allocs and 57 919 240 B, and 347 allocs and 5 810 824 B.
+func TestDeterministicAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation skews allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("alloc gate skipped in -short")
+	}
+	gates := []struct {
+		label                     string
+		build                     func() (*DB, *cq.Query)
+		rows                      int
+		allocCeiling, byteCeiling uint64
+	}{
+		{"chain3", chainGateDB, 142_645, 387, 29_731_000},
+		{"chain3-ends", endsChainGateDB, 400, 214, 1_311_000},
+	}
+	for _, g := range gates {
+		db, q := g.build()
+		var out *Result
+		allocs, bytes := allocsPerRun(3, func() { out = EvalDeterministic(db, q) })
+		t.Logf("%s deterministic: %d allocs/op, %d B/op (%d answers)", g.label, allocs, bytes, out.Len())
+		if out.Len() != g.rows {
+			t.Fatalf("%s: %d answers, want %d", g.label, out.Len(), g.rows)
+		}
+		if allocs > g.allocCeiling {
+			t.Errorf("%s: deterministic allocations %d exceed pinned ceiling %d", g.label, allocs, g.allocCeiling)
+		}
+		if bytes > g.byteCeiling {
+			t.Errorf("%s: deterministic evaluation allocates %d B, over the pinned %d B ceiling", g.label, bytes, g.byteCeiling)
+		}
+	}
+}
+
 // TestSemiJoinReduceAllocGate pins what one Opt3 reduction may allocate
 // on the TPC-H shape at the benchmark's sizes: two int32 row ids per
 // input row (the selection vectors take one) plus the value-id bitset.

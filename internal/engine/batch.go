@@ -76,13 +76,6 @@ func (m *BatchMemo) SharedHits() int64 { return m.hits.Load() }
 // inserted into the memo.
 func (m *BatchMemo) SharedMisses() int64 { return m.misses.Load() }
 
-// Entries returns the number of memoized subplan results.
-func (m *BatchMemo) Entries() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
-}
-
 // getOrCompute returns the memoized result for key, computing and
 // inserting it when absent. Concurrent callers of the same key block
 // until the first computation commits; a computation that unwinds

@@ -207,118 +207,66 @@ func sortClauses(arena, off []int32, w int, dedupe bool) []int32 {
 	return out
 }
 
-// orderAtomsByConnectivity reorders atoms so that each one (after the
-// first) shares a variable with an earlier atom whenever possible,
-// avoiding needless cross products in EvalDeterministic's left-deep fold.
-func orderAtomsByConnectivity(atoms []cq.Atom) []cq.Atom {
-	out := make([]cq.Atom, 0, len(atoms))
-	used := make([]bool, len(atoms))
-	out = append(out, atoms[0])
-	used[0] = true
-	have := cq.NewVarSet(atoms[0].Vars()...)
-	for len(out) < len(atoms) {
-		pick := -1
-		for i, a := range atoms {
-			if used[i] {
-				continue
-			}
-			for _, v := range a.Vars() {
-				if have.Has(v) {
-					pick = i
-					break
-				}
-			}
-			if pick >= 0 {
-				break
-			}
-		}
-		if pick < 0 {
-			for i := range atoms {
-				if !used[i] {
-					pick = i
-					break
-				}
-			}
-		}
-		used[pick] = true
-		out = append(out, atoms[pick])
-		for _, v := range atoms[pick].Vars() {
-			have.Add(v)
-		}
-	}
-	return out
-}
-
 // EvalDeterministic evaluates q under set semantics — the paper's
 // "standard SQL" baseline (select distinct, no probability arithmetic).
-// Atoms are joined in connectivity order with early projection: after
-// each join, columns no longer needed by the head or by later atoms are
-// projected away with duplicate elimination. It returns the distinct
-// head tuples.
+// It returns the distinct head tuples, each scored 1.
 func EvalDeterministic(db *DB, q *cq.Query) *Result {
 	return EvalDeterministicCtx(nil, db, q)
 }
 
 // EvalDeterministicCtx is EvalDeterministic bound to a context (see
-// EvalLineageCtx for the cancellation contract).
+// EvalLineageCtx for the cancellation contract). It has no row budget;
+// Evaluator.Deterministic runs under one.
 func EvalDeterministicCtx(ctx context.Context, db *DB, q *cq.Query) *Result {
-	head := q.HeadSet()
-	atoms := orderAtomsByConnectivity(q.Atoms)
-	// needed[i]: variables required after joining atom i.
-	needed := make([]cq.VarSet, len(atoms))
-	later := head.Clone()
-	for i := len(atoms) - 1; i >= 0; i-- {
-		needed[i] = later.Clone()
-		for _, v := range atoms[i].Vars() {
+	return NewEvaluatorCtx(ctx, db, nil, Options{ReuseSubplans: true}).Deterministic(q)
+}
+
+// Deterministic evaluates q under set semantics as one plan run by Eval:
+// each atom is scanned once, the scans are ordered by greedyJoinOrder,
+// and the left-deep plan joins them in that order, projecting each
+// variable away after the last atom that needs it, so every step past
+// the first is a fused Project(Join). Scores are set to 1. With
+// ReuseSubplans on, the plan's scans are the ones the ordering pass
+// read.
+func (e *Evaluator) Deterministic(q *cq.Query) *Result {
+	scans := make([]plan.Node, len(q.Atoms))
+	results := make([]*Result, len(q.Atoms))
+	for i, a := range q.Atoms {
+		scans[i] = plan.NewScan(a, q.PredsOnAtom(a))
+		results[i] = e.Eval(scans[i])
+	}
+	order := greedyJoinOrder(results)
+	// needed[k]: the variables the head or an atom after order[k] holds.
+	needed := make([]cq.VarSet, len(order))
+	later := q.HeadSet()
+	for k := len(order) - 1; k >= 0; k-- {
+		needed[k] = later.Clone()
+		for _, v := range q.Atoms[order[k]].Vars() {
 			later.Add(v)
 		}
 	}
-	e := NewEvaluatorCtx(ctx, db, nil, Options{})
-	var cur *Result
-	for i, a := range atoms {
-		s, _ := e.scan(plan.NewScan(a, q.PredsOnAtom(a)))
-		dedupeInPlace(s)
-		if cur == nil {
-			cur = s
+	var p plan.Node
+	for k, i := range order {
+		if p == nil {
+			p = scans[i]
 		} else {
-			cur = join(cur, s, &e.exec)
+			p = plan.NewJoin(p, scans[i])
 		}
-		keep := cq.NewVarSet(cur.Cols...).Intersect(needed[i].Union(head))
-		cur = projectSet(cur, keep.Sorted())
+		var keep []cq.Var
+		for _, v := range p.Head() {
+			if needed[k].Has(v) {
+				keep = append(keep, v)
+			}
+		}
+		p = plan.NewProject(keep, p)
 	}
-	cur = projectSet(cur, head.Clone().Sorted())
-	return cur
-}
-
-// projectSet projects under set semantics: duplicates are eliminated and
-// scores forced to 1.
-func projectSet(in *Result, onto []cq.Var) *Result {
-	out := project(in, onto, nil)
+	out := e.Eval(p)
+	if _, ok := p.(*plan.Project); !ok {
+		// A scan or join root keeps any tuple a relation stores twice.
+		out = project(out, out.Cols, &e.exec)
+	}
 	for i := range out.scores {
 		out.scores[i] = 1
 	}
 	return out
-}
-
-// dedupeInPlace removes duplicate rows, keeping score 1 (set semantics).
-func dedupeInPlace(r *Result) {
-	m := r.Len()
-	seen := newGroupTable(len(r.Cols), m)
-	n := 0
-	key := make([]int32, 0, len(r.Cols))
-	for i := 0; i < m; i++ {
-		key = r.idRowInto(i, key)
-		if _, fresh := seen.intern(key); !fresh {
-			continue
-		}
-		for k := range r.ids {
-			r.ids[k][n] = r.ids[k][i]
-		}
-		r.scores[n] = 1
-		n++
-	}
-	for k := range r.ids {
-		r.ids[k] = r.ids[k][:n]
-	}
-	r.scores = r.scores[:n]
 }

@@ -459,3 +459,45 @@ func TestLineageIDColumnNamesAreFresh(t *testing.T) {
 		assertLineageMatchesRef(t, "spelled", db, q, SemiJoinReduce(db, q))
 	}
 }
+
+// orderAtomsByConnectivity reorders atoms so that each one (after the
+// first) shares a variable with an earlier atom whenever possible,
+// avoiding needless cross products in evalLineageRef's left-deep join.
+func orderAtomsByConnectivity(atoms []cq.Atom) []cq.Atom {
+	out := make([]cq.Atom, 0, len(atoms))
+	used := make([]bool, len(atoms))
+	out = append(out, atoms[0])
+	used[0] = true
+	have := cq.NewVarSet(atoms[0].Vars()...)
+	for len(out) < len(atoms) {
+		pick := -1
+		for i, a := range atoms {
+			if used[i] {
+				continue
+			}
+			for _, v := range a.Vars() {
+				if have.Has(v) {
+					pick = i
+					break
+				}
+			}
+			if pick >= 0 {
+				break
+			}
+		}
+		if pick < 0 {
+			for i := range atoms {
+				if !used[i] {
+					pick = i
+					break
+				}
+			}
+		}
+		used[pick] = true
+		out = append(out, atoms[pick])
+		for _, v := range atoms[pick].Vars() {
+			have.Add(v)
+		}
+	}
+	return out
+}

@@ -4,7 +4,9 @@ package engine
 // databases, real plan evaluation, exact inference as the oracle.
 
 import (
+	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
@@ -344,6 +346,79 @@ func TestPropOptimizationsPreserveScores(t *testing.T) {
 					t.Errorf("%s/%s: score mismatch %v vs %v", qs, name, got, base.Score(i))
 				}
 			}
+		}
+	}
+}
+
+// TestPropDeterministicIsSupport: the deterministic baseline's answers
+// are every plan's support. Over propQueries and a few edge shapes, the
+// rows of EvalDeterministicCtx are distinct, each scored exactly 1, and
+// as a set equal the answer keys of the Opt1-2-3 result and of
+// Evaluator.Lineage.
+func TestPropDeterministicIsSupport(t *testing.T) {
+	type tc struct {
+		query string
+		twice bool // relation of the first atom stores one tuple twice
+	}
+	var cases []tc
+	for _, qs := range propQueries {
+		cases = append(cases, tc{query: qs})
+	}
+	cases = append(cases,
+		tc{query: "q(x, y) :- R(x), S(x, y), T(y)"}, // the plan's root is a join
+		tc{query: "q() :- R(x), S(x, y), U(y, z)"},  // Boolean head
+		tc{query: "q(x) :- R(x, 'nowhere'), S(x)"},  // a constant no tuple holds
+		tc{query: "q(x, y) :- R(x, y)", twice: true},
+		tc{query: "q(x, y) :- R(x), S(x, y), T(y)", twice: true},
+		tc{query: "q(z) :- R(z, x), S(x, y), T(y)", twice: true},
+		tc{query: "q(x) :- R(x, z), S(y)"}, // disconnected
+		tc{query: "q() :- A(x), B(y)"},     // disconnected, Boolean
+	)
+	keySet := func(r *Result) map[string]bool {
+		out := map[string]bool{}
+		for i := 0; i < r.Len(); i++ {
+			out[resultKey(r, i)] = true
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(35))
+	for iter := 0; iter < 3*len(cases); iter++ {
+		c := cases[iter%len(cases)]
+		q := cq.MustParse(c.query)
+		db := randomDB(q, 4, 10, 1.0, rng)
+		if c.twice {
+			r := db.Relation(q.Atoms[0].Rel)
+			r.Insert(append([]Value(nil), r.Row(rng.Intn(r.Len()))...), 0.5)
+		}
+		label := fmt.Sprintf("%s/iter%d", c.query, iter)
+		head := q.HeadSet().Sorted()
+		var det *Result
+		if err := TrapCancel(func() { det = EvalDeterministicCtx(context.Background(), db, q) }); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !varsSliceEqual(det.Cols, head) {
+			t.Fatalf("%s: columns %v, want %v", label, det.Cols, head)
+		}
+		got := keySet(det)
+		if len(got) != det.Len() {
+			t.Errorf("%s: %d rows hold %d distinct answers", label, det.Len(), len(got))
+		}
+		for i := 0; i < det.Len(); i++ {
+			if det.Score(i) != 1 {
+				t.Errorf("%s: row %d scored %v, want exactly 1", label, i, det.Score(i))
+			}
+		}
+		opt123 := NewEvaluator(db, q, Options{ReuseSubplans: true, SemiJoin: true}).Eval(core.SinglePlan(q, nil))
+		if want := keySet(opt123); !maps.Equal(got, want) {
+			t.Errorf("%s: deterministic answers %d, Opt1-2-3 answers %d", label, len(got), len(want))
+		}
+		lin := NewEvaluator(db, q, Options{}).Lineage(q)
+		want := map[string]bool{}
+		for i := 0; i < lin.Len(); i++ {
+			want[lineageKeyString(lin.Key(i))] = true
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%s: deterministic answers %d, lineage answers %d", label, len(got), len(want))
 		}
 	}
 }

@@ -117,6 +117,22 @@ func TestQueryBudgetServerCeiling(t *testing.T) {
 	}
 }
 
+// TestQueryBudgetEveryMethod: "max_rows" bounds every method, so a
+// standard-SQL or exact request over its budget fails with 422
+// budget_exceeded like a dissociation one.
+func TestQueryBudgetEveryMethod(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, method := range []string{"sql", "exact"} {
+		resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"query": testQuery, "method": method, "max_rows": 1})
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422: %s", method, resp.StatusCode, body)
+		}
+		if e := decodeErr(t, body); e.Code != "budget_exceeded" {
+			t.Fatalf("%s: code %q, want budget_exceeded", method, e.Code)
+		}
+	}
+}
+
 func TestQueryBudgetValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, body := postJSON(t, ts.URL+"/v1/query", map[string]any{"query": testQuery, "max_rows": -1})

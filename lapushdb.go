@@ -174,11 +174,11 @@ type Options struct {
 	// (Dissociation method inside a batch only).
 	Stats *RankStats
 	// MaxIntermediateRows caps the total number of intermediate result
-	// rows one Rank evaluation may materialize (Dissociation method
-	// only): scan outputs, join outputs, and projection groups, summed
-	// across all plans of the query. Exceeding the cap aborts the query
-	// with an error wrapping ErrBudget instead of exhausting memory.
-	// <= 0 disables the cap.
+	// rows one Rank evaluation may materialize, whatever its method:
+	// scan outputs, join outputs, and projection groups, summed across
+	// all plans of the query. Exceeding the cap aborts the query with an
+	// error wrapping ErrBudget instead of exhausting memory. <= 0
+	// disables the cap.
 	MaxIntermediateRows int
 	// MCSamples is the sample count for MonteCarlo (default
 	// DefaultMCSamples).
@@ -270,13 +270,13 @@ func (d *DB) rank(ctx context.Context, q *cq.Query, pre *Prepared, opts *Options
 	case Dissociation:
 		return d.rankDissociation(ctx, q, pre, opts)
 	case Exact, MonteCarlo, KarpLuby, LineageSize:
-		lin, err := d.evalLineage(ctx, q, !opts.DisableOpt3)
+		lin, err := d.evalLineage(ctx, q, opts)
 		if err != nil {
 			return nil, err
 		}
 		return d.newScorer(opts.Method, opts).rank(ctx, lin.Len(), lin.Key, lin.Clauses)
 	case Deterministic:
-		return d.rankDeterministic(ctx, q)
+		return d.rankDeterministic(ctx, q, opts)
 	default:
 		return nil, fmt.Errorf("lapushdb: unknown method %d", opts.Method)
 	}
@@ -356,16 +356,16 @@ func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 	return res, nil
 }
 
-// evalLineage computes the query's lineage under ctx, with the semi-join
-// reduction applied first when reduce is set.
-func (d *DB) evalLineage(ctx context.Context, q *cq.Query, reduce bool) (*engine.Lineage, error) {
+// evalLineage computes the query's lineage under ctx and the row budget
+// of opts, with the semi-join reduction applied first unless opts
+// disables Opt3.
+func (d *DB) evalLineage(ctx context.Context, q *cq.Query, opts *Options) (*engine.Lineage, error) {
 	var lin *engine.Lineage
 	err := engine.TrapCancel(func() {
-		var reduced map[string][]int32
-		if reduce {
-			reduced = engine.SemiJoinReduceCtx(ctx, d.db, q)
-		}
-		lin = engine.EvalLineageCtx(ctx, d.db, q, reduced)
+		lin = engine.NewEvaluatorCtx(ctx, d.db, q, engine.Options{
+			SemiJoin:            !opts.DisableOpt3,
+			MaxIntermediateRows: opts.MaxIntermediateRows,
+		}).Lineage(q)
 	})
 	if err != nil {
 		return nil, err
@@ -437,10 +437,13 @@ func (s *scorer) rank(ctx context.Context, n int, key func(int) []engine.Value, 
 	return answers, nil
 }
 
-func (d *DB) rankDeterministic(ctx context.Context, q *cq.Query) ([]Answer, error) {
+func (d *DB) rankDeterministic(ctx context.Context, q *cq.Query, opts *Options) ([]Answer, error) {
 	var res *engine.Result
 	err := engine.TrapCancel(func() {
-		res = engine.EvalDeterministicCtx(ctx, d.db, q)
+		res = engine.NewEvaluatorCtx(ctx, d.db, nil, engine.Options{
+			ReuseSubplans:       true,
+			MaxIntermediateRows: opts.MaxIntermediateRows,
+		}).Deterministic(q)
 	})
 	if err != nil {
 		return nil, err
@@ -551,7 +554,7 @@ func (d *DB) LineageContext(ctx context.Context, query string) ([]LineageInfo, e
 	if err != nil {
 		return nil, err
 	}
-	lin, err := d.evalLineage(ctx, q, true)
+	lin, err := d.evalLineage(ctx, q, &Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -406,7 +406,7 @@ func obddScores(t *testing.T, db *DB, query string, budget int) map[string]float
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, err := db.evalLineage(context.Background(), q, true)
+	lin, err := db.evalLineage(context.Background(), q, &Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,6 +527,25 @@ func TestCancelledContextEveryEntry(t *testing.T) {
 	for name, call := range calls {
 		if err := call(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+	}
+}
+
+// TestBudgetEveryMethod: Options.MaxIntermediateRows bounds every
+// method, not only Dissociation. On the served chain a 10-row budget
+// fails each method with ErrBudget, and the same query unbudgeted
+// returns answers.
+func TestBudgetEveryMethod(t *testing.T) {
+	db := servedChain(t)
+	const q = "q(x0, x3) :- BenchR1(x0, x1), BenchR2(x1, x2), BenchR3(x2, x3), x0 <= 1, x1 <= 5"
+	for _, m := range []Method{Dissociation, Exact, MonteCarlo, KarpLuby, LineageSize, Deterministic} {
+		ans, err := db.RankContext(context.Background(), q, &Options{Method: m, MCSamples: 100})
+		if err != nil || len(ans) == 0 {
+			t.Fatalf("%s unbudgeted: %d answers, err %v", m, len(ans), err)
+		}
+		ans, err = db.RankContext(context.Background(), q, &Options{Method: m, MCSamples: 100, MaxIntermediateRows: 10})
+		if !errors.Is(err, ErrBudget) {
+			t.Errorf("%s with a 10-row budget: %d answers, err %v, want ErrBudget", m, len(ans), err)
 		}
 	}
 }

@@ -40,7 +40,7 @@ func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) (
 	if err != nil {
 		return nil, err
 	}
-	lin, err := d.evalLineage(ctx, q, !opts.DisableOpt3)
+	lin, err := d.evalLineage(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func (d *DB) RankUnion(ctx context.Context, queries []string, opts *Options) ([]
 		var clauses [][][]int32
 		index := map[string]int{}
 		for _, q := range parsed {
-			lin, err := d.evalLineage(ctx, q, !opts.DisableOpt3)
+			lin, err := d.evalLineage(ctx, q, opts)
 			if err != nil {
 				return nil, err
 			}
