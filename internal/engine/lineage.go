@@ -224,10 +224,10 @@ func EvalDeterministicCtx(ctx context.Context, db *DB, q *cq.Query) *Result {
 // Deterministic evaluates q under set semantics as one plan run by Eval:
 // each atom is scanned once, the scans are ordered by greedyJoinOrder,
 // and the left-deep plan joins them in that order, projecting each
-// variable away after the last atom that needs it, so every step past
-// the first is a fused Project(Join). Scores are set to 1. With
-// ReuseSubplans on, the plan's scans are the ones the ordering pass
-// read.
+// variable away after the last atom that needs it, so each projection
+// over a join runs as a fused Project(Join) and that join is never
+// materialized. Scores are set to 1. With ReuseSubplans on, the plan's
+// scans are the ones the ordering pass read.
 func (e *Evaluator) Deterministic(q *cq.Query) *Result {
 	scans := make([]plan.Node, len(q.Atoms))
 	results := make([]*Result, len(q.Atoms))
