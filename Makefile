@@ -94,8 +94,16 @@ perfbench-check:
 # lapushd may depend on neither internal/obdd (the OBDD compiler kept as
 # an independent check on the DPLL kernel) nor internal/engine/oracle
 # (the row-at-a-time evaluator's test facade), and no symbol linked into
-# a fresh build may name either.
+# a fresh build may name either. And no package under internal/ is
+# imported by its tests alone, except the two test-support packages:
+# internal/engine/oracle (the differential-test facade) and
+# internal/store/errfs (the chaos-test filesystem).
 deps:
+	@imported=$$($(GO) list -f '{{join .Imports "\n"}}' ./...) && \
+		for p in $$($(GO) list ./internal/...); do \
+			case $$p in lapushdb/internal/engine/oracle|lapushdb/internal/store/errfs) continue;; esac; \
+			echo "$$imported" | grep -qx "$$p" || { echo "$$p has no non-test importer"; exit 1; }; \
+		done
 	@! $(GO) list -deps ./cmd/lapushd | grep -E '^lapushdb/internal/(obdd|engine/oracle)$$' \
 		|| { echo "lapushd depends on the packages listed above"; exit 1; }
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

@@ -8,8 +8,7 @@ import (
 )
 
 // PlanCost returns a cheap static cost estimate for evaluating p over
-// db, in estimated intermediate-row units — the same currency as the
-// System R join estimate in optimizer.go, but computed without touching
+// db, in estimated intermediate-row units, computed without touching
 // any tuples so it can rank a query's minimal plans before evaluating
 // any of them. The anytime evaluator uses it to order plans cheapest
 // first: every minimal plan's score is a valid upper bound, so starting

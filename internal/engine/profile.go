@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"lapushdb/internal/cq"
 	"lapushdb/internal/plan"
 )
 
@@ -76,19 +75,20 @@ func (e *Evaluator) EvalProfiled(p plan.Node) (*Result, []NodeStat) {
 }
 
 // FormatProfile renders the stats as an indented operator tree, root
-// first, with output cardinalities and inclusive times.
+// first, with output cardinalities and inclusive times. Each line names
+// its node by plan.Label, so a scan shows its pushed-down predicates.
 func FormatProfile(stats []NodeStat) string {
 	var b strings.Builder
 	// Stats are post-order; print in reverse for a root-first tree.
 	for i := len(stats) - 1; i >= 0; i-- {
 		s := stats[i]
 		indent := strings.Repeat("  ", s.Depth)
-		var op string
+		op := plan.Label(s.Node)
 		switch t := s.Node.(type) {
 		case *plan.Scan:
-			op = "scan " + t.Atom.String()
+			op = "scan " + op
 		case *plan.Project:
-			op = "project π-" + varList(t.Away())
+			op = "project " + op
 			if s.Fused {
 				mode := "fused"
 				if s.Direct {
@@ -97,9 +97,9 @@ func FormatProfile(stats []NodeStat) string {
 				op += fmt.Sprintf(" ⋈ (%d-way, %s)", len(t.Child.(*plan.Join).Subs), mode)
 			}
 		case *plan.Join:
-			op = fmt.Sprintf("join (%d-way)", len(t.Subs))
+			op += fmt.Sprintf(" (%d-way)", len(t.Subs))
 		case *plan.Min:
-			op = fmt.Sprintf("min (%d alternatives)", len(t.Subs))
+			op += fmt.Sprintf(" (%d alternatives)", len(t.Subs))
 		}
 		if s.CacheHit {
 			fmt.Fprintf(&b, "%s%-40s rows=%-8d (cached)\n", indent, op, s.Rows)
@@ -109,12 +109,4 @@ func FormatProfile(stats []NodeStat) string {
 		}
 	}
 	return b.String()
-}
-
-func varList(vs []cq.Var) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = string(v)
-	}
-	return strings.Join(parts, ",")
 }

@@ -56,8 +56,9 @@ func nodesThatRun(root plan.Node) []profiledNode {
 // TestEvalProfiled pins the profiling hook on the one Eval: the profiled
 // result is bit-identical to plain Eval, there is exactly one NodeStat
 // per node that ran (cache hits and fused π(⋈) marked, and rendered so
-// by FormatProfile), each with the node's own output cardinality. That
-// the hook costs nothing when off is TestChainJoinAllocGate's ceiling.
+// by FormatProfile, a scan with its predicates), each with the node's
+// own output cardinality. That the hook costs nothing when off is
+// TestChainJoinAllocGate's ceiling.
 func TestEvalProfiled(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	type shape struct {
@@ -117,6 +118,13 @@ func TestEvalProfiled(t *testing.T) {
 		if strings.Count(out, "\n") != len(stats) || strings.Count(out, "-way, fused)") != fused ||
 			strings.Count(out, "(cached)") != hits || !strings.Contains(out, "scan ") {
 			t.Errorf("%s: profile does not render %d nodes, %d fused, %d cached:\n%s", label, len(stats), fused, hits, out)
+		}
+		// A scan prints its whole key: tpch's Supplier and Part scans
+		// carry their pushed-down predicates.
+		for _, s := range stats {
+			if scan, ok := s.Node.(*plan.Scan); ok && !strings.Contains(out, "scan "+scan.Key()+" ") {
+				t.Errorf("%s: profile does not print scan %s:\n%s", label, scan.Key(), out)
+			}
 		}
 	}
 }

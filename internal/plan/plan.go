@@ -9,8 +9,8 @@
 // ⋈[P1, P2] = ⋈[P2, P1]. A Table interns nodes by id: built through one
 // table, a subplan that recurs is one node, which is Algorithm 3's views
 // in the representation itself. Each node also has a canonical string
-// key, rendered only when asked for (printing, SQL, tests); join and min
-// children are kept in the order of their keys.
+// key, rendered only when asked for; join and min children are kept in
+// the order of their keys.
 //
 // Under the extensional score semantics (implemented by internal/engine)
 // every plan for a query q computes an upper bound of P(q); the plan is
@@ -24,6 +24,7 @@ import (
 	"hash/maphash"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -456,72 +457,93 @@ func Atoms(n Node) []cq.Atom {
 	return out
 }
 
-// Size returns the size of the tree the plan unfolds to: a node shared by
-// several parents counts once under each. This is the exponential number
-// a DAG avoids, and the order sqlgen emits views in (smaller first); it is
-// computed in one pass over the distinct nodes.
-func Size(n Node) int {
-	sizes := map[ID]int{}
-	walk(n, func(n Node) bool {
-		s := 1
-		for _, c := range n.Children() {
-			s += sizes[c.ID()]
-		}
-		sizes[n.ID()] = s
-		return true
-	})
-	return sizes[n.ID()]
-}
-
-// String renders the plan in the paper's project-away notation, e.g.
-// "π-x ⋈[R(x), S(x), π-y ⋈[T(x, y), U(y)]]".
-func String(n Node) string {
+// Label returns n's own operator, without its children: a scan's key
+// (its atom and any pushed-down predicates), "π-x,y" for a projection
+// that removes x and y, "⋈" for a join and "min" for a min node.
+func Label(n Node) string {
 	switch t := n.(type) {
 	case *Scan:
 		return t.Key()
 	case *Project:
-		return "π-" + joinVars(t.Away()) + " " + String(t.Child)
+		return "π-" + joinVars(t.Away())
 	case *Join:
-		parts := make([]string, len(t.Subs))
-		for i, c := range t.Subs {
-			parts[i] = String(c)
-		}
-		return "⋈[" + strings.Join(parts, ", ") + "]"
+		return "⋈"
 	case *Min:
-		parts := make([]string, len(t.Subs))
-		for i, c := range t.Subs {
-			parts[i] = String(c)
-		}
-		return "min[" + strings.Join(parts, ", ") + "]"
+		return "min"
 	default:
 		panic("plan: unknown node type")
 	}
 }
 
-// CommonSubplans returns, for every subplan that occurs more than once
-// in the plan, one representative node, keyed by its key. This is the
-// paper's Opt2 view detection (Algorithm 3): each such subplan is worth
-// materializing once and reusing. A subplan occurs once per parent slot
-// that holds it (and once as the root); scans are base tables, not views.
-func CommonSubplans(n Node) map[string]Node {
-	count := map[ID]int{n.ID(): 1}
-	var views []Node
+// Use is one distinct node of a plan with the number of parent slots
+// that hold it: a node two joins share, or one join holds twice, has 2;
+// the root has 0.
+type Use struct {
+	Node    Node
+	Parents int
+}
+
+// Distinct returns the distinct nodes of the DAG rooted at n, children
+// before their parents, so the root comes last. A non-scan node with two
+// or more parents is a view of the paper's Opt2 (Algorithm 3): a subplan
+// evaluated once and reused.
+func Distinct(n Node) []Use {
+	var out []Use
+	at := map[ID]int{}
 	walk(n, func(n Node) bool {
-		if _, scan := n.(*Scan); !scan {
-			views = append(views, n)
-		}
 		for _, c := range n.Children() {
-			count[c.ID()]++
+			out[at[c.ID()]].Parents++
 		}
+		at[n.ID()] = len(out)
+		out = append(out, Use{Node: n})
 		return true
 	})
-	out := map[string]Node{}
-	for _, v := range views {
-		if count[v.ID()] > 1 {
-			out[v.Key()] = v
+	return out
+}
+
+// String renders the plan in the paper's project-away notation, e.g.
+// "π-x ⋈[R(x), S(x), π-y ⋈[T(x, y), U(y)]]". Each view (see Distinct) is
+// named once, children first, and referred to by its name after that:
+// "v1 = π-y ⋈[T(x, y), U(y)]; min[⋈[R(x), v1], ⋈[S(x), v1]]". The text
+// is linear in the plan's distinct nodes and their child slots, however
+// large the tree the DAG unfolds to.
+func String(n Node) string {
+	var b strings.Builder
+	names := map[ID]string{}
+	var write func(Node)
+	write = func(n Node) {
+		if name, ok := names[n.ID()]; ok {
+			b.WriteString(name)
+			return
+		}
+		b.WriteString(Label(n))
+		switch t := n.(type) {
+		case *Project:
+			b.WriteByte(' ')
+			write(t.Child)
+		case *Join, *Min:
+			b.WriteByte('[')
+			for i, c := range t.Children() {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				write(c)
+			}
+			b.WriteByte(']')
 		}
 	}
-	return out
+	for _, u := range Distinct(n) {
+		if _, scan := u.Node.(*Scan); scan || u.Parents < 2 {
+			continue
+		}
+		name := "v" + strconv.Itoa(len(names)+1)
+		b.WriteString(name + " = ")
+		write(u.Node)
+		b.WriteString("; ")
+		names[u.Node.ID()] = name
+	}
+	write(n)
+	return b.String()
 }
 
 // visitHook, when set (by tests), sees every node walk visits and every

@@ -107,8 +107,8 @@ func TestRelationsAndAtoms(t *testing.T) {
 	if got := len(Atoms(p)); got != 3 {
 		t.Errorf("atoms = %d, want 3", got)
 	}
-	if Size(p) < 5 {
-		t.Errorf("size = %d, want >= 5", Size(p))
+	if got := len(Distinct(p)); got != 7 {
+		t.Errorf("%d distinct nodes, want 7", got)
 	}
 }
 
@@ -243,6 +243,8 @@ func TestStringNotation(t *testing.T) {
 	}
 }
 
+// TestCommonSubplans: a subplan held by two parent slots is a view;
+// Distinct counts its parents, and String names it once.
 func TestCommonSubplans(t *testing.T) {
 	q := cq.MustParse("q() :- R(x), S(x, y), T(y)")
 	shared := NewProject([]cq.Var{"x"}, NewJoin(scanOf(q, "S"), scanOf(q, "T")))
@@ -250,18 +252,18 @@ func TestCommonSubplans(t *testing.T) {
 		NewProject([]cq.Var{}, NewJoin(scanOf(q, "R"), shared)),
 		NewProject([]cq.Var{}, NewJoin(scanOf(q, "R"), NewProject(nil, shared))),
 	)
-	common := CommonSubplans(p)
-	if _, ok := common[shared.Key()]; !ok {
-		t.Errorf("shared subplan not detected; common = %v", keysOf(common))
+	var views []string
+	for _, u := range Distinct(p) {
+		if _, scan := u.Node.(*Scan); !scan && u.Parents > 1 {
+			views = append(views, u.Node.Key())
+		}
 	}
-}
-
-func keysOf(m map[string]Node) []string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
+	if len(views) != 1 || views[0] != shared.Key() {
+		t.Errorf("views = %q, want only %q", views, shared.Key())
 	}
-	return out
+	if got, want := String(p), "v1 = π-y ⋈[S(x, y), T(y)]; min[π-x ⋈[R(x), v1], π-x ⋈[R(x), π-x v1]]"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
 }
 
 func TestMinNodeAccessors(t *testing.T) {
@@ -549,7 +551,7 @@ func TestWalkersOnExponentialTree(t *testing.T) {
 		atoms = append(atoms, a, b)
 		level = tab.NewMin(tab.NewJoin(level, tab.NewScan(a, nil)), tab.NewJoin(level, tab.NewScan(b, nil)))
 	}
-	if got := Size(level); got < 1<<60 {
+	if got := TreeSize(level); got < 1<<60 {
 		t.Errorf("tree size %d, want > 2^60", got)
 	}
 	if got := len(Relations(level)); got != 1+len(atoms) {
@@ -563,6 +565,10 @@ func TestWalkersOnExponentialTree(t *testing.T) {
 	}
 	if d := DeltaOf(q, level); d.ExtraOf("S0").Len() != 1 {
 		t.Errorf("∆ = %s, want S0 dissociated on y", d)
+	}
+	// Each level below the top is a view, named once: 58 definitions.
+	if s, n := String(level), len(Distinct(level)); strings.Count(s, " = ") != 57 || len(s) > 16*n {
+		t.Errorf("String: %d views in %d bytes over %d distinct nodes:\n%s", strings.Count(s, " = "), len(s), n, s)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // TestWalkersVisitDistinctNodes: the merged plan of the 10-chain unfolds
-// to a tree of 34 991 nodes but has 376 distinct ones, and every walker
-// visits at most those. Relations computes each node's relations once,
-// from its children's, and the node keeps them: DeltaOf, which reads
-// them, adds only its own walk.
+// to a tree of 34 991 nodes but has 376 distinct ones, and every walker,
+// String included, visits at most those. Relations computes each node's
+// relations once, from its children's, and the node keeps them: DeltaOf,
+// which reads them, adds only its own walk.
 func TestWalkersVisitDistinctNodes(t *testing.T) {
 	q := workload.ChainQuery(10)
 	sp := core.SinglePlan(q, nil)
@@ -27,7 +27,7 @@ func TestWalkersVisitDistinctNodes(t *testing.T) {
 		}
 	}
 	collect(sp)
-	if tree := plan.Size(sp); tree <= len(distinct) {
+	if tree := plan.TreeSize(sp); tree <= len(distinct) {
 		t.Fatalf("tree size %d, %d distinct nodes: the plan shares nothing", tree, len(distinct))
 	}
 
@@ -40,9 +40,9 @@ func TestWalkersVisitDistinctNodes(t *testing.T) {
 	}{
 		{"Relations", func() { plan.Relations(sp) }},
 		{"Atoms", func() { plan.Atoms(sp) }},
-		{"Size", func() { plan.Size(sp) }},
+		{"Distinct", func() { plan.Distinct(sp) }},
 		{"IsSafe", func() { plan.IsSafe(sp, q.HeadSet()) }},
-		{"CommonSubplans", func() { plan.CommonSubplans(sp) }},
+		{"String", func() { plan.String(sp) }},
 		{"DeltaOf", func() { plan.DeltaOf(q, sp) }},
 	} {
 		visits = 0

@@ -53,7 +53,6 @@ type batchRequest struct {
 	Seed         int64            `json:"seed"`
 	TimeoutMS    int64            `json:"timeout_ms"`
 	IgnoreSchema bool             `json:"ignore_schema"`
-	Parallelism  int              `json:"parallelism"` // accepted and ignored, as on /v1/query
 	// MaxRows bounds the intermediate rows the whole batch may
 	// materialize — one budget across all queries, not one per query.
 	MaxRows int `json:"max_rows"`

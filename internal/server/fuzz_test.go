@@ -53,7 +53,7 @@ func FuzzRankBatchRequest(f *testing.F) {
 	f.Add(`{"queries":[{"query":""},{"query":"   "},{"query":"q(x :- broken("}]}`)
 	f.Add(`{"queries":[{"query":"q(a) :- Fan(a)","top":-1}],"samples":-1,"timeout_ms":-1}`)
 	f.Add(`[{"query":"not an object"}]`)
-	f.Add(`{"queries":[{"query":"q() :- Likes(u, m)"}],"method":"exact","parallelism":4,"max_rows":10}`)
+	f.Add(`{"queries":[{"query":"q() :- Likes(u, m)"}],"method":"exact","max_rows":10}`)
 	f.Add("{\"queries\":[{\"query\":\"q(a) :- Fan(a)\\u0000\"}],\"method\":\"diss\\u0000x\"}")
 
 	db := fuzzDB()

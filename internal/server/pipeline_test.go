@@ -395,44 +395,27 @@ func TestQueryBatchParity(t *testing.T) {
 	}
 }
 
-// TestParallelismAcceptedAndIgnored is the wire-compatibility contract
-// for the retired "parallelism" request field: the strict decoder still
-// knows it, so an old client's request is a 200 — whatever integer it
-// carries — with answers byte-identical to a request without it, on
-// both endpoints.
-func TestParallelismAcceptedAndIgnored(t *testing.T) {
-	answersOf := func(path, body string) string {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		New(movieDB(t), Config{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("POST %s %s: status %d: %s", path, body, rec.Code, rec.Body)
-		}
-		var resp struct {
-			Answers json.RawMessage `json:"answers"`
-			Results []struct {
-				Answers json.RawMessage `json:"answers"`
-			} `json:"results"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Results) == 1 {
-			resp.Answers = resp.Results[0].Answers
-		}
-		if len(resp.Answers) < len(`[{}]`) {
-			t.Fatalf("POST %s %s: no answers in %s", path, body, rec.Body)
-		}
-		return string(resp.Answers)
-	}
+// TestParallelismRefused: the retired "parallelism" request field is an
+// unknown field to the strict decoder on both endpoints, a 400 bad_json,
+// while the same request without it is a 200.
+func TestParallelismRefused(t *testing.T) {
 	for path, format := range map[string]string{
 		"/v1/query":      `{"query": "` + testQuery + `"%s}`,
 		"/v1/rank_batch": `{"queries": [{"query": "` + testQuery + `"}]%s}`,
 	} {
-		want := answersOf(path, strings.Replace(format, "%s", "", 1))
-		for _, field := range []string{`, "parallelism": 4`, `, "parallelism": -1`} {
-			if got := answersOf(path, strings.Replace(format, "%s", field, 1)); got != want {
-				t.Errorf("%s with%s: answers %s, without it %s", path, field, got, want)
+		for _, field := range []string{"", `, "parallelism": 4`, `, "parallelism": -1`} {
+			body := strings.Replace(format, "%s", field, 1)
+			rec := httptest.NewRecorder()
+			New(movieDB(t), Config{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+			switch {
+			case field == "" && rec.Code != http.StatusOK:
+				t.Errorf("POST %s %s: status %d, want 200: %s", path, body, rec.Code, rec.Body)
+			case field != "" && rec.Code != http.StatusBadRequest:
+				t.Errorf("POST %s %s: status %d, want 400: %s", path, body, rec.Code, rec.Body)
+			case field != "":
+				if e := decodeErr(t, rec.Body.Bytes()); e.Code != "bad_json" {
+					t.Errorf("POST %s %s: error %+v, want bad_json", path, body, e)
+				}
 			}
 		}
 	}

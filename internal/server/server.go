@@ -515,10 +515,6 @@ type queryRequest struct {
 	Seed         int64  `json:"seed"`
 	TimeoutMS    int64  `json:"timeout_ms"`
 	IgnoreSchema bool   `json:"ignore_schema"`
-	// Parallelism is accepted and ignored for one release, so a client
-	// that still sends it is not refused as an unknown field: every
-	// query evaluates on one goroutine.
-	Parallelism int `json:"parallelism"`
 	// MaxRows caps the intermediate rows this query may materialize
 	// (0 = the server's -max-rows setting), capped at that setting when
 	// it is configured. Exceeding the budget fails the query with 422.

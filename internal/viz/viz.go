@@ -1,12 +1,11 @@
 // Package viz renders the paper's illustrations as Graphviz DOT: the
 // partial dissociation order of a query (Figure 1a) with safe
-// dissociations highlighted and minimal safe ones emphasized, and query
-// plans as operator trees (Figure 1b).
+// dissociations highlighted and minimal safe ones emphasized, and the
+// minimal plans as operator graphs (Figure 1b).
 package viz
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"lapushdb/internal/core"
@@ -67,49 +66,9 @@ func LatticeDOT(q *cq.Query) string {
 	return b.String()
 }
 
-// PlanDOT renders one query plan as an operator tree (one panel of
-// Figure 1b).
-func PlanDOT(p plan.Node, title string) string {
-	var b strings.Builder
-	b.WriteString("digraph plan {\n")
-	if title != "" {
-		fmt.Fprintf(&b, "  label=%q;\n", title)
-	}
-	b.WriteString("  node [fontname=\"Helvetica\"];\n")
-	n := 0
-	var walk func(plan.Node) string
-	walk = func(node plan.Node) string {
-		id := fmt.Sprintf("n%d", n)
-		n++
-		var label, shape string
-		switch t := node.(type) {
-		case *plan.Scan:
-			label = t.Atom.String()
-			shape = "box"
-		case *plan.Project:
-			label = "π-" + joinVars(t.Away())
-			shape = "ellipse"
-		case *plan.Join:
-			label = "⋈"
-			shape = "ellipse"
-		case *plan.Min:
-			label = "min"
-			shape = "diamond"
-		}
-		fmt.Fprintf(&b, "  %s [label=%q, shape=%s];\n", id, label, shape)
-		for _, c := range node.Children() {
-			cid := walk(c)
-			fmt.Fprintf(&b, "  %s -> %s;\n", id, cid)
-		}
-		return id
-	}
-	walk(p)
-	b.WriteString("}\n")
-	return b.String()
-}
-
 // MinimalPlansDOT renders all minimal plans of q side by side with
-// their dissociations (Figure 1b).
+// their dissociations (Figure 1b): one DOT node per distinct node of
+// each plan, labelled by plan.Label.
 func MinimalPlansDOT(q *cq.Query, sch *core.Schema) string {
 	plans := core.MinimalPlans(q, sch)
 	var b strings.Builder
@@ -121,46 +80,27 @@ func MinimalPlansDOT(q *cq.Query, sch *core.Schema) string {
 		d := plan.DeltaOf(q, p)
 		fmt.Fprintf(&b, "  subgraph cluster_%d {\n", pi)
 		fmt.Fprintf(&b, "    label=%q;\n", fmt.Sprintf("plan %d: ∆ = %s", pi+1, d))
-		var walk func(plan.Node) string
-		walk = func(node plan.Node) string {
+		ids := map[plan.ID]string{}
+		for _, u := range plan.Distinct(p) {
 			id := fmt.Sprintf("n%d", n)
 			n++
-			var label, shape string
-			switch t := node.(type) {
+			ids[u.Node.ID()] = id
+			shape := "ellipse"
+			switch u.Node.(type) {
 			case *plan.Scan:
-				label = t.Atom.String()
 				shape = "box"
-			case *plan.Project:
-				label = "π-" + joinVars(t.Away())
-				shape = "ellipse"
-			case *plan.Join:
-				label = "⋈"
-				shape = "ellipse"
 			case *plan.Min:
-				label = "min"
 				shape = "diamond"
 			}
-			fmt.Fprintf(&b, "    %s [label=%q, shape=%s];\n", id, label, shape)
-			for _, c := range node.Children() {
-				cid := walk(c)
-				fmt.Fprintf(&b, "    %s -> %s;\n", id, cid)
+			fmt.Fprintf(&b, "    %s [label=%q, shape=%s];\n", id, plan.Label(u.Node), shape)
+			for _, c := range u.Node.Children() {
+				fmt.Fprintf(&b, "    %s -> %s;\n", id, ids[c.ID()])
 			}
-			return id
 		}
-		walk(p)
 		b.WriteString("  }\n")
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-func joinVars(vs []cq.Var) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = string(v)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ",")
 }
 
 // IncidenceMatrix renders the paper's "augmented incidence matrix"

@@ -32,13 +32,21 @@ func TestLatticeDOTExample17(t *testing.T) {
 	}
 }
 
+// TestPlanDOT: MinimalPlansDOT draws one node per distinct plan node,
+// labelled by plan.Label, so a scan shows its pushed-down predicates.
 func TestPlanDOT(t *testing.T) {
-	q := cq.MustParse("q() :- R(x), S(x, y), T(y)")
-	sp := core.SinglePlan(q, nil)
-	dot := PlanDOT(sp, "merged plan")
-	for _, want := range []string{"min", "⋈", "π-", "R(x)", "shape=diamond"} {
+	q := cq.MustParse("q() :- R(x), S(x), T(x, y), U(y), y <= 3")
+	dot := MinimalPlansDOT(q, nil)
+	nodes := 0
+	for _, p := range core.MinimalPlans(q, nil) {
+		nodes += len(plan.Distinct(p))
+	}
+	if got := strings.Count(dot, "[label="); got != nodes {
+		t.Errorf("%d DOT nodes, want %d, one per distinct plan node:\n%s", got, nodes, dot)
+	}
+	for _, want := range []string{`"T(x, y)[y <= 3]"`, `"U(y)[y <= 3]"`, "⋈", "π-", "shape=box"} {
 		if !strings.Contains(dot, want) {
-			t.Errorf("missing %q in plan DOT", want)
+			t.Errorf("missing %s in plan DOT:\n%s", want, dot)
 		}
 	}
 }
