@@ -134,7 +134,7 @@ func TestAnytimeOracleBoundsDifferential(t *testing.T) {
 	} {
 		q := cq.MustParse(tc.q)
 		plans := core.MinimalPlans(q, nil)
-		got := engine.EvalPlans(tc.edb, q, plans, engine.Options{})
+		got := engine.EvalPlansCtx(nil, tc.edb, q, plans, engine.Options{})
 		want := oracle.EvalPlans(tc.edb, q, plans, engine.Options{})
 		if got.Len() != want.Len() {
 			t.Fatalf("%s: %d rows vs oracle %d", tc.label, got.Len(), want.Len())
@@ -161,8 +161,8 @@ func TestAnytimeDeadlineDegrades(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	edb, q := workload.Chain(3, 900, 120, 0.5, rng)
 	db := fromEngineDB(t, edb)
-	// Warm up lazily built indexes so the first refinement step reliably
-	// fits inside the deadline below.
+	// Warm up once so the first refinement step reliably fits inside the
+	// deadline below.
 	if _, err := db.RankAnytimeContext(context.Background(), q.String(), &AnytimeOptions{Epsilon: 0.9}); err != nil {
 		t.Fatal(err)
 	}

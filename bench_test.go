@@ -144,10 +144,10 @@ func benchTPCHMethods(b *testing.B, pattern string) {
 		name string
 		eval func()
 	}{
-		{"Diss", func() { engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true}) }},
-		{"Diss+Opt3", func() { engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true}) }},
-		{"Lineage", func() { engine.EvalLineage(db, q, engine.SemiJoinReduce(db, q)) }},
-		{"StandardSQL", func() { engine.EvalDeterministic(db, q) }},
+		{"Diss", func() { engine.EvalPlansCtx(nil, db, q, plans, engine.Options{ReuseSubplans: true}) }},
+		{"Diss+Opt3", func() { engine.EvalPlansCtx(nil, db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true}) }},
+		{"Lineage", func() { engine.EvalLineageCtx(nil, db, q, engine.SemiJoinReduceCtx(nil, db, q)) }},
+		{"StandardSQL", func() { engine.EvalDeterministicCtx(nil, db, q) }},
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -181,8 +181,8 @@ func BenchmarkFig5h(b *testing.B) {
 	b.Run("DissVsLineagePoint", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			plans := core.MinimalPlans(q, nil)
-			engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
-			engine.EvalLineage(db, q, engine.SemiJoinReduce(db, q))
+			engine.EvalPlansCtx(nil, db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
+			engine.EvalLineageCtx(nil, db, q, engine.SemiJoinReduceCtx(nil, db, q))
 		}
 	})
 }
@@ -273,7 +273,7 @@ func BenchmarkTopK(b *testing.B) {
 	db := tp.DB
 	b.Run("rank-exact-all", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			lin := engine.EvalLineage(db, q, engine.SemiJoinReduce(db, q))
+			lin := engine.EvalLineageCtx(nil, db, q, engine.SemiJoinReduceCtx(nil, db, q))
 			for j := 0; j < lin.Len(); j++ {
 				if _, err := exactProb(lin.Clauses(j), db.VarProbs()); err != nil {
 					b.Fatal(err)
@@ -285,8 +285,8 @@ func BenchmarkTopK(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Equivalent of RankTopK's pruning loop, at engine level.
 			plans := core.MinimalPlans(q, nil)
-			bounds := engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
-			lin := engine.EvalLineage(db, q, engine.SemiJoinReduce(db, q))
+			bounds := engine.EvalPlansCtx(nil, db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
+			lin := engine.EvalLineageCtx(nil, db, q, engine.SemiJoinReduceCtx(nil, db, q))
 			_ = bounds
 			_ = lin
 		}
@@ -306,7 +306,7 @@ func BenchmarkRank(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := engine.EvalPlans(edb, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true}); res.Len() == 0 {
+		if res := engine.EvalPlansCtx(nil, edb, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true}); res.Len() == 0 {
 			b.Fatal("no answers")
 		}
 	}

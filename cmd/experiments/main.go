@@ -27,10 +27,11 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "figure to reproduce: 1a, 1b (DOT), 2, 3, 5a..5p, xa/xb/xc (extras), or all")
-	scale := flag.Float64("scale", 0.05, "TPC-H scale factor (paper: 1.0)")
-	reps := flag.Int("reps", 10, "repetitions for ranking experiments")
-	maxn := flag.Int("maxn", 100000, "max tuples per table for run-time sweeps")
-	seed := flag.Int64("seed", 1, "random seed")
+	def := exp.DefaultConfig()
+	scale := flag.Float64("scale", def.Scale, "TPC-H scale factor (paper: 1.0)")
+	reps := flag.Int("reps", def.Reps, "repetitions for ranking experiments")
+	maxn := flag.Int("maxn", def.MaxN, "max tuples per table for run-time sweeps")
+	seed := flag.Int64("seed", def.Seed, "random seed")
 	flag.Parse()
 
 	cfg := exp.Config{Seed: *seed, Scale: *scale, Reps: *reps, MaxN: *maxn}

@@ -56,7 +56,7 @@ func diffWorkload(t *testing.T, label string, db *engine.DB, q *cq.Query) {
 	t.Helper()
 	plans := core.MinimalPlans(q, nil)
 	opts := engine.Options{ReuseSubplans: true, SemiJoin: true}
-	assertSameResult(t, label, oracle.EvalPlans(db, q, plans, opts), engine.EvalPlans(db, q, plans, opts))
+	assertSameResult(t, label, oracle.EvalPlans(db, q, plans, opts), engine.EvalPlansCtx(nil, db, q, plans, opts))
 }
 
 // TestDifferentialWorkloads runs the executor-vs-oracle differential on

@@ -21,9 +21,6 @@ func TestIntegrationTPCH(t *testing.T) {
 	sup, _ := db.CreateRelation("Supplier", "s", "a")
 	ps, _ := db.CreateRelation("Partsupp", "s", "u")
 	part, _ := db.CreateRelation("Part", "u", "n")
-	if err := sup.CreateRangeIndex("s"); err != nil {
-		t.Fatal(err)
-	}
 	colors := []string{"red", "green", "blue", "ivory", "plum"}
 	nSupp, nPart := 120, 300
 	for s := 1; s <= nSupp; s++ {

@@ -209,7 +209,7 @@ type fixture struct {
 func newFixture(t *testing.T, db *engine.DB, q *cq.Query) *fixture {
 	t.Helper()
 	f := &fixture{db: db, q: q, plans: core.MinimalPlans(q, nil), clauses: map[string][][]int32{}, exact: map[string]float64{}}
-	lin := engine.EvalLineage(db, q, nil)
+	lin := engine.EvalLineageCtx(nil, db, q, nil)
 	for i := 0; i < lin.Len(); i++ {
 		k := string(keyBytes(lin.Key(i)))
 		f.clauses[k] = lin.Clauses(i)

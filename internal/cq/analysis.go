@@ -324,13 +324,6 @@ func (q *Query) Components() []*Query {
 	return out
 }
 
-// IsConnected reports whether the query (ignoring head variables) forms a
-// single connected component.
-func (q *Query) IsConnected() bool {
-	b := NewBits(q)
-	return len(q.Atoms) > 0 && b.component(b.AllAtoms(), b.VarMask(q.Head)) == b.AllAtoms()
-}
-
 // WithHead returns a copy of q whose head variables are replaced by hs.
 func (q *Query) WithHead(hs []Var) *Query {
 	c := q.Clone()

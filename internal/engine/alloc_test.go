@@ -52,7 +52,7 @@ func TestChainJoinAllocGate(t *testing.T) {
 		plans := core.MinimalPlans(q, nil)
 		var out *Result
 		allocs, bytes := allocsPerRun(3, func() {
-			out = EvalPlans(db, q, plans, Options{})
+			out = EvalPlansCtx(nil, db, q, plans, Options{})
 		})
 		if out.Len() == 0 {
 			t.Fatalf("%s evaluation returned no rows", g.label)
@@ -136,9 +136,9 @@ func TestLineageAllocGate(t *testing.T) {
 		lineageByteCeiling  = 66_150_000
 	)
 	db, q := chainGateDB()
-	reduced := SemiJoinReduce(db, q)
+	reduced := SemiJoinReduceCtx(nil, db, q)
 	var lin *Lineage
-	allocs, bytes := allocsPerRun(3, func() { lin = EvalLineage(db, q, reduced) })
+	allocs, bytes := allocsPerRun(3, func() { lin = EvalLineageCtx(nil, db, q, reduced) })
 	clauses := 0
 	for i := 0; i < lin.Len(); i++ {
 		clauses += lin.Size(i)
@@ -181,7 +181,7 @@ func TestDeterministicAllocGate(t *testing.T) {
 	for _, g := range gates {
 		db, q := g.build()
 		var out *Result
-		allocs, bytes := allocsPerRun(3, func() { out = EvalDeterministic(db, q) })
+		allocs, bytes := allocsPerRun(3, func() { out = EvalDeterministicCtx(nil, db, q) })
 		t.Logf("%s deterministic: %d allocs/op, %d B/op (%d answers)", g.label, allocs, bytes, out.Len())
 		if out.Len() != g.rows {
 			t.Fatalf("%s: %d answers, want %d", g.label, out.Len(), g.rows)
@@ -215,7 +215,7 @@ func TestSemiJoinReduceAllocGate(t *testing.T) {
 		rows += db.Relation(a.Rel).Len()
 	}
 	ceiling := uint64(8*rows + (db.NumValues()+63)/64*8)
-	_, perCall := allocsPerRun(5, func() { SemiJoinReduce(db, q) })
+	_, perCall := allocsPerRun(5, func() { SemiJoinReduceCtx(nil, db, q) })
 	t.Logf("tpch reduce over %d rows: %d B/call (ceiling %d)", rows, perCall, ceiling)
 	if perCall > ceiling {
 		t.Errorf("one reduction allocates %d B, over the %d B ceiling for %d input rows", perCall, ceiling, rows)

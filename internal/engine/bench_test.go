@@ -30,7 +30,7 @@ func BenchmarkEvalMinimalPlan(b *testing.B) {
 	p := core.MinimalPlans(q, nil)[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewEvaluator(db, q, Options{}).Eval(p)
+		NewEvaluatorCtx(nil, db, q, Options{}).Eval(p)
 	}
 }
 
@@ -41,7 +41,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewEvaluator(db, q, Options{ReuseSubplans: true}).Eval(sp)
+		NewEvaluatorCtx(nil, db, q, Options{ReuseSubplans: true}).Eval(sp)
 	}
 }
 
@@ -61,7 +61,7 @@ func BenchmarkSemiJoinReduce(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				SemiJoinReduce(bc.db, bc.q)
+				SemiJoinReduceCtx(nil, bc.db, bc.q)
 			}
 		})
 	}
@@ -103,7 +103,7 @@ func BenchmarkLineage(b *testing.B) {
 	var anyQs []lq
 	for x1 := 4; x1 < 8; x1++ {
 		q := cq.MustParse(fmt.Sprintf("q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3), x0 <= 1, x1 <= %d", x1))
-		anyQs = append(anyQs, lq{q, SemiJoinReduce(anyDB, q)})
+		anyQs = append(anyQs, lq{q, SemiJoinReduceCtx(nil, anyDB, q)})
 	}
 	tpchQ := tpchShapeQuery(750, "%red%")
 	for _, bc := range []struct {
@@ -113,13 +113,13 @@ func BenchmarkLineage(b *testing.B) {
 	}{
 		{"chain3", chainDB, []lq{{chainQ, nil}}},
 		{"anytime_cold", anyDB, anyQs},
-		{"tpch", tpchBench(), []lq{{tpchQ, SemiJoinReduce(tpchBench(), tpchQ)}}},
+		{"tpch", tpchBench(), []lq{{tpchQ, SemiJoinReduceCtx(nil, tpchBench(), tpchQ)}}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				x := bc.qs[i%len(bc.qs)]
-				EvalLineage(bc.db, x.q, x.reduced)
+				EvalLineageCtx(nil, bc.db, x.q, x.reduced)
 			}
 		})
 	}
@@ -130,6 +130,6 @@ func BenchmarkDeterministic(b *testing.B) {
 	db, q := benchDB(10000, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EvalDeterministic(db, q)
+		EvalDeterministicCtx(nil, db, q)
 	}
 }

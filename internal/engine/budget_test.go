@@ -137,7 +137,7 @@ func TestBudgetUnderLimitSucceedsAndMatches(t *testing.T) {
 	db := budgetDB(10, 10)
 	q := cq.MustParse("q() :- R(x), S(x, y)")
 	plans := core.MinimalPlans(q, nil)
-	free := EvalPlans(db, q, plans, Options{})
+	free := EvalPlansCtx(nil, db, q, plans, Options{})
 	var capped *Result
 	err := TrapCancel(func() {
 		capped = EvalPlansCtx(nil, db, q, plans, Options{MaxIntermediateRows: 1 << 20})
@@ -145,8 +145,8 @@ func TestBudgetUnderLimitSucceedsAndMatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("budgeted evaluation failed: %v", err)
 	}
-	if free.BooleanScore() != capped.BooleanScore() {
-		t.Fatalf("budget changed the score: %v vs %v", capped.BooleanScore(), free.BooleanScore())
+	if booleanScore(free) != booleanScore(capped) {
+		t.Fatalf("budget changed the score: %v vs %v", booleanScore(capped), booleanScore(free))
 	}
 }
 
@@ -187,16 +187,16 @@ func TestBudgetLineage(t *testing.T) {
 		{MaxIntermediateRows: 10_000},
 		{Memo: NewBatchMemo("", 10_000, false)},
 	} {
-		err := TrapCancel(func() { NewEvaluator(db, q, opts).Lineage(q) })
+		err := TrapCancel(func() { NewEvaluatorCtx(nil, db, q, opts).Lineage(q) })
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("lineage under a 10 000-row budget: want ErrBudget, got %v", err)
 		}
 	}
 	var lin *Lineage
-	if err := TrapCancel(func() { lin = NewEvaluator(db, q, Options{MaxIntermediateRows: 10_200}).Lineage(q) }); err != nil {
+	if err := TrapCancel(func() { lin = NewEvaluatorCtx(nil, db, q, Options{MaxIntermediateRows: 10_200}).Lineage(q) }); err != nil {
 		t.Fatalf("lineage under a 10 200-row budget: %v", err)
 	}
-	if lin.Len() != 1 || lin.Size(0) != 10_000 || EvalLineage(db, q, nil).Size(0) != 10_000 {
+	if lin.Len() != 1 || lin.Size(0) != 10_000 || EvalLineageCtx(nil, db, q, nil).Size(0) != 10_000 {
 		t.Fatalf("lineage size %d, want 10 000", lin.Size(0))
 	}
 }

@@ -20,9 +20,6 @@ package engine
 //   - In-place writes (SetProb, ScaleProbs) copy the touched probability
 //     arrays first, tracked by per-slice copy-on-write flags.
 //   - Deletions rebuild the relation's storage into fresh arrays.
-//
-// Lazy secondary indexes are declared on the clone (same columns) but
-// never share built state: they rebuild on first use per version.
 
 // clampCap returns s with its capacity clamped to its length, so that
 // appending to the result always reallocates. nil stays nil.
@@ -50,7 +47,7 @@ func (db *DB) CloneCOW() *DB {
 		cowVarProb: true,
 	}
 	for name, r := range db.rels {
-		nr := &Relation{
+		c.rels[name] = &Relation{
 			Name:          r.Name,
 			Cols:          clampCap(r.Cols),
 			Deterministic: r.Deterministic,
@@ -62,21 +59,6 @@ func (db *DB) CloneCOW() *DB {
 			vars:          clampCap(r.vars),
 			cowProb:       true,
 		}
-		// Carry index declarations (not built state): each version
-		// rebuilds lazily on first use, under its own idxMu.
-		if r.hashIdx != nil {
-			nr.hashIdx = make(map[int]*hashIndex, len(r.hashIdx))
-			for col := range r.hashIdx {
-				nr.hashIdx[col] = &hashIndex{builtAt: -1}
-			}
-		}
-		if r.rangeIdx != nil {
-			nr.rangeIdx = make(map[int]*rangeIndex, len(r.rangeIdx))
-			for col := range r.rangeIdx {
-				nr.rangeIdx[col] = &rangeIndex{builtAt: -1}
-			}
-		}
-		c.rels[name] = nr
 	}
 	return c
 }
@@ -177,5 +159,4 @@ func (r *Relation) DeleteRow(i int) {
 		vars = append(vars, r.vars[i+1:]...)
 		r.vars = vars
 	}
-	r.invalidateIndexes()
 }

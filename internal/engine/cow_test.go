@@ -95,25 +95,6 @@ func TestCloneCOWChain(t *testing.T) {
 	}
 }
 
-func TestCloneCOWCarriesIndexDeclarations(t *testing.T) {
-	db := cowSeedDB()
-	if err := db.Relation("R").CreateIndex("x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Relation("R").CreateRangeIndex("y"); err != nil {
-		t.Fatal(err)
-	}
-	c := db.CloneCOW()
-	cr := c.Relation("R")
-	if rows, ok := cr.hashLookup(0, c.lookupConst("a")); !ok || len(rows) != 1 {
-		t.Fatalf("clone hash index lookup = %v, %v", rows, ok)
-	}
-	// Built state must not be shared: the parent builds independently.
-	if rows, ok := db.Relation("R").hashLookup(0, db.lookupConst("b")); !ok || len(rows) != 1 {
-		t.Fatalf("parent hash index lookup = %v, %v", rows, ok)
-	}
-}
-
 func TestFindRowAndDeleteRow(t *testing.T) {
 	db := cowSeedDB()
 	r := db.Relation("R")

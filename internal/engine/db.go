@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Value is an interned attribute value. Non-negative values represent the
@@ -80,14 +79,6 @@ type Relation struct {
 	vids []int32   // dense value ids, parallel to rows
 	prob []float64 // per tuple; nil for deterministic relations
 	vars []int32   // lineage variable ids; nil for deterministic relations
-
-	// Secondary indexes, built lazily (see index.go). Not persisted, and
-	// only their declarations survive cloning: they rebuild on first
-	// use. idxMu serializes the lazy builds: concurrent queries scan the
-	// same relation.
-	idxMu    sync.Mutex
-	hashIdx  map[int]*hashIndex
-	rangeIdx map[int]*rangeIndex
 
 	// cowProb marks prob as shared with a CloneCOW parent for in-place
 	// writes (see cow.go).

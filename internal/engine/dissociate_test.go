@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"lapushdb/internal/core"
@@ -19,7 +21,7 @@ func TestMaterializedDissociationExample11(t *testing.T) {
 	q := cq.MustParse("q() :- R(x), S(x, y)")
 	d := plan.NewDissociation()
 	d.Add("R", "y")
-	ddb, dq := MaterializeDissociation(db, q, d)
+	ddb, dq := materializeDissociation(db, q, d)
 	// ADom(y) = {4, 5}: R^y = {(1,4), (1,5), (2,4), (2,5)}.
 	ry := ddb.Relation("R")
 	if ry.Len() != 4 {
@@ -40,7 +42,7 @@ func TestMaterializedDissociationExample11(t *testing.T) {
 	if !dq.IsHierarchical() {
 		t.Error("q∆ should be hierarchical")
 	}
-	lin := EvalLineage(ddb, dq, nil)
+	lin := EvalLineageCtx(nil, ddb, dq, nil)
 	got := exact.Prob(lin.Clauses(0), ddb.VarProbs())
 	want := 0.5*0.4 + 0.5*0.7 - 0.25*0.4*0.7
 	if math.Abs(got-want) > 1e-12 {
@@ -73,9 +75,9 @@ func TestTheorem18ScoreEqualsMaterialized(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				score := NewEvaluator(db, q, Options{}).Eval(p).BooleanScore()
-				ddb, dq := MaterializeDissociation(db, q, d)
-				lin := EvalLineage(ddb, dq, nil)
+				score := booleanScore(NewEvaluatorCtx(nil, db, q, Options{}).Eval(p))
+				ddb, dq := materializeDissociation(db, q, d)
+				lin := EvalLineageCtx(nil, ddb, dq, nil)
 				var exactP float64
 				if lin.Len() > 0 {
 					exactP = exact.Prob(lin.Clauses(0), ddb.VarProbs())
@@ -98,8 +100,8 @@ func TestTheorem12UpperBoundMaterialized(t *testing.T) {
 		db := randomDB(q, 3, 5, 1.0, rng)
 		truth := exactProbs(db, q)[""]
 		for _, d := range core.Dissociations(q) {
-			ddb, dq := MaterializeDissociation(db, q, d)
-			lin := EvalLineage(ddb, dq, nil)
+			ddb, dq := materializeDissociation(db, q, d)
+			lin := EvalLineageCtx(nil, ddb, dq, nil)
 			var p float64
 			if lin.Len() > 0 {
 				p = exact.Prob(lin.Clauses(0), ddb.VarProbs())
@@ -127,13 +129,102 @@ func TestMaterializeDeterministicPreserved(t *testing.T) {
 	q := cq.MustParse("q() :- R(x), S(x, y), T(y)")
 	d := plan.NewDissociation()
 	d.Add("T", "x")
-	ddb, dq := MaterializeDissociation(db, q, d)
+	ddb, dq := materializeDissociation(db, q, d)
 	if !ddb.Relation("T").Deterministic {
 		t.Error("dissociated deterministic relation lost its flag")
 	}
-	lin := EvalLineage(ddb, dq, nil)
+	lin := EvalLineageCtx(nil, ddb, dq, nil)
 	got := exact.Prob(lin.Clauses(0), ddb.VarProbs())
 	if math.Abs(got-0.4) > 1e-12 {
 		t.Errorf("P(q∆) = %v, want 0.4 (Lemma 22)", got)
 	}
+}
+
+// materializeDissociation builds the dissociated database D∆ of
+// Definition 10: every relation Ri dissociated on variables yi is
+// replaced by Ri^yi, holding one copy of each tuple per combination of
+// values in the active domains of yi; each copy keeps the original
+// tuple's probability but becomes an independent event (a fresh lineage
+// variable).
+//
+// The paper's algorithms never materialize D∆ — Theorem 18 lets plans
+// run on the original database — so this test helper validates
+// that shortcut: the exact probability of q∆ on the materialized D∆
+// must equal score(P∆) on D. It returns the new database and the
+// dissociated query q∆ (same relation symbols, extended atoms).
+func materializeDissociation(db *DB, q *cq.Query, d plan.Dissociation) (*DB, *cq.Query) {
+	dq := d.Apply(q)
+	// Active domain per variable: union over atoms containing it.
+	adom := map[cq.Var][]Value{}
+	varDomain := func(v cq.Var) []Value {
+		if vals, ok := adom[v]; ok {
+			return vals
+		}
+		set := map[Value]bool{}
+		for _, a := range q.Atoms {
+			rel := db.Relation(a.Rel)
+			if rel == nil {
+				panic(fmt.Sprintf("engine: unknown relation %s", a.Rel))
+			}
+			for j, t := range a.Args {
+				if t.Var != v {
+					continue
+				}
+				for i := 0; i < rel.Len(); i++ {
+					set[rel.Row(i)[j]] = true
+				}
+			}
+		}
+		vals := make([]Value, 0, len(set))
+		for val := range set {
+			vals = append(vals, val)
+		}
+		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+		adom[v] = vals
+		return vals
+	}
+
+	out := NewDB()
+	out.strs = append([]string(nil), db.strs...)
+	for s, id := range db.strIDs {
+		out.strIDs[s] = id
+	}
+	for _, a := range q.Atoms {
+		rel := db.Relation(a.Rel)
+		extra := d.ExtraOf(a.Rel).Sorted()
+		cols := append([]string(nil), rel.Cols...)
+		for _, v := range extra {
+			cols = append(cols, "y_"+string(v))
+		}
+		var nr *Relation
+		if rel.Deterministic {
+			nr = out.CreateDeterministicRelation(rel.Name, cols)
+		} else {
+			nr = out.CreateRelation(rel.Name, cols)
+		}
+		// Cartesian product of the extra variables' active domains.
+		domains := make([][]Value, len(extra))
+		for i, v := range extra {
+			domains[i] = varDomain(v)
+		}
+		tuple := make([]Value, len(cols))
+		var emit func(i int, base []Value, p float64)
+		emit = func(i int, base []Value, p float64) {
+			if i == len(domains) {
+				copy(tuple, base)
+				nr.Insert(tuple, p)
+				return
+			}
+			for _, val := range domains[i] {
+				base[len(rel.Cols)+i] = val
+				emit(i+1, base, p)
+			}
+		}
+		base := make([]Value, len(cols))
+		for r := 0; r < rel.Len(); r++ {
+			copy(base, rel.Row(r))
+			emit(0, base, rel.Prob(r))
+		}
+	}
+	return out, dq
 }

@@ -61,15 +61,6 @@ func (r *Result) Row(i int) []Value {
 // Score returns the probability score of the i-th tuple.
 func (r *Result) Score(i int) float64 { return r.scores[i] }
 
-// BooleanScore returns the score of a Boolean query's result: the single
-// tuple's score, or 0 when the query has no satisfying assignment.
-func (r *Result) BooleanScore() float64 {
-	if r.Len() == 0 {
-		return 0
-	}
-	return r.scores[0]
-}
-
 // rowHash hashes the i-th tuple's values, matching valueKeyHash over the
 // decoded row.
 func (r *Result) rowHash(i int) uint64 {
@@ -164,7 +155,7 @@ type Options struct {
 	// Optimization 3 to the scanned relations before evaluation.
 	SemiJoin bool
 	// Reduced, when non-nil, supplies a precomputed semi-join reduction
-	// (as produced by SemiJoinReduce) instead of recomputing it, letting
+	// (as produced by SemiJoinReduceCtx) instead of recomputing it, letting
 	// staged evaluations — the anytime refiner's plan rounds, MC
 	// sampling, and exact expansion all read the same reduced lineage —
 	// share one reduction. It takes precedence over SemiJoin.
@@ -210,17 +201,12 @@ type Evaluator struct {
 	reference func(plan.Node) *Result
 }
 
-// NewEvaluator prepares an evaluator for one query evaluation. If
+// NewEvaluatorCtx prepares an evaluator for one query evaluation. If
 // opts.SemiJoin is set, q is used to compute the semi-join reduction; q
-// may be nil otherwise.
-func NewEvaluator(db *DB, q *cq.Query, opts Options) *Evaluator {
-	return NewEvaluatorCtx(nil, db, q, opts)
-}
-
-// NewEvaluatorCtx is NewEvaluator bound to a context: the semi-join
-// reduction and all evaluation loops poll ctx and unwind with a
-// cancellation panic when it is done. Callers passing a non-nil ctx must
-// wrap evaluation in TrapCancel.
+// may be nil otherwise. The semi-join reduction and all evaluation loops
+// poll ctx and unwind with a cancellation panic when it is done. Callers
+// passing a non-nil ctx must wrap evaluation in TrapCancel; a nil ctx is
+// never cancelled.
 func NewEvaluatorCtx(ctx context.Context, db *DB, q *cq.Query, opts Options) *Evaluator {
 	e := &Evaluator{db: db, opts: opts}
 	e.cancel.ctx = ctx
@@ -315,14 +301,10 @@ func (e *Evaluator) evalNode(p plan.Node) *Result {
 	return out
 }
 
-// EvalPlans evaluates several plans independently (no sharing between
+// EvalPlansCtx evaluates several plans independently (no sharing between
 // them, mirroring separate SQL statements) and combines them with the
-// per-answer minimum — the unoptimized "all minimal plans" strategy.
-func EvalPlans(db *DB, q *cq.Query, plans []plan.Node, opts Options) *Result {
-	return EvalPlansCtx(nil, db, q, plans, opts)
-}
-
-// EvalPlansCtx is EvalPlans bound to a context (see NewEvaluatorCtx).
+// per-answer minimum — the unoptimized "all minimal plans" strategy. ctx
+// is polled as NewEvaluatorCtx describes.
 func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, opts Options) *Result {
 	// One evaluator serves every plan, so the semi-join reduction is
 	// computed once and one row budget spans the query:
@@ -358,19 +340,8 @@ func (e *Evaluator) scan(s *plan.Scan) (*Result, []int32) {
 	rel, cols, pos := scanLayout(e.db, s)
 	filter := newRowFilter(e.db, rel, s)
 	out := newResult(cols, e.db.vals)
-	// Candidate rows: the semi-join reduction wins, then any index.
-	var cand []int32
-	restricted := false
-	if e.reduced != nil {
-		if idxs, ok := e.reduced[rel.Name]; ok {
-			cand, restricted = idxs, true
-		}
-	}
-	if !restricted {
-		if c2, ok := rel.indexCandidates(e.db, s); ok {
-			cand, restricted = c2, true
-		}
-	}
+	// Candidate rows: the semi-join reduction's, else the whole relation.
+	cand, restricted := e.reduced[rel.Name]
 	sel, all := filter.apply(rel, cand, restricted, &e.cancel)
 	m := len(sel)
 	if all {
@@ -526,8 +497,8 @@ func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *cance
 	}
 	var sel []int32
 	if restricted {
-		// Never compact the caller's candidate slice in place: reductions
-		// and indexes own it.
+		// Never compact the caller's candidate slice in place: the
+		// reduction owns it.
 		sel = append(make([]int32, 0, len(cand)), cand...)
 	} else {
 		n := rel.Len()
@@ -660,13 +631,8 @@ func (c compiledPred) filter(sel []int32, rows []Value, a int, cc *canceller) []
 	return out
 }
 
-// LikeMatch implements SQL LIKE with % (any run) and _ (any one
-// byte) wildcards.
-func LikeMatch(pattern, s string) bool {
-	return compileLike(pattern).match(s)
-}
-
-// likePattern is a LIKE pattern split at its % signs: the first segment
+// likePattern is an SQL LIKE pattern, with % (any run) and _ (any one
+// byte) wildcards, split at its % signs: the first segment
 // is anchored at the start of the string, the last at its end, and the
 // non-empty segments between them must occur in order, without overlap,
 // in what the two anchors leave. Taking each at its leftmost occurrence
@@ -1198,19 +1164,13 @@ func (m *minFold) merge(b *Result) {
 	}
 }
 
-// SemiJoinReduce performs the full deterministic semi-join reduction of
-// Optimization 3: every atom's relation is repeatedly reduced by
+// SemiJoinReduceCtx performs the full deterministic semi-join reduction
+// of Optimization 3: every atom's relation is repeatedly reduced by
 // semi-joins with the other atoms it shares variables with, until
 // fixpoint. It returns the surviving row indices per relation (only
 // entries for the query's atoms are present). Constant selections and
 // predicates are applied first, so the reduction starts from the
-// selected subsets.
-func SemiJoinReduce(db *DB, q *cq.Query) map[string][]int32 {
-	return semiJoinReduce(db, q, nil)
-}
-
-// SemiJoinReduceCtx is SemiJoinReduce bound to a context (see
-// NewEvaluatorCtx for the cancellation contract).
+// selected subsets. ctx is polled as NewEvaluatorCtx describes.
 func SemiJoinReduceCtx(ctx context.Context, db *DB, q *cq.Query) map[string][]int32 {
 	return semiJoinReduce(db, q, &canceller{ctx: ctx})
 }

@@ -37,7 +37,7 @@ func TestSafePlanMatchesExample7(t *testing.T) {
 	if len(plans) != 1 {
 		t.Fatalf("#plans = %d, want 1", len(plans))
 	}
-	res := NewEvaluator(db, q, Options{}).Eval(plans[0])
+	res := NewEvaluatorCtx(nil, db, q, Options{}).Eval(plans[0])
 	if res.Len() != 1 {
 		t.Fatalf("Boolean query returned %d rows", res.Len())
 	}
@@ -60,7 +60,7 @@ func TestDissociationScoreMatchesExample9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := NewEvaluator(db, q, Options{}).Eval(pl)
+	res := NewEvaluatorCtx(nil, db, q, Options{}).Eval(pl)
 	want := qq*p + r*p - p*p*qq*r
 	if got := res.Score(0); math.Abs(got-want) > eps {
 		t.Errorf("score = %v, want %v", got, want)
@@ -86,7 +86,7 @@ func TestExample17Numbers(t *testing.T) {
 	q := cq.MustParse("q() :- R(x), S(x), T(x, y), U(y)")
 
 	// Exact probability via lineage + exact WMC.
-	lin := EvalLineage(db, q, nil)
+	lin := EvalLineageCtx(nil, db, q, nil)
 	if lin.Len() != 1 {
 		t.Fatalf("lineage answers = %d, want 1", lin.Len())
 	}
@@ -102,7 +102,7 @@ func TestExample17Numbers(t *testing.T) {
 	}
 	var scores []float64
 	for _, p := range plans {
-		res := NewEvaluator(db, q, Options{}).Eval(p)
+		res := NewEvaluatorCtx(nil, db, q, Options{}).Eval(p)
 		scores = append(scores, res.Score(0))
 	}
 	want3, want4 := 169.0/1024.0, 353.0/2048.0
@@ -112,7 +112,7 @@ func TestExample17Numbers(t *testing.T) {
 	}
 
 	// The propagation score is the minimum: 169/1024.
-	res := EvalPlans(db, q, plans, Options{})
+	res := EvalPlansCtx(nil, db, q, plans, Options{})
 	if got := res.Score(0); math.Abs(got-want3) > eps {
 		t.Errorf("ρ(q) = %v, want %v", got, want3)
 	}
@@ -126,7 +126,7 @@ func TestExample17Numbers(t *testing.T) {
 
 	// Opt1 single plan computes the same propagation score.
 	sp := core.SinglePlan(q, nil)
-	spRes := NewEvaluator(db, q, Options{ReuseSubplans: true}).Eval(sp)
+	spRes := NewEvaluatorCtx(nil, db, q, Options{ReuseSubplans: true}).Eval(sp)
 	if got := spRes.Score(0); math.Abs(got-want3) > eps {
 		t.Errorf("single-plan ρ(q) = %v, want %v", got, want3)
 	}
@@ -167,13 +167,13 @@ func TestNonBooleanRanking(t *testing.T) {
 	if len(plans) != 2 {
 		t.Fatalf("#plans = %d", len(plans))
 	}
-	res := EvalPlans(db, q, plans, Options{})
+	res := EvalPlansCtx(nil, db, q, plans, Options{})
 	if res.Len() != 2 {
 		t.Fatalf("answers = %d, want 2", res.Len())
 	}
 	// Cross-check each answer against the exact probability: scores are
 	// upper bounds and, for this small instance, the ranking must agree.
-	lin := EvalLineage(db, q, nil)
+	lin := EvalLineageCtx(nil, db, q, nil)
 	for i := 0; i < lin.Len(); i++ {
 		exactP := exact.Prob(lin.Clauses(i), db.VarProbs())
 		score, ok := res.ScoreOf(lin.Key(i))
@@ -303,7 +303,7 @@ func TestSemiJoinReduction(t *testing.T) {
 	T.Insert([]Value{7}, 0.5)
 	T.Insert([]Value{8}, 0.5)
 	q := cq.MustParse("q() :- R(x), S(x, y), T(y)")
-	reduced := SemiJoinReduce(db, q)
+	reduced := SemiJoinReduceCtx(nil, db, q)
 	if got := len(reduced["R"]); got != 1 {
 		t.Errorf("R reduced to %d rows, want 1", got)
 	}
@@ -315,8 +315,8 @@ func TestSemiJoinReduction(t *testing.T) {
 	}
 	// Scores are identical with and without the reduction.
 	plans := core.MinimalPlans(q, nil)
-	plain := EvalPlans(db, q, plans, Options{})
-	red := EvalPlans(db, q, plans, Options{SemiJoin: true})
+	plain := EvalPlansCtx(nil, db, q, plans, Options{})
+	red := EvalPlansCtx(nil, db, q, plans, Options{SemiJoin: true})
 	if plain.Len() != red.Len() || math.Abs(plain.Score(0)-red.Score(0)) > eps {
 		t.Errorf("semi-join changed the result: %v vs %v", plain.Score(0), red.Score(0))
 	}
@@ -346,13 +346,13 @@ func TestReuseSubplansSameScores(t *testing.T) {
 	}
 	q := cq.MustParse("q() :- R(x, z), S(y, u), T(z), U(u), M(x, y, z, u)")
 	sp := core.SinglePlan(q, nil)
-	noReuse := NewEvaluator(db, q, Options{}).Eval(sp)
-	reuse := NewEvaluator(db, q, Options{ReuseSubplans: true}).Eval(sp)
+	noReuse := NewEvaluatorCtx(nil, db, q, Options{}).Eval(sp)
+	reuse := NewEvaluatorCtx(nil, db, q, Options{ReuseSubplans: true}).Eval(sp)
 	if math.Abs(noReuse.Score(0)-reuse.Score(0)) > eps {
 		t.Errorf("reuse changed score: %v vs %v", noReuse.Score(0), reuse.Score(0))
 	}
 	// And equals the min over all six minimal plans evaluated separately.
-	all := EvalPlans(db, q, core.MinimalPlans(q, nil), Options{})
+	all := EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), Options{})
 	if math.Abs(all.Score(0)-reuse.Score(0)) > eps {
 		t.Errorf("single plan %v != min over plans %v", reuse.Score(0), all.Score(0))
 	}
@@ -369,7 +369,7 @@ func TestConstantsInAtoms(t *testing.T) {
 	S.Insert([]Value{2}, 0.5)
 	q := cq.MustParse("q() :- R('a', x), S(x)")
 	plans := core.MinimalPlans(q, nil)
-	res := EvalPlans(db, q, plans, Options{})
+	res := EvalPlansCtx(nil, db, q, plans, Options{})
 	// Only R('a', 1) ⋈ S(1) matches: P = 0.25.
 	if got := res.Score(0); math.Abs(got-0.25) > eps {
 		t.Errorf("score = %v, want 0.25", got)
@@ -382,7 +382,7 @@ func TestRepeatedVariableInAtom(t *testing.T) {
 	R.Insert([]Value{1, 1}, 0.5)
 	R.Insert([]Value{1, 2}, 0.9)
 	q := cq.MustParse("q() :- R(x, x)")
-	res := EvalPlans(db, q, core.MinimalPlans(q, nil), Options{})
+	res := EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), Options{})
 	if got := res.Score(0); math.Abs(got-0.5) > eps {
 		t.Errorf("score = %v, want 0.5 (only R(1,1) matches)", got)
 	}
@@ -394,7 +394,7 @@ func TestPredicatePushdown(t *testing.T) {
 	S.Insert([]Value{5, 100}, 0.5)
 	S.Insert([]Value{15, 100}, 0.5)
 	q := cq.MustParse("q(a) :- S(s, a), s <= 10")
-	res := EvalPlans(db, q, core.MinimalPlans(q, nil), Options{})
+	res := EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), Options{})
 	if res.Len() != 1 {
 		t.Fatalf("answers = %d, want 1", res.Len())
 	}
@@ -424,16 +424,16 @@ func TestLikeMatch(t *testing.T) {
 		{"%aa%", "aXa", false},
 	}
 	for _, c := range cases {
-		if got := LikeMatch(c.pat, c.s); got != c.want {
-			t.Errorf("LikeMatch(%q, %q) = %v, want %v", c.pat, c.s, got, c.want)
+		if got := compileLike(c.pat).match(c.s); got != c.want {
+			t.Errorf("compileLike(%q).match(%q) = %v, want %v", c.pat, c.s, got, c.want)
 		}
 		if likeOracle(c.pat, c.s) != c.want {
 			t.Errorf("likeOracle(%q, %q) disagrees with the table", c.pat, c.s)
 		}
 	}
 	for _, c := range likeSegmentCases {
-		if got, want := LikeMatch(c.pat, c.s), likeOracle(c.pat, c.s); got != want {
-			t.Errorf("LikeMatch(%q, %q) = %v, oracle = %v", c.pat, c.s, got, want)
+		if got, want := compileLike(c.pat).match(c.s), likeOracle(c.pat, c.s); got != want {
+			t.Errorf("compileLike(%q).match(%q) = %v, oracle = %v", c.pat, c.s, got, want)
 		}
 	}
 }
@@ -451,7 +451,7 @@ func TestEvalDeterministic(t *testing.T) {
 	T.Insert([]Value{5}, 0.7)
 	T.Insert([]Value{6}, 0.6)
 	q := cq.MustParse("q(z) :- R(z, x), S(x, y), T(y)")
-	res := EvalDeterministic(db, q)
+	res := EvalDeterministicCtx(nil, db, q)
 	if res.Len() != 2 {
 		t.Fatalf("distinct answers = %d, want 2", res.Len())
 	}
@@ -465,7 +465,7 @@ func TestEvalDeterministic(t *testing.T) {
 func TestLineageMatchesExample7(t *testing.T) {
 	db := example7DB(0.5, 0.4, 0.7)
 	q := cq.MustParse("q() :- R(x), S(x, y)")
-	lin := EvalLineage(db, q, nil)
+	lin := EvalLineageCtx(nil, db, q, nil)
 	if lin.Len() != 1 {
 		t.Fatalf("answers = %d", lin.Len())
 	}
@@ -490,7 +490,7 @@ func TestLineageDeterministicRelationsExcluded(t *testing.T) {
 	R.Insert([]Value{1}, 0.5)
 	S.Insert([]Value{1, 2}, 1)
 	q := cq.MustParse("q() :- R(x), S(x, y)")
-	lin := EvalLineage(db, q, nil)
+	lin := EvalLineageCtx(nil, db, q, nil)
 	if lin.Len() != 1 || lin.Size(0) != 1 {
 		t.Fatalf("lineage = %v", lin)
 	}
@@ -522,7 +522,7 @@ func TestDeterministicRelationScores(t *testing.T) {
 	if len(plans) != 1 {
 		t.Fatalf("#plans = %d, want 1", len(plans))
 	}
-	res := NewEvaluator(db, q, Options{}).Eval(plans[0])
+	res := NewEvaluatorCtx(nil, db, q, Options{}).Eval(plans[0])
 	if got := res.Score(0); math.Abs(got-0.4) > eps {
 		t.Errorf("score = %v, want exactly 0.4", got)
 	}
@@ -533,13 +533,13 @@ func TestScaleProbs(t *testing.T) {
 	db2 := db.Clone()
 	db2.ScaleProbs(0.1)
 	q := cq.MustParse("q() :- R(x), S(x, y)")
-	p1 := EvalPlans(db, q, core.MinimalPlans(q, nil), Options{}).Score(0)
-	p2 := EvalPlans(db2, q, core.MinimalPlans(q, nil), Options{}).Score(0)
+	p1 := EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), Options{}).Score(0)
+	p2 := EvalPlansCtx(nil, db2, q, core.MinimalPlans(q, nil), Options{}).Score(0)
 	if p2 >= p1 {
 		t.Errorf("scaling down should lower the probability: %v vs %v", p1, p2)
 	}
 	// Original database unchanged.
-	p3 := EvalPlans(db, q, core.MinimalPlans(q, nil), Options{}).Score(0)
+	p3 := EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), Options{}).Score(0)
 	if math.Abs(p1-p3) > eps {
 		t.Errorf("clone+scale mutated the original")
 	}

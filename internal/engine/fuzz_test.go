@@ -104,10 +104,10 @@ func FuzzLikeMatch(f *testing.F) {
 		if len(pattern) > 64 || len(s) > 256 {
 			return // keep the oracle cheap
 		}
-		got := LikeMatch(pattern, s)
+		got := compileLike(pattern).match(s)
 		want := likeOracle(pattern, s)
 		if got != want {
-			t.Fatalf("LikeMatch(%q, %q) = %v, oracle = %v", pattern, s, got, want)
+			t.Fatalf("compileLike(%q).match(%q) = %v, oracle = %v", pattern, s, got, want)
 		}
 	})
 }
@@ -166,7 +166,7 @@ func FuzzMorselDifferential(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		db := randomDB(q, 16, int(rows%512)+1, 0.9, rng)
 		for _, opts := range []Options{{}, {ReuseSubplans: true, SemiJoin: true}} {
-			refEnc := encodeResult(EvalPlans(db, q, plans, opts))
+			refEnc := encodeResult(EvalPlansCtx(nil, db, q, plans, opts))
 			// Columnar executor vs the row-at-a-time oracle:
 			// byte-identical encodings.
 			if string(encodeResult(EvalPlansOracle(nil, db, q, plans, opts))) != string(refEnc) {
@@ -175,13 +175,13 @@ func FuzzMorselDifferential(f *testing.F) {
 			// The reduction itself is one more input: it equals the all-pairs
 			// reference, and evaluating with it precomputed changes no bit.
 			if opts.SemiJoin {
-				red := SemiJoinReduce(db, q)
+				red := SemiJoinReduceCtx(nil, db, q)
 				if !reflect.DeepEqual(red, semiJoinReduceRef(db, q, nil)) {
 					t.Fatalf("semi-join reduction differs from the reference")
 				}
 				rOpts := opts
 				rOpts.Reduced = red
-				if string(encodeResult(EvalPlans(db, q, plans, rOpts))) != string(refEnc) {
+				if string(encodeResult(EvalPlansCtx(nil, db, q, plans, rOpts))) != string(refEnc) {
 					t.Fatalf("precomputed reduction: encoding differs")
 				}
 			}

@@ -54,19 +54,14 @@ func (l *Lineage) MaxSize() int {
 	return m
 }
 
-// EvalLineage computes the lineage of every answer of q over db — the
+// EvalLineageCtx computes the lineage of every answer of q over db — the
 // paper's "lineage query". Any probabilistic method that runs outside the
 // database engine must at least do this work. Atoms are scanned with the
 // same semi-join-reduced row sets as Optimization 3 when reduced is
-// non-nil (pass SemiJoinReduce output) to keep intermediate results small.
-func EvalLineage(db *DB, q *cq.Query, reduced map[string][]int32) *Lineage {
-	return EvalLineageCtx(nil, db, q, reduced)
-}
-
-// EvalLineageCtx is EvalLineage bound to a context: the scan and join
-// loops poll ctx and unwind with a cancellation panic when it is done.
-// Callers passing a non-nil ctx must wrap the call in TrapCancel. It has
-// no row budget; Evaluator.Lineage runs under one.
+// non-nil (pass SemiJoinReduceCtx output) to keep intermediate results
+// small. The scan and join loops poll ctx and unwind with a cancellation
+// panic when it is done. Callers passing a non-nil ctx must wrap the call
+// in TrapCancel. It has no row budget; Evaluator.Lineage runs under one.
 func EvalLineageCtx(ctx context.Context, db *DB, q *cq.Query, reduced map[string][]int32) *Lineage {
 	return NewEvaluatorCtx(ctx, db, nil, Options{Reduced: reduced}).Lineage(q)
 }
@@ -207,16 +202,11 @@ func sortClauses(arena, off []int32, w int, dedupe bool) []int32 {
 	return out
 }
 
-// EvalDeterministic evaluates q under set semantics — the paper's
+// EvalDeterministicCtx evaluates q under set semantics — the paper's
 // "standard SQL" baseline (select distinct, no probability arithmetic).
-// It returns the distinct head tuples, each scored 1.
-func EvalDeterministic(db *DB, q *cq.Query) *Result {
-	return EvalDeterministicCtx(nil, db, q)
-}
-
-// EvalDeterministicCtx is EvalDeterministic bound to a context (see
-// EvalLineageCtx for the cancellation contract). It has no row budget;
-// Evaluator.Deterministic runs under one.
+// It returns the distinct head tuples, each scored 1. ctx is polled as
+// EvalLineageCtx describes. It has no row budget; Evaluator.Deterministic
+// runs under one.
 func EvalDeterministicCtx(ctx context.Context, db *DB, q *cq.Query) *Result {
 	return NewEvaluatorCtx(ctx, db, nil, Options{ReuseSubplans: true}).Deterministic(q)
 }

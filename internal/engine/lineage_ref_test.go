@@ -250,7 +250,7 @@ func assertCanonical(t *testing.T, label string, lin *Lineage) {
 
 func assertLineageMatchesRef(t *testing.T, label string, db *DB, q *cq.Query, reduced map[string][]int32) {
 	t.Helper()
-	got := EvalLineage(db, q, reduced)
+	got := EvalLineageCtx(nil, db, q, reduced)
 	want := evalLineageRef(nil, db, q, reduced)
 	label = fmt.Sprintf("%s: %s (reduced=%v)", label, q, reduced != nil)
 	if !slices.Equal(got.Cols, want.cols) {
@@ -358,7 +358,7 @@ func TestPropLineageMatchesReference(t *testing.T) {
 		}
 		db := randomLineageDB(q, 2+rng.Intn(5), 1+rng.Intn(30), pDet, pad, rng)
 		assertLineageMatchesRef(t, "random", db, q, nil)
-		assertLineageMatchesRef(t, "random", db, q, SemiJoinReduce(db, q))
+		assertLineageMatchesRef(t, "random", db, q, SemiJoinReduceCtx(nil, db, q))
 	}
 	if testing.Short() {
 		return
@@ -372,7 +372,7 @@ func TestPropLineageMatchesReference(t *testing.T) {
 	}
 	q := cq.MustParse("q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3), x0 <= 40")
 	assertLineageMatchesRef(t, "chain3", chain, q, nil)
-	assertLineageMatchesRef(t, "chain3", chain, q, SemiJoinReduce(chain, q))
+	assertLineageMatchesRef(t, "chain3", chain, q, SemiJoinReduceCtx(nil, chain, q))
 	star := NewDB()
 	r0 := star.CreateRelation("R0", []string{"a", "b", "c"})
 	for i := 0; i < 2000; i++ {
@@ -386,7 +386,7 @@ func TestPropLineageMatchesReference(t *testing.T) {
 	}
 	q = cq.MustParse("q(x1) :- R0(x1, x2, x3), R1(x1), R2(x2), R3(x3)")
 	assertLineageMatchesRef(t, "star3", star, q, nil)
-	assertLineageMatchesRef(t, "star3", star, q, SemiJoinReduce(star, q))
+	assertLineageMatchesRef(t, "star3", star, q, SemiJoinReduceCtx(nil, star, q))
 	tpch := tpchShapeDB(200, 3000, rng)
 	for _, c := range []struct {
 		dollar1 int
@@ -394,7 +394,7 @@ func TestPropLineageMatchesReference(t *testing.T) {
 	}{{100, "%red%"}, {200, "%"}, {50, "%red%green%"}, {0, "%"}} {
 		q := tpchShapeQuery(c.dollar1, c.dollar2)
 		assertLineageMatchesRef(t, "tpch", tpch, q, nil)
-		assertLineageMatchesRef(t, "tpch", tpch, q, SemiJoinReduce(tpch, q))
+		assertLineageMatchesRef(t, "tpch", tpch, q, SemiJoinReduceCtx(nil, tpch, q))
 	}
 }
 
@@ -410,9 +410,9 @@ func TestLineageAtomOrderInvariance(t *testing.T) {
 		db := randomLineageDB(q, 2+rng.Intn(5), 1+rng.Intn(30), 0.3, 5000*(iter%2), rng)
 		var reduced map[string][]int32
 		if iter%2 == 1 {
-			reduced = SemiJoinReduce(db, q)
+			reduced = SemiJoinReduceCtx(nil, db, q)
 		}
-		base := EvalLineage(db, q, reduced)
+		base := EvalLineageCtx(nil, db, q, reduced)
 		want := map[string][][]int32{}
 		for i := 0; i < base.Len(); i++ {
 			want[lineageKeyString(base.Key(i))] = base.Clauses(i)
@@ -421,7 +421,7 @@ func TestLineageAtomOrderInvariance(t *testing.T) {
 			atoms := slices.Clone(sh.atoms)
 			rng.Shuffle(len(atoms), func(i, j int) { atoms[i], atoms[j] = atoms[j], atoms[i] })
 			pq := shapeQuery(sh.head, atoms, sh.preds)
-			got := EvalLineage(db, pq, reduced)
+			got := EvalLineageCtx(nil, db, pq, reduced)
 			if got.Len() != base.Len() {
 				t.Fatalf("%s: %d answers, %s gives %d", q, base.Len(), pq, got.Len())
 			}
@@ -456,7 +456,7 @@ func TestLineageIDColumnNamesAreFresh(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		db := randomLineageDB(q, 2+rng.Intn(4), 1+rng.Intn(30), 0.3*float64(iter%2), 0, rng)
 		assertLineageMatchesRef(t, "spelled", db, q, nil)
-		assertLineageMatchesRef(t, "spelled", db, q, SemiJoinReduce(db, q))
+		assertLineageMatchesRef(t, "spelled", db, q, SemiJoinReduceCtx(nil, db, q))
 	}
 }
 

@@ -187,16 +187,8 @@ func (e *Evaluator) oracleScan(s *plan.Scan) *Result {
 		}
 		out.scores = append(out.scores, rel.Prob(i))
 	}
-	if e.reduced != nil {
-		if idxs, ok := e.reduced[rel.Name]; ok {
-			for _, i := range idxs {
-				emit(int(i))
-			}
-			return out
-		}
-	}
-	if cand, ok := rel.indexCandidates(e.db, s); ok {
-		for _, i := range cand {
+	if idxs, ok := e.reduced[rel.Name]; ok {
+		for _, i := range idxs {
 			emit(int(i))
 		}
 		return out

@@ -20,7 +20,7 @@ import (
 )
 
 // EvalPlans evaluates plans through the row-at-a-time reference
-// executor. Semantics otherwise match engine.EvalPlans.
+// executor. Semantics otherwise match engine.EvalPlansCtx.
 func EvalPlans(db *engine.DB, q *cq.Query, plans []plan.Node, o engine.Options) *engine.Result {
 	return engine.EvalPlansOracle(nil, db, q, plans, o)
 }

@@ -38,8 +38,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Same query results, bit for bit.
 	plans := core.MinimalPlans(q, nil)
-	a := EvalPlans(db, q, plans, Options{})
-	b := EvalPlans(loaded, q, plans, Options{})
+	a := EvalPlansCtx(nil, db, q, plans, Options{})
+	b := EvalPlansCtx(nil, loaded, q, plans, Options{})
 	if a.Len() != b.Len() {
 		t.Fatalf("answers %d vs %d", a.Len(), b.Len())
 	}

@@ -76,10 +76,17 @@ func (e *Evaluator) EvalProfiled(p plan.Node) (*Result, []NodeStat) {
 
 // FormatProfile renders the stats as an indented operator tree, root
 // first, with output cardinalities and inclusive times. Each line names
-// its node by plan.Label, so a scan shows its pushed-down predicates.
+// its node by plan.Label, so a scan shows its pushed-down predicates. A
+// reused subplan carries the name plan.String gives it: the line that
+// computed it starts "vN = ", and a cache hit on it prints "vN".
 func FormatProfile(stats []NodeStat) string {
+	if len(stats) == 0 {
+		return ""
+	}
+	// Stats are post-order, so the root is last; print in reverse for a
+	// root-first tree.
+	_, names := plan.Views(stats[len(stats)-1].Node)
 	var b strings.Builder
-	// Stats are post-order; print in reverse for a root-first tree.
 	for i := len(stats) - 1; i >= 0; i-- {
 		s := stats[i]
 		indent := strings.Repeat("  ", s.Depth)
@@ -100,6 +107,13 @@ func FormatProfile(stats []NodeStat) string {
 			op += fmt.Sprintf(" (%d-way)", len(t.Subs))
 		case *plan.Min:
 			op += fmt.Sprintf(" (%d alternatives)", len(t.Subs))
+		}
+		if name, ok := names[s.Node.ID()]; ok {
+			if s.CacheHit {
+				op = name
+			} else {
+				op = name + " = " + op
+			}
 		}
 		if s.CacheHit {
 			fmt.Fprintf(&b, "%s%-40s rows=%-8d (cached)\n", indent, op, s.Rows)

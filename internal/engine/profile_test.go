@@ -57,8 +57,9 @@ func nodesThatRun(root plan.Node) []profiledNode {
 // result is bit-identical to plain Eval, there is exactly one NodeStat
 // per node that ran (cache hits and fused π(⋈) marked, and rendered so
 // by FormatProfile, a scan with its predicates), each with the node's
-// own output cardinality. That the hook costs nothing when off is
-// TestChainJoinAllocGate's ceiling.
+// own output cardinality. A reused subplan is named as plan.String names
+// it: "vN = …" on the line that computed it, "vN" on a cache hit. That
+// the hook costs nothing when off is TestChainJoinAllocGate's ceiling.
 func TestEvalProfiled(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	type shape struct {
@@ -69,6 +70,8 @@ func TestEvalProfiled(t *testing.T) {
 	var shapes []shape
 	db, q := workload.Chain(3, 600, 120, 0.5, rng)
 	shapes = append(shapes, shape{"chain3", db, q})
+	db, q = workload.Chain(4, 600, 120, 0.5, rng)
+	shapes = append(shapes, shape{"chain4", db, q})
 	db, q = workload.Star(3, 500, 90, 0.5, rng)
 	shapes = append(shapes, shape{"star3", db, q})
 	tp := workload.NewTPCH(0.01, 0.1, rng)
@@ -79,8 +82,8 @@ func TestEvalProfiled(t *testing.T) {
 		want := nodesThatRun(sp)
 		label := sh.label
 		opts := engine.Options{ReuseSubplans: true, SemiJoin: true}
-		plain := engine.NewEvaluator(sh.db, sh.q, opts)
-		res, stats := engine.NewEvaluator(sh.db, sh.q, opts).EvalProfiled(sp)
+		plain := engine.NewEvaluatorCtx(nil, sh.db, sh.q, opts)
+		res, stats := engine.NewEvaluatorCtx(nil, sh.db, sh.q, opts).EvalProfiled(sp)
 		ref := plain.Eval(sp)
 		if res.Len() != ref.Len() || res.Len() == 0 {
 			t.Fatalf("%s: profiled %d rows vs plain %d", label, res.Len(), ref.Len())
@@ -115,9 +118,32 @@ func TestEvalProfiled(t *testing.T) {
 		if fused == 0 || hits == 0 {
 			t.Errorf("%s: want fused projections and cache hits in the merged plan:\n%s", label, out)
 		}
-		if strings.Count(out, "\n") != len(stats) || strings.Count(out, "-way, fused)") != fused ||
+		if strings.Count(out, "\n") != len(stats) || strings.Count(out, "-way, fused") != fused ||
 			strings.Count(out, "(cached)") != hits || !strings.Contains(out, "scan ") {
 			t.Errorf("%s: profile does not render %d nodes, %d fused, %d cached:\n%s", label, len(stats), fused, hits, out)
+		}
+		// Each reused subplan carries its plan.String name.
+		_, names := plan.Views(sp)
+		explain := plan.String(sp)
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		named := 0
+		for i, s := range stats {
+			name, ok := names[s.Node.ID()]
+			if !ok {
+				continue
+			}
+			named++
+			line := strings.TrimSpace(lines[len(stats)-1-i])
+			if s.CacheHit && !(strings.HasPrefix(line, name+" ") && strings.HasSuffix(line, "(cached)")) {
+				t.Errorf("%s: cache hit on %s renders %q", label, name, line)
+			}
+			if !s.CacheHit && (!strings.HasPrefix(line, name+" = ") ||
+				!strings.Contains(explain, name+" = "+plan.Label(s.Node))) {
+				t.Errorf("%s: %s computed as %q, explained as %s", label, name, line, explain)
+			}
+		}
+		if label == "chain4" && named == 0 {
+			t.Errorf("%s: no line names a reused subplan:\n%s", label, out)
 		}
 		// A scan prints its whole key: tpch's Supplier and Part scans
 		// carry their pushed-down predicates.

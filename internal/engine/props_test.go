@@ -64,7 +64,7 @@ func randomDB(q *cq.Query, domain, maxRows int, pimax float64, rng *rand.Rand) *
 // exactProbs computes the exact probability of every answer via lineage +
 // WMC, keyed by the answer tuple.
 func exactProbs(db *DB, q *cq.Query) map[string]float64 {
-	lin := EvalLineage(db, q, nil)
+	lin := EvalLineageCtx(nil, db, q, nil)
 	out := map[string]float64{}
 	key := make([]byte, 0, 16)
 	for i := 0; i < lin.Len(); i++ {
@@ -95,7 +95,7 @@ func TestPropUpperBounds(t *testing.T) {
 		db := randomDB(q, 4, 8, 1.0, rng)
 		truth := exactProbs(db, q)
 		for _, p := range core.SafeDissociationPlans(q) {
-			res := NewEvaluator(db, q, Options{}).Eval(p)
+			res := NewEvaluatorCtx(nil, db, q, Options{}).Eval(p)
 			for i := 0; i < res.Len(); i++ {
 				want, ok := truth[resultKey(res, i)]
 				if !ok {
@@ -128,7 +128,7 @@ func TestPropSafeExact(t *testing.T) {
 		for iter := 0; iter < 10; iter++ {
 			db := randomDB(q, 4, 8, 1.0, rng)
 			truth := exactProbs(db, q)
-			res := NewEvaluator(db, q, Options{}).Eval(plans[0])
+			res := NewEvaluatorCtx(nil, db, q, Options{}).Eval(plans[0])
 			for i := 0; i < res.Len(); i++ {
 				want := truth[resultKey(res, i)]
 				if math.Abs(res.Score(i)-want) > 1e-9 {
@@ -163,7 +163,7 @@ func TestPropLatticeMonotonicity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				scores[i] = NewEvaluator(db, q, Options{}).Eval(p).BooleanScore()
+				scores[i] = booleanScore(NewEvaluatorCtx(nil, db, q, Options{}).Eval(p))
 			}
 			for i := range safe {
 				for j := range safe {
@@ -190,8 +190,8 @@ func TestPropMinimalPlansSuffice(t *testing.T) {
 		all := core.SafeDissociationPlans(q)
 		for iter := 0; iter < 10; iter++ {
 			db := randomDB(q, 3, 6, 1.0, rng)
-			rhoMin := EvalPlans(db, q, minimal, Options{})
-			rhoAll := EvalPlans(db, q, all, Options{})
+			rhoMin := EvalPlansCtx(nil, db, q, minimal, Options{})
+			rhoAll := EvalPlansCtx(nil, db, q, all, Options{})
 			if rhoMin.Len() != rhoAll.Len() {
 				t.Fatalf("%s: answer sets differ", qs)
 			}
@@ -236,7 +236,7 @@ func TestPropDRInvariance(t *testing.T) {
 			t.Fatalf("DR-aware plans = %d, want 1", len(plans))
 		}
 		truth := exactProbs(db, q)
-		res := NewEvaluator(db, q, Options{}).Eval(plans[0])
+		res := NewEvaluatorCtx(nil, db, q, Options{}).Eval(plans[0])
 		for i := 0; i < res.Len(); i++ {
 			want := truth[resultKey(res, i)]
 			if math.Abs(res.Score(i)-want) > 1e-9 {
@@ -275,7 +275,7 @@ func TestPropFDInvariance(t *testing.T) {
 			t.Fatalf("FD-aware plans = %d, want 1", len(plans))
 		}
 		truth := exactProbs(db, q)
-		res := NewEvaluator(db, q, Options{}).Eval(plans[0])
+		res := NewEvaluatorCtx(nil, db, q, Options{}).Eval(plans[0])
 		for i := 0; i < res.Len(); i++ {
 			want := truth[resultKey(res, i)]
 			if math.Abs(res.Score(i)-want) > 1e-9 {
@@ -296,7 +296,7 @@ func TestPropScaling(t *testing.T) {
 		relErr := func(f float64) float64 {
 			d := db.Clone()
 			d.ScaleProbs(f)
-			rho := EvalPlans(d, q, plans, Options{}).BooleanScore()
+			rho := booleanScore(EvalPlansCtx(nil, d, q, plans, Options{}))
 			p := exactProbs(d, q)[""]
 			if p == 0 {
 				return 0
@@ -328,13 +328,13 @@ func TestPropOptimizationsPreserveScores(t *testing.T) {
 		q := cq.MustParse(qs)
 		db := randomDB(q, 4, 10, 1.0, rng)
 		plans := core.MinimalPlans(q, nil)
-		base := EvalPlans(db, q, plans, Options{})
+		base := EvalPlansCtx(nil, db, q, plans, Options{})
 		sp := core.SinglePlan(q, nil)
 		variants := map[string]*Result{
-			"opt1":   NewEvaluator(db, q, Options{}).Eval(sp),
-			"opt12":  NewEvaluator(db, q, Options{ReuseSubplans: true}).Eval(sp),
-			"opt123": NewEvaluator(db, q, Options{ReuseSubplans: true, SemiJoin: true}).Eval(sp),
-			"plans3": EvalPlans(db, q, plans, Options{SemiJoin: true}),
+			"opt1":   NewEvaluatorCtx(nil, db, q, Options{}).Eval(sp),
+			"opt12":  NewEvaluatorCtx(nil, db, q, Options{ReuseSubplans: true}).Eval(sp),
+			"opt123": NewEvaluatorCtx(nil, db, q, Options{ReuseSubplans: true, SemiJoin: true}).Eval(sp),
+			"plans3": EvalPlansCtx(nil, db, q, plans, Options{SemiJoin: true}),
 		}
 		for name, res := range variants {
 			if res.Len() != base.Len() {
@@ -408,11 +408,11 @@ func TestPropDeterministicIsSupport(t *testing.T) {
 				t.Errorf("%s: row %d scored %v, want exactly 1", label, i, det.Score(i))
 			}
 		}
-		opt123 := NewEvaluator(db, q, Options{ReuseSubplans: true, SemiJoin: true}).Eval(core.SinglePlan(q, nil))
+		opt123 := NewEvaluatorCtx(nil, db, q, Options{ReuseSubplans: true, SemiJoin: true}).Eval(core.SinglePlan(q, nil))
 		if want := keySet(opt123); !maps.Equal(got, want) {
 			t.Errorf("%s: deterministic answers %d, Opt1-2-3 answers %d", label, len(got), len(want))
 		}
-		lin := NewEvaluator(db, q, Options{}).Lineage(q)
+		lin := NewEvaluatorCtx(nil, db, q, Options{}).Lineage(q)
 		want := map[string]bool{}
 		for i := 0; i < lin.Len(); i++ {
 			want[lineageKeyString(lin.Key(i))] = true
@@ -481,10 +481,10 @@ func TestPropTupleOrderInvariance(t *testing.T) {
 			"opt23": {ReuseSubplans: true, SemiJoin: true},
 		} {
 			label := fmt.Sprintf("%s/%s", qs, name)
-			base := EvalPlans(db, q, plans, opts)
-			again := EvalPlans(db, q, plans, opts)
+			base := EvalPlansCtx(nil, db, q, plans, opts)
+			again := EvalPlansCtx(nil, db, q, plans, opts)
 			assertIdenticalResults(t, label+"/twice", base, again)
-			got := EvalPlans(shuffled, q, plans, opts)
+			got := EvalPlansCtx(nil, shuffled, q, plans, opts)
 			if got.Len() != base.Len() {
 				t.Fatalf("%s: %d answers after shuffling, %d before", label, got.Len(), base.Len())
 			}
@@ -516,7 +516,7 @@ func TestPropOracleBothPaths(t *testing.T) {
 		q := cq.MustParse(qs)
 		db := randomDB(q, 4, 8, 1.0, rng)
 		truth := exactProbs(db, q)
-		res := EvalPlans(db, q, core.MinimalPlans(q, nil), Options{})
+		res := EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), Options{})
 		for i := 0; i < res.Len(); i++ {
 			want, ok := truth[resultKey(res, i)]
 			if !ok {
@@ -548,12 +548,12 @@ func TestPropExecutorOracleDifferential(t *testing.T) {
 			"plain": {},
 			"opt23": {ReuseSubplans: true, SemiJoin: true},
 		} {
-			got := EvalPlans(db, q, plans, opts)
+			got := EvalPlansCtx(nil, db, q, plans, opts)
 			want := EvalPlansOracle(nil, db, q, plans, opts)
 			assertIdenticalResults(t, fmt.Sprintf("%s/%s", qs, name), want, got)
 			if opts.SemiJoin {
-				opts.Reduced = SemiJoinReduce(db, q)
-				pre := EvalPlans(db, q, plans, opts)
+				opts.Reduced = SemiJoinReduceCtx(nil, db, q)
+				pre := EvalPlansCtx(nil, db, q, plans, opts)
 				assertIdenticalResults(t, fmt.Sprintf("%s/%s/reduced", qs, name), got, pre)
 			}
 		}
@@ -610,7 +610,7 @@ func TestExecutorOracleDifferentialLarge(t *testing.T) {
 		}
 		plans := core.MinimalPlans(q, nil)
 		stats := &EvalStats{}
-		got := EvalPlans(db, q, plans, Options{ReuseSubplans: true, SemiJoin: true, Stats: stats})
+		got := EvalPlansCtx(nil, db, q, plans, Options{ReuseSubplans: true, SemiJoin: true, Stats: stats})
 		if stats.Partitions() == 0 {
 			t.Fatalf("%s: expected multi-chunk projections on %d-row inputs", sh.label, sh.rows)
 		}
@@ -697,7 +697,7 @@ func TestDirectGroupingOracleDifferential(t *testing.T) {
 		} {
 			label := c.label + "/" + name
 			opts.Stats = &EvalStats{}
-			got, stats := NewEvaluator(c.db, q, opts).EvalProfiled(plans[0])
+			got, stats := NewEvaluatorCtx(nil, c.db, q, opts).EvalProfiled(plans[0])
 			root := stats[len(stats)-1]
 			if !root.Fused || root.Direct != c.direct {
 				t.Fatalf("%s: root ran fused=%v direct=%v, want fused, direct=%v:\n%s",
@@ -804,9 +804,9 @@ func TestPropSinglePlanWithSchema(t *testing.T) {
 		}
 		sch := SchemaFor(db, q)
 		plans := core.MinimalPlans(q, sch)
-		all := EvalPlans(db, q, plans, Options{}).BooleanScore()
+		all := booleanScore(EvalPlansCtx(nil, db, q, plans, Options{}))
 		sp := core.SinglePlan(q, sch)
-		merged := NewEvaluator(db, q, Options{ReuseSubplans: true}).Eval(sp).BooleanScore()
+		merged := booleanScore(NewEvaluatorCtx(nil, db, q, Options{ReuseSubplans: true}).Eval(sp))
 		if math.Abs(all-merged) > 1e-9 {
 			t.Errorf("iter %d: min-over-plans %v != merged %v", iter, all, merged)
 		}

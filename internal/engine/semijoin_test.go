@@ -169,7 +169,7 @@ var tpchBench = sync.OnceValue(func() *DB {
 
 func assertReduceMatchesRef(t *testing.T, label string, db *DB, q *cq.Query) {
 	t.Helper()
-	got := SemiJoinReduce(db, q)
+	got := SemiJoinReduceCtx(nil, db, q)
 	want := semiJoinReduceRef(db, q, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: %s: reduction differs from the reference\n got %v\nwant %v", label, q, got, want)

@@ -51,19 +51,19 @@ func ExtraAblation(cfg Config) *Table {
 		sp := core.SinglePlan(w.q, nil)
 		row := []any{w.name}
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
-			engine.EvalPlans(w.db, w.q, plans, engine.Options{})
+			engine.EvalPlansCtx(nil, w.db, w.q, plans, engine.Options{})
 		})))
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
-			engine.NewEvaluator(w.db, w.q, engine.Options{}).Eval(sp)
+			engine.NewEvaluatorCtx(nil, w.db, w.q, engine.Options{}).Eval(sp)
 		})))
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
-			engine.NewEvaluator(w.db, w.q, engine.Options{ReuseSubplans: true}).Eval(sp)
+			engine.NewEvaluatorCtx(nil, w.db, w.q, engine.Options{ReuseSubplans: true}).Eval(sp)
 		})))
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
-			engine.NewEvaluator(w.db, w.q, engine.Options{ReuseSubplans: true, SemiJoin: true}).Eval(sp)
+			engine.NewEvaluatorCtx(nil, w.db, w.q, engine.Options{ReuseSubplans: true, SemiJoin: true}).Eval(sp)
 		})))
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
-			engine.EvalDeterministic(w.db, w.q)
+			engine.EvalDeterministicCtx(nil, w.db, w.q)
 		})))
 		t.Add(row...)
 	}
@@ -120,7 +120,7 @@ func ExtraExactMethods(cfg Config) *Table {
 	tp := workload.NewTPCH(cfg.Scale, 0.5, rng)
 	for _, pattern := range []string{"%red%green%", "%red%", "%"} {
 		q := tp.Query(tp.Suppliers, pattern)
-		lin := engine.EvalLineage(tp.DB, q, engine.SemiJoinReduce(tp.DB, q))
+		lin := engine.EvalLineageCtx(nil, tp.DB, q, engine.SemiJoinReduceCtx(nil, tp.DB, q))
 		probs := tp.DB.VarProbs()
 		row := []any{pattern, lin.MaxSize()}
 		budget := 20_000_000

@@ -34,8 +34,8 @@ type rankingRun struct {
 // lineage size for the query over db. It returns nil if exact inference
 // exceeds the budget.
 func newRankingRun(db *engine.DB, q *cq.Query, budget int) *rankingRun {
-	reduced := engine.SemiJoinReduce(db, q)
-	lin := engine.EvalLineage(db, q, reduced)
+	reduced := engine.SemiJoinReduceCtx(nil, db, q)
+	lin := engine.EvalLineageCtx(nil, db, q, reduced)
 	if lin.Len() == 0 {
 		return nil
 	}
@@ -52,7 +52,7 @@ func newRankingRun(db *engine.DB, q *cq.Query, budget int) *rankingRun {
 	}
 	// Dissociation scores aligned to the lineage's answer order.
 	plans := core.MinimalPlans(q, nil)
-	res := engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
+	res := engine.EvalPlansCtx(nil, db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
 	r.diss = alignScores(db, res, r.keys)
 	// Ground-truth statistics.
 	sorted := append([]float64(nil), r.gt...)
@@ -260,7 +260,7 @@ func Fig5k(cfg Config) *Table {
 						continue
 					}
 					if len(run.clauses) > 0 {
-						lin := engine.EvalLineage(tp.DB, q, engine.SemiJoinReduce(tp.DB, q))
+						lin := engine.EvalLineageCtx(nil, tp.DB, q, engine.SemiJoinReduceCtx(nil, tp.DB, q))
 						if lin.MaxSize() > maxLin {
 							maxLin = lin.MaxSize()
 						}
@@ -364,7 +364,7 @@ func Fig5l(cfg Config) *Table {
 				if run == nil || run.maxPa > 0.999999 {
 					continue
 				}
-				res := engine.NewEvaluator(tp.DB, q, engine.Options{ReuseSubplans: true}).Eval(p)
+				res := engine.NewEvaluatorCtx(nil, tp.DB, q, engine.Options{ReuseSubplans: true}).Eval(p)
 				aps = append(aps, run.apOf(alignScores(tp.DB, res, run.keys)))
 			}
 			if len(aps) > 0 {
@@ -401,7 +401,7 @@ func Fig5m(cfg Config) *Table {
 				if run == nil || p == nil || run.maxPa > 0.999999 {
 					continue
 				}
-				res := engine.NewEvaluator(tp.DB, q, engine.Options{ReuseSubplans: true}).Eval(p)
+				res := engine.NewEvaluatorCtx(nil, tp.DB, q, engine.Options{ReuseSubplans: true}).Eval(p)
 				dissAPs = append(dissAPs, run.apOf(alignScores(tp.DB, res, run.keys)))
 				for _, x := range []int{1000, 3000, 10000} {
 					mcAPs[x] = append(mcAPs[x], run.apOf(run.mcScores(x, rng)))
@@ -440,8 +440,8 @@ type compiledGT struct {
 // compileGT compiles the lineage of every answer; nil when exact
 // compilation exceeds the budget.
 func compileGT(db *engine.DB, q *cq.Query, keys []string, budget int) *compiledGT {
-	reduced := engine.SemiJoinReduce(db, q)
-	lin := engine.EvalLineage(db, q, reduced)
+	reduced := engine.SemiJoinReduceCtx(nil, db, q)
+	lin := engine.EvalLineageCtx(nil, db, q, reduced)
 	c := &compiledGT{keys: keys, circuits: map[string]*exact.Circuit{}, probs: db.VarProbs()}
 	for i := 0; i < lin.Len(); i++ {
 		circ, err := exact.Compile(lin.Clauses(i), budget)
@@ -483,7 +483,7 @@ func scaledGTScores(db *engine.DB, q *cq.Query, keys []string, f float64, budget
 func scaledDissScores(db *engine.DB, q *cq.Query, keys []string, f float64) []float64 {
 	scaled := db.Clone()
 	scaled.ScaleProbs(f)
-	res := engine.EvalPlans(scaled, q, core.MinimalPlans(q, nil), engine.Options{ReuseSubplans: true, SemiJoin: true})
+	res := engine.EvalPlansCtx(nil, scaled, q, core.MinimalPlans(q, nil), engine.Options{ReuseSubplans: true, SemiJoin: true})
 	return alignScores(scaled, res, keys)
 }
 

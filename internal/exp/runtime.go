@@ -56,18 +56,18 @@ var RunModes = []EvalMode{ModeAllPlans, ModeOpt1, ModeOpt12, ModeOpt123, ModeDet
 func Evaluate(db *engine.DB, q *cq.Query, mode EvalMode) int {
 	switch mode {
 	case ModeAllPlans:
-		return engine.EvalPlans(db, q, core.MinimalPlans(q, nil), engine.Options{}).Len()
+		return engine.EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), engine.Options{}).Len()
 	case ModeOpt1:
 		sp := core.SinglePlan(q, nil)
-		return engine.NewEvaluator(db, q, engine.Options{}).Eval(sp).Len()
+		return engine.NewEvaluatorCtx(nil, db, q, engine.Options{}).Eval(sp).Len()
 	case ModeOpt12:
 		sp := core.SinglePlan(q, nil)
-		return engine.NewEvaluator(db, q, engine.Options{ReuseSubplans: true}).Eval(sp).Len()
+		return engine.NewEvaluatorCtx(nil, db, q, engine.Options{ReuseSubplans: true}).Eval(sp).Len()
 	case ModeOpt123:
 		sp := core.SinglePlan(q, nil)
-		return engine.NewEvaluator(db, q, engine.Options{ReuseSubplans: true, SemiJoin: true}).Eval(sp).Len()
+		return engine.NewEvaluatorCtx(nil, db, q, engine.Options{ReuseSubplans: true, SemiJoin: true}).Eval(sp).Len()
 	case ModeDeterministic:
-		return engine.EvalDeterministic(db, q).Len()
+		return engine.EvalDeterministicCtx(nil, db, q).Len()
 	}
 	panic("exp: unknown mode")
 }

@@ -35,24 +35,24 @@ func runTPCHPoint(tp *workload.TPCH, dollar1 int, pattern string, mcSamples int,
 	// Diss: the two minimal plans evaluated individually.
 	plans := core.MinimalPlans(q, nil)
 	pt.times["Diss"] = fmt.Sprintf("%.4f", timeIt(func() {
-		engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true})
+		engine.EvalPlansCtx(nil, db, q, plans, engine.Options{ReuseSubplans: true})
 	}))
 	// Diss+Opt3: with the deterministic semi-join reduction.
 	pt.times["Diss+Opt3"] = fmt.Sprintf("%.4f", timeIt(func() {
-		engine.EvalPlans(db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
+		engine.EvalPlansCtx(nil, db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
 	}))
 	// Lineage query: the minimum work of any external probabilistic
 	// method.
 	var lin *engine.Lineage
 	pt.times["Lineage query"] = fmt.Sprintf("%.4f", timeIt(func() {
-		lin = engine.EvalLineage(db, q, engine.SemiJoinReduce(db, q))
+		lin = engine.EvalLineageCtx(nil, db, q, engine.SemiJoinReduceCtx(nil, db, q))
 	}))
 	pt.maxLin = lin.MaxSize()
 	// SampleSearch (exact WMC on the lineage), including the lineage
 	// retrieval as in the paper's accounting.
 	okExact := true
 	exactSecs := timeIt(func() {
-		l := engine.EvalLineage(db, q, engine.SemiJoinReduce(db, q))
+		l := engine.EvalLineageCtx(nil, db, q, engine.SemiJoinReduceCtx(nil, db, q))
 		for i := 0; i < l.Len() && okExact; i++ {
 			if _, err := exact.ProbBudget(l.Clauses(i), db.VarProbs(), exactBudget); err != nil {
 				okExact = false
@@ -67,14 +67,14 @@ func runTPCHPoint(tp *workload.TPCH, dollar1 int, pattern string, mcSamples int,
 	// MC(1k), again including lineage retrieval.
 	rng := rand.New(rand.NewSource(seed))
 	pt.times["MC(1k)"] = fmt.Sprintf("%.4f", timeIt(func() {
-		l := engine.EvalLineage(db, q, engine.SemiJoinReduce(db, q))
+		l := engine.EvalLineageCtx(nil, db, q, engine.SemiJoinReduceCtx(nil, db, q))
 		for i := 0; i < l.Len(); i++ {
 			mc.Estimate(l.Clauses(i), db.VarProbs(), mcSamples, rng)
 		}
 	}))
 	// Standard SQL: deterministic set-semantics evaluation.
 	pt.times["Standard SQL"] = fmt.Sprintf("%.4f", timeIt(func() {
-		engine.EvalDeterministic(db, q)
+		engine.EvalDeterministicCtx(nil, db, q)
 	}))
 	return pt
 }

@@ -86,21 +86,6 @@ func (f DNF) Vars() []int32 {
 // Size returns the number of clauses (the paper's lineage size).
 func (f DNF) Size() int { return len(f) }
 
-// Occurrences returns how many clauses each variable appears in.
-func (f DNF) Occurrences() map[int32]int {
-	out := map[int32]int{}
-	for _, c := range f {
-		seen := map[int32]bool{}
-		for _, v := range c {
-			if !seen[v] {
-				seen[v] = true
-				out[v]++
-			}
-		}
-	}
-	return out
-}
-
 // IsTrue reports whether the formula is trivially true (has an empty
 // clause).
 func (f DNF) IsTrue() bool {
@@ -133,43 +118,6 @@ func (f DNF) String(name func(int32) string) string {
 		cls = append(cls, strings.Join(vs, "·"))
 	}
 	return strings.Join(cls, " ∨ ")
-}
-
-// Dissociate replaces the occurrences of variable v in different clauses
-// with fresh variables starting at nextID, returning the dissociated
-// formula, the ids used (one per clause containing v, in clause order),
-// and the next unused id. By Theorem 8, if the fresh variables get v's
-// probability, the dissociated formula's probability upper-bounds the
-// original's.
-func (f DNF) Dissociate(v int32, nextID int32) (DNF, []int32, int32) {
-	out := make(DNF, len(f))
-	var fresh []int32
-	for i, c := range f {
-		has := false
-		for _, x := range c {
-			if x == v {
-				has = true
-				break
-			}
-		}
-		if !has {
-			out[i] = append([]int32(nil), c...)
-			continue
-		}
-		id := nextID
-		nextID++
-		fresh = append(fresh, id)
-		nc := make([]int32, 0, len(c))
-		for _, x := range c {
-			if x == v {
-				nc = append(nc, id)
-			} else {
-				nc = append(nc, x)
-			}
-		}
-		out[i] = nc
-	}
-	return out, fresh, nextID
 }
 
 func clauseLess(a, b []int32) bool {

@@ -27,7 +27,7 @@ func TestVarsAndStats(t *testing.T) {
 	if got := f.Vars(); len(got) != 3 {
 		t.Errorf("vars = %v", got)
 	}
-	occ := f.Occurrences()
+	occ := occurrences(f)
 	if occ[0] != 2 || occ[1] != 1 {
 		t.Errorf("occurrences = %v", occ)
 	}
@@ -56,7 +56,7 @@ func TestDissociateUpperBound(t *testing.T) {
 	// F = X0·X1 ∨ X0·X2 dissociated on X0 gives Example 9's F'.
 	f := DNF{{0, 1}, {0, 2}}
 	probs := []float64{0.5, 0.4, 0.7, 0, 0}
-	dis, fresh, next := f.Dissociate(0, 3)
+	dis, fresh, next := dissociate(f, 0, 3)
 	if len(fresh) != 2 || next != 5 {
 		t.Fatalf("fresh = %v, next = %d", fresh, next)
 	}
@@ -72,6 +72,58 @@ func TestDissociateUpperBound(t *testing.T) {
 	if pd < p {
 		t.Errorf("dissociation lowered probability: %v < %v", pd, p)
 	}
+}
+
+// occurrences returns how many clauses each variable appears in.
+func occurrences(f DNF) map[int32]int {
+	out := map[int32]int{}
+	for _, c := range f {
+		seen := map[int32]bool{}
+		for _, v := range c {
+			if !seen[v] {
+				seen[v] = true
+				out[v]++
+			}
+		}
+	}
+	return out
+}
+
+// dissociate replaces the occurrences of variable v in different clauses
+// with fresh variables starting at nextID, returning the dissociated
+// formula, the ids used (one per clause containing v, in clause order),
+// and the next unused id. By Theorem 8, if the fresh variables get v's
+// probability, the dissociated formula's probability upper-bounds the
+// original's.
+func dissociate(f DNF, v int32, nextID int32) (DNF, []int32, int32) {
+	out := make(DNF, len(f))
+	var fresh []int32
+	for i, c := range f {
+		has := false
+		for _, x := range c {
+			if x == v {
+				has = true
+				break
+			}
+		}
+		if !has {
+			out[i] = append([]int32(nil), c...)
+			continue
+		}
+		id := nextID
+		nextID++
+		fresh = append(fresh, id)
+		nc := make([]int32, 0, len(c))
+		for _, x := range c {
+			if x == v {
+				nc = append(nc, id)
+			} else {
+				nc = append(nc, x)
+			}
+		}
+		out[i] = nc
+	}
+	return out, fresh, nextID
 }
 
 func TestFactorExamples(t *testing.T) {

@@ -532,18 +532,31 @@ func String(n Node) string {
 			b.WriteByte(']')
 		}
 	}
+	views, viewNames := Views(n)
+	for _, v := range views {
+		name := viewNames[v.ID()]
+		b.WriteString(name + " = ")
+		write(v)
+		b.WriteString("; ")
+		names[v.ID()] = name
+	}
+	write(n)
+	return b.String()
+}
+
+// Views returns the views of the DAG rooted at n (see Distinct), children
+// first, and the name String gives each: v1, v2, … in that order.
+func Views(n Node) ([]Node, map[ID]string) {
+	var views []Node
+	names := map[ID]string{}
 	for _, u := range Distinct(n) {
 		if _, scan := u.Node.(*Scan); scan || u.Parents < 2 {
 			continue
 		}
-		name := "v" + strconv.Itoa(len(names)+1)
-		b.WriteString(name + " = ")
-		write(u.Node)
-		b.WriteString("; ")
-		names[u.Node.ID()] = name
+		views = append(views, u.Node)
+		names[u.Node.ID()] = "v" + strconv.Itoa(len(views))
 	}
-	write(n)
-	return b.String()
+	return views, names
 }
 
 // visitHook, when set (by tests), sees every node walk visits and every

@@ -30,7 +30,7 @@ func TestChainShape(t *testing.T) {
 		t.Errorf("4-chain minimal plans = %d, want 5", got)
 	}
 	// The query must evaluate without error end to end.
-	res := engine.EvalPlans(db, q, core.MinimalPlans(q, nil), engine.Options{ReuseSubplans: true})
+	res := engine.EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), engine.Options{ReuseSubplans: true})
 	for i := 0; i < res.Len(); i++ {
 		if s := res.Score(i); s <= 0 || s > 1 {
 			t.Errorf("answer score %v out of (0, 1]", s)
@@ -50,7 +50,7 @@ func TestStarShape(t *testing.T) {
 	if got := len(core.MinimalPlans(q, nil)); got != 6 {
 		t.Errorf("3-star minimal plans = %d, want 6", got)
 	}
-	res := engine.EvalPlans(db, q, core.MinimalPlans(q, nil), engine.Options{ReuseSubplans: true})
+	res := engine.EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), engine.Options{ReuseSubplans: true})
 	if res.Len() > 1 {
 		t.Errorf("Boolean query returned %d answers", res.Len())
 	}
@@ -85,7 +85,7 @@ func TestTPCHShape(t *testing.T) {
 	if len(plans) != 2 {
 		t.Fatalf("minimal plans = %d, want 2", len(plans))
 	}
-	res := engine.EvalPlans(tp.DB, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
+	res := engine.EvalPlansCtx(nil, tp.DB, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
 	if res.Len() == 0 || res.Len() > Nations {
 		t.Errorf("answers = %d", res.Len())
 	}
@@ -96,7 +96,7 @@ func TestTPCHSelectivityOrdering(t *testing.T) {
 	tp := NewTPCH(0.01, 0.5, rng)
 	count := func(pat string) int {
 		q := tp.Query(tp.Suppliers, pat)
-		lin := engine.EvalLineage(tp.DB, q, engine.SemiJoinReduce(tp.DB, q))
+		lin := engine.EvalLineageCtx(nil, tp.DB, q, engine.SemiJoinReduceCtx(nil, tp.DB, q))
 		total := 0
 		for i := 0; i < lin.Len(); i++ {
 			total += lin.Size(i)

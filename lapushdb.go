@@ -122,16 +122,6 @@ func (r *Relation) SetKey(cols ...string) { r.r.SetKey(cols...) }
 // Len returns the number of tuples.
 func (r *Relation) Len() int { return r.r.Len() }
 
-// CreateIndex declares a hash index on a column, accelerating scans
-// with equality selections (constants in atoms, = predicates). Built
-// lazily; maintained automatically across inserts.
-func (r *Relation) CreateIndex(col string) error { return r.r.CreateIndex(col) }
-
-// CreateRangeIndex declares a sorted index on a numeric column,
-// accelerating <, <=, >, >= predicates (e.g. the TPC-H query's
-// "s <= $1").
-func (r *Relation) CreateRangeIndex(col string) error { return r.r.CreateRangeIndex(col) }
-
 // Method selects how answer probabilities are computed.
 type Method int
 
@@ -469,12 +459,15 @@ func (d *DB) decode(vals []engine.Value) []string {
 }
 
 func sortAnswers(answers []Answer) {
-	sort.Slice(answers, func(i, j int) bool {
-		if answers[i].Score != answers[j].Score {
-			return answers[i].Score > answers[j].Score
-		}
-		return slices.Compare(answers[i].Values, answers[j].Values) < 0
-	})
+	sort.Slice(answers, func(i, j int) bool { return answerLess(answers[i], answers[j]) })
+}
+
+// answerLess orders answers by score descending, ties by values.
+func answerLess(a, b Answer) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return slices.Compare(a.Values, b.Values) < 0
 }
 
 // Explanation describes how a query would be evaluated.

@@ -132,7 +132,7 @@ func TestRankBatchOracleDifferential(t *testing.T) {
 		q := cq.MustParse(tc.q)
 		plans := core.MinimalPlans(q, nil)
 		opts := engine.Options{ReuseSubplans: true, SemiJoin: true}
-		got := engine.EvalPlans(tc.db, q, plans, opts)
+		got := engine.EvalPlansCtx(nil, tc.db, q, plans, opts)
 		want := oracle.EvalPlans(tc.db, q, plans, opts)
 		if got.Len() != want.Len() {
 			t.Fatalf("%s: %d rows vs oracle %d", tc.label, got.Len(), want.Len())

@@ -13,10 +13,11 @@ import (
 // dissociation upper bounds for early termination: answers are examined
 // in descending propagation-score order, and since every score is a
 // guaranteed upper bound (Corollary 19 of the paper), the search stops
-// as soon as the next upper bound cannot beat the k-th best exact
-// probability found — usually after exact inference on only a handful
-// of lineages. This turns the paper's one-sided guarantee into a
-// provably correct top-k operator.
+// as soon as the next answer, scored by its bound, ranks after the k-th
+// best exact answer found (ties broken by values, as RankContext breaks
+// them) — usually after exact inference on only a handful of lineages.
+// This turns the paper's one-sided guarantee into a provably correct
+// top-k operator.
 //
 // Exact inference on the examined answers must be feasible; the node
 // budget of Options.ExactBudget applies per answer. The bounds are
@@ -49,35 +50,34 @@ func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) (
 		clausesByKey[valueKey(lin.Key(i))] = lin.Clauses(i)
 	}
 
+	// Candidates in the order answers rank, by bound and then by values,
+	// so one that ties the k-th exact probability is examined exactly
+	// when its values sort before the k-th answer's.
 	type cand struct {
-		row   []engine.Value
-		bound float64
+		row []engine.Value
+		ans Answer // Score holds the bound
 	}
 	cands := make([]cand, bounds.Len())
-	for i := 0; i < bounds.Len(); i++ {
+	for i := range cands {
 		row := append([]engine.Value(nil), bounds.Row(i)...)
-		cands[i] = cand{row: row, bound: bounds.Score(i)}
+		cands[i] = cand{row: row, ans: Answer{Values: d.decode(row), Score: bounds.Score(i)}}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].bound > cands[j].bound })
+	sort.Slice(cands, func(i, j int) bool { return answerLess(cands[i].ans, cands[j].ans) })
 
 	s := d.newScorer(Exact, opts)
 	var top []Answer
-	kth := 0.0 // exact probability of the current k-th best
 	for _, c := range cands {
-		if len(top) >= k && c.bound <= kth {
+		if len(top) == k && answerLess(top[k-1], c.ans) {
 			break // no remaining answer can enter the top k
 		}
 		p, err := s.score(ctx, c.row, clausesByKey[valueKey(c.row)])
 		if err != nil {
 			return nil, err
 		}
-		top = append(top, Answer{Values: d.decode(c.row), Score: p})
+		top = append(top, Answer{Values: c.ans.Values, Score: p})
 		sortAnswers(top)
 		if len(top) > k {
 			top = top[:k]
-		}
-		if len(top) == k {
-			kth = top[k-1].Score
 		}
 	}
 	return top, nil

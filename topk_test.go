@@ -3,6 +3,7 @@ package lapushdb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -82,6 +83,58 @@ func TestRankTopKMatchesExact(t *testing.T) {
 					k, i, top[i].Score, full[i].Score, top[i].Values, full[i].Values)
 			}
 		}
+	}
+}
+
+// TestRankTopKTiesMatchExact: when many answers tie at the k-th exact
+// probability, RankTopK breaks the tie as exact ranking does, by values,
+// whatever order the bounds come out in. Every answer scores 0.5: alone,
+// and through a join with a deterministic relation (bound = exact).
+func TestRankTopKTiesMatchExact(t *testing.T) {
+	for _, tc := range []struct {
+		name, query string
+		join        bool
+	}{
+		{"single", "q(x) :- R(x)", false},
+		{"deterministic-join", "q(x) :- R(x), D(x, y)", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := Open()
+			r, err := db.CreateRelation("R", "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			det, err := db.CreateDeterministicRelation("D", "x", "y")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(3))
+			for _, i := range rng.Perm(200) {
+				v := fmt.Sprintf("v%03d", i)
+				if err := r.Insert(0.5, v); err != nil {
+					t.Fatal(err)
+				}
+				if tc.join {
+					if err := det.Insert(1, v, i%7); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			ctx := context.Background()
+			full, err := db.RankContext(ctx, tc.query, &Options{Method: Exact})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 3, 10} {
+				top, err := db.RankTopK(ctx, tc.query, k, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(top, full[:k]) {
+					t.Errorf("k=%d: RankTopK = %v, exact ranking = %v", k, top, full[:k])
+				}
+			}
+		})
 	}
 }
 
