@@ -49,16 +49,12 @@ type AnytimeOptions struct {
 	onStage func(anytime.Snapshot)
 }
 
-// LowerStatistical is the IntervalAnswer.LowerKind of a lower bound that
-// Monte Carlo sampling produced.
-const LowerStatistical = anytime.LowerStatistical
-
 // IntervalAnswer is one answer of an anytime evaluation: the true
 // probability lies in [Lower, Upper]. Upper is always certain — a
 // dissociation bound (Corollary 19) or the exact probability. Lower is
 // certain too (0, a safe plan's score, an exact probability or the exact
 // probability of a lineage prefix) unless LowerKind says otherwise:
-// LowerStatistical marks a bound last raised by Karp–Luby sampling, which
+// "statistical" marks a bound last raised by Karp–Luby sampling, which
 // holds with the confidence of a one-sided z = 6 normal tail
 // (anytime.DefaultMCZ), not with certainty. LowerKind is "" for a certain
 // bound.

@@ -10,22 +10,13 @@ import (
 // a ranking service answers many related queries against the same data,
 // and the companion DBMS paper's view-reuse observation (Opt2) pays off
 // across a whole batch, not just within one query's minimal plans.
-// RankBatch pins one database state and evaluates N queries against it,
+// A Batch pins one database state and evaluates N queries against it,
 // sharing canonicalized subplan results across the queries: a subplan
 // is reused exactly when evaluating it standalone would produce
 // bit-identical results (same plan key, same semi-join-reduced scan
 // inputs), so every query's answers are byte-equal to a one-at-a-time
-// Rank call — only cheaper. One intermediate-row budget and one
+// RankContext call — only cheaper. One intermediate-row budget and one
 // context deadline span the whole batch.
-
-// BatchResult is one query's outcome within a batch evaluation: its
-// ranked answers, or the error that failed it. Queries fail
-// independently — a parse error, budget exhaustion, or cancellation of
-// one query leaves the others' results intact.
-type BatchResult struct {
-	Answers []Answer
-	Err     error
-}
 
 // BatchStats reports the cross-query sharing counters of one batch.
 type BatchStats struct {
@@ -76,7 +67,8 @@ func (d *DB) NewBatch(opts *Options) *Batch {
 
 // Rank evaluates one query as part of the batch, honoring ctx (which
 // should be the same across the batch — one shared deadline). Answers
-// are bit-identical to a standalone Rank with the batch's options.
+// are bit-identical to a standalone RankContext with the batch's
+// options.
 func (b *Batch) Rank(ctx context.Context, query string) ([]Answer, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
@@ -102,26 +94,4 @@ func (b *Batch) Stats() BatchStats {
 		SharedSubplanHits:   b.memo.SharedHits(),
 		SharedSubplanMisses: b.memo.SharedMisses(),
 	}
-}
-
-// RankBatchContext evaluates several queries against the same database
-// state, sharing common subplan results across them, and returns one
-// BatchResult per query in input order. Scores are bit-identical to
-// calling RankContext once per query with the same options; see NewBatch
-// for how the options (including the batch-wide MaxIntermediateRows
-// budget) apply. One ctx deadline spans the whole batch, and queries not
-// yet evaluated when it expires report the context's error in their
-// BatchResult. When opts.Stats is set it receives the batch totals,
-// including the shared-subplan counters.
-func (d *DB) RankBatchContext(ctx context.Context, queries []string, opts *Options) []BatchResult {
-	b := d.NewBatch(opts)
-	out := make([]BatchResult, len(queries))
-	for i, q := range queries {
-		out[i].Answers, out[i].Err = b.Rank(ctx, q)
-	}
-	if opts != nil && opts.Stats != nil {
-		opts.Stats.SharedSubplanHits = b.memo.SharedHits()
-		opts.Stats.SharedSubplanMisses = b.memo.SharedMisses()
-	}
-	return out
 }

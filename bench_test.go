@@ -347,14 +347,13 @@ func BenchmarkRankBatch(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		var shared int64
 		for i := 0; i < b.N; i++ {
-			stats := &RankStats{}
-			results := db.RankBatchContext(context.Background(), queries, &Options{Stats: stats})
-			for _, r := range results {
-				if r.Err != nil {
-					b.Fatal(r.Err)
+			batch := db.NewBatch(nil)
+			for _, query := range queries {
+				if _, err := batch.Rank(context.Background(), query); err != nil {
+					b.Fatal(err)
 				}
 			}
-			shared = stats.SharedSubplanHits
+			shared = batch.Stats().SharedSubplanHits
 		}
 		b.StopTimer()
 		if shared == 0 {

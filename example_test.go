@@ -89,14 +89,3 @@ func ExampleDB_LineageContext() {
 	// R(1)·S(1, 4) ∨ R(1)·S(1, 5)
 	// read-once: true
 }
-
-// ExampleNewQuery shows the programmatic query builder.
-func ExampleNewQuery() {
-	q := lapushdb.NewQuery("q").
-		Head("user").
-		Atom("Likes", "user", "movie").
-		Where("movie", "like", "%heat%")
-	fmt.Println(q)
-	// Output:
-	// q(user) :- Likes(user, movie), movie like '%heat%'
-}

@@ -132,7 +132,7 @@ func (db *DB) VarProbs() []float64 { return db.varProb }
 // ScaleProbs multiplies every tuple probability in the database by f
 // (Proposition 21 / the scaling experiments). f must be in (0, 1].
 func (db *DB) ScaleProbs(f float64) {
-	if f <= 0 || f > 1 {
+	if !(f > 0 && f <= 1) {
 		panic(fmt.Sprintf("engine: scale factor %v out of (0, 1]", f))
 	}
 	db.ensureOwnedVarProb()
@@ -295,7 +295,7 @@ func (r *Relation) Insert(tuple []Value, p float64) {
 	if len(tuple) != len(r.Cols) {
 		panic(fmt.Sprintf("engine: %s arity %d, got %d values", r.Name, len(r.Cols), len(tuple)))
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic(fmt.Sprintf("engine: probability %v out of [0, 1]", p))
 	}
 	r.rows = append(r.rows, tuple...)
@@ -347,7 +347,7 @@ func (r *Relation) SetProb(i int, p float64) {
 	if r.Deterministic {
 		panic("engine: cannot set probability on a deterministic relation")
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic(fmt.Sprintf("engine: probability %v out of [0, 1]", p))
 	}
 	r.ensureOwnedProb()

@@ -104,7 +104,7 @@ func alignScores(db *engine.DB, res *engine.Result, keys []string) []float64 {
 func (r *rankingRun) mcScores(samples int, rng *rand.Rand) []float64 {
 	out := make([]float64, len(r.clauses))
 	for i, cs := range r.clauses {
-		out[i] = mc.Estimate(cs, r.probs, samples, rng)
+		out[i], _ = mc.EstimateCtx(nil, cs, r.probs, samples, rng)
 	}
 	return out
 }

@@ -69,7 +69,7 @@ func runTPCHPoint(tp *workload.TPCH, dollar1 int, pattern string, mcSamples int,
 	pt.times["MC(1k)"] = fmt.Sprintf("%.4f", timeIt(func() {
 		l := engine.EvalLineageCtx(nil, db, q, engine.SemiJoinReduceCtx(nil, db, q))
 		for i := 0; i < l.Len(); i++ {
-			mc.Estimate(l.Clauses(i), db.VarProbs(), mcSamples, rng)
+			mc.EstimateCtx(nil, l.Clauses(i), db.VarProbs(), mcSamples, rng)
 		}
 	}))
 	// Standard SQL: deterministic set-semantics evaluation.

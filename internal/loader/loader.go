@@ -1,19 +1,18 @@
 // Package loader builds LaPushDB databases from CSV files and binary
 // snapshots. It is shared by cmd/lapush and cmd/lapushd so the two
-// binaries agree on the CSV dialect, probability validation, and the
-// snapshot format.
+// binaries agree on the CSV dialect and the snapshot format.
 //
 // CSV format: a header row names the columns; the LAST column of every
 // row is the tuple probability (the probability column's header name is
 // ignored). Probabilities must parse as floats in [0, 1]; rows of
-// deterministic relations must carry probability 1.
+// deterministic relations must carry probability 1 (Relation.Insert
+// checks both).
 package loader
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -62,12 +61,6 @@ func LoadCSV(db *lapushdb.DB, name string, r io.Reader, det bool) error {
 		p, err := strconv.ParseFloat(rec[len(cols)], 64)
 		if err != nil {
 			return fmt.Errorf("line %d: bad probability %q", ln, rec[len(cols)])
-		}
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return fmt.Errorf("line %d: probability %v out of [0, 1]", ln, p)
-		}
-		if det && p != 1 {
-			return fmt.Errorf("line %d: deterministic relation %s requires probability 1, got %v", ln, name, p)
 		}
 		vals := make([]any, len(cols))
 		for i, v := range rec[:len(cols)] {

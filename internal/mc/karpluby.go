@@ -5,7 +5,7 @@ import (
 	"math/rand"
 )
 
-// KarpLuby estimates the probability of a monotone DNF with the
+// KarpLubyCtx estimates the probability of a monotone DNF with the
 // Karp–Luby–Madras coverage algorithm — the classical FPRAS for DNF
 // counting, adapted to weighted (probabilistic) variables. Unlike naive
 // possible-world sampling, its relative error is bounded independently
@@ -17,15 +17,9 @@ import (
 // world x conditioned on clause_i being true, and output
 // U / N(x) where N(x) is the number of clauses satisfied by x. The
 // expectation of the output is exactly P(F); averaging over `samples`
-// draws gives the estimate.
-func KarpLuby(clauses [][]int32, probs []float64, samples int, rng *rand.Rand) float64 {
-	p, _ := KarpLubyCtx(nil, clauses, probs, samples, rng)
-	return p
-}
-
-// KarpLubyCtx is KarpLuby with cooperative cancellation: the sampling
-// loop polls ctx every pollInterval rounds and returns its error when it
-// is done. A nil ctx never cancels.
+// draws gives the estimate. The sampling loop polls ctx every
+// pollInterval rounds and returns its error when it is done. A nil ctx
+// never cancels.
 //
 // It is a one-shot convenience over KarpLubySampler, drawing the same
 // RNG stream: KarpLubyCtx(ctx, c, p, n, rng) equals building a sampler

@@ -11,13 +11,13 @@ import (
 func TestKarpLubyDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	probs := []float64{0.5}
-	if got := KarpLuby(nil, probs, 100, rng); got != 0 {
+	if got, _ := KarpLubyCtx(nil, nil, probs, 100, rng); got != 0 {
 		t.Errorf("empty formula = %v", got)
 	}
-	if got := KarpLuby([][]int32{{}}, probs, 100, rng); got != 1 {
+	if got, _ := KarpLubyCtx(nil, [][]int32{{}}, probs, 100, rng); got != 1 {
 		t.Errorf("empty clause = %v", got)
 	}
-	if got := KarpLuby([][]int32{{0}}, []float64{0}, 100, rng); got != 0 {
+	if got, _ := KarpLubyCtx(nil, [][]int32{{0}}, []float64{0}, 100, rng); got != 0 {
 		t.Errorf("zero-probability clause = %v", got)
 	}
 }
@@ -27,7 +27,7 @@ func TestKarpLubyConvergesToExact(t *testing.T) {
 	probs := []float64{0.5, 0.4, 0.7, 0.2, 0.6}
 	clauses := [][]int32{{0, 1}, {0, 2}, {3, 4}, {1, 3}}
 	want := exact.Prob(clauses, probs)
-	got := KarpLuby(clauses, probs, 200000, rng)
+	got, _ := KarpLubyCtx(nil, clauses, probs, 200000, rng)
 	if math.Abs(got-want) > 0.01 {
 		t.Errorf("KL = %v, exact = %v", got, want)
 	}
@@ -45,11 +45,11 @@ func TestKarpLubySmallProbabilities(t *testing.T) {
 	if want > 1e-4 {
 		t.Fatalf("test setup: P(F) = %v not small", want)
 	}
-	kl := KarpLuby(clauses, probs, 10000, rng)
+	kl, _ := KarpLubyCtx(nil, clauses, probs, 10000, rng)
 	if rel := math.Abs(kl-want) / want; rel > 0.1 {
 		t.Errorf("Karp-Luby relative error %v (est %v, exact %v)", rel, kl, want)
 	}
-	naive := Estimate(clauses, probs, 10000, rng)
+	naive, _ := EstimateCtx(nil, clauses, probs, 10000, rng)
 	// Not asserting naive==0 (it is random), but document the contrast:
 	// its standard deviation exceeds the quantity being measured.
 	_ = naive
@@ -72,7 +72,7 @@ func TestKarpLubyMatchesExactRandom(t *testing.T) {
 			clauses = append(clauses, c)
 		}
 		want := exact.Prob(clauses, probs)
-		got := KarpLuby(clauses, probs, 100000, rng)
+		got, _ := KarpLubyCtx(nil, clauses, probs, 100000, rng)
 		tol := 0.02 + 0.05*want
 		if math.Abs(got-want) > tol {
 			t.Errorf("iter %d: KL %v vs exact %v", iter, got, want)
@@ -93,12 +93,12 @@ func BenchmarkKarpLuby(b *testing.B) {
 	}
 	b.Run("karp-luby-1k", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			KarpLuby(clauses, probs, 1000, rng)
+			KarpLubyCtx(nil, clauses, probs, 1000, rng)
 		}
 	})
 	b.Run("naive-1k", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Estimate(clauses, probs, 1000, rng)
+			EstimateCtx(nil, clauses, probs, 1000, rng)
 		}
 	})
 }

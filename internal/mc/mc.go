@@ -10,21 +10,14 @@ import (
 )
 
 // pollInterval is how many sampling rounds may pass between two context
-// polls in the Ctx variants.
+// polls in EstimateCtx and KarpLubySampler.Sample.
 const pollInterval = 1024
 
-// Estimate samples the monotone DNF formula `samples` times: in each
+// EstimateCtx samples the monotone DNF formula `samples` times: in each
 // round every variable is independently set true with its probability and
 // the formula evaluated; the estimate is the fraction of satisfying
-// rounds.
-func Estimate(clauses [][]int32, probs []float64, samples int, rng *rand.Rand) float64 {
-	p, _ := EstimateCtx(nil, clauses, probs, samples, rng)
-	return p
-}
-
-// EstimateCtx is Estimate with cooperative cancellation: the sampling
-// loop polls ctx every pollInterval rounds and returns its error when it
-// is done. A nil ctx never cancels.
+// rounds. The sampling loop polls ctx every pollInterval rounds and
+// returns its error when it is done. A nil ctx never cancels.
 func EstimateCtx(ctx context.Context, clauses [][]int32, probs []float64, samples int, rng *rand.Rand) (float64, error) {
 	if len(clauses) == 0 {
 		return 0, nil

@@ -11,10 +11,10 @@ import (
 func TestEstimateDegenerate(t *testing.T) {
 	probs := []float64{0.5}
 	rng := rand.New(rand.NewSource(1))
-	if got := Estimate(nil, probs, 100, rng); got != 0 {
+	if got, _ := EstimateCtx(nil, nil, probs, 100, rng); got != 0 {
 		t.Errorf("empty formula = %v, want 0", got)
 	}
-	if got := Estimate([][]int32{{}}, probs, 100, rng); got != 1 {
+	if got, _ := EstimateCtx(nil, [][]int32{{}}, probs, 100, rng); got != 1 {
 		t.Errorf("empty clause = %v, want 1", got)
 	}
 }
@@ -24,7 +24,7 @@ func TestEstimateConvergesToExact(t *testing.T) {
 	probs := []float64{0.5, 0.4, 0.7, 0.2}
 	clauses := [][]int32{{0, 1}, {0, 2}, {3}}
 	want := exact.Prob(clauses, probs)
-	got := Estimate(clauses, probs, 200000, rng)
+	got, _ := EstimateCtx(nil, clauses, probs, 200000, rng)
 	if math.Abs(got-want) > 0.01 {
 		t.Errorf("MC estimate = %v, exact = %v", got, want)
 	}
@@ -38,7 +38,8 @@ func TestEstimateVarianceShrinks(t *testing.T) {
 		worst := 0.0
 		for r := 0; r < reps; r++ {
 			rng := rand.New(rand.NewSource(int64(1000 + r)))
-			if d := math.Abs(Estimate(clauses, probs, samples, rng) - want); d > worst {
+			got, _ := EstimateCtx(nil, clauses, probs, samples, rng)
+			if d := math.Abs(got - want); d > worst {
 				worst = d
 			}
 		}

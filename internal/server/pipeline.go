@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
 
 	"lapushdb"
@@ -64,11 +63,10 @@ func (s *Server) resolveSpec(w http.ResponseWriter, methodLabel string, samples 
 		return querySpec{}, false
 	}
 	// The optional epsilon: absent means a plain request; present, it
-	// must be a number in [0, 1). (NaN cannot arrive through JSON but is
-	// rejected for direct callers.)
+	// passes the library's own check.
 	if epsilon != nil {
-		if eps := *epsilon; math.IsNaN(eps) || eps < 0 || eps >= 1 {
-			s.writeQueryError(w, fmt.Errorf("%w, got %v", errBadEpsilon, eps))
+		if err := lapushdb.ValidateEpsilon(*epsilon); err != nil {
+			s.writeQueryError(w, fmt.Errorf("%w: %v", errBadEpsilon, err))
 			return querySpec{}, false
 		}
 		if methodLabel != "diss" {

@@ -429,7 +429,7 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Conte
 var errOverloaded = errors.New("server: worker pool saturated and remaining deadline below the queue-wait estimate")
 
 // errBadEpsilon marks an invalid anytime epsilon field.
-var errBadEpsilon = errors.New(`server: field "epsilon" must be a number in [0, 1)`)
+var errBadEpsilon = errors.New(`server: bad field "epsilon"`)
 
 // acquire takes a worker-pool slot, giving up when ctx expires first.
 // With QueueWait configured, a request that finds the pool saturated

@@ -100,9 +100,6 @@ func applyMutation(db *lapushdb.DB, m Mutation) error {
 		} else if !r.Deterministic() {
 			return fmt.Errorf("insert into %s requires a probability", m.Rel)
 		}
-		if r.Deterministic() && p != 1 {
-			return fmt.Errorf("deterministic relation %s requires probability 1, got %v", m.Rel, p)
-		}
 		return r.Insert(p, anyValues(m.Tuple)...)
 
 	case OpSetProb:
@@ -123,11 +120,7 @@ func applyMutation(db *lapushdb.DB, m Mutation) error {
 		return r.DeleteAt(i)
 
 	case OpScaleProbs:
-		if m.Factor <= 0 || m.Factor > 1 {
-			return fmt.Errorf("scale factor %v out of (0, 1]", m.Factor)
-		}
-		db.ScaleProbs(m.Factor)
-		return nil
+		return db.ScaleProbs(m.Factor)
 
 	default:
 		return fmt.Errorf("unknown mutation op %q", m.Op)

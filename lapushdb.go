@@ -89,10 +89,14 @@ func (d *DB) Relation(name string) *Relation {
 }
 
 // Insert adds a tuple with the given probability. Values may be string,
-// int, or int64; deterministic relations require p == 1.
+// int, or int64. A probability outside [0, 1] (NaN included), or one
+// other than 1 on a deterministic relation, is an error.
 func (r *Relation) Insert(p float64, values ...any) error {
 	if len(values) != len(r.r.Cols) {
 		return fmt.Errorf("lapushdb: %s expects %d values, got %d", r.r.Name, len(r.r.Cols), len(values))
+	}
+	if err := r.checkProb(p); err != nil {
+		return err
 	}
 	tuple := make([]engine.Value, len(values))
 	for i, v := range values {
@@ -107,10 +111,20 @@ func (r *Relation) Insert(p float64, values ...any) error {
 			return fmt.Errorf("lapushdb: unsupported value type %T", v)
 		}
 	}
-	if p < 0 || p > 1 {
+	r.r.Insert(tuple, p)
+	return nil
+}
+
+// checkProb is the one check of a tuple probability, shared by Insert
+// and SetProbAt: a number in [0, 1] (NaN is not), and exactly 1 on a
+// deterministic relation.
+func (r *Relation) checkProb(p float64) error {
+	if !(p >= 0 && p <= 1) {
 		return fmt.Errorf("lapushdb: probability %v out of [0, 1]", p)
 	}
-	r.r.Insert(tuple, p)
+	if r.r.Deterministic && p != 1 {
+		return fmt.Errorf("lapushdb: deterministic relation %s requires probability 1, got %v", r.r.Name, p)
+	}
 	return nil
 }
 
@@ -160,9 +174,6 @@ type Options struct {
 	// IgnoreSchema disregards deterministic relations and keys during
 	// plan enumeration.
 	IgnoreSchema bool
-	// Stats, when non-nil, receives the batch's shared-subplan counters
-	// (Dissociation method inside a batch only).
-	Stats *RankStats
 	// MaxIntermediateRows caps the total number of intermediate result
 	// rows one Rank evaluation may materialize, whatever its method:
 	// scan outputs, join outputs, and projection groups, summed across
@@ -208,18 +219,6 @@ const (
 type Answer struct {
 	Values []string
 	Score  float64
-}
-
-// RankStats reports execution counters from one Rank call (see
-// Options.Stats).
-type RankStats struct {
-	// SharedSubplanHits and SharedSubplanMisses count cross-query
-	// subplan memo lookups during batch evaluation (see RankBatch):
-	// hits were served from another query's work, misses were computed
-	// and shared. Both report the batch's running totals at the time of
-	// the call, and stay zero outside batch evaluation.
-	SharedSubplanHits   int64
-	SharedSubplanMisses int64
 }
 
 // RankContext evaluates the query and returns its answers ordered by
@@ -338,10 +337,6 @@ func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 	})
 	if err != nil {
 		return nil, err
-	}
-	if opts.Stats != nil && opts.memo != nil {
-		opts.Stats.SharedSubplanHits = opts.memo.SharedHits()
-		opts.Stats.SharedSubplanMisses = opts.memo.SharedMisses()
 	}
 	return res, nil
 }
@@ -502,8 +497,15 @@ func (d *DB) ExplainContext(ctx context.Context, query string, opts ...*Options)
 
 // ScaleProbs multiplies every tuple probability by f ∈ (0, 1]. Scaling
 // down tightens the dissociation approximation (Proposition 21 of the
-// paper) at the cost of absolute probability magnitudes.
-func (d *DB) ScaleProbs(f float64) { d.db.ScaleProbs(f) }
+// paper) at the cost of absolute probability magnitudes. A factor
+// outside (0, 1], NaN included, is an error and changes nothing.
+func (d *DB) ScaleProbs(f float64) error {
+	if !(f > 0 && f <= 1) {
+		return fmt.Errorf("lapushdb: scale factor %v out of (0, 1]", f)
+	}
+	d.db.ScaleProbs(f)
+	return nil
+}
 
 // Clone returns a deep copy of the database.
 func (d *DB) Clone() *DB { return &DB{db: d.db.Clone()} }

@@ -232,7 +232,9 @@ func TestScaleProbsAndClone(t *testing.T) {
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
 	before, _ := db.RankContext(context.Background(), q, nil)
 	c := db.Clone()
-	c.ScaleProbs(0.5)
+	if err := c.ScaleProbs(0.5); err != nil {
+		t.Fatal(err)
+	}
 	afterClone, _ := c.RankContext(context.Background(), q, nil)
 	afterOrig, _ := db.RankContext(context.Background(), q, nil)
 	if afterClone[0].Score >= before[0].Score {
@@ -240,6 +242,78 @@ func TestScaleProbsAndClone(t *testing.T) {
 	}
 	if math.Abs(afterOrig[0].Score-before[0].Score) > 1e-12 {
 		t.Error("scaling a clone mutated the original")
+	}
+}
+
+// TestProbabilityValidation: a tuple probability is checked in one
+// place. Insert and SetProbAt refuse NaN and values outside [0, 1],
+// Insert refuses p ≠ 1 on a deterministic relation, and ScaleProbs
+// refuses a factor outside (0, 1]. Each refusal is an error, not a
+// panic, and leaves the database as it was; the boundary values pass.
+func TestProbabilityValidation(t *testing.T) {
+	db := Open()
+	r, err := db.CreateRelation("R", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := db.CreateDeterministicRelation("D", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Insert(0.5, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Insert(1, "a"); err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	refused := map[string]func() error{
+		"Insert/NaN":              func() error { return r.Insert(nan, "b") },
+		"Insert/negative":         func() error { return r.Insert(-0.1, "b") },
+		"Insert/above one":        func() error { return r.Insert(1.5, "b") },
+		"Insert/deterministic":    func() error { return d.Insert(0.5, "b") },
+		"Insert/deterministicNaN": func() error { return d.Insert(nan, "b") },
+		"SetProbAt/NaN":           func() error { return r.SetProbAt(0, nan) },
+		"SetProbAt/above one":     func() error { return r.SetProbAt(0, 2) },
+		"ScaleProbs/NaN":          func() error { return db.ScaleProbs(nan) },
+		"ScaleProbs/zero":         func() error { return db.ScaleProbs(0) },
+		"ScaleProbs/above one":    func() error { return db.ScaleProbs(2) },
+	}
+	// guard turns a panic of f into a failure of t.
+	guard := func(t *testing.T, f func()) {
+		defer func() {
+			if v := recover(); v != nil {
+				t.Errorf("panicked: %v", v)
+			}
+		}()
+		f()
+	}
+	for name, call := range refused {
+		t.Run(name, func(t *testing.T) {
+			guard(t, func() {
+				if err := call(); err == nil {
+					t.Error("accepted")
+				}
+			})
+		})
+	}
+	for q, want := range map[string]float64{"q(x) :- R(x)": 0.5, "q(x) :- D(x)": 1} {
+		guard(t, func() {
+			ans, err := db.RankContext(context.Background(), q, nil)
+			if err != nil || len(ans) != 1 || ans[0].Score != want {
+				t.Errorf("%s after the refusals: %+v, err %v; want one answer scoring %v", q, ans, err, want)
+			}
+		})
+	}
+	for name, err := range map[string]error{
+		"Insert(0)":     r.Insert(0, "b"),
+		"Insert(1)":     r.Insert(1, "c"),
+		"SetProbAt(1)":  r.SetProbAt(0, 1),
+		"ScaleProbs(1)": db.ScaleProbs(1),
+	} {
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -480,8 +554,8 @@ func TestWideQueryRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("64 variables: %v", err)
 	}
-	if p.NumPlans() != 1 || !p.Safe() {
-		t.Errorf("64 variables: %d plans, safe %v; want the one safe plan", p.NumPlans(), p.Safe())
+	if len(p.plans) != 1 || !p.Safe() {
+		t.Errorf("64 variables: %d plans, safe %v; want the one safe plan", len(p.plans), p.Safe())
 	}
 }
 
@@ -500,10 +574,6 @@ func TestCancelledContextEveryEntry(t *testing.T) {
 		"Profile":        func() error { _, err := db.Profile(ctx, q); return err },
 		"LineageContext": func() error { _, err := db.LineageContext(ctx, q); return err },
 		"ExplainContext": func() error { _, err := db.ExplainContext(ctx, q); return err },
-		"RankQuery": func() error {
-			_, err := db.RankQuery(ctx, NewQuery("q").Head("user").Atom("Likes", "user", "movie"), nil)
-			return err
-		},
 	}
 	for _, m := range []Method{Dissociation, Exact, MonteCarlo} {
 		calls["RankUnion/"+m.String()] = func() error {

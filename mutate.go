@@ -22,14 +22,6 @@ func (d *DB) CloneCOW() *DB { return &DB{db: d.db.CloneCOW()} }
 // Deterministic reports whether the relation's tuples are all certain.
 func (r *Relation) Deterministic() bool { return r.r.Deterministic }
 
-// ProbAt returns the probability of the i-th tuple.
-func (r *Relation) ProbAt(i int) (float64, error) {
-	if i < 0 || i >= r.r.Len() {
-		return 0, fmt.Errorf("lapushdb: %s has no tuple %d", r.r.Name, i)
-	}
-	return r.r.Prob(i), nil
-}
-
 // Find returns the index of the first tuple equal to the given values
 // (string, int, or int64, as in Insert), or ok=false. The lookup is
 // read-only: probing for values that occur nowhere never grows the
@@ -84,8 +76,8 @@ func (r *Relation) SetProbAt(i int, p float64) error {
 	if i < 0 || i >= r.r.Len() {
 		return fmt.Errorf("lapushdb: %s has no tuple %d", r.r.Name, i)
 	}
-	if p < 0 || p > 1 {
-		return fmt.Errorf("lapushdb: probability %v out of [0, 1]", p)
+	if err := r.checkProb(p); err != nil {
+		return err
 	}
 	r.r.SetProb(i, p)
 	return nil

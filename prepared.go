@@ -62,9 +62,7 @@ func MethodFromString(s string) (Method, error) {
 // does not change.
 type Prepared struct {
 	q            *cq.Query
-	normalized   string
 	ignoreSchema bool
-	sch          *core.Schema
 	plans        []plan.Node
 	single       plan.Node
 	safe         bool
@@ -92,19 +90,12 @@ func (d *DB) PrepareContext(ctx context.Context, query string, opts *Options) (*
 	plans, single := core.Plans(q, sch)
 	return &Prepared{
 		q:            q,
-		normalized:   q.String(),
 		ignoreSchema: opts.IgnoreSchema,
-		sch:          sch,
 		plans:        plans,
 		single:       single,
 		safe:         core.SafeGiven(q, sch, plans),
 	}, nil
 }
-
-// Normalized returns the query's canonical rendering — constants,
-// predicates and atom order normalized by the parser — suitable as a
-// cache-key component.
-func (p *Prepared) Normalized() string { return p.normalized }
 
 // NormalizeQuery parses and validates the query and returns its
 // canonical rendering, without enumerating plans. Syntactic variants of
@@ -122,9 +113,6 @@ func (d *DB) NormalizeQuery(query string) (string, error) {
 // Safe reports whether the query is safe under the schema knowledge the
 // statement was prepared with.
 func (p *Prepared) Safe() bool { return p.safe }
-
-// NumPlans returns the number of minimal plans.
-func (p *Prepared) NumPlans() int { return len(p.plans) }
 
 // Explanation renders the prepared statement's plans, dissociations,
 // and safety — the same payload Explain computes from scratch.

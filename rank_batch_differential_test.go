@@ -1,9 +1,9 @@
 package lapushdb
 
-// Differential tests for batched evaluation: RankBatch shares subplan
-// results across the batch's queries, and the contract is that sharing
-// is invisible — every query's answers are bit-identical (values,
-// order, and float64 score bits) to a standalone Rank with the same
+// Differential tests for batched evaluation: a Batch shares subplan
+// results across its queries, and the contract is that sharing is
+// invisible — every query's answers are bit-identical (values, order,
+// and float64 score bits) to a standalone RankContext with the same
 // options.
 
 import (
@@ -23,20 +23,20 @@ import (
 // batch, requiring bit-identical answers, and returns the batch stats.
 func assertBatchMatchesRank(t *testing.T, label string, db *DB, queries []string) BatchStats {
 	t.Helper()
-	stats := &RankStats{}
-	results := db.RankBatchContext(context.Background(), queries, &Options{Stats: stats})
-	if len(results) != len(queries) {
-		t.Fatalf("%s: %d results for %d queries", label, len(results), len(queries))
+	b := db.NewBatch(nil)
+	results := make([][]Answer, len(queries))
+	for i, query := range queries {
+		var err error
+		if results[i], err = b.Rank(context.Background(), query); err != nil {
+			t.Fatalf("%s: batch query %d (%q): %v", label, i, query, err)
+		}
 	}
 	for i, query := range queries {
 		want, err := db.RankContext(context.Background(), query, nil)
 		if err != nil {
 			t.Fatalf("%s: standalone Rank(%q): %v", label, query, err)
 		}
-		if results[i].Err != nil {
-			t.Fatalf("%s: batch query %d (%q): %v", label, i, query, results[i].Err)
-		}
-		got := results[i].Answers
+		got := results[i]
 		if len(got) != len(want) {
 			t.Fatalf("%s: query %d: %d answers vs %d standalone", label, i, len(got), len(want))
 		}
@@ -56,7 +56,7 @@ func assertBatchMatchesRank(t *testing.T, label string, db *DB, queries []string
 			}
 		}
 	}
-	return BatchStats{SharedSubplanHits: stats.SharedSubplanHits, SharedSubplanMisses: stats.SharedSubplanMisses}
+	return b.Stats()
 }
 
 // TestRankBatchDifferentialChain runs overlapping chain queries — the
@@ -188,24 +188,24 @@ func TestRankBatchPrepared(t *testing.T) {
 }
 
 // TestRankBatchBudgetIsolation checks the failure contract: with a
-// batch-wide row budget small enough to trip, the failing query reports
-// ErrBudget in its own slot while earlier queries' results survive.
+// batch-wide row budget small enough to trip, each query's Rank call
+// fails on its own, and a later batch is unaffected.
 func TestRankBatchBudgetIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	edb, q := workload.Chain(3, 2000, 300, 0.5, rng)
 	db := fromEngineDB(t, edb)
-	results := db.RankBatchContext(context.Background(), []string{q.String(), q.String()}, &Options{MaxIntermediateRows: 1})
-	for i, r := range results {
-		if r.Err == nil {
-			t.Fatalf("query %d: expected budget error, got %d answers", i, len(r.Answers))
+	b := db.NewBatch(&Options{MaxIntermediateRows: 1})
+	for i := 0; i < 2; i++ {
+		if ans, err := b.Rank(context.Background(), q.String()); err == nil {
+			t.Fatalf("query %d: expected budget error, got %d answers", i, len(ans))
 		}
 	}
 	// A later batch with no budget is unaffected.
-	results = db.RankBatchContext(context.Background(), []string{q.String()}, nil)
-	if results[0].Err != nil {
-		t.Fatalf("fresh batch: %v", results[0].Err)
+	ans, err := db.NewBatch(nil).Rank(context.Background(), q.String())
+	if err != nil {
+		t.Fatalf("fresh batch: %v", err)
 	}
-	if len(results[0].Answers) == 0 {
+	if len(ans) == 0 {
 		t.Fatal("fresh batch: no answers")
 	}
 }
