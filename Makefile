@@ -14,10 +14,12 @@ race:
 # Fault-injection and degraded-operation suite under the race detector:
 # the errfs chaos sweeps, breaker/read-only lifecycle, torn-tail
 # accounting, row budgets, cancellation polls inside long join match
-# spans, load shedding, and the error-status table.
+# spans, evaluation arenas shared by concurrent evaluations and reused
+# after budget and cancellation unwinds, load shedding, and the
+# error-status table.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestTornTail|TestNth|TestSticky|TestShort|TestSetFault' ./internal/store/...
-	$(GO) test -race -run 'TestBudget|TestFusedJoinPollsPerMatch' ./internal/engine
+	$(GO) test -race -run 'TestBudget|TestFusedJoinPollsPerMatch|TestArenaConcurrentEvaluations|TestArenaAfterUnwind' ./internal/engine
 	$(GO) test -race -run 'TestErrorStatus|TestRelease|TestQueryBudget|TestLoadShedding|TestDegraded|TestRobustnessMetrics|TestAnytime|TestRankBatch|TestResultCache|TestQueryBatchParity' ./internal/server
 	$(GO) test -race -run 'TestReplicaChaos' ./internal/replica
 
@@ -74,14 +76,15 @@ cover:
 # (internal/engine/oracle.go) on random CQs and on the chain/star/TPC-H
 # shapes, plus budget-accounting parity; the lineage query against its
 # retained reference evaluator, and its atom-order invariance; and the
-# engine's five allocation gates — chain join (allocs and bytes),
+# engine's six allocation gates — chain join (allocs and bytes),
 # lineage (allocs and bytes), the deterministic baseline (allocs and
-# bytes), Opt3 reduction, small projection — which
-# skip under -race and run in the plain test pass.
+# bytes), Opt3 reduction, small projection, and a warm evaluation
+# against a cold one — which skip under -race and run in the plain test
+# pass.
 oracle-diff:
 	$(GO) test -race -run 'OracleDifferential|TestPropExecutorOracle|TestBudgetBatchChargingParity|FuzzMorselDifferential|TestPropLineageMatchesReference|TestLineageAtomOrderInvariance' ./internal/engine
 	$(GO) test -race -run 'TestDifferentialWorkloads|TestRankBatchOracleDifferential|TestAnytimeOracleBoundsDifferential' .
-	$(GO) test -run 'TestChainJoinAllocGate|TestLineageAllocGate|TestDeterministicAllocGate|TestSemiJoinReduceAllocGate|TestSmallProjectionAllocGate' ./internal/engine
+	$(GO) test -run 'TestChainJoinAllocGate|TestLineageAllocGate|TestDeterministicAllocGate|TestSemiJoinReduceAllocGate|TestSmallProjectionAllocGate|TestWarmEvalAllocGate' ./internal/engine
 
 # The benchmark (perfbench/, BENCHMARK.json) is its own Go module that
 # replaces lapushdb with this checkout, so `./...` above never compiles
@@ -146,7 +149,7 @@ lines:
 
 # Ceiling on that total. A change that grows the code raises LINES_MAX
 # in its own diff, where review sees it; ROADMAP item 8 targets 19 000.
-LINES_MAX ?= 20337
+LINES_MAX ?= 20894
 
 lines-check:
 	@total=$$($(MAKE) -s --no-print-directory lines | awk '$$2 == "total" { print $$1 }') && \

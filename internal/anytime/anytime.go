@@ -309,7 +309,9 @@ func (ev *evaluation) stagePlans(plans []plan.Node) error {
 			}
 			o := eopts
 			o.Reduced = ev.reduced
-			r = engine.NewEvaluatorCtx(ev.ctx, ev.db, ev.q, o).Eval(p)
+			e := engine.NewEvaluatorCtx(ev.ctx, ev.db, ev.q, o)
+			defer e.Release()
+			r = e.Eval(p)
 		})
 		if err != nil {
 			if stage.Steps == 0 {
@@ -325,8 +327,7 @@ func (ev *evaluation) stagePlans(plans []plan.Node) error {
 			ev.cols = r.Cols
 			ev.answers = make([]*ansState, r.Len())
 			for i := 0; i < r.Len(); i++ {
-				key := append([]engine.Value(nil), r.Row(i)...)
-				ev.answers[i] = &ansState{key: key, lower: 0, upper: r.Score(i)}
+				ev.answers[i] = &ansState{key: r.Row(i), lower: 0, upper: r.Score(i)}
 			}
 		} else {
 			for _, a := range ev.answers {
@@ -376,7 +377,9 @@ func (ev *evaluation) buildLineage() {
 			ev.reduced = engine.SemiJoinReduceCtx(ev.ctx, ev.db, ev.q)
 		}
 		opts := engine.Options{Reduced: ev.reduced, Memo: ev.cfg.Memo}
-		lin = engine.NewEvaluatorCtx(ev.ctx, ev.db, ev.q, opts).Lineage(ev.q)
+		e := engine.NewEvaluatorCtx(ev.ctx, ev.db, ev.q, opts)
+		defer e.Release()
+		lin = e.Lineage(ev.q)
 	})
 	if err != nil {
 		ev.fail(err)

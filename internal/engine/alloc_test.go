@@ -40,12 +40,14 @@ func TestChainJoinAllocGate(t *testing.T) {
 		// Measured 555 allocs and 63 293 520 B per op (exact pre-sizing of
 		// join output, open-addressing group tables, one table per join
 		// build, single-pass streamed projection, one exec per evaluator,
-		// value ids only), plus 10%; 595 and 63 767 605 B with
-		// direct-addressed grouping.
-		{"chain3", chainGateDB, 611, 69_630_000},
+		// value ids only); 595 and 63 767 605 B with direct-addressed
+		// grouping. With scratch from a warm arena, 172 allocs and
+		// 2 301 456 B — the answers' columns — plus 10%.
+		{"chain3", chainGateDB, 190, 2_532_000},
 		// Measured 262 allocs and 2 403 402 B per op with direct-addressed
-		// grouping and output columns sized up front, plus 10%.
-		{"chain3-ends", endsChainGateDB, 288, 2_644_000},
+		// grouping and output columns sized up front; 169 and 81 504 B
+		// with the arena, plus 10%.
+		{"chain3-ends", endsChainGateDB, 186, 90_000},
 	}
 	for _, g := range gates {
 		db, q := g.build()
@@ -69,8 +71,12 @@ func TestChainJoinAllocGate(t *testing.T) {
 
 // allocsPerRun is testing.AllocsPerRun reporting bytes too: after one
 // warm-up call, the mean allocations and bytes allocated per call of f.
+// It empties the arena pool first (a pooled arena survives one
+// collection), so the warm-up starts cold whatever ran before.
 func allocsPerRun(runs int, f func()) (allocs, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -119,11 +125,13 @@ func endsChainGateDB() (*DB, *cq.Query) {
 
 // TestLineageAllocGate pins what one lineage query allocates on the
 // chain gate's instance, reduced: a fixed number of column, table and
-// arena allocations (202 measured, 60 130 384 B), however many answers
-// (142 645) and clauses (461 465) it yields, plus 10%. The evaluator it
-// replaced made 3 931 017 allocations (311 MB) here: a few per joined
-// row and per clause; carrying a value column beside every id column
-// measured 232 allocations and 88 MB.
+// clause-arena allocations (202 measured, 60 130 384 B; 156 and
+// 30 511 418 B with scans, joins and grouping scratch from a warm
+// evaluation arena, the lineage itself from the heap), however many
+// answers (142 645) and clauses (461 465) it yields, plus 10%. The
+// evaluator it replaced made 3 931 017 allocations (311 MB) here: a few
+// per joined row and per clause; carrying a value column beside every id
+// column measured 232 allocations and 88 MB.
 func TestLineageAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -132,8 +140,8 @@ func TestLineageAllocGate(t *testing.T) {
 		t.Skip("alloc gate skipped in -short")
 	}
 	const (
-		lineageAllocCeiling = 222
-		lineageByteCeiling  = 66_150_000
+		lineageAllocCeiling = 172
+		lineageByteCeiling  = 33_563_000
 	)
 	db, q := chainGateDB()
 	reduced := SemiJoinReduceCtx(nil, db, q)
@@ -159,9 +167,11 @@ func TestLineageAllocGate(t *testing.T) {
 // allocates on the chain gates' two instances, plus 10%. Run as one
 // plan by Eval, every join past the first streams into its projection:
 // measured 352 allocs and 27 028 202 B on chain3 and 195 allocs and
-// 1 191 786 B on chain3-ends. The hand-written fold it replaced — a
-// per-scan dedupe, then materialized joins and projections — measured
-// 488 allocs and 57 919 240 B, and 347 allocs and 5 810 824 B.
+// 1 191 786 B on chain3-ends; with scratch from a warm arena, 160 allocs
+// and 2 301 034 B (the answers' columns), and 156 allocs and 14 538 B.
+// The hand-written fold it replaced — a per-scan dedupe, then
+// materialized joins and projections — measured 488 allocs and
+// 57 919 240 B, and 347 allocs and 5 810 824 B.
 func TestDeterministicAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -175,8 +185,8 @@ func TestDeterministicAllocGate(t *testing.T) {
 		rows                      int
 		allocCeiling, byteCeiling uint64
 	}{
-		{"chain3", chainGateDB, 142_645, 387, 29_731_000},
-		{"chain3-ends", endsChainGateDB, 400, 214, 1_311_000},
+		{"chain3", chainGateDB, 142_645, 176, 2_532_000},
+		{"chain3-ends", endsChainGateDB, 400, 172, 16_000},
 	}
 	for _, g := range gates {
 		db, q := g.build()

@@ -235,10 +235,22 @@ func (db *DB) Decode(v Value) string {
 // values, everything else dictionary ids. Insert-time only — query
 // evaluation resolves constants with lookupConst, which never writes.
 func (db *DB) EncodeConst(lit string) Value {
-	if i, err := strconv.ParseInt(lit, 10, 64); err == nil && i >= 0 {
+	if i, ok := parseNonNeg(lit); ok {
 		return Value(i)
 	}
 	return db.Intern(lit)
+}
+
+// parseNonNeg parses a literal that encodes itself: a base-10 integer
+// that is not negative. A literal whose first byte is not a digit, '+'
+// or '-' — the bytes strconv.ParseInt accepts first — skips the parse,
+// whose failure would allocate its error.
+func parseNonNeg(lit string) (int64, bool) {
+	if lit == "" || (lit[0] < '0' || lit[0] > '9') && lit[0] != '+' && lit[0] != '-' {
+		return 0, false
+	}
+	i, err := strconv.ParseInt(lit, 10, 64)
+	return i, err == nil && i >= 0
 }
 
 // lookupConst resolves a query constant read-only: numeric literals
@@ -247,7 +259,7 @@ func (db *DB) EncodeConst(lit string) Value {
 // Scans and predicates use this so concurrent evaluations never mutate
 // the dictionary.
 func (db *DB) lookupConst(lit string) Value {
-	if i, err := strconv.ParseInt(lit, 10, 64); err == nil && i >= 0 {
+	if i, ok := parseNonNeg(lit); ok {
 		return Value(i)
 	}
 	if id, ok := db.strIDs[lit]; ok {
@@ -290,7 +302,8 @@ func (r *Relation) Len() int {
 
 // Insert adds one tuple with the given probability. Deterministic
 // relations require p == 1. Values must already be encoded via the
-// owning database (Intern/Int/EncodeConst).
+// owning database (Intern/Int/EncodeConst). Every check runs before the
+// first append, so a refused tuple leaves the relation as it was.
 func (r *Relation) Insert(tuple []Value, p float64) {
 	if len(tuple) != len(r.Cols) {
 		panic(fmt.Sprintf("engine: %s arity %d, got %d values", r.Name, len(r.Cols), len(tuple)))
@@ -298,14 +311,14 @@ func (r *Relation) Insert(tuple []Value, p float64) {
 	if !(p >= 0 && p <= 1) {
 		panic(fmt.Sprintf("engine: probability %v out of [0, 1]", p))
 	}
+	if r.Deterministic && p != 1 {
+		panic(fmt.Sprintf("engine: deterministic relation %s requires p = 1", r.Name))
+	}
 	r.rows = append(r.rows, tuple...)
 	for _, v := range tuple {
 		r.vids = append(r.vids, r.db.noteValue(v))
 	}
 	if r.Deterministic {
-		if p != 1 {
-			panic(fmt.Sprintf("engine: deterministic relation %s requires p = 1", r.Name))
-		}
 		r.prob = append(r.prob, 1)
 		return
 	}

@@ -26,6 +26,7 @@ type Result struct {
 	ids    [][]int32 // ids[k][i]: dense value id (DB.noteValue) of column k in row i
 	scores []float64
 	dict   []Value // id -> Value: DB.vals at evaluation time
+	pin    pin     // who may give the columns back to the evaluator's arena
 
 	// Lazy ScoreOf index: hash of the row values -> first row with that
 	// hash, with hash collisions chained through idxNext.
@@ -33,6 +34,18 @@ type Result struct {
 	idx     map[uint64]int32
 	idxNext []int32
 }
+
+// pin records who holds a Result whose columns came from an arena (see
+// arena.go): the evaluator's operators (pinNone, given back once
+// consumed), the Opt2 cache (given back when it is cleared), or a caller
+// outside the engine (never given back).
+type pin uint8
+
+const (
+	pinNone pin = iota
+	pinCache
+	pinOut
+)
 
 // newResult returns an empty result with per-column slice headers
 // allocated for the given layout, decoding through dict.
@@ -51,11 +64,16 @@ func (r *Result) Row(i int) []Value {
 	if len(r.Cols) == 0 {
 		return nil
 	}
-	out := make([]Value, len(r.Cols))
-	for k := range out {
-		out[k] = r.value(k, i)
+	return r.AppendRow(make([]Value, 0, len(r.Cols)), i)
+}
+
+// AppendRow appends the i-th tuple's values to dst and returns the
+// extended slice.
+func (r *Result) AppendRow(dst []Value, i int) []Value {
+	for k := range r.ids {
+		dst = append(dst, r.value(k, i))
 	}
-	return out
+	return dst
 }
 
 // Score returns the probability score of the i-th tuple.
@@ -185,16 +203,23 @@ type Options struct {
 // semantics of Section 2: joins multiply scores, duplicate-eliminating
 // projections combine scores as independent events, min nodes keep the
 // per-tuple minimum.
+//
+// An evaluator takes its operators' scratch from a pooled arena (see
+// arena.go). Release hands the arena back once the evaluator is done;
+// an evaluator that is never released leaves its arena to the
+// collector. Every Result an exported method returns owns its columns
+// and outlives the evaluator.
 type Evaluator struct {
-	db      *DB
-	opts    Options
-	cache   map[plan.ID]*Result
-	reduced map[string][]int32 // atom relation -> surviving row indices
-	cancel  canceller
-	exec    exec       // what operators see: cancel, opts.Stats, the row budget
-	memo    *BatchMemo // cross-query subplan memo; nil outside batches
-	redFP   map[string]string
-	prof    *profiler // per-node hook of EvalProfiled; nil = not profiling
+	db         *DB
+	opts       Options
+	cache      map[plan.ID]*Result
+	reduced    map[string][]int32 // atom relation -> surviving row indices
+	ownReduced bool               // reduced came from the arena
+	cancel     canceller
+	exec       exec       // what operators see: cancel, opts.Stats, the row budget, the arena
+	memo       *BatchMemo // cross-query subplan memo; nil outside batches
+	redFP      map[string]string
+	prof       *profiler // per-node hook of EvalProfiled; nil = not profiling
 	// reference, when set, computes each node instead of the streaming
 	// operators. Only EvalPlansOracle sets it (oracle.go), so no binary
 	// that does not call that entry point links the reference operators.
@@ -206,11 +231,20 @@ type Evaluator struct {
 // may be nil otherwise. The semi-join reduction and all evaluation loops
 // poll ctx and unwind with a cancellation panic when it is done. Callers
 // passing a non-nil ctx must wrap evaluation in TrapCancel; a nil ctx is
-// never cancelled.
+// never cancelled. An evaluator attached to a sharing BatchMemo
+// allocates from the heap: its subplan results outlive it in the memo.
 func NewEvaluatorCtx(ctx context.Context, db *DB, q *cq.Query, opts Options) *Evaluator {
+	var ar *arena
+	if opts.Memo == nil || !opts.Memo.share {
+		ar = getArena()
+	}
+	return newEvaluator(ctx, db, q, opts, ar)
+}
+
+func newEvaluator(ctx context.Context, db *DB, q *cq.Query, opts Options, ar *arena) *Evaluator {
 	e := &Evaluator{db: db, opts: opts}
 	e.cancel.ctx = ctx
-	e.exec = exec{c: &e.cancel, stats: opts.Stats, budget: newRowBudget(opts.MaxIntermediateRows)}
+	e.exec = exec{c: &e.cancel, stats: opts.Stats, budget: newRowBudget(opts.MaxIntermediateRows), ar: ar}
 	e.bindMemo()
 	if opts.ReuseSubplans {
 		e.cache = map[plan.ID]*Result{}
@@ -218,9 +252,77 @@ func NewEvaluatorCtx(ctx context.Context, db *DB, q *cq.Query, opts Options) *Ev
 	if opts.Reduced != nil {
 		e.reduced = opts.Reduced
 	} else if opts.SemiJoin && q != nil {
-		e.reduced = semiJoinReduce(db, q, &e.cancel)
+		e.reduced = semiJoinReduce(db, q, &e.cancel, ar)
+		e.ownReduced = ar != nil
 	}
 	return e
+}
+
+// Release gives the evaluator's scratch back to the pool: the Opt2
+// cache's results and its own semi-join reduction. Results already
+// returned are unaffected; the evaluator itself must not be used again.
+// Calling Release twice, or on an evaluator without an arena, is a
+// no-op.
+func (e *Evaluator) Release() {
+	ar := e.exec.ar
+	if ar == nil {
+		return
+	}
+	e.clearCache()
+	if e.ownReduced {
+		for _, live := range e.reduced {
+			ar.putInt32s(live)
+		}
+	}
+	e.reduced, e.ownReduced, e.exec.ar = nil, false, nil
+	putArena(ar)
+}
+
+// drop gives back a consumed child result unless the cache holds it or
+// it has left the engine.
+func (e *Evaluator) drop(r *Result) {
+	if r.pin == pinNone {
+		e.exec.ar.putResult(r)
+	}
+}
+
+// detach hands a result to a caller outside the engine. Columns that
+// fill their buffers leave with it and are never given back; columns
+// grown past their length are copied out at their length, and the
+// buffers stay in the arena.
+func (e *Evaluator) detach(r *Result) *Result {
+	if e.exec.ar == nil || r == nil {
+		return r
+	}
+	exact := len(r.scores) == cap(r.scores)
+	for _, col := range r.ids {
+		exact = exact && len(col) == cap(col)
+	}
+	if exact {
+		r.pin = pinOut
+		return r
+	}
+	out := &Result{Cols: r.Cols, ids: make([][]int32, len(r.ids)), dict: r.dict, pin: pinOut}
+	for k, col := range r.ids {
+		out.ids[k] = make([]int32, len(col))
+		copy(out.ids[k], col)
+	}
+	out.scores = make([]float64, len(r.scores))
+	copy(out.scores, r.scores)
+	e.drop(r)
+	return out
+}
+
+// clearCache gives back every cached result the cache still holds and
+// empties it.
+func (e *Evaluator) clearCache() {
+	for _, r := range e.cache {
+		if r.pin == pinCache {
+			r.pin = pinNone
+			e.drop(r)
+		}
+	}
+	clear(e.cache)
 }
 
 // bindMemo attaches the batch memo from the evaluator's options, and —
@@ -240,7 +342,11 @@ func (e *Evaluator) bindMemo() {
 // Eval evaluates a plan and returns its result. The result's columns are
 // the plan's head variables in sorted order. With a batch memo attached
 // the result is shared across the batch's evaluators (see batch.go).
-func (e *Evaluator) Eval(p plan.Node) *Result {
+func (e *Evaluator) Eval(p plan.Node) *Result { return e.detach(e.eval(p)) }
+
+// eval is Eval inside the engine: its result is the caller's to consume
+// and drop (or the cache's, when Opt2 holds it).
+func (e *Evaluator) eval(p plan.Node) *Result {
 	e.cancel.checkNow()
 	if e.cache != nil {
 		if r, ok := e.cache[p.ID()]; ok {
@@ -257,13 +363,18 @@ func (e *Evaluator) Eval(p plan.Node) *Result {
 	}
 	e.prof.leave(p, out, start)
 	if e.cache != nil {
+		// Without an arena nothing goes back, and out may be shared with
+		// other evaluators through a batch memo: its pin stays untouched.
+		if e.exec.ar != nil && out.pin == pinNone {
+			out.pin = pinCache
+		}
 		e.cache[p.ID()] = out
 	}
 	return out
 }
 
-// evalNode computes one plan node, recursing through Eval so children
-// hit the caches.
+// evalNode computes one plan node, recursing through eval so children
+// hit the caches, and drops each child once it is consumed.
 func (e *Evaluator) evalNode(p plan.Node) *Result {
 	if e.reference != nil {
 		return e.reference(p)
@@ -271,7 +382,7 @@ func (e *Evaluator) evalNode(p plan.Node) *Result {
 	var out *Result
 	switch t := p.(type) {
 	case *plan.Scan:
-		out, _ = e.scan(t)
+		out, _ = e.scan(t, nil)
 	case *plan.Project:
 		if jn, ok := t.Child.(*plan.Join); ok && e.canStream(jn) {
 			var direct bool
@@ -279,21 +390,31 @@ func (e *Evaluator) evalNode(p plan.Node) *Result {
 			e.prof.markFused(direct)
 			break
 		}
-		out = project(e.Eval(t.Child), t.OnTo, &e.exec)
+		child := e.eval(t.Child)
+		out = project(child, t.OnTo, &e.exec)
+		e.drop(child)
 	case *plan.Join:
 		results := make([]*Result, len(t.Subs))
 		for i, c := range t.Subs {
-			results[i] = e.Eval(c)
+			results[i] = e.eval(c)
 		}
 		out = foldJoin(results, &e.exec, join)
+		for _, r := range results {
+			if r != out {
+				e.drop(r)
+			}
+		}
 	case *plan.Min:
-		out = e.Eval(t.Subs[0])
+		out = e.eval(t.Subs[0])
 		if len(t.Subs) > 1 {
 			fold := newMinFold(out, &e.exec)
+			e.drop(out)
 			for _, c := range t.Subs[1:] {
-				fold.merge(e.Eval(c))
+				r := e.eval(c)
+				fold.merge(r)
+				e.drop(r)
 			}
-			out = fold.out
+			out = fold.finish()
 		}
 	default:
 		panic("engine: unknown plan node")
@@ -311,22 +432,31 @@ func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, o
 	// MaxIntermediateRows bounds the query, not each of its (possibly
 	// many) minimal plans. Only the subplan cache is per plan.
 	e := NewEvaluatorCtx(ctx, db, q, opts)
+	defer e.Release()
 	var out *Result
 	var fold *minFold
 	for _, p := range plans {
-		clear(e.cache)
-		r := e.Eval(p)
+		r := e.eval(p)
+		if r.pin == pinCache {
+			r.pin = pinNone // this loop owns each plan's result
+		}
+		e.clearCache()
 		if out == nil {
 			out = r
 			continue
 		}
 		if fold == nil {
 			fold = newMinFold(out, &e.exec)
+			e.drop(out)
 		}
 		fold.merge(r)
+		e.drop(r)
 		out = fold.out
 	}
-	return out
+	if fold != nil {
+		out = fold.finish()
+	}
+	return e.detach(out)
 }
 
 // scan reads an atom's relation, applying constant selections, repeated-
@@ -334,21 +464,22 @@ func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, o
 // a semi-join reduction — the reduced row set. The filter runs as
 // component-at-a-time kernels producing a selection vector, then each
 // output column is gathered in one pre-sized pass. It also returns that
-// selection, the relation row behind each output row, or nil when every
-// row qualified in order.
-func (e *Evaluator) scan(s *plan.Scan) (*Result, []int32) {
+// selection applied to extra, a column parallel to the relation's rows
+// (nil gathers nothing).
+func (e *Evaluator) scan(s *plan.Scan, extra []int32) (*Result, []int32) {
 	rel, cols, pos := scanLayout(e.db, s)
 	filter := newRowFilter(e.db, rel, s)
 	out := newResult(cols, e.db.vals)
+	ar := e.exec.ar
 	// Candidate rows: the semi-join reduction's, else the whole relation.
 	cand, restricted := e.reduced[rel.Name]
-	sel, all := filter.apply(rel, cand, restricted, &e.cancel)
+	sel, all := filter.apply(rel, cand, restricted, &e.cancel, ar)
 	m := len(sel)
 	if all {
 		m = rel.Len()
 	}
 	e.exec.charge(m)
-	out.scores = make([]float64, m)
+	out.scores = ar.float64s(m)
 	if all {
 		copy(out.scores, rel.prob)
 	} else {
@@ -358,7 +489,7 @@ func (e *Evaluator) scan(s *plan.Scan) (*Result, []int32) {
 	}
 	a := rel.Arity()
 	for k, j := range pos {
-		dst := make([]int32, m)
+		dst := ar.int32s(m)
 		if all {
 			for i := range dst {
 				dst[i] = rel.vids[i*a+j]
@@ -370,7 +501,21 @@ func (e *Evaluator) scan(s *plan.Scan) (*Result, []int32) {
 		}
 		out.ids[k] = dst
 	}
-	return out, sel
+	var gathered []int32
+	if extra != nil {
+		gathered = ar.int32s(m)
+		if all {
+			copy(gathered, extra)
+		} else {
+			for x, ri := range sel {
+				gathered[x] = extra[ri]
+			}
+		}
+	}
+	if !all && !filter.empty() { // sel is the filter's copy, not the reduction's
+		ar.putInt32s(sel)
+	}
+	return out, gathered
 }
 
 // scanLayout resolves a scan's relation and output column layout: the
@@ -482,8 +627,9 @@ func (f *rowFilter) ok(row []Value) bool {
 // variables compare dense value ids, since equal values have equal ids;
 // the other predicates compare values. It returns (sel, all); all=true
 // means every row of the relation qualifies and sel is nil (the caller
-// copies the columns wholesale).
-func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *canceller) ([]int32, bool) {
+// copies the columns wholesale). A filter with components returns a
+// vector taken from ar; an empty one passes cand through.
+func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *canceller, ar *arena) ([]int32, bool) {
 	if f.empty() {
 		if restricted {
 			return cand, false
@@ -499,10 +645,11 @@ func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *cance
 	if restricted {
 		// Never compact the caller's candidate slice in place: the
 		// reduction owns it.
-		sel = append(make([]int32, 0, len(cand)), cand...)
+		sel = ar.int32s(len(cand))
+		copy(sel, cand)
 	} else {
 		n := rel.Len()
-		sel = make([]int32, n)
+		sel = ar.int32s(n)
 		for i := range sel {
 			sel[i] = int32(i)
 		}
@@ -775,22 +922,20 @@ type groupCell struct{ ref, aux int32 }
 func newProjAccum(onto []cq.Var, dict []Value, sizeHint, cells int, ex *exec) *projAccum {
 	ka := len(onto)
 	chunk := min(sizeHint, morselSize)
+	ar := ex.arena()
 	pa := &projAccum{
 		out:     newResult(append([]cq.Var(nil), onto...), dict),
 		ka:      ka,
-		key:     make([]int32, ka),
-		touched: make([]int32, 0, chunk),
-		partial: make([]float64, 0, chunk),
+		key:     ar.int32s(ka),
+		touched: ar.int32s(chunk)[:0],
+		partial: ar.float64s(chunk)[:0],
 		ex:      ex,
 	}
 	if cells > 0 {
-		pa.cells = make([]groupCell, cells)
-		for k := range pa.out.ids {
-			pa.out.ids[k] = make([]int32, 0, cells)
-		}
-		pa.out.scores = make([]float64, 0, cells)
+		pa.cells = ar.zeroCells(cells)
+		ar.reserveRows(pa.out, cells)
 	} else {
-		pa.g = newGroupTable(ka, sizeHint)
+		pa.g = newGroupTable(ar, ka, sizeHint)
 	}
 	return pa
 }
@@ -798,6 +943,9 @@ func newProjAccum(onto []cq.Var, dict []Value, sizeHint, cells int, ex *exec) *p
 // newGroup appends the group keyed by the caller's pa.key, with an empty
 // product, as the next output row.
 func (pa *projAccum) newGroup() {
+	if len(pa.out.scores) == cap(pa.out.scores) {
+		pa.ex.arena().reserveRows(pa.out, 1)
+	}
 	for k := 0; k < pa.ka; k++ {
 		pa.out.ids[k] = append(pa.out.ids[k], pa.key[k])
 	}
@@ -843,6 +991,8 @@ func (pa *projAccum) flushChunk() {
 	pa.chunks++
 }
 
+// finish folds the last chunk, completes the scores and gives back the
+// accumulator's scratch.
 func (pa *projAccum) finish() *Result {
 	pa.flushChunk()
 	if pa.chunks > 1 {
@@ -851,6 +1001,12 @@ func (pa *projAccum) finish() *Result {
 	for i := range pa.out.scores {
 		pa.out.scores[i] = 1 - pa.out.scores[i]
 	}
+	ar := pa.ex.arena()
+	ar.putInt32s(pa.key)
+	ar.putInt32s(pa.touched)
+	ar.putFloat64s(pa.partial)
+	ar.putCells(pa.cells)
+	pa.g.release()
 	return pa.out
 }
 
@@ -935,15 +1091,21 @@ func greedyJoinOrder(results []*Result) []int {
 	return order
 }
 
-// foldJoin joins several results in greedy smallest-connected order.
+// foldJoin joins several results in greedy smallest-connected order,
+// giving back each intermediate join once the next has consumed it. The
+// inputs stay the caller's.
 func foldJoin(results []*Result, ex *exec, jf joinFn) *Result {
 	if len(results) == 1 {
 		return results[0]
 	}
 	order := greedyJoinOrder(results)
 	cur := results[order[0]]
-	for _, i := range order[1:] {
-		cur = jf(cur, results[i], ex)
+	for k, i := range order[1:] {
+		next := jf(cur, results[i], ex)
+		if k > 0 {
+			ex.arena().putResult(cur)
+		}
+		cur = next
 	}
 	return cur
 }
@@ -1005,8 +1167,10 @@ func join(l, r *Result, ex *exec) *Result {
 	jl := makeJoinLayout(l, r)
 	jt := buildJoinTable(jl.build, jl.buildPos, ex)
 	out := newResult(jl.outCols, l.dict)
+	ar := ex.arena()
 	np := jl.probe.Len()
 	if np == 0 {
+		jt.release(ar)
 		return out
 	}
 	probeKeys := make([][]int32, len(jl.probePos))
@@ -1015,8 +1179,8 @@ func join(l, r *Result, ex *exec) *Result {
 	}
 	sg := newColSigner(probeKeys)
 	wide := sg.wide()
-	starts := make([]int32, np)
-	cnts := make([]int32, np)
+	starts := ar.int32s(np)
+	cnts := ar.int32s(np)
 	c := ex.canc()
 	total, pending := 0, 0
 	for i := 0; i < np; i++ {
@@ -1034,9 +1198,9 @@ func join(l, r *Result, ex *exec) *Result {
 			pending = 0
 		}
 	}
-	out.scores = make([]float64, total)
+	out.scores = ar.float64s(total)
 	for k := range out.Cols {
-		out.ids[k] = make([]int32, total)
+		out.ids[k] = ar.int32s(total)
 	}
 	bscores, pscores := jl.build.scores, jl.probe.scores
 	o := 0
@@ -1072,6 +1236,9 @@ func join(l, r *Result, ex *exec) *Result {
 			}
 		}
 	}
+	ar.putInt32s(starts)
+	ar.putInt32s(cnts)
+	jt.release(ar)
 	return out
 }
 
@@ -1095,20 +1262,30 @@ type minFold struct {
 
 func newMinFold(a *Result, ex *exec) *minFold {
 	na := a.Len()
-	m := &minFold{g: newGroupTable(len(a.Cols), na), ex: ex}
+	ar := ex.arena()
+	m := &minFold{g: newGroupTable(ar, len(a.Cols), na), ex: ex}
 	m.out = newResult(a.Cols, a.dict)
+	ar.reserveRows(m.out, na)
 	for k := range a.ids {
-		m.out.ids[k] = append([]int32(nil), a.ids[k]...)
+		m.out.ids[k] = append(m.out.ids[k], a.ids[k]...)
 	}
-	m.out.scores = append([]float64(nil), a.scores...)
+	m.out.scores = append(m.out.scores, a.scores...)
 	m.addRows(0, na)
 	return m
+}
+
+// finish gives back the fold's table and returns its result.
+func (m *minFold) finish() *Result {
+	m.g.release()
+	m.ex.arena().putInt32s(m.rowOf)
+	return m.out
 }
 
 // addRows interns out's rows [lo, hi) into the table, last-wins on
 // duplicate keys — the same mapping a fresh rebuild over all of out
 // would produce.
 func (m *minFold) addRows(lo, hi int) {
+	m.rowOf = m.ex.arena().reserveInt32s(m.rowOf, hi-lo)
 	cc := m.ex.canc()
 	sg := newColSigner(m.out.ids)
 	wide := sg.wide()
@@ -1152,6 +1329,9 @@ func (m *minFold) merge(b *Result) {
 			m.out.scores[j] = math.Min(m.out.scores[j], b.scores[i])
 		} else {
 			appended++
+			if len(m.out.scores) == cap(m.out.scores) {
+				m.ex.arena().reserveRows(m.out, 1)
+			}
 			for k := range m.out.ids {
 				m.out.ids[k] = append(m.out.ids[k], b.ids[k][i])
 			}
@@ -1172,7 +1352,7 @@ func (m *minFold) merge(b *Result) {
 // predicates are applied first, so the reduction starts from the
 // selected subsets. ctx is polled as NewEvaluatorCtx describes.
 func SemiJoinReduceCtx(ctx context.Context, db *DB, q *cq.Query) map[string][]int32 {
-	return semiJoinReduce(db, q, &canceller{ctx: ctx})
+	return semiJoinReduce(db, q, &canceller{ctx: ctx}, nil)
 }
 
 // semiJoinReduce computes the reduction as a chaotic iteration of the
@@ -1183,8 +1363,9 @@ func SemiJoinReduceCtx(ctx context.Context, db *DB, q *cq.Query) map[string][]in
 // The semi-joins are monotone and only ever shrink their left side, so
 // every fair order reaches the one greatest fixpoint below the selected
 // subsets, and live stays in ascending row order: the returned sets do
-// not depend on the schedule (DESIGN.md, "Opt3 reduction").
-func semiJoinReduce(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
+// not depend on the schedule (DESIGN.md, "Opt3 reduction"). The live
+// sets come from ar and are the caller's; the scratch goes back to it.
+func semiJoinReduce(db *DB, q *cq.Query, c *canceller, ar *arena) map[string][]int32 {
 	type atomInfo struct {
 		rel     *Relation
 		live    []int32
@@ -1207,9 +1388,9 @@ func semiJoinReduce(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
 			}
 		}
 		filter := newRowFilter(db, rel, plan.NewScan(a, q.PredsOnAtom(a)))
-		sel, all := filter.apply(rel, nil, false, c)
+		sel, all := filter.apply(rel, nil, false, c, ar)
 		if all {
-			info.live = make([]int32, rel.Len())
+			info.live = ar.int32s(rel.Len())
 			for r := range info.live {
 				info.live[r] = int32(r)
 			}
@@ -1267,12 +1448,12 @@ func semiJoinReduce(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
 			if len(e.apos) == 1 && words <= len(a.live)+len(b.live) {
 				// Clearing the bitset costs no more than the two row passes.
 				if bits == nil {
-					bits = make([]uint64, words)
+					bits = ar.uint64s(words)
 				}
 				clear(bits)
 				kept = semiJoinBits(a.rel, a.live, e.apos[0], b.rel, b.live, e.bpos[0], bits, c)
 			} else {
-				kept = semiJoinHash(a.rel, a.live, e.apos, b.rel, b.live, e.bpos, c)
+				kept = semiJoinHash(a.rel, a.live, e.apos, b.rel, b.live, e.bpos, c, ar)
 			}
 			if len(kept) != len(a.live) {
 				a.live = kept
@@ -1281,6 +1462,7 @@ func semiJoinReduce(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
 			}
 		}
 	}
+	ar.putUint64s(bits)
 	out := make(map[string][]int32, len(infos))
 	for _, info := range infos {
 		out[info.rel.Name] = info.live
@@ -1322,8 +1504,9 @@ func semiJoinBits(a *Relation, alive []int32, apos int, b *Relation, blive []int
 // semiJoinHash is semiJoinBits for composite keys, and for single keys
 // when both sides are so small that clearing the bitset would dominate:
 // b's keys go into a groupTable sized to b's live rows.
-func semiJoinHash(a *Relation, alive []int32, apos []int, b *Relation, blive []int32, bpos []int, c *canceller) []int32 {
-	keys := newGroupTable(len(bpos), len(blive))
+func semiJoinHash(a *Relation, alive []int32, apos []int, b *Relation, blive []int32, bpos []int, c *canceller, ar *arena) []int32 {
+	keys := newGroupTable(ar, len(bpos), len(blive))
+	defer keys.release()
 	key := make([]int32, len(bpos))
 	for _, r := range blive {
 		c.check()

@@ -278,7 +278,7 @@ func TestFilterKernelsMatchRowCheck(t *testing.T) {
 					want = append(want, i)
 				}
 			}
-			got, all := f.apply(r, cand, restricted, nil)
+			got, all := f.apply(r, cand, restricted, nil, nil)
 			if all {
 				got = rows
 			}

@@ -102,10 +102,12 @@ func (s *colSigner) wide() bool { return len(s.cols) > 2 }
 // internRows interns the keys of n rows over parallel id columns —
 // row order[i] i-th, or row i when order is nil — into a new group
 // table pre-sized for sizeHint keys, and returns each row's group id
-// with the table. Past limit groups it gives up and returns nil.
+// with the table, both from the arena. Past limit groups it gives up and
+// returns nil.
 func internRows(cols [][]int32, order []int32, n, limit, sizeHint int, ex *exec) ([]int32, *groupTable) {
-	g := newGroupTable(len(cols), sizeHint)
-	gids := make([]int32, n)
+	ar := ex.arena()
+	g := newGroupTable(ar, len(cols), sizeHint)
+	gids := ar.int32s(n)
 	sg := newColSigner(cols)
 	wide := sg.wide()
 	c := ex.canc()
@@ -121,6 +123,8 @@ func internRows(cols [][]int32, order []int32, n, limit, sizeHint int, ex *exec)
 		}
 		gids[i], _ = g.internSig(sg.sig(row), key)
 		if g.size() > limit {
+			ar.putInt32s(gids)
+			g.release()
 			return nil, nil
 		}
 	}
@@ -151,9 +155,12 @@ type groupTable struct {
 	mask  uint64
 	n     int     // groups interned
 	keys  []int32 // flattened interned keys, arity per group (wide only)
+	ar    *arena  // where slots come from and go back to
 }
 
-func newGroupTable(arity, sizeHint int) *groupTable {
+// newGroupTable returns an empty table with room for sizeHint groups,
+// its slots taken from ar.
+func newGroupTable(ar *arena, arity, sizeHint int) *groupTable {
 	cap := 8
 	for cap*4 < sizeHint*5 { // hold sizeHint groups below 80% load
 		cap *= 2
@@ -161,9 +168,21 @@ func newGroupTable(arity, sizeHint int) *groupTable {
 	return &groupTable{
 		arity: arity,
 		exact: arity <= 2,
-		slots: make([]groupSlot, cap),
+		slots: ar.zeroSlots(cap),
 		mask:  uint64(cap - 1),
+		ar:    ar,
 	}
+}
+
+// release gives the table's slots and keys back to its arena. The table
+// must not be used again. A nil table releases nothing.
+func (g *groupTable) release() {
+	if g == nil {
+		return
+	}
+	g.ar.putSlots(g.slots)
+	g.ar.putInt32s(g.keys)
+	g.slots, g.keys = nil, nil
 }
 
 func (g *groupTable) size() int { return g.n }
@@ -240,7 +259,7 @@ func (g *groupTable) lookupSig(sig uint64, key []int32) (int32, bool) {
 }
 
 func (g *groupTable) grow() {
-	slots := make([]groupSlot, len(g.slots)*2)
+	slots := g.ar.zeroSlots(len(g.slots) * 2)
 	mask := uint64(len(slots) - 1)
 	for _, s := range g.slots {
 		if s.ref == 0 {
@@ -252,6 +271,7 @@ func (g *groupTable) grow() {
 		}
 		slots[i] = s
 	}
+	g.ar.putSlots(g.slots)
 	g.slots, g.mask = slots, mask
 }
 

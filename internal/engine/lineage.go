@@ -63,7 +63,9 @@ func (l *Lineage) MaxSize() int {
 // panic when it is done. Callers passing a non-nil ctx must wrap the call
 // in TrapCancel. It has no row budget; Evaluator.Lineage runs under one.
 func EvalLineageCtx(ctx context.Context, db *DB, q *cq.Query, reduced map[string][]int32) *Lineage {
-	return NewEvaluatorCtx(ctx, db, nil, Options{Reduced: reduced}).Lineage(q)
+	e := NewEvaluatorCtx(ctx, db, nil, Options{Reduced: reduced})
+	defer e.Release()
+	return e.Lineage(q)
 }
 
 // Lineage computes the lineage of every answer of the self-join-free
@@ -72,28 +74,25 @@ func EvalLineageCtx(ctx context.Context, db *DB, q *cq.Query, reduced map[string
 // column holding its tuples' variable ids, under a name no variable of q
 // has. The scans are joined in greedy order and the rows grouped by the
 // sorted head. Scans and joins poll the evaluator's context and charge
-// its row budget.
+// its row budget. The lineage is the caller's; the scans and joins go
+// back to the arena.
 func (e *Evaluator) Lineage(q *cq.Query) *Lineage {
 	qVars := cq.NewVarSet(q.Vars()...)
 	inputs := make([]*Result, len(q.Atoms))
 	var idCols []cq.Var
 	dedupe := false
 	for i, a := range q.Atoms {
-		r, sel := e.scan(plan.NewScan(a, q.PredsOnAtom(a)))
-		inputs[i] = r
 		rel := e.db.Relation(a.Rel)
+		var vars []int32 // the tuples' variable ids, for a probabilistic atom
+		if rel != nil && !rel.Deterministic {
+			vars = rel.vars
+		}
+		r, ids := e.scan(plan.NewScan(a, q.PredsOnAtom(a)), vars)
+		inputs[i] = r
 		if rel.Deterministic {
 			// Rows that differ only in this atom's tuple repeat a clause.
 			dedupe = true
 			continue
-		}
-		ids := make([]int32, r.Len())
-		if sel == nil {
-			copy(ids, rel.vars)
-		} else {
-			for x, ri := range sel {
-				ids[x] = rel.vars[ri]
-			}
 		}
 		// A built query may name a variable "#i"; prefixing more '#'s
 		// keeps the name fresh, and distinct from the other id columns.
@@ -108,24 +107,33 @@ func (e *Evaluator) Lineage(q *cq.Query) *Lineage {
 	rows := foldJoin(inputs, &e.exec, join)
 	head := slices.Clone(q.Head)
 	slices.Sort(head)
-	return groupLineage(rows, head, idCols, dedupe, &e.cancel)
+	lin := groupLineage(rows, head, idCols, dedupe, &e.exec)
+	if len(inputs) > 1 {
+		e.exec.ar.putResult(rows)
+	}
+	for _, r := range inputs {
+		e.exec.ar.putResult(r)
+	}
+	return lin
 }
 
 // groupLineage groups the joined rows by the head columns into answers,
 // in first-appearance order, decoding each answer's key once, and lays
 // their clauses out answer by answer in one arena, each clause's ids
-// sorted ascending.
-func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, c *canceller) *Lineage {
+// sorted ascending. Its scratch comes from the exec's arena; the lineage
+// is allocated from the heap.
+func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, ex *exec) *Lineage {
 	n, w := rows.Len(), len(idCols)
 	keyIDs := make([][]int32, len(head))
 	for k, v := range head {
 		keyIDs[k] = rows.ids[colIndex(rows.Cols, v)]
 	}
-	g := newGroupTable(len(head), min(n, projAccumHint))
+	c, ar := ex.canc(), ex.arena()
+	g := newGroupTable(ar, len(head), min(n, projAccumHint))
 	sg := newColSigner(keyIDs)
 	wide := sg.wide()
 	out := &Lineage{Cols: head}
-	gids := make([]int32, n)
+	gids := ar.int32s(n)
 	for i := range gids {
 		c.check()
 		var key []int32
@@ -141,6 +149,7 @@ func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, c *canceller
 		gids[i] = gid
 	}
 	ng := g.size()
+	g.release()
 	out.off = make([]int32, ng+1)
 	for _, gid := range gids {
 		out.off[gid+1]++
@@ -152,13 +161,14 @@ func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, c *canceller
 	for k, v := range idCols {
 		varCols[k] = rows.ids[colIndex(rows.Cols, v)]
 	}
-	arena := make([]int32, n*w)
-	next := append([]int32(nil), out.off[:ng]...)
+	flat := make([]int32, n*w)
+	next := ar.int32s(ng)
+	copy(next, out.off[:ng])
 	for i, gid := range gids {
 		c.check()
 		p := int(next[gid]) * w
 		next[gid]++
-		cl := arena[p : p+w]
+		cl := flat[p : p+w]
 		for k, col := range varCols { // insertion into the sorted prefix
 			v, j := col[i], k
 			for ; j > 0 && cl[j-1] > v; j-- {
@@ -167,10 +177,12 @@ func groupLineage(rows *Result, head, idCols []cq.Var, dedupe bool, c *canceller
 			cl[j] = v
 		}
 	}
-	arena = sortClauses(arena, out.off, w, dedupe)
+	ar.putInt32s(next)
+	ar.putInt32s(gids)
+	flat = sortClauses(flat, out.off, w, dedupe)
 	out.clauses = make([][]int32, out.off[ng])
 	for x := range out.clauses {
-		out.clauses[x] = arena[x*w : (x+1)*w : (x+1)*w]
+		out.clauses[x] = flat[x*w : (x+1)*w : (x+1)*w]
 	}
 	return out
 }
@@ -208,7 +220,9 @@ func sortClauses(arena, off []int32, w int, dedupe bool) []int32 {
 // EvalLineageCtx describes. It has no row budget; Evaluator.Deterministic
 // runs under one.
 func EvalDeterministicCtx(ctx context.Context, db *DB, q *cq.Query) *Result {
-	return NewEvaluatorCtx(ctx, db, nil, Options{ReuseSubplans: true}).Deterministic(q)
+	e := NewEvaluatorCtx(ctx, db, nil, Options{ReuseSubplans: true})
+	defer e.Release()
+	return e.Deterministic(q)
 }
 
 // Deterministic evaluates q under set semantics as one plan run by Eval:
@@ -223,9 +237,12 @@ func (e *Evaluator) Deterministic(q *cq.Query) *Result {
 	results := make([]*Result, len(q.Atoms))
 	for i, a := range q.Atoms {
 		scans[i] = plan.NewScan(a, q.PredsOnAtom(a))
-		results[i] = e.Eval(scans[i])
+		results[i] = e.eval(scans[i])
 	}
 	order := greedyJoinOrder(results)
+	for _, r := range results {
+		e.drop(r) // without Opt2, the plan scans again
+	}
 	// needed[k]: the variables the head or an atom after order[k] holds.
 	needed := make([]cq.VarSet, len(order))
 	later := q.HeadSet()
@@ -250,13 +267,15 @@ func (e *Evaluator) Deterministic(q *cq.Query) *Result {
 		}
 		p = plan.NewProject(keep, p)
 	}
-	out := e.Eval(p)
+	out := e.eval(p)
 	if _, ok := p.(*plan.Project); !ok {
 		// A scan or join root keeps any tuple a relation stores twice.
-		out = project(out, out.Cols, &e.exec)
+		root := out
+		out = project(root, root.Cols, &e.exec)
+		e.drop(root)
 	}
 	for i := range out.scores {
 		out.scores[i] = 1
 	}
-	return out
+	return e.detach(out)
 }

@@ -29,12 +29,14 @@ type EvalStats struct {
 func (s *EvalStats) Partitions() int64 { return s.partitions.Load() }
 
 // exec carries the per-operator execution context: the evaluator's
-// canceller, the (possibly nil) stats sink, and the (possibly nil)
-// intermediate row budget. A nil exec runs uncancellably and unbudgeted.
+// canceller, the (possibly nil) stats sink, the (possibly nil)
+// intermediate row budget, and the (possibly nil) scratch arena. A nil
+// exec runs uncancellably and unbudgeted, and allocates with make.
 type exec struct {
 	c      *canceller
 	stats  *EvalStats
 	budget *rowBudget
+	ar     *arena
 }
 
 func (ex *exec) canc() *canceller {
@@ -42,6 +44,13 @@ func (ex *exec) canc() *canceller {
 		return nil
 	}
 	return ex.c
+}
+
+func (ex *exec) arena() *arena {
+	if ex == nil {
+		return nil
+	}
+	return ex.ar
 }
 
 // charge accounts n materialized intermediate rows against the
@@ -75,29 +84,42 @@ type joinTable struct {
 
 // buildJoinTable interns the build side's keys in row order into a group
 // table pre-sized to the build cardinality (an upper bound on its key
-// count), then counting-sorts the row ids by group id.
+// count), then counting-sorts the row ids by group id. The table's
+// buffers come from the exec's arena; release gives them back.
 func buildJoinTable(build *Result, pos []int, ex *exec) *joinTable {
 	n := build.Len()
 	keyCols := make([][]int32, len(pos))
 	for k, j := range pos {
 		keyCols[k] = build.ids[j]
 	}
+	ar := ex.arena()
 	gids, g := internRows(keyCols, nil, n, n, n, ex)
-	jt := &joinTable{g: g, rows: make([]int32, n)}
+	jt := &joinTable{g: g, rows: ar.int32s(n)}
 	ng := g.size()
-	jt.start = make([]int32, ng+1)
+	jt.start = ar.int32s(ng + 1)
+	clear(jt.start)
 	for _, gid := range gids {
 		jt.start[gid+1]++
 	}
 	for i := 0; i < ng; i++ {
 		jt.start[i+1] += jt.start[i]
 	}
-	cur := append([]int32(nil), jt.start[:ng]...)
+	cur := ar.int32s(ng)
+	copy(cur, jt.start[:ng])
 	for i, gid := range gids {
 		jt.rows[cur[gid]] = int32(i)
 		cur[gid]++
 	}
+	ar.putInt32s(cur)
+	ar.putInt32s(gids)
 	return jt
+}
+
+// release gives the table's buffers back to ar.
+func (jt *joinTable) release(ar *arena) {
+	jt.g.release()
+	ar.putInt32s(jt.start)
+	ar.putInt32s(jt.rows)
 }
 
 // lookupSpan returns the span (start, count) of build row ids matching

@@ -33,12 +33,12 @@ import (
 // row budget and cancellation, and by contract the same bits and typed
 // errors.
 func EvalPlansOracle(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, opts Options) *Result {
-	e := NewEvaluatorCtx(ctx, db, q, opts)
+	e := newEvaluator(ctx, db, q, opts, nil) // the reference operators allocate with make
 	e.reference = e.oracleEvalNode
 	var out *Result
 	for _, p := range plans {
 		clear(e.cache)
-		r := e.Eval(p)
+		r := e.eval(p)
 		if out == nil {
 			out = r
 		} else {
@@ -151,17 +151,17 @@ func (e *Evaluator) oracleEvalNode(p plan.Node) *Result {
 	case *plan.Scan:
 		out = e.oracleScan(t)
 	case *plan.Project:
-		out = oracleProject(e.Eval(t.Child), t.OnTo, &e.exec)
+		out = oracleProject(e.eval(t.Child), t.OnTo, &e.exec)
 	case *plan.Join:
 		results := make([]*Result, len(t.Subs))
 		for i, c := range t.Subs {
-			results[i] = e.Eval(c)
+			results[i] = e.eval(c)
 		}
 		out = foldJoin(results, &e.exec, oracleJoin)
 	case *plan.Min:
-		out = e.Eval(t.Subs[0])
+		out = e.eval(t.Subs[0])
 		for _, c := range t.Subs[1:] {
-			out = oracleCombineMin(out, e.Eval(c), &e.exec)
+			out = oracleCombineMin(out, e.eval(c), &e.exec)
 		}
 	default:
 		panic("engine: unknown plan node")

@@ -150,13 +150,11 @@ func TestScanRowOrder(t *testing.T) {
 					want = append(want, i)
 				}
 			}
-			out, sel := e.scan(sc)
-			if sel == nil {
-				sel = make([]int32, rel.Len())
-				for i := range sel {
-					sel[i] = int32(i)
-				}
+			rowIDs := make([]int32, rel.Len())
+			for i := range rowIDs {
+				rowIDs[i] = int32(i)
 			}
+			out, sel := e.scan(sc, rowIDs) // gathering row ids yields the selection
 			if !slices.Equal(sel, want) {
 				t.Fatalf("semi-join %v: %s scans rows %v, want %v", semi, sc.Key(), sel, want)
 			}

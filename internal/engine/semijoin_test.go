@@ -40,7 +40,7 @@ func semiJoinReduceRef(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
 			}
 		}
 		filter := newRowFilter(db, rel, plan.NewScan(a, q.PredsOnAtom(a)))
-		sel, all := filter.apply(rel, nil, false, c)
+		sel, all := filter.apply(rel, nil, false, c, nil)
 		if all {
 			info.live = make([]int32, rel.Len())
 			for r := range info.live {
@@ -86,7 +86,7 @@ func semiJoinReduceRef(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
 					bpos[x] = b.varPos[v]
 				}
 				// Keys present in b on the shared vars.
-				keys := newGroupTable(len(vars), len(b.live))
+				keys := newGroupTable(nil, len(vars), len(b.live))
 				key := make([]int32, len(vars))
 				for _, r := range b.live {
 					c.check()
@@ -285,7 +285,7 @@ func TestSemiJoinKernelsAgree(t *testing.T) {
 		apos, bpos := rng.Intn(2), rng.Intn(2)
 		bits := make([]uint64, (db.NumValues()+63)/64)
 		got := semiJoinBits(a, append([]int32(nil), alive...), apos, b, blive, bpos, bits, nil)
-		want := semiJoinHash(a, append([]int32(nil), alive...), []int{apos}, b, blive, []int{bpos}, nil)
+		want := semiJoinHash(a, append([]int32(nil), alive...), []int{apos}, b, blive, []int{bpos}, nil, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: bitset kept %v, hash kept %v", iter, got, want)
 		}

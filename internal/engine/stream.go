@@ -46,19 +46,31 @@ func (e *Evaluator) canStream(jn *plan.Join) bool {
 // the last are materialized as usual (fold ordering inspects
 // materialized sizes); only the last join's output — the largest
 // intermediate — streams. It also reports whether the projection
-// addressed its groups directly.
+// addressed its groups directly. Each intermediate join is given back
+// once consumed, and the inputs once the projection is done.
 func (e *Evaluator) streamProjectJoin(jn *plan.Join, onto []cq.Var) (*Result, bool) {
 	subs := make([]*Result, len(jn.Subs))
 	for i, c := range jn.Subs {
-		subs[i] = e.Eval(c)
+		subs[i] = e.eval(c)
 	}
 	ex := &e.exec
 	order := greedyJoinOrder(subs)
 	cur := subs[order[0]]
-	for _, i := range order[1 : len(order)-1] {
-		cur = join(cur, subs[i], ex)
+	for k, i := range order[1 : len(order)-1] {
+		next := join(cur, subs[i], ex)
+		if k > 0 {
+			ex.ar.putResult(cur)
+		}
+		cur = next
 	}
-	return streamJoinProject(cur, subs[order[len(order)-1]], onto, ex)
+	out, direct := streamJoinProject(cur, subs[order[len(order)-1]], onto, ex)
+	if len(order) > 2 {
+		ex.ar.putResult(cur)
+	}
+	for _, r := range subs {
+		e.drop(r)
+	}
+	return out, direct
 }
 
 // Direct-addressed grouping. A join row's projection key is its probe
@@ -87,9 +99,9 @@ const (
 // directCodes returns the codes and the number of codes on each side
 // when the join qualifies for direct-addressed grouping, or nil codes
 // when it does not: pc per probe row, bc per entry of jt.rows (the
-// build rows in the order the probe reads their spans). keyCols[k] is
-// the id column of projection column k, on the build side iff
-// fromBuild[k].
+// build rows in the order the probe reads their spans), both from the
+// arena. keyCols[k] is the id column of projection column k, on the
+// build side iff fromBuild[k].
 func directCodes(jl *joinLayout, jt *joinTable, fromBuild []bool, keyCols [][]int32, ex *exec) (pc, bc []int32, npc, nbc int) {
 	np, nb := jl.probe.Len(), jl.build.Len()
 	if keys := jt.g.size(); np == 0 || keys == 0 || nb < directMinFanout*keys {
@@ -111,12 +123,16 @@ func directCodes(jl *joinLayout, jt *joinTable, fromBuild []bool, keyCols [][]in
 		return nil, nil, 0, 0
 	}
 	nbc = bg.size()
+	bg.release()
 	limit /= nbc
 	pc, pg := internRows(pcols, nil, np, limit, min(np, limit, codeTableHint), ex)
 	if pg == nil {
+		ex.arena().putInt32s(bc)
 		return nil, nil, 0, 0
 	}
-	return pc, bc, pg.size(), nbc
+	npc = pg.size()
+	pg.release()
+	return pc, bc, npc, nbc
 }
 
 // streamJoinProject computes project(join(l, r), onto) with the join
@@ -209,5 +225,9 @@ func streamJoinProject(l, r *Result, onto []cq.Var, ex *exec) (*Result, bool) {
 			pa.accum(g.ref-1, &g.aux, s*bscores[ri])
 		}
 	}
+	ar := ex.arena()
+	ar.putInt32s(pc)
+	ar.putInt32s(bc)
+	jt.release(ar)
 	return pa.finish(), direct
 }

@@ -54,13 +54,13 @@ func ExtraAblation(cfg Config) *Table {
 			engine.EvalPlansCtx(nil, w.db, w.q, plans, engine.Options{})
 		})))
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
-			engine.NewEvaluatorCtx(nil, w.db, w.q, engine.Options{}).Eval(sp)
+			evalPlan(w.db, w.q, sp, engine.Options{})
 		})))
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
-			engine.NewEvaluatorCtx(nil, w.db, w.q, engine.Options{ReuseSubplans: true}).Eval(sp)
+			evalPlan(w.db, w.q, sp, engine.Options{ReuseSubplans: true})
 		})))
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
-			engine.NewEvaluatorCtx(nil, w.db, w.q, engine.Options{ReuseSubplans: true, SemiJoin: true}).Eval(sp)
+			evalPlan(w.db, w.q, sp, engine.Options{ReuseSubplans: true, SemiJoin: true})
 		})))
 		row = append(row, fmt.Sprintf("%.4f", timeIt(func() {
 			engine.EvalDeterministicCtx(nil, w.db, w.q)

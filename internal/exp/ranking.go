@@ -364,7 +364,7 @@ func Fig5l(cfg Config) *Table {
 				if run == nil || run.maxPa > 0.999999 {
 					continue
 				}
-				res := engine.NewEvaluatorCtx(nil, tp.DB, q, engine.Options{ReuseSubplans: true}).Eval(p)
+				res := evalPlan(tp.DB, q, p, engine.Options{ReuseSubplans: true})
 				aps = append(aps, run.apOf(alignScores(tp.DB, res, run.keys)))
 			}
 			if len(aps) > 0 {
@@ -401,7 +401,7 @@ func Fig5m(cfg Config) *Table {
 				if run == nil || p == nil || run.maxPa > 0.999999 {
 					continue
 				}
-				res := engine.NewEvaluatorCtx(nil, tp.DB, q, engine.Options{ReuseSubplans: true}).Eval(p)
+				res := evalPlan(tp.DB, q, p, engine.Options{ReuseSubplans: true})
 				dissAPs = append(dissAPs, run.apOf(alignScores(tp.DB, res, run.keys)))
 				for _, x := range []int{1000, 3000, 10000} {
 					mcAPs[x] = append(mcAPs[x], run.apOf(run.mcScores(x, rng)))

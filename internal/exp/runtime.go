@@ -9,6 +9,7 @@ import (
 	"lapushdb/internal/core"
 	"lapushdb/internal/cq"
 	"lapushdb/internal/engine"
+	"lapushdb/internal/plan"
 	"lapushdb/internal/workload"
 )
 
@@ -59,17 +60,25 @@ func Evaluate(db *engine.DB, q *cq.Query, mode EvalMode) int {
 		return engine.EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), engine.Options{}).Len()
 	case ModeOpt1:
 		sp := core.SinglePlan(q, nil)
-		return engine.NewEvaluatorCtx(nil, db, q, engine.Options{}).Eval(sp).Len()
+		return evalPlan(db, q, sp, engine.Options{}).Len()
 	case ModeOpt12:
 		sp := core.SinglePlan(q, nil)
-		return engine.NewEvaluatorCtx(nil, db, q, engine.Options{ReuseSubplans: true}).Eval(sp).Len()
+		return evalPlan(db, q, sp, engine.Options{ReuseSubplans: true}).Len()
 	case ModeOpt123:
 		sp := core.SinglePlan(q, nil)
-		return engine.NewEvaluatorCtx(nil, db, q, engine.Options{ReuseSubplans: true, SemiJoin: true}).Eval(sp).Len()
+		return evalPlan(db, q, sp, engine.Options{ReuseSubplans: true, SemiJoin: true}).Len()
 	case ModeDeterministic:
 		return engine.EvalDeterministicCtx(nil, db, q).Len()
 	}
 	panic("exp: unknown mode")
+}
+
+// evalPlan evaluates one plan on its own evaluator and releases the
+// evaluator's scratch.
+func evalPlan(db *engine.DB, q *cq.Query, p plan.Node, opts engine.Options) *engine.Result {
+	e := engine.NewEvaluatorCtx(nil, db, q, opts)
+	defer e.Release()
+	return e.Eval(p)
 }
 
 // ChainDomain returns the domain size N that keeps the k-chain answer

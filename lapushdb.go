@@ -332,7 +332,9 @@ func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 			} else {
 				sp = core.SinglePlan(q, d.schema(q, opts))
 			}
-			res = engine.NewEvaluatorCtx(ctx, d.db, q, eopts).Eval(sp)
+			e := engine.NewEvaluatorCtx(ctx, d.db, q, eopts)
+			defer e.Release()
+			res = e.Eval(sp)
 		}
 	})
 	if err != nil {
@@ -347,10 +349,12 @@ func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 func (d *DB) evalLineage(ctx context.Context, q *cq.Query, opts *Options) (*engine.Lineage, error) {
 	var lin *engine.Lineage
 	err := engine.TrapCancel(func() {
-		lin = engine.NewEvaluatorCtx(ctx, d.db, q, engine.Options{
+		e := engine.NewEvaluatorCtx(ctx, d.db, q, engine.Options{
 			SemiJoin:            !opts.DisableOpt3,
 			MaxIntermediateRows: opts.MaxIntermediateRows,
-		}).Lineage(q)
+		})
+		defer e.Release()
+		lin = e.Lineage(q)
 	})
 	if err != nil {
 		return nil, err
@@ -425,10 +429,12 @@ func (s *scorer) rank(ctx context.Context, n int, key func(int) []engine.Value, 
 func (d *DB) rankDeterministic(ctx context.Context, q *cq.Query, opts *Options) ([]Answer, error) {
 	var res *engine.Result
 	err := engine.TrapCancel(func() {
-		res = engine.NewEvaluatorCtx(ctx, d.db, nil, engine.Options{
+		e := engine.NewEvaluatorCtx(ctx, d.db, nil, engine.Options{
 			ReuseSubplans:       true,
 			MaxIntermediateRows: opts.MaxIntermediateRows,
-		}).Deterministic(q)
+		})
+		defer e.Release()
+		res = e.Deterministic(q)
 	})
 	if err != nil {
 		return nil, err
@@ -436,10 +442,20 @@ func (d *DB) rankDeterministic(ctx context.Context, q *cq.Query, opts *Options) 
 	return d.toAnswers(res), nil
 }
 
+// toAnswers decodes every row into one backing slice of strings, each
+// answer's Values a capacity-clamped view of it.
 func (d *DB) toAnswers(res *engine.Result) []Answer {
-	answers := make([]Answer, res.Len())
-	for i := 0; i < res.Len(); i++ {
-		answers[i] = Answer{Values: d.decode(res.Row(i)), Score: res.Score(i)}
+	n, w := res.Len(), len(res.Cols)
+	answers := make([]Answer, n)
+	vals := make([]string, n*w)
+	row := make([]engine.Value, 0, w)
+	for i := range answers {
+		row = res.AppendRow(row[:0], i)
+		v := vals[i*w : (i+1)*w : (i+1)*w]
+		for k, x := range row {
+			v[k] = d.db.Decode(x)
+		}
+		answers[i] = Answer{Values: v, Score: res.Score(i)}
 	}
 	sortAnswers(answers)
 	return answers
@@ -608,6 +624,7 @@ func (d *DB) Profile(ctx context.Context, query string) (string, error) {
 	var stats []engine.NodeStat
 	err = engine.TrapCancel(func() {
 		e := engine.NewEvaluatorCtx(ctx, d.db, q, engine.Options{ReuseSubplans: true, SemiJoin: true})
+		defer e.Release()
 		_, stats = e.EvalProfiled(sp)
 	})
 	if err != nil {

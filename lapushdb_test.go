@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -609,6 +610,35 @@ func TestBudgetEveryMethod(t *testing.T) {
 		ans, err = db.RankContext(context.Background(), q, &Options{Method: m, MCSamples: 100, MaxIntermediateRows: 10})
 		if !errors.Is(err, ErrBudget) {
 			t.Errorf("%s with a 10-row budget: %d answers, err %v, want ErrBudget", m, len(ans), err)
+		}
+	}
+}
+
+// TestAnswerValuesAreSeparate: the answers of one ranking decode into one
+// shared backing slice, each answer's Values clamped to its own cells, so
+// appending to one answer's Values never writes its neighbour's, for the
+// dissociation and the deterministic paths alike.
+func TestAnswerValuesAreSeparate(t *testing.T) {
+	db := movieDB(t)
+	for _, m := range []Method{Dissociation, Deterministic} {
+		ans, err := db.RankContext(context.Background(), "q(u, m) :- Likes(u, m), Stars(m, a)", &Options{Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ans) < 2 {
+			t.Fatalf("%s: %d answers, want at least 2", m, len(ans))
+		}
+		before := make([][]string, len(ans))
+		for i, a := range ans {
+			before[i] = slices.Clone(a.Values)
+		}
+		for i := range ans {
+			_ = append(ans[i].Values, "extra")
+			for j, a := range ans {
+				if !slices.Equal(a.Values, before[j]) {
+					t.Fatalf("%s: appending to answer %d changed answer %d from %v to %v", m, i, j, before[j], a.Values)
+				}
+			}
 		}
 	}
 }

@@ -59,7 +59,7 @@ func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) (
 	}
 	cands := make([]cand, bounds.Len())
 	for i := range cands {
-		row := append([]engine.Value(nil), bounds.Row(i)...)
+		row := bounds.Row(i)
 		cands[i] = cand{row: row, ans: Answer{Values: d.decode(row), Score: bounds.Score(i)}}
 	}
 	sort.Slice(cands, func(i, j int) bool { return answerLess(cands[i].ans, cands[j].ans) })
