@@ -73,8 +73,10 @@ cover:
 # Executor-vs-oracle differential suite under the race detector: the
 # columnar streaming executor must produce byte-identical results and
 # identical typed errors to the retained row-at-a-time oracle
-# (internal/engine/oracle.go) on random CQs and on the chain/star/TPC-H
-# shapes, plus budget-accounting parity; the lineage query against its
+# (internal/engine/oracle.go) on random CQs, on the chain/star/TPC-H
+# shapes and on hand-built plans that pin the lowering's fusion and
+# Opt2 rules (TestLoweringOracleDifferential), plus budget-accounting
+# parity; the lineage query against its
 # retained reference evaluator, and its atom-order invariance; and the
 # engine's six allocation gates — chain join (allocs and bytes),
 # lineage (allocs and bytes), the deterministic baseline (allocs and
@@ -149,7 +151,7 @@ lines:
 
 # Ceiling on that total. A change that grows the code raises LINES_MAX
 # in its own diff, where review sees it; ROADMAP item 8 targets 19 000.
-LINES_MAX ?= 20894
+LINES_MAX ?= 20855
 
 lines-check:
 	@total=$$($(MAKE) -s --no-print-directory lines | awk '$$2 == "total" { print $$1 }') && \

@@ -27,12 +27,10 @@ type AnytimeOptions struct {
 	// answer's upper − lower <= Epsilon. Must be in [0, 1); 0 demands
 	// exact collapse. Use ValidateEpsilon for the shared validation.
 	Epsilon float64
-	// IgnoreSchema, DisableOpt2/3 and MaxIntermediateRows mean what they
-	// mean on Options; the row budget also covers the lineage that the
+	// IgnoreSchema and MaxIntermediateRows mean what they mean on
+	// Options; the row budget also covers the lineage that the
 	// refinement stages after the plans build.
 	IgnoreSchema        bool
-	DisableOpt2         bool
-	DisableOpt3         bool
 	MaxIntermediateRows int
 	// MCMaxSamples caps the Monte Carlo refinement stage's samples per
 	// answer (default anytime.DefaultMCMaxSamples).
@@ -156,8 +154,8 @@ func (d *DB) rankAnytime(ctx context.Context, q *cq.Query, plans []plan.Node, sa
 	}
 	cfg := anytime.Config{
 		Epsilon:             opts.Epsilon,
-		ReuseSubplans:       !opts.DisableOpt2,
-		SemiJoin:            !opts.DisableOpt3,
+		ReuseSubplans:       true,
+		SemiJoin:            true,
 		MaxIntermediateRows: opts.MaxIntermediateRows,
 		Safe:                safe,
 		Memo:                opts.memo,

@@ -42,12 +42,12 @@ type Batch struct {
 
 // NewBatch prepares a batch evaluation over the database with the given
 // options (nil for defaults). The options apply to every query of the
-// batch: Method, optimization toggles, and MaxIntermediateRows, which
-// for the Dissociation method bounds the rows materialized by the whole
-// batch rather than one query (shared subplans are charged once, when
-// first computed). Subplan sharing applies to the Dissociation method
-// and is disabled by DisableOpt2; other methods evaluate per-query, each
-// under MaxIntermediateRows, but still share the batch's deadline.
+// batch: Method, IgnoreSchema, and MaxIntermediateRows, which for the
+// Dissociation method bounds the rows materialized by the whole batch
+// rather than one query (shared subplans are charged once, when first
+// computed). Subplan sharing applies to the Dissociation method; other
+// methods evaluate per-query, each under MaxIntermediateRows, but still
+// share the batch's deadline.
 func (d *DB) NewBatch(opts *Options) *Batch {
 	if opts == nil {
 		opts = &Options{}
@@ -61,7 +61,7 @@ func (d *DB) NewBatch(opts *Options) *Batch {
 	if o.IgnoreSchema {
 		scope += "|ns"
 	}
-	o.memo = engine.NewBatchMemo(scope, o.MaxIntermediateRows, !o.DisableOpt2)
+	o.memo = engine.NewBatchMemo(scope, o.MaxIntermediateRows, true)
 	return &Batch{d: d, opts: o, memo: o.memo}
 }
 

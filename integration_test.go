@@ -62,22 +62,19 @@ func TestIntegrationTPCH(t *testing.T) {
 	}
 
 	// Every dissociation configuration upper-bounds exact and produces
-	// identical scores to every other configuration.
-	var baseline []Answer
-	for i, opts := range []*Options{
-		{},
-		{DisableOpt1: true},
-		{DisableOpt2: true},
-		{DisableOpt3: true},
-		{DisableOpt1: true, DisableOpt2: true, DisableOpt3: true},
+	// identical scores to the public path's, which runs all of Opt1-3.
+	baseline, err := db.RankContext(context.Background(), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []ablation{
+		{true, true, true},
+		{false, true, true},
+		{true, false, true},
+		{true, true, false},
+		{false, false, false},
 	} {
-		diss, err := db.RankContext(context.Background(), q, opts)
-		if err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
-		}
-		if i == 0 {
-			baseline = diss
-		}
+		diss := rankAblated(t, db, q, opts)
 		if len(diss) != len(baseline) {
 			t.Fatalf("opts %+v: %d answers vs %d", opts, len(diss), len(baseline))
 		}

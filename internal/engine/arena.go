@@ -18,11 +18,10 @@ import (
 // little beyond its Result headers.
 //
 // Ownership (DESIGN.md, "Evaluation scratch"): an operator gives back
-// its own scratch before it returns; a parent gives back a child's
-// Result once it has consumed it, unless the Opt2 cache holds it or it
-// is the parent's own output; the cache's results go back when the cache
-// is cleared; and a Result that leaves the engine is detached and never
-// goes back. A nil arena allocates with make and takes nothing back.
+// its own scratch before it returns; a program gives back a step's
+// Result once the last step that reads it has run (program.go); and a
+// Result that leaves the engine is detached and never goes back. A nil
+// arena allocates with make and takes nothing back.
 // Under the race detector every buffer given back is poisoned (all bits
 // set: ids index out of range, scores read NaN) and one given back twice
 // panics, so a use after release shows in the differential suites.
@@ -49,7 +48,8 @@ type arena struct {
 	slots freeList[groupSlot]
 	cells freeList[groupCell]
 	u64   freeList[uint64]
-	held  int // bytes the free lists hold
+	held  int     // bytes the free lists hold
+	prog  program // the program scratch of the evaluator holding the arena
 }
 
 var arenas = sync.Pool{New: func() any { return new(arena) }}

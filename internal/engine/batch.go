@@ -128,7 +128,7 @@ func (m *BatchMemo) fill(key string, en *memoEntry, compute func() *Result) *Res
 // fingerprints).
 func (e *Evaluator) memoKey(p plan.Node) string {
 	var b strings.Builder
-	b.WriteString(e.memo.scope)
+	b.WriteString(e.opts.Memo.scope)
 	b.WriteByte(0)
 	id := p.ID()
 	var raw [16]byte

@@ -4,7 +4,7 @@ import "context"
 
 // Cancellation support. The evaluator's hot loops poll a context every
 // cancelCheckInterval iterations; on cancellation they unwind the
-// recursive evaluation with a typed panic that TrapCancel converts back
+// evaluation with a typed panic that TrapCancel converts back
 // into the context's error at the call boundary. This keeps the operator
 // code free of error plumbing while giving requests a bounded
 // cancellation latency (one poll interval of row-level work).

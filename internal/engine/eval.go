@@ -26,7 +26,6 @@ type Result struct {
 	ids    [][]int32 // ids[k][i]: dense value id (DB.noteValue) of column k in row i
 	scores []float64
 	dict   []Value // id -> Value: DB.vals at evaluation time
-	pin    pin     // who may give the columns back to the evaluator's arena
 
 	// Lazy ScoreOf index: hash of the row values -> first row with that
 	// hash, with hash collisions chained through idxNext.
@@ -34,18 +33,6 @@ type Result struct {
 	idx     map[uint64]int32
 	idxNext []int32
 }
-
-// pin records who holds a Result whose columns came from an arena (see
-// arena.go): the evaluator's operators (pinNone, given back once
-// consumed), the Opt2 cache (given back when it is cleared), or a caller
-// outside the engine (never given back).
-type pin uint8
-
-const (
-	pinNone pin = iota
-	pinCache
-	pinOut
-)
 
 // newResult returns an empty result with per-column slice headers
 // allocated for the given layout, decoding through dict.
@@ -165,9 +152,9 @@ func (r *Result) Sorted() []int {
 
 // Options configures plan evaluation.
 type Options struct {
-	// ReuseSubplans memoizes subplan results by structural id within one
-	// evaluation — the run-time counterpart of Optimization 2 (views for
-	// common subplans).
+	// ReuseSubplans lowers a subplan that recurs in a plan to one step,
+	// run once — the run-time counterpart of Optimization 2 (views for
+	// common subplans). Off, every occurrence runs (see program.go).
 	ReuseSubplans bool
 	// SemiJoin applies the full deterministic semi-join reduction of
 	// Optimization 3 to the scanned relations before evaluation.
@@ -212,18 +199,13 @@ type Options struct {
 type Evaluator struct {
 	db         *DB
 	opts       Options
-	cache      map[plan.ID]*Result
 	reduced    map[string][]int32 // atom relation -> surviving row indices
 	ownReduced bool               // reduced came from the arena
 	cancel     canceller
-	exec       exec       // what operators see: cancel, opts.Stats, the row budget, the arena
-	memo       *BatchMemo // cross-query subplan memo; nil outside batches
+	exec       exec // what operators see: cancel, opts.Stats, the row budget, the arena
 	redFP      map[string]string
-	prof       *profiler // per-node hook of EvalProfiled; nil = not profiling
-	// reference, when set, computes each node instead of the streaming
-	// operators. Only EvalPlansOracle sets it (oracle.go), so no binary
-	// that does not call that entry point links the reference operators.
-	reference func(plan.Node) *Result
+	ar         *arena   // the pooled arena, nil once released; exec.ar is nil when results are shared
+	prog       *program // the plan being run (program.go): the arena's, or its own
 }
 
 // NewEvaluatorCtx prepares an evaluator for one query evaluation. If
@@ -231,23 +213,27 @@ type Evaluator struct {
 // may be nil otherwise. The semi-join reduction and all evaluation loops
 // poll ctx and unwind with a cancellation panic when it is done. Callers
 // passing a non-nil ctx must wrap evaluation in TrapCancel; a nil ctx is
-// never cancelled. An evaluator attached to a sharing BatchMemo
-// allocates from the heap: its subplan results outlive it in the memo.
+// never cancelled. The operators of an evaluator attached to a sharing
+// BatchMemo allocate from the heap: its subplan results outlive it in the
+// memo. Only its program's scratch comes from the arena.
 func NewEvaluatorCtx(ctx context.Context, db *DB, q *cq.Query, opts Options) *Evaluator {
-	var ar *arena
-	if opts.Memo == nil || !opts.Memo.share {
-		ar = getArena()
-	}
-	return newEvaluator(ctx, db, q, opts, ar)
+	return newEvaluator(ctx, db, q, opts, getArena())
 }
 
 func newEvaluator(ctx context.Context, db *DB, q *cq.Query, opts Options, ar *arena) *Evaluator {
-	e := &Evaluator{db: db, opts: opts}
+	e := &Evaluator{db: db, opts: opts, ar: ar}
+	if ar != nil {
+		e.prog = &ar.prog
+	} else {
+		e.prog = &program{}
+	}
+	if opts.Memo != nil && opts.Memo.share {
+		ar = nil
+	}
 	e.cancel.ctx = ctx
 	e.exec = exec{c: &e.cancel, stats: opts.Stats, budget: newRowBudget(opts.MaxIntermediateRows), ar: ar}
-	e.bindMemo()
-	if opts.ReuseSubplans {
-		e.cache = map[plan.ID]*Result{}
+	if m := opts.Memo; m != nil && m.budget != nil {
+		e.exec.budget = m.budget // the batch's budget replaces the evaluation's
 	}
 	if opts.Reduced != nil {
 		e.reduced = opts.Reduced
@@ -258,33 +244,32 @@ func newEvaluator(ctx context.Context, db *DB, q *cq.Query, opts Options, ar *ar
 	return e
 }
 
-// Release gives the evaluator's scratch back to the pool: the Opt2
-// cache's results and its own semi-join reduction. Results already
-// returned are unaffected; the evaluator itself must not be used again.
-// Calling Release twice, or on an evaluator without an arena, is a
-// no-op.
+// Release gives the evaluator's scratch back to the pool: any result a
+// run unwound by cancellation or the budget left in its slots, and its
+// own semi-join reduction. Results already returned are unaffected; the
+// evaluator itself must not be used again. Calling Release twice, or on
+// an evaluator without an arena, is a no-op.
 func (e *Evaluator) Release() {
-	ar := e.exec.ar
+	ar := e.ar
 	if ar == nil {
 		return
 	}
-	e.clearCache()
+	for _, r := range e.prog.slots {
+		e.drop(r)
+	}
+	clear(e.prog.slots)
+	clear(e.prog.args)
 	if e.ownReduced {
 		for _, live := range e.reduced {
 			ar.putInt32s(live)
 		}
 	}
-	e.reduced, e.ownReduced, e.exec.ar = nil, false, nil
+	e.reduced, e.ownReduced, e.exec.ar, e.ar, e.prog = nil, false, nil, nil, nil
 	putArena(ar)
 }
 
-// drop gives back a consumed child result unless the cache holds it or
-// it has left the engine.
-func (e *Evaluator) drop(r *Result) {
-	if r.pin == pinNone {
-		e.exec.ar.putResult(r)
-	}
-}
+// drop gives back a result no step will read again.
+func (e *Evaluator) drop(r *Result) { e.exec.ar.putResult(r) }
 
 // detach hands a result to a caller outside the engine. Columns that
 // fill their buffers leave with it and are never given back; columns
@@ -299,10 +284,9 @@ func (e *Evaluator) detach(r *Result) *Result {
 		exact = exact && len(col) == cap(col)
 	}
 	if exact {
-		r.pin = pinOut
 		return r
 	}
-	out := &Result{Cols: r.Cols, ids: make([][]int32, len(r.ids)), dict: r.dict, pin: pinOut}
+	out := &Result{Cols: r.Cols, ids: make([][]int32, len(r.ids)), dict: r.dict}
 	for k, col := range r.ids {
 		out.ids[k] = make([]int32, len(col))
 		copy(out.ids[k], col)
@@ -313,114 +297,10 @@ func (e *Evaluator) detach(r *Result) *Result {
 	return out
 }
 
-// clearCache gives back every cached result the cache still holds and
-// empties it.
-func (e *Evaluator) clearCache() {
-	for _, r := range e.cache {
-		if r.pin == pinCache {
-			r.pin = pinNone
-			e.drop(r)
-		}
-	}
-	clear(e.cache)
-}
-
-// bindMemo attaches the batch memo from the evaluator's options, and —
-// when the memo carries the batch-wide row budget — replaces the
-// per-evaluation budget with it.
-func (e *Evaluator) bindMemo() {
-	m := e.opts.Memo
-	if m == nil {
-		return
-	}
-	e.memo = m
-	if m.budget != nil {
-		e.exec.budget = m.budget
-	}
-}
-
 // Eval evaluates a plan and returns its result. The result's columns are
 // the plan's head variables in sorted order. With a batch memo attached
 // the result is shared across the batch's evaluators (see batch.go).
-func (e *Evaluator) Eval(p plan.Node) *Result { return e.detach(e.eval(p)) }
-
-// eval is Eval inside the engine: its result is the caller's to consume
-// and drop (or the cache's, when Opt2 holds it).
-func (e *Evaluator) eval(p plan.Node) *Result {
-	e.cancel.checkNow()
-	if e.cache != nil {
-		if r, ok := e.cache[p.ID()]; ok {
-			e.prof.hit(p, r)
-			return r
-		}
-	}
-	start := e.prof.enter()
-	var out *Result
-	if e.memo != nil && e.memo.share {
-		out = e.memo.getOrCompute(e.memoKey(p), func() *Result { return e.evalNode(p) })
-	} else {
-		out = e.evalNode(p)
-	}
-	e.prof.leave(p, out, start)
-	if e.cache != nil {
-		// Without an arena nothing goes back, and out may be shared with
-		// other evaluators through a batch memo: its pin stays untouched.
-		if e.exec.ar != nil && out.pin == pinNone {
-			out.pin = pinCache
-		}
-		e.cache[p.ID()] = out
-	}
-	return out
-}
-
-// evalNode computes one plan node, recursing through eval so children
-// hit the caches, and drops each child once it is consumed.
-func (e *Evaluator) evalNode(p plan.Node) *Result {
-	if e.reference != nil {
-		return e.reference(p)
-	}
-	var out *Result
-	switch t := p.(type) {
-	case *plan.Scan:
-		out, _ = e.scan(t, nil)
-	case *plan.Project:
-		if jn, ok := t.Child.(*plan.Join); ok && e.canStream(jn) {
-			var direct bool
-			out, direct = e.streamProjectJoin(jn, t.OnTo)
-			e.prof.markFused(direct)
-			break
-		}
-		child := e.eval(t.Child)
-		out = project(child, t.OnTo, &e.exec)
-		e.drop(child)
-	case *plan.Join:
-		results := make([]*Result, len(t.Subs))
-		for i, c := range t.Subs {
-			results[i] = e.eval(c)
-		}
-		out = foldJoin(results, &e.exec, join)
-		for _, r := range results {
-			if r != out {
-				e.drop(r)
-			}
-		}
-	case *plan.Min:
-		out = e.eval(t.Subs[0])
-		if len(t.Subs) > 1 {
-			fold := newMinFold(out, &e.exec)
-			e.drop(out)
-			for _, c := range t.Subs[1:] {
-				r := e.eval(c)
-				fold.merge(r)
-				e.drop(r)
-			}
-			out = fold.finish()
-		}
-	default:
-		panic("engine: unknown plan node")
-	}
-	return out
-}
+func (e *Evaluator) Eval(p plan.Node) *Result { return e.detach(e.evalPlan(p, nil)) }
 
 // EvalPlansCtx evaluates several plans independently (no sharing between
 // them, mirroring separate SQL statements) and combines them with the
@@ -430,17 +310,13 @@ func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, o
 	// One evaluator serves every plan, so the semi-join reduction is
 	// computed once and one row budget spans the query:
 	// MaxIntermediateRows bounds the query, not each of its (possibly
-	// many) minimal plans. Only the subplan cache is per plan.
+	// many) minimal plans. Each plan is its own program.
 	e := NewEvaluatorCtx(ctx, db, q, opts)
 	defer e.Release()
 	var out *Result
 	var fold *minFold
 	for _, p := range plans {
-		r := e.eval(p)
-		if r.pin == pinCache {
-			r.pin = pinNone // this loop owns each plan's result
-		}
-		e.clearCache()
+		r := e.evalPlan(p, nil)
 		if out == nil {
 			out = r
 			continue

@@ -225,24 +225,21 @@ func EvalDeterministicCtx(ctx context.Context, db *DB, q *cq.Query) *Result {
 	return e.Deterministic(q)
 }
 
-// Deterministic evaluates q under set semantics as one plan run by Eval:
-// each atom is scanned once, the scans are ordered by greedyJoinOrder,
-// and the left-deep plan joins them in that order, projecting each
-// variable away after the last atom that needs it, so each projection
-// over a join runs as a fused Project(Join) and that join is never
-// materialized. Scores are set to 1. With ReuseSubplans on, the plan's
-// scans are the ones the ordering pass read.
+// Deterministic evaluates q under set semantics as one plan run as a
+// program: each atom is scanned once, the scans are ordered by
+// greedyJoinOrder, and the left-deep plan joins them in that order,
+// projecting each variable away after the last atom that needs it, so
+// each projection over a join runs as a fused Project(Join) and that
+// join is never materialized. The program's scan steps start from the
+// ordering pass's scans. Scores are set to 1.
 func (e *Evaluator) Deterministic(q *cq.Query) *Result {
-	scans := make([]plan.Node, len(q.Atoms))
+	scans := make([]*plan.Scan, len(q.Atoms))
 	results := make([]*Result, len(q.Atoms))
 	for i, a := range q.Atoms {
 		scans[i] = plan.NewScan(a, q.PredsOnAtom(a))
-		results[i] = e.eval(scans[i])
+		results[i], _ = e.scan(scans[i], nil)
 	}
 	order := greedyJoinOrder(results)
-	for _, r := range results {
-		e.drop(r) // without Opt2, the plan scans again
-	}
 	// needed[k]: the variables the head or an atom after order[k] holds.
 	needed := make([]cq.VarSet, len(order))
 	later := q.HeadSet()
@@ -267,7 +264,16 @@ func (e *Evaluator) Deterministic(q *cq.Query) *Result {
 		}
 		p = plan.NewProject(keep, p)
 	}
-	out := e.eval(p)
+	prog := e.lower(p)
+	for i, r := range results {
+		for j := range prog {
+			if r != nil && e.prog.slots[j] == nil && prog[j].node.ID() == scans[i].ID() {
+				e.prog.slots[j], r = r, nil
+			}
+		}
+		e.drop(r) // nil, unless Opt2 lowered a repeated atom to one scan
+	}
+	out := e.run(prog, nil)
 	if _, ok := p.(*plan.Project); !ok {
 		// A scan or join root keeps any tuple a relation stores twice.
 		root := out

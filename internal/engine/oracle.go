@@ -31,14 +31,13 @@ import (
 // EvalPlansOracle is EvalPlansCtx through the row-at-a-time reference
 // operators instead of the streaming executor: the same plans, options,
 // row budget and cancellation, and by contract the same bits and typed
-// errors.
+// errors. It walks each plan by its own recursion, not the executor's
+// program, and shares no subplan across a batch memo's evaluators.
 func EvalPlansOracle(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, opts Options) *Result {
 	e := newEvaluator(ctx, db, q, opts, nil) // the reference operators allocate with make
-	e.reference = e.oracleEvalNode
 	var out *Result
 	for _, p := range plans {
-		clear(e.cache)
-		r := e.eval(p)
+		r := e.oracleEval(p, map[plan.ID]*Result{})
 		if out == nil {
 			out = r
 		} else {
@@ -142,30 +141,35 @@ func (r *Result) idRowInto(i int, dst []int32) []int32 {
 	return dst
 }
 
-// oracleEvalNode is the old evalNode: one plan node through the
-// row-at-a-time operators, recursing through Eval so children hit the
-// caches.
-func (e *Evaluator) oracleEvalNode(p plan.Node) *Result {
+// oracleEval evaluates one plan node through the row-at-a-time
+// operators, its children first by recursion. With Opt2 on, each
+// subplan is evaluated once and reused from seen by id.
+func (e *Evaluator) oracleEval(p plan.Node, seen map[plan.ID]*Result) *Result {
+	e.cancel.checkNow()
+	if r, ok := seen[p.ID()]; ok && e.opts.ReuseSubplans {
+		return r
+	}
 	var out *Result
 	switch t := p.(type) {
 	case *plan.Scan:
 		out = e.oracleScan(t)
 	case *plan.Project:
-		out = oracleProject(e.eval(t.Child), t.OnTo, &e.exec)
+		out = oracleProject(e.oracleEval(t.Child, seen), t.OnTo, &e.exec)
 	case *plan.Join:
 		results := make([]*Result, len(t.Subs))
 		for i, c := range t.Subs {
-			results[i] = e.eval(c)
+			results[i] = e.oracleEval(c, seen)
 		}
 		out = foldJoin(results, &e.exec, oracleJoin)
 	case *plan.Min:
-		out = e.eval(t.Subs[0])
+		out = e.oracleEval(t.Subs[0], seen)
 		for _, c := range t.Subs[1:] {
-			out = oracleCombineMin(out, e.eval(c), &e.exec)
+			out = oracleCombineMin(out, e.oracleEval(c, seen), &e.exec)
 		}
 	default:
 		panic("engine: unknown plan node")
 	}
+	seen[p.ID()] = out
 	return out
 }
 

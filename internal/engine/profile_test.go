@@ -14,52 +14,46 @@ import (
 	"lapushdb/internal/workload"
 )
 
-// profiledNode is what the profile must say about one node: which node,
-// where, and how it was served.
-type profiledNode struct {
-	key      string
-	depth    int
-	cacheHit bool
-	fused    bool
-}
-
-// nodesThatRun states the hook's contract without evaluating anything:
-// with the Opt2 cache on, Eval visits a plan post-order, serves a
-// repeated subplan from the cache without descending, and runs a
-// Project over an uncached k>=2 Join as one fused π(⋈) whose Join gets
-// no visit of its own.
-func nodesThatRun(root plan.Node) []profiledNode {
-	var out []profiledNode
-	seen := map[string]bool{}
-	var walk func(n plan.Node, depth int)
-	walk = func(n plan.Node, depth int) {
-		if seen[n.Key()] {
-			out = append(out, profiledNode{key: n.Key(), depth: depth, cacheHit: true})
-			return
+// stepsThatRun states the program's contract without evaluating
+// anything: with Opt2 on, each distinct node of the plan is one step,
+// children first (plan.Distinct), except a k>=2 Join whose parents are
+// all Projects, which runs fused inside each of them. It returns the
+// nodes of the steps and whether each runs as a fused π(⋈).
+func stepsThatRun(root plan.Node) ([]plan.Node, []bool) {
+	uses := plan.Distinct(root)
+	projParents := map[plan.ID]int{}
+	for _, u := range uses {
+		if pr, ok := u.Node.(*plan.Project); ok {
+			projParents[pr.Child.ID()]++
 		}
-		children, fused := n.Children(), false
-		if pr, ok := n.(*plan.Project); ok {
-			if jn, ok := pr.Child.(*plan.Join); ok && len(jn.Subs) >= 2 && !seen[jn.Key()] {
-				children, fused = jn.Subs, true
-			}
-		}
-		for _, c := range children {
-			walk(c, depth+1)
-		}
-		seen[n.Key()] = true
-		out = append(out, profiledNode{key: n.Key(), depth: depth, fused: fused})
 	}
-	walk(root, 0)
-	return out
+	inner := func(u plan.Use) bool {
+		jn, ok := u.Node.(*plan.Join)
+		return ok && len(jn.Subs) >= 2 && u.Parents > 0 && projParents[jn.ID()] == u.Parents
+	}
+	innerIDs := map[plan.ID]bool{}
+	var nodes []plan.Node
+	var fused []bool
+	for _, u := range uses {
+		if inner(u) {
+			innerIDs[u.Node.ID()] = true
+			continue
+		}
+		pr, ok := u.Node.(*plan.Project)
+		nodes = append(nodes, u.Node)
+		fused = append(fused, ok && innerIDs[pr.Child.ID()])
+	}
+	return nodes, fused
 }
 
-// TestEvalProfiled pins the profiling hook on the one Eval: the profiled
-// result is bit-identical to plain Eval, there is exactly one NodeStat
-// per node that ran (cache hits and fused π(⋈) marked, and rendered so
-// by FormatProfile, a scan with its predicates), each with the node's
-// own output cardinality. A reused subplan is named as plan.String names
-// it: "vN = …" on the line that computed it, "vN" on a cache hit. That
-// the hook costs nothing when off is TestChainJoinAllocGate's ceiling.
+// TestEvalProfiled pins the profile of one run: the profiled result is
+// bit-identical to plain Eval, and there is exactly one NodeStat per
+// step — the plan's distinct nodes, children first, without the joins
+// that run fused (marked on their Projects, and rendered so by
+// FormatProfile, a scan with its predicates) — each with the row count
+// a fresh evaluation of its node gives. A view is named as plan.String
+// names it: "vN = …" on the line of the step that computed it. That
+// profiling costs nothing when off is TestChainJoinAllocGate's ceiling.
 func TestEvalProfiled(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	type shape struct {
@@ -79,12 +73,11 @@ func TestEvalProfiled(t *testing.T) {
 
 	for _, sh := range shapes {
 		sp := core.SinglePlan(sh.q, nil)
-		want := nodesThatRun(sp)
+		wantNodes, wantFused := stepsThatRun(sp)
 		label := sh.label
 		opts := engine.Options{ReuseSubplans: true, SemiJoin: true}
-		plain := engine.NewEvaluatorCtx(nil, sh.db, sh.q, opts)
 		res, stats := engine.NewEvaluatorCtx(nil, sh.db, sh.q, opts).EvalProfiled(sp)
-		ref := plain.Eval(sp)
+		ref := engine.NewEvaluatorCtx(nil, sh.db, sh.q, opts).Eval(sp)
 		if res.Len() != ref.Len() || res.Len() == 0 {
 			t.Fatalf("%s: profiled %d rows vs plain %d", label, res.Len(), ref.Len())
 		}
@@ -94,33 +87,27 @@ func TestEvalProfiled(t *testing.T) {
 				t.Fatalf("%s: row %d profiled %v %v vs plain %v %v", label, i, res.Row(i), res.Score(i), ref.Row(i), ref.Score(i))
 			}
 		}
-		if len(stats) != len(want) {
-			t.Fatalf("%s: %d stats, want %d:\n%s", label, len(stats), len(want), engine.FormatProfile(stats))
+		if len(stats) != len(wantNodes) {
+			t.Fatalf("%s: %d stats, want %d:\n%s", label, len(stats), len(wantNodes), engine.FormatProfile(stats))
 		}
-		hits, fused := 0, 0
+		fused := 0
 		for i, s := range stats {
-			if s.CacheHit {
-				hits++
-			}
 			if s.Fused {
 				fused++
 			}
-			got := profiledNode{s.Node.Key(), s.Depth, s.CacheHit, s.Fused}
-			if got != want[i] {
-				t.Errorf("%s: stat %d = %+v, want %+v", label, i, got, want[i])
+			if s.Node.Key() != wantNodes[i].Key() || s.Fused != wantFused[i] {
+				t.Errorf("%s: stat %d = %s fused=%v, want %s fused=%v", label, i, s.Node.Key(), s.Fused, wantNodes[i].Key(), wantFused[i])
 			}
-			// plain has cached every node that ran, so this is a lookup.
-			if n := plain.Eval(s.Node).Len(); s.Rows != n {
+			if n := engine.NewEvaluatorCtx(nil, sh.db, sh.q, opts).Eval(s.Node).Len(); s.Rows != n {
 				t.Errorf("%s: stat %d (%s) rows %d, node's result has %d", label, i, plan.String(s.Node), s.Rows, n)
 			}
 		}
 		out := engine.FormatProfile(stats)
-		if fused == 0 || hits == 0 {
-			t.Errorf("%s: want fused projections and cache hits in the merged plan:\n%s", label, out)
+		if fused == 0 {
+			t.Errorf("%s: want fused projections in the merged plan:\n%s", label, out)
 		}
-		if strings.Count(out, "\n") != len(stats) || strings.Count(out, "-way, fused") != fused ||
-			strings.Count(out, "(cached)") != hits || !strings.Contains(out, "scan ") {
-			t.Errorf("%s: profile does not render %d nodes, %d fused, %d cached:\n%s", label, len(stats), fused, hits, out)
+		if strings.Count(out, "\n") != len(stats) || strings.Count(out, "-way, fused") != fused || !strings.Contains(out, "scan ") {
+			t.Errorf("%s: profile does not render %d steps, %d fused:\n%s", label, len(stats), fused, out)
 		}
 		// Each reused subplan carries its plan.String name.
 		_, names := plan.Views(sp)
@@ -133,12 +120,8 @@ func TestEvalProfiled(t *testing.T) {
 				continue
 			}
 			named++
-			line := strings.TrimSpace(lines[len(stats)-1-i])
-			if s.CacheHit && !(strings.HasPrefix(line, name+" ") && strings.HasSuffix(line, "(cached)")) {
-				t.Errorf("%s: cache hit on %s renders %q", label, name, line)
-			}
-			if !s.CacheHit && (!strings.HasPrefix(line, name+" = ") ||
-				!strings.Contains(explain, name+" = "+plan.Label(s.Node))) {
+			line := lines[len(stats)-1-i]
+			if !strings.HasPrefix(line, name+" = ") || !strings.Contains(explain, name+" = "+plan.Label(s.Node)) {
 				t.Errorf("%s: %s computed as %q, explained as %s", label, name, line, explain)
 			}
 		}

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"lapushdb/internal/cq"
-	"lapushdb/internal/plan"
-)
+import "lapushdb/internal/cq"
 
 // Fused streaming Project(Join): the most allocation-heavy shape in the
 // paper's dissociation plans is a duplicate-eliminating projection
@@ -25,35 +22,14 @@ import (
 // (and the oracle's). Only the kept columns are ever gathered; columns
 // the projection drops never exist.
 
-// canStream reports whether the fused streaming Project(Join) path
-// applies to the given join subtree: a real (k >= 2) join with no
-// already-cached result for the subtree (reuse must win over
-// recomputation).
-func (e *Evaluator) canStream(jn *plan.Join) bool {
-	if len(jn.Subs) < 2 {
-		return false
-	}
-	if e.cache != nil {
-		if _, ok := e.cache[jn.ID()]; ok {
-			return false
-		}
-	}
-	return true
-}
-
-// streamProjectJoin evaluates Project(Join) with the final binary join
-// streamed into the projection. All join inputs and every fold except
-// the last are materialized as usual (fold ordering inspects
+// streamProjectJoin evaluates Project(Join) over the join's inputs with
+// the final binary join streamed into the projection. Every fold except
+// the last is materialized as usual (fold ordering inspects
 // materialized sizes); only the last join's output — the largest
 // intermediate — streams. It also reports whether the projection
 // addressed its groups directly. Each intermediate join is given back
-// once consumed, and the inputs once the projection is done.
-func (e *Evaluator) streamProjectJoin(jn *plan.Join, onto []cq.Var) (*Result, bool) {
-	subs := make([]*Result, len(jn.Subs))
-	for i, c := range jn.Subs {
-		subs[i] = e.eval(c)
-	}
-	ex := &e.exec
+// once consumed; the inputs stay the caller's.
+func streamProjectJoin(subs []*Result, onto []cq.Var, ex *exec) (*Result, bool) {
 	order := greedyJoinOrder(subs)
 	cur := subs[order[0]]
 	for k, i := range order[1 : len(order)-1] {
@@ -66,9 +42,6 @@ func (e *Evaluator) streamProjectJoin(jn *plan.Join, onto []cq.Var) (*Result, bo
 	out, direct := streamJoinProject(cur, subs[order[len(order)-1]], onto, ex)
 	if len(order) > 2 {
 		ex.ar.putResult(cur)
-	}
-	for _, r := range subs {
-		e.drop(r)
 	}
 	return out, direct
 }

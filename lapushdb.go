@@ -164,13 +164,6 @@ const (
 type Options struct {
 	// Method selects the scoring method (default Dissociation).
 	Method Method
-	// DisableOpt1 evaluates all minimal plans separately instead of the
-	// merged single plan (Algorithm 2).
-	DisableOpt1 bool
-	// DisableOpt2 turns off reuse of common subplan results (views).
-	DisableOpt2 bool
-	// DisableOpt3 turns off the deterministic semi-join reduction.
-	DisableOpt3 bool
 	// IgnoreSchema disregards deterministic relations and keys during
 	// plan enumeration.
 	IgnoreSchema bool
@@ -308,34 +301,24 @@ func (d *DB) rankDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 // the returned error.
 func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, opts *Options) (*engine.Result, error) {
 	eopts := engine.Options{
-		ReuseSubplans:       !opts.DisableOpt2,
-		SemiJoin:            !opts.DisableOpt3,
+		ReuseSubplans:       true,
+		SemiJoin:            true,
 		MaxIntermediateRows: opts.MaxIntermediateRows,
 		Memo:                opts.memo,
 	}
-	// Plans come from the prepared statement when available — skipping
-	// the minimal-plan enumeration is the point of the plan cache.
-	minPlans := func() []plan.Node {
-		if pre != nil {
-			return pre.plans
-		}
-		return core.MinimalPlans(q, d.schema(q, opts))
-	}
+	// The merged plan comes from the prepared statement when available —
+	// skipping the plan enumeration is the point of the plan cache.
 	var res *engine.Result
 	err := engine.TrapCancel(func() {
-		if opts.DisableOpt1 {
-			res = engine.EvalPlansCtx(ctx, d.db, q, minPlans(), eopts)
+		var sp plan.Node
+		if pre != nil {
+			sp = pre.single
 		} else {
-			var sp plan.Node
-			if pre != nil {
-				sp = pre.single
-			} else {
-				sp = core.SinglePlan(q, d.schema(q, opts))
-			}
-			e := engine.NewEvaluatorCtx(ctx, d.db, q, eopts)
-			defer e.Release()
-			res = e.Eval(sp)
+			sp = core.SinglePlan(q, d.schema(q, opts))
 		}
+		e := engine.NewEvaluatorCtx(ctx, d.db, q, eopts)
+		defer e.Release()
+		res = e.Eval(sp)
 	})
 	if err != nil {
 		return nil, err
@@ -344,13 +327,12 @@ func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, o
 }
 
 // evalLineage computes the query's lineage under ctx and the row budget
-// of opts, with the semi-join reduction applied first unless opts
-// disables Opt3.
+// of opts, with the semi-join reduction applied first.
 func (d *DB) evalLineage(ctx context.Context, q *cq.Query, opts *Options) (*engine.Lineage, error) {
 	var lin *engine.Lineage
 	err := engine.TrapCancel(func() {
 		e := engine.NewEvaluatorCtx(ctx, d.db, q, engine.Options{
-			SemiJoin:            !opts.DisableOpt3,
+			SemiJoin:            true,
 			MaxIntermediateRows: opts.MaxIntermediateRows,
 		})
 		defer e.Release()
@@ -611,10 +593,11 @@ func (d *DB) PlanDOT(query, kind string) (string, error) {
 	}
 }
 
-// Profile evaluates the query's merged dissociation plan and returns an
-// indented operator tree with per-node output cardinalities and
-// inclusive times — the engine's EXPLAIN ANALYZE. The evaluation polls
-// ctx like RankContext's.
+// Profile evaluates the query's merged dissociation plan and returns
+// one line per step that ran, root first, with its output cardinality
+// and its own time, and each reused subplan named as
+// Explanation.SinglePlan names it — the engine's EXPLAIN ANALYZE. The
+// evaluation polls ctx like RankContext's.
 func (d *DB) Profile(ctx context.Context, query string) (string, error) {
 	q, err := parseChecked(d, query)
 	if err != nil {

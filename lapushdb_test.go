@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"lapushdb/internal/core"
+	"lapushdb/internal/engine"
 	"lapushdb/internal/obdd"
 )
 
@@ -94,27 +96,51 @@ func TestRankAllMethodsAgreeOnSupport(t *testing.T) {
 	}
 }
 
-func TestOptimizationsGiveSameScores(t *testing.T) {
-	db := movieDB(t)
-	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	base, err := db.RankContext(context.Background(), q, &Options{DisableOpt1: true, DisableOpt2: true, DisableOpt3: true})
+// ablation switches the paper's three optimizations on or off: Opt1
+// evaluates the merged plan instead of every minimal plan, Opt2 and
+// Opt3 are engine.Options' ReuseSubplans and SemiJoin.
+type ablation struct{ opt1, opt2, opt3 bool }
+
+// rankAblated ranks a Dissociation query through the engine under one
+// ablation, as RankContext ranks it with all three on.
+func rankAblated(t *testing.T, d *DB, query string, a ablation) []Answer {
+	t.Helper()
+	q, err := parseChecked(d, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []*Options{
-		{},
-		{DisableOpt1: true},
-		{DisableOpt2: true},
-		{DisableOpt3: true},
-		{DisableOpt1: true, DisableOpt3: true},
+	sch := engine.SchemaFor(d.db, q)
+	opts := engine.Options{ReuseSubplans: a.opt2, SemiJoin: a.opt3}
+	if !a.opt1 {
+		return d.toAnswers(engine.EvalPlansCtx(nil, d.db, q, core.MinimalPlans(q, sch), opts))
+	}
+	e := engine.NewEvaluatorCtx(nil, d.db, q, opts)
+	defer e.Release()
+	return d.toAnswers(e.Eval(core.SinglePlan(q, sch)))
+}
+
+func TestOptimizationsGiveSameScores(t *testing.T) {
+	db := movieDB(t)
+	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
+	base := rankAblated(t, db, q, ablation{})
+	public, err := db.RankContext(context.Background(), q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string][]Answer{"RankContext": public}
+	for _, a := range []ablation{
+		{true, true, true},
+		{false, true, true},
+		{true, false, true},
+		{true, true, false},
+		{false, true, false},
 	} {
-		got, err := db.RankContext(context.Background(), q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		runs[fmt.Sprintf("%+v", a)] = rankAblated(t, db, q, a)
+	}
+	for name, got := range runs {
 		for i := range base {
 			if got[i].Values[0] != base[i].Values[0] || math.Abs(got[i].Score-base[i].Score) > 1e-12 {
-				t.Errorf("opts %+v: answer %d = %+v, want %+v", opts, i, got[i], base[i])
+				t.Errorf("%s: answer %d = %+v, want %+v", name, i, got[i], base[i])
 			}
 		}
 	}
