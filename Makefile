@@ -15,11 +15,13 @@ race:
 # the errfs chaos sweeps, breaker/read-only lifecycle, torn-tail
 # accounting, row budgets, cancellation polls inside long join match
 # spans, evaluation arenas shared by concurrent evaluations and reused
-# after budget and cancellation unwinds, load shedding, and the
-# error-status table.
+# after budget and cancellation unwinds, batch-memo entries that outlive
+# the arena they were computed in, the anytime refiner on one pooled
+# evaluator, load shedding, and the error-status table.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestTornTail|TestNth|TestSticky|TestShort|TestSetFault' ./internal/store/...
-	$(GO) test -race -run 'TestBudget|TestFusedJoinPollsPerMatch|TestArenaConcurrentEvaluations|TestArenaAfterUnwind' ./internal/engine
+	$(GO) test -race -run 'TestBudget|TestFusedJoinPollsPerMatch|TestArenaConcurrentEvaluations|TestArenaAfterUnwind|TestBatchMemoResultOutlivesArena' ./internal/engine
+	$(GO) test -race -run 'TestAnytime' ./internal/anytime .
 	$(GO) test -race -run 'TestErrorStatus|TestRelease|TestQueryBudget|TestLoadShedding|TestDegraded|TestRobustnessMetrics|TestAnytime|TestRankBatch|TestResultCache|TestQueryBatchParity' ./internal/server
 	$(GO) test -race -run 'TestReplicaChaos' ./internal/replica
 
@@ -151,7 +153,7 @@ lines:
 
 # Ceiling on that total. A change that grows the code raises LINES_MAX
 # in its own diff, where review sees it; ROADMAP item 8 targets 19 000.
-LINES_MAX ?= 20855
+LINES_MAX ?= 20850
 
 lines-check:
 	@total=$$($(MAKE) -s --no-print-directory lines | awk '$$2 == "total" { print $$1 }') && \

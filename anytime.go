@@ -159,7 +159,6 @@ func (d *DB) rankAnytime(ctx context.Context, q *cq.Query, plans []plan.Node, sa
 		MaxIntermediateRows: opts.MaxIntermediateRows,
 		Safe:                safe,
 		Memo:                opts.memo,
-		Scope:               d.SchemaFingerprint(),
 		MCMaxSamples:        opts.MCMaxSamples,
 		Seed:                opts.Seed,
 		TopK:                opts.topK,

@@ -61,7 +61,7 @@ func (d *DB) NewBatch(opts *Options) *Batch {
 	if o.IgnoreSchema {
 		scope += "|ns"
 	}
-	o.memo = engine.NewBatchMemo(scope, o.MaxIntermediateRows, true)
+	o.memo = engine.NewBatchMemo(scope, o.MaxIntermediateRows)
 	return &Batch{d: d, opts: o, memo: o.memo}
 }
 

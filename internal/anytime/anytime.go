@@ -97,9 +97,12 @@ type Config struct {
 	// probability, so the interval collapses after the first plan.
 	Safe bool
 	// Memo, when non-nil, shares subplan results (and the batch row
-	// budget) with other evaluations of one batch. When nil a private
-	// memo scoped by Scope spans this evaluation's own stages.
-	Memo  *engine.BatchMemo
+	// budget) with other evaluations of one batch. When nil the
+	// evaluation's own evaluator runs every stage under its own row
+	// budget.
+	Memo *engine.BatchMemo
+	// Scope is ignored. The field only keeps perfbench/api.go compiling
+	// and is removed by the next benchmark issue.
 	Scope string
 	// MCMaxSamples caps the MC stage's samples per answer.
 	MCMaxSamples int
@@ -227,7 +230,7 @@ type evaluation struct {
 	db      *engine.DB
 	q       *cq.Query
 	cfg     Config
-	reduced map[string][]int32
+	e       *engine.Evaluator // runs the plan rounds and the lineage; made by evaluator
 	cols    []cq.Var
 	answers []*ansState
 	res     *Result
@@ -246,12 +249,12 @@ func Evaluate(ctx context.Context, db *engine.DB, q *cq.Query, plans []plan.Node
 	if cfg.MCMaxSamples <= 0 {
 		cfg.MCMaxSamples = DefaultMCMaxSamples
 	}
-	if cfg.Memo == nil {
-		// A private memo makes the row budget span every stage of this
-		// evaluation and shares subplans between its plan rounds.
-		cfg.Memo = engine.NewBatchMemo(cfg.Scope, cfg.MaxIntermediateRows, cfg.ReuseSubplans)
-	}
 	ev := &evaluation{ctx: ctx, db: db, q: q, cfg: cfg, res: &Result{PlansTotal: len(plans)}}
+	defer func() {
+		if ev.e != nil {
+			ev.e.Release()
+		}
+	}()
 
 	if err := ev.stagePlans(plans); err != nil {
 		return nil, err
@@ -296,23 +299,10 @@ func (ev *evaluation) stagePlans(plans []plan.Node) error {
 		ordered[i] = plans[j]
 	}
 
-	eopts := engine.Options{
-		ReuseSubplans: ev.cfg.ReuseSubplans,
-		Memo:          ev.cfg.Memo,
-	}
 	stage := StageStats{Name: "plans"}
 	for _, p := range ordered {
 		var r *engine.Result
-		err := engine.TrapCancel(func() {
-			if ev.reduced == nil && ev.cfg.SemiJoin {
-				ev.reduced = engine.SemiJoinReduceCtx(ev.ctx, ev.db, ev.q)
-			}
-			o := eopts
-			o.Reduced = ev.reduced
-			e := engine.NewEvaluatorCtx(ev.ctx, ev.db, ev.q, o)
-			defer e.Release()
-			r = e.Eval(p)
-		})
+		err := engine.TrapCancel(func() { r = ev.evaluator().Eval(p) })
 		if err != nil {
 			if stage.Steps == 0 {
 				return err
@@ -356,6 +346,22 @@ func (ev *evaluation) stagePlans(plans []plan.Node) error {
 	return nil
 }
 
+// evaluator returns the evaluation's one evaluator, making it on first
+// use. Its Opt3 reduction polls the context, so the first call must run
+// inside TrapCancel. One evaluator keeps the reduction, the row budget
+// and the pooled arena across every plan round and the lineage.
+func (ev *evaluation) evaluator() *engine.Evaluator {
+	if ev.e == nil {
+		ev.e = engine.NewEvaluatorCtx(ev.ctx, ev.db, ev.q, engine.Options{
+			ReuseSubplans:       ev.cfg.ReuseSubplans,
+			SemiJoin:            ev.cfg.SemiJoin,
+			MaxIntermediateRows: ev.cfg.MaxIntermediateRows,
+			Memo:                ev.cfg.Memo,
+		})
+	}
+	return ev.e
+}
+
 // fail records an error met after the first plan: a deadline or budget
 // degrades the result, anything else (cancellation: the caller no longer
 // wants it) discards it.
@@ -368,19 +374,12 @@ func (ev *evaluation) fail(err error) {
 }
 
 // buildLineage computes the semi-join-reduced lineage once, for every
-// stage after the plans, and hands each answer its clauses. Its scans and
-// joins are charged to the memo's row budget, like the plans' operators.
+// stage after the plans, and hands each answer its clauses. It runs on
+// the plans' evaluator, so its scans and joins are charged to the same
+// row budget as the plans' operators.
 func (ev *evaluation) buildLineage() {
 	var lin *engine.Lineage
-	err := engine.TrapCancel(func() {
-		if ev.reduced == nil && ev.cfg.SemiJoin {
-			ev.reduced = engine.SemiJoinReduceCtx(ev.ctx, ev.db, ev.q)
-		}
-		opts := engine.Options{Reduced: ev.reduced, Memo: ev.cfg.Memo}
-		e := engine.NewEvaluatorCtx(ev.ctx, ev.db, ev.q, opts)
-		defer e.Release()
-		lin = e.Lineage(ev.q)
-	})
+	err := engine.TrapCancel(func() { lin = ev.evaluator().Lineage(ev.q) })
 	if err != nil {
 		ev.fail(err)
 		return

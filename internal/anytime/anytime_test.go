@@ -480,3 +480,38 @@ func TestMCZCoverage(t *testing.T) {
 		t.Fatalf("after 4096 samples the bound was under half the probability in %d runs", vacuous)
 	}
 }
+
+// TestAnytimeArenaAfterUnwind: the smallest row budget at which the
+// first plan round completes unwinds the second one on the pooled
+// evaluator, and the evaluation degrades. The next evaluation, whose
+// evaluator takes the arena that one released, is bit-identical to the
+// one run before it.
+func TestAnytimeArenaAfterUnwind(t *testing.T) {
+	db, q, plans := unsafeChain(t)
+	f := &fixture{db: db, q: q, plans: plans}
+	cfg := Config{Epsilon: 0.1, Seed: 1, MCMaxSamples: 256}
+	want := f.evaluate(t, cfg)
+	budgeted := func(rows int) (*Result, error) {
+		c := cfg
+		c.ReuseSubplans, c.SemiJoin, c.MaxIntermediateRows = true, true, rows
+		return Evaluate(context.Background(), f.db, f.q, f.plans, c)
+	}
+	lo, hi := 1, 1<<22 // no plan round fits lo; every one fits hi
+	for lo+1 < hi {
+		mid := lo + (hi-lo)/2
+		if _, err := budgeted(mid); err != nil {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	for i := 0; i < 3; i++ {
+		res, err := budgeted(hi)
+		if err != nil || res.Degraded != "budget" || res.PlansEvaluated != 1 || res.PlansTotal < 2 {
+			t.Fatalf("budget %d: err=%v, want the second of %d rounds to unwind: %+v", hi, err, len(f.plans), res)
+		}
+		if got := f.evaluate(t, cfg); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after an unwound round: %+v, want %+v", got, want)
+		}
+	}
+}

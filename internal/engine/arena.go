@@ -20,8 +20,9 @@ import (
 // Ownership (DESIGN.md, "Evaluation scratch"): an operator gives back
 // its own scratch before it returns; a program gives back a step's
 // Result once the last step that reads it has run (program.go); and a
-// Result that leaves the engine is detached and never goes back. A nil
-// arena allocates with make and takes nothing back.
+// Result that leaves the engine, or enters a BatchMemo, is detached and
+// never goes back. A nil arena allocates with make and takes nothing
+// back.
 // Under the race detector every buffer given back is poisoned (all bits
 // set: ids index out of range, scores read NaN) and one given back twice
 // panics, so a use after release shows in the differential suites.
@@ -189,9 +190,10 @@ func (a *arena) putUint64s(s []uint64) {
 	}
 }
 
-// putResult gives back r's columns. r must not be read again.
+// putResult gives back r's columns, unless r is held by a BatchMemo.
+// r must not be read again.
 func (a *arena) putResult(r *Result) {
-	if a == nil || r == nil {
+	if a == nil || r == nil || r.shared {
 		return
 	}
 	for _, col := range r.ids {

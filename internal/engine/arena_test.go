@@ -100,6 +100,41 @@ func TestResultOutlivesArena(t *testing.T) {
 	}
 }
 
+// TestBatchMemoResultOutlivesArena: a step's result held by a
+// BatchMemo is never given back to its evaluator's arena. Two queries
+// that share their R1 and R2 scans run on one memo; between them an
+// unrelated evaluation reuses the arena the first one released. The
+// second query, served those scans from the memo, and the first query's
+// result both keep the bits of a standalone evaluation. Under -race a
+// memo entry given back would be poisoned, and the second query would
+// read it.
+func TestBatchMemoResultOutlivesArena(t *testing.T) {
+	cases := arenaCases()
+	c := cases[0]
+	q2 := cq.MustParse("q(x0, x2) :- R1(x0, x1), R2(x1, x2)")
+	plans2 := core.MinimalPlans(q2, nil)
+	for _, o := range []Options{{ReuseSubplans: true}, {}} {
+		want1 := encodeResult(EvalPlansOracle(nil, c.db, c.q, c.plans, o))
+		want2 := encodeResult(EvalPlansOracle(nil, c.db, q2, plans2, o))
+		m := NewBatchMemo("test", 0)
+		mo := o
+		mo.Memo = m
+		got1 := EvalPlansCtx(nil, c.db, c.q, c.plans, mo)
+		churn(cases)
+		got2 := EvalPlansCtx(nil, c.db, q2, plans2, mo)
+		churn(cases)
+		if m.SharedHits() == 0 {
+			t.Fatalf("%+v: the two queries shared no subplan", o)
+		}
+		if !bytes.Equal(encodeResult(got1), want1) {
+			t.Errorf("%+v: the first query's result changed after later evaluations", o)
+		}
+		if !bytes.Equal(encodeResult(got2), want2) {
+			t.Errorf("%+v: the second query, served from the memo, differs from a standalone evaluation", o)
+		}
+	}
+}
+
 // TestArenaConcurrentEvaluations runs evaluations of different queries
 // on several goroutines at once, each drawing arenas from the one pool:
 // every result matches the bits of the same evaluation run alone. Under

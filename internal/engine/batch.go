@@ -36,7 +36,6 @@ import (
 // option flags) and prefixes every key.
 type BatchMemo struct {
 	scope  string
-	share  bool
 	budget *rowBudget
 
 	mu      sync.Mutex
@@ -57,12 +56,10 @@ type memoEntry struct {
 
 // NewBatchMemo builds a memo scoped by the caller's version/options
 // fingerprint, with a batch-wide intermediate-row budget of maxRows
-// (<= 0 unlimited). share=false disables subplan reuse (Opt2 off)
-// while keeping the shared budget.
-func NewBatchMemo(scope string, maxRows int, share bool) *BatchMemo {
+// (<= 0 unlimited).
+func NewBatchMemo(scope string, maxRows int) *BatchMemo {
 	return &BatchMemo{
 		scope:   scope,
-		share:   share,
 		budget:  newRowBudget(maxRows),
 		entries: map[string]*memoEntry{},
 	}

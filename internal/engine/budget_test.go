@@ -185,7 +185,7 @@ func TestBudgetLineage(t *testing.T) {
 	q := cq.MustParse("q() :- R(x), S(x, y)")
 	for _, opts := range []Options{
 		{MaxIntermediateRows: 10_000},
-		{Memo: NewBatchMemo("", 10_000, false)},
+		{Memo: NewBatchMemo("", 10_000)},
 	} {
 		err := TrapCancel(func() { NewEvaluatorCtx(nil, db, q, opts).Lineage(q) })
 		if !errors.Is(err, ErrBudget) {

@@ -26,6 +26,7 @@ type Result struct {
 	ids    [][]int32 // ids[k][i]: dense value id (DB.noteValue) of column k in row i
 	scores []float64
 	dict   []Value // id -> Value: DB.vals at evaluation time
+	shared bool    // held by a BatchMemo: never given back to an arena
 
 	// Lazy ScoreOf index: hash of the row values -> first row with that
 	// hash, with hash collisions chained through idxNext.
@@ -160,10 +161,8 @@ type Options struct {
 	// Optimization 3 to the scanned relations before evaluation.
 	SemiJoin bool
 	// Reduced, when non-nil, supplies a precomputed semi-join reduction
-	// (as produced by SemiJoinReduceCtx) instead of recomputing it, letting
-	// staged evaluations — the anytime refiner's plan rounds, MC
-	// sampling, and exact expansion all read the same reduced lineage —
-	// share one reduction. It takes precedence over SemiJoin.
+	// (as produced by SemiJoinReduceCtx) instead of recomputing it. It
+	// takes precedence over SemiJoin.
 	Reduced map[string][]int32
 	// Workers is ignored: every evaluation runs on the calling goroutine.
 	// The field only keeps perfbench/api.go compiling and is removed by
@@ -202,9 +201,8 @@ type Evaluator struct {
 	reduced    map[string][]int32 // atom relation -> surviving row indices
 	ownReduced bool               // reduced came from the arena
 	cancel     canceller
-	exec       exec // what operators see: cancel, opts.Stats, the row budget, the arena
+	exec       exec // what operators see: cancel, opts.Stats, the row budget, the pooled arena (nil once released)
 	redFP      map[string]string
-	ar         *arena   // the pooled arena, nil once released; exec.ar is nil when results are shared
 	prog       *program // the plan being run (program.go): the arena's, or its own
 }
 
@@ -213,22 +211,19 @@ type Evaluator struct {
 // may be nil otherwise. The semi-join reduction and all evaluation loops
 // poll ctx and unwind with a cancellation panic when it is done. Callers
 // passing a non-nil ctx must wrap evaluation in TrapCancel; a nil ctx is
-// never cancelled. The operators of an evaluator attached to a sharing
-// BatchMemo allocate from the heap: its subplan results outlive it in the
-// memo. Only its program's scratch comes from the arena.
+// never cancelled. Every evaluator takes its scratch from a pooled arena;
+// a result that enters a BatchMemo is detached and never given back
+// (DESIGN.md, "Evaluation scratch").
 func NewEvaluatorCtx(ctx context.Context, db *DB, q *cq.Query, opts Options) *Evaluator {
 	return newEvaluator(ctx, db, q, opts, getArena())
 }
 
 func newEvaluator(ctx context.Context, db *DB, q *cq.Query, opts Options, ar *arena) *Evaluator {
-	e := &Evaluator{db: db, opts: opts, ar: ar}
+	e := &Evaluator{db: db, opts: opts}
 	if ar != nil {
 		e.prog = &ar.prog
 	} else {
 		e.prog = &program{}
-	}
-	if opts.Memo != nil && opts.Memo.share {
-		ar = nil
 	}
 	e.cancel.ctx = ctx
 	e.exec = exec{c: &e.cancel, stats: opts.Stats, budget: newRowBudget(opts.MaxIntermediateRows), ar: ar}
@@ -250,7 +245,7 @@ func newEvaluator(ctx context.Context, db *DB, q *cq.Query, opts Options, ar *ar
 // evaluator itself must not be used again. Calling Release twice, or on
 // an evaluator without an arena, is a no-op.
 func (e *Evaluator) Release() {
-	ar := e.ar
+	ar := e.exec.ar
 	if ar == nil {
 		return
 	}
@@ -264,19 +259,19 @@ func (e *Evaluator) Release() {
 			ar.putInt32s(live)
 		}
 	}
-	e.reduced, e.ownReduced, e.exec.ar, e.ar, e.prog = nil, false, nil, nil, nil
+	e.reduced, e.ownReduced, e.exec.ar, e.prog = nil, false, nil, nil
 	putArena(ar)
 }
 
-// drop gives back a result no step will read again.
+// drop gives back a result no step will read again, unless a memo holds it.
 func (e *Evaluator) drop(r *Result) { e.exec.ar.putResult(r) }
 
-// detach hands a result to a caller outside the engine. Columns that
-// fill their buffers leave with it and are never given back; columns
-// grown past their length are copied out at their length, and the
-// buffers stay in the arena.
+// detach hands a result to a caller outside the engine, or to a
+// BatchMemo. Columns that fill their buffers leave with it and are never
+// given back; columns grown past their length are copied out at their
+// length, and the buffers stay in the arena.
 func (e *Evaluator) detach(r *Result) *Result {
-	if e.exec.ar == nil || r == nil {
+	if e.exec.ar == nil || r == nil || r.shared {
 		return r
 	}
 	exact := len(r.scores) == cap(r.scores)

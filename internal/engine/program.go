@@ -18,7 +18,8 @@ import (
 //   - With Opt2 (Options.ReuseSubplans) on, a node is one step however
 //     many parents hold it, so a view (Algorithm 3) runs once. Off, each
 //     occurrence in the unfolded tree is a step of its own.
-//   - A sharing BatchMemo is consulted per step.
+//   - A BatchMemo is consulted per step. A step's result is
+//     detached as it enters the memo and never goes back to the arena.
 
 // step is one operator of a program.
 type step struct {
@@ -111,9 +112,11 @@ func (e *Evaluator) run(prog []step, prof *[]NodeStat) *Result {
 		}
 		e.cancel.checkNow()
 		start, direct := time.Now(), false
-		if memo != nil && memo.share {
+		if memo != nil {
 			slots[i] = memo.getOrCompute(e.memoKey(s.node), func() (out *Result) {
 				out, direct = e.compute(s)
+				out = e.detach(out)
+				out.shared = true
 				return out
 			})
 		} else {
