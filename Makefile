@@ -17,7 +17,8 @@ race:
 # spans, evaluation arenas shared by concurrent evaluations and reused
 # after budget and cancellation unwinds, batch-memo entries that outlive
 # the arena they were computed in, the anytime refiner on one pooled
-# evaluator, load shedding, and the error-status table.
+# evaluator with its plan bounds matched to answers by key, load
+# shedding, and the error-status table.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestTornTail|TestNth|TestSticky|TestShort|TestSetFault' ./internal/store/...
 	$(GO) test -race -run 'TestBudget|TestFusedJoinPollsPerMatch|TestArenaConcurrentEvaluations|TestArenaAfterUnwind|TestBatchMemoResultOutlivesArena' ./internal/engine
@@ -153,7 +154,7 @@ lines:
 
 # Ceiling on that total. A change that grows the code raises LINES_MAX
 # in its own diff, where review sees it; ROADMAP item 8 targets 19 000.
-LINES_MAX ?= 20850
+LINES_MAX ?= 20671
 
 lines-check:
 	@total=$$($(MAKE) -s --no-print-directory lines | awk '$$2 == "total" { print $$1 }') && \

@@ -39,10 +39,8 @@ type AnytimeOptions struct {
 	// deterministic for a fixed seed.
 	Seed int64
 
-	// topK enables upper-vs-kth-lower pruning (RankTopKAnytime); memo
-	// shares subplans and the row budget across a batch (Batch);
+	// memo shares subplans and the row budget across a batch (Batch);
 	// onStage observes every refinement step (tests).
-	topK    int
 	memo    *engine.BatchMemo
 	onStage func(anytime.Snapshot)
 }
@@ -161,7 +159,6 @@ func (d *DB) rankAnytime(ctx context.Context, q *cq.Query, plans []plan.Node, sa
 		Memo:                opts.memo,
 		MCMaxSamples:        opts.MCMaxSamples,
 		Seed:                opts.Seed,
-		TopK:                opts.topK,
 		OnStage:             opts.onStage,
 	}
 	res, err := anytime.Evaluate(ctx, d.db, q, plans, cfg)
@@ -181,9 +178,6 @@ func (d *DB) rankAnytime(ctx context.Context, q *cq.Query, plans []plan.Node, sa
 		out.Stages = append(out.Stages, AnytimeStage{Name: s.Name, Steps: s.Steps})
 	}
 	for _, a := range res.Answers {
-		if a.Pruned {
-			continue
-		}
 		out.Answers = append(out.Answers, IntervalAnswer{
 			Values:    d.decode(a.Key),
 			Lower:     a.Lower,

@@ -8,6 +8,7 @@ package lapushdb
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -309,35 +310,58 @@ func TestAnytimeBudgetCoversLineage(t *testing.T) {
 	}
 }
 
-// TestRankTopKAnytime checks the bound-pruning top-k: with a tight
-// epsilon the surviving answers must be exactly RankTopK's exact top-k,
-// in the same order.
-func TestRankTopKAnytime(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	edb, q := workload.Chain(3, 900, 120, 0.5, rng)
-	db := fromEngineDB(t, edb)
-	query := q.String()
-	const k = 5
-	want, err := db.RankTopK(context.Background(), query, k, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.RankTopKAnytime(context.Background(), query, k, &AnytimeOptions{Epsilon: 0.0001, Seed: 3, MCMaxSamples: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("top-k did not converge: width %g", res.Width)
-	}
-	if len(res.Answers) != len(want) {
-		t.Fatalf("%d answers vs %d", len(res.Answers), len(want))
-	}
-	for i, a := range res.Answers {
-		if stringsKey(a.Values) != stringsKey(want[i].Values) {
-			t.Fatalf("rank %d: %v vs exact top-k %v", i, a.Values, want[i].Values)
+// TestAnytimePlanBoundsMatchEvalPlans: after the last plan round, every
+// answer's upper bound is bit-equal to ρ, the per-answer min over the
+// same minimal plans that engine.EvalPlansCtx folds, matched by key. On
+// these queries the plans list their rows in different orders, so
+// matching a later round's rows to answers by position would hand
+// answers each other's bounds. The evaluation is cancelled once the plan
+// rounds are done: only their bounds are checked.
+func TestAnytimePlanBoundsMatchEvalPlans(t *testing.T) {
+	db := servedChain(t)
+	for _, query := range []string{
+		"q(x0) :- BenchR1(x0, x1), BenchR2(x1, x2), BenchR3(x2, x3), x1 <= 5",
+		"q(x0, x3) :- BenchR1(x0, x1), BenchR2(x1, x2), BenchR3(x2, x3)",
+	} {
+		q, err := parseChecked(db, query)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want[i].Score < a.Lower-1e-9 || want[i].Score > a.Upper+1e-9 {
-			t.Fatalf("rank %d: exact %g outside [%g, %g]", i, want[i].Score, a.Lower, a.Upper)
+		sch := db.schema(q, &Options{})
+		plans := core.MinimalPlans(q, sch)
+		if len(plans) < 2 || core.SafeGiven(q, sch, plans) {
+			t.Fatalf("%s: want an unsafe query with several minimal plans, got %d plans", query, len(plans))
+		}
+		rho := engine.EvalPlansCtx(context.Background(), db.db, q, plans, engine.Options{ReuseSubplans: true, SemiJoin: true})
+		want := make(map[string]float64, rho.Len())
+		for i := 0; i < rho.Len(); i++ {
+			want[string(engine.AppendKey(nil, rho.Row(i)))] = rho.Score(i)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var last []anytime.Answer
+		rounds := 0
+		opts := &AnytimeOptions{Seed: 7}
+		opts.onStage = func(s anytime.Snapshot) {
+			if s.Stage == "plans" {
+				last = s.Answers
+				if rounds++; rounds == len(plans) {
+					cancel()
+				}
+			}
+		}
+		_, err = db.RankAnytimeContext(ctx, query, opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err %v, want the cancellation after the plan rounds", query, err)
+		}
+		if rounds != len(plans) || len(last) != len(want) {
+			t.Fatalf("%s: %d plan rounds over %d answers, want %d rounds over %d answers", query, rounds, len(last), len(plans), len(want))
+		}
+		for _, a := range last {
+			w, ok := want[string(engine.AppendKey(nil, a.Key))]
+			if !ok || math.Float64bits(a.Upper) != math.Float64bits(w) {
+				t.Fatalf("%s: answer %v has upper %v after the plan rounds, want ρ = %v (found %v)", query, a.Key, a.Upper, w, ok)
+			}
 		}
 	}
 }
@@ -402,10 +426,11 @@ func TestAnytimeAllocGate(t *testing.T) {
 		t.Fatalf("want a converged evaluation with answers: converged=%v, %d answers", res.Converged, len(res.Answers))
 	}
 	t.Logf("anytime: %d allocs/op, %d B/op (%d answers)", allocs, bytes, len(res.Answers))
-	// Measured 985 allocs and 111 565 B per op; the evaluation with a
-	// private memo, whose evaluators allocated from the heap, measured
-	// 1 201 and 368 290 B. Ceilings: the reading plus 10%.
-	const allocCeiling, byteCeiling = 1084, 122_700
+	// Measured 905 allocs and 107 541 B per op; matching plan rounds
+	// through a per-Result ScoreOf index measured 985 and 111 565 B, and
+	// the evaluation with a private memo, whose evaluators allocated from
+	// the heap, 1 201 and 368 290 B. Ceilings: the reading plus 10%.
+	const allocCeiling, byteCeiling = 995, 118_300
 	if allocs > allocCeiling {
 		t.Errorf("a warm anytime evaluation makes %d allocations, over the pinned %d", allocs, allocCeiling)
 	}

@@ -33,7 +33,6 @@ package anytime
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"math/rand"
@@ -109,10 +108,6 @@ type Config struct {
 	// Seed derives the per-answer sampler seeds (seed ^ FNV of the
 	// answer key), keeping sampling independent of iteration order.
 	Seed int64
-	// TopK, when positive, prunes answers whose upper bound falls below
-	// the running k-th largest lower bound — they cannot reach the top
-	// k, so refining them is wasted work.
-	TopK int
 	// OnStage, when non-nil, observes the interval state after every
 	// refinement step (one plan, one MC round, one exact round). The
 	// snapshot's answers are copies; the callback must not retain or
@@ -127,9 +122,6 @@ type Answer struct {
 	Upper float64
 	// Converged reports width <= epsilon for this answer.
 	Converged bool
-	// Pruned marks answers eliminated by TopK bound pruning; their
-	// interval is valid but no longer refined.
-	Pruned bool
 	// LowerKind is LowerStatistical when Lower is a sampling confidence
 	// bound, "" when it is certain. Upper is always certain.
 	LowerKind string
@@ -151,7 +143,7 @@ type Snapshot struct {
 type Result struct {
 	Cols    []cq.Var
 	Answers []Answer
-	// Converged reports whether every non-pruned answer reached epsilon.
+	// Converged reports whether every answer reached epsilon.
 	Converged bool
 	// Degraded is "" for a run that refined to its natural end,
 	// "deadline" when the context's deadline fired mid-refinement, and
@@ -165,14 +157,11 @@ type Result struct {
 	MCSamples      int
 }
 
-// Width returns the widest non-pruned answer interval (0 when there are
-// no answers).
+// Width returns the widest answer interval (0 when there are no
+// answers).
 func (r *Result) Width() float64 {
 	w := 0.0
 	for _, a := range r.Answers {
-		if a.Pruned {
-			continue
-		}
 		if d := a.Upper - a.Lower; d > w {
 			w = d
 		}
@@ -186,7 +175,6 @@ type ansState struct {
 	lower      float64
 	upper      float64
 	converged  bool
-	pruned     bool
 	lowerStat  bool      // lower was last raised by sampling
 	clauses    [][]int32 // lineage; sorted heaviest clause first once sampling needs it
 	sampler    *mc.KarpLubySampler
@@ -233,6 +221,8 @@ type evaluation struct {
 	e       *engine.Evaluator // runs the plan rounds and the lineage; made by evaluator
 	cols    []cq.Var
 	answers []*ansState
+	index   map[string]*ansState // value key -> answer; made by lookup
+	kb      []byte               // lookup's key scratch
 	res     *Result
 	err     error // hard failure (cancellation): discard the result
 }
@@ -320,9 +310,11 @@ func (ev *evaluation) stagePlans(plans []plan.Node) error {
 				ev.answers[i] = &ansState{key: r.Row(i), lower: 0, upper: r.Score(i)}
 			}
 		} else {
-			for _, a := range ev.answers {
-				if s, ok := r.ScoreOf(a.key); ok && s < a.upper {
-					a.upper = s
+			var row []engine.Value
+			for i := 0; i < r.Len(); i++ {
+				row = r.AppendRow(row[:0], i)
+				if a := ev.lookup(row); a != nil && r.Score(i) < a.upper {
+					a.upper = r.Score(i)
 					if a.lower > a.upper {
 						a.lower = a.upper
 					}
@@ -344,6 +336,24 @@ func (ev *evaluation) stagePlans(plans []plan.Node) error {
 	}
 	ev.res.Stages = append(ev.res.Stages, stage)
 	return nil
+}
+
+// lookup returns the answer whose key is vals, or nil. Later plan rounds
+// and the lineage list their rows in their own order, so they are matched
+// to answers by value key (engine.AppendKey), through an index over the
+// first plan's answers made on first use. The keys are distinct: equal
+// keys come only from a query whose head holds every variable, which is
+// safe and stops after the first plan.
+func (ev *evaluation) lookup(vals []engine.Value) *ansState {
+	if ev.index == nil {
+		ev.index = make(map[string]*ansState, len(ev.answers))
+		for _, a := range ev.answers {
+			ev.kb = engine.AppendKey(ev.kb[:0], a.key)
+			ev.index[string(ev.kb)] = a
+		}
+	}
+	ev.kb = engine.AppendKey(ev.kb[:0], vals)
+	return ev.index[string(ev.kb)]
 }
 
 // evaluator returns the evaluation's one evaluator, making it on first
@@ -384,12 +394,10 @@ func (ev *evaluation) buildLineage() {
 		ev.fail(err)
 		return
 	}
-	clausesByKey := make(map[string][][]int32, lin.Len())
 	for i := 0; i < lin.Len(); i++ {
-		clausesByKey[string(keyBytes(lin.Key(i)))] = lin.Clauses(i)
-	}
-	for _, a := range ev.answers {
-		a.clauses = clausesByKey[string(keyBytes(a.key))]
+		if a := ev.lookup(lin.Key(i)); a != nil {
+			a.clauses = lin.Clauses(i)
+		}
 	}
 }
 
@@ -403,7 +411,7 @@ func (ev *evaluation) stageFirstPass() {
 	probs := ev.db.VarProbs()
 	attempted := false
 	for _, a := range ev.answers {
-		if a.pruned || a.converged || len(a.clauses) == 0 || len(a.clauses) > FirstPassMaxClauses {
+		if a.converged || len(a.clauses) == 0 || len(a.clauses) > FirstPassMaxClauses {
 			continue
 		}
 		if err := ev.ctx.Err(); err != nil {
@@ -427,7 +435,7 @@ func (ev *evaluation) stageMC() {
 	probs := ev.db.VarProbs()
 	stage := StageStats{Name: "mc"}
 	for _, a := range ev.answers {
-		if a.pruned || a.converged || len(a.clauses) == 0 {
+		if a.converged || len(a.clauses) == 0 {
 			continue
 		}
 		a.clauses = sortClausesByWeight(a.clauses, probs)
@@ -442,7 +450,7 @@ func (ev *evaluation) stageMC() {
 	for {
 		active := false
 		for _, a := range ev.answers {
-			if a.pruned || a.converged || a.sampler == nil || a.sampler.Exact() {
+			if a.converged || a.sampler == nil || a.sampler.Exact() {
 				continue
 			}
 			if a.sampler.Samples() >= ev.cfg.MCMaxSamples {
@@ -496,7 +504,7 @@ func (ev *evaluation) stageExact() {
 	for {
 		progress := false
 		for _, a := range ev.answers {
-			if a.pruned || a.converged || a.exactStuck || len(a.clauses) == 0 {
+			if a.converged || a.exactStuck || len(a.clauses) == 0 {
 				continue
 			}
 			if err := ev.ctx.Err(); err != nil {
@@ -530,29 +538,11 @@ func (ev *evaluation) stageExact() {
 	}
 }
 
-// afterStep updates convergence flags, applies top-k pruning, and
-// notifies the observer.
+// afterStep updates convergence flags and notifies the observer.
 func (ev *evaluation) afterStep(stageName string) {
 	for _, a := range ev.answers {
 		if !a.converged && a.width() <= ev.cfg.Epsilon {
 			a.converged = true
-		}
-	}
-	if k := ev.cfg.TopK; k > 0 && len(ev.answers) > k {
-		lowers := make([]float64, 0, len(ev.answers))
-		for _, a := range ev.answers {
-			if !a.pruned {
-				lowers = append(lowers, a.lower)
-			}
-		}
-		if len(lowers) > k {
-			sort.Sort(sort.Reverse(sort.Float64Slice(lowers)))
-			kth := lowers[k-1]
-			for _, a := range ev.answers {
-				if !a.pruned && a.upper < kth {
-					a.pruned = true
-				}
-			}
 		}
 	}
 	if ev.cfg.OnStage != nil {
@@ -560,13 +550,13 @@ func (ev *evaluation) afterStep(stageName string) {
 	}
 }
 
-// done reports whether every non-pruned answer has converged.
+// done reports whether every answer has converged.
 func (ev *evaluation) done() bool {
 	if ev.answers == nil {
 		return false
 	}
 	for _, a := range ev.answers {
-		if !a.pruned && !a.converged {
+		if !a.converged {
 			return false
 		}
 	}
@@ -581,7 +571,6 @@ func (ev *evaluation) snapshotAnswers() []Answer {
 			Lower:     a.lower,
 			Upper:     a.upper,
 			Converged: a.converged,
-			Pruned:    a.pruned,
 		}
 		if a.lowerStat {
 			out[i].LowerKind = LowerStatistical
@@ -600,45 +589,23 @@ func (ev *evaluation) finish() *Result {
 // sortClausesByWeight orders clauses by descending probability weight
 // (∏ of their variables' marginals), stably so equal weights keep the
 // lineage order — a deterministic order for the exact stage's prefixes.
+// The input is left as it was.
 func sortClausesByWeight(clauses [][]int32, probs []float64) [][]int32 {
-	if len(clauses) == 0 {
-		return clauses
-	}
-	out := make([][]int32, len(clauses))
-	copy(out, clauses)
-	weight := func(c []int32) float64 {
-		w := 1.0
+	ws := make([]float64, len(clauses))
+	idx := make([]int, len(clauses))
+	for i, c := range clauses {
+		ws[i] = 1
 		for _, v := range c {
-			w *= probs[v]
+			ws[i] *= probs[v]
 		}
-		return w
-	}
-	ws := make([]float64, len(out))
-	for i, c := range out {
-		ws[i] = weight(c)
-	}
-	idx := make([]int, len(out))
-	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(i, j int) bool { return ws[idx[i]] > ws[idx[j]] })
-	sorted := make([][]int32, len(out))
+	sorted := make([][]int32, len(clauses))
 	for i, j := range idx {
-		sorted[i] = out[j]
+		sorted[i] = clauses[j]
 	}
 	return sorted
-}
-
-// keyBytes encodes an answer key for map lookup, matching the engine's
-// 8-byte little-endian value encoding.
-func keyBytes(vals []engine.Value) []byte {
-	b := make([]byte, 0, len(vals)*8)
-	var buf [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		b = append(b, buf[:]...)
-	}
-	return b
 }
 
 // keySeed derives a per-answer seed component from the answer key, so
@@ -646,6 +613,6 @@ func keyBytes(vals []engine.Value) []byte {
 // iteration order, worker count, and which other answers converge first.
 func keySeed(vals []engine.Value) int64 {
 	h := fnv.New64a()
-	h.Write(keyBytes(vals))
+	h.Write(engine.AppendKey(make([]byte, 0, 8*len(vals)), vals))
 	return int64(h.Sum64())
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"lapushdb/internal/cq"
 	"lapushdb/internal/plan"
@@ -17,22 +16,17 @@ import (
 // columnar (struct-of-arrays): one contiguous []int32 of dense value ids
 // per column plus one contiguous []float64 score column, so operators run
 // as tight kernels over slices instead of per-tuple calls. A cell is
-// stored once, as its id; Row, ScoreOf and Sorted decode ids through the
+// stored once, as its id; Row and AppendRow decode ids through the
 // database's id-to-value slice as it stood at evaluation time (ids only
 // ever grow, so later inserts never change what one decodes to). Row
-// order is unspecified; use Sorted or ScoreOf for stable access.
+// order is unspecified: a caller that matches rows across results keys
+// them by value (AppendKey).
 type Result struct {
 	Cols   []cq.Var
 	ids    [][]int32 // ids[k][i]: dense value id (DB.noteValue) of column k in row i
 	scores []float64
 	dict   []Value // id -> Value: DB.vals at evaluation time
 	shared bool    // held by a BatchMemo: never given back to an arena
-
-	// Lazy ScoreOf index: hash of the row values -> first row with that
-	// hash, with hash collisions chained through idxNext.
-	idxOnce sync.Once
-	idx     map[uint64]int32
-	idxNext []int32
 }
 
 // newResult returns an empty result with per-column slice headers
@@ -66,90 +60,6 @@ func (r *Result) AppendRow(dst []Value, i int) []Value {
 
 // Score returns the probability score of the i-th tuple.
 func (r *Result) Score(i int) float64 { return r.scores[i] }
-
-// rowHash hashes the i-th tuple's values, matching valueKeyHash over the
-// decoded row.
-func (r *Result) rowHash(i int) uint64 {
-	h := uint64(len(r.Cols)) + 0x9e3779b97f4a7c15
-	for k := range r.ids {
-		h = mix64(h ^ uint64(r.value(k, i)))
-	}
-	return h
-}
-
-// ScoreOf returns the score of the tuple with the given values, and
-// whether it exists. The first call builds a hash index over the rows,
-// so a batch of lookups costs O(n + lookups) instead of O(n·lookups).
-// Concurrent ScoreOf calls are safe; do not overlap them with mutation.
-func (r *Result) ScoreOf(key []Value) (float64, bool) {
-	if len(key) != len(r.Cols) {
-		return 0, false
-	}
-	r.idxOnce.Do(r.buildScoreIndex)
-	j, ok := r.idx[valueKeyHash(key)]
-	for ok {
-		match := true
-		for k := range key {
-			if r.value(k, int(j)) != key[k] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return r.scores[j], true
-		}
-		j = r.idxNext[j]
-		ok = j >= 0
-	}
-	return 0, false
-}
-
-// buildScoreIndex hashes every row once. Duplicate rows keep the first
-// occurrence, matching the linear scan ScoreOf replaced.
-func (r *Result) buildScoreIndex() {
-	n := r.Len()
-	r.idx = make(map[uint64]int32, n)
-	r.idxNext = make([]int32, n)
-	for i := 0; i < n; i++ {
-		r.idxNext[i] = -1
-		h := r.rowHash(i)
-		first, ok := r.idx[h]
-		if !ok {
-			r.idx[h] = int32(i)
-			continue
-		}
-		for j := first; ; j = r.idxNext[j] {
-			if r.idxNext[j] < 0 {
-				r.idxNext[j] = int32(i)
-				break
-			}
-		}
-	}
-}
-
-// Sorted returns the row indices ordered by descending score, breaking
-// ties by row values (not ids) ascending — the ranking order of the
-// paper's experiments.
-func (r *Result) Sorted() []int {
-	idx := make([]int, r.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		sa, sb := r.scores[ia], r.scores[ib]
-		if sa != sb {
-			return sa > sb
-		}
-		for k := range r.ids {
-			if va, vb := r.value(k, ia), r.value(k, ib); va != vb {
-				return va < vb
-			}
-		}
-		return false
-	})
-	return idx
-}
 
 // Options configures plan evaluation.
 type Options struct {

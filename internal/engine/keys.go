@@ -1,5 +1,7 @@
 package engine
 
+import "encoding/binary"
+
 // Interned join/project keys. A composite key is the tuple of dense
 // value ids ([]int32, see DB.noteValue) at the key columns. Keys of
 // arity <= 2 pack exactly into one uint64 — a collision-free signature —
@@ -285,13 +287,13 @@ func (g *groupTable) keyEqual(id int32, key []int32) bool {
 	return true
 }
 
-// valueKeyHash hashes a raw-Value composite key (used where dense ids
-// are unavailable, e.g. Result.ScoreOf lookups keyed by caller-supplied
-// values).
-func valueKeyHash(key []Value) uint64 {
-	h := uint64(len(key)) + 0x9e3779b97f4a7c15
-	for _, v := range key {
-		h = mix64(h ^ uint64(v))
+// AppendKey appends the value key of vals to dst: each value's 8-byte
+// little-endian encoding, in order. It is the one encoding that matches
+// an answer across results, lineages and plan rounds (as a map key) and
+// that seeds an answer's sampling stream, so it must not change.
+func AppendKey(dst []byte, vals []Value) []byte {
+	for _, v := range vals {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	return h
+	return dst
 }

@@ -201,20 +201,9 @@ func dedupeClausesRef(cs [][]int32) [][]int32 {
 	return out
 }
 
-// appendValue appends v's 8-byte little-endian encoding: a byte key for
-// the reference's maps and the tests' answer maps.
-func appendValue(b []byte, v Value) []byte {
-	u := uint64(v)
-	return append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-}
-
-func lineageKeyString(key []Value) string {
-	var b []byte
-	for _, v := range key {
-		b = appendValue(b, v)
-	}
-	return string(b)
-}
+// appendValue appends v's value key (AppendKey): a byte key for the
+// reference's maps and the tests' answer maps.
+func appendValue(b []byte, v Value) []byte { return AppendKey(b, []Value{v}) }
 
 // clauseSet renders a DNF as the sorted list of its sorted clauses.
 func clauseSet(cs [][]int32) []string {
@@ -261,11 +250,11 @@ func assertLineageMatchesRef(t *testing.T, label string, db *DB, q *cq.Query, re
 	}
 	byKey := map[string]int{}
 	for i, k := range want.keys {
-		byKey[lineageKeyString(k)] = i
+		byKey[string(AppendKey(nil, k))] = i
 	}
 	maxSize := 0
 	for i := 0; i < got.Len(); i++ {
-		j, ok := byKey[lineageKeyString(got.Key(i))]
+		j, ok := byKey[string(AppendKey(nil, got.Key(i)))]
 		if !ok {
 			t.Fatalf("%s: answer %v not in the reference", label, got.Key(i))
 		}
@@ -415,7 +404,7 @@ func TestLineageAtomOrderInvariance(t *testing.T) {
 		base := EvalLineageCtx(nil, db, q, reduced)
 		want := map[string][][]int32{}
 		for i := 0; i < base.Len(); i++ {
-			want[lineageKeyString(base.Key(i))] = base.Clauses(i)
+			want[string(AppendKey(nil, base.Key(i)))] = base.Clauses(i)
 		}
 		for p := 0; p < 3; p++ {
 			atoms := slices.Clone(sh.atoms)
@@ -426,7 +415,7 @@ func TestLineageAtomOrderInvariance(t *testing.T) {
 				t.Fatalf("%s: %d answers, %s gives %d", q, base.Len(), pq, got.Len())
 			}
 			for i := 0; i < got.Len(); i++ {
-				w, ok := want[lineageKeyString(got.Key(i))]
+				w, ok := want[string(AppendKey(nil, got.Key(i)))]
 				if !ok {
 					t.Fatalf("%s: answer %v is new", pq, got.Key(i))
 				}

@@ -44,7 +44,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("answers %d vs %d", a.Len(), b.Len())
 	}
 	for i := 0; i < a.Len(); i++ {
-		got, ok := b.ScoreOf(a.Row(i))
+		got, ok := scoreOf(b, a.Row(i))
 		if !ok || math.Abs(got-a.Score(i)) != 0 {
 			t.Errorf("answer %d: %v vs %v", i, a.Score(i), got)
 		}

@@ -196,7 +196,7 @@ func TestPropMinimalPlansSuffice(t *testing.T) {
 				t.Fatalf("%s: answer sets differ", qs)
 			}
 			for i := 0; i < rhoMin.Len(); i++ {
-				want, _ := rhoAll.ScoreOf(rhoMin.Row(i))
+				want, _ := scoreOf(rhoAll, rhoMin.Row(i))
 				if math.Abs(rhoMin.Score(i)-want) > 1e-9 {
 					t.Errorf("%s: min over minimal plans %v != min over all plans %v",
 						qs, rhoMin.Score(i), want)
@@ -341,7 +341,7 @@ func TestPropOptimizationsPreserveScores(t *testing.T) {
 				t.Fatalf("%s/%s: answers %d vs %d", qs, name, res.Len(), base.Len())
 			}
 			for i := 0; i < base.Len(); i++ {
-				got, ok := res.ScoreOf(base.Row(i))
+				got, ok := scoreOf(res, base.Row(i))
 				if !ok || math.Abs(got-base.Score(i)) > 1e-9 {
 					t.Errorf("%s/%s: score mismatch %v vs %v", qs, name, got, base.Score(i))
 				}
@@ -415,7 +415,7 @@ func TestPropDeterministicIsSupport(t *testing.T) {
 		lin := NewEvaluatorCtx(nil, db, q, Options{}).Lineage(q)
 		want := map[string]bool{}
 		for i := 0; i < lin.Len(); i++ {
-			want[lineageKeyString(lin.Key(i))] = true
+			want[string(AppendKey(nil, lin.Key(i)))] = true
 		}
 		if !maps.Equal(got, want) {
 			t.Errorf("%s: deterministic answers %d, lineage answers %d", label, len(got), len(want))
@@ -489,7 +489,7 @@ func TestPropTupleOrderInvariance(t *testing.T) {
 				t.Fatalf("%s: %d answers after shuffling, %d before", label, got.Len(), base.Len())
 			}
 			for i := 0; i < base.Len(); i++ {
-				score, ok := got.ScoreOf(base.Row(i))
+				score, ok := scoreOf(got, base.Row(i))
 				if !ok {
 					t.Fatalf("%s: answer %v missing after shuffling", label, base.Row(i))
 				}
@@ -716,44 +716,6 @@ func TestDirectGroupingOracleDifferential(t *testing.T) {
 	}
 	if !ran[true] || !ran[false] {
 		t.Fatalf("ways run: %v, want both", ran)
-	}
-}
-
-// TestScoreOfIndexed is the regression test for the indexed ScoreOf: on
-// a 10k-row result every present key resolves to its own score, absent
-// keys miss, and duplicate rows keep first-occurrence semantics.
-func TestScoreOfIndexed(t *testing.T) {
-	const n = 10_000
-	var rows [][]Value
-	var scores []float64
-	for i := 0; i < n; i++ {
-		rows = append(rows, []Value{Value(i), Value(i % 7)})
-		scores = append(scores, float64(i+1)/float64(n+1))
-	}
-	// A duplicate of row 42 with a different score: lookups must keep
-	// returning the first occurrence, as the linear scan did.
-	rows = append(rows, []Value{Value(42), Value(42 % 7)})
-	scores = append(scores, 0.123456)
-	r := resultOf([]cq.Var{"x", "y"}, rows, scores)
-	for i := 0; i < n; i++ {
-		got, ok := r.ScoreOf([]Value{Value(i), Value(i % 7)})
-		if !ok {
-			t.Fatalf("key %d missing", i)
-		}
-		if want := float64(i+1) / float64(n+1); got != want {
-			t.Fatalf("key %d: score %v, want %v", i, got, want)
-		}
-	}
-	if _, ok := r.ScoreOf([]Value{Value(5), Value(6)}); ok {
-		t.Error("absent key found")
-	}
-	if _, ok := r.ScoreOf([]Value{Value(1)}); ok {
-		t.Error("wrong-arity key found")
-	}
-	// Empty-column (Boolean) results still work.
-	b := &Result{scores: []float64{0.5}}
-	if got, ok := b.ScoreOf(nil); !ok || got != 0.5 {
-		t.Errorf("boolean ScoreOf = %v, %v", got, ok)
 	}
 }
 

@@ -94,7 +94,7 @@ func TestScanAfterDeleteInsert(t *testing.T) {
 			answers := func() []Value {
 				res := evalQuery(db, tc.query)
 				var out []Value
-				for _, i := range res.Sorted() {
+				for _, i := range sortedRows(res) {
 					out = append(out, res.Row(i)[0])
 				}
 				return out

@@ -45,7 +45,7 @@ func newRankingRun(db *engine.DB, q *cq.Query, budget int) *rankingRun {
 		if err != nil {
 			return nil
 		}
-		r.keys = append(r.keys, lineageKey(lin, i))
+		r.keys = append(r.keys, string(engine.AppendKey(nil, lin.Key(i))))
 		r.gt = append(r.gt, p)
 		r.linSize = append(r.linSize, float64(lin.Size(i)))
 		r.clauses = append(r.clauses, lin.Clauses(i))
@@ -70,28 +70,10 @@ func newRankingRun(db *engine.DB, q *cq.Query, budget int) *rankingRun {
 	return r
 }
 
-func lineageKey(lin *engine.Lineage, i int) string {
-	b := make([]byte, 0, 16)
-	for _, v := range lin.Key(i) {
-		u := uint64(v)
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	return string(b)
-}
-
-func resultKeyAt(res *engine.Result, i int) string {
-	b := make([]byte, 0, 16)
-	for _, v := range res.Row(i) {
-		u := uint64(v)
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	return string(b)
-}
-
 func alignScores(db *engine.DB, res *engine.Result, keys []string) []float64 {
 	m := map[string]float64{}
 	for i := 0; i < res.Len(); i++ {
-		m[resultKeyAt(res, i)] = res.Score(i)
+		m[string(engine.AppendKey(nil, res.Row(i)))] = res.Score(i)
 	}
 	out := make([]float64, len(keys))
 	for i, k := range keys {
@@ -448,7 +430,7 @@ func compileGT(db *engine.DB, q *cq.Query, keys []string, budget int) *compiledG
 		if err != nil {
 			return nil
 		}
-		c.circuits[lineageKey(lin, i)] = circ
+		c.circuits[string(engine.AppendKey(nil, lin.Key(i)))] = circ
 	}
 	return c
 }

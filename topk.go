@@ -46,8 +46,10 @@ func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) (
 		return nil, err
 	}
 	clausesByKey := make(map[string][][]int32, lin.Len())
+	var kb []byte
 	for i := 0; i < lin.Len(); i++ {
-		clausesByKey[valueKey(lin.Key(i))] = lin.Clauses(i)
+		kb = engine.AppendKey(kb[:0], lin.Key(i))
+		clausesByKey[string(kb)] = lin.Clauses(i)
 	}
 
 	// Candidates in the order answers rank, by bound and then by values,
@@ -70,7 +72,8 @@ func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) (
 		if len(top) == k && answerLess(top[k-1], c.ans) {
 			break // no remaining answer can enter the top k
 		}
-		p, err := s.score(ctx, c.row, clausesByKey[valueKey(c.row)])
+		kb = engine.AppendKey(kb[:0], c.row)
+		p, err := s.score(ctx, c.row, clausesByKey[string(kb)])
 		if err != nil {
 			return nil, err
 		}
@@ -81,35 +84,6 @@ func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) (
 		}
 	}
 	return top, nil
-}
-
-// RankTopKAnytime is the anytime counterpart of RankTopK: the top-k
-// answers as [lower, upper] intervals, refined until the requested
-// epsilon, the deadline, or the budgets stop the search. Unlike
-// RankTopK it never requires full exact inference: an answer whose
-// upper bound falls below the running k-th largest lower bound is
-// pruned from further refinement (and from the result), so the
-// intervals that survive are exactly the candidates still able to be
-// in the top k. At most k answers are returned when the result
-// converged; a non-converged result may carry more — the remaining
-// candidates whose intervals still overlap the k-th place.
-func (d *DB) RankTopKAnytime(ctx context.Context, query string, k int, opts *AnytimeOptions) (*AnytimeResult, error) {
-	if opts == nil {
-		opts = &AnytimeOptions{}
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("lapushdb: k must be positive")
-	}
-	ao := *opts
-	ao.topK = k
-	res, err := d.RankAnytimeContext(ctx, query, &ao)
-	if err != nil {
-		return nil, err
-	}
-	if res.Converged && len(res.Answers) > k {
-		res.Answers = res.Answers[:k]
-	}
-	return res, nil
 }
 
 // RankUnion ranks the answers of a union of conjunctive queries (all
@@ -171,17 +145,18 @@ func (d *DB) RankUnion(ctx context.Context, queries []string, opts *Options) ([]
 		var keys [][]engine.Value
 		var clauses [][][]int32
 		index := map[string]int{}
+		var kb []byte
 		for _, q := range parsed {
 			lin, err := d.evalLineage(ctx, q, opts)
 			if err != nil {
 				return nil, err
 			}
 			for i := 0; i < lin.Len(); i++ {
-				key := valueKey(lin.Key(i))
-				j, ok := index[key]
+				kb = engine.AppendKey(kb[:0], lin.Key(i))
+				j, ok := index[string(kb)]
 				if !ok {
 					j = len(keys)
-					index[key] = j
+					index[string(kb)] = j
 					keys = append(keys, lin.Key(i))
 					clauses = append(clauses, nil)
 				}
@@ -194,15 +169,6 @@ func (d *DB) RankUnion(ctx context.Context, queries []string, opts *Options) ([]
 	default:
 		return nil, fmt.Errorf("lapushdb: RankUnion supports Dissociation, Exact, and MonteCarlo")
 	}
-}
-
-func valueKey(vals []engine.Value) string {
-	b := make([]byte, 0, len(vals)*8)
-	for _, v := range vals {
-		u := uint64(v)
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24), byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-	}
-	return string(b)
 }
 
 func stringsKey(vals []string) string {

@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"lapushdb/internal/workload"
 )
 
 // biggerDB builds a database with many answers so top-k pruning has
@@ -135,73 +133,6 @@ func TestRankTopKTiesMatchExact(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRankTopKAnytimeMatchesFull is the differential contract of
-// bound-pruned top-k: on every differential shape, RankTopKAnytime's
-// converged answers are exactly the top-k slice of the full
-// RankAnytime result — same values, and bit-identical [lower, upper]
-// intervals, because sampler streams are derived from answer keys and
-// each answer refines until its own convergence regardless of what
-// else is pruned.
-func TestRankTopKAnytimeMatchesFull(t *testing.T) {
-	type shape struct {
-		label string
-		query string
-		db    *DB
-		k     int
-	}
-	rng := rand.New(rand.NewSource(57))
-	var shapes []shape
-	{
-		edb, q := workload.Chain(3, 500, 70, 0.5, rng)
-		shapes = append(shapes, shape{"chain3", q.String(), fromEngineDB(t, edb), 5})
-	}
-	{
-		// The star query is Boolean — a single answer — so k=1 checks
-		// the degenerate prune-nothing path.
-		edb, q := workload.Star(3, 40, 12, 0.5, rng)
-		shapes = append(shapes, shape{"star3", q.String(), fromEngineDB(t, edb), 1})
-	}
-	{
-		tp := workload.NewTPCH(0.01, 0.1, rng)
-		shapes = append(shapes, shape{"tpch", tp.Query(tp.Suppliers, "%red%").String(), fromEngineDB(t, tp.DB), 3})
-	}
-
-	for _, sh := range shapes {
-		opts := AnytimeOptions{Epsilon: 0.05, Seed: 11, MCMaxSamples: 2048}
-		full, err := sh.db.RankAnytimeContext(context.Background(), sh.query, &opts)
-		if err != nil {
-			t.Fatalf("%s: full: %v", sh.label, err)
-		}
-		if !full.Converged {
-			t.Fatalf("%s: full run did not converge (width %g)", sh.label, full.Width)
-		}
-		top, err := sh.db.RankTopKAnytime(context.Background(), sh.query, sh.k, &opts)
-		if err != nil {
-			t.Fatalf("%s: topk: %v", sh.label, err)
-		}
-		if !top.Converged {
-			t.Fatalf("%s: top-k run did not converge (width %g)", sh.label, top.Width)
-		}
-		want := sh.k
-		if want > len(full.Answers) {
-			want = len(full.Answers)
-		}
-		if len(top.Answers) != want {
-			t.Fatalf("%s: %d answers, want %d", sh.label, len(top.Answers), want)
-		}
-		for i, a := range top.Answers {
-			f := full.Answers[i]
-			if stringsKey(a.Values) != stringsKey(f.Values) {
-				t.Fatalf("%s rank %d: pruned answer %v, full answer %v", sh.label, i, a.Values, f.Values)
-			}
-			if a.Lower != f.Lower || a.Upper != f.Upper {
-				t.Fatalf("%s rank %d (%v): pruned interval [%v, %v] != full [%v, %v]",
-					sh.label, i, a.Values, a.Lower, a.Upper, f.Lower, f.Upper)
-			}
-		}
 	}
 }
 
