@@ -17,12 +17,14 @@ race:
 # spans, evaluation arenas shared by concurrent evaluations and reused
 # after budget and cancellation unwinds, batch-memo entries that outlive
 # the arena they were computed in, the anytime refiner on one pooled
-# evaluator with its plan bounds matched to answers by key, load
+# evaluator with its plan bounds matched to answers by key, a
+# Deterministic query ranked by four goroutines on one batch, whose memo
+# entries it must not write (TestBatchDeterministicConcurrent), load
 # shedding, and the error-status table.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestTornTail|TestNth|TestSticky|TestShort|TestSetFault' ./internal/store/...
 	$(GO) test -race -run 'TestBudget|TestFusedJoinPollsPerMatch|TestArenaConcurrentEvaluations|TestArenaAfterUnwind|TestBatchMemoResultOutlivesArena' ./internal/engine
-	$(GO) test -race -run 'TestAnytime' ./internal/anytime .
+	$(GO) test -race -run 'TestAnytime|TestBatchDeterministicConcurrent' ./internal/anytime .
 	$(GO) test -race -run 'TestErrorStatus|TestRelease|TestQueryBudget|TestLoadShedding|TestDegraded|TestRobustnessMetrics|TestAnytime|TestRankBatch|TestResultCache|TestQueryBatchParity' ./internal/server
 	$(GO) test -race -run 'TestReplicaChaos' ./internal/replica
 
@@ -154,7 +156,7 @@ lines:
 
 # Ceiling on that total. A change that grows the code raises LINES_MAX
 # in its own diff, where review sees it; ROADMAP item 8 targets 19 000.
-LINES_MAX ?= 20671
+LINES_MAX ?= 20639
 
 lines-check:
 	@total=$$($(MAKE) -s --no-print-directory lines | awk '$$2 == "total" { print $$1 }') && \

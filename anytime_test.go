@@ -23,6 +23,17 @@ import (
 	"lapushdb/internal/workload"
 )
 
+// stringsKey encodes decoded answer values as one map key, each value
+// length-prefixed so no two value lists collide.
+func stringsKey(vals []string) string {
+	b := make([]byte, 0, 32)
+	for _, v := range vals {
+		b = append(b, byte(len(v)), byte(len(v)>>8))
+		b = append(b, v...)
+	}
+	return string(b)
+}
+
 // exactByValues ranks the query exactly and indexes the probabilities
 // by answer values, as the reference for the sandwich property.
 func exactByValues(t *testing.T, db *DB, query string) map[string]float64 {

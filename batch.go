@@ -42,12 +42,11 @@ type Batch struct {
 
 // NewBatch prepares a batch evaluation over the database with the given
 // options (nil for defaults). The options apply to every query of the
-// batch: Method, IgnoreSchema, and MaxIntermediateRows, which for the
-// Dissociation method bounds the rows materialized by the whole batch
-// rather than one query (shared subplans are charged once, when first
-// computed). Subplan sharing applies to the Dissociation method; other
-// methods evaluate per-query, each under MaxIntermediateRows, but still
-// share the batch's deadline.
+// batch: Method, IgnoreSchema, and MaxIntermediateRows, which bounds the
+// rows materialized by the whole batch rather than one query, whatever
+// the method (shared subplans are charged once, when first computed).
+// Subplans are shared by the plan-based methods, Dissociation and
+// Deterministic; the lineage methods share only the budget.
 func (d *DB) NewBatch(opts *Options) *Batch {
 	if opts == nil {
 		opts = &Options{}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"lapushdb/internal/engine"
 	"lapushdb/internal/exact"
 )
 
@@ -43,8 +44,8 @@ func (d *DB) Influence(ctx context.Context, query string, topPerAnswer int) ([]A
 	if err != nil {
 		return nil, err
 	}
-	lin, err := d.evalLineage(ctx, q, &Options{})
-	if err != nil {
+	var lin *engine.Lineage
+	if err := d.evaluate(ctx, q, &Options{}, func(e *engine.Evaluator) { lin = e.Lineage(q) }); err != nil {
 		return nil, err
 	}
 	labels := d.db.VarLabels()

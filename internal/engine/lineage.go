@@ -231,7 +231,8 @@ func EvalDeterministicCtx(ctx context.Context, db *DB, q *cq.Query) *Result {
 // projecting each variable away after the last atom that needs it, so
 // each projection over a join runs as a fused Project(Join) and that
 // join is never materialized. The program's scan steps start from the
-// ordering pass's scans. Scores are set to 1.
+// ordering pass's scans. Scores are set to 1, in a copy of the score
+// column when the root is a BatchMemo entry, which is never written.
 func (e *Evaluator) Deterministic(q *cq.Query) *Result {
 	scans := make([]*plan.Scan, len(q.Atoms))
 	results := make([]*Result, len(q.Atoms))
@@ -279,6 +280,12 @@ func (e *Evaluator) Deterministic(q *cq.Query) *Result {
 		root := out
 		out = project(root, root.Cols, &e.exec)
 		e.drop(root)
+	}
+	if out.shared {
+		// A memo entry is read by the batch's other evaluators: score a
+		// header over its columns with fresh scores, shared in turn so
+		// that no arena takes the columns back.
+		out = &Result{Cols: out.Cols, ids: out.ids, scores: make([]float64, out.Len()), dict: out.dict, shared: true}
 	}
 	for i := range out.scores {
 		out.scores[i] = 1

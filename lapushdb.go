@@ -152,6 +152,8 @@ const (
 	// non-probabilistic baseline; "scores" are clause counts).
 	LineageSize
 	// Deterministic evaluates under set semantics; every answer scores 1.
+	// Like every method it scans the Opt3 semi-join-reduced relations,
+	// which drops only dangling tuples and so no answer.
 	Deterministic
 	// KarpLuby estimates the probability with the Karp–Luby–Madras
 	// coverage FPRAS: unlike naive MonteCarlo its relative error does not
@@ -160,7 +162,8 @@ const (
 	KarpLuby
 )
 
-// Options configures RankContext.
+// Options configures the evaluation of a query: RankContext,
+// RankPrepared, RankTopK, RankUnion and, through NewBatch, a Batch.
 type Options struct {
 	// Method selects the scoring method (default Dissociation).
 	Method Method
@@ -168,11 +171,12 @@ type Options struct {
 	// plan enumeration.
 	IgnoreSchema bool
 	// MaxIntermediateRows caps the total number of intermediate result
-	// rows one Rank evaluation may materialize, whatever its method:
+	// rows one query's evaluation may materialize, whatever its method:
 	// scan outputs, join outputs, and projection groups, summed across
-	// all plans of the query. Exceeding the cap aborts the query with an
-	// error wrapping ErrBudget instead of exhausting memory. <= 0
-	// disables the cap.
+	// all plans of the query — and, in RankTopK, across its bounds and
+	// its lineage; a Batch applies it to the whole batch. Exceeding the
+	// cap aborts the query with an error wrapping ErrBudget instead of
+	// exhausting memory. <= 0 disables the cap.
 	MaxIntermediateRows int
 	// MCSamples is the sample count for MonteCarlo (default
 	// DefaultMCSamples).
@@ -242,26 +246,61 @@ func parseChecked(d *DB, query string) (*cq.Query, error) {
 	return q, nil
 }
 
-// rank dispatches a parsed query to its method's evaluation path. When
-// pre is non-nil its pre-enumerated plans are reused (RankPrepared).
+// rank dispatches a parsed query to its method's evaluation, one
+// evaluator for the query whatever the method. When pre is non-nil its
+// pre-enumerated plans are reused (RankPrepared).
 func (d *DB) rank(ctx context.Context, q *cq.Query, pre *Prepared, opts *Options) ([]Answer, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
+	var res *engine.Result
+	var err error
 	switch opts.Method {
 	case Dissociation:
-		return d.rankDissociation(ctx, q, pre, opts)
+		// The merged plan comes from the prepared statement when available —
+		// skipping the plan enumeration is the point of the plan cache.
+		var sp plan.Node
+		if pre != nil {
+			sp = pre.single
+		} else {
+			sp = core.SinglePlan(q, d.schema(q, opts))
+		}
+		err = d.evaluate(ctx, q, opts, func(e *engine.Evaluator) { res = e.Eval(sp) })
 	case Exact, MonteCarlo, KarpLuby, LineageSize:
-		lin, err := d.evalLineage(ctx, q, opts)
-		if err != nil {
+		var lin *engine.Lineage
+		if err = d.evaluate(ctx, q, opts, func(e *engine.Evaluator) { lin = e.Lineage(q) }); err != nil {
 			return nil, err
 		}
 		return d.newScorer(opts.Method, opts).rank(ctx, lin.Len(), lin.Key, lin.Clauses)
 	case Deterministic:
-		return d.rankDeterministic(ctx, q, opts)
+		err = d.evaluate(ctx, q, opts, func(e *engine.Evaluator) { res = e.Deterministic(q) })
 	default:
 		return nil, fmt.Errorf("lapushdb: unknown method %d", opts.Method)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return d.toAnswers(res), nil
+}
+
+// evaluate is the one place Options become engine.Options. It runs fn on
+// one evaluator over q with subplan reuse (Opt2), the Opt3 semi-join
+// reduction, opts' row budget and, within a Batch, the batch's memo,
+// whose budget then covers every method. A cancellation or row-budget
+// unwind comes back as the returned error. Each façade operation calls
+// it once per query, so one operation reduces its inputs once and
+// charges one budget, whatever it computes on the evaluator.
+func (d *DB) evaluate(ctx context.Context, q *cq.Query, opts *Options, fn func(*engine.Evaluator)) error {
+	return engine.TrapCancel(func() {
+		e := engine.NewEvaluatorCtx(ctx, d.db, q, engine.Options{
+			ReuseSubplans:       true,
+			SemiJoin:            true,
+			MaxIntermediateRows: opts.MaxIntermediateRows,
+			Memo:                opts.memo,
+		})
+		defer e.Release()
+		fn(e)
+	})
 }
 
 func (d *DB) checkQuery(q *cq.Query) error {
@@ -285,63 +324,6 @@ func (d *DB) schema(q *cq.Query, opts *Options) *core.Schema {
 		return nil
 	}
 	return engine.SchemaFor(d.db, q)
-}
-
-func (d *DB) rankDissociation(ctx context.Context, q *cq.Query, pre *Prepared, opts *Options) ([]Answer, error) {
-	res, err := d.evalDissociation(ctx, q, pre, opts)
-	if err != nil {
-		return nil, err
-	}
-	return d.toAnswers(res), nil
-}
-
-// evalDissociation is the one place Options become engine.Options for
-// a Dissociation evaluation: the propagation score of every answer, as
-// engine rows, with a cancellation or row-budget unwind trapped into
-// the returned error.
-func (d *DB) evalDissociation(ctx context.Context, q *cq.Query, pre *Prepared, opts *Options) (*engine.Result, error) {
-	eopts := engine.Options{
-		ReuseSubplans:       true,
-		SemiJoin:            true,
-		MaxIntermediateRows: opts.MaxIntermediateRows,
-		Memo:                opts.memo,
-	}
-	// The merged plan comes from the prepared statement when available —
-	// skipping the plan enumeration is the point of the plan cache.
-	var res *engine.Result
-	err := engine.TrapCancel(func() {
-		var sp plan.Node
-		if pre != nil {
-			sp = pre.single
-		} else {
-			sp = core.SinglePlan(q, d.schema(q, opts))
-		}
-		e := engine.NewEvaluatorCtx(ctx, d.db, q, eopts)
-		defer e.Release()
-		res = e.Eval(sp)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// evalLineage computes the query's lineage under ctx and the row budget
-// of opts, with the semi-join reduction applied first.
-func (d *DB) evalLineage(ctx context.Context, q *cq.Query, opts *Options) (*engine.Lineage, error) {
-	var lin *engine.Lineage
-	err := engine.TrapCancel(func() {
-		e := engine.NewEvaluatorCtx(ctx, d.db, q, engine.Options{
-			SemiJoin:            true,
-			MaxIntermediateRows: opts.MaxIntermediateRows,
-		})
-		defer e.Release()
-		lin = e.Lineage(q)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return lin, nil
 }
 
 // scorer is the one per-answer scorer of every lineage-based method:
@@ -406,22 +388,6 @@ func (s *scorer) rank(ctx context.Context, n int, key func(int) []engine.Value, 
 	}
 	sortAnswers(answers)
 	return answers, nil
-}
-
-func (d *DB) rankDeterministic(ctx context.Context, q *cq.Query, opts *Options) ([]Answer, error) {
-	var res *engine.Result
-	err := engine.TrapCancel(func() {
-		e := engine.NewEvaluatorCtx(ctx, d.db, nil, engine.Options{
-			ReuseSubplans:       true,
-			MaxIntermediateRows: opts.MaxIntermediateRows,
-		})
-		defer e.Release()
-		res = e.Deterministic(q)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d.toAnswers(res), nil
 }
 
 // toAnswers decodes every row into one backing slice of strings, each
@@ -547,8 +513,8 @@ func (d *DB) LineageContext(ctx context.Context, query string) ([]LineageInfo, e
 	if err != nil {
 		return nil, err
 	}
-	lin, err := d.evalLineage(ctx, q, &Options{})
-	if err != nil {
+	var lin *engine.Lineage
+	if err := d.evaluate(ctx, q, &Options{}, func(e *engine.Evaluator) { lin = e.Lineage(q) }); err != nil {
 		return nil, err
 	}
 	labels := d.db.VarLabels()
@@ -605,12 +571,7 @@ func (d *DB) Profile(ctx context.Context, query string) (string, error) {
 	}
 	sp := core.SinglePlan(q, engine.SchemaFor(d.db, q))
 	var stats []engine.NodeStat
-	err = engine.TrapCancel(func() {
-		e := engine.NewEvaluatorCtx(ctx, d.db, q, engine.Options{ReuseSubplans: true, SemiJoin: true})
-		defer e.Release()
-		_, stats = e.EvalProfiled(sp)
-	})
-	if err != nil {
+	if err := d.evaluate(ctx, q, &Options{}, func(e *engine.Evaluator) { _, stats = e.EvalProfiled(sp) }); err != nil {
 		return "", err
 	}
 	return engine.FormatProfile(stats), nil

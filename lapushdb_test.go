@@ -5,14 +5,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"lapushdb/internal/core"
+	"lapushdb/internal/cq"
 	"lapushdb/internal/engine"
 	"lapushdb/internal/obdd"
+	"lapushdb/internal/workload"
 )
 
 // movieDB builds a small uncertain movie-recommendation database used
@@ -82,18 +86,64 @@ func TestRankDissociationUpperBoundsExact(t *testing.T) {
 	}
 }
 
+// TestRankAllMethodsAgreeOnSupport: every method answers the same set of
+// head tuples, the set EvalDeterministicCtx finds on the unreduced
+// relations, also on shapes whose Opt3 reduction drops tuples — the
+// reduction drops only dangling ones.
 func TestRankAllMethodsAgreeOnSupport(t *testing.T) {
-	db := movieDB(t)
-	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	for _, m := range []Method{Dissociation, Exact, MonteCarlo, LineageSize, Deterministic} {
-		as, err := db.RankContext(context.Background(), q, &Options{Method: m, MCSamples: 200})
-		if err != nil {
-			t.Fatalf("method %d: %v", m, err)
-		}
-		if len(as) != 2 {
-			t.Errorf("method %d: %d answers, want 2", m, len(as))
+	tp := workload.NewTPCH(0.02, 0.5, rand.New(rand.NewSource(1)))
+	for _, tc := range []struct {
+		name    string
+		db      *DB
+		query   string
+		reduces bool // the Opt3 reduction drops tuples
+	}{
+		{"movies", movieDB(t), "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)", false},
+		{"servedChain", servedChain(t), "q(x0, x3) :- BenchR1(x0, x1), BenchR2(x1, x2), BenchR3(x2, x3), x0 <= 1, x1 <= 5", true},
+		{"tpch-red", fromEngineDB(t, tp.DB), tp.Query(tp.Suppliers, "%red%").String(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := parseChecked(tc.db, tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.reduces && !reductionDrops(tc.db, q) {
+				t.Fatal("the Opt3 reduction keeps every tuple; the case tests nothing")
+			}
+			want := map[string]bool{}
+			base := engine.EvalDeterministicCtx(nil, tc.db.db, q)
+			for i := 0; i < base.Len(); i++ {
+				want[stringsKey(tc.db.decode(base.Row(i)))] = true
+			}
+			if len(want) == 0 {
+				t.Fatal("no answers")
+			}
+			for _, m := range []Method{Dissociation, Exact, MonteCarlo, LineageSize, Deterministic} {
+				as, err := tc.db.RankContext(context.Background(), tc.query, &Options{Method: m, MCSamples: 200})
+				if err != nil {
+					t.Fatalf("method %s: %v", m, err)
+				}
+				got := map[string]bool{}
+				for _, a := range as {
+					got[stringsKey(a.Values)] = true
+				}
+				if !maps.Equal(got, want) || len(as) != len(want) {
+					t.Errorf("method %s: %d answers, unreduced set evaluation has %d", m, len(as), len(want))
+				}
+			}
+		})
+	}
+}
+
+// reductionDrops reports whether q's Opt3 reduction drops a tuple of
+// some relation q scans.
+func reductionDrops(d *DB, q *cq.Query) bool {
+	for rel, live := range engine.SemiJoinReduceCtx(nil, d.db, q) {
+		if len(live) < d.db.Relation(rel).Len() {
+			return true
 		}
 	}
+	return false
 }
 
 // ablation switches the paper's three optimizations on or off: Opt1
@@ -500,8 +550,8 @@ func obddScores(t *testing.T, db *DB, query string, budget int) map[string]float
 	if err != nil {
 		t.Fatal(err)
 	}
-	lin, err := db.evalLineage(context.Background(), q, &Options{})
-	if err != nil {
+	var lin *engine.Lineage
+	if err := db.evaluate(context.Background(), q, &Options{}, func(e *engine.Evaluator) { lin = e.Lineage(q) }); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[string]float64, lin.Len())
@@ -638,6 +688,28 @@ func TestBudgetEveryMethod(t *testing.T) {
 			t.Errorf("%s with a 10-row budget: %d answers, err %v, want ErrBudget", m, len(ans), err)
 		}
 	}
+}
+
+// minBudget returns the smallest MaxIntermediateRows under which run
+// does not fail with ErrBudget: the rows its evaluation charges.
+func minBudget(t *testing.T, run func(maxRows int) error) int {
+	t.Helper()
+	lo, hi := 1, 1<<20
+	if err := run(hi); err != nil {
+		t.Fatalf("budget %d: %v", hi, err)
+	}
+	for lo < hi {
+		mid := (lo + hi) / 2
+		switch err := run(mid); {
+		case err == nil:
+			hi = mid
+		case errors.Is(err, ErrBudget):
+			lo = mid + 1
+		default:
+			t.Fatalf("budget %d: %v", mid, err)
+		}
+	}
+	return lo
 }
 
 // TestAnswerValuesAreSeparate: the answers of one ranking decode into one

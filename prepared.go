@@ -130,9 +130,8 @@ func (p *Prepared) Explanation() *Explanation {
 // loops poll the context and return its error (context.Canceled or
 // context.DeadlineExceeded) promptly when it is done. Under the
 // Dissociation method the pre-enumerated plans are reused, skipping the
-// parse and plan-search cost of Rank. Evaluation-strategy options
-// (Stats, the optimization toggles) apply per call;
-// only IgnoreSchema must match the preparation.
+// parse and plan-search cost of RankContext. Every option but
+// IgnoreSchema applies per call; IgnoreSchema must match the preparation.
 func (d *DB) RankPrepared(ctx context.Context, p *Prepared, opts *Options) ([]Answer, error) {
 	if opts == nil {
 		opts = &Options{}

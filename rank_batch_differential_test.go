@@ -8,8 +8,11 @@ package lapushdb
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"lapushdb/internal/core"
@@ -207,5 +210,71 @@ func TestRankBatchBudgetIsolation(t *testing.T) {
 	}
 	if len(ans) == 0 {
 		t.Fatal("fresh batch: no answers")
+	}
+}
+
+// TestBatchDeterministicConcurrent: Deterministic scores its answers 1,
+// and in a batch its root can be a memo entry other evaluators read, so
+// the scores are written into a copy. Four goroutines rank one
+// Deterministic query five times each on one Batch; every answer list
+// equals the standalone one, and -race sees no write to a shared entry.
+func TestBatchDeterministicConcurrent(t *testing.T) {
+	db := servedChain(t)
+	const q = "q(x0, x3) :- BenchR1(x0, x1), BenchR2(x1, x2), BenchR3(x2, x3), x0 <= 1, x1 <= 5"
+	opts := &Options{Method: Deterministic}
+	want, err := db.RankContext(context.Background(), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := db.NewBatch(opts)
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			for i := 0; i < 5; i++ {
+				got, err := b.Rank(context.Background(), q)
+				if err == nil && !reflect.DeepEqual(got, want) {
+					err = fmt.Errorf("batch answers %v, standalone %v", got, want)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if b.Stats().SharedSubplanHits == 0 {
+		t.Error("no shared subplan hits: the batch never served a memo entry")
+	}
+}
+
+// TestBatchBudgetCoversEveryMethod: a Batch's one row budget covers the
+// lineage methods too. Two Exact queries that each fit the budget alone
+// do not fit it together, so the second fails with ErrBudget.
+func TestBatchBudgetCoversEveryMethod(t *testing.T) {
+	db := movieDB(t)
+	ctx := context.Background()
+	queries := []string{
+		"q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)",
+		"q(actor) :- Stars(movie, actor), Fan(actor)",
+	}
+	n := 0
+	for _, q := range queries {
+		n = max(n, minBudget(t, func(maxRows int) error {
+			_, err := db.RankContext(ctx, q, &Options{Method: Exact, MaxIntermediateRows: maxRows})
+			return err
+		}))
+	}
+	b := db.NewBatch(&Options{Method: Exact, MaxIntermediateRows: n})
+	if _, err := b.Rank(ctx, queries[0]); err != nil {
+		t.Fatalf("first query under budget %d: %v", n, err)
+	}
+	if _, err := b.Rank(ctx, queries[1]); !errors.Is(err, ErrBudget) {
+		t.Errorf("second query under budget %d: err = %v, want ErrBudget", n, err)
 	}
 }

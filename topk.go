@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"lapushdb/internal/core"
 	"lapushdb/internal/cq"
 	"lapushdb/internal/engine"
 )
@@ -20,9 +21,9 @@ import (
 // top-k operator.
 //
 // Exact inference on the examined answers must be feasible; the node
-// budget of Options.ExactBudget applies per answer. The bounds are
-// evaluated as RankContext evaluates them, so ctx, MaxIntermediateRows
-// and the Opt1-3 switches mean what they mean there.
+// budget of Options.ExactBudget applies per answer. The bounds and the
+// lineages come from one evaluation, so the inputs are reduced once and
+// MaxIntermediateRows covers both; ctx is polled as RankContext polls it.
 func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) ([]Answer, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -35,14 +36,15 @@ func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) (
 		return nil, err
 	}
 
-	// Upper bounds from the dissociation plans, then the lineages, keyed
-	// like the bound rows.
-	bounds, err := d.evalDissociation(ctx, q, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	lin, err := d.evalLineage(ctx, q, opts)
-	if err != nil {
+	// Upper bounds from the merged dissociation plan, then the lineages,
+	// keyed like the bound rows.
+	sp := core.SinglePlan(q, d.schema(q, opts))
+	var bounds *engine.Result
+	var lin *engine.Lineage
+	if err := d.evaluate(ctx, q, opts, func(e *engine.Evaluator) {
+		bounds = e.Eval(sp)
+		lin = e.Lineage(q)
+	}); err != nil {
 		return nil, err
 	}
 	clausesByKey := make(map[string][][]int32, lin.Len())
@@ -93,7 +95,8 @@ func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) (
 // so the independent-OR of per-query upper bounds is itself a valid
 // upper bound on the union's probability. Exact and MonteCarlo operate
 // on the union of the lineages, which is exact. Other methods are not
-// supported. ctx is polled as RankContext polls it.
+// supported. Each arm is evaluated as RankContext evaluates it, under
+// its own MaxIntermediateRows; ctx is polled as RankContext polls it.
 func (d *DB) RankUnion(ctx context.Context, queries []string, opts *Options) ([]Answer, error) {
 	if opts == nil {
 		opts = &Options{}
@@ -115,49 +118,56 @@ func (d *DB) RankUnion(ctx context.Context, queries []string, opts *Options) ([]
 		}
 		parsed[i] = q
 	}
+	// The answers in first-appearance order across the arms, matched by
+	// engine.AppendKey over their head values.
+	var keys [][]engine.Value
+	index := map[string]int{}
+	var kb []byte
+	slot := func(key []engine.Value) int {
+		kb = engine.AppendKey(kb[:0], key)
+		j, ok := index[string(kb)]
+		if !ok {
+			j = len(keys)
+			index[string(kb)] = j
+			keys = append(keys, key)
+		}
+		return j
+	}
 	switch opts.Method {
 	case Dissociation:
-		combined := map[string]float64{} // key -> ∏(1 − ρi)
-		vals := map[string][]string{}
+		var miss []float64 // ∏(1 − ρi) per answer, over the arms in order
 		for _, q := range parsed {
-			answers, err := d.rankDissociation(ctx, q, nil, opts)
-			if err != nil {
+			sp := core.SinglePlan(q, d.schema(q, opts))
+			var res *engine.Result
+			if err := d.evaluate(ctx, q, opts, func(e *engine.Evaluator) { res = e.Eval(sp) }); err != nil {
 				return nil, err
 			}
-			for _, a := range answers {
-				key := stringsKey(a.Values)
-				if _, ok := combined[key]; !ok {
-					combined[key] = 1
-					vals[key] = a.Values
+			for i := 0; i < res.Len(); i++ {
+				j := slot(res.Row(i))
+				if j == len(miss) {
+					miss = append(miss, 1)
 				}
-				combined[key] *= 1 - a.Score
+				miss[j] *= 1 - res.Score(i)
 			}
 		}
-		out := make([]Answer, 0, len(combined))
-		for key, miss := range combined {
-			out = append(out, Answer{Values: vals[key], Score: 1 - miss})
+		out := make([]Answer, len(keys))
+		for j, key := range keys {
+			out[j] = Answer{Values: d.decode(key), Score: 1 - miss[j]}
 		}
 		sortAnswers(out)
 		return out, nil
 	case Exact, MonteCarlo:
-		// Union of lineages per answer, in first-appearance order, then
-		// the one scorer on each combined DNF.
-		var keys [][]engine.Value
+		// Union of lineages per answer, then the one scorer on each
+		// combined DNF.
 		var clauses [][][]int32
-		index := map[string]int{}
-		var kb []byte
 		for _, q := range parsed {
-			lin, err := d.evalLineage(ctx, q, opts)
-			if err != nil {
+			var lin *engine.Lineage
+			if err := d.evaluate(ctx, q, opts, func(e *engine.Evaluator) { lin = e.Lineage(q) }); err != nil {
 				return nil, err
 			}
 			for i := 0; i < lin.Len(); i++ {
-				kb = engine.AppendKey(kb[:0], lin.Key(i))
-				j, ok := index[string(kb)]
-				if !ok {
-					j = len(keys)
-					index[string(kb)] = j
-					keys = append(keys, lin.Key(i))
+				j := slot(lin.Key(i))
+				if j == len(clauses) {
 					clauses = append(clauses, nil)
 				}
 				clauses[j] = append(clauses[j], lin.Clauses(i)...)
@@ -169,13 +179,4 @@ func (d *DB) RankUnion(ctx context.Context, queries []string, opts *Options) ([]
 	default:
 		return nil, fmt.Errorf("lapushdb: RankUnion supports Dissociation, Exact, and MonteCarlo")
 	}
-}
-
-func stringsKey(vals []string) string {
-	b := make([]byte, 0, 32)
-	for _, v := range vals {
-		b = append(b, byte(len(v)), byte(len(v)>>8))
-		b = append(b, v...)
-	}
-	return string(b)
 }

@@ -265,3 +265,80 @@ func TestRankUnionSeedDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRankTopKBudgetCoversBoundsAndLineage: RankTopK computes its bounds
+// and its lineages on one evaluation, so MaxIntermediateRows covers both.
+// A budget that admits the bound pass alone and the lineage alone fails;
+// their sum passes.
+func TestRankTopKBudgetCoversBoundsAndLineage(t *testing.T) {
+	db := biggerDB(t, 30)
+	ctx := context.Background()
+	rows := func(m Method) int {
+		return minBudget(t, func(n int) error {
+			_, err := db.RankContext(ctx, topkQuery, &Options{Method: m, MaxIntermediateRows: n})
+			return err
+		})
+	}
+	bounds, lineage := rows(Dissociation), rows(Exact)
+	if _, err := db.RankTopK(ctx, topkQuery, 3, &Options{MaxIntermediateRows: max(bounds, lineage)}); !errors.Is(err, ErrBudget) {
+		t.Errorf("budget %d (bounds %d, lineage %d rows): err = %v, want ErrBudget", max(bounds, lineage), bounds, lineage, err)
+	}
+	if _, err := db.RankTopK(ctx, topkQuery, 3, &Options{MaxIntermediateRows: bounds + lineage}); err != nil {
+		t.Errorf("budget %d = bounds + lineage: %v", bounds+lineage, err)
+	}
+}
+
+// TestRankUnionDissociationParity: a Dissociation union scores each
+// answer 1 − ∏(1 − ρi), the product taken in arm order over the arms
+// that hold the answer, bit for bit. The first two arms share some
+// answers and not others; the third shares none.
+func TestRankUnionDissociationParity(t *testing.T) {
+	db := biggerDB(t, 30)
+	ctx := context.Background()
+	arms := []string{
+		topkQuery,
+		"q(user) :- Likes(user, 'heat')",
+		"q(actor) :- Stars(movie, actor), Fan(actor)",
+	}
+	miss := map[string]float64{}
+	counts := map[string]int{}
+	for _, arm := range arms {
+		answers, err := db.RankContext(ctx, arm, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range answers {
+			key := stringsKey(a.Values)
+			if _, ok := miss[key]; !ok {
+				miss[key] = 1
+			}
+			miss[key] *= 1 - a.Score
+			counts[key]++
+		}
+	}
+	shared := 0
+	for _, c := range counts {
+		if c > 1 {
+			shared++
+		}
+	}
+	if shared == 0 || shared == len(counts) {
+		t.Fatalf("%d of %d answers in more than one arm: want some, not all", shared, len(counts))
+	}
+	union, err := db.RankUnion(ctx, arms, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(union) != len(miss) {
+		t.Fatalf("%d union answers, %d distinct arm answers", len(union), len(miss))
+	}
+	for _, a := range union {
+		m, ok := miss[stringsKey(a.Values)]
+		if !ok {
+			t.Fatalf("answer %v in no arm", a.Values)
+		}
+		if math.Float64bits(a.Score) != math.Float64bits(1-m) {
+			t.Errorf("answer %v: score %v, arms give %v", a.Values, a.Score, 1-m)
+		}
+	}
+}
