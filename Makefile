@@ -85,9 +85,10 @@ cover:
 # retained reference evaluator, and its atom-order invariance; and the
 # engine's six allocation gates — chain join (allocs and bytes),
 # lineage (allocs and bytes), the deterministic baseline (allocs and
-# bytes), Opt3 reduction, small projection, and a warm evaluation
-# against a cold one — which skip under -race and run in the plain test
-# pass.
+# bytes), Opt3 reduction, small projection, and warm evaluations (one
+# against a cold one, and a rotation of selections each from the arena
+# the one before released) — which skip under -race and run in the
+# plain test pass.
 oracle-diff:
 	$(GO) test -race -run 'OracleDifferential|TestPropExecutorOracle|TestBudgetBatchChargingParity|FuzzMorselDifferential|TestPropLineageMatchesReference|TestLineageAtomOrderInvariance' ./internal/engine
 	$(GO) test -race -run 'TestDifferentialWorkloads|TestRankBatchOracleDifferential|TestAnytimeOracleBoundsDifferential' .
@@ -156,7 +157,7 @@ lines:
 
 # Ceiling on that total. A change that grows the code raises LINES_MAX
 # in its own diff, where review sees it; ROADMAP item 8 targets 19 000.
-LINES_MAX ?= 20639
+LINES_MAX ?= 20635
 
 lines-check:
 	@total=$$($(MAKE) -s --no-print-directory lines | awk '$$2 == "total" { print $$1 }') && \

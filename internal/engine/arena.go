@@ -202,36 +202,29 @@ func (a *arena) putResult(r *Result) {
 	a.putFloat64s(r.scores)
 }
 
-// reserveRows makes room for n more rows in every column of r.
-func (a *arena) reserveRows(r *Result, n int) {
+// reserveRows makes room for n more rows in every column of r and
+// returns the row count every column has room for, the bound an append
+// site tests before it appends a row.
+func (a *arena) reserveRows(r *Result, n int) int {
+	r.scores = reserve(r.scores, n, a.float64s, a.putFloat64s)
+	room := cap(r.scores)
 	for k := range r.ids {
-		r.ids[k] = a.reserveInt32s(r.ids[k], n)
+		r.ids[k] = reserve(r.ids[k], n, a.int32s, a.putInt32s)
+		room = min(room, cap(r.ids[k]))
 	}
-	r.scores = a.reserveFloat64s(r.scores, n)
+	return room
 }
 
-// reserveInt32s returns s with room for n more elements, moved to a
-// buffer of at least twice its capacity when it has none; the old buffer
-// goes back. The capacity is clamped to what was asked for, so columns
-// grown together stay in step.
-func (a *arena) reserveInt32s(s []int32, n int) []int32 {
+// reserve returns s with room for n more elements, moved to a buffer of
+// at least twice its capacity taken with get when it has none; the old
+// buffer goes back through put. The new buffer keeps the whole capacity
+// it was taken with, so it goes back to the class it came from.
+func reserve[T any](s []T, n int, get func(int) []T, put func([]T)) []T {
 	if len(s)+n <= cap(s) {
 		return s
 	}
-	c := max(2*cap(s), len(s)+n, 16)
-	t := a.int32s(c)[:len(s):c]
+	t := get(max(2*cap(s), len(s)+n, 16))[:len(s)]
 	copy(t, s)
-	a.putInt32s(s)
-	return t
-}
-
-func (a *arena) reserveFloat64s(s []float64, n int) []float64 {
-	if len(s)+n <= cap(s) {
-		return s
-	}
-	c := max(2*cap(s), len(s)+n, 16)
-	t := a.float64s(c)[:len(s):c]
-	copy(t, s)
-	a.putFloat64s(s)
+	put(s)
 	return t
 }

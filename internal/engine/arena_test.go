@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -226,6 +227,14 @@ func TestArenaAfterUnwind(t *testing.T) {
 // what leaves with its result — the 142 645 answers' columns — and the
 // headers (2 301 456 B measured). The executor without an arena
 // allocated 63 293 520 B on every evaluation.
+//
+// The rotation case evaluates 32 selections of the mixed_rw chain in
+// turn, each on its own evaluator as the façade runs a request, and
+// reads the third pass: 16 437 B per evaluation measured, pinned plus
+// 10%. Every evaluation works from the arena the one before released,
+// so a buffer that went back with less capacity than it was taken with
+// would be made again by the next: a reserve that clamped a grown
+// column's capacity to what it asked for measured 40 019 B here.
 func TestWarmEvalAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation skews allocation counts")
@@ -233,6 +242,7 @@ func TestWarmEvalAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate skipped in -short")
 	}
+	const rotationByteCeiling = 18_081
 	db, q := chainGateDB()
 	plans := core.MinimalPlans(q, nil)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -253,12 +263,42 @@ func TestWarmEvalAllocGate(t *testing.T) {
 	if warm*10 > cold {
 		t.Errorf("a warm evaluation allocates %d B, over 10%% of the cold one's %d B", warm, cold)
 	}
+
+	db, q = endsChainGateDB()
+	var rotation []*cq.Query
+	var single []plan.Node
+	for _, a := range []int{599, 450, 300, 520, 150, 380, 75, 560} {
+		for _, b := range []int{0, 100, 250, 40} {
+			rq := cq.MustParse(fmt.Sprintf("%s, x1 <= %d, x2 >= %d", q, a, b))
+			rotation = append(rotation, rq)
+			single = append(single, core.SinglePlan(rq, nil))
+		}
+	}
+	pass := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, rq := range rotation {
+			e := NewEvaluatorCtx(nil, db, rq, Options{SemiJoin: true, ReuseSubplans: true})
+			e.Eval(single[i])
+			e.Release()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(len(rotation))
+	}
+	pass()
+	pass()
+	perEval := pass()
+	t.Logf("chain3-ends rotation: %d B per warm evaluation (ceiling %d)", perEval, rotationByteCeiling)
+	if perEval > rotationByteCeiling {
+		t.Errorf("a warm evaluation in rotation allocates %d B, over the pinned %d B ceiling", perEval, rotationByteCeiling)
+	}
 }
 
 // TestArenaTakeGive pins the free lists' contract: a buffer given back
 // is handed out again for any length its class serves and its capacity
-// holds, a zeroing take clears it, and a nil arena allocates and keeps
-// nothing.
+// holds, a zeroing take clears it, a Result column grown by reserveRows
+// goes back with the capacity it was taken with, and a nil arena
+// allocates and keeps nothing.
 func TestArenaTakeGive(t *testing.T) {
 	a := new(arena)
 	s := a.int32s(300)
@@ -291,6 +331,25 @@ func TestArenaTakeGive(t *testing.T) {
 		if sl != (groupSlot{}) {
 			t.Fatalf("zeroing take left %+v at %d", sl, i)
 		}
+	}
+	a = new(arena)
+	ids, scores := a.int32s(1000), a.float64s(1000)
+	a.putInt32s(ids)
+	a.putFloat64s(scores)
+	lent := a.held
+	r := newResult([]cq.Var{"x"}, nil)
+	if room := a.reserveRows(r, 600); room != 1000 {
+		t.Fatalf("reserveRows made room for %d rows from 1000-element buffers", room)
+	}
+	a.putResult(r)
+	if a.held != lent {
+		t.Fatalf("held %d B after putResult, %d B were handed out", a.held, lent)
+	}
+	if got := a.int32s(1000); &got[0] != &ids[0] {
+		t.Fatalf("a take of 1000 did not reuse the id column's buffer")
+	}
+	if got := a.float64s(1000); &got[0] != &scores[0] {
+		t.Fatalf("a take of 1000 did not reuse the score column's buffer")
 	}
 	var nilArena *arena
 	nilArena.putInt32s(nilArena.int32s(10))

@@ -249,7 +249,7 @@ func EvalPlansCtx(ctx context.Context, db *DB, q *cq.Query, plans []plan.Node, o
 // (nil gathers nothing).
 func (e *Evaluator) scan(s *plan.Scan, extra []int32) (*Result, []int32) {
 	rel, cols, pos := scanLayout(e.db, s)
-	filter := newRowFilter(e.db, rel, s)
+	filter := newRowFilter(e.db, s.Atom, s.Preds)
 	out := newResult(cols, e.db.vals)
 	ar := e.exec.ar
 	// Candidate rows: the semi-join reduction's, else the whole relation.
@@ -350,10 +350,10 @@ func newFilterConst(db *DB, pos int, lit string) filterConst {
 	return filterConst{pos, v, id}
 }
 
-func newRowFilter(db *DB, rel *Relation, s *plan.Scan) *rowFilter {
+func newRowFilter(db *DB, atom cq.Atom, preds []cq.Predicate) *rowFilter {
 	f := &rowFilter{}
 	seen := map[cq.Var]int{}
-	for j, t := range s.Atom.Args {
+	for j, t := range atom.Args {
 		if !t.IsVar() {
 			f.consts = append(f.consts, newFilterConst(db, j, t.Const))
 			continue
@@ -364,7 +364,7 @@ func newRowFilter(db *DB, rel *Relation, s *plan.Scan) *rowFilter {
 			seen[t.Var] = j
 		}
 	}
-	for _, p := range s.Preds {
+	for _, p := range preds {
 		j, ok := seen[p.Var]
 		switch {
 		case !ok:
@@ -670,6 +670,7 @@ func (g *likeSeg) index(s string) int {
 // row is measurable in these loops.
 type projAccum struct {
 	out     *Result
+	room    int         // rows every column of out has room for
 	g       *groupTable // hashed groups; nil when groups are addressed by cell
 	cells   []groupCell // direct-address groups by cell
 	ka      int
@@ -714,7 +715,7 @@ func newProjAccum(onto []cq.Var, dict []Value, sizeHint, cells int, ex *exec) *p
 	}
 	if cells > 0 {
 		pa.cells = ar.zeroCells(cells)
-		ar.reserveRows(pa.out, cells)
+		pa.room = ar.reserveRows(pa.out, cells)
 	} else {
 		pa.g = newGroupTable(ar, ka, sizeHint)
 	}
@@ -724,8 +725,8 @@ func newProjAccum(onto []cq.Var, dict []Value, sizeHint, cells int, ex *exec) *p
 // newGroup appends the group keyed by the caller's pa.key, with an empty
 // product, as the next output row.
 func (pa *projAccum) newGroup() {
-	if len(pa.out.scores) == cap(pa.out.scores) {
-		pa.ex.arena().reserveRows(pa.out, 1)
+	if len(pa.out.scores) == pa.room {
+		pa.room = pa.ex.arena().reserveRows(pa.out, 1)
 	}
 	for k := 0; k < pa.ka; k++ {
 		pa.out.ids[k] = append(pa.out.ids[k], pa.key[k])
@@ -1036,6 +1037,7 @@ func join(l, r *Result, ex *exec) *Result {
 // unchanged.
 type minFold struct {
 	out   *Result
+	room  int // rows every column of out has room for
 	g     *groupTable
 	rowOf []int32 // per gid: the last row of out holding that key
 	ex    *exec
@@ -1046,7 +1048,7 @@ func newMinFold(a *Result, ex *exec) *minFold {
 	ar := ex.arena()
 	m := &minFold{g: newGroupTable(ar, len(a.Cols), na), ex: ex}
 	m.out = newResult(a.Cols, a.dict)
-	ar.reserveRows(m.out, na)
+	m.room = ar.reserveRows(m.out, na)
 	for k := range a.ids {
 		m.out.ids[k] = append(m.out.ids[k], a.ids[k]...)
 	}
@@ -1066,7 +1068,8 @@ func (m *minFold) finish() *Result {
 // duplicate keys — the same mapping a fresh rebuild over all of out
 // would produce.
 func (m *minFold) addRows(lo, hi int) {
-	m.rowOf = m.ex.arena().reserveInt32s(m.rowOf, hi-lo)
+	ar := m.ex.arena()
+	m.rowOf = reserve(m.rowOf, hi-lo, ar.int32s, ar.putInt32s)
 	cc := m.ex.canc()
 	sg := newColSigner(m.out.ids)
 	wide := sg.wide()
@@ -1110,8 +1113,8 @@ func (m *minFold) merge(b *Result) {
 			m.out.scores[j] = math.Min(m.out.scores[j], b.scores[i])
 		} else {
 			appended++
-			if len(m.out.scores) == cap(m.out.scores) {
-				m.ex.arena().reserveRows(m.out, 1)
+			if len(m.out.scores) == m.room {
+				m.room = m.ex.arena().reserveRows(m.out, 1)
 			}
 			for k := range m.out.ids {
 				m.out.ids[k] = append(m.out.ids[k], b.ids[k][i])
@@ -1168,7 +1171,7 @@ func semiJoinReduce(db *DB, q *cq.Query, c *canceller, ar *arena) map[string][]i
 				}
 			}
 		}
-		filter := newRowFilter(db, rel, plan.NewScan(a, q.PredsOnAtom(a)))
+		filter := newRowFilter(db, a, q.PredsOnAtom(a))
 		sel, all := filter.apply(rel, nil, false, c, ar)
 		if all {
 			info.live = ar.int32s(rel.Len())

@@ -270,7 +270,7 @@ func TestFilterKernelsMatchRowCheck(t *testing.T) {
 	} {
 		q := cq.MustParse(qs)
 		a := q.Atoms[0]
-		f := newRowFilter(db, r, plan.NewScan(a, q.PredsOnAtom(a)))
+		f := newRowFilter(db, a, q.PredsOnAtom(a))
 		for _, restricted := range []bool{false, true} {
 			rows := cand
 			if !restricted {

@@ -36,7 +36,7 @@ func evalLineageRef(ctx context.Context, db *DB, q *cq.Query, reduced map[string
 	scanAtom := func(a cq.Atom) *lrel {
 		rel := db.Relation(a.Rel)
 		s := plan.NewScan(a, q.PredsOnAtom(a))
-		filter := newRowFilter(db, rel, s)
+		filter := newRowFilter(db, s.Atom, s.Preds)
 		cols := s.Head()
 		pos := make([]int, len(cols))
 		for i, v := range cols {

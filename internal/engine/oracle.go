@@ -177,7 +177,7 @@ func (e *Evaluator) oracleEval(p plan.Node, seen map[plan.ID]*Result) *Result {
 // emission, charging the budget one row at a time.
 func (e *Evaluator) oracleScan(s *plan.Scan) *Result {
 	rel, cols, pos := scanLayout(e.db, s)
-	filter := newRowFilter(e.db, rel, s)
+	filter := newRowFilter(e.db, s.Atom, s.Preds)
 	out := newResult(cols, e.db.vals)
 	emit := func(i int) {
 		e.cancel.check()

@@ -134,7 +134,7 @@ func TestScanRowOrder(t *testing.T) {
 				continue
 			}
 			rel, _, pos := scanLayout(db, sc)
-			filter := newRowFilter(db, rel, sc)
+			filter := newRowFilter(db, sc.Atom, sc.Preds)
 			cand, restricted := e.reduced[rel.Name]
 			if restricted != semi {
 				t.Fatalf("semi-join %v: %s reduced = %v", semi, rel.Name, restricted)

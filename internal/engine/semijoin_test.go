@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"lapushdb/internal/cq"
-	"lapushdb/internal/plan"
 )
 
 // semiJoinReduceRef is the reduction semiJoinReduce replaced, kept as
@@ -39,7 +38,7 @@ func semiJoinReduceRef(db *DB, q *cq.Query, c *canceller) map[string][]int32 {
 				}
 			}
 		}
-		filter := newRowFilter(db, rel, plan.NewScan(a, q.PredsOnAtom(a)))
+		filter := newRowFilter(db, a, q.PredsOnAtom(a))
 		sel, all := filter.apply(rel, nil, false, c, nil)
 		if all {
 			info.live = make([]int32, rel.Len())
