@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check perfbench-check bench bench-smoke microbench lines lines-check chaos replication failover cover oracle-diff deps
+.PHONY: build test race vet fmt check perfbench-check bench bench-smoke microbench lines lines-check chaos replication failover cover oracle-diff deps examples
 
 build:
 	$(GO) build ./...
@@ -122,7 +122,16 @@ deps:
 		! $(GO) tool nm "$$tmp/lapushd" | grep -Ei 'oracle|obdd' \
 		|| { echo "lapushd links the symbols listed above"; exit 1; }
 
-check: build vet fmt test oracle-diff deps perfbench-check lines-check
+# Run every program under examples/ and fail on a non-zero exit, so an
+# edited example is run, not only compiled (all five take about half a
+# second once built).
+examples:
+	@for d in examples/*; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "FAIL: ./$$d exited non-zero"; exit 1; }; \
+	done
+
+check: build vet fmt test oracle-diff deps perfbench-check examples lines-check
 
 # The benchmark is perfbench/ (BENCHMARK.json): `bench` runs its whole
 # suite and writes the report for this revision, the next entry of the
@@ -157,7 +166,7 @@ lines:
 
 # Ceiling on that total. A change that grows the code raises LINES_MAX
 # in its own diff, where review sees it; ROADMAP item 8 targets 19 000.
-LINES_MAX ?= 20635
+LINES_MAX ?= 20478
 
 lines-check:
 	@total=$$($(MAKE) -s --no-print-directory lines | awk '$$2 == "total" { print $$1 }') && \

@@ -224,7 +224,7 @@ func TestSemiJoinReduceAllocGate(t *testing.T) {
 	for _, a := range q.Atoms {
 		rows += db.Relation(a.Rel).Len()
 	}
-	ceiling := uint64(8*rows + (db.NumValues()+63)/64*8)
+	ceiling := uint64(8*rows + (len(db.vals)+63)/64*8)
 	_, perCall := allocsPerRun(5, func() { SemiJoinReduceCtx(nil, db, q) })
 	t.Logf("tpch reduce over %d rows: %d B/call (ceiling %d)", rows, perCall, ceiling)
 	if perCall > ceiling {

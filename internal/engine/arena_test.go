@@ -351,6 +351,39 @@ func TestArenaTakeGive(t *testing.T) {
 	if got := a.float64s(1000); &got[0] != &scores[0] {
 		t.Fatalf("a take of 1000 did not reuse the score column's buffer")
 	}
+	// The fused π(⋈) sizes its chunk scratch from its 16 input rows, but
+	// 8 × 8 rows on one join key make 64 groups in one chunk. From an
+	// arena stocked so that no take needs a make, every buffer the
+	// projection takes must come back, and no other: the bytes held after
+	// finish and putResult are the bytes handed out.
+	a = new(arena)
+	for c := 0; c < 10; c++ {
+		for range 8 {
+			a.putInt32s(make([]int32, 1<<c))
+			a.putFloat64s(make([]float64, 1<<c))
+			a.putSlots(make([]groupSlot, 1<<c))
+			a.putCells(make([]groupCell, 1<<c))
+			a.putUint64s(make([]uint64, 1<<c))
+		}
+	}
+	stocked := a.held
+	var lRows, rRows [][]Value
+	var half []float64
+	for i := range 8 {
+		lRows = append(lRows, []Value{Value(i), 0})
+		rRows = append(rRows, []Value{0, Value(i)})
+		half = append(half, 0.5)
+	}
+	l := resultOf([]cq.Var{"x", "y"}, lRows, half)
+	rr := resultOf([]cq.Var{"y", "z"}, rRows, half)
+	out, _ := streamJoinProject(l, rr, []cq.Var{"x", "z"}, &exec{c: &canceller{}, ar: a})
+	if n := out.Len(); n <= l.Len()+rr.Len() || n > morselSize {
+		t.Fatalf("%d groups: want one chunk of more than the %d input rows", n, l.Len()+rr.Len())
+	}
+	a.putResult(out)
+	if a.held != stocked {
+		t.Fatalf("held %d B after the fused projection and putResult, %d B before it", a.held, stocked)
+	}
 	var nilArena *arena
 	nilArena.putInt32s(nilArena.int32s(10))
 	if got := len(nilArena.zeroSlots(5)); got != 5 {

@@ -118,13 +118,6 @@ func (db *DB) Relations() []*Relation {
 	return out
 }
 
-// NumVars returns the number of lineage variables (probabilistic tuples)
-// in the database.
-func (db *DB) NumVars() int { return len(db.varProb) }
-
-// ProbOf returns the probability of the lineage variable id.
-func (db *DB) ProbOf(id int32) float64 { return db.varProb[id] }
-
 // VarProbs returns the probability table indexed by lineage variable id.
 // The returned slice is shared; callers must not modify it.
 func (db *DB) VarProbs() []float64 { return db.varProb }
@@ -196,10 +189,6 @@ func (db *DB) noteValue(v Value) int32 {
 	db.vals = append(db.vals, v)
 	return id
 }
-
-// NumValues returns the number of distinct values stored across all
-// relations (the size of the dense value-id space).
-func (db *DB) NumValues() int { return len(db.vals) }
 
 // Intern returns the Value for a string, adding it to the dictionary if
 // needed.

@@ -741,6 +741,9 @@ func (pa *projAccum) newGroup() {
 func (pa *projAccum) accum(gid int32, aux *int32, score float64) {
 	a := *aux
 	if int(a) >= len(pa.touched) || pa.touched[a] != gid {
+		if len(pa.touched) == cap(pa.touched) || len(pa.partial) == cap(pa.partial) {
+			pa.growChunk()
+		}
 		a = int32(len(pa.touched))
 		*aux = a
 		pa.touched = append(pa.touched, gid)
@@ -752,6 +755,16 @@ func (pa *projAccum) accum(gid int32, aux *int32, score float64) {
 	if pa.fill == morselSize {
 		pa.flushChunk()
 	}
+}
+
+// growChunk makes room for one more chunk-local group through the arena.
+// The fused π(⋈) sizes the chunk scratch from its input rows, but a chunk
+// counts join matches and can touch more groups than that; a buffer
+// grown by append would go back to the arena without having come from it.
+func (pa *projAccum) growChunk() {
+	ar := pa.ex.arena()
+	pa.touched = reserve(pa.touched, 1, ar.int32s, ar.putInt32s)
+	pa.partial = reserve(pa.partial, 1, ar.float64s, ar.putFloat64s)
 }
 
 // flushChunk folds the chunk's partials into the global scores (chunk

@@ -95,8 +95,8 @@ func TestSaveLoadDeterministicRelations(t *testing.T) {
 	if !loaded.Relation("D").Deterministic {
 		t.Error("determinism lost")
 	}
-	if loaded.NumVars() != 1 {
-		t.Errorf("lineage vars = %d, want 1", loaded.NumVars())
+	if len(loaded.varProb) != 1 {
+		t.Errorf("lineage vars = %d, want 1", len(loaded.varProb))
 	}
 	if loaded.Relation("P").VarID(0) != 0 || loaded.Relation("D").VarID(0) != -1 {
 		t.Error("lineage variable ids wrong after load")

@@ -501,6 +501,124 @@ func TestPropTupleOrderInvariance(t *testing.T) {
 	}
 }
 
+// renamedCopy rebuilds db with every relation renamed by name, its
+// tuples inserted in the same order (so row positions, lineage variable
+// ids and dense value ids stay where they were).
+func renamedCopy(db *DB, name map[string]string) *DB {
+	out := NewDB()
+	for _, r := range db.Relations() {
+		c := out.CreateRelation(name[r.Name], r.Cols)
+		for i := 0; i < r.Len(); i++ {
+			c.Insert(r.Row(i), r.Prob(i))
+		}
+	}
+	return out
+}
+
+// TestPropRelationRenamingInvariance: a relation's name is only a name.
+// Renaming every relation by a bijection, in the database and the query
+// alike, leaves the answer set identical and every ρ and every exact
+// probability within 1e-12. Bits are not promised: plan node ids order a
+// join's children, so a renaming can reorder them.
+func TestPropRelationRenamingInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for iter := 0; iter < 32; iter++ {
+		qs := propQueries[iter%len(propQueries)]
+		q := cq.MustParse(qs)
+		db := randomDB(q, 6, 40, 1.0, rng)
+		name := map[string]string{}
+		for i, j := range rng.Perm(len(q.Atoms)) {
+			name[q.Atoms[i].Rel] = fmt.Sprintf("N%d", j)
+		}
+		rq := &cq.Query{Name: q.Name, Head: q.Head, Preds: q.Preds}
+		for _, a := range q.Atoms {
+			rq.Atoms = append(rq.Atoms, cq.Atom{Rel: name[a.Rel], Args: a.Args})
+		}
+		rq = cq.MustParse(rq.String())
+		rdb := renamedCopy(db, name)
+		label := fmt.Sprintf("%s as %s", qs, rq)
+		for _, opts := range []Options{{}, {ReuseSubplans: true, SemiJoin: true}} {
+			base := EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), opts)
+			got := EvalPlansCtx(nil, rdb, rq, core.MinimalPlans(rq, nil), opts)
+			if got.Len() != base.Len() {
+				t.Fatalf("%s: %d answers after renaming, %d before", label, got.Len(), base.Len())
+			}
+			for i := 0; i < base.Len(); i++ {
+				score, ok := scoreOf(got, base.Row(i))
+				if !ok {
+					t.Fatalf("%s: answer %v missing after renaming", label, base.Row(i))
+				}
+				if math.Abs(score-base.Score(i)) > 1e-12 {
+					t.Errorf("%s: answer %v has ρ %v after renaming, %v before", label, base.Row(i), score, base.Score(i))
+				}
+			}
+		}
+		want, got := exactProbs(db, q), exactProbs(rdb, rq)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d lineage answers after renaming, %d before", label, len(got), len(want))
+		}
+		for k, p := range want {
+			if math.Abs(got[k]-p) > 1e-12 {
+				t.Errorf("%s: exact probability %v after renaming, %v before", label, got[k], p)
+			}
+		}
+	}
+}
+
+// TestPropUpperBoundMonotone: a plan is products and independent ORs of
+// tuple probabilities, both monotone, and raising a probability moves no
+// tuple and no float operation. So on random chain and star instances,
+// raising one tuple's probability never lowers any minimal plan's score
+// or any answer's ρ, and adds or drops no answer.
+func TestPropUpperBoundMonotone(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	rose := 0 // answers whose ρ rose: the instances reach the raised tuple
+	queries := []string{
+		"q() :- R1(x0, x1), R2(x1, x2), R3(x2, x3)",
+		"q(x0, x3) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)",
+		"q() :- R1(x1), R2(x2), R3(x3), R0(x1, x2, x3)",
+		"q(x1) :- R1(x1), R2(x2), R0(x1, x2)",
+	}
+	for iter := 0; iter < 40; iter++ {
+		qs := queries[iter%len(queries)]
+		q := cq.MustParse(qs)
+		db := randomDB(q, 4, 12, 1.0, rng)
+		r := db.Relation(q.Atoms[rng.Intn(len(q.Atoms))].Rel)
+		i := rng.Intn(r.Len())
+		p := r.Prob(i) + rng.Float64()*(1-r.Prob(i))
+		raised := db.Clone()
+		raised.Relation(r.Name).SetProb(i, p)
+		label := fmt.Sprintf("%s, %s tuple %d %v → %v", qs, r.Name, i, r.Prob(i), p)
+		plans := core.MinimalPlans(q, nil)
+		check := func(what string, before, after *Result) {
+			t.Helper()
+			if after.Len() != before.Len() {
+				t.Fatalf("%s %s: %d answers after raising, %d before", label, what, after.Len(), before.Len())
+			}
+			for j := 0; j < before.Len(); j++ {
+				score, ok := scoreOf(after, before.Row(j))
+				if !ok {
+					t.Fatalf("%s %s: answer %v missing after raising", label, what, before.Row(j))
+				}
+				if score < before.Score(j) {
+					t.Errorf("%s %s: answer %v scores %v after raising, %v before", label, what, before.Row(j), score, before.Score(j))
+				}
+				if what == "ρ" && score > before.Score(j) {
+					rose++
+				}
+			}
+		}
+		for _, pl := range plans {
+			check(plan.String(pl), NewEvaluatorCtx(nil, db, q, Options{}).Eval(pl), NewEvaluatorCtx(nil, raised, q, Options{}).Eval(pl))
+		}
+		opts := Options{ReuseSubplans: true, SemiJoin: true}
+		check("ρ", EvalPlansCtx(nil, db, q, plans, opts), EvalPlansCtx(nil, raised, q, plans, opts))
+	}
+	if rose < 20 {
+		t.Fatalf("only %d answers' ρ rose over 40 raised tuples", rose)
+	}
+}
+
 // TestPropOracleBothPaths is the exact-inference cross-check:
 // dissociation scores upper-bound the exact probability on every answer,
 // and safe queries match it exactly.

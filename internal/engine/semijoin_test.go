@@ -282,7 +282,7 @@ func TestSemiJoinKernelsAgree(t *testing.T) {
 		}
 		alive, blive := live(a), live(b)
 		apos, bpos := rng.Intn(2), rng.Intn(2)
-		bits := make([]uint64, (db.NumValues()+63)/64)
+		bits := make([]uint64, (len(db.vals)+63)/64)
 		got := semiJoinBits(a, append([]int32(nil), alive...), apos, b, blive, bpos, bits, nil)
 		want := semiJoinHash(a, append([]int32(nil), alive...), []int{apos}, b, blive, []int{bpos}, nil, nil)
 		if !reflect.DeepEqual(got, want) {

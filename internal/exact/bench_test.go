@@ -56,37 +56,3 @@ func BenchmarkProbReadOnce(b *testing.B) {
 		Prob(clauses, probs)
 	}
 }
-
-// BenchmarkAblation quantifies the solver's design choices on a chain-
-// shaped lineage (the structure dissociation queries produce).
-func BenchmarkAblation(b *testing.B) {
-	// Chain lineage: clauses {x_i, y_i, x_{i+1}} share variables with
-	// neighbors only — component decomposition cannot split it, but
-	// memoization collapses the Shannon recursion.
-	n := 14
-	var clauses [][]int32
-	probs := make([]float64, 2*n+2)
-	for i := range probs {
-		probs[i] = 0.3
-	}
-	for i := 0; i < n; i++ {
-		clauses = append(clauses, []int32{int32(2 * i), int32(2*i + 1), int32(2*i + 2)})
-	}
-	for _, c := range []struct {
-		name string
-		opts SolverOptions
-	}{
-		{"full", SolverOptions{}},
-		{"no-readonce", SolverOptions{NoReadOnce: true}},
-		{"no-memo", SolverOptions{NoReadOnce: true, NoMemo: true}},
-		{"no-components", SolverOptions{NoReadOnce: true, NoComponents: true}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ProbWith(clauses, probs, 100_000_000, c.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -82,7 +82,7 @@ func (c *Circuit) Eval(probs []float64) float64 {
 func Compile(clauses [][]int32, budget int) (*Circuit, error) {
 	c := &Circuit{}
 	k := kernels.Get().(*kernel)
-	r, ok := k.run(clauses, nil, c, budget, SolverOptions{})
+	r, ok := k.run(clauses, nil, c, budget)
 	k.release()
 	if !ok {
 		return nil, ErrBudget

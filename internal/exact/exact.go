@@ -38,17 +38,6 @@ func Prob(clauses [][]int32, probs []float64) float64 {
 // complement-components step is quadratic in the variable count.
 const readOnceVarLimit = 2048
 
-// SolverOptions disables individual solver techniques, for ablation
-// benchmarks and tests. The zero value enables everything.
-type SolverOptions struct {
-	// NoReadOnce skips the read-once factorization attempt.
-	NoReadOnce bool
-	// NoComponents disables independent-component decomposition.
-	NoComponents bool
-	// NoMemo disables formula memoization.
-	NoMemo bool
-}
-
 // ProbBudget is Prob with an explicit bound on the number of recursion
 // nodes; it returns ErrBudget when exceeded, which experiment harnesses
 // treat as "exact inference infeasible" (the paper's missing
@@ -59,13 +48,8 @@ type SolverOptions struct {
 // exceeds NodesPerClause nodes per clause, and only once that allowance
 // is spent.
 func ProbBudget(clauses [][]int32, probs []float64, budget int) (float64, error) {
-	return ProbWith(clauses, probs, budget, SolverOptions{})
-}
-
-// ProbWith is ProbBudget with explicit solver options.
-func ProbWith(clauses [][]int32, probs []float64, budget int, opts SolverOptions) (float64, error) {
 	k := kernels.Get().(*kernel)
-	r, ok := k.run(clauses, probs, nil, budget, opts)
+	r, ok := k.run(clauses, probs, nil, budget)
 	k.release()
 	if !ok {
 		return 0, ErrBudget

@@ -231,39 +231,3 @@ func TestLargeReadOnceFormulaFast(t *testing.T) {
 		t.Errorf("Prob = %v, want %v", got, want)
 	}
 }
-
-// TestSolverOptionsAgree: disabling individual techniques never changes
-// the result, only the cost.
-func TestSolverOptionsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 50; iter++ {
-		nvars := 2 + rng.Intn(8)
-		probs := make([]float64, nvars)
-		for i := range probs {
-			probs[i] = rng.Float64()
-		}
-		var clauses [][]int32
-		for i := 0; i < 1+rng.Intn(6); i++ {
-			c := make([]int32, 1+rng.Intn(3))
-			for j := range c {
-				c[j] = int32(rng.Intn(nvars))
-			}
-			clauses = append(clauses, c)
-		}
-		want := Prob(clauses, probs)
-		for _, opts := range []SolverOptions{
-			{NoReadOnce: true},
-			{NoComponents: true},
-			{NoMemo: true},
-			{NoReadOnce: true, NoComponents: true, NoMemo: true},
-		} {
-			got, err := ProbWith(clauses, probs, 50_000_000, opts)
-			if err != nil {
-				t.Fatalf("opts %+v: %v", opts, err)
-			}
-			if math.Abs(got-want) > 1e-9 {
-				t.Errorf("opts %+v: %v != %v", opts, got, want)
-			}
-		}
-	}
-}

@@ -46,7 +46,6 @@ const maxMemoKeys = 1 << 25
 type kernel struct {
 	probs   []float64
 	clauses [][]int32
-	opts    SolverOptions
 	circ    *Circuit
 	budget  int
 	// readOnceAt is the remaining budget at which the walk stops once to
@@ -99,10 +98,10 @@ func (k *kernel) release() {
 
 // run evaluates the lineage within budget nodes. ok is false when the
 // budget ran out (or a component exceeded maxRowWords).
-func (k *kernel) run(clauses [][]int32, probs []float64, circ *Circuit, budget int, opts SolverOptions) (res, bool) {
-	k.probs, k.clauses, k.circ, k.opts, k.budget = probs, clauses, circ, opts, budget
+func (k *kernel) run(clauses [][]int32, probs []float64, circ *Circuit, budget int) (res, bool) {
+	k.probs, k.clauses, k.circ, k.budget = probs, clauses, circ, budget
 	k.readOnceAt = -1
-	if linear := NodesPerClause * len(clauses); !opts.NoReadOnce && budget > linear {
+	if linear := NodesPerClause * len(clauses); budget > linear {
 		k.readOnceAt = budget - linear
 	}
 	r, ok := k.root()
@@ -234,33 +233,27 @@ func (k *kernel) root() (res, bool) {
 	}
 
 	k.croot, k.vcomp = resize(k.croot, nc), resize(k.vcomp, nv)
-	ncomp := 1
-	if k.opts.NoComponents {
-		clear(k.croot)
-		clear(k.vcomp)
-	} else {
-		iota32(k.croot)
-		fill(k.vcomp, -1)
-		start := int32(0)
-		for i, end := range k.cend {
-			for _, v := range k.lits[start:end] {
-				if o := k.vcomp[v]; o < 0 {
-					k.vcomp[v] = int32(i)
-				} else {
-					union(k.croot, int32(i), o)
-				}
-			}
-			start = end
-		}
-		ncomp = 0
-		for i := range k.croot {
-			if k.croot[i] = find(k.croot, int32(i)); k.croot[i] == int32(i) {
-				ncomp++
+	iota32(k.croot)
+	fill(k.vcomp, -1)
+	start := int32(0)
+	for i, end := range k.cend {
+		for _, v := range k.lits[start:end] {
+			if o := k.vcomp[v]; o < 0 {
+				k.vcomp[v] = int32(i)
+			} else {
+				union(k.croot, int32(i), o)
 			}
 		}
-		for v, o := range k.vcomp {
-			k.vcomp[v] = k.croot[o]
+		start = end
+	}
+	ncomp := 0
+	for i := range k.croot {
+		if k.croot[i] = find(k.croot, int32(i)); k.croot[i] == int32(i) {
+			ncomp++
 		}
+	}
+	for v, o := range k.vcomp {
+		k.vcomp[v] = k.croot[o]
 	}
 	k.order, k.vorder, k.lid, k.count = resize(k.order, nc), resize(k.vorder, nv), resize(k.lid, nv), resize(k.count, nc)
 	groupBy(k.order, k.croot, k.count)
@@ -436,17 +429,14 @@ func (k *kernel) node(f []int32) (res, bool) {
 	case 1:
 		return k.clause(k.row(f[0])), true
 	}
-	var h uint64
-	if !k.opts.NoMemo {
-		h = hashKey(f)
-		if r, ok := k.memo.get(h, f); ok {
-			return r, true
-		}
+	h := hashKey(f)
+	if r, ok := k.memo.get(h, f); ok {
+		return r, true
 	}
 	top := len(k.idx)
 	r, ok := k.expand(f)
 	k.idx = k.idx[:top]
-	if ok && !k.opts.NoMemo && len(k.memo.keys)+len(f) <= maxMemoKeys {
+	if ok && len(k.memo.keys)+len(f) <= maxMemoKeys {
 		k.memo.put(h, f, r)
 	}
 	return r, ok
@@ -487,46 +477,44 @@ func (k *kernel) expand(f []int32) (res, bool) {
 		}
 	}
 
-	if !k.opts.NoComponents {
-		ncomp := 0
-		for i := range parent {
-			if parent[i] = find(parent, int32(i)); parent[i] == int32(i) {
-				ncomp++
-			}
+	ncomp := 0
+	for i := range parent {
+		if parent[i] = find(parent, int32(i)); parent[i] == int32(i) {
+			ncomp++
 		}
-		if ncomp > 1 {
-			groupBy(out, parent, size)
-			for j, i := range out {
-				out[j] = f[i]
-			}
-			miss := 1.0
-			var kids []int32
-			start := int32(0)
-			for r := range parent {
-				if parent[r] != int32(r) {
-					continue
-				}
-				child, ok := k.node(out[start:size[r]])
-				if !ok {
-					return res{}, false
-				}
-				miss *= 1 - child.p
-				if k.circ != nil {
-					kids = append(kids, child.id)
-				}
-				start = size[r]
-			}
-			return k.indepOr(miss, kids), true
+	}
+	if ncomp > 1 {
+		groupBy(out, parent, size)
+		for j, i := range out {
+			out[j] = f[i]
 		}
+		miss := 1.0
+		var kids []int32
+		start := int32(0)
+		for r := range parent {
+			if parent[r] != int32(r) {
+				continue
+			}
+			child, ok := k.node(out[start:size[r]])
+			if !ok {
+				return res{}, false
+			}
+			miss *= 1 - child.p
+			if k.circ != nil {
+				kids = append(kids, child.id)
+			}
+			start = size[r]
+		}
+		return k.indepOr(miss, kids), true
 	}
 
 	// Condition on v. False drops the rows holding v. True clears v from
 	// them; a cleared row can absorb only rows that never held v (two
-	// cleared rows were distinct and incomparable before), and an empty
-	// one makes the formula true.
+	// cleared rows were distinct and incomparable before). No cleared row
+	// is empty: the formula is connected and absorbed, so a row {v} would
+	// share v with a row it absorbs.
 	vw, vb := best>>6, uint64(1)<<(best&63)
 	cleared, rest, merged := parent[:0], size[:0], out[:0]
-	tautology := false
 	for _, r := range f {
 		row := k.row(r)
 		if row[vw]&vb == 0 {
@@ -538,39 +526,28 @@ func (k *kernel) expand(f []int32) (res, bool) {
 		}
 		copy(k.tmp, row)
 		k.tmp[vw] &^= vb
-		empty := true
-		for _, x := range k.tmp {
-			empty = empty && x == 0
-		}
-		nr := k.intern(k.tmp)
-		if empty { // only without component splitting: {v} is its own component
-			tautology = true
-			merged = append(merged[:0], nr)
-		}
-		cleared = append(cleared, nr)
+		cleared = append(cleared, k.intern(k.tmp))
 	}
-	if !tautology {
-		ci := 0
-		for _, r := range rest {
-			row := k.row(r)
-			absorbed := false
-			for _, c := range cleared {
-				if subset(k.row(c), row) {
-					absorbed = true
-					break
-				}
+	ci := 0
+	for _, r := range rest {
+		row := k.row(r)
+		absorbed := false
+		for _, c := range cleared {
+			if subset(k.row(c), row) {
+				absorbed = true
+				break
 			}
-			if absorbed {
-				continue
-			}
-			for ci < len(cleared) && k.cmpRows(cleared[ci], r) < 0 {
-				merged = append(merged, cleared[ci])
-				ci++
-			}
-			merged = append(merged, r)
 		}
-		merged = append(merged, cleared[ci:]...)
+		if absorbed {
+			continue
+		}
+		for ci < len(cleared) && k.cmpRows(cleared[ci], r) < 0 {
+			merged = append(merged, cleared[ci])
+			ci++
+		}
+		merged = append(merged, r)
 	}
+	merged = append(merged, cleared[ci:]...)
 	hi, ok := k.node(merged)
 	if !ok {
 		return res{}, false

@@ -9,13 +9,10 @@ package exact
 
 import "sort"
 
-// refProb is the old ProbWith without its read-once attempt. nodes is
-// how many of the budget's nodes the walk used.
-func refProb(clauses [][]int32, probs []float64, budget int, opts SolverOptions) (p float64, nodes int, err error) {
-	s := &solver{probs: probs, budget: budget, opts: opts}
-	if !opts.NoMemo {
-		s.memo = map[string]float64{}
-	}
+// refProb is the old solver: the kernel's walk without its read-once
+// attempt. nodes is how many of the budget's nodes the walk used.
+func refProb(clauses [][]int32, probs []float64, budget int) (p float64, nodes int, err error) {
+	s := &solver{probs: probs, budget: budget, memo: map[string]float64{}}
 	p, ok := s.prob(normalize(clauses))
 	if !ok {
 		return 0, budget, ErrBudget
@@ -27,7 +24,6 @@ type solver struct {
 	probs  []float64
 	memo   map[string]float64
 	budget int
-	opts   SolverOptions
 }
 
 // normalize sorts each clause, removes duplicate variables, sorts the
@@ -99,23 +95,15 @@ func (s *solver) prob(clauses [][]int32) (float64, bool) {
 		}
 		return p, true
 	}
-	var key string
-	if s.memo != nil {
-		key = encode(clauses)
-		if p, ok := s.memo[key]; ok {
-			return p, true
-		}
-	}
-	memoize := func(p float64) {
-		if s.memo != nil {
-			s.memo[key] = p
-		}
+	key := encode(clauses)
+	if p, ok := s.memo[key]; ok {
+		return p, true
 	}
 	// Independent-component decomposition: clauses not sharing variables
 	// form independent subformulas F1 ∨ F2, so
 	// P(F) = 1 − (1 − P(F1))(1 − P(F2)).
 	comps := components(clauses)
-	if !s.opts.NoComponents && len(comps) > 1 {
+	if len(comps) > 1 {
 		miss := 1.0
 		for _, comp := range comps {
 			p, ok := s.prob(comp)
@@ -125,7 +113,7 @@ func (s *solver) prob(clauses [][]int32) (float64, bool) {
 			miss *= 1 - p
 		}
 		p := 1 - miss
-		memoize(p)
+		s.memo[key] = p
 		return p, true
 	}
 	// Shannon expansion on the most frequent variable.
@@ -140,7 +128,7 @@ func (s *solver) prob(clauses [][]int32) (float64, bool) {
 		return 0, false
 	}
 	p := pv*pTrue + (1-pv)*pFalse
-	memoize(p)
+	s.memo[key] = p
 	return p, true
 }
 

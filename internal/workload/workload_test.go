@@ -135,7 +135,7 @@ func TestAssignProbs(t *testing.T) {
 		t.Errorf("uniform mode exceeded pimax: %v", hi)
 	}
 	// Lineage variable table must track the new probabilities.
-	if db.ProbOf(r.VarID(0)) != r.Prob(0) {
+	if db.VarProbs()[r.VarID(0)] != r.Prob(0) {
 		t.Error("var prob table out of sync after AssignProbs")
 	}
 }

@@ -23,10 +23,10 @@
 // deterministic (set-semantics) evaluation. Every operation that
 // evaluates a query takes a context first. Beyond RankContext, the API
 // offers exact top-k with bound-driven early termination (RankTopK),
-// unions of conjunctive queries (RankUnion), Boolean provenance with
-// read-once factorization (LineageContext), tuple-influence explanations
-// (Influence), operator profiling (Profile), plan visualization
-// (PlanDOT), and snapshot persistence (Save/Load).
+// Boolean provenance with read-once factorization (LineageContext),
+// tuple-influence explanations (Influence), operator profiling
+// (Profile), plan visualization (PlanDOT), and snapshot persistence
+// (Save/Load).
 package lapushdb
 
 import (
@@ -163,7 +163,7 @@ const (
 )
 
 // Options configures the evaluation of a query: RankContext,
-// RankPrepared, RankTopK, RankUnion and, through NewBatch, a Batch.
+// RankPrepared, RankTopK and, through NewBatch, a Batch.
 type Options struct {
 	// Method selects the scoring method (default Dissociation).
 	Method Method
@@ -271,7 +271,7 @@ func (d *DB) rank(ctx context.Context, q *cq.Query, pre *Prepared, opts *Options
 		if err = d.evaluate(ctx, q, opts, func(e *engine.Evaluator) { lin = e.Lineage(q) }); err != nil {
 			return nil, err
 		}
-		return d.newScorer(opts.Method, opts).rank(ctx, lin.Len(), lin.Key, lin.Clauses)
+		return d.newScorer(opts.Method, opts).rank(ctx, lin)
 	case Deterministic:
 		err = d.evaluate(ctx, q, opts, func(e *engine.Evaluator) { res = e.Deterministic(q) })
 	default:
@@ -327,10 +327,10 @@ func (d *DB) schema(q *cq.Query, opts *Options) *core.Schema {
 }
 
 // scorer is the one per-answer scorer of every lineage-based method:
-// Exact, MonteCarlo, KarpLuby and LineageSize in RankContext,
-// RankUnion's lineage arm, and RankTopK's exact step. The budgets are
-// resolved once, and one sampler stream serves every answer, so a Seed
-// gives one result as long as answers are visited in one order.
+// Exact, MonteCarlo, KarpLuby and LineageSize in RankContext, and
+// RankTopK's exact step. The budgets are resolved once, and one sampler
+// stream serves every answer, so a Seed gives one result as long as
+// answers are visited in one order.
 type scorer struct {
 	d       *DB
 	method  Method
@@ -375,16 +375,15 @@ func (s *scorer) score(ctx context.Context, key []engine.Value, clauses [][]int3
 	}
 }
 
-// rank scores n answers, given by their head values and lineages, in
-// first-appearance order i = 0..n-1, and sorts them.
-func (s *scorer) rank(ctx context.Context, n int, key func(int) []engine.Value, clauses func(int) [][]int32) ([]Answer, error) {
-	answers := make([]Answer, n)
+// rank scores every answer of lin in its order and sorts them.
+func (s *scorer) rank(ctx context.Context, lin *engine.Lineage) ([]Answer, error) {
+	answers := make([]Answer, lin.Len())
 	for i := range answers {
-		p, err := s.score(ctx, key(i), clauses(i))
+		p, err := s.score(ctx, lin.Key(i), lin.Clauses(i))
 		if err != nil {
 			return nil, err
 		}
-		answers[i] = Answer{Values: s.d.decode(key(i)), Score: p}
+		answers[i] = Answer{Values: s.d.decode(lin.Key(i)), Score: p}
 	}
 	sortAnswers(answers)
 	return answers, nil

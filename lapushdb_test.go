@@ -644,19 +644,12 @@ func TestCancelledContextEveryEntry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	q := "q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)"
-	union := []string{q, "q(user) :- Likes(user, movie)"}
 	calls := map[string]func() error{
 		"RankTopK":       func() error { _, err := db.RankTopK(ctx, q, 1, nil); return err },
 		"Influence":      func() error { _, err := db.Influence(ctx, q, 0); return err },
 		"Profile":        func() error { _, err := db.Profile(ctx, q); return err },
 		"LineageContext": func() error { _, err := db.LineageContext(ctx, q); return err },
 		"ExplainContext": func() error { _, err := db.ExplainContext(ctx, q); return err },
-	}
-	for _, m := range []Method{Dissociation, Exact, MonteCarlo} {
-		calls["RankUnion/"+m.String()] = func() error {
-			_, err := db.RankUnion(ctx, union, &Options{Method: m})
-			return err
-		}
 	}
 	for _, m := range []Method{Dissociation, Exact, MonteCarlo, KarpLuby, LineageSize, Deterministic} {
 		calls["RankContext/"+m.String()] = func() error {

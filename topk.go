@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"lapushdb/internal/core"
-	"lapushdb/internal/cq"
 	"lapushdb/internal/engine"
 )
 
@@ -86,97 +85,4 @@ func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) (
 		}
 	}
 	return top, nil
-}
-
-// RankUnion ranks the answers of a union of conjunctive queries (all
-// with the same head arity). Under the Dissociation method the combined
-// score is 1 − ∏(1 − ρi): by the FKG inequality the answers of
-// monotone queries over independent tuples are positively correlated,
-// so the independent-OR of per-query upper bounds is itself a valid
-// upper bound on the union's probability. Exact and MonteCarlo operate
-// on the union of the lineages, which is exact. Other methods are not
-// supported. Each arm is evaluated as RankContext evaluates it, under
-// its own MaxIntermediateRows; ctx is polled as RankContext polls it.
-func (d *DB) RankUnion(ctx context.Context, queries []string, opts *Options) ([]Answer, error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("lapushdb: empty union")
-	}
-	parsed := make([]*cq.Query, len(queries))
-	arity := -1
-	for i, qs := range queries {
-		q, err := parseChecked(d, qs)
-		if err != nil {
-			return nil, err
-		}
-		if arity < 0 {
-			arity = len(q.Head)
-		} else if len(q.Head) != arity {
-			return nil, fmt.Errorf("lapushdb: union arms have different head arities (%d vs %d)", arity, len(q.Head))
-		}
-		parsed[i] = q
-	}
-	// The answers in first-appearance order across the arms, matched by
-	// engine.AppendKey over their head values.
-	var keys [][]engine.Value
-	index := map[string]int{}
-	var kb []byte
-	slot := func(key []engine.Value) int {
-		kb = engine.AppendKey(kb[:0], key)
-		j, ok := index[string(kb)]
-		if !ok {
-			j = len(keys)
-			index[string(kb)] = j
-			keys = append(keys, key)
-		}
-		return j
-	}
-	switch opts.Method {
-	case Dissociation:
-		var miss []float64 // ∏(1 − ρi) per answer, over the arms in order
-		for _, q := range parsed {
-			sp := core.SinglePlan(q, d.schema(q, opts))
-			var res *engine.Result
-			if err := d.evaluate(ctx, q, opts, func(e *engine.Evaluator) { res = e.Eval(sp) }); err != nil {
-				return nil, err
-			}
-			for i := 0; i < res.Len(); i++ {
-				j := slot(res.Row(i))
-				if j == len(miss) {
-					miss = append(miss, 1)
-				}
-				miss[j] *= 1 - res.Score(i)
-			}
-		}
-		out := make([]Answer, len(keys))
-		for j, key := range keys {
-			out[j] = Answer{Values: d.decode(key), Score: 1 - miss[j]}
-		}
-		sortAnswers(out)
-		return out, nil
-	case Exact, MonteCarlo:
-		// Union of lineages per answer, then the one scorer on each
-		// combined DNF.
-		var clauses [][][]int32
-		for _, q := range parsed {
-			var lin *engine.Lineage
-			if err := d.evaluate(ctx, q, opts, func(e *engine.Evaluator) { lin = e.Lineage(q) }); err != nil {
-				return nil, err
-			}
-			for i := 0; i < lin.Len(); i++ {
-				j := slot(lin.Key(i))
-				if j == len(clauses) {
-					clauses = append(clauses, nil)
-				}
-				clauses[j] = append(clauses[j], lin.Clauses(i)...)
-			}
-		}
-		return d.newScorer(opts.Method, opts).rank(ctx, len(keys),
-			func(i int) []engine.Value { return keys[i] },
-			func(i int) [][]int32 { return clauses[i] })
-	default:
-		return nil, fmt.Errorf("lapushdb: RankUnion supports Dissociation, Exact, and MonteCarlo")
-	}
 }

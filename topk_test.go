@@ -154,118 +154,6 @@ func TestRankTopKErrors(t *testing.T) {
 	}
 }
 
-func TestRankUnionDissociationUpperBound(t *testing.T) {
-	db := movieDB(t)
-	queries := []string{
-		"q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)",
-		"q(user) :- Likes(user, movie)",
-	}
-	diss, err := db.RankUnion(context.Background(), queries, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := db.RankUnion(context.Background(), queries, &Options{Method: Exact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diss) != len(ex) {
-		t.Fatalf("answers %d vs %d", len(diss), len(ex))
-	}
-	score := func(as []Answer, v string) (float64, bool) {
-		for _, a := range as {
-			if a.Values[0] == v {
-				return a.Score, true
-			}
-		}
-		return 0, false
-	}
-	for _, a := range ex {
-		got, ok := score(diss, a.Values[0])
-		if !ok {
-			t.Fatalf("answer %v missing from dissociation union", a.Values)
-		}
-		if got < a.Score-1e-12 {
-			t.Errorf("%v: union upper bound %v below exact %v (FKG violated?)", a.Values, got, a.Score)
-		}
-	}
-	// Union probabilities dominate each arm's probability.
-	arm, _ := db.RankContext(context.Background(), queries[1], &Options{Method: Exact})
-	for _, a := range arm {
-		got, ok := score(ex, a.Values[0])
-		if !ok || got < a.Score-1e-12 {
-			t.Errorf("%v: union exact %v below arm exact %v", a.Values, got, a.Score)
-		}
-	}
-}
-
-func TestRankUnionMonteCarlo(t *testing.T) {
-	db := movieDB(t)
-	queries := []string{
-		"q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)",
-		"q(user) :- Likes(user, movie)",
-	}
-	ex, err := db.RankUnion(context.Background(), queries, &Options{Method: Exact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcAs, err := db.RankUnion(context.Background(), queries, &Options{Method: MonteCarlo, MCSamples: 100000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range ex {
-		for _, b := range mcAs {
-			if b.Values[0] == a.Values[0] && math.Abs(b.Score-a.Score) > 0.01 {
-				t.Errorf("%v: MC %v vs exact %v", a.Values, b.Score, a.Score)
-			}
-		}
-	}
-}
-
-func TestRankUnionErrors(t *testing.T) {
-	db := movieDB(t)
-	if _, err := db.RankUnion(context.Background(), nil, nil); err == nil {
-		t.Error("empty union should fail")
-	}
-	if _, err := db.RankUnion(context.Background(), []string{"bad"}, nil); err == nil {
-		t.Error("bad arm should fail")
-	}
-	if _, err := db.RankUnion(context.Background(), []string{
-		"q(user) :- Likes(user, movie)",
-		"q(user, movie) :- Likes(user, movie)",
-	}, nil); err == nil {
-		t.Error("mismatched arities should fail")
-	}
-	if _, err := db.RankUnion(context.Background(), []string{"q(user) :- Likes(user, movie)"},
-		&Options{Method: LineageSize}); err == nil {
-		t.Error("unsupported method should fail")
-	}
-}
-
-// TestRankUnionSeedDeterministic: the union's answers are sampled in
-// first-appearance order from one Seed-derived stream, so repeating a
-// MonteCarlo union gives bit-identical scores every time.
-func TestRankUnionSeedDeterministic(t *testing.T) {
-	db := movieDB(t)
-	queries := []string{
-		"q(user) :- Likes(user, movie), Stars(movie, actor), Fan(actor)",
-		"q(user) :- Likes(user, movie)",
-	}
-	opts := &Options{Method: MonteCarlo, MCSamples: 1000, Seed: 3}
-	first, err := db.RankUnion(context.Background(), queries, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		again, err := db.RankUnion(context.Background(), queries, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(again, first) {
-			t.Fatalf("call %d: %v, first call %v", i+2, again, first)
-		}
-	}
-}
-
 // TestRankTopKBudgetCoversBoundsAndLineage: RankTopK computes its bounds
 // and its lineages on one evaluation, so MaxIntermediateRows covers both.
 // A budget that admits the bound pass alone and the lineage alone fails;
@@ -285,60 +173,5 @@ func TestRankTopKBudgetCoversBoundsAndLineage(t *testing.T) {
 	}
 	if _, err := db.RankTopK(ctx, topkQuery, 3, &Options{MaxIntermediateRows: bounds + lineage}); err != nil {
 		t.Errorf("budget %d = bounds + lineage: %v", bounds+lineage, err)
-	}
-}
-
-// TestRankUnionDissociationParity: a Dissociation union scores each
-// answer 1 − ∏(1 − ρi), the product taken in arm order over the arms
-// that hold the answer, bit for bit. The first two arms share some
-// answers and not others; the third shares none.
-func TestRankUnionDissociationParity(t *testing.T) {
-	db := biggerDB(t, 30)
-	ctx := context.Background()
-	arms := []string{
-		topkQuery,
-		"q(user) :- Likes(user, 'heat')",
-		"q(actor) :- Stars(movie, actor), Fan(actor)",
-	}
-	miss := map[string]float64{}
-	counts := map[string]int{}
-	for _, arm := range arms {
-		answers, err := db.RankContext(ctx, arm, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, a := range answers {
-			key := stringsKey(a.Values)
-			if _, ok := miss[key]; !ok {
-				miss[key] = 1
-			}
-			miss[key] *= 1 - a.Score
-			counts[key]++
-		}
-	}
-	shared := 0
-	for _, c := range counts {
-		if c > 1 {
-			shared++
-		}
-	}
-	if shared == 0 || shared == len(counts) {
-		t.Fatalf("%d of %d answers in more than one arm: want some, not all", shared, len(counts))
-	}
-	union, err := db.RankUnion(ctx, arms, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(union) != len(miss) {
-		t.Fatalf("%d union answers, %d distinct arm answers", len(union), len(miss))
-	}
-	for _, a := range union {
-		m, ok := miss[stringsKey(a.Values)]
-		if !ok {
-			t.Fatalf("answer %v in no arm", a.Values)
-		}
-		if math.Float64bits(a.Score) != math.Float64bits(1-m) {
-			t.Errorf("answer %v: score %v, arms give %v", a.Values, a.Score, 1-m)
-		}
 	}
 }
