@@ -166,7 +166,7 @@ lines:
 
 # Ceiling on that total. A change that grows the code raises LINES_MAX
 # in its own diff, where review sees it; ROADMAP item 8 targets 19 000.
-LINES_MAX ?= 20478
+LINES_MAX ?= 20470
 
 lines-check:
 	@total=$$($(MAKE) -s --no-print-directory lines | awk '$$2 == "total" { print $$1 }') && \
@@ -181,6 +181,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzAnalyses$$' -fuzztime=$(FUZZTIME) ./internal/cq
 	$(GO) test -run=^$$ -fuzz='^FuzzLikeMatch$$' -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=^$$ -fuzz='^FuzzMorselDifferential$$' -fuzztime=$(FUZZTIME) ./internal/engine
+	$(GO) test -run=^$$ -fuzz='^FuzzSnapshotLoad$$' -fuzztime=$(FUZZTIME) ./internal/engine
 	$(GO) test -run=^$$ -fuzz='^FuzzExactKernel$$' -fuzztime=$(FUZZTIME) ./internal/exact
 	$(GO) test -run=^$$ -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/store
 	$(GO) test -run=^$$ -fuzz='^FuzzRankBatchRequest$$' -fuzztime=$(FUZZTIME) ./internal/server

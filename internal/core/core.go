@@ -573,7 +573,6 @@ func SafeGiven(q *cq.Query, sch *Schema, plans []plan.Node) bool {
 		return false
 	}
 	d := plan.DeltaOf(q, plans[0])
-	chase := Chase(q, sch)
 	qvars := cq.NewVarSet(q.Vars()...)
 	for rel, extra := range d.Extra {
 		if !sch.IsProb(rel) {
@@ -581,7 +580,6 @@ func SafeGiven(q *cq.Query, sch *Schema, plans []plan.Node) bool {
 		}
 		a := q.Atom(rel)
 		cl := sch.Closure(cq.NewVarSet(a.Vars()...)).Intersect(qvars)
-		cl = cl.Union(chase.ExtraOf(rel))
 		if extra.Minus(cl).Len() > 0 {
 			return false
 		}

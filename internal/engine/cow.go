@@ -17,9 +17,12 @@ package engine
 //     clone's first write (a new string or value), at which point they
 //     are copied in full — probability-only batches never pay for them.
 //     The id-to-value slice is append-only and shared capacity-clamped.
-//   - In-place writes (SetProb, ScaleProbs) copy the touched probability
-//     arrays first, tracked by per-slice copy-on-write flags.
-//   - Deletions rebuild the relation's storage into fresh arrays.
+//   - The lineage-probability table varProb is the one copy of every
+//     tuple probability. In-place writes (SetProb, ScaleProbs) copy it
+//     first unless an append (Insert) has already reallocated it, which
+//     clears its copy-on-write flag.
+//   - Deletions rebuild the relation's value ids and lineage variables
+//     into fresh arrays.
 
 // clampCap returns s with its capacity clamped to its length, so that
 // appending to the result always reallocates. nil stays nil.
@@ -53,11 +56,9 @@ func (db *DB) CloneCOW() *DB {
 			Deterministic: r.Deterministic,
 			Key:           clampCap(r.Key),
 			db:            c,
-			rows:          clampCap(r.rows),
+			n:             r.n,
 			vids:          clampCap(r.vids),
-			prob:          clampCap(r.prob),
 			vars:          clampCap(r.vars),
-			cowProb:       true,
 		}
 	}
 	return c
@@ -91,16 +92,6 @@ func (db *DB) ensureOwnedVarProb() {
 	db.cowVarProb = false
 }
 
-// ensureOwnedProb copies the relation's shared probability column
-// before an in-place write.
-func (r *Relation) ensureOwnedProb() {
-	if !r.cowProb {
-		return
-	}
-	r.prob = append(make([]float64, 0, len(r.prob)), r.prob...)
-	r.cowProb = false
-}
-
 // LookupConst resolves an external value to its interned form without
 // mutating the dictionary. ok is false when the value is a string that
 // occurs nowhere in the database (it can match no stored tuple).
@@ -111,18 +102,27 @@ func (db *DB) LookupConst(lit string) (Value, bool) {
 
 // FindRow returns the index of the first tuple equal to the given
 // values, or -1. Duplicate tuples (same values, distinct lineage
-// variables) resolve to the first occurrence.
+// variables) resolve to the first occurrence. It compares value ids and
+// assigns none: a value without one is stored nowhere and matches
+// nothing.
 func (r *Relation) FindRow(tuple []Value) int {
 	a := len(r.Cols)
 	if len(tuple) != a {
 		return -1
 	}
-	n := r.Len()
+	ids := make([]int32, a)
+	for j, v := range tuple {
+		id, ok := r.db.valIDs[v]
+		if !ok {
+			return -1
+		}
+		ids[j] = id
+	}
 outer:
-	for i := 0; i < n; i++ {
-		row := r.rows[i*a : (i+1)*a]
+	for i := 0; i < r.n; i++ {
+		row := r.vidRow(i)
 		for j := range row {
-			if row[j] != tuple[j] {
+			if row[j] != ids[j] {
 				continue outer
 			}
 		}
@@ -132,31 +132,22 @@ outer:
 }
 
 // DeleteRow removes the i-th tuple, rebuilding the relation's storage
-// into fresh arrays (copy-on-write safe), and drops every built index:
-// row ids past i shift down. The tuple's lineage variable id stays
-// allocated but unreferenced, so variable-id assignment — and with it
-// WAL replay — remains deterministic.
+// into fresh arrays (copy-on-write safe); row ids past i shift down. The
+// tuple's lineage variable id stays allocated but unreferenced, so
+// variable-id assignment — and with it WAL replay — remains
+// deterministic.
 func (r *Relation) DeleteRow(i int) {
 	a := len(r.Cols)
-	n := r.Len()
-	if i < 0 || i >= n {
+	if i < 0 || i >= r.n {
 		panic("engine: DeleteRow index out of range")
 	}
-	rows := make([]Value, 0, (n-1)*a)
-	rows = append(rows, r.rows[:i*a]...)
-	rows = append(rows, r.rows[(i+1)*a:]...)
-	vids := make([]int32, 0, (n-1)*a)
+	vids := make([]int32, 0, (r.n-1)*a)
 	vids = append(vids, r.vids[:i*a]...)
-	vids = append(vids, r.vids[(i+1)*a:]...)
-	prob := make([]float64, 0, n-1)
-	prob = append(prob, r.prob[:i]...)
-	prob = append(prob, r.prob[i+1:]...)
-	r.rows, r.vids, r.prob = rows, vids, prob
-	r.cowProb = false
+	r.vids = append(vids, r.vids[(i+1)*a:]...)
+	r.n--
 	if !r.Deterministic {
-		vars := make([]int32, 0, n-1)
+		vars := make([]int32, 0, r.n)
 		vars = append(vars, r.vars[:i]...)
-		vars = append(vars, r.vars[i+1:]...)
-		r.vars = vars
+		r.vars = append(vars, r.vars[i+1:]...)
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -136,5 +137,29 @@ func TestLookupConstReadOnly(t *testing.T) {
 	}
 	if v, ok := db.LookupConst("42"); !ok || v != Value(42) {
 		t.Fatalf("LookupConst(42) = %v, %v", v, ok)
+	}
+}
+
+// TestCloneCOWInsertOwnsVarProb: an Insert on a CloneCOW copy appends to
+// the capacity-clamped lineage-probability table, which reallocates, so
+// the copy owns the new array and a following SetProb writes it in place
+// instead of copying the table a second time. The parent's table keeps
+// its length and values.
+func TestCloneCOWInsertOwnsVarProb(t *testing.T) {
+	db := cowSeedDB()
+	parent := append([]float64(nil), db.varProb...)
+	c := db.CloneCOW()
+	r := c.Relation("R")
+	r.Insert([]Value{c.Intern("c"), c.Int(3)}, 0.125)
+	inserted := &c.varProb[0]
+	r.SetProb(0, 0.75)
+	if &c.varProb[0] != inserted {
+		t.Fatal("SetProb after Insert copied the lineage-probability table again")
+	}
+	if got := []float64{c.varProb[0], c.varProb[2]}; got[0] != 0.75 || got[1] != 0.125 {
+		t.Fatalf("clone probabilities %v, want [0.75 0.125]", got)
+	}
+	if !slices.Equal(db.varProb, parent) {
+		t.Fatalf("parent table changed: %v, was %v", db.varProb, parent)
 	}
 }

@@ -52,8 +52,8 @@ type DB struct {
 
 	// Copy-on-write state (see cow.go). cowDicts marks strIDs/valIDs as
 	// shared with the parent of a CloneCOW copy; cowVarProb marks
-	// varProb as shared for in-place writes (appends are safe: shared
-	// slices are capacity-clamped).
+	// varProb as shared for in-place writes (an append reallocates a
+	// capacity-clamped slice, so it clears the flag).
 	cowDicts   bool
 	cowVarProb bool
 }
@@ -63,8 +63,11 @@ func NewDB() *DB {
 	return &DB{rels: map[string]*Relation{}, strIDs: map[string]Value{}, valIDs: map[Value]int32{}}
 }
 
-// Relation is one probabilistic relation. All tuples of a deterministic
-// relation have probability 1 and are not assigned lineage variables.
+// Relation is one probabilistic relation. Each tuple is stored once: its
+// cells as dense value ids (the value is db.vals[id]) and, for a
+// probabilistic relation, its lineage variable, whose probability is
+// db.varProb[var]. A deterministic relation has no lineage variables;
+// every one of its tuples has probability 1.
 type Relation struct {
 	Name string
 	Cols []string
@@ -75,14 +78,9 @@ type Relation struct {
 	Key []int
 
 	db   *DB
-	rows []Value   // flattened: len = arity * count
-	vids []int32   // dense value ids, parallel to rows
-	prob []float64 // per tuple; nil for deterministic relations
-	vars []int32   // lineage variable ids; nil for deterministic relations
-
-	// cowProb marks prob as shared with a CloneCOW parent for in-place
-	// writes (see cow.go).
-	cowProb bool
+	n    int     // tuple count (a nullary relation has no cells to count)
+	vids []int32 // dense value ids, flattened: len = arity * n
+	vars []int32 // lineage variable ids; nil for deterministic relations
 }
 
 // CreateRelation adds a probabilistic relation with the given attribute
@@ -122,23 +120,16 @@ func (db *DB) Relations() []*Relation {
 // The returned slice is shared; callers must not modify it.
 func (db *DB) VarProbs() []float64 { return db.varProb }
 
-// ScaleProbs multiplies every tuple probability in the database by f
+// ScaleProbs multiplies every probabilistic tuple's probability by f
 // (Proposition 21 / the scaling experiments). f must be in (0, 1].
+// Deterministic tuples have no lineage variable and stay certain.
 func (db *DB) ScaleProbs(f float64) {
 	if !(f > 0 && f <= 1) {
 		panic(fmt.Sprintf("engine: scale factor %v out of (0, 1]", f))
 	}
 	db.ensureOwnedVarProb()
-	for _, r := range db.rels {
-		r.ensureOwnedProb()
-	}
 	for i := range db.varProb {
 		db.varProb[i] *= f
-	}
-	for _, r := range db.rels {
-		for i := range r.prob {
-			r.prob[i] *= f
-		}
 	}
 }
 
@@ -167,9 +158,8 @@ func (db *DB) Clone() *DB {
 			Deterministic: r.Deterministic,
 			Key:           append([]int(nil), r.Key...),
 			db:            c,
-			rows:          append([]Value(nil), r.rows...),
+			n:             r.n,
 			vids:          append([]int32(nil), r.vids...),
-			prob:          append([]float64(nil), r.prob...),
 			vars:          append([]int32(nil), r.vars...),
 		}
 	}
@@ -267,10 +257,10 @@ func (db *DB) VarLabels() map[int32]string {
 			continue
 		}
 		for i := 0; i < r.Len(); i++ {
-			row := r.Row(i)
-			parts := make([]string, len(row))
-			for j, v := range row {
-				parts[j] = db.Decode(v)
+			ids := r.vidRow(i)
+			parts := make([]string, len(ids))
+			for j, id := range ids {
+				parts[j] = db.Decode(db.vals[id])
 			}
 			out[r.vars[i]] = r.Name + "(" + strings.Join(parts, ", ") + ")"
 		}
@@ -282,12 +272,7 @@ func (db *DB) VarLabels() map[int32]string {
 func (r *Relation) Arity() int { return len(r.Cols) }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int {
-	if len(r.Cols) == 0 {
-		return len(r.prob)
-	}
-	return len(r.rows) / len(r.Cols)
-}
+func (r *Relation) Len() int { return r.n }
 
 // Insert adds one tuple with the given probability. Deterministic
 // relations require p == 1. Values must already be encoded via the
@@ -303,25 +288,29 @@ func (r *Relation) Insert(tuple []Value, p float64) {
 	if r.Deterministic && p != 1 {
 		panic(fmt.Sprintf("engine: deterministic relation %s requires p = 1", r.Name))
 	}
-	r.rows = append(r.rows, tuple...)
 	for _, v := range tuple {
 		r.vids = append(r.vids, r.db.noteValue(v))
 	}
+	r.n++
 	if r.Deterministic {
-		r.prob = append(r.prob, 1)
 		return
 	}
-	r.prob = append(r.prob, p)
-	id := int32(len(r.db.varProb))
+	r.vars = append(r.vars, int32(len(r.db.varProb)))
+	// An append to a capacity-clamped slice always reallocates, so after
+	// it a CloneCOW copy owns varProb and later in-place writes need not
+	// copy it again.
 	r.db.varProb = append(r.db.varProb, p)
-	r.vars = append(r.vars, id)
+	r.db.cowVarProb = false
 }
 
-// Row returns the i-th tuple (a view into internal storage; do not
-// modify).
+// Row returns a copy of the i-th tuple's values, decoded from its value
+// ids.
 func (r *Relation) Row(i int) []Value {
-	a := len(r.Cols)
-	return r.rows[i*a : (i+1)*a]
+	row := make([]Value, len(r.Cols))
+	for j, id := range r.vidRow(i) {
+		row[j] = r.db.vals[id]
+	}
+	return row
 }
 
 // vidRow returns the dense value ids of the i-th tuple (a view; do not
@@ -331,8 +320,14 @@ func (r *Relation) vidRow(i int) []int32 {
 	return r.vids[i*a : (i+1)*a]
 }
 
-// Prob returns the probability of the i-th tuple.
-func (r *Relation) Prob(i int) float64 { return r.prob[i] }
+// Prob returns the probability of the i-th tuple: its lineage
+// variable's, or 1 for a deterministic tuple.
+func (r *Relation) Prob(i int) float64 {
+	if r.Deterministic {
+		return 1
+	}
+	return r.db.varProb[r.vars[i]]
+}
 
 // VarID returns the lineage variable id of the i-th tuple, or -1 for
 // tuples of deterministic relations.
@@ -343,8 +338,8 @@ func (r *Relation) VarID(i int) int32 {
 	return r.vars[i]
 }
 
-// SetProb updates the probability of the i-th tuple (and its lineage
-// variable).
+// SetProb updates the probability of the i-th tuple, which is its
+// lineage variable's.
 func (r *Relation) SetProb(i int, p float64) {
 	if r.Deterministic {
 		panic("engine: cannot set probability on a deterministic relation")
@@ -352,9 +347,7 @@ func (r *Relation) SetProb(i int, p float64) {
 	if !(p >= 0 && p <= 1) {
 		panic(fmt.Sprintf("engine: probability %v out of [0, 1]", p))
 	}
-	r.ensureOwnedProb()
 	r.db.ensureOwnedVarProb()
-	r.prob[i] = p
 	r.db.varProb[r.vars[i]] = p
 }
 

@@ -25,8 +25,8 @@ func TestInsertRefusedLeavesRelation(t *testing.T) {
 		}()
 		d.Insert([]Value{3, 4}, 0.5)
 	}()
-	if d.Len() != 1 || len(d.prob) != 1 || len(d.vids) != 2 {
-		t.Fatalf("after the refused insert: %d rows, %d probabilities, %d value ids; want 1, 1, 2", d.Len(), len(d.prob), len(d.vids))
+	if d.Len() != 1 || len(d.vids) != 2 || len(db.varProb) != 0 {
+		t.Fatalf("after the refused insert: %d rows, %d value ids, %d lineage variables; want 1, 2, 0", d.Len(), len(d.vids), len(db.varProb))
 	}
 	q := cq.MustParse("q(x, y) :- D(x, y), x >= 0")
 	res := EvalPlansCtx(nil, db, q, core.MinimalPlans(q, nil), Options{})

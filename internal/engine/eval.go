@@ -261,11 +261,19 @@ func (e *Evaluator) scan(s *plan.Scan, extra []int32) (*Result, []int32) {
 	}
 	e.exec.charge(m)
 	out.scores = ar.float64s(m)
-	if all {
-		copy(out.scores, rel.prob)
-	} else {
+	probs, vars := e.db.varProb, rel.vars
+	switch {
+	case rel.Deterministic:
+		for x := range out.scores {
+			out.scores[x] = 1
+		}
+	case all:
+		for x, v := range vars {
+			out.scores[x] = probs[v]
+		}
+	default:
 		for x, ri := range sel {
-			out.scores[x] = rel.prob[ri]
+			out.scores[x] = probs[vars[ri]]
 		}
 	}
 	a := rel.Arity()
@@ -459,7 +467,7 @@ func (f *rowFilter) apply(rel *Relation, cand []int32, restricted bool, c *cance
 		sel = out
 	}
 	for _, p := range f.preds {
-		sel = p.filter(sel, rel.rows, a, c)
+		sel = p.filter(sel, vids, a, c)
 	}
 	return sel, false
 }
@@ -511,8 +519,10 @@ func (c compiledPred) okVal(v Value) bool {
 // filter compacts sel to the rows whose value at c.pos satisfies the
 // predicate, the op switch hoisted out of the row loops: the four order
 // comparisons become one closed numeric interval [lo, hi], and != and
-// LIKE are a loop each.
-func (c compiledPred) filter(sel []int32, rows []Value, a int, cc *canceller) []int32 {
+// LIKE are a loop each. vids is the relation's flattened value ids; a
+// cell's value is vals[id].
+func (c compiledPred) filter(sel []int32, vids []int32, a int, cc *canceller) []int32 {
+	vals := c.db.vals
 	out := sel[:0]
 	switch c.op {
 	case cq.OpLE, cq.OpLT, cq.OpGE, cq.OpGT:
@@ -535,21 +545,21 @@ func (c compiledPred) filter(sel []int32, rows []Value, a int, cc *canceller) []
 		}
 		for _, ri := range sel {
 			cc.check()
-			if v := rows[int(ri)*a+c.pos]; v >= lo && v <= hi {
+			if v := vals[vids[int(ri)*a+c.pos]]; v >= lo && v <= hi {
 				out = append(out, ri)
 			}
 		}
 	case cq.OpNE:
 		for _, ri := range sel {
 			cc.check()
-			if rows[int(ri)*a+c.pos] != c.num {
+			if vals[vids[int(ri)*a+c.pos]] != c.num {
 				out = append(out, ri)
 			}
 		}
 	case cq.OpLike:
 		for _, ri := range sel {
 			cc.check()
-			if c.like.match(c.db.Decode(rows[int(ri)*a+c.pos])) {
+			if c.like.match(c.db.Decode(vals[vids[int(ri)*a+c.pos]])) {
 				out = append(out, ri)
 			}
 		}

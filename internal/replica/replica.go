@@ -24,6 +24,9 @@ import (
 // the same way — bootstrap from a fresh snapshot.
 var errNeedSnapshot = errors.New("replica: snapshot bootstrap required")
 
+// snapshotTimeout bounds one checkpoint bootstrap.
+const snapshotTimeout = 5 * time.Minute
+
 // Options configures a replica tailer.
 type Options struct {
 	// Primary is the primary's base URL, e.g. "http://127.0.0.1:8080".
@@ -44,8 +47,6 @@ type Options struct {
 	// an idle stream is cleanly ended (and immediately re-established)
 	// after this long (default 20s).
 	StreamWindow time.Duration
-	// SnapshotTimeout bounds one checkpoint bootstrap (default 5m).
-	SnapshotTimeout time.Duration
 	// Logf receives operational log lines (default: standard logger).
 	Logf func(format string, args ...any)
 }
@@ -133,9 +134,6 @@ func Start(opts Options) (*Replica, error) {
 	}
 	if opts.StreamWindow <= 0 {
 		opts.StreamWindow = 20 * time.Second
-	}
-	if opts.SnapshotTimeout <= 0 {
-		opts.SnapshotTimeout = 5 * time.Minute
 	}
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
@@ -349,7 +347,7 @@ func (r *Replica) streamOnce(ctx context.Context) error {
 // fingerprint against the loaded database, and installs it.
 func (r *Replica) bootstrap(ctx context.Context) error {
 	r.bootstraps.Add(1)
-	sctx, cancel := context.WithTimeout(ctx, r.opts.SnapshotTimeout)
+	sctx, cancel := context.WithTimeout(ctx, snapshotTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(sctx, http.MethodGet, r.opts.Primary+"/v1/checkpoint", nil)
 	if err != nil {

@@ -19,7 +19,7 @@ const (
 	OpSetProb = "set_prob"
 	// OpDelete removes the first tuple equal to Tuple (Rel, Tuple).
 	OpDelete = "delete"
-	// OpScaleProbs multiplies every tuple probability in the database by
+	// OpScaleProbs multiplies every probabilistic tuple's probability by
 	// Factor in (0, 1] — the paper's probability-scaling knob
 	// (Proposition 21) as an online operation.
 	OpScaleProbs = "scale_probs"

@@ -183,9 +183,6 @@ type Options struct {
 	MCSamples int
 	// Seed seeds the MonteCarlo sampler.
 	Seed int64
-	// ExactBudget bounds the exact solver's work (default
-	// DefaultExactBudget nodes).
-	ExactBudget int
 
 	// memo, when non-nil, shares canonicalized subplan results and one
 	// intermediate-row budget across the queries of a batch. It is set
@@ -206,8 +203,7 @@ const (
 	// DefaultMCSamples is the sample count used by the MonteCarlo and
 	// KarpLuby methods when Options.MCSamples is unset.
 	DefaultMCSamples = 1000
-	// DefaultExactBudget is the exact solver's node budget when
-	// Options.ExactBudget is unset.
+	// DefaultExactBudget is the exact solver's node budget per answer.
 	DefaultExactBudget = 50_000_000
 )
 
@@ -328,23 +324,19 @@ func (d *DB) schema(q *cq.Query, opts *Options) *core.Schema {
 
 // scorer is the one per-answer scorer of every lineage-based method:
 // Exact, MonteCarlo, KarpLuby and LineageSize in RankContext, and
-// RankTopK's exact step. The budgets are resolved once, and one sampler
+// RankTopK's exact step. The sample count is resolved once, and one sampler
 // stream serves every answer, so a Seed gives one result as long as
 // answers are visited in one order.
 type scorer struct {
 	d       *DB
 	method  Method
-	budget  int
 	samples int
 	rng     *rand.Rand
 }
 
 func (d *DB) newScorer(method Method, opts *Options) *scorer {
-	s := &scorer{d: d, method: method, budget: opts.ExactBudget, samples: opts.MCSamples,
+	s := &scorer{d: d, method: method, samples: opts.MCSamples,
 		rng: rand.New(rand.NewSource(opts.Seed))}
-	if s.budget <= 0 {
-		s.budget = DefaultExactBudget
-	}
 	if s.samples <= 0 {
 		s.samples = DefaultMCSamples
 	}
@@ -359,7 +351,7 @@ func (s *scorer) score(ctx context.Context, key []engine.Value, clauses [][]int3
 	probs := s.d.db.VarProbs()
 	switch s.method {
 	case Exact:
-		p, err := exact.ProbBudget(clauses, probs, s.budget)
+		p, err := exact.ProbBudget(clauses, probs, DefaultExactBudget)
 		if err != nil {
 			return 0, fmt.Errorf("lapushdb: exact inference infeasible for answer %v: %w", s.d.decode(key), err)
 		}
@@ -458,9 +450,10 @@ func (d *DB) ExplainContext(ctx context.Context, query string, opts ...*Options)
 	return p.Explanation(), nil
 }
 
-// ScaleProbs multiplies every tuple probability by f ∈ (0, 1]. Scaling
-// down tightens the dissociation approximation (Proposition 21 of the
-// paper) at the cost of absolute probability magnitudes. A factor
+// ScaleProbs multiplies every probabilistic tuple's probability by
+// f ∈ (0, 1]; the tuples of deterministic relations stay certain.
+// Scaling down tightens the dissociation approximation (Proposition 21
+// of the paper) at the cost of absolute probability magnitudes. A factor
 // outside (0, 1], NaN included, is an error and changes nothing.
 func (d *DB) ScaleProbs(f float64) error {
 	if !(f > 0 && f <= 1) {

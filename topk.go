@@ -20,7 +20,7 @@ import (
 // top-k operator.
 //
 // Exact inference on the examined answers must be feasible; the node
-// budget of Options.ExactBudget applies per answer. The bounds and the
+// budget DefaultExactBudget applies per answer. The bounds and the
 // lineages come from one evaluation, so the inputs are reduced once and
 // MaxIntermediateRows covers both; ctx is polled as RankContext polls it.
 func (d *DB) RankTopK(ctx context.Context, query string, k int, opts *Options) ([]Answer, error) {
